@@ -12,13 +12,18 @@ produce a concrete witness scenario per violating class.
 Two sharded variants fan the work out over :mod:`repro.parallel` worker
 processes:
 
-* :func:`fault_tolerance_sharded` partitions the *scenario space* by the
-  first failed link (a fixed number of link batches, independent of the
-  worker count, so the decomposition — and hence the merged report — is
-  identical at any ``jobs``).  Each worker simulates a batch-restricted
-  meta-protocol (out-of-batch scenarios collapse onto no-failure leaves)
-  and counts classes only over its own batch; the parent merges the
-  per-batch class lists in canonical batch order.
+* :func:`fault_tolerance_sharded` sizes the decomposition to the worker
+  pool: ``min(jobs, physical links)`` units.  One unit is the unrestricted
+  analysis above, run in-process — the paper's "simulate once".  N units
+  partition the *scenario space* by the first failed link, one batch per
+  worker: each simulates a batch-restricted meta-protocol (out-of-batch
+  scenarios collapse onto no-failure leaves) and counts classes only over
+  its own batch.  A batch costs most of a full run (the per-link
+  sub-diagrams are shared by hash-consing and every batch rebuilds them),
+  so units beyond the worker count would be pure duplicated work.  The
+  *report* does not depend on the decomposition — see
+  :func:`merge_fault_reports` for the class order and witness rule that
+  guarantee it; the *work* (and every work counter) does.
 * :func:`naive_fault_tolerance` optionally shards the §2.7 baseline's
   one-simulation-per-scenario loop over the same pool.
 
@@ -35,7 +40,8 @@ from typing import Any, Sequence
 
 from .. import metrics, obs, parallel, perf, telemetry
 from ..eval.interp import Interpreter, program_env
-from ..eval.maps import MapContext, NVMap
+from ..eval.maps import FrozenMap, MapContext, NVMap, freeze_value
+from ..eval.values import VRecord, VSome
 from ..lang import types as T
 from ..srp.network import Network, functions_from_program
 from ..srp.simulate import simulate
@@ -103,9 +109,14 @@ def fault_tolerance_analysis(net: Network,
     turned into executable functions (the compiled backend passes its own).
 
     ``link_batch`` restricts the analysis to the scenarios whose first
-    failed link is one of the given physical links (see
-    :func:`fault_tolerance_sharded`): classes and witnesses are then counted
-    only over that slice of the scenario space.
+    failed link is one of the given physical links (one unit of a
+    :func:`fault_tolerance_sharded` run with several workers): classes and
+    witnesses are then counted only over that slice of the scenario space.
+
+    Restricted or not, each node's classes are listed in ascending
+    :func:`route_order_key` order and its witness is the smallest violating
+    scenario key of the slice in encoder bit order (``any_sat`` walks
+    lo-first) — the two conventions :func:`merge_fault_reports` relies on.
     """
     t0 = perf_counter()
     with metrics.phase("fault.transform"), \
@@ -169,8 +180,9 @@ def fault_tolerance_analysis(net: Network,
             label = solution.labels[u]
             assert isinstance(label, NVMap)
             groups = ctx.manager.leaf_groups(label.root, width, restrict)
-            classes = [(value, count, check(u, value))
-                       for value, count in groups.items()]
+            classes = sorted(((value, count, check(u, value))
+                              for value, count in groups.items()),
+                             key=_class_order_key)
             reports.append(NodeFaultReport(u, classes))
             if with_witnesses and any(not ok for _, _, ok in classes):
                 violating.append((u, label))
@@ -185,13 +197,30 @@ def fault_tolerance_analysis(net: Network,
                        simulate_seconds, transform_seconds, witnesses)
 
 
-def _violation_witness(label: NVMap, key_ty: T.Type, check, node: int,
-                       restrict: int | None = None) -> Any:
-    """A concrete failure scenario under which ``node`` violates the
-    assertion, decoded from the converged MTBDD.  ``restrict`` bounds the
-    search to a key slice (defaults to the full valid-key domain)."""
-    out = _violation_witnesses([(node, label)], key_ty, check, restrict)
-    return out.get(node)
+def route_order_key(value: Any) -> Any:
+    """Sort key putting route values in one total order, the same for a
+    live value and its frozen snapshot: ``None`` before ``Some``, integers
+    (booleans, nodes) numerically, tuples, edges and records field by field,
+    maps by their canonical snapshot blob and then their leaves.  Class
+    lists are sorted by it, which is what makes them independent of how the
+    scenario space was decomposed."""
+    if value is None:
+        return (0,)
+    if isinstance(value, VSome):
+        return (1, route_order_key(value.value))
+    if isinstance(value, tuple):
+        return tuple(route_order_key(v) for v in value)
+    if isinstance(value, VRecord):
+        return tuple(route_order_key(v) for _, v in value.fields)
+    if isinstance(value, NVMap):
+        value = freeze_value(value)
+    if isinstance(value, FrozenMap):
+        return (value.nodes, tuple(route_order_key(v) for v in value.leaves))
+    return value
+
+
+def _class_order_key(cls: tuple[Any, int, bool]) -> Any:
+    return route_order_key(cls[0])
 
 
 def _violation_witnesses(items: Sequence[tuple[int, NVMap]], key_ty: T.Type,
@@ -275,19 +304,17 @@ def physical_links(net: Network) -> tuple[tuple[int, int], ...]:
     return tuple(links)
 
 
-def link_batches(net: Network, batches: int | None = None
+def link_batches(net: Network, n: int
                  ) -> list[tuple[tuple[int, int], ...]]:
-    """Partition the physical links into a *fixed* number of batches.
-
-    The batch count defaults to ``min(8, num_links)`` and deliberately does
-    **not** depend on the worker count: the decomposition (and therefore the
-    merged report) is identical whether the batches run on 1 or 8 workers.
-    """
+    """Partition the physical links into ``min(n, links)`` contiguous
+    batches of near-equal size (none for a network without links).  The
+    sharded driver passes its worker count: one batch per worker."""
+    if n < 1:
+        raise ValueError(f"link_batches needs at least one batch, got {n}")
     links = physical_links(net)
     if not links:
         return []
-    n = min(batches or 8, len(links))
-    n = max(1, n)
+    n = min(n, len(links))
     base, extra = divmod(len(links), n)
     out: list[tuple[tuple[int, int], ...]] = []
     start = 0
@@ -303,8 +330,6 @@ def freeze_fault_report(report: FaultReport) -> FaultReport:
     representatives, witnesses) has its live :class:`NVMap`s replaced by
     picklable :class:`~repro.eval.maps.FrozenMap` snapshots.  Reports with
     map-free routes come back with the same values."""
-    from ..eval.maps import freeze_value
-
     nodes = [NodeFaultReport(
         n.node, [(freeze_value(v), count, ok) for v, count, ok in n.classes])
         for n in report.nodes]
@@ -336,20 +361,24 @@ def _fault_shard_factory(payload: dict[str, Any]):
 
 
 def merge_fault_reports(reports: Sequence[FaultReport]) -> FaultReport:
-    """Combine batch-restricted reports into one full-scenario-space report.
+    """Combine batch-restricted reports into one full-scenario-space report
+    that does not depend on how the space was cut into batches.
 
     Per node, class counts for equal route values are summed across batches
-    (batches partition the scenario space, so the sums are exact); classes
-    are emitted in first-seen batch order, which is deterministic because
-    the batch decomposition is.  Witnesses keep the lowest-batch find.
-    Timings accumulate — they are total work, not wall clock.
+    (batches partition the scenario space, so the sums are exact) and the
+    classes are listed in ascending :func:`route_order_key` order — the
+    order the unrestricted analysis emits.  A node's witness is the
+    smallest violating scenario key over all batches in encoder bit order:
+    scenario keys are nodes and edges laid out most-significant-bit first,
+    so that is the natural tuple order of the decoded keys, and it is the
+    key ``any_sat`` finds on the unrestricted run.  Timings accumulate —
+    they are total work, not wall clock.
     """
     if not reports:
         raise ValueError("no fault reports to merge")
     first = reports[0]
-    num_nodes = len(first.nodes)
     merged_nodes: list[NodeFaultReport] = []
-    for u in range(num_nodes):
+    for u in range(len(first.nodes)):
         combined: dict[Any, list[Any]] = {}
         for report in reports:
             for value, count, ok in report.nodes[u].classes:
@@ -358,12 +387,14 @@ def merge_fault_reports(reports: Sequence[FaultReport]) -> FaultReport:
                     combined[value] = [count, ok]
                 else:
                     entry[0] += count
-        merged_nodes.append(NodeFaultReport(
-            u, [(value, count, ok) for value, (count, ok) in combined.items()]))
+        merged_nodes.append(NodeFaultReport(u, sorted(
+            ((value, count, ok) for value, (count, ok) in combined.items()),
+            key=_class_order_key)))
     witnesses: dict[int, Any] = {}
     for report in reports:
         for u, witness in report.witnesses.items():
-            witnesses.setdefault(u, witness)
+            if u not in witnesses or witness < witnesses[u]:
+                witnesses[u] = witness
     return FaultReport(
         first.num_link_failures, first.node_failures, merged_nodes,
         sum(r.simulate_seconds for r in reports),
@@ -381,37 +412,47 @@ def fault_tolerance_sharded(net: Network,
                             jobs: int | None = 1,
                             batches: int | None = None,
                             start_method: str | None = None) -> FaultReport:
-    """Fig 5 analysis decomposed into scenario batches over worker processes.
+    """Fig 5 analysis sized to the worker pool: ``min(jobs, physical
+    links)`` units (``jobs=None`` resolves ``NV_JOBS`` / CPU count).
 
-    The scenario space is partitioned by the first failed link into
-    :func:`link_batches` batches (count independent of ``jobs``); each batch
-    runs a restricted meta-protocol in a pool worker and reports classes for
-    its own scenarios only; the merged report covers the full space and is
-    byte-identical for any ``jobs`` value.  ``jobs=1`` runs the same units
-    in-process; ``jobs=None`` resolves ``NV_JOBS`` / CPU count.
+    One unit — ``jobs=1``, or a single-link network — is the unrestricted
+    :func:`fault_tolerance_analysis` run in-process: one meta-protocol
+    simulation, no batch predicate, no pool.  N units partition the
+    scenario space by the first failed link (:func:`link_batches`), one
+    batch-restricted simulation per worker, merged by
+    :func:`merge_fault_reports`.  The report (classes, counts, witnesses,
+    their order) is identical for every decomposition; the work is not —
+    each batch repeats most of a full run, so ``fault.batches`` (units
+    actually run) and every ``bdd.*`` / ``sim.*`` counter grow with it.
+
+    ``batches`` overrides the unit count (tests and the equivalence gate
+    run the same N units in-process and pooled).  Route values come back
+    frozen (:func:`freeze_fault_report`) at any unit count.
     """
-    units = link_batches(net, batches)
-    if num_link_failures == 0 or not units:
-        # Nothing to partition on (node-failure-only analysis, or a network
-        # with no links): a single unrestricted unit keeps one code path.
-        factory = _factory_for_backend(backend)
-        return freeze_fault_report(fault_tolerance_analysis(
+    jobs = parallel.resolve_jobs(jobs)
+    units = link_batches(net, jobs if batches is None else batches)
+    if len(units) <= 1:
+        report = freeze_fault_report(fault_tolerance_analysis(
             net, symbolics, num_link_failures=num_link_failures,
             node_failures=node_failures, with_witnesses=with_witnesses,
-            functions_factory=factory, drop_body=drop_body))
-    payload = {
-        "net": net, "symbolics": symbolics,
-        "num_link_failures": num_link_failures,
-        "node_failures": node_failures,
-        "with_witnesses": with_witnesses,
-        "drop_body": drop_body, "backend": backend,
-    }
-    reports = parallel.run_sharded(
-        "repro.analysis.fault:_fault_shard_factory", payload, units,
-        jobs=jobs, start_method=start_method, label="fault",
-        unit_labels=[f"batch{i}(n={len(u)})" for i, u in enumerate(units)])
-    perf.merge({"batches": len(units)}, prefix="fault.")
-    return merge_fault_reports(reports)
+            functions_factory=_factory_for_backend(backend),
+            drop_body=drop_body))
+    else:
+        payload = {
+            "net": net, "symbolics": symbolics,
+            "num_link_failures": num_link_failures,
+            "node_failures": node_failures,
+            "with_witnesses": with_witnesses,
+            "drop_body": drop_body, "backend": backend,
+        }
+        report = merge_fault_reports(parallel.run_sharded(
+            "repro.analysis.fault:_fault_shard_factory", payload, units,
+            jobs=min(jobs, len(units)), start_method=start_method,
+            label="fault",
+            unit_labels=[f"batch{i}(n={len(u)})"
+                         for i, u in enumerate(units)]))
+    perf.merge({"batches": max(1, len(units))}, prefix="fault.")
+    return report
 
 
 def _prefix_shard_factory(payload: dict[str, Any]):

@@ -85,12 +85,12 @@ def check_fault_tolerance(net: Network, symbolics: dict[str, Any] | None = None,
     ``drop`` is NV source for the dropped-route value with the pre-failure
     route bound to ``__v`` (default: ``None``, for option-typed attributes).
 
-    ``jobs != 1`` shards the scenario space into per-link batches simulated
-    on worker processes and merges the per-batch reports — same classes,
-    counts and witnesses as the serial analysis (``jobs=None`` resolves
-    ``NV_JOBS`` / CPU count).  With the default ``jobs=1`` the classic
-    single-process analysis runs and class values stay *live* NV values
-    (sharded reports carry frozen map snapshots instead).
+    ``jobs != 1`` shards the scenario space into one link batch per worker
+    process and merges the per-batch reports — same classes, counts and
+    witnesses, in the same order, as the serial analysis (``jobs=None``
+    resolves ``NV_JOBS`` / CPU count).  With the default ``jobs=1`` the
+    classic single-process analysis runs and class values stay *live* NV
+    values (sharded reports carry frozen map snapshots instead).
     """
     drop_body = None
     if drop is not None:

@@ -24,13 +24,14 @@ __all__ = ["ArenaBddManager", "BddManager", "LEAF_LEVEL", "engine_hint",
 
 _ENGINES = {"object": BddManager, "arena": ArenaBddManager}
 
-#: One-line description of the most recently constructed manager (engine,
-#: numpy availability, frontier thresholds).  ``repro.observatory`` copies
-#: it into the RunRecord env fingerprint so ``repro runs diff`` can
-#: attribute a timing delta to an engine-choice difference — fig13b runs
-#: ~1.3x slower on ``arena`` than ``object`` when numpy is unavailable
-#: (BENCH_pr10.json), which is invisible if records only say "arena".
-_last_hint: str | None = None
+#: What the most recently constructed manager was built with (engine, numpy
+#: use, frontier thresholds); :func:`engine_hint` renders it as one line.
+#: ``repro.observatory`` copies that into the RunRecord env fingerprint so
+#: ``repro runs diff`` can attribute a timing delta to an engine-choice
+#: difference — fig13b runs ~1.3x slower on ``arena`` than ``object`` when
+#: numpy is unavailable (BENCH_pr10.json), which is invisible if records
+#: only say "arena".
+_last_built: tuple | None = None
 
 
 def engine_name() -> str:
@@ -43,9 +44,21 @@ def engine_name() -> str:
 
 
 def engine_hint() -> str | None:
-    """The construction hint left by the last :func:`make_manager` call
-    (``None`` until a manager has been built in this process)."""
-    return _last_hint
+    """One-line description of the manager the last :func:`make_manager`
+    call built (``None`` until one has been built in this process)."""
+    if _last_built is None:
+        return None
+    name, use_np, frontier_min, frontier_width = _last_built
+    if name != "arena":
+        return name
+    if not use_np:
+        return "arena+scalar"
+    # The installed version, read from package metadata only when someone
+    # asks: neither numpy nor importlib.metadata (~40 ms) is imported to
+    # build a manager.
+    from importlib.metadata import version
+    return (f"arena+numpy-{version('numpy')}"
+            f"(frontier_min={frontier_min},width={frontier_width})")
 
 
 def make_manager(**kwargs):
@@ -54,17 +67,12 @@ def make_manager(**kwargs):
     The environment variable is read per call (not at import), so tests can
     flip engines with ``monkeypatch.setenv``.
     """
-    global _last_hint
+    global _last_built
     name = engine_name()
     mgr = _ENGINES[name](**kwargs)
     if name == "arena":
-        np = mgr._np
-        if np is None:
-            _last_hint = "arena+scalar"
-        else:
-            _last_hint = (f"arena+numpy-{np.__version__}"
-                          f"(frontier_min={mgr._frontier_min},"
-                          f"width={mgr._frontier_width})")
+        _last_built = (name, mgr._use_np, mgr._frontier_min,
+                       mgr._frontier_width)
     else:
-        _last_hint = name
+        _last_built = (name, False, 0, 0)
     return mgr

@@ -22,7 +22,8 @@ representational:
   engine's frame tuples and explicit result stacks.
 * Bulk analyses (reachability marking, ``sat_count``, ``leaves``,
   ``node_count``) run vectorised over ``numpy`` views of the arena when
-  numpy is importable, with a pure-``array`` fallback so ``dependencies =
+  numpy is installed (imported on first use by a diagram large enough to
+  need it), with a pure-``array`` fallback so ``dependencies =
   []`` installs keep working (force the fallback with ``NV_BDD_NUMPY=0``).
 
 Select the engine with ``NV_BDD_ENGINE=object|arena`` (see
@@ -31,6 +32,7 @@ Select the engine with ``NV_BDD_ENGINE=object|arena`` (see
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import os
 from array import array
@@ -39,7 +41,7 @@ from typing import Any, Callable, Iterator
 from .. import metrics, obs
 from .manager import GROWTH_SAMPLE_INTERVAL, LEAF_LEVEL, snapshot_bytes
 
-__all__ = ["ArenaBddManager", "LEAF_LEVEL", "numpy_or_none"]
+__all__ = ["ArenaBddManager", "LEAF_LEVEL", "numpy_available"]
 
 _manager_ids = itertools.count(1)
 
@@ -85,8 +87,13 @@ _FRONTIER_MIN_DEFAULT = 512
 _FRONTIER_WIDTH_DEFAULT = 256
 
 #: Arena size above which a unique-table rehash uses the vectorised
-#: claim-round rebuild instead of the scalar reinsertion loop.
-_NP_REHASH_CUTOFF = 4096
+#: claim-round rebuild instead of the scalar reinsertion loop.  The rebuild
+#: is ~1.5x the scalar loop's speed (0.39 vs 0.26 us per node at 4k-260k
+#: nodes), and a rehash is the first kernel a growing arena reaches, so the
+#: cutoff decides when a process pays numpy's import (~0.13 s, ~12-15 MB):
+#: the doubling rehashes of an arena that ends at N nodes cost ~2N scalar
+#: reinsertions, which the rebuild repays only from N ~ 5e5.
+_NP_REHASH_CUTOFF = 1 << 19
 
 #: Per-level node batches below this size insert through the scalar
 #: :meth:`mk` loop instead of ``_unique_insert_batch`` — the vectorised
@@ -108,15 +115,20 @@ _REF_SHIFT = 50
 _REF_MASK = (1 << _REF_SHIFT) - 1
 
 
-def numpy_or_none():
-    """The ``numpy`` module when importable and not disabled via
-    ``NV_BDD_NUMPY=0``, else ``None`` (pure-``array`` fallback paths)."""
+def numpy_available() -> bool:
+    """Is ``numpy`` installed and not disabled via ``NV_BDD_NUMPY=0``?
+    Decided without importing it (the import costs ~0.13 s and ~12 MB,
+    which a process whose diagrams stay below every vectorisation cutoff
+    never earns back); ``False`` selects the pure-``array`` fallback paths."""
     if os.environ.get("NV_BDD_NUMPY", "").strip() == "0":
-        return None
-    try:
-        import numpy
-    except ImportError:  # optional dependency: dependencies = [] installs
-        return None
+        return False
+    return importlib.util.find_spec("numpy") is not None
+
+
+def _numpy():
+    """The ``numpy`` module, imported on first use by a kernel that needs
+    it (guard the call with ``numpy_available()`` / ``self._use_np``)."""
+    import numpy
     return numpy
 
 
@@ -218,14 +230,16 @@ class ArenaBddManager:
         self.unique_rehashes = 0
         self.op_rehashes = 0
         self.op_cache_clears = 0
-        # Level-synchronous frontier kernels (apply1/apply2/map_ite).  The
-        # numpy handle is captured once so an engine's representation never
-        # flips mid-manager; NV_BDD_NUMPY=0 keeps the scalar kernels as the
-        # executable spec.  The shadow columns are incrementally synced
+        # Level-synchronous frontier kernels (apply1/apply2/map_ite).
+        # Whether numpy may be used is decided once (without importing it)
+        # so an engine's representation never flips mid-manager; the module
+        # itself is imported by the first kernel that crosses a
+        # vectorisation cutoff.  NV_BDD_NUMPY=0 keeps the scalar kernels as
+        # the executable spec.  The shadow columns are incrementally synced
         # int32 copies of the arena columns (array('i') cannot be viewed
         # persistently without blocking append), and the size-class cache
         # remembers which roots are worth a vectorised pass.
-        self._np = numpy_or_none()
+        self._use_np = numpy_available()
         try:
             self._frontier_min = int(
                 os.environ.get("NV_BDD_FRONTIER_MIN", "").strip()
@@ -341,9 +355,8 @@ class ArenaBddManager:
     def _grow_unique(self) -> None:
         self.unique_rehashes += 1
         cap = self._unique_cap * 2
-        np = self._np
-        if np is not None and len(self._var) > _NP_REHASH_CUTOFF:
-            self._grow_unique_np(np, cap)
+        if self._use_np and len(self._var) > _NP_REHASH_CUTOFF:
+            self._grow_unique_np(_numpy(), cap)
             return
         table = array("i", [-1]) * cap
         mask = cap - 1
@@ -399,7 +412,7 @@ class ArenaBddManager:
     # ------------------------------------------------------------------
 
     def _shadow_ensure(self, need: int) -> None:
-        np = self._np
+        np = _numpy()
         sh = self._sh_var
         if sh is not None and sh.size >= need:
             return
@@ -418,7 +431,7 @@ class ArenaBddManager:
         columns.  The arena is append-only, so the synced prefix can never
         go stale; the ``frombuffer`` views are transient (assignment
         copies), so ``array('i').append`` is never blocked by an export."""
-        np = self._np
+        np = _numpy()
         n = len(self._var)
         self._shadow_ensure(n)
         s = self._sh_n
@@ -611,7 +624,8 @@ class ArenaBddManager:
     # ------------------------------------------------------------------
 
     def _reachable(self, root: int):
-        """Ids of nodes reachable from ``root``, ascending.  Children always
+        """Ids of nodes reachable from ``root``, ascending (a list, or an
+        int64 array when the vectorised pass ran).  Children always
         precede parents in the arena, so ascending id order is a topological
         order of the sub-DAG (leaves first).
 
@@ -620,12 +634,12 @@ class ArenaBddManager:
         capped Python DFS first and only fall through to numpy when the
         sub-DAG turns out to be large.
         """
-        np = numpy_or_none()
-        if np is None:
+        if not self._use_np:
             return self._reachable_py(root)
         small = self._reachable_py_capped(root, _NP_REACHABLE_CUTOFF)
         if small is not None:
-            return np.array(small, dtype=np.int64)
+            return small
+        np = _numpy()
         var = np.frombuffer(self._var, dtype=np.int32)
         lo = np.frombuffer(self._lo, dtype=np.int32)
         hi = np.frombuffer(self._hi, dtype=np.int32)
@@ -950,13 +964,12 @@ class ArenaBddManager:
         """Map ``fn`` over every leaf of ``root`` (invoked once per distinct
         leaf; ``memo`` is keyed by node id and shareable across calls with
         the same ``fn``)."""
-        np = self._np
-        if np is not None and self._frontier_worthy(root):
+        if self._use_np and self._frontier_worthy(root):
             # apply1 is the degenerate map_ite with pred == true: the seed
             # lands directly in the fn_true branch family, whose memo *is*
             # this memo (same node-id keying as the scalar kernel).
             return self._map_pass(
-                np, [(fn, None, {}, {} if memo is None else memo, {},
+                _numpy(), [(fn, None, {}, {} if memo is None else memo, {},
                       [(self.true, root)])])[0][0]
         self.frontier_scalar_ops += 1
         if memo is None:
@@ -1029,11 +1042,10 @@ class ArenaBddManager:
         """Combine two diagrams leaf-wise with ``fn``.  ``memo`` is keyed by
         the packed pair ``(x << 30) | y``; share it only between calls with
         the same ``fn``."""
-        np = self._np
-        if np is not None and (self._frontier_worthy(a)
-                               or self._frontier_worthy(b)):
+        if self._use_np and (self._frontier_worthy(a)
+                             or self._frontier_worthy(b)):
             return self._apply2_pass(
-                np, [(fn, {} if memo is None else memo, [(a, b)])])[0][0]
+                _numpy(), [(fn, {} if memo is None else memo, [(a, b)])])[0][0]
         self.frontier_scalar_ops += 1
         if memo is None:
             memo = {}
@@ -1204,11 +1216,11 @@ class ArenaBddManager:
         otherwise this is a plain scalar loop.  Returns result roots
         aligned with ``items``."""
         items = list(items)
-        np = self._np
-        if np is None or not items or not any(
+        if not self._use_np or not items or not any(
                 self._frontier_worthy(a) or self._frontier_worthy(b)
                 for _fn, a, b, _m in items):
             return [self.apply2(fn, a, b, memo) for fn, a, b, memo in items]
+        np = _numpy()
         w = len(items)
         self._batch_width_counts[w] = self._batch_width_counts.get(w, 0) + 1
         results: list[int | None] = [None] * w
@@ -1428,11 +1440,10 @@ class ArenaBddManager:
         function pair — the simulator applies the same route policies every
         round, so cross-call sharing turns repeat rounds into cache hits.
         """
-        np = self._np
-        if np is not None and (self._frontier_worthy(root)
-                               or self._frontier_worthy(pred)):
+        if self._use_np and (self._frontier_worthy(root)
+                             or self._frontier_worthy(pred)):
             return self._map_pass(
-                np, [(fn_true, fn_false,
+                _numpy(), [(fn_true, fn_false,
                       {} if memo is None else memo,
                       {} if memo_true is None else memo_true,
                       {} if memo_false is None else memo_false,
@@ -1609,13 +1620,12 @@ class ArenaBddManager:
         tuples; same grouping contract as :meth:`apply2_many` (shared memo
         dict implies shared ``fn``)."""
         items = list(items)
-        np = self._np
-        if np is None or not items or not any(
+        if not self._use_np or not items or not any(
                 self._frontier_worthy(r) for _fn, r, _m in items):
             return [self.apply1(fn, root, memo) for fn, root, memo in items]
         true = self.true
         return self._map_many(
-            np, [(true, fn, None, root, None, memo, None)
+            _numpy(), [(true, fn, None, root, None, memo, None)
                  for fn, root, memo in items])
 
     def map_ite_many(self, items: list) -> list[int]:
@@ -1625,13 +1635,12 @@ class ArenaBddManager:
         memos; preds may differ per item (the fault driver's per-edge
         scenario restrictions do)."""
         items = list(items)
-        np = self._np
-        if np is None or not items or not any(
+        if not self._use_np or not items or not any(
                 self._frontier_worthy(r) or self._frontier_worthy(p)
                 for p, _ft, _ff, r, _m, _mt, _mf in items):
             return [self.map_ite(p, ft, ff, r, m, mt, mf)
                     for p, ft, ff, r, m, mt, mf in items]
-        return self._map_many(np, items)
+        return self._map_many(_numpy(), items)
 
     def _map_many(self, np, items: list) -> list[int]:
         """Group ``(pred, fn_true, fn_false, root, memo, memo_true,
@@ -1976,13 +1985,12 @@ class ArenaBddManager:
         """Distinct leaf values reachable from ``root``."""
         var_a = self._var
         lo_a = self._lo
-        np = numpy_or_none()
-        if np is not None:
-            ids = self._reachable(root)
-            var = np.frombuffer(var_a, dtype=np.int32)
+        ids = self._reachable(root)
+        if not isinstance(ids, list):
+            var = _numpy().frombuffer(var_a, dtype="int32")
             return [self._leaf_values[lo_a[int(n)]]
                     for n in ids[var[ids] == LEAF_LEVEL]]
-        return [self._leaf_values[lo_a[n]] for n in self._reachable_py(root)
+        return [self._leaf_values[lo_a[n]] for n in ids
                 if var_a[n] == LEAF_LEVEL]
 
     def sat_count(self, root: int, num_vars: int) -> int:
@@ -2008,9 +2016,8 @@ class ArenaBddManager:
             # a plain dict sweep; large ones use the vectorised per-level
             # pass.
             ids = self._reachable_py_capped(root, _NP_REACHABLE_CUTOFF)
-            np = numpy_or_none()
-            if ids is None and np is not None and num_vars < 62:
-                count = self._sat_count_np(np, root, num_vars)
+            if ids is None and self._use_np and num_vars < 62:
+                count = self._sat_count_np(_numpy(), root, num_vars)
             else:
                 if ids is None:
                     ids = self._reachable_py(root)

@@ -217,8 +217,8 @@ def compare_counters(workload: str, expected: Mapping[str, int],
     if engine_name() != "arena":
         skip: frozenset = _ARENA_ONLY_COUNTERS
     else:
-        from .bdd.arena import numpy_or_none
-        skip = _FRONTIER_COUNTERS if numpy_or_none() is None else frozenset()
+        from .bdd.arena import numpy_available
+        skip = _FRONTIER_COUNTERS if not numpy_available() else frozenset()
     rows = []
     for counter in sorted(set(expected) | set(actual)):
         if counter in skip:

@@ -10,8 +10,10 @@ Mirrors the original artifact's ``nv`` binary: point it at an NV source file
 The three analysis commands take ``--jobs N`` (default ``$NV_JOBS``, else
 the CPU count capped at 8) and shard their work over worker processes:
 ``simulate``/``verify`` across several input files (one per destination
-prefix), ``fault`` across failure-scenario batches.  ``--jobs 1`` runs the
-identical work serially, in-process.
+prefix), ``fault`` across one failure-scenario batch per worker.  ``--jobs
+1`` runs serially, in-process: the identical units for ``simulate``/
+``verify``, a single unrestricted meta-protocol simulation for ``fault``
+(same report, less work).
     python -m repro explain network.nv NODE
     python -m repro translate configs_dir/ [--assert-prefix A.B.C.D/L] [-o out.nv]
 

@@ -104,7 +104,9 @@ def _scenario_in_batch(scenario: A.Expr, key_ty: T.Type,
     scenario is in the batch iff that edge is one of the batch's physical
     links, in either orientation.  Partitioning the links therefore
     partitions the scenario space exactly — the property the sharded
-    fault driver's per-batch class counting relies on.
+    fault driver's per-batch class counting relies on.  (Keying on the
+    last edge component instead costs the same: the per-link sub-diagrams
+    every batch rebuilds are shared by hash-consing either way.)
     """
     if isinstance(key_ty, T.TEdge):
         comp: A.Expr = scenario
@@ -153,8 +155,10 @@ def fault_tolerance_transform(net: Network, num_link_failures: int = 1,
     becomes ``in_batch(sc) && fails(sc, e)``, so out-of-batch scenarios
     never drop a route and all collapse onto the no-failure leaves.  Routes
     of *in-batch* scenarios are exactly those of the unrestricted
-    transform.  This is the decomposition :func:`repro.analysis.fault.
-    fault_tolerance_sharded` fans out over worker processes.
+    transform.  :func:`repro.analysis.fault.fault_tolerance_sharded` uses
+    it only when it has several workers — one batch each; with one worker
+    it passes ``None`` and simulates the unrestricted meta-protocol once,
+    because a batch-restricted simulation costs most of a full one.
     """
     if num_link_failures < 0 or (num_link_failures == 0 and not node_failures):
         raise ValueError("at least one link or node failure is required")

@@ -344,6 +344,29 @@ def test_apply2_reentrant_callback_keeps_canonicity():
     assert mgr.snapshot(r) == spec.snapshot(s)
 
 
+def test_vectorized_rehash_keeps_hash_consing(monkeypatch):
+    """The numpy claim-round rehash (production cutoff: half a million
+    nodes, so no other test reaches it) must leave every node findable:
+    re-``mk`` of any stored triple returns the stored id, exactly as after
+    the scalar reinsertion loop."""
+    pytest.importorskip("numpy")
+    from repro.bdd import arena
+
+    monkeypatch.delenv("NV_BDD_NUMPY", raising=False)
+    monkeypatch.setattr(arena, "_NP_REHASH_CUTOFF", 64)
+    mgr = ArenaBddManager()
+    made = []
+    for i in range(6000):
+        lo = mgr.leaf(("v", i))
+        made.append((mgr.mk(3, lo, mgr.true), 3, lo, mgr.true))
+        made.append((mgr.mk(1, made[-1][0], lo), 1, made[-1][0], lo))
+    assert mgr.unique_rehashes >= 3
+    size = mgr.size()
+    for node, lvl, lo, hi in made:
+        assert mgr.mk(lvl, lo, hi) == node
+    assert mgr.size() == size
+
+
 def test_snapshots_are_cross_engine_identical():
     """The FrozenMap transport relies on byte-identical canonical blobs."""
     import pickle
