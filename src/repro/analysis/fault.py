@@ -415,12 +415,13 @@ def fault_tolerance_sharded(net: Network,
     """Fig 5 analysis sized to the worker pool: ``min(jobs, physical
     links)`` units (``jobs=None`` resolves ``NV_JOBS`` / CPU count).
 
-    One unit — ``jobs=1``, or a single-link network — is the unrestricted
-    :func:`fault_tolerance_analysis` run in-process: one meta-protocol
-    simulation, no batch predicate, no pool.  N units partition the
-    scenario space by the first failed link (:func:`link_batches`), one
-    batch-restricted simulation per worker, merged by
-    :func:`merge_fault_reports`.  The report (classes, counts, witnesses,
+    One unit — ``jobs=1``, a single-link network, or node failures alone
+    (``num_link_failures=0``: no link component to split on) — is the
+    unrestricted :func:`fault_tolerance_analysis` run in-process: one
+    meta-protocol simulation, no batch predicate, no pool.  N units
+    partition the scenario space by the first failed link
+    (:func:`link_batches`), one batch-restricted simulation per worker,
+    merged by :func:`merge_fault_reports`.  The report (classes, counts, witnesses,
     their order) is identical for every decomposition; the work is not —
     each batch repeats most of a full run, so ``fault.batches`` (units
     actually run) and every ``bdd.*`` / ``sim.*`` counter grow with it.
@@ -430,7 +431,8 @@ def fault_tolerance_sharded(net: Network,
     frozen (:func:`freeze_fault_report`) at any unit count.
     """
     jobs = parallel.resolve_jobs(jobs)
-    units = link_batches(net, jobs if batches is None else batches)
+    units = (link_batches(net, jobs if batches is None else batches)
+             if num_link_failures else [])
     if len(units) <= 1:
         report = freeze_fault_report(fault_tolerance_analysis(
             net, symbolics, num_link_failures=num_link_failures,

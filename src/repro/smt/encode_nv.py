@@ -132,10 +132,13 @@ class VerificationResult:
     node_attrs: dict[int, Any] = field(default_factory=dict)
 
     def summary(self) -> str:
+        smt = self.smt
+        blast_solve = (smt.encode_seconds + smt.solve_seconds
+                       + smt.stats.get("preprocess_seconds", 0.0))
         return (f"{self.status}: encode {self.encode_seconds:.3f}s, "
-                f"blast+solve {self.smt.encode_seconds + self.smt.solve_seconds:.3f}s, "
-                f"{self.smt.num_vars} vars, {self.smt.num_clauses} clauses, "
-                f"{self.smt.conflicts} conflicts")
+                f"blast+solve {blast_solve:.3f}s, "
+                f"{smt.num_vars} vars, {smt.num_clauses} clauses, "
+                f"{smt.conflicts} conflicts")
 
 
 class NvSmtEncoder:

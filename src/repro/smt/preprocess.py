@@ -31,15 +31,53 @@ resolution this is always possible: were a positive- and a negative-
 occurrence clause both otherwise-false, their resolvent — present and
 satisfied — would be false too.)
 
+**Finding hits by intersection.**  ``occ[l]`` holds the alive clauses
+containing literal ``l``.  The clauses ``C`` subsumes are the ``D ⊇ C``:
+the members of every ``occ[l]``, ``l`` in ``C``.  The clauses the pair
+``(C, l)`` strengthens are the ``D ⊇ (C - l) + (-l)``: ``occ[-l]`` met
+with ``occ[a]`` for every other ``a`` in ``C``.  Both passes therefore
+take a C-level intersection (:meth:`Preprocessor._meet`, rarest literal
+first, so the work is bounded by its occurrences) where a scan would
+test each clause of one occurrence set for containment; clauses hold no
+repeated literal, so a superset is never shorter and needs no length
+filter.  Acting on a hit only takes that hit out of occurrence sets, so
+the intersection taken up front is what the scan would accept one by one,
+and it is visited in the scan's ascending index order.
+
+**Incremental rounds.**  Three byte-per-entry tables let a later round
+skip work whose answer cannot have changed.  A *stamp* is the round
+(saturating at 255, which only makes late entries look fresh) in which
+
+* ``_cstamp[i]`` — clause ``i`` was created or lost a literal;
+* ``_lstamp[l]`` — a *new* clause containing ``l`` was created (shrinking
+  stamps no literal: the shorter clause contains nothing new);
+
+and ``_touched[l]`` flags that a clause containing ``l`` was created,
+removed or shortened since BVE last tried ``l``'s variable.  In round
+``r`` the first two passes last ran in round ``r - 1``.  Take a clause
+``C`` with ``_cstamp < r - 1`` and the literals ``R`` every hit must
+contain (``C`` for subsumption, ``(C - l) + (-l)`` for a strengthening
+pair), one of them with ``_lstamp < r - 1``.  A hit ``D ⊇ R`` alive now
+was not created since round ``r - 1`` began (that stamps all of ``R``),
+and clauses only shrink, so ``D`` contained ``R`` when the pass visited
+the same ``C`` in round ``r - 1`` — which removed ``D``, or took ``-l``
+out of it for good.  So there is no hit, and the clause or pair is
+skipped unseen.  BVE's verdict on a variable depends only on its
+occurrence sets and the clauses in them, so an untouched variable is not
+tried again.  In round 1 every stamp is fresh and every flag set.
+
 Everything here is deterministic: clauses are processed in input order,
-occurrence sets are iterated sorted, so two runs over the same CNF produce
-byte-identical output (a property the counter-budget and equivalence
-gates rely on).
+hits are visited sorted, and skipped work is work that would have found
+nothing, so two runs over the same CNF produce byte-identical output —
+clause list (order included), elimination stack, statistics — which the
+counter-budget and equivalence gates and the reference oracle and golden
+digests of ``tests/smt/test_preprocess_equivalence.py`` rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import neg as negate
 
 
 @dataclass
@@ -111,17 +149,28 @@ class Preprocessor:
         seen: set[tuple[int, ...]] = set()
         for lits in clauses:
             self.stats.clauses_in += 1
-            key = tuple(sorted(set(lits)))
+            lset = set(lits)
+            key = tuple(sorted(lset))
             if key in seen:
                 self.stats.duplicates_dropped += 1
                 continue
-            if any(-l in key for l in key):
+            if not lset.isdisjoint(map(negate, key)):
                 self.stats.tautologies_dropped += 1
                 continue
             seen.add(key)
             if len(key) == 1:
                 self._units.append(key[0])
-            self._append(key)
+            for lit in key:
+                self.occ.setdefault(lit, set()).add(len(self.clauses))
+            self.clauses.append(key)
+        # Dirty bookkeeping (module docstring, "Incremental rounds").  The
+        # per-literal tables are indexed by the literal itself: a negative
+        # literal counts from the end, so 2 * top + 1 slots never collide.
+        top = max(num_vars, max(map(abs, self.occ), default=0))
+        self._epoch = self._prev = 0      # this round and the one before
+        self._cstamp = bytearray(len(self.clauses))
+        self._lstamp = bytearray(2 * top + 1)
+        self._touched = bytearray(b"\x01") * (2 * top + 1)
 
     # ------------------------------------------------------------------
     # Clause bookkeeping
@@ -130,8 +179,13 @@ class Preprocessor:
     def _append(self, clause: tuple[int, ...]) -> int:
         idx = len(self.clauses)
         self.clauses.append(clause)
+        self._cstamp.append(self._epoch)
+        occ, lstamp, touched = self.occ, self._lstamp, self._touched
+        epoch = self._epoch
         for lit in clause:
-            self.occ.setdefault(lit, set()).add(idx)
+            occ[lit].add(idx)  # a resolvent's literals all occurred before
+            lstamp[lit] = epoch
+            touched[lit] = 1
         return idx
 
     def _remove(self, idx: int) -> None:
@@ -139,19 +193,28 @@ class Preprocessor:
         if clause is None:
             return
         self.clauses[idx] = None
+        occ, touched = self.occ, self._touched
         for lit in clause:
-            self.occ.get(lit, set()).discard(idx)
+            occ[lit].discard(idx)
+            touched[lit] = 1
 
-    def _replace(self, idx: int, clause: tuple[int, ...]) -> None:
-        self._remove(idx)
-        if not clause:
+    def _strengthen(self, idx: int, drop: int) -> None:
+        """Delete literal ``drop`` from clause ``idx``."""
+        clause = self.clauses[idx]
+        at = clause.index(drop)
+        rest = clause[:at] + clause[at + 1:]
+        if not rest:
+            self._remove(idx)
             self._unsat = True
             return
-        if len(clause) == 1:
-            self._units.append(clause[0])
-        self.clauses[idx] = clause
+        if len(rest) == 1:
+            self._units.append(rest[0])
+        self.clauses[idx] = rest
+        self._cstamp[idx] = self._epoch
+        self.occ[drop].discard(idx)
+        touched = self._touched
         for lit in clause:
-            self.occ.setdefault(lit, set()).add(idx)
+            touched[lit] = 1
 
     # ------------------------------------------------------------------
     # Passes
@@ -175,30 +238,31 @@ class Preprocessor:
                 clause = self.clauses[idx]
                 if clause is None:
                     continue
-                rest = tuple(l for l in clause if l != -lit)
-                if not rest:
+                if len(clause) == 1:
                     return False
-                self._replace(idx, rest)
+                self._strengthen(idx, -lit)
         return True
 
-    def _subsumes_candidates(self, clause: tuple[int, ...]):
-        """Alive indices of clauses sharing ``clause``'s rarest literal."""
-        best = min(clause, key=lambda l: len(self.occ.get(l, ())))
-        return sorted(self.occ.get(best, ()))
+    @staticmethod
+    def _meet(first: set[int], rest: list[set[int]]) -> set[int]:
+        """Clause indices common to ``first`` and every set in ``rest``
+        (a new set; each step iterates the smaller operand)."""
+        return first.intersection(*rest)
 
     def _subsume(self) -> int:
         removed = 0
+        occ, cstamp, lstamp = self.occ, self._cstamp, self._lstamp
+        prev = self._prev
         for idx, clause in enumerate(self.clauses):
             if clause is None:
                 continue
-            cset = set(clause)
-            for other in self._subsumes_candidates(clause):
-                if other == idx:
-                    continue
-                d = self.clauses[other]
-                if d is None or len(d) < len(clause):
-                    continue
-                if cset.issubset(d):
+            if cstamp[idx] < prev and min(map(lstamp.__getitem__, clause)) < prev:
+                continue  # unchanged, and no new clause can contain it
+            sets = sorted([occ[l] for l in clause], key=len)
+            hits = self._meet(sets[0], sets[1:])
+            if len(hits) > 1:
+                hits.discard(idx)
+                for other in sorted(hits):
                     self._remove(other)
                     removed += 1
         self.stats.subsumed += removed
@@ -207,26 +271,30 @@ class Preprocessor:
     def _self_subsume(self) -> int:
         """Strengthen ``(-l, A, B)`` to ``(A, B)`` given ``(l, A)``."""
         strengthened = 0
+        occ, cstamp, lstamp = self.occ, self._cstamp, self._lstamp
+        prev = self._prev
         for idx in range(len(self.clauses)):
             clause = self.clauses[idx]
             if clause is None:
                 continue
-            for lit in clause:
-                rest = set(clause)
-                rest.discard(lit)
-                for other in sorted(self.occ.get(-lit, ())):
-                    if other == idx:
-                        continue
-                    d = self.clauses[other]
-                    if d is None or len(d) < len(clause):
-                        continue
-                    if rest.issubset(d):
-                        self._replace(
-                            other, tuple(l for l in d if l != -lit))
-                        strengthened += 1
-                clause = self.clauses[idx]
-                if clause is None:
-                    break
+            # An unchanged clause with two stale literals has no live pair
+            # (each pair keeps one of them); with one, only that literal's.
+            lits = clause
+            if cstamp[idx] < prev:
+                stale = [l for l in clause if lstamp[l] < prev]
+                if len(stale) > 1:
+                    continue
+                lits = [l for l in stale or clause if lstamp[-l] >= prev]
+            sets = sorted([occ[l] for l in clause], key=len)
+            for lit in lits:
+                flipped = occ.get(-lit)
+                if not flipped:
+                    continue
+                own = occ[lit]
+                hits = self._meet(flipped, [s for s in sets if s is not own])
+                for other in sorted(hits):
+                    self._strengthen(other, -lit)
+                    strengthened += 1
         self.stats.strengthened += strengthened
         return strengthened
 
@@ -234,38 +302,42 @@ class Preprocessor:
         if (var in self.frozen or var in self.assigned
                 or var in self.eliminated):
             return False
-        pos = sorted(self.occ.get(var, ()))
-        neg = sorted(self.occ.get(-var, ()))
-        if not pos and not neg:
-            return False  # variable unused; nothing to retire
-        if (len(pos) > self._BVE_OCC_LIMIT
-                or len(neg) > self._BVE_OCC_LIMIT):
+        limit = self._BVE_OCC_LIMIT
+        pos_occ = self.occ.get(var, ())
+        neg_occ = self.occ.get(-var, ())
+        if len(pos_occ) > limit or len(neg_occ) > limit:
             return False
+        if not pos_occ and not neg_occ:
+            return False  # variable unused; nothing to retire
+        pos, neg = sorted(pos_occ), sorted(neg_occ)
+        clauses = self.clauses
         resolvents: list[tuple[int, ...]] = []
         if pos and neg:
             budget = len(pos) + len(neg)
-            dedup: set[tuple[int, ...]] = set()
+            # Each negative side without -var, and its literal-wise negation:
+            # a resolvent is tautological iff the positive side meets that.
+            sides = []
+            for ni in neg:
+                side = set(clauses[ni])
+                side.discard(-var)
+                sides.append((side, set(map(negate, side))))
+            dedup: set[frozenset[int]] = set()
             for pi in pos:
-                p = self.clauses[pi]
-                for ni in neg:
-                    n = self.clauses[ni]
-                    merged = set(p)
-                    merged.discard(var)
-                    merged.update(n)
-                    merged.discard(-var)
-                    if any(-l in merged for l in merged):
+                p = frozenset(clauses[pi]).difference((var,))
+                for side, flipped in sides:
+                    if not p.isdisjoint(flipped):
                         continue  # tautological resolvent
+                    merged = p | side
                     if len(merged) > self._BVE_LEN_LIMIT:
                         return False
-                    key = tuple(sorted(merged))
-                    if key in dedup:
+                    if merged in dedup:
                         continue
-                    dedup.add(key)
-                    resolvents.append(key)
+                    dedup.add(merged)
+                    resolvents.append(tuple(sorted(merged)))
                     if len(resolvents) > budget:
                         return False
         # else: pure literal — zero resolvents, always worth it.
-        retired = [self.clauses[i] for i in pos + neg]
+        retired = [clauses[i] for i in pos + neg]
         for i in pos + neg:
             self._remove(i)
         for r in resolvents:
@@ -279,9 +351,12 @@ class Preprocessor:
 
     def _eliminate_vars(self) -> int:
         count = 0
+        touched = self._touched
         for var in range(1, self.num_vars + 1):
-            if self._try_eliminate(var):
-                count += 1
+            if touched[var] or touched[-var]:
+                touched[var] = touched[-var] = 0
+                if self._try_eliminate(var):
+                    count += 1
         return count
 
     # ------------------------------------------------------------------
@@ -296,6 +371,7 @@ class Preprocessor:
             return None
         for _ in range(max_rounds):
             self.stats.rounds += 1
+            self._prev, self._epoch = self._epoch, min(self.stats.rounds, 255)
             changed = self._subsume()
             changed += self._self_subsume()
             changed += self._eliminate_vars()

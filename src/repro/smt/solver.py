@@ -65,9 +65,11 @@ class SmtResult:
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
-    #: Auxiliary statistics: preprocessing effect (``pre.*`` keys) and
-    #: incremental-mode bookkeeping (``inc.*`` keys).
-    stats: dict[str, int] = field(default_factory=dict)
+    #: Auxiliary statistics: preprocessing effect (``pre.*`` keys), the
+    #: CNF preprocessor's ``preprocess_seconds`` (part of neither
+    #: ``encode_seconds`` nor ``solve_seconds``; 0.0 when it did not run)
+    #: and incremental-mode bookkeeping (``inc.*`` keys).
+    stats: dict[str, float] = field(default_factory=dict)
     #: UNSAT-under-assumptions only: the failed subset of the assumption
     #: literals (handles as returned by ``push_assumption``).
     core: list[int] = field(default_factory=list)
@@ -260,11 +262,11 @@ class Solver:
         clauses: list[tuple[int, ...]] | None = cnf.clauses
         pre_stats: dict[str, int] = {}
         pre: Preprocessor | None = None
+        pre_seconds = 0.0
         if self.preprocess and len(cnf.clauses) >= PREPROCESS_MIN_CLAUSES:
-            pre, clauses, secs = _run_preprocess(
+            pre, clauses, pre_seconds = _run_preprocess(
                 cnf.num_vars, cnf.clauses, _frozen_vars(tseitin))
             pre_stats = pre.stats.as_dict()
-            encode_seconds += secs
 
         tag_vars = _tag_vars(cnf)
         t0 = perf_counter()
@@ -293,8 +295,8 @@ class Solver:
                     **stats)
         solve_seconds = perf_counter() - t0
         return self._finish(cnf, blaster, outcome, model_value, stats,
-                            pre_stats, encode_seconds, solve_seconds,
-                            marginal_clauses=len(cnf.clauses))
+                            pre_stats, encode_seconds, pre_seconds,
+                            solve_seconds, marginal_clauses=len(cnf.clauses))
 
     # ------------------------------------------------------------------
     # Incremental mode
@@ -324,6 +326,7 @@ class Solver:
                 sp.attrs.update(vars=cnf.num_vars, clauses=len(cnf.clauses))
 
         pre_stats: dict[str, int] = {}
+        pre_seconds = 0.0
         first_solve = self._sat is None
         prev_cursor = 0 if first_solve else self._cursor
         if first_solve and not self._root_unsat:
@@ -331,7 +334,7 @@ class Solver:
             if self.preprocess and len(cnf.clauses) >= PREPROCESS_MIN_CLAUSES:
                 frozen = _frozen_vars(self._tseitin)
                 frozen.update(abs(lit) for lit in self._handles.values())
-                self._pre, clauses, _ = _run_preprocess(
+                self._pre, clauses, pre_seconds = _run_preprocess(
                     cnf.num_vars, cnf.clauses, frozen)
             if clauses is None:
                 self._root_unsat = True
@@ -351,7 +354,7 @@ class Solver:
         if self._pre is not None:
             pre_stats = self._pre.stats.as_dict()
         marginal = len(cnf.clauses) - prev_cursor
-        encode_seconds = perf_counter() - t0
+        encode_seconds = perf_counter() - t0 - pre_seconds
 
         assumptions = list(self._stack)
         t0 = perf_counter()
@@ -388,7 +391,7 @@ class Solver:
         solve_seconds = perf_counter() - t0
 
         result = self._finish(cnf, self._blaster, outcome, model_value,
-                              stats, pre_stats, encode_seconds,
+                              stats, pre_stats, encode_seconds, pre_seconds,
                               solve_seconds, marginal_clauses=marginal,
                               merge_pre=first_solve)
         result.core = core
@@ -422,8 +425,8 @@ class Solver:
     def _finish(self, cnf: Any, blaster: BitBlaster, outcome: bool | None,
                 model_value: Callable[[int], bool], stats: dict[str, int],
                 pre_stats: dict[str, int], encode_seconds: float,
-                solve_seconds: float, marginal_clauses: int,
-                merge_pre: bool = True) -> SmtResult:
+                preprocess_seconds: float, solve_seconds: float,
+                marginal_clauses: int, merge_pre: bool = True) -> SmtResult:
         result = SmtResult(
             status="unknown" if outcome is None else ("sat" if outcome else "unsat"),
             num_vars=cnf.num_vars,
@@ -434,12 +437,13 @@ class Solver:
             decisions=stats["decisions"],
             propagations=stats["propagations"],
             restarts=stats["restarts"],
-            stats=dict(pre_stats),
+            stats={**pre_stats, "preprocess_seconds": preprocess_seconds},
         )
         perf.merge({
             "checks": 1,
             "clauses": marginal_clauses,
             "encode_seconds": encode_seconds,
+            "preprocess_seconds": preprocess_seconds,
             "solve_seconds": solve_seconds,
             **stats,
         }, prefix="sat.")
@@ -528,12 +532,19 @@ def _run_preprocess(num_vars: int, clauses: list, frozen: set[int]
 def _reconstructing_model(solver: SatSolver, pre: Preprocessor | None
                           ) -> Callable[[int], bool]:
     """Model accessor that completes preprocessor-eliminated variables on
-    first use (reconstruction is deferred so UNSAT answers pay nothing)."""
+    first use (reconstruction is deferred so UNSAT answers pay nothing).
+    The assignment is copied now, so a later incremental ``solve`` cannot
+    change the model that is read."""
     if pre is None:
         return solver.model_value
-    assign = pre.extend_model(list(solver.assign))
+    assign = list(solver.assign)
+    complete = False
 
     def model_value(var: int) -> bool:
+        nonlocal complete
+        if not complete:
+            pre.extend_model(assign)
+            complete = True
         return assign[var] == 1
 
     return model_value

@@ -80,6 +80,8 @@ def _scenario_fails_edge(scenario: A.Expr, key_ty: T.Type, edge_var: str,
     """AST for "this scenario fails the edge bound to ``edge_var``"."""
     if isinstance(key_ty, T.TEdge):
         return _edge_matches(scenario, edge_var)
+    if isinstance(key_ty, T.TNode):     # a failed node and no failed link
+        return _node_hits_edge(scenario, edge_var)
     assert isinstance(key_ty, T.TTuple)
     arity = len(key_ty.elts)
     parts: list[A.Expr] = []
@@ -108,6 +110,9 @@ def _scenario_in_batch(scenario: A.Expr, key_ty: T.Type,
     last edge component instead costs the same: the per-link sub-diagrams
     every batch rebuilds are shared by hash-consing either way.)
     """
+    if isinstance(key_ty, T.TNode):
+        raise ValueError("a node-only scenario key has no link component "
+                         "to batch on")
     if isinstance(key_ty, T.TEdge):
         comp: A.Expr = scenario
     else:

@@ -1,0 +1,236 @@
+"""``Preprocessor`` must stay *byte-identical* to the pre-PR-14 passes: CDCL
+follows clause order, and ``benchmarks/e2e/expected.json`` pins conflict
+counts, so an equisatisfiable-but-different simplification is a regression.
+
+Three layers: (i) a reference oracle (``preprocess_oracle.py``) compared field
+by field on generated CNFs; (ii) SHA-256 golden digests, recorded from the
+parent commit, of the simplified CNF and elimination stack on the benchmark's
+SMT queries; (iii) a structural check that later rounds really skip work.
+"""
+
+import hashlib
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.partition import verify_partitioned
+from repro.analysis.verify import verify
+from repro.lang.parser import parse_program
+from repro.protocols import resolve
+from repro.smt.preprocess import Preprocessor
+from repro.smt.sat import SatSolver
+from repro.srp.network import Network
+from repro.topology import fat_program, uscarrier_like
+from tests.smt.preprocess_oracle import OraclePreprocessor
+
+
+def observe(cls, num_vars, clauses, frozen, max_rounds, rounds_before=0):
+    """Everything the issue calls "the output", after one ``run``."""
+    pre = cls(num_vars, clauses, frozen=frozen)
+    pre.stats.rounds = rounds_before
+    out = pre.run(max_rounds=max_rounds)
+    return pre, (out, pre.clauses, pre.elim_stack, list(pre.assigned.items()),
+                 pre.stats.as_dict(), pre.eliminated, pre._unsat)
+
+
+def assert_same_as_oracle(num_vars, clauses, frozen, max_rounds,
+                          rounds_before=0):
+    new, got = observe(Preprocessor, num_vars, clauses, frozen, max_rounds,
+                       rounds_before)
+    old, want = observe(OraclePreprocessor, num_vars, clauses, frozen,
+                        max_rounds, rounds_before)
+    assert got == want
+    out = got[0]
+    if out is None:
+        return None
+    sat = SatSolver(num_vars, out)
+    if sat.solve():
+        model = new.extend_model(list(sat.assign))
+        assert model == old.extend_model(list(sat.assign))
+        for clause in clauses:
+            assert any(model[abs(l)] == (1 if l > 0 else -1) for l in clause)
+    thaw = sorted(new.eliminated)[::2]
+    assert new.melt(thaw) == old.melt(thaw)
+    assert (new.elim_stack, new.eliminated, new.frozen) == \
+        (old.elim_stack, old.eliminated, old.frozen)
+    return got
+
+
+# ----------------------------------------------------------------------
+# (i) oracle equivalence on generated CNFs
+# ----------------------------------------------------------------------
+
+@st.composite
+def cnf_cases(draw):
+    num_vars = draw(st.integers(1, 20))
+    literal = st.builds(lambda v, s: v * s, st.integers(1, num_vars),
+                        st.sampled_from((1, -1)))
+    # Literals are drawn independently, so a clause may repeat one or hold
+    # both polarities (a tautology); short ones make root conflicts common.
+    clause = st.sampled_from((1, 2, 2, 3, 3, 3, 4, 5)).flatmap(
+        lambda w: st.lists(literal, min_size=w, max_size=w).map(tuple))
+    clauses = draw(st.lists(clause, min_size=1, max_size=5 * num_vars))
+    for i in draw(st.lists(st.integers(0, len(clauses) - 1), max_size=3)):
+        clauses.append(clauses[i][::-1])            # duplicate, reordered
+    frozen = draw(st.sets(st.integers(1, num_vars)))
+    return num_vars, clauses, frozen, draw(st.integers(1, 8))
+
+
+@given(cnf_cases())
+@settings(max_examples=300, deadline=None)
+def test_matches_oracle_on_generated_cnfs(case):
+    assert_same_as_oracle(*case)
+
+
+def _structured_cnf(rng):
+    """Denser than hypothesis finds quickly: mostly distinct-variable
+    clauses plus near-copies that provoke subsumption and strengthening, so
+    runs last several rounds and later rounds have something to skip."""
+    num_vars = rng.randint(3, 60)
+    widths = rng.choice(((1, 2, 2, 3, 3, 3, 4, 5), (2, 2, 3, 3, 3, 4),
+                         (2, 3, 3, 3, 4, 4, 5), (2, 2, 2, 3)))
+    clauses = []
+    for _ in range(rng.randint(num_vars, 5 * num_vars)):
+        width = min(num_vars, rng.choice(widths))
+        clause = tuple(rng.choice((-1, 1)) * v
+                       for v in rng.sample(range(1, num_vars + 1), width))
+        clauses.append(clause)
+        if rng.random() < 0.1:
+            near = list(clause) + [rng.choice((-1, 1)) * rng.randint(1, num_vars)]
+            if rng.random() < 0.5:
+                near[0] = -near[0]
+            clauses.append(tuple(near))
+    share = rng.choice((0.0, 0.1, 0.3, 0.7))
+    frozen = {v for v in range(1, num_vars + 1) if rng.random() < share}
+    return num_vars, clauses, frozen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_oracle_on_structured_cnfs(seed):
+    rng = random.Random(seed)
+    rounds, refuted = set(), 0
+    for _ in range(150):
+        case = _structured_cnf(rng)
+        # A run that starts near round 255 exercises the saturating stamps.
+        before = rng.choice((0, 0, 0, 250, 253, 254, 255, 300))
+        got = assert_same_as_oracle(*case, rng.choice((1, 2, 3, 5, 8, 12)),
+                                    rounds_before=before)
+        if got is None:
+            refuted += 1
+        else:
+            rounds.add(got[4]["pre.rounds"] - before)
+    assert refuted and max(rounds) >= 4     # the generator reaches both
+
+
+# ----------------------------------------------------------------------
+# (ii) golden digests on the benchmark's SMT queries, (iii) skip structure
+# ----------------------------------------------------------------------
+
+def _narrow_sp_wan(holds):
+    """benchmarks/e2e's ``verify_smt`` WAN query (WAN-10/14, 8-bit eBGP)."""
+    topo = uscarrier_like(10, 14, seed=20200615)
+    return f"""
+include bgpNarrow
+{topo.nodes_decl()}
+{topo.edges_decl()}
+let trans e x = transBgp e x
+let merge u x y = mergeBgp u x y
+let init (u : node) =
+  if u = 0n then
+    Some {{length = 0u8; lp = 100u8; med = 80u8; comms = {{}}; origin = 0n}}
+  else None
+let assert (u : node) (x : attribute) =
+  match x with
+  | None -> false
+  | Some b -> {holds}
+"""
+
+
+@pytest.fixture(scope="module")
+def benchmark_cnfs():
+    """``name -> [(num_vars, clauses, frozen), ...]`` as the solver hands
+    them to the preprocessor (one per fragment for the partitioned run)."""
+    seen = []
+    original = Preprocessor.__init__
+
+    def recording(self, num_vars, clauses, frozen=()):
+        seen.append((num_vars, list(clauses), sorted(frozen)))
+        original(self, num_vars, clauses, frozen=frozen)
+
+    def capture(source, run):
+        del seen[:]
+        run(Network.from_program(parse_program(source, resolve)))
+        return list(seen)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Preprocessor, "__init__", recording)
+        return {
+            "wan_reach": capture(_narrow_sp_wan("b.origin = 0n"),
+                                 lambda net: verify(net, max_conflicts=1)),
+            "wan_length": capture(_narrow_sp_wan("b.length < 3u8"),
+                                  lambda net: verify(net, max_conflicts=1)),
+            "fat4": capture(fat_program(4, narrow=True),
+                            lambda net: verify_partitioned(
+                                net, partition=4, jobs=1)),
+        }
+
+
+def _digest(num_vars, clauses, frozen):
+    pre = Preprocessor(num_vars, clauses, frozen=frozen)
+    blob = repr((pre.run(), pre.elim_stack)).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+#: Recorded with the parent commit's ``Preprocessor`` (PR 13, 377dcee) by
+#: running this module's ``_digest`` over this module's ``benchmark_cnfs``;
+#: stable under any PYTHONHASHSEED.  FAT(4)'s last two fragments receive
+#: the very same CNF.
+GOLDEN = {
+    "wan_reach": [
+        "a7bde9a036cb79183574516577abe1cfe10e4f2993aaf46f86765233adfce29f"],
+    "wan_length": [
+        "b44a2d39023559b5d0222e89d858d9ea6bdb6de491f8c8ea21606af1805a135a"],
+    "fat4": [
+        "5850b9f4c42957cbe0f4c6107412a6e36ce0e5d49f0180228ddafa7a7e85cb7c",
+        "c7c3e1a1101e9fc9974161d9bee643bde8c0b4099c328134cff81943ac1d6bd6",
+        "512f87c13d2facbffb1f30aec7d000bf602fe777600135baca533d5f13dbdc93",
+        "512f87c13d2facbffb1f30aec7d000bf602fe777600135baca533d5f13dbdc93"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digests(benchmark_cnfs, name):
+    assert [_digest(*cnf) for cnf in benchmark_cnfs[name]] == GOLDEN[name]
+
+
+def test_oracle_agrees_on_a_benchmark_query(benchmark_cnfs):
+    (cnf,) = benchmark_cnfs["wan_reach"]
+    assert observe(Preprocessor, *cnf, 3)[1] == \
+        observe(OraclePreprocessor, *cnf, 3)[1]
+
+
+def test_later_rounds_skip_most_work(benchmark_cnfs, monkeypatch):
+    """Round 3 on WAN-10 takes few intersections and tries few variables:
+    counted by wrapping the two private seams, not by a public counter."""
+    meets, tries = {}, {}
+    (cnf,) = benchmark_cnfs["wan_reach"]
+    pre = Preprocessor(*cnf)
+    meet, try_eliminate = Preprocessor._meet, Preprocessor._try_eliminate
+
+    def counted_meet(first, rest):
+        meets[pre.stats.rounds] = meets.get(pre.stats.rounds, 0) + 1
+        return meet(first, rest)
+
+    def counted_try(self, var):
+        tries[self.stats.rounds] = tries.get(self.stats.rounds, 0) + 1
+        return try_eliminate(self, var)
+
+    monkeypatch.setattr(Preprocessor, "_meet", staticmethod(counted_meet))
+    monkeypatch.setattr(Preprocessor, "_try_eliminate", counted_try)
+    pre.run()
+    assert pre.stats.rounds == 3
+    assert tries[1] == pre.num_vars         # round 1 tries every variable
+    assert tries[3] < 0.10 * tries[1]
+    assert meets[3] < 0.20 * meets[1]

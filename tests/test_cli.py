@@ -73,6 +73,52 @@ let assert (u : node) (x : rip) =
         assert main(["fault", str(f), "--witnesses"]) == 1
         assert "failure scenario" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_node_failures_without_links(self, tmp_path, capsys, monkeypatch,
+                                         jobs):
+        """``--links 0 --nodes``: the scenario key is a bare node (it used
+        to trip an assertion in the transform).  Checked against the node
+        analogue of ``naive_fault_tolerance`` (which enumerates links only):
+        one plain simulation per failed node."""
+        from repro.cli import _load_network
+        from repro.srp.network import functions_from_program
+        from repro.srp.simulate import simulate
+
+        f = tmp_path / "ring.nv"
+        f.write_text("""
+include rip
+let nodes = 4
+let edges = {0n=1n; 1n=2n; 2n=3n; 3n=0n}
+let trans e x = transRip e x
+let merge u x y = mergeRip u x y
+let init (u : node) = if u = 0n then Some 0u8 else None
+let assert (u : node) (x : rip) =
+  match x with | None -> false | Some h -> h <= 2u8
+""")
+        net = _load_network(str(f))
+        violations: dict[int, int] = {}     # node -> first failed node
+        total = 0
+        for failed in range(net.num_nodes):
+            funcs = functions_from_program(net, None)
+            base = funcs.trans
+            funcs.trans = lambda e, x, _n=failed, _t=base: (
+                None if _n in e else _t(e, x))
+            funcs.trans_many = None
+            for u in simulate(funcs).check_assertions(funcs.assert_fn):
+                total += 1
+                violations.setdefault(u, failed)
+        assert total > 0
+
+        monkeypatch.setenv("NV_JOBS", jobs)
+        assert main(["fault", str(f), "--links", "0", "--nodes",
+                     "--witnesses", "--stats"]) == 1
+        out = capsys.readouterr().out
+        assert f"0-link+node failures: {total} violating scenario keys" in out
+        for u, failed in violations.items():
+            assert f"node {u} violates under failure scenario {failed}" in out
+        # No link component to split on: one unit at any worker count.
+        assert ["fault.batches", "1"] in [l.split() for l in out.splitlines()]
+
 
 class TestTranslate:
     def test_directory_translation(self, tmp_path, capsys):
