@@ -71,8 +71,7 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
     t0 = perf_counter()
     if lower:
         from ..transform.pipeline import lower_program
-        net = Network.from_program(
-            lower_program(net.program, unbox=False, flatten=False))
+        net = lower_program(net, unbox=False, flatten=False)
     if backend == "interp":
         with obs.span("sim.setup", backend=backend):
             funcs = functions_from_program(net, symbolics)

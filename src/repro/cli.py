@@ -713,6 +713,13 @@ def main(argv: list[str] | None = None) -> int:
     except NvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # The parser, checker and evaluators recurse on the AST, so a long
+        # enough `else if` / `let` chain exhausts the interpreter's stack.
+        print("error: program exceeds the nesting limit: an expression (e.g. "
+              "a long `else if` chain) nests deeper than the recursion limit "
+              f"of {sys.getrecursionlimit()} frames allows", file=sys.stderr)
+        return 3
     finally:
         if heartbeat is not None:
             heartbeat.stop()

@@ -37,6 +37,17 @@ class MapContext:
         # distinct roots must not accumulate snapshots forever.
         self._frozen_cache: dict[tuple[int, T.Type], "FrozenMap"] = {}
         self.manager.register_clear_hook(self._frozen_cache.clear)
+        # Concrete-key memos: a key's (level, bit) path under its key type,
+        # and the root of ``m[k := v]`` per (root, key type, key, leaf) — a
+        # simulation repeats a few hundred distinct updates thousands of
+        # times, each a recursion of one frame and one ``mk`` per key bit.
+        # Keys meet only under one key type, so ``True`` and ``1`` (equal,
+        # same hash) always have the same encoding when they alias.
+        self._key_paths: dict[tuple[T.Type, Any],
+                              tuple[list[tuple[int, bool]], dict[int, bool]]] = {}
+        self._set_memo: dict[tuple[int, T.Type, Any, int], int] = {}
+        self.manager.register_clear_hook(self._key_paths.clear)
+        self.manager.register_clear_hook(self._set_memo.clear)
 
     def domain(self, key_ty: T.Type) -> int:
         """Cached validity BDD for a key type."""
@@ -45,6 +56,27 @@ class MapContext:
             cached = self.encoder.domain(key_ty, self.manager)
             self._domain_cache[key_ty] = cached
         return cached
+
+    def key_path(self, key_ty: T.Type, key: Any
+                 ) -> tuple[list[tuple[int, bool]], dict[int, bool]]:
+        """The concrete key's bit path, as ``set_path`` and ``get_path``
+        take it (cached; callers must not mutate either form)."""
+        path = self._key_paths.get((key_ty, key))
+        if path is None:
+            bits = self.encoder.encode(key_ty, key)
+            path = self._key_paths[key_ty, key] = (
+                list(enumerate(bits)), dict(enumerate(bits)))
+        return path
+
+    def set_key(self, root: int, key_ty: T.Type, key: Any, value: Any) -> int:
+        """The root of ``m[key := value]`` for the map rooted at ``root``."""
+        leaf = self.manager.leaf(value)
+        memo_key = (root, key_ty, key, leaf)
+        out = self._set_memo.get(memo_key)
+        if out is None:
+            out = self._set_memo[memo_key] = self.manager.set_path(
+                root, self.key_path(key_ty, key)[0], leaf)
+        return out
 
 
 class NVMap:
@@ -70,16 +102,13 @@ class NVMap:
 
     def get(self, key: Any) -> Any:
         """``m[k]`` for a concrete key."""
-        bits = self.ctx.encoder.encode(self.key_ty, key)
-        return self.ctx.manager.get_path(self.root, dict(enumerate(bits)))
+        return self.ctx.manager.get_path(
+            self.root, self.ctx.key_path(self.key_ty, key)[1])
 
     def set(self, key: Any, value: Any) -> "NVMap":
         """``m[k := v]`` for a concrete key."""
-        bits = self.ctx.encoder.encode(self.key_ty, key)
-        leaf = self.ctx.manager.leaf(value)
-        root = self.ctx.manager.set_path(
-            self.root, list(enumerate(bits)), leaf)
-        return NVMap(self.ctx, self.key_ty, root)
+        return NVMap(self.ctx, self.key_ty,
+                     self.ctx.set_key(self.root, self.key_ty, key, value))
 
     def map(self, fn: Callable[[Any], Any],
             memo: dict[int, int] | None = None) -> "NVMap":

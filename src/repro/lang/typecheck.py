@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from . import ast as A
 from . import types as T
@@ -27,6 +28,46 @@ class Scheme:
 
     vars: tuple[str, ...]
     ty: T.Type
+    # Cached by ``generalize``: no variable is free in ``ty`` outside
+    # ``vars``.  Quantified variables are never bound afterwards, so a closed
+    # scheme stays closed and environment scans skip it.
+    closed: bool = False
+
+
+def _children(ty: T.Type) -> tuple[T.Type, ...]:
+    if isinstance(ty, T.TOption):
+        return (ty.elt,)
+    if isinstance(ty, T.TTuple):
+        return ty.elts
+    if isinstance(ty, T.TRecord):
+        return tuple(t for _, t in ty.fields)
+    if isinstance(ty, T.TDict):
+        return (ty.key, ty.value)
+    if isinstance(ty, T.TArrow):
+        return (ty.arg, ty.result)
+    return ()
+
+
+def _rebuild(ty: T.Type, f: Callable[[T.Type], T.Type]) -> T.Type:
+    """``ty`` with ``f`` applied to each child — the *same object* when no
+    child changed, so unchanged (in particular ground) subterms stay shared
+    between annotations instead of being copied per node."""
+    old = _children(ty)
+    new = tuple(map(f, old))
+    if all(a is b for a, b in zip(new, old)):
+        return ty
+    if isinstance(ty, T.TRecord):
+        return T.TRecord(tuple(zip(ty.labels(), new)))
+    if isinstance(ty, T.TTuple):
+        return T.TTuple(new)
+    return type(ty)(*new)
+
+
+def _default(ty: T.Type) -> T.Type:
+    """Default every remaining unification variable to ``int``."""
+    if ty.ground:
+        return ty
+    return T.TInt(32) if isinstance(ty, T.TVar) else _rebuild(ty, _default)
 
 
 class TypeChecker:
@@ -50,40 +91,30 @@ class TypeChecker:
         return ty
 
     def zonk(self, ty: T.Type) -> T.Type:
-        """Fully apply the substitution."""
-        ty = self.resolve(ty)
-        if isinstance(ty, T.TOption):
-            return T.TOption(self.zonk(ty.elt))
-        if isinstance(ty, T.TTuple):
-            return T.TTuple(tuple(self.zonk(t) for t in ty.elts))
-        if isinstance(ty, T.TRecord):
-            return T.TRecord(tuple((n, self.zonk(t)) for n, t in ty.fields))
-        if isinstance(ty, T.TDict):
-            return T.TDict(self.zonk(ty.key), self.zonk(ty.value))
-        if isinstance(ty, T.TArrow):
-            return T.TArrow(self.zonk(ty.arg), self.zonk(ty.result))
-        return ty
+        """Fully apply the substitution.  Ground types come back as is, and a
+        solved variable's binding is replaced by its zonked form, so every
+        later visit shares that one object."""
+        if ty.ground:
+            return ty
+        if isinstance(ty, T.TVar):
+            end = self.resolve(ty)
+            if end is not ty:
+                end = self.subst[ty.name] = self.zonk(end)
+            return end
+        return _rebuild(ty, self.zonk)
 
     def occurs(self, name: str, ty: T.Type) -> bool:
+        if ty.ground:
+            return False
         ty = self.resolve(ty)
         if isinstance(ty, T.TVar):
             return ty.name == name
-        if isinstance(ty, T.TOption):
-            return self.occurs(name, ty.elt)
-        if isinstance(ty, T.TTuple):
-            return any(self.occurs(name, t) for t in ty.elts)
-        if isinstance(ty, T.TRecord):
-            return any(self.occurs(name, t) for _, t in ty.fields)
-        if isinstance(ty, T.TDict):
-            return self.occurs(name, ty.key) or self.occurs(name, ty.value)
-        if isinstance(ty, T.TArrow):
-            return self.occurs(name, ty.arg) or self.occurs(name, ty.result)
-        return False
+        return any(self.occurs(name, t) for t in _children(ty))
 
     def unify(self, a: T.Type, b: T.Type, where: str = "") -> None:
         a = self.resolve(a)
         b = self.resolve(b)
-        if a == b:
+        if a is b or a == b:
             return
         if isinstance(a, T.TVar):
             if self.occurs(a.name, b):
@@ -128,30 +159,25 @@ class TypeChecker:
     # ------------------------------------------------------------------
 
     def free_tvars(self, ty: T.Type) -> set[str]:
+        if ty.ground:
+            return set()
         ty = self.resolve(ty)
         if isinstance(ty, T.TVar):
             return {ty.name}
-        out: set[str] = set()
-        if isinstance(ty, T.TOption):
-            return self.free_tvars(ty.elt)
-        if isinstance(ty, T.TTuple):
-            for t in ty.elts:
-                out |= self.free_tvars(t)
-        elif isinstance(ty, T.TRecord):
-            for _, t in ty.fields:
-                out |= self.free_tvars(t)
-        elif isinstance(ty, T.TDict):
-            out = self.free_tvars(ty.key) | self.free_tvars(ty.value)
-        elif isinstance(ty, T.TArrow):
-            out = self.free_tvars(ty.arg) | self.free_tvars(ty.result)
-        return out
+        return set().union(*(self.free_tvars(t) for t in _children(ty)))
 
     def generalize(self, env: dict[str, Scheme], ty: T.Type) -> Scheme:
-        env_vars: set[str] = set()
-        for scheme in env.values():
-            env_vars |= self.free_tvars(scheme.ty) - set(scheme.vars)
-        gen = self.free_tvars(ty) - env_vars
-        return Scheme(tuple(sorted(gen)), self.zonk(ty))
+        ty = self.zonk(ty)
+        gen = self.free_tvars(ty)
+        if gen:
+            # Only an open type needs the environment's free variables, and
+            # only the environment's open schemes can have any.
+            for scheme in env.values():
+                if not scheme.closed:
+                    free = self.free_tvars(scheme.ty).difference(scheme.vars)
+                    scheme.closed = not free
+                    gen -= free
+        return Scheme(tuple(sorted(gen)), ty)
 
     def instantiate(self, scheme: Scheme) -> T.Type:
         if not scheme.vars:
@@ -159,19 +185,11 @@ class TypeChecker:
         mapping = {v: self.fresh("i") for v in scheme.vars}
 
         def sub(ty: T.Type) -> T.Type:
+            if ty.ground:
+                return ty
             if isinstance(ty, T.TVar):
                 return mapping.get(ty.name, ty)
-            if isinstance(ty, T.TOption):
-                return T.TOption(sub(ty.elt))
-            if isinstance(ty, T.TTuple):
-                return T.TTuple(tuple(sub(t) for t in ty.elts))
-            if isinstance(ty, T.TRecord):
-                return T.TRecord(tuple((n, sub(t)) for n, t in ty.fields))
-            if isinstance(ty, T.TDict):
-                return T.TDict(sub(ty.key), sub(ty.value))
-            if isinstance(ty, T.TArrow):
-                return T.TArrow(sub(ty.arg), sub(ty.result))
-            return ty
+            return _rebuild(ty, sub)
 
         return sub(scheme.ty)
 
@@ -193,11 +211,6 @@ class TypeChecker:
         if matches:
             return matches[-1]
         return None
-
-    def _fresh_record(self, base: T.TRecord) -> T.TRecord:
-        """A copy of a declared record type with fresh unification variables
-        in place of nothing — declared records are concrete, so return as is."""
-        return base
 
     # ------------------------------------------------------------------
     # Expression inference
@@ -474,31 +487,13 @@ class TypeChecker:
     def annotate(self, e: A.Expr, default_unsolved: bool = True) -> None:
         """Replace every ``.ty`` annotation with its zonked form; optionally
         default any remaining unification variable to ``int``."""
-
-        def default(ty: T.Type) -> T.Type:
-            if isinstance(ty, T.TVar):
-                return T.TInt(32)
-            if isinstance(ty, T.TOption):
-                return T.TOption(default(ty.elt))
-            if isinstance(ty, T.TTuple):
-                return T.TTuple(tuple(default(t) for t in ty.elts))
-            if isinstance(ty, T.TRecord):
-                return T.TRecord(tuple((n, default(t)) for n, t in ty.fields))
-            if isinstance(ty, T.TDict):
-                return T.TDict(default(ty.key), default(ty.value))
-            if isinstance(ty, T.TArrow):
-                return T.TArrow(default(ty.arg), default(ty.result))
-            return ty
-
-        def walk(x: A.Expr) -> None:
+        stack = [e]
+        while stack:
+            x = stack.pop()
             if x.ty is not None:
                 ty = self.zonk(x.ty)
-                x.ty = default(ty) if default_unsolved else ty
-            for c in x.children():
-                walk(c)
-
-        walk(e)
-
+                x.ty = _default(ty) if default_unsolved else ty
+            stack.extend(x.children())
 
 
 def _is_generalizable(e: A.Expr) -> bool:
@@ -508,27 +503,21 @@ def _is_generalizable(e: A.Expr) -> bool:
     interpreter could build a map with the wrong key layout."""
     return isinstance(e, A.EFun)
 
-def base_env() -> dict[str, Scheme]:
-    """The initial typing environment (no primitives beyond the operators)."""
-    return {}
 
-
-def check_program(program: A.Program) -> dict[str, Scheme]:
-    """Infer types for every declaration of ``program`` in order.
-
-    Returns the final environment mapping names to schemes.  Every expression
-    in the program is annotated in place.
-    """
+def _infer_decls(program: A.Program) -> tuple[TypeChecker, dict[str, Scheme]]:
+    """Infer every declaration of ``program`` in order; annotations are left
+    un-zonked for :func:`_annotate_decls`, which runs once the whole program
+    (and any signature constraint) is processed, so later uses refine earlier
+    declarations."""
     record_types = [ty for ty in program.type_decls().values()
                     if isinstance(ty, T.TRecord)]
     checker = TypeChecker(record_types)
-    env = base_env()
+    env: dict[str, Scheme] = {}
     for decl in program.decls:
         if isinstance(decl, A.DSymbolic):
             env[decl.name] = Scheme((), decl.ty)
         elif isinstance(decl, A.DRequire):
             checker.unify(checker.infer(env, decl.expr), T.TBool(), "in require")
-            checker.annotate(decl.expr)
         elif isinstance(decl, A.DLet):
             ty = checker.infer(env, decl.expr)
             if decl.annot is not None:
@@ -537,13 +526,23 @@ def check_program(program: A.Program) -> dict[str, Scheme]:
                 env[decl.name] = checker.generalize(env, ty)
             else:
                 env[decl.name] = Scheme((), ty)
-    # Zonk annotations after the whole program is processed so later uses
-    # refine earlier declarations.
+    return checker, env
+
+
+def _annotate_decls(checker: TypeChecker, program: A.Program) -> None:
     for decl in program.decls:
-        if isinstance(decl, A.DLet):
+        if isinstance(decl, (A.DLet, A.DRequire)):
             checker.annotate(decl.expr)
-        elif isinstance(decl, A.DRequire):
-            checker.annotate(decl.expr)
+
+
+def check_program(program: A.Program) -> dict[str, Scheme]:
+    """Infer types for every declaration of ``program`` in order.
+
+    Returns the final environment mapping names to schemes.  Every expression
+    in the program is annotated in place.
+    """
+    checker, env = _infer_decls(program)
+    _annotate_decls(checker, program)
     return env
 
 
@@ -557,24 +556,7 @@ def check_network(program: A.Program) -> T.Type:
     as the other declarations pin it down); the resolved attribute type α
     must come out concrete, as §3 requires of exchanged messages.
     """
-    record_types = [ty for ty in program.type_decls().values()
-                    if isinstance(ty, T.TRecord)]
-    checker = TypeChecker(record_types)
-    env = base_env()
-    for decl in program.decls:
-        if isinstance(decl, A.DSymbolic):
-            env[decl.name] = Scheme((), decl.ty)
-        elif isinstance(decl, A.DRequire):
-            checker.unify(checker.infer(env, decl.expr), T.TBool(), "in require")
-        elif isinstance(decl, A.DLet):
-            ty = checker.infer(env, decl.expr)
-            if decl.annot is not None:
-                checker.unify(ty, decl.annot, f"in annotation of {decl.name!r}")
-            if _is_generalizable(decl.expr):
-                env[decl.name] = checker.generalize(env, ty)
-            else:
-                env[decl.name] = Scheme((), ty)
-
+    checker, env = _infer_decls(program)
     attr: T.Type = checker.fresh("attr")
 
     def require(name: str, want: T.Type, optional: bool = False) -> None:
@@ -592,29 +574,8 @@ def check_network(program: A.Program) -> T.Type:
     require("assert", T.TArrow(T.TNode(), T.TArrow(attr, T.TBool())),
             optional=True)
 
-    for decl in program.decls:
-        if isinstance(decl, (A.DLet,)):
-            checker.annotate(decl.expr)
-        elif isinstance(decl, A.DRequire):
-            checker.annotate(decl.expr)
-
+    _annotate_decls(checker, program)
     attr = checker.zonk(attr)
-    if _has_tvar(attr):
+    if not attr.ground:
         raise NvTypeError(f"the attribute type must be concrete, got {attr}")
     return attr
-
-
-def _has_tvar(ty: T.Type) -> bool:
-    if isinstance(ty, T.TVar):
-        return True
-    if isinstance(ty, T.TOption):
-        return _has_tvar(ty.elt)
-    if isinstance(ty, T.TTuple):
-        return any(_has_tvar(t) for t in ty.elts)
-    if isinstance(ty, T.TRecord):
-        return any(_has_tvar(t) for _, t in ty.fields)
-    if isinstance(ty, T.TDict):
-        return _has_tvar(ty.key) or _has_tvar(ty.value)
-    if isinstance(ty, T.TArrow):
-        return _has_tvar(ty.arg) or _has_tvar(ty.result)
-    return False

@@ -18,6 +18,12 @@ class Type:
 
     __slots__ = ()
 
+    #: No :class:`TVar` occurs inside.  Types are immutable, so this is a
+    #: constant of the object: compound types compute it once, from their
+    #: children's, at construction, and the checker's walks (`zonk`,
+    #: `occurs`, free variables) return at once on a ground type.
+    ground = True
+
     def is_finitary(self) -> bool:
         """True if the type has finitely many values and can be laid out as a
         fixed-width bit pattern (required for MTBDD keys and SMT encoding)."""
@@ -71,6 +77,10 @@ class TEdge(Type):
 @dataclass(frozen=True, slots=True)
 class TOption(Type):
     elt: Type
+    ground: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ground", self.elt.ground)
 
     def is_finitary(self) -> bool:
         return self.elt.is_finitary()
@@ -82,6 +92,10 @@ class TOption(Type):
 @dataclass(frozen=True, slots=True)
 class TTuple(Type):
     elts: tuple[Type, ...]
+    ground: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ground", all(t.ground for t in self.elts))
 
     def is_finitary(self) -> bool:
         return all(t.is_finitary() for t in self.elts)
@@ -95,6 +109,10 @@ class TRecord(Type):
     """Record type with a fixed, ordered field list."""
 
     fields: tuple[tuple[str, Type], ...]
+    ground: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ground", all(t.ground for _, t in self.fields))
 
     def is_finitary(self) -> bool:
         return all(t.is_finitary() for _, t in self.fields)
@@ -125,6 +143,10 @@ class TDict(Type):
 
     key: Type
     value: Type
+    ground: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ground", self.key.ground and self.value.ground)
 
     def is_finitary(self) -> bool:
         # Maps are not bit-pattern encodable themselves (they live as MTBDDs).
@@ -140,6 +162,10 @@ class TDict(Type):
 class TArrow(Type):
     arg: Type
     result: Type
+    ground: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ground", self.arg.ground and self.result.ground)
 
     def is_finitary(self) -> bool:
         return False
@@ -154,6 +180,7 @@ class TVar(Type):
     """Unification variable (inference only)."""
 
     name: str
+    ground = False
 
     def is_finitary(self) -> bool:
         return False

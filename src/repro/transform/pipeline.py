@@ -26,6 +26,7 @@ from typing import Callable
 from .. import obs, perf
 from ..lang import ast as A
 from ..lang.typecheck import check_program
+from ..srp.network import Network
 from .flatten import flatten_program, records_to_tuples_program
 from .inline import inline_program
 from .partial_eval import partial_eval_program
@@ -67,10 +68,15 @@ def _run_pass(name: str, fn: Callable[[A.Program], A.Program],
     return program
 
 
-def lower_program(program: A.Program, unbox: bool = True,
+def lower_program(program: A.Program | Network, unbox: bool = True,
                   flatten: bool = True, partial: bool = True,
-                  unroll: bool = False) -> A.Program:
+                  unroll: bool = False) -> A.Program | Network:
     """Lower a network program to the §5.2 normal form.
+
+    Given a :class:`Program` the result is a fully annotated ``Program``.
+    Given a :class:`Network` the result is the lowered ``Network``: its final
+    shape is inferred once, by ``Network.from_program`` (the fig 8 signature
+    check), instead of once here and again there.
 
     ``unroll=True`` additionally eliminates maps into tuples (sound only for
     programs obeying the §3.1 key discipline; see
@@ -79,17 +85,24 @@ def lower_program(program: A.Program, unbox: bool = True,
     Each pass runs under a ``transform.<pass>`` span (see :mod:`repro.obs`)
     that records the AST node-count delta, so ``--trace`` shows where the
     pipeline grows or shrinks the program."""
+    passes: list[tuple[str, Callable[[A.Program], A.Program]]] = [
+        ("inline", inline_program)]
+    if unroll:
+        from .map_unrolling import unroll_program
+        passes.append(("unroll_maps", unroll_program))
+    if unbox:
+        passes.append(("unbox_options", unbox_program))
+    if flatten:
+        passes += [("records_to_tuples", records_to_tuples_program),
+                   ("flatten_tuples", flatten_program)]
+    if partial:
+        passes.append(("partial_eval", partial_eval_program))
+    as_network = isinstance(program, Network)
+    if as_network:
+        program = program.program
+    # A Network's last pass is not re-inferred here: from_program does it.
+    unchecked = passes[-1][0] if as_network else None
     with obs.span("transform.lower"):
-        program = _run_pass("inline", inline_program, program)
-        if unroll:
-            from .map_unrolling import unroll_program
-            program = _run_pass("unroll_maps", unroll_program, program)
-        if unbox:
-            program = _run_pass("unbox_options", unbox_program, program)
-        if flatten:
-            program = _run_pass("records_to_tuples",
-                                records_to_tuples_program, program)
-            program = _run_pass("flatten_tuples", flatten_program, program)
-        if partial:
-            program = _run_pass("partial_eval", partial_eval_program, program)
-    return program
+        for name, fn in passes:
+            program = _run_pass(name, fn, program, recheck=name != unchecked)
+    return Network.from_program(program) if as_network else program

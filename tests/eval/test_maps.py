@@ -36,6 +36,35 @@ class TestCreateGetSet:
         m = NVMap.create(ctx, T.TInt(8), 0)
         assert m.set(5, 0) == m  # canonicity: writing the default is a no-op
 
+    @pytest.mark.parametrize("engine", ["arena", "object"])
+    def test_concrete_key_memo_is_invisible(self, engine, monkeypatch):
+        """``set``/``get`` through the per-context memo give the roots and
+        values the manager gives without it, and ``clear_caches`` drops it."""
+        monkeypatch.setenv("NV_BDD_ENGINE", engine)
+        ctx = MapContext(4, ((0, 1), (1, 0)))
+        mgr, key_ty = ctx.manager, T.TTuple((T.TInt(8), T.TBool()))
+        updates = [((5, True), "a"), ((5, False), "b"), ((200, True), "a"),
+                   ((5, True), "c"), ((1, True), "a")] * 3
+        m, root = NVMap.create(ctx, key_ty, "z"), mgr.leaf("z")
+        for key, value in updates:
+            m = m.set(key, value)
+            bits = ctx.encoder.encode(key_ty, key)
+            root = mgr.set_path(root, list(enumerate(bits)), mgr.leaf(value))
+            assert m.root == root
+            assert m.get(key) == mgr.get_path(root, dict(enumerate(bits))) == value
+        nodes = mgr.stats()["nodes"]
+        again = NVMap.create(ctx, key_ty, "z")
+        for key, value in updates:
+            again = again.set(key, value)
+        assert again.root == root and mgr.stats()["nodes"] == nodes
+        # Bool and int keys that are equal as Python values stay apart.
+        assert NVMap.create(ctx, T.TBool(), 0).set(True, 1).root != \
+            NVMap.create(ctx, T.TInt(8), 0).set(1, 1).root
+        assert ctx._set_memo and ctx._key_paths
+        mgr.clear_caches()
+        assert not ctx._set_memo and not ctx._key_paths
+        assert again.set((5, True), "c").root == root
+
     def test_node_keys(self, ctx):
         m = NVMap.create(ctx, T.TNode(), "none")
         m = m.set(2, "two")

@@ -1,5 +1,7 @@
 """Type inference tests: unification, sized ints, polymorphism, networks."""
 
+import sys
+
 import pytest
 
 from repro.lang import types as T
@@ -7,6 +9,7 @@ from repro.lang.errors import NvTypeError
 from repro.lang.parser import parse_expr, parse_program
 from repro.lang.typecheck import TypeChecker, check_network, check_program
 from repro.protocols import resolve
+from repro.transform.pipeline import ast_size
 
 
 def infer(src: str, env_types: dict[str, T.Type] | None = None) -> T.Type:
@@ -195,3 +198,57 @@ let merge (u : node) (x y : int8) = if x <= y then x else y
         p = parse_program("symbolic x : int8\nrequire x + 1u8")
         with pytest.raises(NvTypeError):
             check_program(p)
+
+
+class TestLinearScaling:
+    """Inference is linear in AST size.  Wall-clock cannot say so on a shared
+    host, so count interpreter-level calls (``sys.setprofile``) instead: the
+    work per AST node must not grow with the number of declarations."""
+
+    @staticmethod
+    def route_map_program(n: int) -> str:
+        """``n`` route-map-style helpers over ``include bgp`` (each tests a
+        community and rewrites the route), applied in chunks of ten so the
+        nesting depth stays far from the recursion limit."""
+        rms = "\n".join(
+            f"let rm{i} x =\n  match x with\n  | None -> None\n"
+            f"  | Some b -> if b.comms[{i}] then Some {{b with med = {i}}}\n"
+            f"    else Some {{b with med = {i + 1}; comms = b.comms[{i} := true]}}"
+            for i in range(n))
+        chunks = "\n".join(
+            f"let chunk{j} x = "
+            + "".join(f"rm{i} (" for i in range(10 * j, 10 * j + 10)) + "x" + ")" * 10
+            for j in range(n // 10))
+        trans = ("let trans e x = " + "".join(f"chunk{j} (" for j in range(n // 10))
+                 + "transBgp e x" + ")" * (n // 10))
+        return f"""include bgp
+let nodes = 2
+let edges = {{0n=1n}}
+{rms}
+{chunks}
+{trans}
+let merge u x y = mergeBgp u x y
+let init (u : node) = if u = 0n then defaultBgp else None
+"""
+
+    @classmethod
+    def calls_per_node(cls, n: int) -> float:
+        program = parse_program(cls.route_map_program(n), resolve)
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        sys.setprofile(profiler)
+        try:
+            attr = check_network(program)
+        finally:
+            sys.setprofile(None)
+        assert isinstance(attr, T.TOption)
+        return calls / ast_size(program)
+
+    def test_calls_per_node_do_not_grow_with_declarations(self):
+        small, large = self.calls_per_node(50), self.calls_per_node(200)
+        assert large <= 1.25 * small, (small, large)

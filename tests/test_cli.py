@@ -1,6 +1,7 @@
 """CLI tests: every subcommand end to end on temporary files."""
 
 import json
+import sys
 
 import pytest
 
@@ -195,6 +196,24 @@ class TestObservability:
         assert "transform.lower" not in out
         assert "sim.simulate" in out
 
+    def test_lower_infers_each_program_shape_once(self, triangle_file,
+                                                  monkeypatch, capsys):
+        """``simulate --lower`` runs inference three times — the loaded
+        program, the inlined one, and the final one (by the network
+        signature check) — not a fourth time on that same final program."""
+        from repro.lang import typecheck
+        built = []
+        init = typecheck.TypeChecker.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(typecheck.TypeChecker, "__init__", counting_init)
+        assert main(["simulate", triangle_file, "--lower", "--show-routes"]) == 0
+        assert len(built) == 3
+        assert "node 2: Some 1" in capsys.readouterr().out
+
     def test_verify_trace_smt_spans(self, triangle_file, capsys):
         assert main(["verify", triangle_file, "--trace"]) == 0
         out = capsys.readouterr().out
@@ -240,6 +259,20 @@ class TestErrors:
         f.write_text("let nodes = ")
         assert main(["simulate", str(f)]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_deep_nesting_reported_without_traceback(self, tmp_path, capsys):
+        """A 2000-arm ``else if`` dispatch (what ``translate`` writes for a
+        FatTree(8)) exhausts the recursive front end: one ``error:`` line
+        naming the limit and exit 3, like any other front-end failure."""
+        chain = "".join(f"if u = {i}n then Some {i}u8 else " for i in range(2000))
+        f = tmp_path / "deep.nv"
+        f.write_text(RIP_TRIANGLE.replace(
+            "if u = 0n then Some 0u8 else None", chain + "None"))
+        assert main(["simulate", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nesting limit" in err and str(sys.getrecursionlimit()) in err
+        assert "Traceback" not in err
 
 
 class TestMetricsFlags:
