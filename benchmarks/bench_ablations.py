@@ -12,14 +12,6 @@ measures the same workload with and without it:
   before SMT (this is also the NV-vs-MineSweeper delta of fig 12);
 * **sized integers** (§3) — narrow map keys shrink MTBDD depth
   ("int8 vs int32 keys" on the all-prefixes RIB).
-
-Run as a script with ``--boxing`` for the PR 10 microbenchmark: per-node
-boxing cost (scalar recursive ``apply2``) vs per-level vectorised gather
-(the frontier kernels) on 16-level keys — fig13b's key depth — across
-frontier widths::
-
-    PYTHONPATH=src python benchmarks/bench_ablations.py --boxing \
-        [--levels 16] [--widths 16,256,...,16384] [--reps 5] [--out out.json]
 """
 
 import pytest
@@ -109,129 +101,3 @@ def test_ablation_key_width(benchmark, width, networks_cache):
         "key_bits": width,
         "mtbdd_nodes": funcs.ctx.manager.size(),
     })
-
-
-# ---------------------------------------------------------------------------
-# PR 10 microbenchmark: boxing cost vs vectorised gather (script mode)
-# ---------------------------------------------------------------------------
-
-def _arena_with_frontier_min(value):
-    """Construct an :class:`ArenaBddManager` with a pinned frontier
-    threshold (the env var is read at ``__init__``)."""
-    import os
-
-    from repro.bdd.arena import ArenaBddManager
-
-    old = os.environ.get("NV_BDD_FRONTIER_MIN")
-    os.environ["NV_BDD_FRONTIER_MIN"] = str(value)
-    try:
-        return ArenaBddManager()
-    finally:
-        if old is None:
-            os.environ.pop("NV_BDD_FRONTIER_MIN", None)
-        else:
-            os.environ["NV_BDD_FRONTIER_MIN"] = old
-
-
-def _mixed_map(mgr, levels, width):
-    """A ``levels``-deep MTBDD whose per-level frontier is ~``width``
-    distinct nodes: subtree identities are mixed modulo ``width``, so the
-    diagram is as wide as the modulus allows but still heavily shared."""
-    leaves = [mgr.leaf(("v", i)) for i in range(min(width, 64))]
-    memo = {}
-
-    def build(level, acc):
-        key = (level, acc)
-        n = memo.get(key)
-        if n is None:
-            if level == levels:
-                n = leaves[acc % len(leaves)]
-            else:
-                # Tuple-hash mixing keeps the reachable-acc orbit near
-                # ``width`` (affine maps collapse mod powers of two; int
-                # tuple hashes are deterministic across processes).
-                n = mgr.mk(level,
-                           build(level + 1, hash((level, acc, 1)) % width),
-                           build(level + 1, hash((level, acc, 2)) % width))
-            memo[key] = n
-        return n
-
-    return build(0, 0)
-
-
-def _boxing_cell(mgr, levels, width, reps):
-    """Median seconds for one full ``apply2`` sweep (cold memo each rep)
-    over a pair of structurally aligned ``width``-wide operands."""
-    import time
-
-    a = _mixed_map(mgr, levels, width)
-    b = mgr.apply1(lambda v: ("b", v), a)   # same shape, distinct leaves
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        mgr.apply2(lambda x, y: (x, y), a, b, {})
-        times.append(time.perf_counter() - t0)
-    times.sort()
-    return {"seconds": round(times[len(times) // 2], 6),
-            "tasks": mgr.node_count(a)}
-
-
-def _boxing_main(args):
-    import json
-
-    levels = args.levels
-    widths = [int(w) for w in args.widths.split(",") if w]
-    rows = {}
-    print(f"apply2 sweep, {levels}-level keys, cold memo, "
-          f"median of {args.reps} (scalar = per-node recursion, "
-          f"vectorized = per-level frontier gather)")
-    for width in widths:
-        scalar = _boxing_cell(_arena_with_frontier_min(1 << 30),
-                              levels, width, args.reps)
-        vector = _boxing_cell(_arena_with_frontier_min(0),
-                              levels, width, args.reps)
-        assert scalar["tasks"] == vector["tasks"]
-        ratio = round(scalar["seconds"] / vector["seconds"], 2) \
-            if vector["seconds"] else None
-        rows[f"width{width}"] = {
-            "frontier_width": width,
-            "tasks": scalar["tasks"],
-            "scalar_seconds": scalar["seconds"],
-            "vectorized_seconds": vector["seconds"],
-            "scalar_over_vectorized": ratio,
-        }
-        per = scalar["tasks"] or 1
-        print(f"  width {width:5d}: {scalar['tasks']:7d} tasks  "
-              f"scalar {scalar['seconds'] * 1e6 / per:6.2f}us/task  "
-              f"vectorized {vector['seconds'] * 1e6 / per:6.2f}us/task  "
-              f"(scalar/vectorized {ratio}x)")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    return rows
-
-
-def main(argv=None):
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        description="ablation script modes (the pytest benchmarks above "
-                    "run under pytest-benchmark)")
-    ap.add_argument("--boxing", action="store_true",
-                    help="boxing-vs-gather microbenchmark")
-    ap.add_argument("--levels", type=int, default=16)
-    ap.add_argument("--widths", default="16,256,1024,4096,16384")
-    ap.add_argument("--reps", type=int, default=5)
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args(argv)
-    if args.boxing:
-        _boxing_main(args)
-        return 0
-    ap.error("pick a script mode (--boxing)")
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -13,12 +13,11 @@ at 1 failure.  The two shapes to observe: near-flat growth across fat-tree
 sizes per failure budget, and the WAN's sharply worse 2- and 3-failure times
 (leaf-class counts in extra_info show the sharing collapse directly).
 
-Run as a script for the BENCH protocol (fresh-process min-of-N cells via
-:mod:`_timing`, one cell per engine configuration)::
+Run as a script for the BENCH protocol (one fresh-process min-of-N cell via
+:mod:`_timing`)::
 
     PYTHONPATH=src python benchmarks/bench_fig13b_fault_scaling.py --runs 3 \
-        [--failures 2] [--engines object,arena,arena-scalar,arena-vectorized] \
-        [--src /path/to/other/tree/src] [--out cells.json]
+        [--failures 2] [--src /path/to/other/tree/src] [--out cell.json]
 """
 
 import pytest
@@ -26,15 +25,6 @@ import pytest
 from conftest import sizes
 from repro.analysis.fault import fault_tolerance_analysis
 from repro.topology import sp_program, uscarrier_like, wan_program
-
-#: Engine configurations a BENCH cell can pin, as env overlays.
-ENGINE_ENVS = {
-    "object": {"NV_BDD_ENGINE": "object"},
-    "arena": {"NV_BDD_ENGINE": "arena"},
-    "arena-scalar": {"NV_BDD_ENGINE": "arena", "NV_BDD_NUMPY": "0"},
-    "arena-vectorized": {"NV_BDD_ENGINE": "arena",
-                         "NV_BDD_FRONTIER_MIN": "0"},
-}
 
 FATTREE_CASES = sizes([(k, f) for k in (4, 6, 8) for f in (1, 2)])
 WAN_CASES = sizes([1, 2, 3])
@@ -134,11 +124,9 @@ def main(argv=None) -> int:
     from _timing import measure
 
     ap = argparse.ArgumentParser(
-        description="fig13b WAN-60 BENCH cells (fresh-process min-of-N)")
+        description="fig13b WAN-60 BENCH cell (fresh-process min-of-N)")
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--failures", type=int, default=2)
-    ap.add_argument("--engines", default="object,arena,arena-scalar,"
-                                         "arena-vectorized")
     ap.add_argument("--src", default=None,
                     help="PYTHONPATH of another tree to measure with the "
                          "same protocol (e.g. a seed-commit worktree)")
@@ -150,27 +138,15 @@ def main(argv=None) -> int:
         _worker(args.failures)
         return 0
 
-    cells: dict = {}
-    classes = None
-    for name in [e for e in args.engines.split(",") if e]:
-        env = dict(ENGINE_ENVS[name])
-        if args.src:
-            env["PYTHONPATH"] = args.src
-        cell = measure(__file__, ["--worker", "--failures",
-                                  str(args.failures)],
-                       runs=args.runs, env=env)
-        assert cell is not None
-        if classes is None:
-            classes = cell["classes"]
-        # Every engine must see the same equivalence classes — the BENCH
-        # protocol's in-band correctness invariant.
-        assert cell["classes"] == classes, (name, cell, classes)
-        cells[name] = cell
-        print(f"  {name:18s} min {cell['seconds']:.3f}s  "
-              f"runs {cell['runs']}")
+    cell = measure(__file__, ["--worker", "--failures", str(args.failures)],
+                   runs=args.runs,
+                   env={"PYTHONPATH": args.src} if args.src else None)
+    assert cell is not None
+    print(f"  min {cell['seconds']:.3f}s  classes {cell['classes']}  "
+          f"runs {cell['runs']}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(cells, fh, indent=2, sort_keys=True)
+            json.dump(cell, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
     return 0
 

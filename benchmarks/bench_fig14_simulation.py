@@ -15,11 +15,11 @@ materialise (recorded honestly in EXPERIMENTS.md); the two paper shapes that
   neighbours, while the shared MTBDD store grows far slower — the mechanism
   behind the paper's 2GB-vs-OOM result.
 
-Run as a script for the BENCH protocol (fresh-process min-of-N cells via
-:mod:`_timing`, one cell per engine configuration)::
+Run as a script for the BENCH protocol (one fresh-process min-of-N cell via
+:mod:`_timing`)::
 
     PYTHONPATH=src python benchmarks/bench_fig14_simulation.py --runs 3 \
-        [--k 12] [--engines object,arena,arena-scalar] [--out cells.json]
+        [--k 12] [--src /path/to/other/tree/src] [--out cell.json]
 """
 
 import tracemalloc
@@ -116,16 +116,6 @@ def test_memory_comparison(networks_cache, capsys):
 # BENCH protocol entry point (fresh-process min-of-N, see _timing.py)
 # ----------------------------------------------------------------------
 
-#: Engine configurations a BENCH cell can pin, as env overlays.
-ENGINE_ENVS = {
-    "object": {"NV_BDD_ENGINE": "object"},
-    "arena": {"NV_BDD_ENGINE": "arena"},
-    "arena-scalar": {"NV_BDD_ENGINE": "arena", "NV_BDD_NUMPY": "0"},
-    "arena-vectorized": {"NV_BDD_ENGINE": "arena",
-                         "NV_BDD_FRONTIER_MIN": "0"},
-}
-
-
 def _worker(k: int) -> None:
     """One fresh-process measurement of the interpreted all-prefixes
     simulation (``functions_from_program`` + ``simulate``, parse/type-check
@@ -156,11 +146,10 @@ def main(argv=None) -> int:
     from _timing import measure
 
     ap = argparse.ArgumentParser(
-        description="fig14 interpreted-simulation BENCH cells "
+        description="fig14 interpreted-simulation BENCH cell "
                     "(fresh-process min-of-N)")
     ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--k", type=int, default=12)
-    ap.add_argument("--engines", default="object,arena,arena-scalar")
     ap.add_argument("--src", default=None,
                     help="PYTHONPATH of another tree to measure with the "
                          "same protocol (e.g. a seed-commit worktree)")
@@ -172,24 +161,15 @@ def main(argv=None) -> int:
         _worker(args.k)
         return 0
 
-    cells: dict = {}
-    iterations = None
-    for name in [e for e in args.engines.split(",") if e]:
-        env = dict(ENGINE_ENVS[name])
-        if args.src:
-            env["PYTHONPATH"] = args.src
-        cell = measure(__file__, ["--worker", "--k", str(args.k)],
-                       runs=args.runs, env=env)
-        assert cell is not None
-        if iterations is None:
-            iterations = cell["iterations"]
-        assert cell["iterations"] == iterations, (name, cell, iterations)
-        cells[name] = cell
-        print(f"  {name:18s} min {cell['seconds']:.3f}s  "
-              f"runs {cell['runs']}")
+    cell = measure(__file__, ["--worker", "--k", str(args.k)],
+                   runs=args.runs,
+                   env={"PYTHONPATH": args.src} if args.src else None)
+    assert cell is not None
+    print(f"  min {cell['seconds']:.3f}s  iterations {cell['iterations']}  "
+          f"runs {cell['runs']}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(cells, fh, indent=2, sort_keys=True)
+            json.dump(cell, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
     return 0
 

@@ -4,8 +4,8 @@
 Runs the deterministic quick-mode workloads of :mod:`repro.budgets`
 (``--repeats`` times each, so the differ can min-of-N the wall clocks),
 assembles one :class:`repro.observatory.RunRecord`, persists it to the
-``.nv-runs/`` store, and diffs it against the committed per-engine baseline
-``benchmarks/baselines/runrecord-<engine>.json`` with the observatory's
+``.nv-runs/`` store, and diffs it against the committed baseline
+``benchmarks/baselines/runrecord-object.json`` with the observatory's
 noise-aware tolerances.  Counters regressing beyond tolerance fail the
 gate (timings are printed but stay informational — CI runners are too
 noisy to gate wall time).
@@ -38,9 +38,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from time import perf_counter  # noqa: E402
 
 from repro import budgets, observatory  # noqa: E402
-from repro.bdd import engine_name  # noqa: E402
 
-BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
+BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "runrecord-object.json"
 
 
 def measure(workloads: list[str], repeats: int,
@@ -110,18 +109,19 @@ def parallel_probe(record: observatory.RunRecord) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Record the deterministic workloads as a RunRecord and "
-                    "diff it against the committed per-engine baseline.")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
+                    "diff it against the committed baseline.")
+    parser.add_argument("--baseline", type=Path, default=BASELINE,
+                        metavar="FILE",
                         help="baseline RunRecord (default: benchmarks/"
-                             "baselines/runrecord-<engine>.json)")
+                             "baselines/runrecord-object.json)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from this run")
     parser.add_argument("--workload", action="append", default=None,
                         help="limit to named workloads (repeatable)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="wall-clock repeats per workload (default 3)")
-    parser.add_argument("--label", default=None,
-                        help="RunRecord label (default: regress-<engine>)")
+    parser.add_argument("--label", default="regress",
+                        help="RunRecord label (default: regress)")
     parser.add_argument("--runs-dir", default=None, metavar="DIR",
                         help="also persist the record to this run store "
                              "(default: $NV_RUNS_DIR, else .nv-runs/)")
@@ -139,10 +139,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the comparison result as JSON")
     args = parser.parse_args(argv)
 
-    engine = engine_name()
     workloads = args.workload or list(budgets.WORKLOADS)
-    label = args.label or f"regress-{engine}"
-    record = measure(workloads, max(1, args.repeats), label)
+    record = measure(workloads, max(1, args.repeats), args.label)
     if not args.no_parallel_probe:
         parallel_probe(record)
 
@@ -153,40 +151,32 @@ def main(argv: list[str] | None = None) -> int:
         record.meta["injected_counter_inflation_pct"] = (
             args.inject_counter_inflation)
 
-    baseline_path = Path(args.baseline) if args.baseline else (
-        BASELINE_DIR / f"runrecord-{engine}.json")
-
     if args.update:
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        baseline_path.write_text(
+        args.baseline.parent.mkdir(parents=True, exist_ok=True)
+        args.baseline.write_text(
             json.dumps(record.to_dict(), indent=2, sort_keys=True,
                        default=repr) + "\n")
-        print(f"wrote baseline {baseline_path} "
+        print(f"wrote baseline {args.baseline} "
               f"({len(record.counters)} counters, "
-              f"{len(record.timings)} timings, engine={engine})")
+              f"{len(record.timings)} timings)")
         return 0
 
     if not args.no_store:
         store = observatory.RunStore(args.runs_dir)
         print(f"RunRecord written to {store.save(record)}")
 
-    if not baseline_path.is_file():
-        print(f"no baseline at {baseline_path}; bootstrap with --update",
+    if not args.baseline.is_file():
+        print(f"no baseline at {args.baseline}; bootstrap with --update",
               file=sys.stderr)
         return 2
-    baseline = observatory.RunStore().load(baseline_path)
-    if baseline.env.get("engine") != engine:
-        print(f"warning: baseline engine {baseline.env.get('engine')!r} "
-              f"!= current {engine!r}; comparison is apples-to-oranges",
-              file=sys.stderr)
+    baseline = observatory.RunStore().load(args.baseline)
 
     deltas = observatory.diff_records(baseline, record)
     gated = observatory.regressions(deltas)
-    print(f"baseline: {baseline.run_id}  (engine={engine})")
+    print(f"baseline: {baseline.run_id}")
     print(observatory.diff_table(deltas, only_interesting=True))
     if args.json:
         Path(args.json).write_text(json.dumps({
-            "engine": engine,
             "baseline": baseline.run_id,
             "run": record.run_id,
             "gated_regressions": len(gated),

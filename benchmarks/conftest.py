@@ -42,7 +42,7 @@ REPORT_DIR = os.environ.get("NV_BENCH_REPORT") or None
 #: ``1`` writes to the default store (``.nv-runs/`` or ``$NV_RUNS_DIR``),
 #: any other non-empty value names the store directory.  ``NV_RUN_LABEL``
 #: overrides the record label (default ``bench``), so CI can record e.g.
-#: ``fig14-smoke`` per engine and later ``repro runs diff`` them.
+#: ``fig14-smoke`` twice and later ``repro runs diff`` them.
 RUN_RECORD = os.environ.get("NV_RUN_RECORD") or None
 RUN_LABEL = os.environ.get("NV_RUN_LABEL") or "bench"
 
@@ -75,16 +75,8 @@ def perf_counters():
 @pytest.fixture(scope="session", autouse=True)
 def bench_report_session():
     """``NV_BENCH_REPORT``-gated session trace + metrics for the HTML run
-    report (no-op otherwise, so plain benchmark timing stays unperturbed).
-    ``NV_METRICS_JSON`` alone enables the metrics registry only — enough
-    for the terminal-summary snapshot dump without the session trace."""
+    report (no-op otherwise, so plain benchmark timing stays unperturbed)."""
     if not REPORT_DIR:
-        if os.environ.get("NV_METRICS_JSON"):
-            metrics.reset()
-            metrics.enable()
-            yield
-            metrics.disable()
-            return
         yield
         return
     out = Path(REPORT_DIR)
@@ -163,18 +155,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if out and snap:
         Path(out).write_text(json.dumps(snap, indent=2, sort_keys=True) + "\n")
         terminalreporter.write_line(f"perf counter snapshot written to {out}")
-    # ``NV_METRICS_JSON=path`` dumps the metrics snapshot (gauges +
-    # histograms — under ``NV_TELEMETRY=1`` that includes the arena
-    # engine's ``bdd.frontier_width``/``bdd.batch_width`` histograms) so
-    # CI can archive kernel-shape distributions next to the counters.
-    mout = os.environ.get("NV_METRICS_JSON")
-    if mout:
-        msnap = metrics.snapshot()
-        if msnap:
-            Path(mout).write_text(
-                json.dumps(msnap, indent=2, sort_keys=True) + "\n")
-            terminalreporter.write_line(
-                f"metrics snapshot written to {mout}")
     if REPORT_DIR:
         trace = Path(REPORT_DIR) / "bench_trace.jsonl"
         if trace.exists():

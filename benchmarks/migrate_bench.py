@@ -79,7 +79,7 @@ def convert(data: dict[str, Any], source_name: str) -> observatory.RunRecord:
             meta[path] = value
     return observatory.RunRecord(
         run_id=f"{label}-migrated", label=label, created=created,
-        env={"git_sha": None, "engine": None,
+        env={"git_sha": None,
              "note": "migrated from pre-observatory benchmark notes"},
         timings=timings, counters=counters, gauges=gauges, meta=meta)
 

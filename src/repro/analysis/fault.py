@@ -225,17 +225,14 @@ def _class_order_key(cls: tuple[Any, int, bool]) -> Any:
 
 def _violation_witnesses(items: Sequence[tuple[int, NVMap]], key_ty: T.Type,
                          check, restrict: int | None = None) -> dict[int, Any]:
-    """Witness scenarios for many ``(node, label)`` pairs at once: the
-    per-node ``bad`` indicator maps are built in one ``apply1_many`` batch
-    (each node's assertion closure is its own group, but they share the
-    frontier passes), then each witness is a sat path through its map."""
+    """Witness scenarios for ``(node, label)`` pairs: each node's ``bad``
+    indicator map, then one sat path through it per node."""
     ctx = items[0][1].ctx
     mgr = ctx.manager
     if restrict is None:
         restrict = ctx.domain(key_ty)
-    bads = mgr.apply1_many(
-        [(lambda value, _u=u: not check(_u, value), label.root, None)
-         for u, label in items])
+    bads = [mgr.apply1(lambda value, _u=u: not check(_u, value), label.root)
+            for u, label in items]
     width = ctx.encoder.width(key_ty)
     out: dict[int, Any] = {}
     for (u, _label), bad in zip(items, bads):
@@ -517,7 +514,6 @@ def _naive_scenario_violates(net: Network, symbolics: dict[str, Any] | None,
         return base_trans(edge, x)
 
     funcs.trans = trans
-    funcs.trans_many = None   # the override invalidates any batch form
     solution = simulate(funcs)
     return bool(solution.check_assertions(funcs.assert_fn))
 

@@ -8,15 +8,10 @@ paper's fig 11, where ``b2`` — the MSB — is tested at the top).
 
 from __future__ import annotations
 
-from .arena import ArenaBddManager
 from .manager import BddManager
 
-#: Either engine works here: bitvector arithmetic only uses the shared
-#: manager API (``true``/``false``/``var``/boolean ops).
-AnyBddManager = BddManager | ArenaBddManager
 
-
-def const_bits(mgr: AnyBddManager, value: int, width: int) -> list[int]:
+def const_bits(mgr: BddManager, value: int, width: int) -> list[int]:
     """The constant ``value`` as a vector of TRUE/FALSE terminals."""
     if value < 0:
         value &= (1 << width) - 1
@@ -24,12 +19,12 @@ def const_bits(mgr: AnyBddManager, value: int, width: int) -> list[int]:
             for i in range(width)]
 
 
-def var_bits(mgr: AnyBddManager, first_level: int, width: int) -> list[int]:
+def var_bits(mgr: BddManager, first_level: int, width: int) -> list[int]:
     """Fresh variables at consecutive levels, MSB first."""
     return [mgr.var(first_level + i) for i in range(width)]
 
 
-def bits_to_int(mgr: AnyBddManager, bits: list[int]) -> int | None:
+def bits_to_int(mgr: BddManager, bits: list[int]) -> int | None:
     """If every bit is a constant, return the integer value, else None."""
     value = 0
     for b in bits:
@@ -42,7 +37,7 @@ def bits_to_int(mgr: AnyBddManager, bits: list[int]) -> int | None:
     return value
 
 
-def eq(mgr: AnyBddManager, a: list[int], b: list[int]) -> int:
+def eq(mgr: BddManager, a: list[int], b: list[int]) -> int:
     """BDD for bitwise equality of two equal-width vectors."""
     if len(a) != len(b):
         raise ValueError(f"width mismatch: {len(a)} vs {len(b)}")
@@ -54,7 +49,7 @@ def eq(mgr: AnyBddManager, a: list[int], b: list[int]) -> int:
     return result
 
 
-def ult(mgr: AnyBddManager, a: list[int], b: list[int]) -> int:
+def ult(mgr: BddManager, a: list[int], b: list[int]) -> int:
     """BDD for unsigned a < b."""
     if len(a) != len(b):
         raise ValueError(f"width mismatch: {len(a)} vs {len(b)}")
@@ -66,12 +61,12 @@ def ult(mgr: AnyBddManager, a: list[int], b: list[int]) -> int:
     return result
 
 
-def ule(mgr: AnyBddManager, a: list[int], b: list[int]) -> int:
+def ule(mgr: BddManager, a: list[int], b: list[int]) -> int:
     """BDD for unsigned a <= b."""
     return mgr.bor(ult(mgr, a, b), eq(mgr, a, b))
 
 
-def add(mgr: AnyBddManager, a: list[int], b: list[int]) -> list[int]:
+def add(mgr: BddManager, a: list[int], b: list[int]) -> list[int]:
     """Ripple-carry addition, wrapping modulo 2**width."""
     if len(a) != len(b):
         raise ValueError(f"width mismatch: {len(a)} vs {len(b)}")
@@ -85,7 +80,7 @@ def add(mgr: AnyBddManager, a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def sub(mgr: AnyBddManager, a: list[int], b: list[int]) -> list[int]:
+def sub(mgr: BddManager, a: list[int], b: list[int]) -> list[int]:
     """Wrapping subtraction a - b (two's complement)."""
     out: list[int] = []
     borrow = mgr.false
@@ -97,14 +92,14 @@ def sub(mgr: AnyBddManager, a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def ite_bits(mgr: AnyBddManager, cond: int, a: list[int], b: list[int]) -> list[int]:
+def ite_bits(mgr: BddManager, cond: int, a: list[int], b: list[int]) -> list[int]:
     """Bitwise if-then-else."""
     if len(a) != len(b):
         raise ValueError(f"width mismatch: {len(a)} vs {len(b)}")
     return [mgr.bite(cond, x, y) for x, y in zip(a, b)]
 
 
-def lt_const(mgr: AnyBddManager, bits: list[int], bound: int) -> int:
+def lt_const(mgr: BddManager, bits: list[int], bound: int) -> int:
     """BDD for the unsigned constraint ``bits < bound``.
 
     Used as the domain restriction for maps whose key space (e.g. node ids)

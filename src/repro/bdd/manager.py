@@ -537,27 +537,6 @@ class BddManager:
                 emit(r)
         return results[0]
 
-    # ------------------------------------------------------------------
-    # Multi-root batch API (scalar loops — the executable spec for the
-    # arena engine's fused frontier passes; see ArenaBddManager)
-    # ------------------------------------------------------------------
-
-    def apply1_many(self, items: list) -> list[int]:
-        """Batched :meth:`apply1` over ``(fn, root, memo)`` tuples.  The
-        object engine runs them sequentially; results align with items."""
-        return [self.apply1(fn, root, memo) for fn, root, memo in items]
-
-    def apply2_many(self, items: list) -> list[int]:
-        """Batched :meth:`apply2` over ``(fn, a, b, memo)`` tuples.  Items
-        sharing a ``memo`` dict must share ``fn``."""
-        return [self.apply2(fn, a, b, memo) for fn, a, b, memo in items]
-
-    def map_ite_many(self, items: list) -> list[int]:
-        """Batched :meth:`map_ite` over ``(pred, fn_true, fn_false, root,
-        memo, memo_true, memo_false)`` tuples."""
-        return [self.map_ite(p, ft, ff, r, m, mt, mf)
-                for p, ft, ff, r, m, mt, mf in items]
-
     def restrict_eval(self, root: int, assignment: Callable[[int], bool]) -> Any:
         """Evaluate a diagram under a total assignment of variables.
 
@@ -761,7 +740,7 @@ class BddManager:
         Nodes are renumbered in DFS preorder (lo before hi, root = 0) into
         one ``array('i')`` of ``(var, lo, hi)`` triples; leaves store ``-1``
         in var and an index into the returned leaf list.  Equal diagrams —
-        across engines and across processes — produce byte-identical blobs,
+        within a manager and across processes — produce byte-identical blobs,
         so :class:`~repro.eval.maps.FrozenMap` equality stays structural.
         """
         level_a, lo_a, hi_a = self._level, self._lo, self._hi
@@ -832,13 +811,10 @@ class BddManager:
         }
 
     def telemetry(self) -> tuple[dict[str, int], dict[str, Any]]:
-        """``(counters, histograms)`` for :func:`repro.telemetry.flush_manager`.
-
-        The object engine's tables are CPython dicts, whose probing is
-        invisible from Python — the comparable health signal is the *size*
-        profile of each table (one observation per table into a shared
-        ``table_entries`` histogram) plus per-table entry counters, so an
-        arena-vs-object run diff lines the two engines' table shapes up."""
+        """``(counters, histograms)`` for :func:`repro.telemetry.flush_manager`:
+        per-table entry counters plus one observation per non-empty table
+        in a ``table_entries`` histogram (the tables are CPython dicts, so
+        their size profile is the health signal visible from Python)."""
         sizes = {
             "table_unique_entries": len(self._unique),
             "table_leaf_entries": len(self._leaf_table),

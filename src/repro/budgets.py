@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,26 +90,6 @@ def _wl_fault(source_fn: Callable[[], str], failures: int,
     fault_tolerance_analysis(_load(source_fn()), num_link_failures=failures)
 
 
-def _wl_fault_vectorized(source_fn: Callable[[], str], failures: int,
-                         ablations: frozenset[str]) -> None:
-    """The fault workload with the frontier threshold forced to 0, so the
-    arena engine's level-synchronous kernels run on every op and the
-    ``bdd.frontier.passes/tasks/levels`` counters get pinned at non-zero
-    values (their numbers are exact dedup/level counts, hence
-    deterministic).  Under other engines or without numpy this runs the
-    scalar kernels; :func:`compare_counters` skips the frontier counters
-    there."""
-    old = os.environ.get("NV_BDD_FRONTIER_MIN")
-    os.environ["NV_BDD_FRONTIER_MIN"] = "0"
-    try:
-        _wl_fault(source_fn, failures, ablations)
-    finally:
-        if old is None:
-            os.environ.pop("NV_BDD_FRONTIER_MIN", None)
-        else:
-            os.environ["NV_BDD_FRONTIER_MIN"] = old
-
-
 def _wl_verify(source_fn: Callable[[], str],
                ablations: frozenset[str]) -> None:
     from .analysis.verify import verify
@@ -139,8 +118,6 @@ WORKLOADS: dict[str, Callable[[frozenset[str]], None]] = {
         lambda abl: _wl_simulate(_fig14_source, "native", abl),
     "fig13b_fault_fattree4_1link":
         lambda abl: _wl_fault(_fattree_sp_source, 1, abl),
-    "fig13b_fault_fattree4_1link_vectorized":
-        lambda abl: _wl_fault_vectorized(_fattree_sp_source, 1, abl),
     "fig12_verify_triangle":
         lambda abl: _wl_verify(lambda: _RIP_TRIANGLE, abl),
 }
@@ -190,39 +167,14 @@ class CounterDrift:
             ABS_SLACK, self.tolerance * abs(self.expected))
 
 
-#: Frontier-kernel counters: their values depend on whether the arena's
-#: vectorised kernels are available, so they are comparable only under
-#: ``arena`` *with* numpy — the configuration budgets are pinned under.
-_FRONTIER_COUNTERS = frozenset({"bdd.frontier.passes",
-                                "bdd.frontier.tasks",
-                                "bdd.frontier.levels",
-                                "bdd.frontier.scalar_ops"})
-
-#: Counters only the arena engine reports (table-capacity gauges and the
-#: frontier kernel counters).  Budgets are pinned under the default engine
-#: (arena); when the suite runs under another ``NV_BDD_ENGINE`` these are
-#: skipped instead of read as vanished counters.
-_ARENA_ONLY_COUNTERS = frozenset({"bdd.unique_capacity",
-                                  "bdd.op_cache_capacity"}) \
-    | _FRONTIER_COUNTERS
-
-
 def compare_counters(workload: str, expected: Mapping[str, int],
                      actual: Mapping[str, int],
                      tolerance: float) -> list[CounterDrift]:
     """Compare a fresh counter capture against a budget.  Counters that
     appear on either side only are compared against 0 (a vanished counter
     family is itself a regression signal)."""
-    from .bdd import engine_name
-    if engine_name() != "arena":
-        skip: frozenset = _ARENA_ONLY_COUNTERS
-    else:
-        from .bdd.arena import numpy_available
-        skip = _FRONTIER_COUNTERS if not numpy_available() else frozenset()
     rows = []
     for counter in sorted(set(expected) | set(actual)):
-        if counter in skip:
-            continue
         rows.append(CounterDrift(workload, counter,
                                  int(expected.get(counter, 0)),
                                  int(actual.get(counter, 0)), tolerance))

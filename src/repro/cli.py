@@ -287,6 +287,8 @@ def cmd_fault(args: argparse.Namespace) -> int:
         if args.stats:
             print(perf.report())
         return 0 if smt_report.fault_tolerant else 1
+    if args.links < 0 or (args.links == 0 and not args.nodes):
+        raise NvError("at least one link or node failure is required")
     drop_body = parse_expr(args.drop) if args.drop else None
     report = fault_tolerance_sharded(
         net, symbolics, num_link_failures=args.links,
@@ -360,8 +362,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
             print(f"no runs recorded in {store.root}/")
             return 0
         for r in records:
-            engine = r.env.get("engine") or "?"
-            print(f"{r.run_id:<44} {r.label:<24} {engine:<7} "
+            print(f"{r.run_id:<44} {r.label:<24} "
                   f"{len(r.timings)} timings, {len(r.counters)} counters")
         return 0
     try:
@@ -710,7 +711,7 @@ def main(argv: list[str] | None = None) -> int:
             heartbeat.dump_partial()
         print("interrupted", file=sys.stderr)
         return 130
-    except NvError as exc:
+    except (NvError, parallel.ParallelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:

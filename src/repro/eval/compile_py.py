@@ -21,7 +21,7 @@ Two pieces of the embedding/unembedding story carry over directly:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
@@ -39,11 +39,6 @@ class CompiledProgram:
     env: dict[str, Any]
     source: str
     compile_seconds: float
-    # The module's shared diagram-op memo registry (``__memos``): batch
-    # entry points built *outside* the generated code (see
-    # ``compile_network_functions``) need it to join the same memo tables
-    # the compiled closures use.
-    memos: dict[Any, dict] = field(default_factory=dict)
 
 
 class _Emitter:
@@ -134,7 +129,7 @@ class PyCompiler:
             module_globals[_mangle(name)] = value
         exec(code, module_globals)
         env = {name: module_globals[_mangle(name)] for name in top_names}
-        return CompiledProgram(env, source, perf_counter() - t0, memos)
+        return CompiledProgram(env, source, perf_counter() - t0)
 
     # ------------------------------------------------------------------
     # Expression compilation: returns a Python expression string, emitting
@@ -489,78 +484,6 @@ def _mapite_op(interp: Interpreter, memos: dict[Any, dict]):
     return run
 
 
-def _compiled_merge_many(program: A.Program, env: dict[str, Any],
-                         memos: dict[Any, dict], ctx: MapContext,
-                         merge: Any):
-    """Batch form of the compiled ``merge`` for the fig-5 shape
-    ``merge u x y = combine (base u) x y`` with ``base`` a top-level name.
-
-    The batch joins the exact memo tables the compiled ``__combine_op``
-    uses (``("combine", fn.nv_cache_key)``), so scalar and batched merges
-    of the same node stay one dedup domain.  Other shapes return ``None``
-    (there is no compiled ``trans_many``: the mapIte predicate must pass
-    through the symbolic-BDD builder per edge anyway, and the interpreted
-    driver's batch form already covers the fig 5 transfer)."""
-    decl = next((d for d in program.decls
-                 if isinstance(d, A.DLet) and d.name == "merge"), None)
-    if decl is None:
-        return None
-    e = decl.expr
-    if not (isinstance(e, A.EFun) and isinstance(e.body, A.EFun)
-            and isinstance(e.body.body, A.EFun)):
-        return None
-    u_param, x_param, y_param = e.param, e.body.param, e.body.body.param
-    body = e.body.body.body
-    if not (isinstance(body, A.EOp) and body.op == "mcombine"
-            and isinstance(body.args[1], A.EVar)
-            and body.args[1].name == x_param
-            and isinstance(body.args[2], A.EVar)
-            and body.args[2].name == y_param):
-        return None
-    fn_expr = body.args[0]
-    if not (isinstance(fn_expr, A.EApp) and isinstance(fn_expr.fn, A.EVar)
-            and isinstance(fn_expr.arg, A.EVar)
-            and fn_expr.arg.name == u_param
-            and fn_expr.fn.name in env):
-        return None
-    base_f = env[fn_expr.fn.name]
-    per_u: dict[int, tuple[Any, dict]] = {}
-
-    def merge_many(items):
-        from .maps import combine_many
-
-        batch: list = []
-        out: list = [None] * len(items)
-        slots: list[int] = []
-        for i, (u, x, y) in enumerate(items):
-            if not (isinstance(x, NVMap) and isinstance(y, NVMap)):
-                out[i] = merge(u, x, y)
-                continue
-            ent = per_u.get(u)
-            if ent is None:
-                fn = base_f(u)
-                partial: dict[int, Any] = {}
-
-                def fn2(a: Any, b: Any, _fn=fn, _partial=partial) -> Any:
-                    fa = _partial.get(id(a))
-                    if fa is None:
-                        fa = _fn(a)
-                        _partial[id(a)] = fa
-                    return fa(b)
-
-                ent = (fn2, _memo_for(memos, ("combine", *_key(fn))))
-                per_u[u] = ent
-            fn2, memo = ent
-            slots.append(i)
-            batch.append((fn2, x, y, memo))
-        if batch:
-            for i, m in zip(slots, combine_many(batch)):
-                out[i] = m
-        return out
-
-    return merge_many
-
-
 def compile_network_functions(net: Any, symbolics: dict[str, Any] | None = None,
                               ctx: MapContext | None = None,
                               interp: Interpreter | None = None):
@@ -604,9 +527,7 @@ def compile_network_functions(net: Any, symbolics: dict[str, Any] | None = None,
             return bool(assert_f(u)(x))
 
     funcs = NetworkFunctions(net.num_nodes, net.edges, init_f, trans, merge,
-                             assert_fn, ctx, net.attr_ty,
-                             merge_many=_compiled_merge_many(
-                                 net.program, env, compiled.memos, ctx, merge))
+                             assert_fn, ctx, net.attr_ty)
     funcs.compile_seconds = compiled.compile_seconds  # type: ignore[attr-defined]
     funcs.compiled_source = compiled.source           # type: ignore[attr-defined]
     return funcs

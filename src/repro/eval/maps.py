@@ -21,10 +21,7 @@ from .values import VRecord, VSome
 
 class MapContext:
     """Shared state for all maps of one analysis run: the BDD manager, the
-    key encoder for the network under analysis, and per-type caches.
-
-    The manager engine is chosen by ``NV_BDD_ENGINE`` (see
-    :func:`repro.bdd.make_manager`); both engines expose the same API."""
+    key encoder for the network under analysis, and per-type caches."""
 
     def __init__(self, num_nodes: int = 0,
                  edges: tuple[tuple[int, int], ...] = ()) -> None:
@@ -186,46 +183,6 @@ class NVMap:
         return f"<NVMap key={self.key_ty} nodes={self.node_count()}>"
 
 
-def combine_many(items: list) -> list["NVMap"]:
-    """Batched :meth:`NVMap.combine` over one shared manager.
-
-    ``items`` holds ``(fn, m1, m2, memo)`` tuples; all maps must share one
-    :class:`MapContext`.  Items sharing a ``memo`` dict must share ``fn``
-    (the memo is the batch-group identity — see
-    ``ArenaBddManager.apply2_many``).  On engines with a vectorised kernel
-    the whole batch fuses into shared frontier passes; otherwise this is a
-    plain loop over :meth:`NVMap.combine`."""
-    if not items:
-        return []
-    first = items[0][1]
-    ctx = first.ctx
-    for fn, m1, m2, _memo in items:
-        m1._check_same(m2)
-        if m1.ctx is not ctx:
-            raise NvEncodingError("cannot batch maps from different contexts")
-    roots = ctx.manager.apply2_many(
-        [(fn, m1.root, m2.root, memo) for fn, m1, m2, memo in items])
-    return [NVMap(ctx, m1.key_ty, root)
-            for (_fn, m1, _m2, _memo), root in zip(items, roots)]
-
-
-def map_ite_many(items: list) -> list["NVMap"]:
-    """Batched :meth:`NVMap.map_ite`: ``items`` holds ``(pred_bdd, fn_true,
-    fn_false, m, memo, memo_true, memo_false)`` tuples over one shared
-    context.  Items sharing a main ``memo`` must share the function pair."""
-    if not items:
-        return []
-    ctx = items[0][3].ctx
-    for item in items:
-        if item[3].ctx is not ctx:
-            raise NvEncodingError("cannot batch maps from different contexts")
-    roots = ctx.manager.map_ite_many(
-        [(pred, ft, ff, m.root, memo, mt, mf)
-         for pred, ft, ff, m, memo, mt, mf in items])
-    return [NVMap(ctx, item[3].key_ty, root)
-            for item, root in zip(items, roots)]
-
-
 def _freeze(key: Any) -> Any:
     return key
 
@@ -241,7 +198,7 @@ class FrozenMap:
     ``nodes`` is the map's canonical MTBDD flattened to one little-endian
     ``int32`` blob of ``(var, lo, hi)`` triples in DFS preorder (lo before
     hi, root first; leaves store ``-1`` in var and an index into ``leaves``)
-    — the engine-independent format produced by both managers' ``snapshot``.
+    — the format produced by :meth:`~repro.bdd.manager.BddManager.snapshot`.
     Two maps over the same network are equal iff their blobs and leaf tuples
     are (MTBDDs are canonical for a fixed variable order), and the blob
     pickles as a single bytes object instead of a nested-tuple graph.  Shard

@@ -1,13 +1,13 @@
 """The perf observatory: canonical run records and noise-aware diffing.
 
 Every serious performance question about this codebase is a question about
-*two runs*: before/after a kernel change, arena vs object engine, PR N vs
-PR N+1.  :mod:`repro.perf`, :mod:`repro.metrics` and :mod:`repro.obs`
+*two runs*: before/after a kernel change, one job count vs another, PR N
+vs PR N+1.  :mod:`repro.perf`, :mod:`repro.metrics` and :mod:`repro.obs`
 already capture one run exhaustively; this module makes runs **durable and
 comparable**:
 
 * A :class:`RunRecord` is the canonical schema — an environment
-  fingerprint (git sha, BDD engine, numpy, jobs, Python version), wall
+  fingerprint (git sha, jobs, Python version), wall
   times as **lists of repeats** (so the differ can take the min), the flat
   perf counters, the last sampled gauges, histogram digests, and a pointer
   to the obs trace JSONL when one was streamed.
@@ -71,21 +71,9 @@ def _git_sha() -> str | None:
 def env_fingerprint() -> dict[str, Any]:
     """The run environment a comparison must control for.  Diffs surface
     fingerprint mismatches so an apples-to-oranges comparison (different
-    engine, different interpreter) is labelled as such."""
-    from .bdd import engine_hint, engine_name
-
-    try:
-        import numpy
-        numpy_version: str | None = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    if os.environ.get("NV_BDD_NUMPY", "").strip() == "0":
-        numpy_version = None  # disabled counts as absent: fallback paths run
+    job count, different interpreter) is labelled as such."""
     return {
         "git_sha": _git_sha(),
-        "engine": engine_name(),
-        "engine_hint": engine_hint(),
-        "numpy": numpy_version,
         "jobs": os.environ.get("NV_JOBS") or None,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -403,7 +391,7 @@ def describe(record: RunRecord) -> str:
         f"when   {when}",
         "env    " + ", ".join(
             f"{k}={env.get(k)}" for k in
-            ("engine", "engine_hint", "git_sha", "python", "numpy", "jobs")
+            ("git_sha", "python", "jobs")
             if env.get(k) is not None),
     ]
     if record.trace_path:

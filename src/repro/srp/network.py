@@ -13,11 +13,10 @@ contains both orientations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from ..eval.interp import Interpreter, program_env
-from ..eval.maps import MapContext, NVMap, combine_many, map_ite_many
-from ..eval.values import VClosure
+from ..eval.maps import MapContext
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvError
@@ -83,13 +82,6 @@ class NetworkFunctions:
     assert_fn: Callable[[int, Any], bool] | None = None
     ctx: MapContext | None = None
     attr_ty: T.Type | None = None
-    # Optional multi-root batch entry points (see the simulator's batched
-    # activation path): ``trans_many(edges, attr)`` pushes one attribute
-    # across many edges in one fused diagram pass; ``merge_many(items)``
-    # merges many ``(u, x, y)`` triples likewise.  ``None`` means "no batch
-    # form known" — the scalar callables above remain the semantic spec.
-    trans_many: Callable[[Sequence[tuple[int, int]], Any], list] | None = None
-    merge_many: Callable[[Sequence[tuple[int, Any, Any]]], list] | None = None
     _out_edges: list[list[tuple[int, int]]] | None = field(
         default=None, repr=False, compare=False)
     _in_edges: list[list[tuple[int, int]]] | None = field(
@@ -151,137 +143,4 @@ def functions_from_program(net: Network,
             return bool(interp.apply(interp.apply(assert_v, u), x))
 
     return NetworkFunctions(net.num_nodes, net.edges, init, trans, merge,
-                            assert_fn, ctx, net.attr_ty,
-                            trans_many=_build_trans_many(trans_v, interp, ctx,
-                                                         trans),
-                            merge_many=_build_merge_many(merge_v, interp, ctx,
-                                                         merge))
-
-
-# ----------------------------------------------------------------------
-# Multi-root batch forms (paper fig 5 meta-protocol shapes)
-#
-# The fig-5 fault transform emits ``merge u x y = combine (mergeBase u) x y``
-# and ``trans e x = mapIte (fails e) drop (transBase e) x``.  When the
-# interpreted closures have exactly those shapes, the per-edge/per-node
-# diagram operations of one simulator activation can fuse into a single
-# multi-root frontier pass (``NVMap.combine_many`` / ``map_ite_many``) —
-# one dedup domain instead of hundreds of thin per-scenario passes.  Any
-# other shape returns ``None`` and the scalar callables stay authoritative.
-# ----------------------------------------------------------------------
-
-def _build_merge_many(merge_v: Any, interp: Interpreter, ctx: MapContext,
-                      merge: Callable) -> Callable | None:
-    """Batch form for ``merge u x y = mcombine f x y`` closures."""
-    from ..lang import ast as A
-
-    if not (isinstance(merge_v, VClosure) and isinstance(merge_v.body, A.EFun)
-            and isinstance(merge_v.body.body, A.EFun)):
-        return None
-    x_param = merge_v.body.param
-    y_param = merge_v.body.body.param
-    body = merge_v.body.body.body
-    if not (isinstance(body, A.EOp) and body.op == "mcombine"
-            and isinstance(body.args[1], A.EVar)
-            and body.args[1].name == x_param
-            and isinstance(body.args[2], A.EVar)
-            and body.args[2].name == y_param):
-        return None
-    fn_expr = body.args[0]
-    if {x_param, y_param} & A.free_vars(fn_expr):
-        return None
-    # Per-node cache of (combine callback, shared memo): the memo keys on
-    # the closure's captured values (u included), so one entry per node is
-    # exactly the scalar interpreter's memo granularity.
-    per_u: dict[int, tuple[Callable, dict]] = {}
-
-    def merge_many(items: Sequence[tuple[int, Any, Any]]) -> list:
-        batch: list = []
-        out: list = [None] * len(items)
-        slots: list[int] = []
-        for i, (u, x, y) in enumerate(items):
-            if not (isinstance(x, NVMap) and isinstance(y, NVMap)):
-                out[i] = merge(u, x, y)
-                continue
-            ent = per_u.get(u)
-            if ent is None:
-                env2 = dict(merge_v.env)
-                env2[merge_v.param] = u
-                fn = interp.eval(fn_expr, env2)
-                call = interp.as_callable(fn)
-                partial: dict[int, Any] = {}
-
-                def fn2(a: Any, b: Any, _call=call,
-                        _partial=partial) -> Any:
-                    fa = _partial.get(id(a))
-                    if fa is None:
-                        fa = _call(a)
-                        _partial[id(a)] = fa
-                    return interp.apply(fa, b)
-
-                ent = (fn2, interp._memo_for(fn, interp._combine_memo))
-                per_u[u] = ent
-            fn2, memo = ent
-            slots.append(i)
-            batch.append((fn2, x, y, memo))
-        if batch:
-            for i, m in zip(slots, combine_many(batch)):
-                out[i] = m
-        return out
-
-    return merge_many
-
-
-def _build_trans_many(trans_v: Any, interp: Interpreter, ctx: MapContext,
-                      trans: Callable) -> Callable | None:
-    """Batch form for ``trans e x = mmapite pred f_true f_false x``
-    closures (the fig-5 transfer: pred = "scenario fails e")."""
-    from ..lang import ast as A
-
-    if not (isinstance(trans_v, VClosure)
-            and isinstance(trans_v.body, A.EFun)):
-        return None
-    x_param = trans_v.body.param
-    body = trans_v.body.body
-    if not (isinstance(body, A.EOp) and body.op == "mmapite"
-            and isinstance(body.args[3], A.EVar)
-            and body.args[3].name == x_param):
-        return None
-    pred_expr, ft_expr, ff_expr = body.args[0], body.args[1], body.args[2]
-    if x_param in (A.free_vars(pred_expr) | A.free_vars(ft_expr)
-                   | A.free_vars(ff_expr)):
-        return None
-    per_edge: dict[tuple, tuple] = {}
-
-    def trans_many(edges: Sequence[tuple[int, int]], attr: Any) -> list:
-        if not isinstance(attr, NVMap):
-            return [trans(e, attr) for e in edges]
-        items: list = []
-        for e in edges:
-            cache_key = (e, attr.key_ty)
-            ent = per_edge.get(cache_key)
-            if ent is None:
-                env2 = dict(trans_v.env)
-                env2[trans_v.param] = e
-                pred = interp.eval(pred_expr, env2)
-                fn_t = interp.eval(ft_expr, env2)
-                fn_f = interp.eval(ff_expr, env2)
-                pred_bdd = interp.predicate_bdd(pred, attr.key_ty)
-                kt = (interp._closure_key(fn_t)
-                      if interp.enable_cache else None)
-                kf = (interp._closure_key(fn_f)
-                      if interp.enable_cache else None)
-                cacheable = kt is not None and kf is not None
-                memo = (interp._mapite_memo.setdefault((kt, kf), {})
-                        if cacheable else {})
-                ent = (pred_bdd, interp.as_callable(fn_t),
-                       interp.as_callable(fn_f), memo,
-                       interp._memo_for(fn_t, interp._map_memo),
-                       interp._memo_for(fn_f, interp._map_memo))
-                if cacheable:
-                    per_edge[cache_key] = ent
-            pb, ct, cf, memo, mt, mf = ent
-            items.append((pb, ct, cf, attr, memo, mt, mf))
-        return map_ite_many(items)
-
-    return trans_many
+                            assert_fn, ctx, net.attr_ty)

@@ -68,8 +68,6 @@ def simulate(funcs: NetworkFunctions, max_iterations: int | None = None,
     init = funcs.init
     trans = funcs.trans
     merge = funcs.merge
-    trans_many = funcs.trans_many
-    merge_many = funcs.merge_many
 
     # ------------------------------------------------------------------
     # Memoisation layer: interned routes plus a per-node merge memo.  All
@@ -110,42 +108,6 @@ def simulate(funcs: NetworkFunctions, max_iterations: int | None = None,
             # Keep a, b alive in the cache entry so their ids stay unique.
             memo[key] = (route, a, b)
             return route
-
-        def merge_batch(tasks: list) -> list:
-            """Batch of independent ``merge_m`` calls: probe each memo with
-            the exact hit/miss accounting of the scalar path (a repeat of a
-            still-pending miss counts as the hit it would score after the
-            first call's memo write), then compute all misses in one fused
-            ``merge_many`` pass."""
-            out: list = [None] * len(tasks)
-            miss_idx: list[int] = []
-            dups: list[tuple[int, int]] = []
-            pending: dict = {}
-            for i, (v, a, b) in enumerate(tasks):
-                key = (id(a), id(b))
-                cached = merge_memo[v].get(key)
-                if cached is not None:
-                    stats["merge_cache_hits"] += 1
-                    out[i] = cached[0]
-                    continue
-                first = pending.get((v, key))
-                if first is not None:
-                    stats["merge_cache_hits"] += 1
-                    dups.append((i, first))
-                    continue
-                stats["merge_cache_misses"] += 1
-                pending[(v, key)] = i
-                miss_idx.append(i)
-            if miss_idx:
-                routes = merge_many([tasks[i] for i in miss_idx])
-                for i, route in zip(miss_idx, routes):
-                    v, a, b = tasks[i]
-                    route = intern(route)
-                    merge_memo[v][(id(a), id(b))] = (route, a, b)
-                    out[i] = route
-            for i, j in dups:
-                out[i] = out[j]
-            return out
     else:
         def intern(value: Any) -> Any:
             return value
@@ -155,11 +117,6 @@ def simulate(funcs: NetworkFunctions, max_iterations: int | None = None,
 
         def merge_m(v: int, a: Any, b: Any) -> Any:
             return merge(v, a, b)
-
-    # The batched activation path requires the memoised incremental
-    # pipeline (its phase split mirrors exactly that decision structure)
-    # plus a network that knows its batch forms.
-    batched = memoize and incremental and merge_many is not None
 
     labels: list[Any] = [intern(init(u)) for u in range(n)]
     initial: list[Any] = list(labels)
@@ -230,79 +187,7 @@ def simulate(funcs: NetworkFunctions, max_iterations: int | None = None,
                 stats["skipped_activations"] += 1
                 continue
             last_pushed[u] = attr_u
-            edges_u = out_edges[u]
-            if batched and len(edges_u) > 1:
-                # ----------------------------------------------------------
-                # Batched activation: all of u's sends, then all first-round
-                # merges, then all second-round merges fuse into multi-root
-                # diagram passes.  Each out-edge targets a distinct node, so
-                # the per-node merge memos never interact within a phase and
-                # the per-edge outcomes (and the order node v's queue entry
-                # is appended in) are identical to the scalar loop below.
-                # ----------------------------------------------------------
-                if trans_many is not None:
-                    news = [intern(r) for r in trans_many(edges_u, attr_u)]
-                else:
-                    news = [trans_m(edge, attr_u) for edge in edges_u]
-                messages += len(edges_u)
-                # Phase 1: classify edges; collect supersede checks (alg 1
-                # l.15) and first-contact merges into one batch.
-                kinds: list = [None] * len(edges_u)
-                slot1 = [-1] * len(edges_u)
-                tasks1: list = []
-                for i, edge in enumerate(edges_u):
-                    v = edge[1]
-                    new = news[i]
-                    received_v = received[v]
-                    if u in received_v:
-                        old = received_v[u]
-                        received_v[u] = new
-                        if old is new or old == new:
-                            kinds[i] = "skip"
-                            continue
-                        kinds[i] = "check"
-                        slot1[i] = len(tasks1)
-                        tasks1.append((v, old, new))
-                    else:
-                        received_v[u] = new
-                        kinds[i] = "first"
-                        slot1[i] = len(tasks1)
-                        tasks1.append((v, labels[v], new))
-                res1 = merge_batch(tasks1)
-                # Phase 2: supersede outcomes feed the commit-merge batch.
-                slot2 = [-1] * len(edges_u)
-                tasks2: list = []
-                for i, edge in enumerate(edges_u):
-                    if kinds[i] != "check":
-                        continue
-                    new = news[i]
-                    merged = res1[slot1[i]]
-                    if merged is new or merged == new:
-                        v = edge[1]
-                        slot2[i] = len(tasks2)
-                        tasks2.append((v, labels[v], new))
-                    else:
-                        kinds[i] = "fold"
-                res2 = merge_batch(tasks2)
-                # Phase 3: commit label updates in edge order (full
-                # re-merges stay scalar — each fold is a sequential chain
-                # through one node's memo, exactly alg 1 l.18).
-                for i, edge in enumerate(edges_u):
-                    kind = kinds[i]
-                    if kind == "skip":
-                        continue
-                    v = edge[1]
-                    if kind == "first":
-                        update(v, res1[slot1[i]])
-                    elif kind == "check":
-                        update(v, res2[slot2[i]])
-                    else:
-                        route = initial[v]
-                        for route_w in received[v].values():
-                            route = merge_m(v, route, route_w)
-                        update(v, route)
-                continue
-            for edge in edges_u:
+            for edge in out_edges[u]:
                 v = edge[1]
                 new = trans_m(edge, attr_u)
                 messages += 1

@@ -1,23 +1,15 @@
 """Kernel-depth telemetry behind the ``NV_TELEMETRY`` flag.
 
 :mod:`repro.perf` counts *how much* work each layer did; this module
-answers *why the kernels behave the way they do*: open-addressed
-probe-length and rehash-count distributions inside the arena BDD engine,
-dict-size profiles of the object engine, per-call-site memo hit-rate
-attribution in the compiled evaluator, and propagation/conflict-rate
-interval deltas in the CDCL core.  PR 6's fig13b diagnosis had to be
-reconstructed with ad-hoc microbenchmarks; these signals make the next
-kernel investigation a matter of reading a run report.
+answers *why the kernels behave the way they do*: table-size profiles of
+the BDD manager, per-call-site memo hit-rate attribution in the compiled
+evaluator, and propagation/conflict-rate interval deltas in the CDCL core
+— so a kernel investigation is a matter of reading a run report.
 
 Design rule (the same contract as :mod:`repro.perf`/:mod:`repro.obs`,
 enforced by ``tests/bdd/test_telemetry.py``): **zero cost on the hot
-path when disabled** — and, for the probe-length histograms, effectively
-zero cost when *enabled* too.  Probe lengths are never recorded per
-lookup; they are recomputed on demand by scanning the tables (linear
-probing with stride 1 and no deletions means an entry's probe length is
-its displacement from its home slot plus one), so ``apply2``'s bytecode
-is untouched either way.  The only always-on additions are plain integer
-increments on the rare rehash/clear paths.
+path when disabled**.  Table sizes are read on demand at flush time, so
+``apply2``'s bytecode is untouched either way.
 
 Enable with ``NV_TELEMETRY=1`` (read at import; tests flip it with
 :func:`enable`/:func:`disable` or the :func:`enabled` context manager).
@@ -30,7 +22,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from . import metrics, perf
 
@@ -63,33 +55,14 @@ def enabled(on: bool = True) -> Iterator[None]:
         _enabled = prev
 
 
-def histogram_from_counts(counts: Mapping[int, int]) -> metrics.Histogram:
-    """Build a log2-bucketed :class:`~repro.metrics.Histogram` from exact
-    ``value -> occurrences`` counts (no per-observation loop)."""
-    h = metrics.Histogram()
-    for value, n in counts.items():
-        if n <= 0:
-            continue
-        b = h.bucket_of(value)
-        h.counts[b] = h.counts.get(b, 0) + n
-        h.count += n
-        h.sum += float(value) * n
-    return h
-
-
 def flush_manager(manager: Any, prefix: str = "bdd.") -> None:
-    """Flush a BDD manager's kernel telemetry (probe-length / table-size
-    histograms into :mod:`repro.metrics`, rehash counters into
-    :mod:`repro.perf`).  No-op when telemetry is disabled or the manager
-    predates the telemetry API."""
+    """Flush a BDD manager's kernel telemetry (table-size histogram into
+    :mod:`repro.metrics`, per-table entry counters into :mod:`repro.perf`).
+    No-op when telemetry is disabled."""
     if not _enabled:
         return
-    tele = getattr(manager, "telemetry", None)
-    if tele is None:
-        return
-    counters, hists = tele()
-    if counters:
-        perf.merge(counters, prefix=prefix)
+    counters, hists = manager.telemetry()
+    perf.merge(counters, prefix=prefix)
     for name, hist in hists.items():
         metrics.record_histogram(prefix + name, hist)
 

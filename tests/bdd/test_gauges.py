@@ -1,12 +1,9 @@
 """Regression tests: BDD cache instrumentation never goes stale.
 
-``clear_caches`` must reset the op-cache load counters (the arena engine
-tracks table loads in plain ints rather than ``len(dict)``), so live
-heartbeat gauges and ``stats()`` sampled *after* a clear report the real
-post-clear sizes, not the pre-clear load.
+``clear_caches`` must reset the op-cache load, so live heartbeat gauges
+and ``stats()`` sampled *after* a clear report the real post-clear sizes,
+not the pre-clear load.
 """
-
-import pytest
 
 from repro import metrics
 from repro.bdd import make_manager
@@ -25,9 +22,7 @@ def _populate(m):
     return a
 
 
-@pytest.mark.parametrize("engine", ["object", "arena"])
-def test_clear_caches_resets_op_cache_load(engine, monkeypatch):
-    monkeypatch.setenv("NV_BDD_ENGINE", engine)
+def test_clear_caches_resets_op_cache_load():
     m = make_manager()
     _populate(m)
     assert m.op_cache_size() > 0
@@ -43,9 +38,7 @@ def test_clear_caches_resets_op_cache_load(engine, monkeypatch):
     assert m.op_cache_size() > 0
 
 
-@pytest.mark.parametrize("engine", ["object", "arena"])
-def test_live_gauges_track_clear_caches(engine, monkeypatch):
-    monkeypatch.setenv("NV_BDD_ENGINE", engine)
+def test_live_gauges_track_clear_caches():
     metrics.reset()
     with metrics.enabled():
         m = make_manager()  # self-registers a weak gauge provider
@@ -62,18 +55,3 @@ def test_live_gauges_track_clear_caches(engine, monkeypatch):
         assert cleared["bdd.unique_entries"] == loaded["bdd.unique_entries"]
     metrics.reset()
 
-
-def test_arena_gauges_report_capacity_and_load(monkeypatch):
-    monkeypatch.setenv("NV_BDD_ENGINE", "arena")
-    metrics.reset()
-    with metrics.enabled():
-        m = make_manager()
-        _populate(m)
-        gauges, _ = metrics.sample()
-        assert gauges["bdd.unique_capacity"] >= gauges["bdd.unique_entries"]
-        assert 0.0 < gauges["bdd.unique_load"] <= 1.0
-        assert gauges["bdd.op_cache_capacity"] >= gauges["bdd.op_cache_entries"]
-        stats = m.stats()
-        assert stats["unique_capacity"] == gauges["bdd.unique_capacity"]
-        assert stats["op_cache_capacity"] == gauges["bdd.op_cache_capacity"]
-    metrics.reset()

@@ -231,3 +231,212 @@ class TestOperationCaches:
         for key in ("nodes", "leaves", "op_cache_hits", "op_cache_misses",
                     "apply_cache_hits", "apply_cache_misses"):
             assert key in stats
+
+
+# ----------------------------------------------------------------------
+# Random op programs: memo tables are semantically transparent
+#
+# One randomly generated op program is interpreted against a
+# default-configured manager and against a variant (one-entry op caches,
+# ``clear_caches`` interleaved mid-run); every observable must agree:
+# canonical snapshots (byte-identical blobs + leaf lists), ``sat_count``,
+# ``any_sat`` satisfiability, ``iter_paths``, ``leaf_groups`` and leaves.
+# ----------------------------------------------------------------------
+
+NUM_VARS = 6
+
+FN1 = {
+    "id": lambda v: v,
+    "tag": lambda v: ("t", v),
+    "str": lambda v: str(v),
+    "neg": lambda v: not v,
+}
+FN2 = {
+    "pair": lambda a, b: (a, b),
+    "or": lambda a, b: bool(a) or bool(b),
+    "left": lambda a, b: a,
+}
+
+_values = st.sampled_from([False, True, 0, 1, 2, 7, "a", "b"])
+_levels = st.integers(0, NUM_VARS - 1)
+_idx = st.integers(0, 63)
+_fn1 = st.sampled_from(sorted(FN1))
+_fn2 = st.sampled_from(sorted(FN2))
+
+_op = st.one_of(
+    st.tuples(st.just("leaf"), _values),
+    st.tuples(st.just("var"), _levels),
+    st.tuples(st.just("nvar"), _levels),
+    st.tuples(st.just("bnot"), _idx),
+    st.tuples(st.sampled_from(["band", "bor", "bxor", "biff", "bimplies"]),
+              _idx, _idx),
+    st.tuples(st.just("bite"), _idx, _idx, _idx),
+    st.tuples(st.just("apply1"), _fn1, _idx),
+    st.tuples(st.just("apply2"), _fn2, _idx, _idx),
+    st.tuples(st.just("map_ite"), _idx, _fn1, _fn1, _idx),
+    st.tuples(st.just("set_path"), _idx,
+              st.lists(st.booleans(), min_size=NUM_VARS, max_size=NUM_VARS),
+              _values),
+    st.tuples(st.just("mk"), _levels, _idx, _idx),
+)
+_programs = st.lists(_op, min_size=1, max_size=24)
+
+
+def _run(mgr, program, clear_every=None):
+    """Interpret ``program``, returning the boolean and MTBDD roots built.
+
+    Register indices are taken modulo the current pool size, so any index
+    stream is valid; all choices are structural, hence identical across
+    managers (node *ids* may differ, node *shapes* may not).
+    """
+    bools = [mgr.false, mgr.true]
+    maps = [mgr.leaf(0)]
+    for step, op in enumerate(program):
+        if clear_every is not None and step % clear_every == clear_every - 1:
+            mgr.clear_caches()
+        kind = op[0]
+        if kind == "leaf":
+            maps.append(mgr.leaf(op[1]))
+        elif kind == "var":
+            bools.append(mgr.var(op[1]))
+        elif kind == "nvar":
+            bools.append(mgr.nvar(op[1]))
+        elif kind == "bnot":
+            bools.append(mgr.bnot(bools[op[1] % len(bools)]))
+        elif kind in ("band", "bor", "bxor", "biff", "bimplies"):
+            a = bools[op[1] % len(bools)]
+            b = bools[op[2] % len(bools)]
+            bools.append(getattr(mgr, kind)(a, b))
+        elif kind == "bite":
+            c, t, e = (bools[i % len(bools)] for i in op[1:])
+            bools.append(mgr.bite(c, t, e))
+        elif kind == "apply1":
+            maps.append(mgr.apply1(FN1[op[1]], maps[op[2] % len(maps)]))
+        elif kind == "apply2":
+            maps.append(mgr.apply2(FN2[op[1]], maps[op[2] % len(maps)],
+                                   maps[op[3] % len(maps)]))
+        elif kind == "map_ite":
+            maps.append(mgr.map_ite(bools[op[1] % len(bools)],
+                                    FN1[op[2]], FN1[op[3]],
+                                    maps[op[4] % len(maps)]))
+        elif kind == "set_path":
+            # A full key assignment: set_path must cover every level the
+            # map tests on the way to the rewritten leaf.
+            maps.append(mgr.set_path(maps[op[1] % len(maps)],
+                                     list(enumerate(op[2])),
+                                     mgr.leaf(op[3])))
+        elif kind == "mk":
+            lvl = op[1]
+            lo = maps[op[2] % len(maps)]
+            hi = maps[op[3] % len(maps)]
+            if mgr.level(lo) <= lvl or mgr.level(hi) <= lvl:
+                lo, hi = mgr.leaf("L"), mgr.leaf("H")  # keep it canonical
+            maps.append(mgr.mk(lvl, lo, hi))
+        else:  # pragma: no cover - strategy and interpreter out of sync
+            raise AssertionError(f"unknown op {kind}")
+    return bools, maps
+
+
+def _paths_key(paths):
+    return sorted((tuple(sorted(bits.items())), repr(value))
+                  for bits, value in paths)
+
+
+def _observe(mgr, bools, maps):
+    """Everything observable about the run, as comparable plain data."""
+    out = []
+    for n in bools:
+        sat = mgr.any_sat(n, NUM_VARS)
+        if sat is not None:  # the witness must actually satisfy
+            assert mgr.get_path(n, sat) is True
+        out.append(("bool", mgr.snapshot(n),
+                    mgr.sat_count(n, NUM_VARS),
+                    sat is None,
+                    _paths_key(mgr.iter_paths(n, NUM_VARS))))
+    for m in maps:
+        groups = mgr.leaf_groups(m, NUM_VARS)
+        out.append(("map", mgr.snapshot(m),
+                    sorted((repr(k), c) for k, c in groups.items()),
+                    sorted(repr(v) for v in mgr.leaves(m)),
+                    mgr.node_count(m)))
+    return out
+
+
+def _check(program, variant, clear_every=None):
+    spec_mgr = BddManager()
+    spec = _observe(spec_mgr, *_run(spec_mgr, program))
+    got = _observe(variant, *_run(variant, program, clear_every))
+    assert got == spec
+
+
+@settings(max_examples=25, deadline=None)
+@given(_programs)
+def test_equivalence_survives_cache_limit_one(program):
+    # A one-entry op cache thrashes every memo table; results must not move.
+    _check(program, BddManager(op_cache_limit=1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_programs)
+def test_equivalence_survives_mid_run_clear_caches(program):
+    _check(program, BddManager(), clear_every=3)
+
+
+def test_apply2_reentrant_callback_keeps_canonicity():
+    """A combine callback may re-enter the manager (merge functions over
+    map-valued routes build nodes mid-apply2).  Node construction inside
+    apply2 must see what the callback allocated — minting duplicate ids for
+    structurally identical nodes would break the hash-consing identity
+    NVMap equality and convergence checks rely on."""
+    import itertools
+
+    mgr = BddManager()
+    tags = itertools.count()
+
+    def fn(a, b):
+        for _ in range(800):
+            mgr.mk(5, mgr.false, mgr.leaf(("pad", next(tags))))
+        return (a, b)
+
+    def build(m):
+        m1 = m.mk(0, m.leaf("x0"), m.mk(1, m.leaf("x1"), m.leaf("x2")))
+        m2 = m.mk(0, m.leaf("y0"), m.mk(1, m.leaf("y1"), m.leaf("y2")))
+        return m1, m2
+
+    m1, m2 = build(mgr)
+    r = mgr.apply2(fn, m1, m2)
+    # Re-running with a cold memo must reuse the consed nodes, not re-mint.
+    assert mgr.apply2(fn, m1, m2) == r
+    # Rebuilding the result's top node through mk finds the same id.
+    assert mgr.mk(mgr.level(r), mgr.lo(r), mgr.hi(r)) == r
+    # Global canonicity: no two internal nodes share a (level, lo, hi).
+    seen = {}
+    for n in range(mgr.size()):
+        if not mgr.is_leaf(n):
+            key = (mgr.level(n), mgr.lo(n), mgr.hi(n))
+            assert key not in seen, \
+                f"duplicate nodes {seen[key]} and {n} for {key}"
+            seen[key] = n
+    # And the result matches a callback that leaves the manager alone.
+    spec = BddManager()
+    s1, s2 = build(spec)
+    s = spec.apply2(lambda a, b: (a, b), s1, s2)
+    assert mgr.snapshot(r) == spec.snapshot(s)
+
+
+def test_snapshot_pickle_round_trip():
+    """The FrozenMap transport contract: a snapshot survives pickling
+    unchanged, and equal diagrams built in different managers (different
+    node ids) snapshot to the same blob and leaf list."""
+    import pickle
+
+    program = [("leaf", 3), ("var", 0), ("var", 2), ("band", 2, 3),
+               ("apply2", "pair", 1, 0), ("map_ite", 4, "tag", "id", 2),
+               ("set_path", 2, [True, False, True, False, False, True], "z")]
+    a_mgr, b_mgr = BddManager(), BddManager()
+    b_mgr.leaf("shift ids")
+    a_bools, a_maps = _run(a_mgr, program)
+    b_bools, b_maps = _run(b_mgr, program)
+    for a, b in zip(a_bools + a_maps, b_bools + b_maps):
+        snap = a_mgr.snapshot(a)
+        assert pickle.loads(pickle.dumps(snap)) == snap == b_mgr.snapshot(b)

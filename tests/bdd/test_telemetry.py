@@ -1,44 +1,15 @@
 """Kernel telemetry (NV_TELEMETRY): correctness and the zero-cost contract.
 
-The probe-length histograms are *recomputed* from the tables (an entry's
-probe length under stride-1 linear probing with no deletions equals its
-displacement from its home slot plus one).  These tests re-derive every
-probe length the slow way — actually re-probing each entry from its home
-slot until it is found — and require exact agreement with the scan, on
-seeded op-program workloads large enough to force collisions and rehashes.
-
 The disabled-cost contract is checked *structurally*: the hot-path
-bytecode of the arena kernel must not reference the telemetry module or
-counters at all (the instrumentation lives on the rare rehash/clear paths
-and in on-demand scans), so the enabled/disabled wall-time question cannot
-even arise for per-node work.
+bytecode of the BDD kernel must not reference the telemetry module or its
+flag at all (table sizes are read on demand at flush time), so the
+enabled/disabled wall-time question cannot even arise for per-node work.
 """
 
 import random
 
-import pytest
-
 from repro import metrics, perf, telemetry
-from repro.bdd.arena import ArenaBddManager
 from repro.bdd.manager import BddManager
-
-
-def _brute_force_probe_counts(keys, cap, home_of):
-    """Re-probe every stored entry from its home slot; count steps."""
-    mask = cap - 1
-    counts = {}
-    for s in range(cap):
-        k = keys[s]
-        if k < 0:
-            continue
-        h = home_of(s, k)
-        steps = 1
-        while h != s:
-            assert keys[h] >= 0, "probe chain crossed an empty slot"
-            h = (h + 1) & mask
-            steps += 1
-        counts[steps] = counts.get(steps, 0) + 1
-    return counts
 
 
 def _seeded_workload(mgr, seed=7, ops=600, num_vars=8):
@@ -68,78 +39,6 @@ def _seeded_workload(mgr, seed=7, ops=600, num_vars=8):
             del maps[: len(maps) - 32]
 
 
-class TestArenaProbeLengths:
-    def test_unique_matches_brute_force(self):
-        mgr = ArenaBddManager()
-        _seeded_workload(mgr)
-        counts = mgr.probe_length_counts()["unique"]
-        mask = mgr._unique_cap - 1
-
-        def home(_s, n):
-            return (mgr._lo[n] * 461845907 + mgr._hi[n] * 433494437
-                    + mgr._var[n]) & mask
-
-        # The unique table stores node indices (>= 0 means occupied).
-        brute = _brute_force_probe_counts(mgr._unique, mgr._unique_cap, home)
-        assert counts == brute
-        assert sum(counts.values()) == mgr._unique_n
-
-    @pytest.mark.parametrize("table", ["op_not", "op_and", "op_xor", "op_ite"])
-    def test_op_tables_match_brute_force(self, table):
-        from repro.bdd import arena as A
-
-        mgr = ArenaBddManager()
-        _seeded_workload(mgr)
-        counts = mgr.probe_length_counts()[table]
-        if table == "op_not":
-            keys, cap = mgr._not_keys, mgr._not_cap
-
-            def home(_s, k):
-                return k * A._MULT_A & (cap - 1)
-        elif table == "op_ite":
-            keys, cap = mgr._ite_keys1, mgr._ite_cap
-
-            def home(s, k1):
-                return ((k1 >> A._KEY_SHIFT) * A._MULT_A
-                        + (k1 & A._KEY_MASK) * A._MULT_B
-                        + mgr._ite_keys2[s] * A._MULT_C) & (cap - 1)
-        else:
-            keys, cap = ((mgr._and_keys, mgr._and_cap) if table == "op_and"
-                         else (mgr._xor_keys, mgr._xor_cap))
-
-            def home(_s, k):
-                return ((k >> A._KEY_SHIFT) * A._MULT_A
-                        + (k & A._KEY_MASK) * A._MULT_B) & (cap - 1)
-
-        assert counts == _brute_force_probe_counts(keys, cap, home)
-
-    def test_workload_actually_collides(self):
-        # The recount test is vacuous if every probe length is 1.
-        mgr = ArenaBddManager()
-        _seeded_workload(mgr)
-        unique = mgr.probe_length_counts()["unique"]
-        assert any(length > 1 for length in unique), unique
-
-    def test_rehash_counters(self):
-        mgr = ArenaBddManager()
-        assert mgr.unique_rehashes == 0
-        _seeded_workload(mgr, ops=1200, num_vars=10)
-        # The seeded workload builds far beyond the initial capacities.
-        assert mgr.unique_rehashes > 0
-        assert mgr.op_rehashes > 0
-        counters, hists = mgr.telemetry()
-        assert counters["unique_rehashes"] == mgr.unique_rehashes
-        assert counters["op_rehashes"] == mgr.op_rehashes
-        assert "unique_probe_len" in hists
-        h = hists["unique_probe_len"]
-        assert h.count == mgr._unique_n
-
-    def test_op_cache_clear_counter(self):
-        mgr = ArenaBddManager(op_cache_limit=4)
-        _seeded_workload(mgr, ops=200)
-        assert mgr.op_cache_clears > 0
-
-
 class TestObjectEngineTelemetry:
     def test_dict_size_profile(self):
         mgr = BddManager()
@@ -156,21 +55,13 @@ class TestDisabledCost:
                    "apply1", "apply2", "map_ite")
 
     def test_hot_paths_structurally_untouched(self):
-        """No hot-path method references the telemetry module, the flag, or
-        the probe scans: disabled (and enabled) per-node cost is provably
-        zero because the instrumented names never appear in the bytecode."""
-        forbidden = {"telemetry", "is_enabled", "probe_length_counts",
-                     "_probe_counts_single", "_probe_counts_packed",
-                     "_probe_counts_ite", "unique_rehashes", "op_rehashes",
-                     "op_cache_clears"}
-        for cls in (ArenaBddManager, BddManager):
-            for name in self.HOT_METHODS:
-                fn = getattr(cls, name, None)
-                if fn is None:
-                    continue
-                names = set(fn.__code__.co_names)
-                assert not (names & forbidden), (cls.__name__, name,
-                                                 names & forbidden)
+        """No hot-path method references the telemetry module or the flag:
+        disabled (and enabled) per-node cost is provably zero because the
+        instrumented names never appear in the bytecode."""
+        forbidden = {"telemetry", "is_enabled"}
+        for name in self.HOT_METHODS:
+            names = set(getattr(BddManager, name).__code__.co_names)
+            assert not (names & forbidden), (name, names & forbidden)
 
     def test_compiled_ops_pay_one_check_when_disabled(self):
         """The evaluator's per-call-site attribution is gated on one boolean
@@ -199,28 +90,21 @@ class TestDisabledCost:
 
 class TestFlush:
     def test_flush_manager_into_perf_and_metrics(self):
-        mgr = ArenaBddManager()
+        mgr = BddManager()
         _seeded_workload(mgr, ops=300)
         perf.reset()
         metrics.reset()
         with perf.enabled(), metrics.enabled(), telemetry.enabled(True):
             telemetry.flush_manager(mgr)
             snap = perf.snapshot()
-            assert "bdd.unique_rehashes" in snap
+            assert snap["bdd.table_unique_entries"] == len(mgr._unique)
             _gauges, hists = metrics.sample()
-            assert "bdd.unique_probe_len" in hists
+            assert "bdd.table_entries" in hists
 
     def test_flush_noop_when_disabled(self):
-        mgr = ArenaBddManager()
+        mgr = BddManager()
         _seeded_workload(mgr, ops=50)
         perf.reset()
         with perf.enabled(), telemetry.enabled(False):
             telemetry.flush(mgr)
-            assert "bdd.unique_rehashes" not in perf.snapshot()
-
-    def test_histogram_from_counts(self):
-        h = telemetry.histogram_from_counts({1: 10, 2: 5, 9: 2})
-        assert h.count == 17
-        assert h.sum == 10 + 10 + 18
-        h2 = metrics.Histogram.from_values([1] * 10 + [2] * 5 + [9] * 2)
-        assert h.counts == h2.counts
+            assert "bdd.table_unique_entries" not in perf.snapshot()

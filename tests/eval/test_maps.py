@@ -36,11 +36,9 @@ class TestCreateGetSet:
         m = NVMap.create(ctx, T.TInt(8), 0)
         assert m.set(5, 0) == m  # canonicity: writing the default is a no-op
 
-    @pytest.mark.parametrize("engine", ["arena", "object"])
-    def test_concrete_key_memo_is_invisible(self, engine, monkeypatch):
+    def test_concrete_key_memo_is_invisible(self):
         """``set``/``get`` through the per-context memo give the roots and
         values the manager gives without it, and ``clear_caches`` drops it."""
-        monkeypatch.setenv("NV_BDD_ENGINE", engine)
         ctx = MapContext(4, ((0, 1), (1, 0)))
         mgr, key_ty = ctx.manager, T.TTuple((T.TInt(8), T.TBool()))
         updates = [((5, True), "a"), ((5, False), "b"), ((200, True), "a"),

@@ -10,6 +10,7 @@ bounded "widest path" algebra.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +113,54 @@ def test_all_modes_reach_a_stable_state(topo, algebra, incremental, memoize):
     # The kernel's work counters are always reported on the solution.
     assert sol.stats["activations"] == sol.iterations
     assert sol.stats["messages"] == sol.messages
+
+
+# ``sim.*`` / ``bdd.*`` ``--stats`` counters printed by the commit that still
+# had the batched activation branch beside the scalar loop (recorded there,
+# NV_JOBS=1).  The one remaining loop must do exactly the same work.
+_BATCHED_LOOP_COUNTERS = {
+    ("fault", "--links", "2"): {
+        "bdd.apply_cache_hits": 111467, "bdd.apply_cache_misses": 111372,
+        "bdd.leaves": 21, "bdd.nodes": 41013, "bdd.op_cache_entries": 10529,
+        "bdd.op_cache_hits": 12596, "bdd.op_cache_misses": 10529,
+        "bdd.unique_entries": 40992,
+        "sim.activations": 62, "sim.interned_routes": 245,
+        "sim.merge_cache_hits": 0, "sim.merge_cache_misses": 282,
+        "sim.messages": 181, "sim.skipped_activations": 0},
+    ("simulate",): {
+        "bdd.apply_cache_hits": 3361, "bdd.apply_cache_misses": 4447,
+        "bdd.leaves": 51, "bdd.nodes": 1127, "bdd.op_cache_entries": 0,
+        "bdd.op_cache_hits": 0, "bdd.op_cache_misses": 0,
+        "bdd.unique_entries": 1076,
+        "sim.activations": 44, "sim.interned_routes": 69,
+        "sim.merge_cache_hits": 8, "sim.merge_cache_misses": 184,
+        "sim.messages": 128, "sim.skipped_activations": 0},
+    ("simulate", "--native"): {
+        "bdd.apply_cache_hits": 2172, "bdd.apply_cache_misses": 2188,
+        "bdd.leaves": 51, "bdd.nodes": 1127, "bdd.op_cache_entries": 0,
+        "bdd.op_cache_hits": 0, "bdd.op_cache_misses": 0,
+        "bdd.unique_entries": 1076,
+        "sim.activations": 44, "sim.interned_routes": 69,
+        "sim.merge_cache_hits": 8, "sim.merge_cache_misses": 184,
+        "sim.messages": 128, "sim.skipped_activations": 0},
+}
+
+
+@pytest.mark.parametrize("command", _BATCHED_LOOP_COUNTERS, ids=" ".join)
+def test_scalar_loop_does_the_batched_loops_work(command, tmp_path, capsys,
+                                                 monkeypatch):
+    from repro.cli import main
+    from repro.topology import (all_prefixes_program, uscarrier_like,
+                                wan_program)
+
+    source = (wan_program(uscarrier_like(20, 30)) if command[0] == "fault"
+              else all_prefixes_program(4, "sp"))
+    f = tmp_path / "net.nv"
+    f.write_text(source)
+    monkeypatch.setenv("NV_JOBS", "1")
+    main([*command, str(f), "--stats"])
+    rows = (line.split() for line in capsys.readouterr().out.splitlines())
+    printed = dict(row for row in rows if len(row) == 2)
+    expected = _BATCHED_LOOP_COUNTERS[command]
+    assert {name: int(printed[name].replace(",", ""))
+            for name in expected} == expected

@@ -104,7 +104,6 @@ let assert (u : node) (x : rip) =
             base = funcs.trans
             funcs.trans = lambda e, x, _n=failed, _t=base: (
                 None if _n in e else _t(e, x))
-            funcs.trans_many = None
             for u in simulate(funcs).check_assertions(funcs.assert_fn):
                 total += 1
                 violations.setdefault(u, failed)
@@ -273,6 +272,18 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nesting limit" in err and str(sys.getrecursionlimit()) in err
         assert "Traceback" not in err
+
+    def test_fault_usage_errors_reported_without_traceback(
+            self, triangle_file, capsys, monkeypatch):
+        """No failure to inject, and a malformed ``NV_JOBS``: one ``error:``
+        line and exit 3, like every other usage failure."""
+        assert main(["fault", triangle_file, "--links", "0"]) == 3
+        assert capsys.readouterr().err == \
+            "error: at least one link or node failure is required\n"
+        monkeypatch.setenv("NV_JOBS", "abc")
+        assert main(["fault", triangle_file]) == 3
+        assert capsys.readouterr().err == \
+            "error: NV_JOBS='abc' is not an integer\n"
 
 
 class TestMetricsFlags:
