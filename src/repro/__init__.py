@@ -16,9 +16,17 @@ PLDI 2020.  See :mod:`repro.api` for the high-level entry points:
     Some(1)
 """
 
-from .api import (check_fault_tolerance, load, simulate, simulate_many,
-                  verify, verify_many)
-
 __all__ = ["load", "simulate", "simulate_many", "verify", "verify_many",
            "check_fault_tolerance"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: the entry points load :mod:`repro.api` (and through it every
+    # back end) on first use, so ``import repro.topology`` or one CLI
+    # command pays only for the modules it runs.
+    if name in __all__:
+        from . import api
+        value = globals()[name] = getattr(api, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -60,7 +60,7 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
                    lower: bool = False) -> SimulationReport:
     """Simulate ``net`` to convergence.
 
-    ``backend`` is ``"interp"`` (AST-walking evaluator) or ``"native"``
+    ``backend`` is ``"interp"`` (the AST interpreter) or ``"native"``
     (NV compiled to Python, the paper's native simulation).  ``incremental``
     toggles the incremental-merge optimisation of Algorithm 1 (the ablation
     benchmark measures it).  ``lower=True`` first runs the value-preserving

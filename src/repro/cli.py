@@ -47,10 +47,6 @@ from time import perf_counter
 from typing import Any
 
 from . import metrics, obs, parallel, perf
-from .analysis.fault import fault_tolerance_sharded
-from .analysis.simulation import run_simulation, run_simulations
-from .analysis.verify import verify as smt_verify
-from .analysis.verify import verify_many
 from .eval.interp import Interpreter
 from .eval.maps import MapContext
 from .eval.values import value_repr
@@ -117,6 +113,8 @@ def _heartbeat_on(args: argparse.Namespace) -> bool:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .analysis.simulation import run_simulation, run_simulations
+
     _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
     symbolics = _parse_symbolics(args.symbolic, nets[0])
@@ -179,6 +177,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .analysis.verify import verify as smt_verify
+    from .analysis.verify import verify_many
+
     _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
     if (args.partition is not None or args.cuts is not None
@@ -267,6 +268,8 @@ def _cmd_verify_partitioned(args: argparse.Namespace,
 
 
 def cmd_fault(args: argparse.Namespace) -> int:
+    from .analysis.fault import fault_tolerance_sharded
+
     _maybe_enable_stats(args)
     net = _load_network(args.file)
     symbolics = _parse_symbolics(args.symbolic, net)

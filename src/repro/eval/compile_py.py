@@ -3,8 +3,9 @@
 The original system translates NV's computational core to OCaml, compiles it
 natively and links it with the simulator.  The analogue here is compiling NV
 to Python source, ``compile()``-ing it and executing the resulting closures —
-removing the per-node interpretive overhead of the AST-walking evaluator,
-which is exactly the architectural split the paper measures (fig 13c/14).
+removing the per-node interpretive overhead of the interpreter (one closure
+call and one environment lookup per AST node), which is exactly the
+architectural split the paper measures (fig 13c/14).
 
 Two pieces of the embedding/unembedding story carry over directly:
 

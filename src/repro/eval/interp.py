@@ -2,8 +2,8 @@
 
 Evaluates typed NV expressions to the runtime values of
 :mod:`repro.eval.values`.  The interpreter is the paper's baseline execution
-engine; the compiled path (:mod:`repro.eval.compile_py`) produces host-language
-closures for the same semantics.
+engine; the compiled path (:mod:`repro.eval.compile_py`) generates host-language
+source for the same semantics.
 
 Map operations require type annotations on the AST (run
 :func:`repro.lang.typecheck.check_program` first) so that key layouts are
@@ -20,6 +20,8 @@ from ..lang import types as T
 from ..lang.errors import NvEncodingError, NvRuntimeError
 from .maps import MapContext, NVMap
 from .values import VClosure, VRecord, VSome
+
+Code = Callable[[dict[str, Any]], Any]      # a compiled expression: code(env)
 
 
 class Interpreter:
@@ -40,7 +42,11 @@ class Interpreter:
         # _map_memo, shared with plain ``map`` calls of the same closure.
         self._mapite_memo: dict[Any, dict[int, int]] = {}
         self._pred_cache: dict[Any, int] = {}
-        self._free_vars_cache: dict[int, tuple[str, ...]] = {}
+        # Both id-keyed tables hold the node beside the value, so its address
+        # (also part of every ``_closure_key`` above) is never reused.
+        self._free_vars_cache: dict[int, tuple[A.Expr, tuple[str, ...]]] = {}
+        self._code: dict[int, tuple[A.Expr, Code]] = {}
+        self._consts: dict[tuple[type, Any], Code] = {}
 
     # ------------------------------------------------------------------
     # Entry points
@@ -52,9 +58,9 @@ class Interpreter:
     def apply(self, fn: Any, arg: Any) -> Any:
         """Apply a function value (closure or host callable)."""
         if isinstance(fn, VClosure):
-            new_env = dict(fn.env)
-            new_env[fn.param] = arg
-            return self._eval(fn.body, new_env)
+            if fn.code is None:     # built by the symbolic evaluator / SMT encoder
+                fn.code = self._code_for(fn.body)
+            return fn.code({**fn.env, fn.param: arg})
         if callable(fn):
             return fn(arg)
         raise NvRuntimeError(f"cannot apply non-function value {fn!r}")
@@ -67,127 +73,145 @@ class Interpreter:
         raise NvRuntimeError(f"cannot apply non-function value {fn!r}")
 
     # ------------------------------------------------------------------
-    # Core evaluator
+    # Core evaluator: each AST node is compiled, once, to a closure ``code(env)``
+    # over its children's closures; node class, operator, labels, masks and
+    # pattern shape are decided then.  Errors are raised only by the closures.
     # ------------------------------------------------------------------
 
     def _eval(self, e: A.Expr, env: dict[str, Any]) -> Any:
-        if isinstance(e, A.EVar):
+        return self._code_for(e)(env)
+
+    _eval_op = _eval
+
+    def _code_for(self, e: A.Expr) -> Code:
+        """The code of an evaluation root (only roots have a table entry)."""
+        entry = self._code.get(id(e))
+        if entry is None:
+            entry = self._code[id(e)] = (e, self._compile(e))
+        return entry[1]
+
+    def _compile(self, e: A.Expr) -> Code:
+        literal = _LITERALS.get(type(e))
+        if literal is not None:         # one shared closure per distinct constant
+            value = literal(e)
+            return self._consts.setdefault((type(value), value), lambda env: value)
+        build = getattr(self, "_c_" + type(e).__name__, None)
+        if build is None:
+            return _raiser(f"cannot evaluate {type(e).__name__}")
+        return build(e)
+
+    def _c_EVar(self, e: A.EVar) -> Code:
+        name, at = e.name, e.span
+
+        def var(env):
             try:
-                return env[e.name]
+                return env[name]
             except KeyError:
-                raise NvRuntimeError(f"unbound variable {e.name!r} at {e.span}") from None
-        if isinstance(e, A.EBool):
-            return e.value
-        if isinstance(e, A.EInt):
-            return e.value & ((1 << e.width) - 1)
-        if isinstance(e, A.ENode):
-            return e.value
-        if isinstance(e, A.EEdge):
-            return (e.src, e.dst)
-        if isinstance(e, A.ENone):
-            return None
-        if isinstance(e, A.ESome):
-            return VSome(self._eval(e.sub, env))
-        if isinstance(e, A.ETuple):
-            return tuple(self._eval(x, env) for x in e.elts)
-        if isinstance(e, A.ETupleGet):
-            return self._eval(e.sub, env)[e.index]
-        if isinstance(e, A.ERecord):
-            return VRecord(tuple((n, self._eval(x, env)) for n, x in e.fields))
-        if isinstance(e, A.ERecordWith):
-            base = self._eval(e.base, env)
+                raise NvRuntimeError(f"unbound variable {name!r} at {at}") from None
+        return var
+
+    def _c_ESome(self, e: A.ESome) -> Code:
+        sub = self._compile(e.sub)
+        return lambda env: VSome(sub(env))
+
+    def _c_ETuple(self, e: A.ETuple) -> Code:
+        subs = [self._compile(x) for x in e.elts]
+        return lambda env: tuple([f(env) for f in subs])
+
+    def _c_ETupleGet(self, e: A.ETupleGet) -> Code:
+        sub, index = self._compile(e.sub), e.index
+        return lambda env: sub(env)[index]
+
+    def _c_ERecord(self, e: A.ERecord) -> Code:
+        fields = [(n, self._compile(x)) for n, x in e.fields]
+        return lambda env: VRecord(tuple([(n, f(env)) for n, f in fields]))
+
+    def _c_ERecordWith(self, e: A.ERecordWith) -> Code:
+        sub = self._compile(e.base)
+        updates = [(n, self._compile(x)) for n, x in e.updates]
+
+        def record_with(env):
+            base = sub(env)
             if not isinstance(base, VRecord):
                 raise NvRuntimeError(f"record update on non-record {base!r}")
-            return base.with_updates({n: self._eval(x, env) for n, x in e.updates})
-        if isinstance(e, A.EProj):
-            base = self._eval(e.sub, env)
+            return base.with_updates({n: f(env) for n, f in updates})
+        return record_with
+
+    def _c_EProj(self, e: A.EProj) -> Code:
+        sub, label = self._compile(e.sub), e.label
+
+        def proj(env):
+            base = sub(env)
             if not isinstance(base, VRecord):
-                raise NvRuntimeError(f"field access .{e.label} on non-record {base!r}")
-            return base.get(e.label)
-        if isinstance(e, A.EIf):
-            if self._eval(e.cond, env):
-                return self._eval(e.then, env)
-            return self._eval(e.els, env)
-        if isinstance(e, A.ELet):
-            new_env = dict(env)
-            new_env[e.name] = self._eval(e.bound, env)
-            return self._eval(e.body, new_env)
-        if isinstance(e, A.ELetPat):
-            bound = self._eval(e.bound, env)
-            bindings = match_pattern(e.pat, bound)
-            if bindings is None:
-                raise NvRuntimeError(f"irrefutable let pattern failed on {bound!r}")
-            new_env = dict(env)
-            new_env.update(bindings)
-            return self._eval(e.body, new_env)
-        if isinstance(e, A.EFun):
-            return VClosure(e.param, e.body, env, e.param_ty)
-        if isinstance(e, A.EApp):
-            fn = self._eval(e.fn, env)
-            arg = self._eval(e.arg, env)
-            return self.apply(fn, arg)
-        if isinstance(e, A.EMatch):
-            scrutinee = self._eval(e.scrutinee, env)
-            for pat, body in e.branches:
-                bindings = match_pattern(pat, scrutinee)
+                raise NvRuntimeError(f"field access .{label} on non-record {base!r}")
+            return base.get(label)
+        return proj
+
+    def _c_EIf(self, e: A.EIf) -> Code:
+        cond, then, els = map(self._compile, (e.cond, e.then, e.els))
+        return lambda env: then(env) if cond(env) else els(env)
+
+    def _c_ELet(self, e: A.ELet) -> Code:
+        name, bound, body = e.name, self._compile(e.bound), self._compile(e.body)
+        return lambda env: body({**env, name: bound(env)})
+
+    def _c_ELetPat(self, e: A.ELetPat) -> Code:
+        return self._branches(e.bound, ((e.pat, e.body),),
+                              "irrefutable let pattern failed on {!r}")
+
+    def _c_EMatch(self, e: A.EMatch) -> Code:
+        return self._branches(e.scrutinee, e.branches,
+                              f"match failure on {{!r}} at {e.span}")
+
+    def _branches(self, scrutinee: A.Expr, branches: Any, failure: str) -> Code:
+        subject = self._compile(scrutinee)
+        arms = [(_matcher(pat), self._compile(body)) for pat, body in branches]
+
+        def match(env):
+            value = subject(env)
+            for matches, body in arms:
+                bindings = matches(value)
                 if bindings is not None:
-                    if bindings:
-                        new_env = dict(env)
-                        new_env.update(bindings)
-                        return self._eval(body, new_env)
-                    return self._eval(body, env)
-            raise NvRuntimeError(f"match failure on {scrutinee!r} at {e.span}")
-        if isinstance(e, A.EOp):
-            return self._eval_op(e, env)
-        raise NvRuntimeError(f"cannot evaluate {type(e).__name__}")
+                    return body({**env, **bindings}) if bindings else body(env)
+            raise NvRuntimeError(failure.format(value))
+        return match
 
-    # ------------------------------------------------------------------
-    # Operators
-    # ------------------------------------------------------------------
+    def _c_EFun(self, e: A.EFun) -> Code:
+        param, body, param_ty, code = e.param, e.body, e.param_ty, self._compile(e.body)
+        return lambda env: VClosure(param, body, env, param_ty, code)
 
-    def _eval_op(self, e: A.EOp, env: dict[str, Any]) -> Any:
-        op = e.op
-        if op == "and":
-            return self._eval(e.args[0], env) and self._eval(e.args[1], env)
-        if op == "or":
-            return self._eval(e.args[0], env) or self._eval(e.args[1], env)
-        if op == "not":
-            return not self._eval(e.args[0], env)
-        if op == "add" or op == "sub":
-            a = self._eval(e.args[0], env)
-            b = self._eval(e.args[1], env)
-            width = e.ty.width if isinstance(e.ty, T.TInt) else 32
-            if op == "add":
-                return (a + b) & ((1 << width) - 1)
-            return (a - b) & ((1 << width) - 1)
-        if op == "eq":
-            return self._eval(e.args[0], env) == self._eval(e.args[1], env)
-        if op == "lt":
-            return self._eval(e.args[0], env) < self._eval(e.args[1], env)
-        if op == "le":
-            return self._eval(e.args[0], env) <= self._eval(e.args[1], env)
-        if op == "mcreate":
-            default = self._eval(e.args[0], env)
-            key_ty = self._map_key_type(e)
-            return NVMap.create(self.ctx, key_ty, default)
-        if op == "mget":
-            m = self._eval_map(e.args[0], env)
-            key = self._eval(e.args[1], env)
-            return m.get(key)
-        if op == "mset":
-            m = self._eval_map(e.args[0], env)
-            key = self._eval(e.args[1], env)
-            value = self._eval(e.args[2], env)
-            return m.set(key, value)
-        if op == "mmap":
-            fn = self._eval(e.args[0], env)
-            m = self._eval_map(e.args[1], env)
-            return m.map(self.as_callable(fn), self._memo_for(fn, self._map_memo))
-        if op == "mcombine":
-            fn = self._eval(e.args[0], env)
-            m1 = self._eval_map(e.args[1], env)
-            m2 = self._eval_map(e.args[2], env)
-            call = self.as_callable(fn)
+    def _c_EApp(self, e: A.EApp) -> Code:
+        fn, arg, apply = self._compile(e.fn), self._compile(e.arg), self.apply
+        return lambda env: apply(fn(env), arg(env))
+
+    def _c_EOp(self, e: A.EOp) -> Code:
+        build = _OPS.get(e.op)
+        if build is None:
+            return _raiser(f"unknown operator {e.op!r}")
+        return build(self, e, *map(self._compile, e.args))
+
+    def _op_mcreate(self, e: A.EOp, default: Code) -> Code:
+        def create(env):
+            value = default(env)
+            if not isinstance(e.ty, T.TDict):
+                raise NvEncodingError(
+                    "createDict requires a type-annotated AST (run the type checker "
+                    "before evaluation) so the key layout is known")
+            return NVMap.create(self.ctx, e.ty.key, value)
+        return create
+
+    def _op_mmap(self, e: A.EOp, f: Code, m: Code) -> Code:
+        def map_(env):
+            fn = f(env)
+            return _as_map(m(env)).map(self.as_callable(fn),
+                                       self._memo_for(fn, self._map_memo))
+        return map_
+
+    def _op_mcombine(self, e: A.EOp, f: Code, a: Code, b: Code) -> Code:
+        def combine(env):
+            fn = f(env)
+            m1, m2 = _as_map(a(env)), _as_map(b(env))
+            call, apply = self.as_callable(fn), self.apply
             # Cache the partial application ``fn x`` per distinct left leaf:
             # combine pairs each left leaf with many right leaves, and leaf
             # values are owned by the manager's leaf table, so their ids are
@@ -199,14 +223,15 @@ class Interpreter:
                 if fx is None:
                     fx = call(x)
                     partial[id(x)] = fx
-                return self.apply(fx, y)
+                return apply(fx, y)
 
             return m1.combine(fn2, m2, self._memo_for(fn, self._combine_memo))
-        if op == "mmapite":
-            pred = self._eval(e.args[0], env)
-            fn_true = self._eval(e.args[1], env)
-            fn_false = self._eval(e.args[2], env)
-            m = self._eval_map(e.args[3], env)
+        return combine
+
+    def _op_mmapite(self, e: A.EOp, p: Code, t: Code, f: Code, a: Code) -> Code:
+        def map_ite(env):
+            pred, fn_true, fn_false = p(env), t(env), f(env)
+            m = _as_map(a(env))
             pred_bdd = self.predicate_bdd(pred, m.key_ty)
             kt = self._closure_key(fn_true) if self.enable_cache else None
             kf = self._closure_key(fn_false) if self.enable_cache else None
@@ -218,20 +243,7 @@ class Interpreter:
                              self.as_callable(fn_false), memo,
                              self._memo_for(fn_true, self._map_memo),
                              self._memo_for(fn_false, self._map_memo))
-        raise NvRuntimeError(f"unknown operator {op!r}")
-
-    def _eval_map(self, e: A.Expr, env: dict[str, Any]) -> NVMap:
-        m = self._eval(e, env)
-        if not isinstance(m, NVMap):
-            raise NvRuntimeError(f"expected a map, got {m!r}")
-        return m
-
-    def _map_key_type(self, e: A.EOp) -> T.Type:
-        if not isinstance(e.ty, T.TDict):
-            raise NvEncodingError(
-                "createDict requires a type-annotated AST (run the type checker "
-                "before evaluation) so the key layout is known")
-        return e.ty.key
+        return map_ite
 
     def _memo_for(self, fn: Any, table: dict[Any, dict]) -> dict:
         """A stable memo table per *semantic function*, enabling the
@@ -260,10 +272,11 @@ class Interpreter:
                 return key_fn() if callable(key_fn) else key_fn
             return id(fn)
         body_id = id(fn.body)
-        names = self._free_vars_cache.get(body_id)
-        if names is None:
+        entry = self._free_vars_cache.get(body_id)
+        if entry is None:
             names = tuple(sorted(A.free_vars(fn.body) - {fn.param}))
-            self._free_vars_cache[body_id] = names
+            entry = self._free_vars_cache[body_id] = (fn.body, names)
+        names = entry[1]
         try:
             captured = tuple(map(fn.env.__getitem__, names))
             hash(captured)
@@ -302,46 +315,113 @@ class Interpreter:
         return (closure_key, key_ty)
 
 
+def _raiser(message: str) -> Callable[[Any], Any]:
+    """Code (or a matcher) for an ill-formed node: fails when reached."""
+    def fail(_):
+        raise NvRuntimeError(message)
+    return fail
+
+
+def _mask(e: A.EOp) -> int:
+    return (1 << (e.ty.width if isinstance(e.ty, T.TInt) else 32)) - 1
+
+
+def _as_map(m: Any) -> NVMap:
+    if not isinstance(m, NVMap):
+        raise NvRuntimeError(f"expected a map, got {m!r}")
+    return m
+
+
+_LITERALS = {
+    A.EBool: lambda e: e.value, A.ENode: lambda e: e.value,
+    A.EInt: lambda e: e.value & ((1 << e.width) - 1),
+    A.EEdge: lambda e: (e.src, e.dst), A.ENone: lambda e: None,
+}
+
+# Operator name -> ``build(interp, e, *argument code) -> code``.  A default
+# argument binds what the builder precomputes.
+_OPS = {
+    "and": lambda interp, e, a, b: lambda env: a(env) and b(env),
+    "or": lambda interp, e, a, b: lambda env: a(env) or b(env),
+    "not": lambda interp, e, a: lambda env: not a(env),
+    "add": lambda interp, e, a, b: lambda env, mask=_mask(e): (a(env) + b(env)) & mask,
+    "sub": lambda interp, e, a, b: lambda env, mask=_mask(e): (a(env) - b(env)) & mask,
+    "eq": lambda interp, e, a, b: lambda env: a(env) == b(env),
+    "lt": lambda interp, e, a, b: lambda env: a(env) < b(env),
+    "le": lambda interp, e, a, b: lambda env: a(env) <= b(env),
+    "mget": lambda interp, e, m, k: lambda env: _as_map(m(env)).get(k(env)),
+    "mset": lambda interp, e, m, k, v: lambda env: _as_map(m(env)).set(k(env), v(env)),
+    "mcreate": Interpreter._op_mcreate, "mmap": Interpreter._op_mmap,
+    "mcombine": Interpreter._op_mcombine, "mmapite": Interpreter._op_mmapite,
+}
+
+
 def match_pattern(pat: A.Pattern, value: Any) -> dict[str, Any] | None:
     """Match ``value`` against ``pat``; return bindings or None on failure."""
-    if isinstance(pat, A.PWild):
-        return {}
-    if isinstance(pat, A.PVar):
-        return {pat.name: value}
-    if isinstance(pat, A.PBool):
-        return {} if value is pat.value or value == pat.value else None
-    if isinstance(pat, A.PInt):
-        return {} if value == pat.value else None
-    if isinstance(pat, A.PNode):
-        return {} if value == pat.value else None
-    if isinstance(pat, A.PNone):
-        return {} if value is None else None
-    if isinstance(pat, A.PSome):
-        if isinstance(value, VSome):
-            return match_pattern(pat.sub, value.value)
-        return None
-    if isinstance(pat, (A.PTuple, A.PEdge)):
-        subs = pat.elts if isinstance(pat, A.PTuple) else (pat.src, pat.dst)
+    return _matcher(pat)(value)
+
+
+def _matcher(pat: A.Pattern) -> Callable[[Any], dict[str, Any] | None]:
+    """Compile ``pat`` to ``match(value) -> bindings | None``."""
+    build = _MATCHERS.get(type(pat))
+    if build is None:
+        return _raiser(f"unsupported pattern {pat}")
+    return build(pat)
+
+
+def _match_any(value):
+    return {}
+
+
+def _match_none(value):
+    return {} if value is None else None
+
+
+def _m_some(pat):
+    sub = _matcher(pat.sub)
+    return lambda value: sub(value.value) if isinstance(value, VSome) else None
+
+
+def _m_tuple(elts):
+    subs = [_matcher(p) for p in elts]
+
+    def match(value):
         if not isinstance(value, tuple) or len(value) != len(subs):
             return None
         bindings: dict[str, Any] = {}
-        for p, v in zip(subs, value):
-            sub_bindings = match_pattern(p, v)
+        for sub, v in zip(subs, value):
+            sub_bindings = sub(v)
             if sub_bindings is None:
                 return None
             bindings.update(sub_bindings)
         return bindings
-    if isinstance(pat, A.PRecord):
+    return match
+
+
+def _m_record(pat):
+    subs = [(name, _matcher(p)) for name, p in pat.fields]
+
+    def match(value):
         if not isinstance(value, VRecord):
             return None
-        bindings = {}
-        for name, p in pat.fields:
-            sub_bindings = match_pattern(p, value.get(name))
+        bindings: dict[str, Any] = {}
+        for name, sub in subs:
+            sub_bindings = sub(value.get(name))
             if sub_bindings is None:
                 return None
             bindings.update(sub_bindings)
         return bindings
-    raise NvRuntimeError(f"unsupported pattern {pat}")
+    return match
+
+
+_MATCHERS = {
+    A.PWild: lambda pat: _match_any, A.PNone: lambda pat: _match_none,
+    A.PVar: lambda pat: lambda value, name=pat.name: {name: value},
+    **dict.fromkeys((A.PBool, A.PInt, A.PNode), lambda pat: (
+        lambda value, const=pat.value: {} if value == const else None)),
+    A.PSome: _m_some, A.PRecord: _m_record, A.PTuple: lambda pat: _m_tuple(pat.elts),
+    A.PEdge: lambda pat: _m_tuple((pat.src, pat.dst)),
+}
 
 
 def program_env(program: A.Program, interp: Interpreter,

@@ -120,12 +120,16 @@ class VClosure:
 
     Closures compare and hash by identity (``eq=False``): top-level closures
     are created once per program evaluation, so identity is a sound and cheap
-    cache key for the diagram-operation memo tables."""
+    cache key for the diagram-operation memo tables.
+
+    ``code`` is the interpreter's compiled form of ``body``; closures built
+    elsewhere leave it unset and the interpreter fills it on first use."""
 
     param: str
     body: Any            # repro.lang.ast.Expr
     env: dict[str, Any]
     param_ty: Any = None
+    code: Any = None     # Callable[[env], value]
 
     def __repr__(self) -> str:
         return f"<fun {self.param} -> ...>"

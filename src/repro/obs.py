@@ -64,6 +64,11 @@ _tls = threading.local()
 #: stacks on *all* threads and :func:`flush_partial` can see open spans.
 _stacks: dict[int, list["Span"]] = {}
 _ids = itertools.count(1)
+#: Every span of the session by id, and ingested spans still waiting for
+#: their parent's record: what :func:`ingest` needs to graft a worker's
+#: completed spans into the live tree.
+_by_id: dict[int, "Span"] = {}
+_orphans: dict[int, list["Span"]] = {}
 
 
 @dataclass
@@ -142,6 +147,8 @@ def reset() -> None:
     """
     with _lock:
         _roots.clear()
+        _by_id.clear()
+        _orphans.clear()
         # Clear every registered stack *in place*: each list object is
         # shared with its owning thread's ``_tls.stack``, so the owning
         # thread sees the cleared stack too.  Registry entries are kept
@@ -265,7 +272,9 @@ def now() -> float:
 def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
            id_map: dict[int, int] | None = None, parent_span: int = 0,
            **extra_attrs: Any) -> None:
-    """Re-emit pre-serialised trace records into the current sink.
+    """Re-emit pre-serialised trace records into the current sink, and
+    graft each completed span among them into the live :class:`Span` tree
+    (so :func:`render_tree` shows worker spans under ``parent_span``).
 
     This is how :mod:`repro.parallel` merges worker-process traces into the
     parent's timeline: each worker traces into an in-memory JSONL buffer
@@ -331,6 +340,29 @@ def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
             attrs.update(extra_attrs)
             rec["attrs"] = attrs
         _write(rec)
+        if rec.get("type") == "span" and not rec.get("partial"):
+            _graft(rec)
+
+
+def _graft(rec: dict[str, Any]) -> None:
+    """Mirror one completed, already remapped span record in the live tree.
+    A source writes a span when it closes, children first, so a span whose
+    parent is not known yet waits in ``_orphans`` until that record comes."""
+    sp = Span(name=rec["name"], attrs=dict(rec.get("attrs") or {}),
+              id=rec["id"], parent_id=rec.get("parent", 0),
+              t0=rec.get("t0", 0.0), dur=rec.get("dur", 0.0),
+              n_events=rec.get("events", 0),
+              counters=dict(rec.get("counters") or {}))
+    with _lock:
+        sp.children = _orphans.pop(sp.id, [])
+        _by_id[sp.id] = sp
+        parent = _by_id.get(sp.parent_id)
+        if parent is not None:
+            parent.children.append(sp)
+        elif sp.parent_id:
+            _orphans.setdefault(sp.parent_id, []).append(sp)
+        else:
+            _roots.append(sp)
 
 
 @contextmanager
@@ -341,6 +373,7 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
         yield None
         return
     sp = Span(name=name, attrs=dict(attrs), id=next(_ids))
+    _by_id[sp.id] = sp
     stack = _thread_stack()
     parent = stack[-1] if stack else None
     sp.parent_id = parent.id if parent is not None else 0

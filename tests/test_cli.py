@@ -1,7 +1,10 @@
 """CLI tests: every subcommand end to end on temporary files."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +230,20 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "fault.transform" in out and "fault.classes" in out
 
+    def test_fault_trace_sharded_renders_the_serial_spans(self, tmp_path, capsys):
+        """Worker spans are grafted into the rendered tree: whatever
+        ``--trace`` names at ``--jobs 1`` it also names at ``--jobs 2``."""
+        f = tmp_path / "tri.nv"
+        f.write_text(RIP_TRIANGLE.replace("h <= 1u8", "h <= 2u8"))
+        names = {}
+        for jobs in ("1", "2"):
+            assert main(["fault", str(f), "--trace", "--jobs", jobs]) == 0
+            tree = capsys.readouterr().out.split("trace (", 1)[1].splitlines()[1:]
+            names[jobs] = {line.lstrip("│├└─ ").split()[0] for line in tree}
+        assert {"fault.transform", "sim.simulate", "fault.classes"} <= names["1"]
+        assert names["1"] <= names["2"]
+        assert "fault.unit" in names["2"]
+
 
 class TestExplain:
     def test_chain_to_origin(self, triangle_file, capsys):
@@ -356,3 +373,44 @@ class TestMetricsFlags:
         assert not metrics.is_enabled()
         perf.disable()
         perf.reset()
+
+
+class TestImportsOnlyWhatRuns:
+    """The package and the CLI load a back end when it is first used; asked
+    in a fresh interpreter, where no other test has imported anything."""
+
+    @staticmethod
+    def loaded_after(code: str, *argv: str) -> set[str]:
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code += "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('repro')))"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    def test_topology_generators_load_no_analysis(self):
+        loaded = self.loaded_after("import repro.topology")
+        assert "repro.topology.fattree" in loaded
+        assert not {m for m in loaded
+                    if m.startswith(("repro.analysis", "repro.smt", "repro.api"))}
+
+    def test_simulate_never_imports_the_sat_solver(self, triangle_file):
+        loaded = self.loaded_after(
+            "import sys\nfrom repro.cli import main\n"
+            "assert main(['simulate', sys.argv[1]]) == 0", triangle_file)
+        assert "repro.analysis.simulation" in loaded
+        assert not {m for m in loaded if m.startswith(("repro.smt", "repro.partition"))}
+        assert "repro.analysis.fault" not in loaded
+
+    def test_package_entry_points_still_resolve(self):
+        import repro
+        import repro.analysis
+        from repro import api
+        from repro.analysis.fault import FaultReport
+
+        assert repro.load is api.load and repro.verify is api.verify
+        assert repro.analysis.FaultReport is FaultReport
+        with pytest.raises(AttributeError):
+            repro.no_such_name

@@ -481,3 +481,27 @@ class TestIngestStreaming:
         assert root["parent"] == dispatch_id
         assert child["parent"] == root["id"]
         assert note["span"] == dispatch_id
+
+    def test_completed_spans_join_the_live_tree(self):
+        """``render_tree`` walks the in-memory tree, so ingest grafts each
+        completed span under its (remapped) parent — children stream in
+        before their parent, and partial snapshots are not spans yet."""
+        obs.enable(jsonl=io.StringIO())
+        id_map = {0: 0}
+        with obs.span("dispatch") as sp:
+            obs.ingest([
+                {"type": "span", "id": 2, "parent": 1, "name": "w.child",
+                 "t0": 0.0, "dur": 0.1},
+                {"type": "span", "id": 1, "parent": 0, "name": "w.root",
+                 "t0": 0.0, "dur": 0.1, "partial": True},
+            ], id_map=id_map, parent_span=sp.id)
+            assert sp.children == []
+            obs.ingest([{"type": "span", "id": 1, "parent": 0, "name": "w.root",
+                         "t0": 0.0, "dur": 0.2}],
+                       id_map=id_map, parent_span=sp.id, proc=1)
+        (root,) = sp.children
+        assert (root.name, root.dur, root.attrs) == ("w.root", 0.2, {"proc": 1})
+        assert [c.name for c in root.children] == ["w.child"]
+        rendered = obs.render_tree()
+        assert rendered.index("dispatch") < rendered.index("w.root") \
+            < rendered.index("w.child")
