@@ -36,11 +36,18 @@ Observability flags shared by the analysis commands (see README
 
 ``python -m repro report trace.jsonl`` turns a trace (plus an optional
 metrics snapshot) into a self-contained HTML run report.
+
+Exit status: 0 the property holds (or the command did its job), 1 it is
+violated, 2 ``verify`` could not decide, 130 interrupted, and 3 for every
+contract error — an ill-formed program or flag, a failed worker, a program
+nested past the recursion limit, or a reader that closed stdout (``| head``)
+— each without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -118,19 +125,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
     symbolics = _parse_symbolics(args.symbolic, nets[0])
-    # --trace defaults to running the (value-preserving subset of the) §5.2
-    # pipeline so the span tree shows per-pass work; --lower/--no-lower
-    # overrides in either direction.
-    lower = args.lower if args.lower is not None else _tracing(args)
     backend = "native" if args.native else "interp"
     if len(nets) == 1:
         # Single network: run in-process (live labels, exact legacy output).
-        reports = [run_simulation(nets[0], symbolics, backend, lower=lower)]
+        reports = [run_simulation(nets[0], symbolics, backend, lower=args.lower)]
     else:
         # Several networks (e.g. one file per destination prefix): shard
         # over the worker pool.  Labels come back frozen (picklable
         # snapshots) but summaries/violations are unaffected.
-        reports = run_simulations(nets, symbolics, backend, lower=lower,
+        reports = run_simulations(nets, symbolics, backend, lower=args.lower,
                                   jobs=parallel.resolve_jobs(args.jobs),
                                   unit_labels=[str(f) for f in args.file])
     rc = 0
@@ -499,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--show-routes", action="store_true")
     simulate.add_argument("--max-nodes", type=int, default=50)
     simulate.add_argument("--lower", action=argparse.BooleanOptionalAction,
-                          default=None,
+                          default=False,
                           help="run the value-preserving §5.2 passes "
-                               "(inline + partial-eval) before simulating "
-                               "(default: only under --trace)")
+                               "(inline + partial-eval) before simulating; "
+                               "with --trace, shows the per-pass spans")
     _add_obs_args(simulate)
     _add_jobs_arg(simulate)
     simulate.set_defaults(fn=cmd_simulate)
@@ -648,6 +651,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        rc = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        # The reader went away (`repro simulate f.nv | head -1`).  Point
+        # stdout at /dev/null so the exit-time flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     tracing = _tracing(args)
     metrics_on = _metrics_on(args)

@@ -30,7 +30,7 @@ from .. import telemetry
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError, NvRuntimeError
-from .interp import Interpreter
+from .interp import Interpreter, eta_reduct
 from .maps import MapContext, NVMap
 from .values import VRecord, VSome
 
@@ -221,18 +221,9 @@ class PyCompiler:
         raise NvEncodingError(f"cannot compile {type(e).__name__}")
 
     def compile_fun(self, e: A.EFun, em: _Emitter) -> str:
-        # Eta-reduction: `fun x -> f x` (x not free in f) compiles to `f`
-        # itself.  NV is pure and non-recursive, so evaluating `f` eagerly is
-        # sound — and it is a large win: the front end eta-expands transfer
-        # functions per edge (`map (transRoute e) m`), and reducing the
-        # wrapper exposes the *underlying* closure's ``nv_cache_key``, letting
-        # every edge share one diagram-operation memo table instead of each
-        # keeping its own.
-        body = e.body
-        if (isinstance(body, A.EApp) and isinstance(body.arg, A.EVar)
-                and body.arg.name == e.param
-                and e.param not in A.free_vars(body.fn)):
-            return self.compile_expr(body.fn, em)
+        wrapped = eta_reduct(e)     # exposes the wrapped closure's nv_cache_key
+        if wrapped is not None:
+            return self.compile_expr(wrapped, em)
         name = f"__fn{next(self._fn)}"
         em.emit(f"def {name}({_mangle(e.param)}):")
         em.indent += 1

@@ -24,6 +24,23 @@ from .values import VClosure, VRecord, VSome
 Code = Callable[[dict[str, Any]], Any]      # a compiled expression: code(env)
 
 
+def eta_reduct(e: A.EFun) -> A.Expr | None:
+    """``f`` when ``e`` is ``fun x -> f x`` with ``x`` not free in ``f``.
+
+    Both evaluators compile such a wrapper to ``f`` itself.  NV is pure and
+    non-recursive, so evaluating ``f`` when the closure is made is sound —
+    and a large win: the front end eta-expands transfer functions per edge
+    (``map (transRoute e) m``), and the underlying closure's memo key leaves
+    out what its body ignores, so every edge shares one diagram-operation
+    memo table instead of each keeping its own."""
+    body = e.body
+    if (type(body) is A.EApp and type(body.arg) is A.EVar
+            and body.arg.name == e.param
+            and e.param not in A.free_vars(body.fn)):
+        return body.fn
+    return None
+
+
 class Interpreter:
     def __init__(self, ctx: MapContext | None = None,
                  enable_cache: bool = True) -> None:
@@ -177,6 +194,9 @@ class Interpreter:
         return match
 
     def _c_EFun(self, e: A.EFun) -> Code:
+        wrapped = eta_reduct(e)
+        if wrapped is not None:
+            return self._compile(wrapped)
         param, body, param_ty, code = e.param, e.body, e.param_ty, self._compile(e.body)
         return lambda env: VClosure(param, body, env, param_ty, code)
 

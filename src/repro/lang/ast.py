@@ -8,7 +8,8 @@ let/fun/app/if/match, exactly the surface the paper commits to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import is_
 from typing import Iterator
 
 from .types import Type
@@ -487,41 +488,78 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-def map_children(e: Expr, fn) -> Expr:
-    """Rebuild ``e`` with ``fn`` applied to each immediate sub-expression.
+def _seq(xs: tuple, fn) -> tuple:
+    new = tuple(map(fn, xs))
+    return xs if all(map(is_, new, xs)) else new
 
-    Returns a new node; type annotations on the rebuilt node are preserved.
-    """
-    if isinstance(e, ESome):
-        return ESome(fn(e.sub), ty=e.ty, span=e.span)
-    if isinstance(e, ETuple):
-        return ETuple(tuple(fn(x) for x in e.elts), ty=e.ty, span=e.span)
-    if isinstance(e, ETupleGet):
-        return ETupleGet(fn(e.sub), e.index, e.arity, ty=e.ty, span=e.span)
-    if isinstance(e, ERecord):
-        return ERecord(tuple((n, fn(x)) for n, x in e.fields), ty=e.ty, span=e.span)
-    if isinstance(e, ERecordWith):
-        return ERecordWith(fn(e.base), tuple((n, fn(x)) for n, x in e.updates),
-                           ty=e.ty, span=e.span)
-    if isinstance(e, EProj):
-        return EProj(fn(e.sub), e.label, ty=e.ty, span=e.span)
-    if isinstance(e, EIf):
-        return EIf(fn(e.cond), fn(e.then), fn(e.els), ty=e.ty, span=e.span)
-    if isinstance(e, ELet):
-        return ELet(e.name, fn(e.bound), fn(e.body), annot=e.annot, ty=e.ty, span=e.span)
-    if isinstance(e, ELetPat):
-        return ELetPat(e.pat, fn(e.bound), fn(e.body), ty=e.ty, span=e.span)
-    if isinstance(e, EFun):
-        return EFun(e.param, fn(e.body), param_ty=e.param_ty, ty=e.ty, span=e.span)
-    if isinstance(e, EApp):
-        return EApp(fn(e.fn), fn(e.arg), ty=e.ty, span=e.span)
-    if isinstance(e, EMatch):
-        return EMatch(fn(e.scrutinee), tuple((p, fn(x)) for p, x in e.branches),
-                      ty=e.ty, span=e.span)
-    if isinstance(e, EOp):
-        return EOp(e.op, tuple(fn(x) for x in e.args), ty=e.ty, span=e.span)
-    # Leaves: EVar, EBool, EInt, ENode, EEdge, ENone.
-    return e
+
+def _pairs(pairs: tuple, fn) -> tuple:
+    new = [fn(x) for _, x in pairs]
+    if all(a is b[1] for a, b in zip(new, pairs)):
+        return pairs
+    return tuple([(b[0], a) for a, b in zip(new, pairs)])
+
+
+# One rebuilder per interior node class: ``e`` itself unless a child changed.
+# ``&`` rather than ``and``, so that every child is mapped whether or not an
+# earlier one changed.
+_MAP_CHILDREN = {
+    ESome: lambda e, fn: e if (s := fn(e.sub)) is e.sub else ESome(s, e.ty, e.span),
+    ETuple: lambda e, fn: (
+        e if (xs := _seq(e.elts, fn)) is e.elts else ETuple(xs, e.ty, e.span)),
+    ETupleGet: lambda e, fn: (
+        e if (s := fn(e.sub)) is e.sub
+        else ETupleGet(s, e.index, e.arity, e.ty, e.span)),
+    ERecord: lambda e, fn: (
+        e if (fs := _pairs(e.fields, fn)) is e.fields else ERecord(fs, e.ty, e.span)),
+    ERecordWith: lambda e, fn: (
+        e if ((b := fn(e.base)) is e.base) & ((us := _pairs(e.updates, fn)) is e.updates)
+        else ERecordWith(b, us, e.ty, e.span)),
+    EProj: lambda e, fn: (
+        e if (s := fn(e.sub)) is e.sub else EProj(s, e.label, e.ty, e.span)),
+    EIf: lambda e, fn: (
+        e if ((c := fn(e.cond)) is e.cond) & ((t := fn(e.then)) is e.then)
+        & ((f := fn(e.els)) is e.els) else EIf(c, t, f, e.ty, e.span)),
+    ELet: lambda e, fn: (
+        e if ((b := fn(e.bound)) is e.bound) & ((x := fn(e.body)) is e.body)
+        else ELet(e.name, b, x, e.annot, e.ty, e.span)),
+    ELetPat: lambda e, fn: (
+        e if ((b := fn(e.bound)) is e.bound) & ((x := fn(e.body)) is e.body)
+        else ELetPat(e.pat, b, x, e.ty, e.span)),
+    EFun: lambda e, fn: (
+        e if (b := fn(e.body)) is e.body else EFun(e.param, b, e.param_ty, e.ty, e.span)),
+    EApp: lambda e, fn: (
+        e if ((f := fn(e.fn)) is e.fn) & ((a := fn(e.arg)) is e.arg)
+        else EApp(f, a, e.ty, e.span)),
+    EMatch: lambda e, fn: (
+        e if ((s := fn(e.scrutinee)) is e.scrutinee)
+        & ((bs := _pairs(e.branches, fn)) is e.branches)
+        else EMatch(s, bs, e.ty, e.span)),
+    EOp: lambda e, fn: (
+        e if (xs := _seq(e.args, fn)) is e.args else EOp(e.op, xs, e.ty, e.span)),
+}
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """``e`` with ``fn`` applied to each immediate sub-expression, in
+    evaluation order.  When no child changed the result is ``e`` itself, not
+    a copy (leaves always); a rebuilt node keeps ``e``'s annotations."""
+    rebuild = _MAP_CHILDREN.get(type(e))
+    return e if rebuild is None else rebuild(e, fn)
+
+
+def map_children_retyped(e: Expr, fn, ty: Type | None, retype) -> Expr:
+    """:func:`map_children` for a pass that rewrites types: always a new node,
+    annotated ``ty``, its ``param_ty`` / ``annot`` taken through ``retype``."""
+    out = map_children(e, fn)
+    if out is e:
+        out = replace(e)
+    out.ty = ty
+    if type(out) is EFun and out.param_ty is not None:
+        out.param_ty = retype(out.param_ty)
+    elif type(out) is ELet and out.annot is not None:
+        out.annot = retype(out.annot)
+    return out
 
 
 def free_vars(e: Expr) -> set[str]:

@@ -86,13 +86,7 @@ def records_to_tuples(e: A.Expr) -> A.Expr:
         return A.ELetPat(_record_pattern(e.pat, e.bound.ty),
                          records_to_tuples(e.bound), records_to_tuples(e.body),
                          ty=ty, span=e.span)
-    out = A.map_children(e, records_to_tuples)
-    out.ty = ty
-    if isinstance(out, A.EFun) and out.param_ty is not None:
-        out.param_ty = record_type_to_tuple(out.param_ty)
-    if isinstance(out, A.ELet) and out.annot is not None:
-        out.annot = record_type_to_tuple(out.annot)
-    return out
+    return A.map_children_retyped(e, records_to_tuples, ty, record_type_to_tuple)
 
 
 def _record_pattern(p: A.Pattern, scrut_ty: T.Type | None) -> A.Pattern:
@@ -227,13 +221,7 @@ def flatten_expr(e: A.Expr) -> A.Expr:
             body = A.ELet(name, expr, body, ty=body.ty)
         return A.ELetPat(fp, flatten_expr(e.bound), body, ty=ty, span=e.span)
 
-    out = A.map_children(e, flatten_expr)
-    out.ty = ty
-    if isinstance(out, A.EFun) and out.param_ty is not None:
-        out.param_ty = flatten_type(out.param_ty)
-    if isinstance(out, A.ELet) and out.annot is not None:
-        out.annot = flatten_type(out.annot)
-    return out
+    return A.map_children_retyped(e, flatten_expr, ty, flatten_type)
 
 
 def _splice(e: A.Expr) -> list[A.Expr]:
@@ -242,13 +230,14 @@ def _splice(e: A.Expr) -> list[A.Expr]:
         return list(e.elts)
     assert isinstance(e.ty, T.TTuple)
     n = len(e.ty.elts)
-    if isinstance(e, A.EVar):
-        return [A.ETupleGet(e, i, n, ty=e.ty.elts[i]) for i in range(n)]
+    if isinstance(e, A.EVar):   # one occurrence per slot: the result is a tree
+        return [A.ETupleGet(A.EVar(e.name, e.ty, e.span), i, n, ty=e.ty.elts[i])
+                for i in range(n)]
     # General expression: the caller's let-binding discipline would be
     # needed to avoid duplication; bind here.
     tmp = _fresh("sp")
-    var = A.EVar(tmp, ty=e.ty)
-    gets = [A.ETupleGet(var, i, n, ty=e.ty.elts[i]) for i in range(n)]
+    gets = [A.ETupleGet(A.EVar(tmp, ty=e.ty), i, n, ty=e.ty.elts[i])
+            for i in range(n)]
     # Represent the binding by returning a single-element marker is not
     # possible; instead wrap each get in the same let (duplicated bound
     # expression is avoided by the marker class below).

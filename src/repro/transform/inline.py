@@ -10,90 +10,116 @@ partial evaluator then simplifies.
 from __future__ import annotations
 
 from ..lang import ast as A
-from ..lang.errors import NvTransformError
 from .rename import Renamer
 
 
 def substitute(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
     """Capture-avoiding substitution (assumes alpha-renamed input, so bound
-    names never collide with the substitution's domain or free variables)."""
-    if not env:
-        return e
-    if isinstance(e, A.EVar):
-        replacement = env.get(e.name)
-        return replacement if replacement is not None else e
-    if isinstance(e, A.ELet):
-        new_env = {k: v for k, v in env.items() if k != e.name}
-        return A.ELet(e.name, substitute(e.bound, env), substitute(e.body, new_env),
-                      annot=e.annot, ty=e.ty, span=e.span)
-    if isinstance(e, A.ELetPat):
-        bound_names = set(e.pat.bound_vars())
-        new_env = {k: v for k, v in env.items() if k not in bound_names}
-        return A.ELetPat(e.pat, substitute(e.bound, env), substitute(e.body, new_env),
-                         ty=e.ty, span=e.span)
-    if isinstance(e, A.EFun):
-        new_env = {k: v for k, v in env.items() if k != e.param}
-        return A.EFun(e.param, substitute(e.body, new_env),
-                      param_ty=e.param_ty, ty=e.ty, span=e.span)
-    if isinstance(e, A.EMatch):
-        branches = []
-        for pat, body in e.branches:
-            bound_names = set(pat.bound_vars())
-            new_env = {k: v for k, v in env.items() if k not in bound_names}
-            branches.append((pat, substitute(body, new_env)))
-        return A.EMatch(substitute(e.scrutinee, env), tuple(branches),
-                        ty=e.ty, span=e.span)
-    return A.map_children(e, lambda x: substitute(x, env))
+    names never collide with the free variables of a replacement)."""
+    return Substituter()(e, env)
+
+
+# The names a node binds, for the classes that bind any.
+_BOUND = {
+    A.ELet: lambda e: (e.name,), A.EFun: lambda e: (e.param,),
+    A.ELetPat: lambda e: e.pat.bound_vars(),
+    A.EMatch: lambda e: [n for pat, _ in e.branches for n in pat.bound_vars()],
+}
+
+
+class Substituter:
+    """Substitution that keeps a tree a tree: a replacement goes to its first
+    use site as it is and to every later one as a copy with fresh binders
+    (one instance, one supply of names: ``x~s0``, ``x~s1``, … never collide
+    with the inliner's ``x~0``).  A subtree nothing is substituted into comes
+    back as the same object."""
+
+    def __init__(self) -> None:
+        self.copier = Renamer("s")
+
+    def __call__(self, e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
+        self.unplaced = set(env)
+        return self._walk(e, env) if env else e
+
+    def _walk(self, e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
+        t = type(e)
+        if t is A.EVar:
+            if e.name not in env:
+                return e
+            if e.name in self.unplaced:
+                self.unplaced.remove(e.name)
+                return env[e.name]
+            return self.copier.rename_expr(env[e.name])
+        if t in _BOUND and any(name in env for name in _BOUND[t](e)):
+            # Never on renamed input: a binder shadows a substituted name, so
+            # alpha-convert it out of the way.
+            e = self.copier.rename_expr(e)
+        return A.map_children(e, lambda x: self._walk(x, env))
+
+
+def beta_apply(fn: A.Expr, arg: A.Expr, ty=None, span=None) -> A.Expr:
+    """``fn arg``, reduced on the application spine: ``(fun x -> body) arg``
+    is ``let x = arg in body``, and an application is pushed through a let:
+    ``(let x = a in f) b`` is ``let x = a in (f b)``."""
+    if type(fn) is A.EFun:
+        return A.ELet(fn.param, arg, fn.body, fn.param_ty, ty, span)
+    if type(fn) is A.ELet:
+        return A.ELet(fn.name, fn.bound, beta_apply(fn.body, arg, ty),
+                      fn.annot, ty, span)
+    return A.EApp(fn, arg, ty, span)
 
 
 def beta_reduce(e: A.Expr) -> A.Expr:
     """Turn ``(fun x -> body) arg`` into ``let x = arg in body``, bottom-up."""
     e = A.map_children(e, beta_reduce)
-    if isinstance(e, A.EApp) and isinstance(e.fn, A.EFun):
-        fn = e.fn
-        return beta_reduce(A.ELet(fn.param, e.arg, fn.body,
-                                  annot=fn.param_ty, ty=e.ty, span=e.span))
-    if isinstance(e, A.EApp) and isinstance(e.fn, A.ELet):
-        # Push applications through lets: ((let x = a in f) b) -> let x = a in (f b).
-        inner = e.fn
-        return beta_reduce(A.ELet(inner.name, inner.bound,
-                                  A.EApp(inner.body, e.arg, ty=e.ty),
-                                  annot=inner.annot, ty=e.ty, span=e.span))
+    if type(e) is A.EApp and type(e.fn) in (A.EFun, A.ELet):
+        return beta_apply(e.fn, e.arg, e.ty, e.span)
     return e
+
+
+class _Inliner(Renamer):
+    """The renaming walk with the helpers defined so far in hand: a free
+    variable naming one becomes a fresh-binder copy of its (already normal)
+    body, and applications are β-reduced as they are built — the copy is the
+    only time a use site touches the helper's nodes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.helpers: dict[str, A.Expr] = {}
+
+    app = staticmethod(beta_apply)
+
+    def free_var(self, e: A.EVar) -> A.Expr:
+        body = self.helpers.get(e.name)
+        if body is None:
+            return super().free_var(e)
+        # The body is closed under the helpers it was built from: while it is
+        # copied, a free name in it is looked up in nothing.
+        helpers, self.helpers = self.helpers, {}
+        try:
+            return self.rename_expr(body)
+        finally:
+            self.helpers = helpers
 
 
 def inline_program(program: A.Program,
                    keep: set[str] | None = None) -> A.Program:
     """Substitute every top-level ``let`` into subsequent declarations and
-    beta-reduce.  ``keep`` names survive as declarations (by default the
-    network entry points, fig 8)."""
+    beta-reduce, in one walk per declaration.  ``keep`` names survive as
+    declarations (by default the network entry points, fig 8)."""
     if keep is None:
         keep = {"init", "trans", "merge", "assert", "nodes", "edges"}
-    renamer = Renamer()
-    env: dict[str, A.Expr] = {}
+    inliner = _Inliner()
     decls: list[A.Decl] = []
     for d in program.decls:
         if isinstance(d, A.DLet):
-            # Rename before substitution (so local binders cannot capture free
-            # names in replacements) and after (so a definition substituted at
-            # several use sites never shares binder names across sites).
-            body = substitute(renamer.rename_expr(d.expr), env)
-            body = beta_reduce(renamer.rename_expr(body))
+            body = inliner.rename_expr(d.expr)
             if d.name in keep:
                 decls.append(A.DLet(d.name, body, annot=d.annot))
             else:
-                env[d.name] = body
+                inliner.helpers[d.name] = body
         elif isinstance(d, A.DRequire):
-            decls.append(A.DRequire(beta_reduce(substitute(
-                renamer.rename_expr(d.expr), env))))
+            decls.append(A.DRequire(inliner.rename_expr(d.expr)))
         else:
             decls.append(d)
     return A.Program(decls)
-
-
-def apply_function(fn_expr: A.Expr, args: list[A.Expr]) -> A.Expr:
-    """Build the inlined application of ``fn_expr`` to ``args``."""
-    e: A.Expr = fn_expr
-    for arg in args:
-        e = A.EApp(e, arg)
-    return beta_reduce(e)

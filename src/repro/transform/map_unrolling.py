@@ -143,13 +143,7 @@ class MapUnroller:
             out = self._unroll_map_op(e, ty)
             out.ty = ty
             return out
-        out = A.map_children(e, self.unroll)
-        out.ty = ty
-        if isinstance(out, A.EFun) and out.param_ty is not None:
-            out.param_ty = self.unroll_type(out.param_ty)
-        if isinstance(out, A.ELet) and out.annot is not None:
-            out.annot = self.unroll_type(out.annot)
-        return out
+        return A.map_children_retyped(e, self.unroll, ty, self.unroll_type)
 
     def _map_info(self, map_expr: A.Expr) -> tuple[T.Type, list[Any], int]:
         map_ty = map_expr.ty

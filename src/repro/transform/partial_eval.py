@@ -17,15 +17,16 @@ from __future__ import annotations
 
 from ..lang import ast as A
 from ..lang import types as T
-from .inline import substitute
+from .inline import Substituter
 
 _MAX_PASSES = 10
 
 
 def partial_eval(e: A.Expr) -> A.Expr:
     """Simplify ``e`` to a fixpoint (bounded number of passes)."""
+    simplify = _Simplifier().simplify
     for _ in range(_MAX_PASSES):
-        simplified = _simplify(e)
+        simplified = simplify(e)
         if simplified is e:
             return e
         e = simplified
@@ -47,26 +48,30 @@ def is_value(e: A.Expr) -> bool:
     return False
 
 
-def _simplify(e: A.Expr) -> A.Expr:
-    new = A.map_children(e, _simplify)
-    if all(a is b for a, b in zip(e.children(), new.children())):
-        new = e  # nothing below changed: keep the original node identity
-    e = new
+class _Simplifier:
+    """One bottom-up round per :meth:`simplify` call.  A subtree no rule
+    fires in comes back as the same object, so an unchanged declaration costs
+    no allocation and ends the fix-point loop by identity."""
 
-    if isinstance(e, A.EOp):
-        folded = _fold_op(e)
-        if folded is not None:
-            return folded
-        return e
+    def __init__(self) -> None:
+        self.substitute = Substituter()     # one name supply for all its copies
 
-    if isinstance(e, A.EIf):
+    def simplify(self, e: A.Expr) -> A.Expr:
+        e = A.map_children(e, self.simplify)
+        rule = _RULES.get(type(e))
+        return e if rule is None else rule(self, e)
+
+    def _op(self, e: A.EOp) -> A.Expr:
+        return _fold_op(e) or e
+
+    def _if(self, e: A.EIf) -> A.Expr:
         if isinstance(e.cond, A.EBool):
             return e.then if e.cond.value else e.els
         if _same_expr(e.then, e.els):
             return e.then
         return e
 
-    if isinstance(e, A.EProj):
+    def _proj(self, e: A.EProj) -> A.Expr:
         base = e.sub
         if isinstance(base, A.ERecord):
             for name, sub_e in base.fields:
@@ -76,15 +81,13 @@ def _simplify(e: A.Expr) -> A.Expr:
             for name, sub_e in base.updates:
                 if name == e.label:
                     return sub_e
-            return _simplify(A.EProj(base.base, e.label, ty=e.ty, span=e.span))
+            return self.simplify(A.EProj(base.base, e.label, ty=e.ty, span=e.span))
         return e
 
-    if isinstance(e, A.ETupleGet):
-        if isinstance(e.sub, A.ETuple):
-            return e.sub.elts[e.index]
-        return e
+    def _tuple_get(self, e: A.ETupleGet) -> A.Expr:
+        return e.sub.elts[e.index] if isinstance(e.sub, A.ETuple) else e
 
-    if isinstance(e, A.ERecordWith):
+    def _record_with(self, e: A.ERecordWith) -> A.Expr:
         if isinstance(e.base, A.ERecord):
             updates = dict(e.updates)
             return A.ERecord(tuple((n, updates.get(n, v)) for n, v in e.base.fields),
@@ -96,17 +99,41 @@ def _simplify(e: A.Expr) -> A.Expr:
                                  ty=e.ty, span=e.span)
         return e
 
-    if isinstance(e, A.EMatch):
-        return _simplify_match(e)
+    def _match(self, e: A.EMatch) -> A.Expr:
+        kept: list[tuple[A.Pattern, A.Expr]] = []
+        for pat, body in e.branches:
+            result = _match_value(pat, e.scrutinee)
+            if result is False:
+                continue  # branch can never match
+            if isinstance(result, dict) and not kept:
+                # First branch that definitely matches: reduce to substitution.
+                return self.substitute(body, result)
+            kept.append((pat, body))
+            if isinstance(result, dict):
+                break  # later branches are unreachable
+        if len(kept) != len(e.branches):
+            return A.EMatch(e.scrutinee, tuple(kept), ty=e.ty, span=e.span)
+        return e
 
-    if isinstance(e, A.ELet):
-        return _simplify_let(e)
+    def _let(self, e: A.ELet) -> A.Expr:
+        # A cheap bound goes to every use (to none: the body comes back as it
+        # was); any other only to a single one.
+        if not (is_value(e.bound)
+                or isinstance(e.bound, (A.EVar, A.EProj, A.ETupleGet))):
+            uses = _count_uses(e.body, e.name)
+            if uses != 1:
+                return e if uses else e.body
+        return self.substitute(e.body, {e.name: e.bound})
 
-    if isinstance(e, A.ELetPat):
-        reduced = _reduce_let_pat(e)
-        return reduced if reduced is not None else e
+    def _let_pat(self, e: A.ELetPat) -> A.Expr:
+        result = _match_value(e.pat, e.bound)
+        return self.substitute(e.body, result) if isinstance(result, dict) else e
 
-    return e
+
+_RULES = {A.EOp: _Simplifier._op, A.EIf: _Simplifier._if,
+          A.EProj: _Simplifier._proj, A.ETupleGet: _Simplifier._tuple_get,
+          A.ERecordWith: _Simplifier._record_with, A.EMatch: _Simplifier._match,
+          A.ELet: _Simplifier._let, A.ELetPat: _Simplifier._let_pat}
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +149,14 @@ def _fold_op(e: A.EOp) -> A.Expr | None:
         if isinstance(a, A.EBool):
             return b if a.value else A.EBool(False, ty=e.ty)
         if isinstance(b, A.EBool):
-            return a if b.value else _maybe_discard(a, A.EBool(False, ty=e.ty))
+            return a if b.value else A.EBool(False, ty=e.ty)
         return None
     if op == "or":
         a, b = args
         if isinstance(a, A.EBool):
             return A.EBool(True, ty=e.ty) if a.value else b
         if isinstance(b, A.EBool):
-            return _maybe_discard(a, A.EBool(True, ty=e.ty)) if b.value else a
+            return A.EBool(True, ty=e.ty) if b.value else a
         return None
     if op == "not":
         (a,) = args
@@ -215,11 +242,6 @@ def _same_expr(a: A.Expr, b: A.Expr) -> bool:
     return False
 
 
-def _maybe_discard(discarded: A.Expr, result: A.Expr) -> A.Expr | None:
-    """Discard a subexpression only if it is pure — all NV expressions are."""
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Match and let reduction
 # ---------------------------------------------------------------------------
@@ -294,23 +316,6 @@ def _match_value(pat: A.Pattern, e: A.Expr) -> dict[str, A.Expr] | None | bool:
     return None
 
 
-def _simplify_match(e: A.EMatch) -> A.Expr:
-    kept: list[tuple[A.Pattern, A.Expr]] = []
-    for pat, body in e.branches:
-        result = _match_value(pat, e.scrutinee)
-        if result is False:
-            continue  # branch can never match
-        if isinstance(result, dict) and not kept:
-            # First branch that definitely matches: reduce to substitution.
-            return substitute(body, result)
-        kept.append((pat, body))
-        if isinstance(result, dict):
-            break  # later branches are unreachable
-    if len(kept) != len(e.branches):
-        return A.EMatch(e.scrutinee, tuple(kept), ty=e.ty, span=e.span)
-    return e
-
-
 def _count_uses(e: A.Expr, name: str) -> int:
     if isinstance(e, A.EVar):
         return 1 if e.name == name else 0
@@ -320,23 +325,6 @@ def _count_uses(e: A.Expr, name: str) -> int:
         if total > 1:
             return total
     return total
-
-
-def _simplify_let(e: A.ELet) -> A.Expr:
-    uses = _count_uses(e.body, e.name)
-    if uses == 0:
-        return e.body
-    cheap = is_value(e.bound) or isinstance(e.bound, (A.EVar, A.EProj, A.ETupleGet))
-    if cheap or uses == 1:
-        return substitute(e.body, {e.name: e.bound})
-    return e
-
-
-def _reduce_let_pat(e: A.ELetPat) -> A.Expr | None:
-    result = _match_value(e.pat, e.bound)
-    if isinstance(result, dict):
-        return substitute(e.body, result)
-    return None
 
 
 # ---------------------------------------------------------------------------

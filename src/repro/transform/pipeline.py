@@ -8,8 +8,9 @@
 4. flatten nested tuples;
 5. partially evaluate, clearing the clutter the passes introduce.
 
-Types are re-inferred after each shape-changing pass (the passes rewrite
-layouts, so stale annotations would be wrong).  The result computes the same
+Types are re-inferred before each pass that reads them (the passes rewrite
+layouts, so stale annotations would be wrong) and once at the end; inlining
+and partial evaluation read none.  The result computes the same
 stable states as the input — the property the transformation test suite
 checks by simulating both — while containing only flat tuples of scalars and
 maps, the shape the SMT encoder and MTBDD layouts want.
@@ -48,16 +49,17 @@ def ast_size(program: A.Program) -> int:
 
 
 def _run_pass(name: str, fn: Callable[[A.Program], A.Program],
-              program: A.Program, recheck: bool = True) -> A.Program:
+              program: A.Program, recheck: bool) -> A.Program:
     """Run one §5.2 pass under a ``transform.<name>`` span, recording the
-    AST node-count delta and flushing it into :mod:`repro.perf`."""
+    AST node-count delta and flushing it into :mod:`repro.perf`.  ``recheck``
+    re-infers types first, for a pass that reads them off a rewritten
+    program."""
     tracing = obs.is_enabled()
     before = ast_size(program) if (tracing or perf.is_enabled()) else 0
     with obs.span(f"transform.{name}") as sp:
-        program = fn(program)
         if recheck:
-            # Shape-changing passes invalidate annotations; re-infer types.
             check_program(program)
+        program = fn(program)
         if tracing or perf.is_enabled():
             after = ast_size(program)
             perf.merge({f"{name}_nodes_in": before,
@@ -85,24 +87,26 @@ def lower_program(program: A.Program | Network, unbox: bool = True,
     Each pass runs under a ``transform.<pass>`` span (see :mod:`repro.obs`)
     that records the AST node-count delta, so ``--trace`` shows where the
     pipeline grows or shrinks the program."""
-    passes: list[tuple[str, Callable[[A.Program], A.Program]]] = [
-        ("inline", inline_program)]
+    # (span name, pass, whether it reads the annotations of its input)
+    passes: list[tuple[str, Callable[[A.Program], A.Program], bool]] = [
+        ("inline", inline_program, False)]
     if unroll:
         from .map_unrolling import unroll_program
-        passes.append(("unroll_maps", unroll_program))
+        passes.append(("unroll_maps", unroll_program, True))
     if unbox:
-        passes.append(("unbox_options", unbox_program))
+        passes.append(("unbox_options", unbox_program, True))
     if flatten:
-        passes += [("records_to_tuples", records_to_tuples_program),
-                   ("flatten_tuples", flatten_program)]
+        passes += [("records_to_tuples", records_to_tuples_program, True),
+                   ("flatten_tuples", flatten_program, True)]
     if partial:
-        passes.append(("partial_eval", partial_eval_program))
+        passes.append(("partial_eval", partial_eval_program, False))
     as_network = isinstance(program, Network)
     if as_network:
         program = program.program
-    # A Network's last pass is not re-inferred here: from_program does it.
-    unchecked = passes[-1][0] if as_network else None
     with obs.span("transform.lower"):
-        for name, fn in passes:
-            program = _run_pass(name, fn, program, recheck=name != unchecked)
+        for name, fn, reads_types in passes:
+            program = _run_pass(name, fn, program, recheck=reads_types)
+        if not as_network:
+            check_program(program)
+    # A Network's final shape is inferred by from_program, not here as well.
     return Network.from_program(program) if as_network else program

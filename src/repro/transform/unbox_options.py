@@ -70,13 +70,7 @@ def unbox_expr(e: A.Expr) -> A.Expr:
     if isinstance(e, A.ELetPat):
         return A.ELetPat(unbox_pattern(e.pat), unbox_expr(e.bound),
                          unbox_expr(e.body), ty=ty, span=e.span)
-    out = A.map_children(e, unbox_expr)
-    out.ty = ty
-    if isinstance(out, A.EFun) and out.param_ty is not None:
-        out.param_ty = unbox_type(out.param_ty)
-    if isinstance(out, A.ELet) and out.annot is not None:
-        out.annot = unbox_type(out.annot)
-    return out
+    return A.map_children_retyped(e, unbox_expr, ty, unbox_type)
 
 
 def unbox_pattern(p: A.Pattern) -> A.Pattern:

@@ -184,6 +184,21 @@ class TestRuntimeErrors:
         with pytest.raises(NvRuntimeError, match="match failure on None"):
             Interpreter().apply(fn, None)
 
+    def test_eta_reduced_wrapper_is_the_function_it_wraps(self):
+        """``fun x -> f x`` evaluates ``f`` when the closure is made, as the
+        compiled backend always has: its value *is* the wrapped function
+        (one memo key for every edge's ``transRoute e``), and an error in
+        ``f`` surfaces there rather than at the first application."""
+        inc = eval_untyped("fun n -> n + 1")
+        assert eval_untyped("fun x -> f x", {"f": inc}) is inc
+        assert eval_untyped("fun x -> (g 1) x", {"g": lambda _: inc}) is inc
+        with pytest.raises(NvRuntimeError, match="unbound variable 'y'"):
+            eval_untyped("fun x -> (y 3) x")
+        # `x` free in the function position: not a wrapper, nothing runs yet.
+        fn = eval_untyped("fun x -> (y x) x")
+        with pytest.raises(NvRuntimeError, match="unbound variable 'y'"):
+            Interpreter().apply(fn, 1)
+
     def test_unknown_operator_in_an_untaken_branch(self):
         e = parse_expr("if c then 1 else 2 + 3")
         e.els.op = "bogus"              # EOp validates its name on construction

@@ -162,7 +162,7 @@ class TestObservability:
         assert "sim.activations" in out
 
     def test_simulate_trace_tree(self, triangle_file, capsys):
-        assert main(["simulate", triangle_file, "--trace"]) == 0
+        assert main(["simulate", triangle_file, "--trace", "--lower"]) == 0
         out = capsys.readouterr().out
         # The span tree covers the frontend, the lowering pipeline's
         # individual passes, and the simulation phases.
@@ -198,11 +198,20 @@ class TestObservability:
         assert "transform.lower" not in out
         assert "sim.simulate" in out
 
+    def test_trace_alone_does_not_lower(self, triangle_file, capsys):
+        """``--trace`` describes the run it traces: the program ``simulate``
+        runs without it, not a lowered one."""
+        assert main(["simulate", triangle_file, "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert "transform.lower" not in out
+        assert "sim.simulate" in out
+
     def test_lower_infers_each_program_shape_once(self, triangle_file,
                                                   monkeypatch, capsys):
-        """``simulate --lower`` runs inference three times — the loaded
-        program, the inlined one, and the final one (by the network
-        signature check) — not a fourth time on that same final program."""
+        """``simulate --lower`` runs inference twice — on the loaded program
+        and on the final one (by the network signature check): neither
+        inlining nor partial evaluation reads annotations, so the program
+        between them is not inferred, nor the final one a second time."""
         from repro.lang import typecheck
         built = []
         init = typecheck.TypeChecker.__init__
@@ -213,7 +222,7 @@ class TestObservability:
 
         monkeypatch.setattr(typecheck.TypeChecker, "__init__", counting_init)
         assert main(["simulate", triangle_file, "--lower", "--show-routes"]) == 0
-        assert len(built) == 3
+        assert len(built) == 2
         assert "node 2: Some 1" in capsys.readouterr().out
 
     def test_verify_trace_smt_spans(self, triangle_file, capsys):
@@ -373,6 +382,24 @@ class TestMetricsFlags:
         assert not metrics.is_enabled()
         perf.disable()
         perf.reset()
+
+
+class TestClosedStdout:
+    def test_reader_that_goes_away_is_no_traceback(self, triangle_file):
+        """``repro simulate f.nv | head -1``: the read end closes before the
+        routes are written.  One exit code, nothing on stderr."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "simulate", triangle_file,
+             "--show-routes"], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 3
+        assert stderr == ""
 
 
 class TestImportsOnlyWhatRuns:

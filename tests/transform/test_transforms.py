@@ -70,6 +70,29 @@ class TestSubstituteAndBeta:
         assert interp.eval(e) == 6
 
 
+    def test_substitute_shares_what_it_does_not_touch(self):
+        e = parse_expr("(a + b, (fun y -> y + x))")
+        out = substitute(e, {"x": A.EInt(1)})
+        assert out is not e and out.elts[0] is e.elts[0]
+        assert substitute(e, {"z": A.EInt(1)}) is e
+
+    def test_second_use_site_gets_a_fresh_copy(self):
+        replacement = parse_expr("fun y -> y")
+        out = substitute(parse_expr("(x, x, x)"), {"x": replacement})
+        assert out.elts[0] is replacement
+        assert len({id(f) for f in out.elts}) == 3
+        assert len({f.param for f in out.elts}) == 3
+        assert all(f.body.name == f.param for f in out.elts)
+
+    def test_application_is_pushed_through_lets(self):
+        e = beta_reduce(parse_expr("(let k = 2 in fun x -> x + k) 40"))
+        assert isinstance(e, A.ELet) and e.name == "k"
+        assert isinstance(e.body, A.ELet) and e.body.name == "x"
+        assert Interpreter(MapContext(2, ((0, 1),))).eval(e) == 42
+        normal = parse_expr("f (g 1)")
+        assert beta_reduce(normal) is normal
+
+
 def _contains_app(e: A.Expr) -> bool:
     if isinstance(e, A.EApp):
         return True
@@ -114,6 +137,43 @@ let merge (u : node) (x y : int) = if x <= y then x else y
         t1 = i1.apply(i1.apply(env1["trans"], (0, 1)), 5)
         t2 = i1.apply(i1.apply(env2["trans"], (0, 1)), 5)
         assert t1 == t2 == 6
+
+
+    def test_helper_body_is_closed_when_it_is_copied(self):
+        """A free name in an inlined helper means what it meant where the
+        helper was defined, not a helper of that name defined since."""
+        src = """
+symbolic s : int
+let g x = x + s
+let s = 5
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = g 1 + s
+let trans (e : edge) (x : int) = x
+let merge (u : node) (x y : int) = x
+"""
+        inlined = inline_program(parse_program(src, resolve))
+        ctx = MapContext(2, ((0, 1), (1, 0)))
+        interp = Interpreter(ctx)
+        env = program_env(inlined, interp, symbolics={"s": 100})
+        assert interp.apply(env["init"], 0) == 106
+
+    def test_every_use_site_gets_its_own_binders(self):
+        src = """
+let twice f x = f (f x)
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = twice (fun a -> a + 1) (twice (fun b -> b + 2) 0)
+let trans (e : edge) (x : int) = x
+let merge (u : node) (x y : int) = x
+"""
+        inlined = inline_program(parse_program(src, resolve))
+        binders = [b for d in inlined.decls if isinstance(d, A.DLet)
+                   for b in all_binders(d.expr)]
+        assert len(binders) == len(set(binders))
+        ctx = MapContext(2, ((0, 1), (1, 0)))
+        interp = Interpreter(ctx)
+        assert interp.apply(program_env(inlined, interp)["init"], 0) == 6
 
 
 class TestPartialEval:
@@ -163,6 +223,17 @@ class TestPartialEval:
     def test_dead_let_removed(self):
         e = partial_eval(parse_expr("let unused = f x in 42"))
         assert isinstance(e, A.EInt)
+
+    def test_unchanged_expression_is_returned_as_is(self):
+        e = parse_expr("if c then f (a + b) else match o with | None -> a | Some v -> v")
+        assert partial_eval(e) is e
+
+    def test_duplicated_value_keeps_binders_unique(self):
+        e = partial_eval(parse_expr("let f = fun y -> y + k in (f 1, f 2)"))
+        assert isinstance(e, A.ETuple)
+        first, second = (app.fn for app in e.elts)
+        assert first is not second and first.param != second.param
+        assert second.body.args[0].name == second.param
 
     def test_program_level(self):
         src = """
