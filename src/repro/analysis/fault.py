@@ -637,7 +637,7 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
         term = tm.true
         for i in range(len(links)):
             _, tval = enc.symbolic_vals[f"fail{i}"]
-            bit = tval.term
+            bit = tval.leaf
             term = tm.mk_and(term, bit if i in failed else tm.mk_not(bit))
         return term
 

@@ -67,7 +67,7 @@ class ConcreteInterface:
 
     def obligation(self, enc: NvSmtEncoder, ev: Any, env: dict, edge: tuple,
                    msg: Any) -> int:
-        return enc.t_eq(msg, enc.lift(self.value, enc.net.attr_ty))
+        return ev.eq(msg, enc.lift(self.value, enc.net.attr_ty))
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class ExprInterface:
 
     def obligation(self, enc: NvSmtEncoder, ev: Any, env: dict, edge: tuple,
                    msg: Any) -> int:
-        return enc.t_eq(msg, enc.lift(env[self.let_name], enc.net.attr_ty))
+        return ev.eq(msg, enc.lift(env[self.let_name], enc.net.attr_ty))
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,13 @@ class PredInterface:
         u, v = edge
         var = enc.make_var(enc.net.attr_ty, f"iface.{u}.{v}")
         holds = ev.apply(env[self.let_name], var)
-        enc.constraints.append(ev.to_bool_term(holds))
+        enc.constraints.append(ev.to_bool(holds))
         return var
 
     def obligation(self, enc: NvSmtEncoder, ev: Any, env: dict, edge: tuple,
                    msg: Any) -> int:
         holds = ev.apply(env[self.let_name], msg)
-        return ev.to_bool_term(holds)
+        return ev.to_bool(holds)
 
 
 # ----------------------------------------------------------------------

@@ -22,12 +22,13 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from .. import metrics, obs, parallel
+from ..eval.partial import SBool, SEdge, SInt, SOption, SRecord, STuple, Sym
 from ..eval.values import VClosure, VRecord, VSome
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError
-from ..smt.encode_nv import (NvSmtEncoder, TB, TEdgeV, TI, TMap, TOpt, TRec,
-                             TTup, TermEvaluator, VerificationResult)
+from ..smt.encode_nv import (NvSmtEncoder, TMap, TermEvaluator,
+                             VerificationResult)
 from ..smt.solver import Solver
 from ..srp.network import Network
 from dataclasses import dataclass
@@ -92,7 +93,7 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
             env[d.name] = ev.eval(d.expr, env)
         elif isinstance(d, A.DRequire):
             req = ev.eval(d.expr, env)
-            enc.constraints.append(ev.to_bool_term(req))
+            enc.constraints.append(ev.to_bool(req))
 
     init_f = env["init"]
     trans_f = env["trans"]
@@ -137,9 +138,9 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
         for edge in inbound_by_dst.get(u, ()):
             assumed = inbound[edge].materialise(enc, ev, env, edge)
             expected = ev.apply(ev.apply(ev.apply(merge_f, u), expected), assumed)
-        if not isinstance(expected, (TB, TI, TOpt, TTup, TRec, TMap, TEdgeV)):
+        if not isinstance(expected, Sym):
             expected = enc.lift(expected, net.attr_ty)
-        enc.constraints.append(enc.t_eq(enc.attr_vals[u], expected))
+        enc.constraints.append(ev.eq(enc.attr_vals[u], expected))
 
     # Outbound guarantees: what the fragment actually sends across each cut
     # edge must satisfy the annotation the neighbouring fragment assumes.
@@ -158,7 +159,7 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
     if assert_f is not None:
         for u in node_list:
             holds = ev.apply(ev.apply(assert_f, u), enc.attr_vals[u])
-            prop = tm.mk_and(prop, ev.to_bool_term(holds))
+            prop = tm.mk_and(prop, ev.to_bool(holds))
     enc.decl_env = env
     return enc, ev, prop
 
@@ -220,25 +221,25 @@ def decode_tval(enc: NvSmtEncoder, tval: Any, ty: T.Type,
                 assignment: dict[str, Any]) -> Any:
     """Reconstruct a concrete NV value from a term value under a model."""
     tm = enc.tm
-    if not isinstance(tval, (TB, TI, TOpt, TTup, TRec, TMap, TEdgeV)):
+    if not isinstance(tval, Sym):
         return tval  # already concrete
-    if isinstance(tval, TB):
-        return bool(tm.evaluate(tval.term, assignment))
-    if isinstance(tval, TI):
-        return int(tm.evaluate(tval.term, assignment))
-    if isinstance(tval, TEdgeV):
-        return (int(tm.evaluate(tval.src.term, assignment)),
-                int(tm.evaluate(tval.dst.term, assignment)))
-    if isinstance(tval, TOpt):
+    if isinstance(tval, SBool):
+        return bool(tm.evaluate(tval.leaf, assignment))
+    if isinstance(tval, SInt):
+        return int(tm.evaluate(tval.leaf, assignment))
+    if isinstance(tval, SEdge):
+        return (int(tm.evaluate(tval.src.leaf, assignment)),
+                int(tm.evaluate(tval.dst.leaf, assignment)))
+    if isinstance(tval, SOption):
         assert isinstance(ty, T.TOption)
         if not tm.evaluate(tval.tag, assignment):
             return None
         return VSome(decode_tval(enc, tval.payload, ty.elt, assignment))
-    if isinstance(tval, TTup):
+    if isinstance(tval, STuple):
         assert isinstance(ty, T.TTuple)
         return tuple(decode_tval(enc, v, t, assignment)
                      for v, t in zip(tval.elts, ty.elts))
-    if isinstance(tval, TRec):
+    if isinstance(tval, SRecord):
         assert isinstance(ty, T.TRecord)
         return VRecord(tuple(
             (n, decode_tval(enc, v, ty.field_type(n), assignment))

@@ -57,6 +57,7 @@ from . import metrics, obs, parallel, perf
 from .eval.interp import Interpreter
 from .eval.maps import MapContext
 from .eval.values import value_repr
+from .lang import types as T
 from .lang.errors import NvError
 from .lang.parser import parse_expr, parse_program
 from .lang.typecheck import check_program
@@ -296,6 +297,9 @@ def cmd_fault(args: argparse.Namespace) -> int:
     if args.links < 0 or (args.links == 0 and not args.nodes):
         raise NvError("at least one link or node failure is required")
     drop_body = parse_expr(args.drop) if args.drop else None
+    if drop_body is None and not isinstance(net.attr_ty, T.TOption):
+        raise NvError(f"attribute type {net.attr_ty} is not an option; pass "
+                      "--drop EXPR to define what a dropped route looks like")
     report = fault_tolerance_sharded(
         net, symbolics, num_link_failures=args.links,
         node_failures=args.nodes, with_witnesses=args.witnesses,

@@ -109,7 +109,15 @@ class PyCompiler:
                 em.indent -= 1
 
         source = em.source()
-        code = compile(source, "<nv-compiled>", "exec")
+        try:
+            code = compile(source, "<nv-compiled>", "exec")
+        except SyntaxError as exc:
+            # CPython's tokenizer allows 100 indentation levels, and an
+            # `else if` chain becomes one nested `if` block per arm.
+            raise NvEncodingError(
+                "program is nested past the native back end's limit "
+                f"(Python: {exc.msg}); run it on the interpreter (drop "
+                "--native)") from None
         interp = Interpreter(self.ctx)
         memos: dict[Any, dict] = {}
         module_globals: dict[str, Any] = {

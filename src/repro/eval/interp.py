@@ -98,8 +98,6 @@ class Interpreter:
     def _eval(self, e: A.Expr, env: dict[str, Any]) -> Any:
         return self._code_for(e)(env)
 
-    _eval_op = _eval
-
     def _code_for(self, e: A.Expr) -> Code:
         """The code of an evaluation root (only roots have a table entry)."""
         entry = self._code.get(id(e))

@@ -1,14 +1,11 @@
-"""Symbolic interpretation of NV expressions over BDD key bits.
+"""The BDD domain of the partial evaluator: ``mapIte`` key predicates.
 
 ``mapIte``'s key predicate must become a BDD over the map's key variables
-(paper fig 11b).  This module interprets the predicate closure with its key
-argument bound to a *symbolic value* — a tree mirroring the key type whose
-scalar positions are BDDs — and returns the boolean BDD of the result.
-
-The evaluator handles mixed concrete/symbolic computation: any subexpression
-not touching the key evaluates concretely, exactly as in the interpreter, and
-concrete values are lifted to symbolic form only when they meet a symbolic
-value (in comparisons, arithmetic or branch merges).
+(paper fig 11b).  :class:`SymbolicEvaluator` runs the shared walk of
+:mod:`repro.eval.partial` on the predicate closure with its key argument bound
+to a *symbolic value* — a tree mirroring the key type whose scalar positions
+are BDDs — and returns the boolean BDD of the result.  Any subexpression not
+touching the key evaluates concretely, exactly as in the interpreter.
 """
 
 from __future__ import annotations
@@ -19,87 +16,55 @@ from ..bdd import bitvec
 from ..bdd.manager import BddManager
 from ..lang import ast as A
 from ..lang import types as T
-from ..lang.errors import NvEncodingError, NvRuntimeError
-from .maps import MapContext, NVMap
-from .values import VClosure, VRecord, VSome
-
-# ---------------------------------------------------------------------------
-# Symbolic values
-# ---------------------------------------------------------------------------
+from ..lang.errors import NvEncodingError
+from .maps import MapContext
+from .partial import (PartialEvaluator, SBool, SEdge, SInt, SOption, SRecord,
+                      STuple, Sym)
+from .values import VClosure
 
 
-class Sym:
-    """Base class for symbolic values."""
+class BddAlgebra:
+    """:class:`BddManager` and :mod:`repro.bdd.bitvec` as a
+    :class:`~repro.eval.partial.LeafAlgebra`: a boolean is a BDD id, an
+    integer a list of BDD ids, most significant bit first."""
 
-    __slots__ = ()
+    def __init__(self, mgr: BddManager) -> None:
+        self.mgr = mgr
+        self.true = mgr.true
+        self.false = mgr.false
+        self.mk_not = mgr.bnot
+        self.mk_and = mgr.band
+        self.mk_or = mgr.bor
+        self.mk_iff = mgr.biff
+        self.mk_implies = mgr.bimplies
 
+    def mk_ite(self, c: int, a: Any, b: Any) -> Any:
+        if isinstance(a, list):
+            return bitvec.ite_bits(self.mgr, c, a, b)
+        return self.mgr.bite(c, a, b)
 
-class SBool(Sym):
-    __slots__ = ("bdd",)
+    def mk_bv_const(self, value: int, width: int) -> list[int]:
+        return bitvec.const_bits(self.mgr, value, width)
 
-    def __init__(self, bdd: int) -> None:
-        self.bdd = bdd
+    def mk_eq(self, a: list[int], b: list[int]) -> int:
+        return bitvec.eq(self.mgr, a, b)
 
+    def mk_ult(self, a: list[int], b: list[int]) -> int:
+        return bitvec.ult(self.mgr, a, b)
 
-class SInt(Sym):
-    """A fixed-width unsigned integer as a vector of BDD bits (MSB first)."""
+    def mk_ule(self, a: list[int], b: list[int]) -> int:
+        return bitvec.ule(self.mgr, a, b)
 
-    __slots__ = ("bits", "width")
+    def mk_bv_add(self, a: list[int], b: list[int]) -> list[int]:
+        return bitvec.add(self.mgr, a, b)
 
-    def __init__(self, bits: list[int], width: int | None = None) -> None:
-        self.bits = bits
-        self.width = width if width is not None else len(bits)
-
-
-class SNode(SInt):
-    __slots__ = ()
-
-
-class SEdge(Sym):
-    """An edge as two symbolic node-index vectors."""
-
-    __slots__ = ("src", "dst")
-
-    def __init__(self, src: SNode, dst: SNode) -> None:
-        self.src = src
-        self.dst = dst
-
-
-class SOption(Sym):
-    __slots__ = ("tag", "payload")
-
-    def __init__(self, tag: int, payload: Any) -> None:
-        self.tag = tag          # BDD: true = Some
-        self.payload = payload  # symbolic or concrete value
+    def mk_bv_sub(self, a: list[int], b: list[int]) -> list[int]:
+        return bitvec.sub(self.mgr, a, b)
 
 
-class STuple(Sym):
-    __slots__ = ("elts",)
-
-    def __init__(self, elts: tuple[Any, ...]) -> None:
-        self.elts = elts
-
-
-class SRecord(Sym):
-    __slots__ = ("fields",)
-
-    def __init__(self, fields: tuple[tuple[str, Any], ...]) -> None:
-        self.fields = fields
-
-    def get(self, name: str) -> Any:
-        for label, value in self.fields:
-            if label == name:
-                return value
-        raise KeyError(name)
-
-
-# ---------------------------------------------------------------------------
-# Evaluator
-# ---------------------------------------------------------------------------
-
-
-class SymbolicEvaluator:
+class SymbolicEvaluator(PartialEvaluator):
     def __init__(self, interp: Any, ctx: MapContext) -> None:
+        super().__init__(BddAlgebra(ctx.manager))
         self.interp = interp
         self.ctx = ctx
         self.mgr: BddManager = ctx.manager
@@ -110,19 +75,15 @@ class SymbolicEvaluator:
         """A symbolic value of ``ty`` over fresh variables starting at
         ``level``; returns (value, next free level)."""
         mgr = self.mgr
-        enc = self.ctx.encoder
         if isinstance(ty, T.TBool):
             return SBool(mgr.var(level)), level + 1
-        if isinstance(ty, T.TInt):
-            return SInt(bitvec.var_bits(mgr, level, ty.width)), level + ty.width
-        if isinstance(ty, T.TNode):
-            w = enc.node_width
-            return SNode(bitvec.var_bits(mgr, level, w)), level + w
+        if isinstance(ty, (T.TInt, T.TNode)):
+            w = ty.width if isinstance(ty, T.TInt) else self.ctx.encoder.node_width
+            return SInt(bitvec.var_bits(mgr, level, w), w), level + w
         if isinstance(ty, T.TEdge):
-            w = enc.node_width
-            src = SNode(bitvec.var_bits(mgr, level, w))
-            dst = SNode(bitvec.var_bits(mgr, level + w, w))
-            return SEdge(src, dst), level + 2 * w
+            src, level = self.sym_var(T.TNode(), level)
+            dst, level = self.sym_var(T.TNode(), level)
+            return SEdge(src, dst), level
         if isinstance(ty, T.TOption):
             tag = mgr.var(level)
             payload, nxt = self.sym_var(ty.elt, level + 1)
@@ -145,447 +106,29 @@ class SymbolicEvaluator:
         """Interpret a key predicate closure symbolically, yielding its BDD,
         restricted to the valid key domain."""
         key, _ = self.sym_var(key_ty, 0)
-        result = self.apply(pred, key)
-        bdd = self.to_bdd(result)
+        bdd = self.to_bool(self.apply(pred, key))
         return self.mgr.band(bdd, self.ctx.domain(key_ty))
 
-    def to_bdd(self, value: Any) -> int:
-        if isinstance(value, SBool):
-            return value.bdd
-        if isinstance(value, bool):
-            return self.mgr.true if value else self.mgr.false
-        raise NvRuntimeError(f"predicate did not evaluate to a boolean: {value!r}")
+    # -- the BDD domain's side of the shared walk -------------------------
 
-    # -- lifting --------------------------------------------------------
+    def shape(self, ty: T.Type | None) -> Any:
+        if ty is None or isinstance(ty, (T.TArrow, T.TDict)):
+            raise NvEncodingError(
+                "cannot merge distinct non-finitary or untyped values under a "
+                "symbolic condition")
+        return self.sym_var(ty, 0)[0]
 
-    def lift_like(self, concrete: Any, shape: Any) -> Any:
-        """Lift a concrete value to the symbolic shape of ``shape``."""
-        mgr = self.mgr
-        if isinstance(shape, SBool):
-            return SBool(mgr.true if concrete else mgr.false)
-        if isinstance(shape, SEdge):
-            u, v = concrete
-            w = len(shape.src.bits)
-            return SEdge(SNode(bitvec.const_bits(mgr, u, w)),
-                         SNode(bitvec.const_bits(mgr, v, w)))
-        if isinstance(shape, SInt):
-            return type(shape)(bitvec.const_bits(mgr, concrete, len(shape.bits)),
-                               shape.width)
-        if isinstance(shape, SOption):
-            if concrete is None:
-                payload_zero = self._zero_like(shape.payload)
-                return SOption(mgr.false, payload_zero)
-            if isinstance(concrete, VSome):
-                return SOption(mgr.true, self.lift_like(concrete.value, shape.payload))
-        if isinstance(shape, STuple):
-            return STuple(tuple(self.lift_like(c, s)
-                                for c, s in zip(concrete, shape.elts)))
-        if isinstance(shape, SRecord):
-            return SRecord(tuple((n, self.lift_like(concrete.get(n), s))
-                                 for n, s in shape.fields))
-        raise NvEncodingError(f"cannot lift {concrete!r} to shape {type(shape).__name__}")
+    def call(self, fn: Any, arg: Any) -> Any:
+        """Nothing symbolic in sight: the interpreter's compiled code runs the
+        call (and is what knows how to call a native function)."""
+        if isinstance(arg, Sym) or (isinstance(fn, VClosure) and any(
+                isinstance(v, Sym) for v in fn.env.values())):
+            return self.apply(fn, arg)
+        return self.interp.apply(fn, arg)
 
-    def _zero_like(self, shape: Any) -> Any:
-        mgr = self.mgr
-        if isinstance(shape, SBool):
-            return SBool(mgr.false)
-        if isinstance(shape, SEdge):
-            w = len(shape.src.bits)
-            zero = lambda: SNode([mgr.false] * w)  # noqa: E731
-            return SEdge(zero(), zero())
-        if isinstance(shape, SInt):
-            return type(shape)([mgr.false] * len(shape.bits), shape.width)
-        if isinstance(shape, SOption):
-            return SOption(mgr.false, self._zero_like(shape.payload))
-        if isinstance(shape, STuple):
-            return STuple(tuple(self._zero_like(s) for s in shape.elts))
-        if isinstance(shape, SRecord):
-            return SRecord(tuple((n, self._zero_like(s)) for n, s in shape.fields))
-        # Concrete shapes stay concrete.
-        return shape
-
-    def lift_by_type(self, concrete: Any, ty: T.Type) -> Any:
-        """Lift using a type instead of an existing symbolic shape."""
-        shape, _ = self.sym_var(ty, 0)
-        return self.lift_like(concrete, shape)
-
-    # -- merging under a symbolic condition -----------------------------
-
-    def ite(self, cond: int, a: Any, b: Any, ty: T.Type | None = None) -> Any:
-        mgr = self.mgr
-        if cond == mgr.true:
-            return a
-        if cond == mgr.false:
-            return b
-        a_sym = isinstance(a, Sym)
-        b_sym = isinstance(b, Sym)
-        if not a_sym and not b_sym:
-            if _concrete_eq(a, b):
-                return a
-            if ty is not None and not isinstance(ty, (T.TArrow, T.TDict)):
-                a = self.lift_by_type(a, ty)
-                b = self.lift_by_type(b, ty)
-            else:
-                raise NvEncodingError(
-                    "cannot merge distinct non-finitary values under a symbolic "
-                    f"condition: {a!r} vs {b!r}")
-        elif not a_sym:
-            a = self.lift_like(a, b)
-        elif not b_sym:
-            b = self.lift_like(b, a)
-        return self._ite_sym(cond, a, b)
-
-    def _ite_sym(self, cond: int, a: Any, b: Any) -> Any:
-        mgr = self.mgr
-        if isinstance(a, SBool) and isinstance(b, SBool):
-            return SBool(mgr.bite(cond, a.bdd, b.bdd))
-        if isinstance(a, SEdge) and isinstance(b, SEdge):
-            return SEdge(self._ite_sym(cond, a.src, b.src),
-                         self._ite_sym(cond, a.dst, b.dst))
-        if isinstance(a, SInt) and isinstance(b, SInt):
-            if len(a.bits) != len(b.bits):
-                raise NvEncodingError("width mismatch in symbolic merge")
-            cls = SNode if isinstance(a, SNode) else SInt
-            return cls(bitvec.ite_bits(mgr, cond, a.bits, b.bits), a.width)
-        if isinstance(a, SOption) and isinstance(b, SOption):
-            pa, pb = a.payload, b.payload
-            if not isinstance(pa, Sym):
-                pa = self.lift_like(pa, pb) if isinstance(pb, Sym) else pa
-            if not isinstance(pb, Sym):
-                pb = self.lift_like(pb, pa) if isinstance(pa, Sym) else pb
-            if isinstance(pa, Sym) or isinstance(pb, Sym):
-                payload = self._ite_sym(cond, pa, pb)
-            else:
-                payload = pa if _concrete_eq(pa, pb) else self._merge_concrete(cond, pa, pb)
-            return SOption(mgr.bite(cond, a.tag, b.tag), payload)
-        if isinstance(a, STuple) and isinstance(b, STuple):
-            return STuple(tuple(self._pairwise_ite(cond, x, y)
-                                for x, y in zip(a.elts, b.elts)))
-        if isinstance(a, SRecord) and isinstance(b, SRecord):
-            return SRecord(tuple((n, self._pairwise_ite(cond, x, y))
-                                 for (n, x), (_, y) in zip(a.fields, b.fields)))
-        raise NvEncodingError(
-            f"cannot merge {type(a).__name__} with {type(b).__name__}")
-
-    def _pairwise_ite(self, cond: int, x: Any, y: Any) -> Any:
-        if isinstance(x, Sym) or isinstance(y, Sym):
-            if not isinstance(x, Sym):
-                x = self.lift_like(x, y)
-            if not isinstance(y, Sym):
-                y = self.lift_like(y, x)
-            return self._ite_sym(cond, x, y)
-        if _concrete_eq(x, y):
-            return x
-        return self._merge_concrete(cond, x, y)
-
-    def _merge_concrete(self, cond: int, a: Any, b: Any) -> Any:
-        """Merge two unequal concrete values: lift both via an inferred shape."""
-        shape = _shape_of_concrete(self, a)
-        return self._ite_sym(cond, self.lift_like(a, shape), self.lift_like(b, shape))
-
-    # -- application -----------------------------------------------------
-
-    def apply(self, fn: Any, arg: Any) -> Any:
-        body, param, env = _closure_parts(fn)
-        new_env = dict(env)
-        new_env[param] = arg
-        return self.eval(body, new_env)
-
-    # -- the evaluator ----------------------------------------------------
-
-    def eval(self, e: A.Expr, env: dict[str, Any]) -> Any:
-        if isinstance(e, A.EVar):
-            try:
-                return env[e.name]
-            except KeyError:
-                raise NvRuntimeError(f"unbound variable {e.name!r}") from None
-        if isinstance(e, (A.EBool, A.EInt, A.ENode, A.EEdge, A.ENone)):
-            return self.interp._eval(e, env)
-        if isinstance(e, A.ESome):
-            sub = self.eval(e.sub, env)
-            if isinstance(sub, Sym):
-                return SOption(self.mgr.true, sub)
-            return VSome(sub)
-        if isinstance(e, A.ETuple):
-            elts = tuple(self.eval(x, env) for x in e.elts)
-            if any(isinstance(x, Sym) for x in elts):
-                return STuple(elts)
-            return elts
-        if isinstance(e, A.ETupleGet):
-            sub = self.eval(e.sub, env)
-            if isinstance(sub, STuple):
-                return sub.elts[e.index]
-            if isinstance(sub, SEdge):
-                return sub.src if e.index == 0 else sub.dst
-            return sub[e.index]
-        if isinstance(e, A.ERecord):
-            fields = tuple((n, self.eval(x, env)) for n, x in e.fields)
-            if any(isinstance(v, Sym) for _, v in fields):
-                return SRecord(fields)
-            return VRecord(fields)
-        if isinstance(e, A.ERecordWith):
-            base = self.eval(e.base, env)
-            updates = {n: self.eval(x, env) for n, x in e.updates}
-            if isinstance(base, SRecord):
-                return SRecord(tuple((n, updates.get(n, v)) for n, v in base.fields))
-            if any(isinstance(v, Sym) for v in updates.values()):
-                return SRecord(tuple((n, updates.get(n, v)) for n, v in base.fields))
-            return base.with_updates(updates)
-        if isinstance(e, A.EProj):
-            base = self.eval(e.sub, env)
-            if isinstance(base, SRecord):
-                return base.get(e.label)
-            return base.get(e.label)
-        if isinstance(e, A.EIf):
-            cond = self.eval(e.cond, env)
-            if not isinstance(cond, Sym):
-                return self.eval(e.then if cond else e.els, env)
-            then_v = self.eval(e.then, env)
-            else_v = self.eval(e.els, env)
-            return self.ite(cond.bdd, then_v, else_v, e.ty)
-        if isinstance(e, A.ELet):
-            new_env = dict(env)
-            new_env[e.name] = self.eval(e.bound, env)
-            return self.eval(e.body, new_env)
-        if isinstance(e, A.ELetPat):
-            bound = self.eval(e.bound, env)
-            cond, bindings = self.sym_match(e.pat, bound)
-            if cond != self.mgr.true:
-                raise NvRuntimeError("irrefutable let pattern may fail symbolically")
-            new_env = dict(env)
-            new_env.update(bindings)
-            return self.eval(e.body, new_env)
-        if isinstance(e, A.EFun):
-            return VClosure(e.param, e.body, env, e.param_ty)
-        if isinstance(e, A.EApp):
-            fn = self.eval(e.fn, env)
-            arg = self.eval(e.arg, env)
-            if isinstance(fn, Sym):
-                raise NvEncodingError("cannot apply a symbolic function value")
-            if isinstance(arg, Sym) or _env_mentions_sym(fn):
-                return self.apply(fn, arg)
-            return self.interp.apply(fn, arg)
-        if isinstance(e, A.EMatch):
-            return self.eval_match(e, env)
-        if isinstance(e, A.EOp):
-            return self.eval_op(e, env)
-        raise NvRuntimeError(f"cannot symbolically evaluate {type(e).__name__}")
-
-    def eval_match(self, e: A.EMatch, env: dict[str, Any]) -> Any:
-        scrutinee = self.eval(e.scrutinee, env)
-        if not isinstance(scrutinee, Sym):
-            from .interp import match_pattern
-            for pat, body in e.branches:
-                bindings = match_pattern(pat, scrutinee)
-                if bindings is not None:
-                    new_env = dict(env)
-                    new_env.update(bindings)
-                    return self.eval(body, new_env)
-            raise NvRuntimeError(f"match failure on {scrutinee!r}")
-        mgr = self.mgr
-        arms: list[tuple[int, Any]] = []
-        remaining = mgr.true
-        for pat, body in e.branches:
-            cond, bindings = self.sym_match(pat, scrutinee)
-            cond = mgr.band(cond, remaining)
-            if cond == mgr.false:
-                continue
-            new_env = dict(env)
-            new_env.update(bindings)
-            arms.append((cond, self.eval(body, new_env)))
-            remaining = mgr.band(remaining, mgr.bnot(cond))
-            if remaining == mgr.false:
-                break
-        if remaining != mgr.false:
-            raise NvRuntimeError("symbolic match may be non-exhaustive")
-        if not arms:
-            raise NvRuntimeError("symbolic match has no reachable branches")
-        result = arms[-1][1]
-        for cond, value in reversed(arms[:-1]):
-            result = self.ite(cond, value, result, e.ty)
-        return result
-
-    def sym_match(self, pat: A.Pattern, value: Any) -> tuple[int, dict[str, Any]]:
-        """Match a possibly-symbolic value; returns (condition BDD, bindings)."""
-        mgr = self.mgr
-        if isinstance(pat, A.PWild):
-            return mgr.true, {}
-        if isinstance(pat, A.PVar):
-            return mgr.true, {pat.name: value}
-        if not isinstance(value, Sym):
-            from .interp import match_pattern
-            bindings = match_pattern(pat, value)
-            if bindings is None:
-                return mgr.false, {}
-            return mgr.true, bindings
-        if isinstance(pat, A.PBool):
-            bdd = value.bdd if pat.value else mgr.bnot(value.bdd)
-            return bdd, {}
-        if isinstance(pat, A.PInt):
-            const = bitvec.const_bits(mgr, pat.value, len(value.bits))
-            return bitvec.eq(mgr, value.bits, const), {}
-        if isinstance(pat, A.PNode):
-            const = bitvec.const_bits(mgr, pat.value, len(value.bits))
-            return bitvec.eq(mgr, value.bits, const), {}
-        if isinstance(pat, A.PNone):
-            return mgr.bnot(value.tag), {}
-        if isinstance(pat, A.PSome):
-            cond, bindings = self.sym_match(pat.sub, value.payload)
-            return mgr.band(value.tag, cond), bindings
-        if isinstance(pat, (A.PTuple, A.PEdge)):
-            subs = pat.elts if isinstance(pat, A.PTuple) else (pat.src, pat.dst)
-            if isinstance(value, SEdge):
-                parts: tuple[Any, ...] = (value.src, value.dst)
-            elif isinstance(value, STuple):
-                parts = value.elts
-            else:
-                raise NvEncodingError(f"tuple pattern against {type(value).__name__}")
-            cond = mgr.true
-            bindings = {}
-            for p, v in zip(subs, parts):
-                c, b = self.sym_match(p, v)
-                cond = mgr.band(cond, c)
-                bindings.update(b)
-            return cond, bindings
-        if isinstance(pat, A.PRecord):
-            cond = mgr.true
-            bindings = {}
-            for name, p in pat.fields:
-                c, b = self.sym_match(p, value.get(name))
-                cond = mgr.band(cond, c)
-                bindings.update(b)
-            return cond, bindings
-        raise NvRuntimeError(f"unsupported pattern {pat}")
-
-    def eval_op(self, e: A.EOp, env: dict[str, Any]) -> Any:
-        mgr = self.mgr
-        op = e.op
-        if op in ("and", "or"):
-            a = self.eval(e.args[0], env)
-            if not isinstance(a, Sym):
-                if op == "and" and not a:
-                    return False
-                if op == "or" and a:
-                    return True
-                return self.eval(e.args[1], env)
-            b = self.eval(e.args[1], env)
-            ab = self.to_bdd(a)
-            bb = self.to_bdd(b)
-            return SBool(mgr.band(ab, bb) if op == "and" else mgr.bor(ab, bb))
-        if op == "not":
-            a = self.eval(e.args[0], env)
-            if isinstance(a, Sym):
-                return SBool(mgr.bnot(self.to_bdd(a)))
-            return not a
-        if op in ("add", "sub", "eq", "lt", "le"):
-            a = self.eval(e.args[0], env)
-            b = self.eval(e.args[1], env)
-            if not isinstance(a, Sym) and not isinstance(b, Sym):
-                return _concrete_binop(op, a, b, e)
-            if not isinstance(a, Sym):
-                a = self.lift_like(a, b)
-            if not isinstance(b, Sym):
-                b = self.lift_like(b, a)
-            if op == "eq":
-                return SBool(self.sym_eq(a, b))
-            if op in ("lt", "le"):
-                fn = bitvec.ult if op == "lt" else bitvec.ule
-                return SBool(fn(mgr, a.bits, b.bits))
-            fn2 = bitvec.add if op == "add" else bitvec.sub
-            return SInt(fn2(mgr, a.bits, b.bits), a.width)
-        if op in ("mcreate", "mget", "mset", "mmap", "mmapite", "mcombine"):
-            args = [self.eval(x, env) for x in e.args]
-            if any(isinstance(x, Sym) for x in args):
-                raise NvEncodingError(
-                    "map operations over symbolic keys are not supported inside "
-                    "mapIte key predicates (paper §3.1 restricts key usage)")
-            return self.interp._eval_op(e, env)
-        raise NvRuntimeError(f"unknown operator {op!r}")
-
-    def sym_eq(self, a: Any, b: Any) -> int:
-        """Structural symbolic equality; returns a BDD."""
-        mgr = self.mgr
-        if not isinstance(a, Sym) and not isinstance(b, Sym):
-            return mgr.true if _concrete_eq(a, b) else mgr.false
-        if not isinstance(a, Sym):
-            a = self.lift_like(a, b)
-        if not isinstance(b, Sym):
-            b = self.lift_like(b, a)
-        if isinstance(a, SBool) and isinstance(b, SBool):
-            return mgr.biff(a.bdd, b.bdd)
-        if isinstance(a, SEdge) and isinstance(b, SEdge):
-            return mgr.band(self.sym_eq(a.src, b.src), self.sym_eq(a.dst, b.dst))
-        if isinstance(a, SInt) and isinstance(b, SInt):
-            return bitvec.eq(mgr, a.bits, b.bits)
-        if isinstance(a, SOption) and isinstance(b, SOption):
-            tags = mgr.biff(a.tag, b.tag)
-            payload = self.sym_eq(a.payload, b.payload)
-            both_some = mgr.band(a.tag, b.tag)
-            # Equal iff tags agree and, when both Some, payloads agree.
-            return mgr.band(tags, mgr.bimplies(both_some, payload))
-        if isinstance(a, STuple) and isinstance(b, STuple):
-            out = mgr.true
-            for x, y in zip(a.elts, b.elts):
-                out = mgr.band(out, self.sym_eq(x, y))
-            return out
-        if isinstance(a, SRecord) and isinstance(b, SRecord):
-            out = mgr.true
-            for (_, x), (_, y) in zip(a.fields, b.fields):
-                out = mgr.band(out, self.sym_eq(x, y))
-            return out
-        raise NvEncodingError(
-            f"cannot compare {type(a).__name__} with {type(b).__name__}")
-
-
-def _concrete_eq(a: Any, b: Any) -> bool:
-    try:
-        return bool(a == b)
-    except Exception:
-        return False
-
-
-def _concrete_binop(op: str, a: Any, b: Any, e: A.EOp) -> Any:
-    if op == "eq":
-        return a == b
-    if op == "lt":
-        return a < b
-    if op == "le":
-        return a <= b
-    width = e.ty.width if isinstance(e.ty, T.TInt) else 32
-    mask = (1 << width) - 1
-    return (a + b) & mask if op == "add" else (a - b) & mask
-
-
-def _closure_parts(fn: Any) -> tuple[A.Expr, str, dict[str, Any]]:
-    if isinstance(fn, VClosure):
-        return fn.body, fn.param, fn.env
-    body = getattr(fn, "nv_body", None)
-    if body is not None:
-        return body, fn.nv_param, fn.nv_env
-    raise NvEncodingError(
-        "cannot interpret this function symbolically: no NV AST attached")
-
-
-def _env_mentions_sym(fn: Any) -> bool:
-    if isinstance(fn, VClosure):
-        return any(isinstance(v, Sym) for v in fn.env.values())
-    return False
-
-
-def _shape_of_concrete(ev: SymbolicEvaluator, value: Any) -> Any:
-    """Infer a symbolic shape from a concrete value (defaulting ints to the
-    interpreter's 32-bit width when nothing better is known)."""
-    mgr = ev.mgr
-    if isinstance(value, bool):
-        return SBool(mgr.false)
-    if isinstance(value, int):
-        return SInt([mgr.false] * 32, 32)
-    if value is None:
-        raise NvEncodingError("cannot infer a shape for a bare None; annotate types")
-    if isinstance(value, VSome):
-        return SOption(mgr.false, _shape_of_concrete(ev, value.value))
-    if isinstance(value, tuple):
-        return STuple(tuple(_shape_of_concrete(ev, v) for v in value))
-    if isinstance(value, VRecord):
-        return SRecord(tuple((n, _shape_of_concrete(ev, v)) for n, v in value.fields))
-    raise NvEncodingError(f"cannot infer a symbolic shape for {value!r}")
+    def map_op(self, e: A.EOp, env: dict[str, Any]) -> Any:
+        if any(isinstance(self.eval(x, env), Sym) for x in e.args):
+            raise NvEncodingError(
+                "map operations over symbolic keys are not supported inside "
+                "mapIte key predicates (paper §3.1 restricts key usage)")
+        return self.interp.eval(e, env)

@@ -169,3 +169,49 @@ let init (u : node) = if u = 0n then Some 0u8 else None
         for c in enc.constraints:
             solver.add(c)
         assert solver.check().is_sat  # N must admit the stable state
+
+
+class TestRecordUpdateToNone:
+    """``{r with f = None}`` names ``f``: the SMT encoding must clear it, as
+    ``simulate`` does.  The network has one stable state, so under
+    ``assert … = false`` the SAT model's attributes are the simulated labels."""
+
+    RECORD = """
+type attribute = {len:int8; nh:option[int8]}
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) =
+  if u = 0n then {len = 0u8; nh = Some 7u8} else {len = 255u8; nh = Some 7u8}
+let trans (e : edge) (x : attribute) = {x with len = x.len + 1u8; nh = None}
+let merge (u : node) (x y : attribute) = if x.len <= y.len then x else y
+let assert (u : node) (x : attribute) = false
+"""
+
+    OPTION_OF_RECORD = """
+type route = {len:int8; nh:option[int8]}
+type attribute = option[route]
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = if u = 0n then Some {len = 0u8; nh = Some 7u8} else None
+let trans (e : edge) (x : attribute) =
+  match x with
+  | None -> None
+  | Some r -> Some {r with len = r.len + 1u8; nh = None}
+let merge (u : node) (x y : attribute) =
+  match x, y with
+  | _, None -> x
+  | None, _ -> y
+  | Some a, Some b -> if a.len <= b.len then x else y
+let assert (u : node) (x : attribute) = false
+"""
+
+    @pytest.mark.parametrize("source", [RECORD, OPTION_OF_RECORD],
+                             ids=["record", "option-of-record"])
+    def test_verify_agrees_with_simulate(self, source):
+        net = load(source)
+        labels = simulate(functions_from_program(net, {})).labels
+        result = verify(net)
+        assert result.status == "counterexample"
+        assert result.node_attrs == dict(enumerate(labels))
+        route = labels[1].value if isinstance(labels[1], VSome) else labels[1]
+        assert (route.get("len"), route.get("nh")) == (1, None)

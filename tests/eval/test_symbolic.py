@@ -1,7 +1,9 @@
 """Tests for the symbolic (BDD) evaluation of mapIte key predicates.
 
 Strategy: for a predicate written in NV, build the BDD and compare it with
-brute-force evaluation of the same predicate over every valid key.
+brute-force evaluation of the same predicate over every valid key.  The
+shared corpus of ``tests/helpers.py`` goes through the same check, with every
+leaf diagram of the (not necessarily boolean) result restricted at every key.
 """
 
 import pytest
@@ -15,6 +17,9 @@ from repro.lang.errors import NvEncodingError
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import check_program
 from repro.protocols import resolve
+from tests.helpers import (CORPUS_EDGES, CORPUS_PARAMS, corpus_program,
+                           decode_sym, random_case, values_of)
+from tests.transform.test_semantic_properties import ENVIRONMENTS, int_expr
 
 EDGES = ((0, 1), (1, 0), (1, 2), (2, 1), (0, 3), (3, 0))
 
@@ -140,3 +145,39 @@ def test_random_threshold_predicates(lo, hi, invert):
     by_bdd, by_interp = pred_bdd_and_eval(pred, T.TInt(4))
     for k in range(16):
         assert by_bdd(k) == by_interp(k)
+
+
+def check_bdd_domain(key_ty, body, keys=None):
+    """``fun (k : key_ty) -> body`` over a symbolic key, every leaf diagram of
+    the result restricted at each of ``keys`` (default: the whole type),
+    against the interpreter."""
+    from repro.eval.symbolic import SymbolicEvaluator
+
+    program, ty = corpus_program(key_ty, body)
+    ctx = MapContext(4, CORPUS_EDGES)
+    interp = Interpreter(ctx)
+    fn = program_env(program, interp)["f"]
+    sym = SymbolicEvaluator(interp, ctx)
+    result = sym.apply(fn, sym.sym_var(ty, 0)[0])
+    mgr = ctx.manager
+    for key in values_of(ty) if keys is None else keys:
+        bits = ctx.encoder.encode(ty, key)
+
+        def at_key(bdd):
+            return mgr.restrict_eval(bdd, lambda lvl: bits[lvl])
+
+        def int_at_key(leaf):
+            return sum(at_key(b) << i for i, b in enumerate(reversed(leaf)))
+
+        assert decode_sym(result, at_key, int_at_key) == interp.apply(fn, key), key
+
+
+@pytest.mark.parametrize("key_ty,body", CORPUS_PARAMS)
+def test_corpus_matches_interpreter(key_ty, body):
+    check_bdd_domain(key_ty, body)
+
+
+@given(int_expr(3), ENVIRONMENTS)
+@settings(max_examples=60, deadline=None)
+def test_random_expressions_match_interpreter(body, env_values):
+    check_bdd_domain(*random_case(body, env_values))

@@ -311,6 +311,40 @@ class TestErrors:
         assert capsys.readouterr().err == \
             "error: NV_JOBS='abc' is not an integer\n"
 
+    # An int8 hop count: no option to drop a route to, and a 120-arm chain.
+    PLAIN_ATTRIBUTE = """
+let nodes = 2
+let edges = {0n=1n}
+let f (x : int8) = %s0u8
+let init (u : node) = if u = 0n then 0u8 else 255u8
+let trans (e : edge) (x : int8) = f x + 1u8
+let merge (u : node) (x y : int8) = if x <= y then x else y
+""" % "".join(f"if x = {i}u8 then {i}u8 else " for i in range(120))
+
+    def test_fault_needs_a_drop_value_for_a_non_option_attribute(
+            self, tmp_path, capsys):
+        f = tmp_path / "plain.nv"
+        f.write_text(self.PLAIN_ATTRIBUTE)
+        assert main(["fault", str(f), "--links", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: attribute type int8 is not an option; "
+                              "pass --drop ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert main(["fault", str(f), "--links", "1", "--drop", "255u8"]) == 0
+
+    def test_native_nesting_limit_reported_without_traceback(
+            self, tmp_path, capsys):
+        """CPython refuses the nested ``if`` blocks ``compile_py`` emits for a
+        120-arm ``else if`` chain; the interpreter runs the same file."""
+        f = tmp_path / "plain.nv"
+        f.write_text(self.PLAIN_ATTRIBUTE)
+        assert main(["simulate", str(f), "--native"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "native back end's limit" in err and "interpreter" in err
+        assert "Traceback" not in err
+        assert main(["simulate", str(f)]) == 0
+
 
 class TestMetricsFlags:
     """The live-metrics CLI surface: --progress/--heartbeat/--metrics-json/
