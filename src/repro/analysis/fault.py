@@ -39,6 +39,7 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from .. import metrics, obs, parallel, perf, telemetry
+from ..eval.encoding import edge_order_key
 from ..eval.interp import Interpreter, program_env
 from ..eval.maps import FrozenMap, MapContext, NVMap, freeze_value
 from ..eval.values import VRecord, VSome
@@ -249,8 +250,8 @@ def _batch_member_bdd(ctx: MapContext, node_failures: bool,
     first failed link belongs to ``link_batch`` (either orientation).
 
     The first edge component sits at bit offset 0 (or after the failed-node
-    bits when ``node_failures``); its encoding is the source node's bits
-    followed by the destination's (see :mod:`repro.eval.encoding`).
+    bits when ``node_failures``); its encoding is the edge's index among the
+    network's directed edges (see :mod:`repro.eval.encoding`).
     """
     mgr = ctx.manager
     enc = ctx.encoder
@@ -357,6 +358,17 @@ def _fault_shard_factory(payload: dict[str, Any]):
     return run
 
 
+def _scenario_order_key(key_ty: T.Type, key: Any) -> Any:
+    """Sort key putting decoded scenario keys in encoder bit order: components
+    most significant first, a node by its id, an edge by its index among the
+    network's edges (not by its endpoint pair)."""
+    if isinstance(key_ty, T.TEdge):
+        return edge_order_key(key)
+    if isinstance(key_ty, T.TTuple):
+        return tuple(_scenario_order_key(t, k) for t, k in zip(key_ty.elts, key))
+    return key
+
+
 def merge_fault_reports(reports: Sequence[FaultReport]) -> FaultReport:
     """Combine batch-restricted reports into one full-scenario-space report
     that does not depend on how the space was cut into batches.
@@ -365,11 +377,10 @@ def merge_fault_reports(reports: Sequence[FaultReport]) -> FaultReport:
     (batches partition the scenario space, so the sums are exact) and the
     classes are listed in ascending :func:`route_order_key` order — the
     order the unrestricted analysis emits.  A node's witness is the
-    smallest violating scenario key over all batches in encoder bit order:
-    scenario keys are nodes and edges laid out most-significant-bit first,
-    so that is the natural tuple order of the decoded keys, and it is the
-    key ``any_sat`` finds on the unrestricted run.  Timings accumulate —
-    they are total work, not wall clock.
+    smallest violating scenario key over all batches in encoder bit order
+    (:func:`_scenario_order_key`), which is the key ``any_sat`` finds on the
+    unrestricted run.  Timings accumulate — they are total work, not wall
+    clock.
     """
     if not reports:
         raise ValueError("no fault reports to merge")
@@ -387,10 +398,13 @@ def merge_fault_reports(reports: Sequence[FaultReport]) -> FaultReport:
         merged_nodes.append(NodeFaultReport(u, sorted(
             ((value, count, ok) for value, (count, ok) in combined.items()),
             key=_class_order_key)))
+    key_ty = scenario_key_type(first.num_link_failures, first.node_failures)
     witnesses: dict[int, Any] = {}
     for report in reports:
         for u, witness in report.witnesses.items():
-            if u not in witnesses or witness < witnesses[u]:
+            if u not in witnesses or (
+                    _scenario_order_key(key_ty, witness)
+                    < _scenario_order_key(key_ty, witnesses[u])):
                 witnesses[u] = witness
     return FaultReport(
         first.num_link_failures, first.node_failures, merged_nodes,

@@ -8,7 +8,14 @@ space/time saving the paper attributes to sized integers.
 
 Conventions: all components are most-significant-bit first; an option is one
 tag bit followed by the payload bits (all zero in the canonical ``None``
-encoding); an edge is the source node's bits followed by the destination's.
+encoding).  An edge is its *index* among the network's directed edges, the
+edge set sorted by ``(min(u, v), max(u, v), u > v)``: ``ceil(log2 |E|)`` bits,
+every code below ``|E|`` valid, and the two orientations of a link adjacent —
+they differ in the last bit only, so a predicate that treats a link as a unit
+(every fault scenario does) never tests it.  The code is a function of the
+edge *set* alone, not of the order the caller listed it in, so a parent
+process and its workers agree on it.  An edge's endpoints are recovered from
+the index bits by :meth:`Encoder.edge_endpoints`.
 """
 
 from __future__ import annotations
@@ -22,6 +29,13 @@ from ..lang.errors import NvEncodingError
 from .values import VRecord, VSome
 
 
+def edge_order_key(edge: tuple[int, int]) -> tuple[int, int, bool]:
+    """Sort key of the edge table: by link, then ``u < v`` before ``v > u``.
+    Ascending in it is ascending in the edge's code."""
+    u, v = edge
+    return (min(u, v), max(u, v), u > v)
+
+
 class Encoder:
     """Encodes values of finitary types as bit patterns for a fixed network."""
 
@@ -29,6 +43,9 @@ class Encoder:
         self.num_nodes = num_nodes
         self.edges = tuple(edges)
         self.node_width = max(1, (max(num_nodes - 1, 0)).bit_length()) if num_nodes > 1 else 1
+        self._edge_table = sorted(set(self.edges), key=edge_order_key)
+        self._edge_index = {e: i for i, e in enumerate(self._edge_table)}
+        self.edge_width = max(1, (len(self._edge_table) - 1).bit_length())
 
     # ------------------------------------------------------------------
     # Layout
@@ -42,7 +59,7 @@ class Encoder:
         if isinstance(ty, T.TNode):
             return self.node_width
         if isinstance(ty, T.TEdge):
-            return 2 * self.node_width
+            return self.edge_width
         if isinstance(ty, T.TOption):
             return 1 + self.width(ty.elt)
         if isinstance(ty, T.TTuple):
@@ -66,8 +83,11 @@ class Encoder:
                 raise NvEncodingError(f"node {value} out of range [0, {self.num_nodes})")
             return _int_bits(value, self.node_width)
         if isinstance(ty, T.TEdge):
-            u, v = value
-            return _int_bits(u, self.node_width) + _int_bits(v, self.node_width)
+            edge = tuple(value)
+            index = self._edge_index.get(edge)
+            if index is None:
+                raise NvEncodingError(f"edge {edge} is not an edge of this network")
+            return _int_bits(index, self.edge_width)
         if isinstance(ty, T.TOption):
             if value is None:
                 return [False] + [False] * self.width(ty.elt)
@@ -102,8 +122,12 @@ class Encoder:
         if isinstance(ty, T.TNode):
             return _bits_int(bits[:self.node_width]), bits[self.node_width:]
         if isinstance(ty, T.TEdge):
-            w = self.node_width
-            return (_bits_int(bits[:w]), _bits_int(bits[w:2 * w])), bits[2 * w:]
+            w = self.edge_width
+            index = _bits_int(bits[:w])
+            if index >= len(self._edge_table):
+                raise NvEncodingError(
+                    f"edge code {index} out of range [0, {len(self._edge_table)})")
+            return self._edge_table[index], bits[w:]
         if isinstance(ty, T.TOption):
             tag, rest = bits[0], bits[1:]
             payload_width = self.width(ty.elt)
@@ -145,16 +169,8 @@ class Encoder:
             bits = bitvec.var_bits(mgr, level0, self.node_width)
             return bitvec.lt_const(mgr, bits, max(self.num_nodes, 1))
         if isinstance(ty, T.TEdge):
-            # Valid edge codes are exactly the network's directed edges.
-            out = mgr.false
-            for u, v in self.edges:
-                cube = mgr.true
-                pattern = _int_bits(u, self.node_width) + _int_bits(v, self.node_width)
-                for i, bit in enumerate(pattern):
-                    var = mgr.var(level0 + i)
-                    cube = mgr.band(cube, var if bit else mgr.bnot(var))
-                out = mgr.bor(out, cube)
-            return out
+            bits = bitvec.var_bits(mgr, level0, self.edge_width)
+            return bitvec.lt_const(mgr, bits, len(self._edge_table))
         if isinstance(ty, T.TOption):
             tag = mgr.var(level0)
             payload_ok = self.domain(ty.elt, mgr, level0 + 1)
@@ -177,6 +193,33 @@ class Encoder:
                 offset += self.width(t)
             return out
         raise NvEncodingError(f"cannot build a key domain for type {ty}")
+
+    def edge_endpoints(self, mgr: BddManager, level0: int
+                       ) -> tuple[list[int], list[int]]:
+        """The source and destination node of the edge whose index bits start
+        at ``level0``, each a node-width vector of BDDs over those bits: one
+        balanced multiplexer over the edge table per output bit.  Codes past
+        the last edge read as node 0; :meth:`domain` excludes them."""
+        size = 1 << self.edge_width
+
+        def mux(column: list[int], level: int) -> int:
+            if len(column) == 1:
+                return column[0]
+            half = len(column) // 2
+            return mgr.mk(level, mux(column[:half], level + 1),
+                          mux(column[half:], level + 1))
+
+        def endpoint(which: int) -> list[int]:
+            out = []
+            for i in range(self.node_width):
+                shift = self.node_width - 1 - i
+                column = [mgr.true if (e[which] >> shift) & 1 else mgr.false
+                          for e in self._edge_table]
+                column.extend([mgr.false] * (size - len(column)))
+                out.append(mux(column, level0))
+            return out
+
+        return endpoint(0), endpoint(1)
 
     def enumerate_values(self, ty: T.Type) -> list[Any]:
         """All values of a small finitary type (used by exhaustive checks

@@ -28,6 +28,11 @@ class MapContext:
         self.manager = make_manager()
         self.encoder = Encoder(num_nodes, edges)
         self._domain_cache: dict[T.Type, int] = {}
+        # An edge's endpoints as functions of its index bits, per level the
+        # bits start at (node ids survive clear_caches, so this does too).
+        # Every key predicate starts from it; rebuilding it per predicate
+        # costs more than the dense layout saves.
+        self._edge_endpoints: dict[int, tuple[list[int], list[int]]] = {}
         # Frozen-snapshot cache (see freeze_value): pins a bytes blob and
         # leaf tuple per frozen (root, key type), so it is dropped whenever
         # the manager's caches are — long-lived analyses freezing many
@@ -52,6 +57,14 @@ class MapContext:
         if cached is None:
             cached = self.encoder.domain(key_ty, self.manager)
             self._domain_cache[key_ty] = cached
+        return cached
+
+    def edge_endpoints(self, level: int) -> tuple[list[int], list[int]]:
+        """Cached :meth:`Encoder.edge_endpoints` (callers must not mutate)."""
+        cached = self._edge_endpoints.get(level)
+        if cached is None:
+            cached = self._edge_endpoints[level] = self.encoder.edge_endpoints(
+                self.manager, level)
         return cached
 
     def key_path(self, key_ty: T.Type, key: Any

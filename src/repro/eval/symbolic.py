@@ -81,9 +81,12 @@ class SymbolicEvaluator(PartialEvaluator):
             w = ty.width if isinstance(ty, T.TInt) else self.ctx.encoder.node_width
             return SInt(bitvec.var_bits(mgr, level, w), w), level + w
         if isinstance(ty, T.TEdge):
-            src, level = self.sym_var(T.TNode(), level)
-            dst, level = self.sym_var(T.TNode(), level)
-            return SEdge(src, dst), level
+            # The key bits are the edge's index; its endpoints are read off
+            # them through the context's (cached) multiplexer table.
+            enc = self.ctx.encoder
+            src, dst = self.ctx.edge_endpoints(level)
+            return (SEdge(SInt(src, enc.node_width), SInt(dst, enc.node_width)),
+                    level + enc.edge_width)
         if isinstance(ty, T.TOption):
             tag = mgr.var(level)
             payload, nxt = self.sym_var(ty.elt, level + 1)

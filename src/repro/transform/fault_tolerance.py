@@ -109,6 +109,10 @@ def _scenario_in_batch(scenario: A.Expr, key_ty: T.Type,
     fault driver's per-batch class counting relies on.  (Keying on the
     last edge component instead costs the same: the per-link sub-diagrams
     every batch rebuilds are shared by hash-consing either way.)
+
+    The test is written on the edge's endpoints (``comp = u~v``), never on
+    its key bits: a key holds the edge's index (:mod:`repro.eval.encoding`),
+    and the symbolic evaluator reads the endpoints back off it.
     """
     if isinstance(key_ty, T.TNode):
         raise ValueError("a node-only scenario key has no link component "

@@ -6,17 +6,22 @@ shared corpus of ``tests/helpers.py`` goes through the same check, with every
 leaf diagram of the (not necessarily boolean) result restricted at every key.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.interp import Interpreter, program_env
 from repro.eval.maps import MapContext
+from repro.eval.symbolic import SymbolicEvaluator
+from repro.lang import ast as A
 from repro.lang import types as T
 from repro.lang.errors import NvEncodingError
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import check_program
 from repro.protocols import resolve
+from repro.transform import fault_tolerance as FT
 from tests.helpers import (CORPUS_EDGES, CORPUS_PARAMS, corpus_program,
                            decode_sym, random_case, values_of)
 from tests.transform.test_semantic_properties import ENVIRONMENTS, int_expr
@@ -86,6 +91,63 @@ class TestEdgePredicates:
             assert by_bdd(e) == by_interp(e)
 
 
+def check_key_predicate(key_ty, body, decls=()):
+    """``predicate_to_bdd`` of ``fun (__sc : key_ty) -> body`` at *every* bit
+    pattern of the key: the interpreter's answer at a valid key, false at a
+    garbage code (here: an edge index past the last of the six edges)."""
+    program = A.Program([*decls, A.DLet(
+        "pred", A.EFun("__sc", body, param_ty=key_ty))])
+    check_program(program)
+    ctx = MapContext(4, CORPUS_EDGES)
+    interp = Interpreter(ctx)
+    pred = program_env(program, interp)["pred"]
+    bdd = SymbolicEvaluator(interp, ctx).predicate_to_bdd(pred, key_ty)
+    enc = ctx.encoder
+    valid = {tuple(enc.encode(key_ty, key)): key for key in values_of(key_ty)}
+    patterns = list(itertools.product((False, True), repeat=enc.width(key_ty)))
+    for bits in patterns:
+        got = ctx.manager.restrict_eval(bdd, lambda lvl: bits[lvl])
+        want = interp.apply(pred, valid[bits]) if bits in valid else False
+        assert got == want, (bits, valid.get(bits))
+
+
+class TestFaultPredicateShapes:
+    """The predicates ``transform/fault_tolerance`` emits destructure edge
+    keys (``let (su, sv) = sc``); the key's bits are the edge's index, so the
+    endpoints come out of the multiplexer table."""
+
+    SC = A.EVar("__sc")
+
+    @pytest.mark.parametrize("edge", CORPUS_EDGES)
+    def test_edge_matches(self, edge):
+        check_key_predicate(T.TEdge(), FT._edge_matches(self.SC, "e"),
+                            [A.DLet("e", A.EEdge(*edge))])
+
+    @pytest.mark.parametrize("edge", CORPUS_EDGES)
+    def test_node_hits_edge(self, edge):
+        check_key_predicate(T.TNode(), FT._node_hits_edge(self.SC, "e"),
+                            [A.DLet("e", A.EEdge(*edge))])
+
+    @pytest.mark.parametrize("links,nodes", [(1, True), (2, False), (2, True)])
+    def test_scenario_fails_edge(self, links, nodes):
+        key_ty = FT.scenario_key_type(links, nodes)
+        check_key_predicate(
+            key_ty, FT._scenario_fails_edge(self.SC, key_ty, "e", links, nodes),
+            [A.DLet("e", A.EEdge(3, 0))])
+
+    @pytest.mark.parametrize("links,nodes", [(1, False), (2, False), (1, True)])
+    def test_scenario_in_batch(self, links, nodes):
+        key_ty = FT.scenario_key_type(links, nodes)
+        check_key_predicate(key_ty, FT._scenario_in_batch(
+            self.SC, key_ty, ((1, 2), (0, 3)), nodes))
+
+    def test_hand_written_destructuring(self):
+        fn = parse_program(
+            "let f = fun (e : edge) -> let (u, v) = e in u = 3n || v < u"
+        ).get_let("f").expr
+        check_key_predicate(T.TEdge(), A.EApp(fn, self.SC))
+
+
 class TestOptionPredicates:
     def test_option_match(self):
         from repro.eval.values import VSome
@@ -151,8 +213,6 @@ def check_bdd_domain(key_ty, body, keys=None):
     """``fun (k : key_ty) -> body`` over a symbolic key, every leaf diagram of
     the result restricted at each of ``keys`` (default: the whole type),
     against the interpreter."""
-    from repro.eval.symbolic import SymbolicEvaluator
-
     program, ty = corpus_program(key_ty, body)
     ctx = MapContext(4, CORPUS_EDGES)
     interp = Interpreter(ctx)

@@ -154,6 +154,20 @@ SYMBOLIC_CORPUS = [
     ("edge-eq", "edge", "k = (1n, 2n)"),
     ("edge-proj", "edge", "k.0 = 1n || k.1 = 0n"),
     ("edge-let", "edge", "let (u, v) = k in if u = 0n then v else u"),
+    ("edge-order", "edge", "let (u, v) = k in u = 3n || v < u"),
+    # the key predicates of the fault meta-protocol (transform/fault_tolerance)
+    ("edge-matches", "edge",
+     "let (su, sv) = k in let (eu, ev) = (3n, 0n) in "
+     "(su = eu && sv = ev) || (su = ev && sv = eu)"),
+    ("node-hits-edge", "(node, edge)",
+     "let (u, v) = k.1 in (k.0 = u || k.0 = v) && (k.1 = (1n, 2n) "
+     "|| k.1 = (2n, 1n) || u = 3n)"),
+    ("two-links-fail-edge", "(edge, edge)",
+     "let (au, av) = k.0 in let (bu, bv) = k.1 in "
+     "(au = 0n && av = 1n) || (au = 1n && av = 0n) || "
+     "(bu = 0n && bv = 1n) || (bu = 1n && bv = 0n)"),
+    ("scenario-in-batch", "(edge, edge)",
+     "k.0 = (0n, 1n) || k.0 = (1n, 0n) || k.0 = (0n, 3n) || k.0 = (3n, 0n)"),
     # tuples and records that mix concrete and symbolic components
     ("tuple-build", "int3", "(k, 5u3, k < 3u3)"),
     ("tuple-get", "(int3, bool)", "if k.1 then k.0 else k.0 + 1u3"),

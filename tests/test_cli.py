@@ -311,6 +311,27 @@ class TestErrors:
         assert capsys.readouterr().err == \
             "error: NV_JOBS='abc' is not an integer\n"
 
+    @pytest.mark.parametrize("backend", [[], ["--native"]])
+    def test_edge_key_that_is_no_edge_reported_without_traceback(
+            self, backend, tmp_path, capsys):
+        """An edge-keyed map indexed by a pair the topology does not have:
+        the key has no code (it used to be masked into one outside the key
+        domain, silently)."""
+        f = tmp_path / "badedge.nv"
+        f.write_text("""
+type attribute = dict[edge, option[int8]]
+let nodes = 3
+let edges = {0n=1n; 1n=2n}
+let init (u : node) =
+  let m : attribute = createDict None in
+  if u = 0n then m[(0n, 2n) := Some 0u8] else m
+let trans (e : edge) (x : attribute) = x
+let merge (u : node) (x y : attribute) = x
+""")
+        assert main(["simulate", str(f), *backend]) == 3
+        assert capsys.readouterr().err == \
+            "error: edge (0, 2) is not an edge of this network\n"
+
     # An int8 hop count: no option to drop a route to, and a 120-arm chain.
     PLAIN_ATTRIBUTE = """
 let nodes = 2

@@ -147,6 +147,27 @@ let assert (u : node) (x : rip) = match x with | None -> false | Some h -> true
         assert scenarios == len(net.edges)
 
 
+    def test_merged_witness_is_smallest_in_edge_index_order(self):
+        # Edge keys sort by link, then orientation: (1, 0) is edge 1 and
+        # (0, 2) edge 2, whatever the endpoint pairs say.
+        from repro.analysis.fault import (FaultReport, NodeFaultReport,
+                                          merge_fault_reports)
+
+        def report(links, nodes, witness):
+            classes = [NodeFaultReport(0, [(None, 1, False)])]
+            return FaultReport(links, nodes, classes, 0.0, 0.0, {0: witness})
+
+        for links, nodes, low, high in [
+                (1, False, (1, 0), (0, 2)),
+                (2, False, ((0, 1), (1, 0)), ((0, 1), (0, 2))),
+                (1, True, (1, (2, 0)), (1, (1, 3))),
+                (1, True, (0, (1, 3)), (1, (0, 1)))]:
+            for batches in ([low, high], [high, low]):
+                merged = merge_fault_reports(
+                    [report(links, nodes, w) for w in batches])
+                assert merged.witnesses == {0: low}
+
+
 class TestSymbolicFailures:
     def test_program_structure(self):
         net = load(RIP_TRIANGLE)
