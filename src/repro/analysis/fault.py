@@ -34,11 +34,11 @@ seeded with the (picklable) base program and rebuild their own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Sequence
 
 from .. import metrics, obs, parallel, perf, telemetry
+from .._struct import field, struct
 from ..eval.encoding import edge_order_key
 from ..eval.interp import Interpreter, program_env
 from ..eval.maps import FrozenMap, MapContext, NVMap, freeze_value
@@ -49,7 +49,7 @@ from ..srp.simulate import simulate
 from ..transform.fault_tolerance import fault_tolerance_transform, scenario_key_type
 
 
-@dataclass
+@struct
 class NodeFaultReport:
     node: int
     # Each entry: (route value, number of scenarios with that route, ok?).
@@ -64,7 +64,7 @@ class NodeFaultReport:
         return sum(count for _, count, ok in self.classes if not ok)
 
 
-@dataclass
+@struct
 class FaultReport:
     num_link_failures: int
     node_failures: bool
@@ -565,7 +565,7 @@ def naive_fault_tolerance(net: Network,
 # SMT fault tolerance: per-scenario assumption queries (fig 13a's encoding)
 # ----------------------------------------------------------------------
 
-@dataclass
+@struct
 class SmtScenarioResult:
     """Verdict for one concrete failure scenario."""
 
@@ -578,7 +578,7 @@ class SmtScenarioResult:
         return self.status == "verified"
 
 
-@dataclass
+@struct
 class SmtFaultReport:
     """Per-scenario SMT fault-tolerance verdicts (cf. :class:`FaultReport`,
     which derives equivalence classes from one MTBDD simulation)."""

@@ -30,11 +30,11 @@ the checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Sequence
 
 from .. import metrics, obs, parallel, perf
+from .._struct import field, struct
 from ..eval.values import VRecord, VSome
 from ..lang import ast as A
 from ..lang import types as T
@@ -55,7 +55,7 @@ from .verify import DecodedMap, _result_from_smt, decode_tval, encode_network, v
 # Interface specs: how an annotation manifests inside a fragment encoding
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class ConcreteInterface:
     """An inferred (or concrete-route) interface: the message crossing the
     edge *is* this value."""
@@ -70,7 +70,7 @@ class ConcreteInterface:
         return ev.eq(msg, enc.lift(self.value, enc.net.attr_ty))
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class ExprInterface:
     """A textual ``route`` annotation: an NV expression (evaluated as the
     ``__iface_u_v`` declaration of the extended program) the message must
@@ -86,7 +86,7 @@ class ExprInterface:
         return ev.eq(msg, enc.lift(env[self.let_name], enc.net.attr_ty))
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class PredInterface:
     """A ``pred`` annotation: a predicate over the attribute type.  The
     assume side introduces a fresh interface variable constrained by it (the
@@ -112,7 +112,7 @@ class PredInterface:
 # Results
 # ----------------------------------------------------------------------
 
-@dataclass
+@struct
 class InterfaceCheck:
     """Outcome of one outbound guarantee discharge."""
 
@@ -125,7 +125,7 @@ class InterfaceCheck:
     witness: dict[int, Any] | None = None
 
 
-@dataclass
+@struct
 class FragmentResult:
     """One fragment's property verdict plus its guarantee discharges."""
 
@@ -141,7 +141,7 @@ class FragmentResult:
         return [g.edge for g in self.guarantees if g.status == "refuted"]
 
 
-@dataclass
+@struct
 class PartitionReport:
     """The merged outcome of a partitioned verification run."""
 

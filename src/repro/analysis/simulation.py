@@ -8,18 +8,17 @@ or excluded).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Sequence
 
 from .. import metrics, obs, parallel, perf, telemetry
-from ..eval.compile_py import compile_network_functions
+from .._struct import struct
 from ..srp.network import Network, functions_from_program
 from ..srp.simulate import simulate
 from ..srp.solution import Solution
 
 
-@dataclass
+@struct
 class SimulationReport:
     solution: Solution
     backend: str
@@ -76,6 +75,8 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
         with obs.span("sim.setup", backend=backend):
             funcs = functions_from_program(net, symbolics)
     elif backend == "native":
+        from ..eval.compile_py import compile_network_functions
+
         with obs.span("sim.setup", backend=backend):
             funcs = compile_network_functions(net, symbolics)
     else:

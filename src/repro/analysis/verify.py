@@ -22,6 +22,7 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from .. import metrics, obs, parallel
+from .._struct import struct
 from ..eval.partial import SBool, SEdge, SInt, SOption, SRecord, STuple, Sym
 from ..eval.values import VClosure, VRecord, VSome
 from ..lang import ast as A
@@ -31,10 +32,9 @@ from ..smt.encode_nv import (NvSmtEncoder, TMap, TermEvaluator,
                              VerificationResult)
 from ..smt.solver import Solver
 from ..srp.network import Network
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class DecodedMap:
     """A decoded (unrolled) map from an SMT model: tracked entries plus the
     shared default for every other key."""

@@ -17,15 +17,15 @@ networks: BGP attributes (local-pref, path length, MED, communities).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .. import obs, perf
+from .._struct import struct
 from ..topology.fattree import layer_bounds
 from ..topology.graph import Topology
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class BgpRoute:
     """A concrete BGP route in the baseline's native representation."""
 
@@ -87,7 +87,7 @@ class ValleyFreePolicy(Policy):
         return out
 
 
-@dataclass
+@struct
 class BatfishResult:
     ribs: list[dict[int, BgpRoute]]
     iterations: int

@@ -28,11 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
 from . import perf
+from ._struct import struct
 
 #: Default location of the checked-in budget file (repo checkout layout).
 DEFAULT_BUDGETS = Path(__file__).resolve().parents[2] / "benchmarks" / "budgets.json"
@@ -144,7 +144,7 @@ def run_workload(name: str,
 # Comparison
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class CounterDrift:
     """One compared counter: expected vs actual and the verdict."""
 

@@ -41,7 +41,9 @@ Exit status: 0 the property holds (or the command did its job), 1 it is
 violated, 2 ``verify`` could not decide, 130 interrupted, and 3 for every
 contract error — an ill-formed program or flag, a failed worker, a program
 nested past the recursion limit, or a reader that closed stdout (``| head``)
-— each without a traceback.
+— each without a traceback.  An input or output path that cannot be read or
+written (missing, a directory, not UTF-8) is one of them: one
+``error: <path>: <reason>`` line.
 """
 
 from __future__ import annotations
@@ -49,31 +51,52 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from time import perf_counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import metrics, obs, parallel, perf
-from .eval.interp import Interpreter
-from .eval.maps import MapContext
-from .eval.values import value_repr
-from .lang import types as T
 from .lang.errors import NvError
-from .lang.parser import parse_expr, parse_program
-from .lang.typecheck import check_program
-from .protocols import resolve
-from .srp.network import Network
+
+if TYPE_CHECKING:
+    from .srp.network import Network
+
+# Each command imports the layers it runs (parser, evaluator, BDD manager,
+# SMT stack) when it runs them: `translate`, `report` and `runs` load no
+# evaluator, and no command pays for another's back end.
+
+
+def _path_error(path: str, exc: Exception) -> NvError:
+    """An unreadable or unwritable path is a contract error, not a traceback."""
+    return NvError(f"{path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _path_error(path, exc) from None
 
 
 def _load_network(path: str) -> Network:
+    from .lang.parser import parse_program
+    from .protocols import resolve
+    from .srp.network import Network
+
     with obs.span("frontend.parse", file=path):
-        program = parse_program(Path(path).read_text(), resolve)
+        program = parse_program(_read_text(path), resolve)
     with obs.span("frontend.typecheck"):
         return Network.from_program(program)
 
 
 def _parse_symbolics(pairs: list[str], net: Network) -> dict[str, Any]:
     """Evaluate `name=<nv literal>` bindings in the network's context."""
+    from .eval.interp import Interpreter
+    from .eval.maps import MapContext
+    from .lang import ast as A
+    from .lang.parser import parse_expr
+    from .lang.typecheck import check_program
+
     out: dict[str, Any] = {}
     interp = Interpreter(MapContext(net.num_nodes, net.edges))
     for pair in pairs:
@@ -81,7 +104,6 @@ def _parse_symbolics(pairs: list[str], net: Network) -> dict[str, Any]:
             raise SystemExit(f"--symbolic expects name=value, got {pair!r}")
         name, text = pair.split("=", 1)
         expr = parse_expr(text)
-        from .lang import ast as A
         program = A.Program([A.DLet("__cli", expr)])
         check_program(program)
         out[name] = interp.eval(expr)
@@ -183,6 +205,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .analysis.verify import verify as smt_verify
     from .analysis.verify import verify_many
+    from .eval.values import value_repr
 
     _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
@@ -234,6 +257,7 @@ def _cmd_verify_partitioned(args: argparse.Namespace,
     (Kirigami-style) verification of one network — cut, verify fragments in
     parallel across ``--jobs`` workers, discharge interfaces."""
     from .analysis.partition import verify_partitioned
+    from .eval.values import value_repr
     from .partition import load_cut_file
 
     if len(nets) > 1:
@@ -241,7 +265,10 @@ def _cmd_verify_partitioned(args: argparse.Namespace,
                          "(the parallel axis is across fragments, not files)")
     net = nets[0]
     symbolics = _parse_symbolics(args.symbolic, net) or None
-    cuts = load_cut_file(args.cuts) if args.cuts else None
+    try:
+        cuts = load_cut_file(args.cuts) if args.cuts else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _path_error(args.cuts, exc) from None
     report = verify_partitioned(
         net, partition=args.partition, cuts=cuts,
         method=args.partition_method or "auto",
@@ -273,6 +300,8 @@ def _cmd_verify_partitioned(args: argparse.Namespace,
 
 def cmd_fault(args: argparse.Namespace) -> int:
     from .analysis.fault import fault_tolerance_sharded
+    from .lang import types as T
+    from .lang.parser import parse_expr
 
     _maybe_enable_stats(args)
     net = _load_network(args.file)
@@ -316,14 +345,23 @@ def cmd_translate(args: argparse.Namespace) -> int:
     from .frontend.configs import parse_config
     from .frontend.to_nv import translate
 
-    directory = Path(args.configs)
-    files = sorted(directory.glob("*.cfg")) + sorted(directory.glob("*.conf"))
+    directory = args.configs
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise _path_error(directory, exc) from None
+    files = [(n[:-len(suffix)], os.path.join(directory, n))
+             for suffix in (".cfg", ".conf") for n in names if n.endswith(suffix)]
     if not files:
         raise SystemExit(f"no .cfg/.conf files in {directory}")
-    configs = [parse_config(f.stem, f.read_text()) for f in files]
+    configs = [parse_config(router, _read_text(path)) for router, path in files]
     translation = translate(configs, assert_prefix=args.assert_prefix)
     if args.output:
-        Path(args.output).write_text(translation.source)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(translation.source)
+        except OSError as exc:
+            raise _path_error(args.output, exc) from None
         print(f"wrote {args.output}")
     else:
         print(translation.source)
@@ -342,8 +380,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     parallel efficiency, LPT-bound gap) as text."""
     from .report import generate, load_trace
 
-    trace = Path(args.trace_file)
-    if not trace.exists():
+    trace = args.trace_file
+    if not os.path.exists(trace):
         raise SystemExit(f"no such trace file: {trace}")
     out = generate(trace, metrics_path=args.metrics,
                    out_path=args.output, title=args.title)
@@ -681,7 +719,11 @@ def _run(argv: list[str] | None) -> int:
         # registry on as well (a later --stats reset is harmless: nothing
         # has accumulated yet).
         obs.reset()
-        obs.enable(jsonl=args.trace_json)
+        try:
+            obs.enable(jsonl=args.trace_json)
+        except OSError as exc:
+            print(f"error: {_path_error(args.trace_json, exc)}", file=sys.stderr)
+            return 3
         perf.reset()
         perf.enable()
     if metrics_on:
@@ -763,10 +805,13 @@ def _write_metrics_outputs(args: argparse.Namespace) -> None:
     if not mjson and not prom:
         return
     snap = metrics.snapshot()
-    if mjson:
-        metrics.write_json(mjson, snap)
-    if prom:
-        metrics.write_prometheus(prom, snap)
+    try:
+        if mjson:
+            metrics.write_json(mjson, snap)
+        if prom:
+            metrics.write_prometheus(prom, snap)
+    except OSError as exc:
+        raise _path_error(exc.filename, exc) from None
 
 
 if __name__ == "__main__":

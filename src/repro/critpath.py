@@ -31,8 +31,9 @@ places: the ``repro report`` HTML (its own section), ``repro report
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Any, Iterable
+
+from ._struct import field, struct
 
 #: Gauge names under which the analysis lands in RunRecords.
 GAUGE_CRITICAL = "parallel.critical_path_seconds"
@@ -46,7 +47,7 @@ GAUGE_LPT_GAP = "parallel.lpt_gap_pct"
 _EPS = 1e-6
 
 
-@dataclass
+@struct
 class ChainEntry:
     """One span on the critical path."""
 
@@ -58,7 +59,7 @@ class ChainEntry:
     unit: Any = None
 
 
-@dataclass
+@struct
 class CriticalPathReport:
     """The analysis result; see :func:`analyze`."""
 

@@ -22,11 +22,11 @@ Two pieces of the embedding/unembedding story carry over directly:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
 from .. import telemetry
+from .._struct import struct
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError, NvRuntimeError
@@ -35,7 +35,7 @@ from .maps import MapContext, NVMap
 from .values import VRecord, VSome
 
 
-@dataclass
+@struct
 class CompiledProgram:
     env: dict[str, Any]
     source: str

@@ -9,9 +9,9 @@ simulator's convergence check relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
+from .._struct import struct
 from ..bdd import make_manager
 from ..lang import types as T
 from ..lang.errors import NvEncodingError
@@ -204,7 +204,7 @@ def _freeze(key: Any) -> Any:
 # Picklable map snapshots (for cross-process result transport)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class FrozenMap:
     """A picklable, structurally comparable snapshot of an :class:`NVMap`.
 

@@ -23,11 +23,12 @@ first-order value can live in an MTBDD leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from .._struct import struct
 
-@dataclass(frozen=True, slots=True)
+
+@struct(frozen=True, slots=True)
 class VSome:
     """A present optional value (``Some v``)."""
 
@@ -112,7 +113,7 @@ class VRecord:
         return "{" + inner + "}"
 
 
-@dataclass(slots=True, eq=False)
+@struct(slots=True, eq=False)
 class VClosure:
     """An interpreter closure: a function value carrying its defining
     environment.  The AST is retained so back ends (the MTBDD predicate

@@ -21,8 +21,7 @@ paper's translation handles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._struct import field, struct
 from ..lang.errors import NvError
 
 
@@ -66,7 +65,7 @@ def wildcard_to_len(wildcard: int) -> int:
     return mask_to_len((~wildcard) & 0xFFFFFFFF)
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class Prefix:
     """An IPv4 prefix (network address is canonicalised to the mask)."""
 
@@ -109,20 +108,20 @@ def parse_community(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@struct
 class Interface:
     name: str
     prefix: Prefix | None = None
     ospf_cost: int | None = None
 
 
-@dataclass
+@struct
 class StaticRoute:
     prefix: Prefix
     next_hop: int  # IP of the next hop
 
 
-@dataclass
+@struct
 class BgpNeighbor:
     ip: int
     remote_as: int | None = None
@@ -130,7 +129,7 @@ class BgpNeighbor:
     route_map_out: str | None = None
 
 
-@dataclass
+@struct
 class BgpConfig:
     asn: int
     networks: list[Prefix] = field(default_factory=list)
@@ -143,13 +142,13 @@ class BgpConfig:
         return self.neighbors[ip]
 
 
-@dataclass
+@struct
 class OspfNetwork:
     prefix: Prefix
     area: int
 
 
-@dataclass
+@struct
 class OspfConfig:
     process_id: int
     networks: list[OspfNetwork] = field(default_factory=list)
@@ -157,7 +156,7 @@ class OspfConfig:
     redistribute_metric: int = 20
 
 
-@dataclass
+@struct
 class RouteMapClause:
     action: str            # "permit" | "deny"
     seq: int
@@ -169,7 +168,7 @@ class RouteMapClause:
     delete_comm_lists: list[str] = field(default_factory=list)
 
 
-@dataclass
+@struct
 class RouterConfig:
     hostname: str
     interfaces: dict[str, Interface] = field(default_factory=dict)

@@ -18,9 +18,9 @@ paper's §3.1 restriction that map keys be statically known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from .._struct import field, struct
 from .configs import Prefix, RouteMapClause, RouterConfig
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,7 @@ from .configs import Prefix, RouteMapClause, RouterConfig
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class CondCommunity:
     """Test: the route carries every community of the named list."""
 
@@ -38,7 +38,7 @@ class CondCommunity:
         return f"comm{list(self.communities)}"
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class CondPrefix:
     """Test: the route's prefix (the map key) is one of these ids."""
 
@@ -51,7 +51,7 @@ class CondPrefix:
 Condition = CondCommunity | CondPrefix
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class Actions:
     """A leaf: either drop the route or apply the mutations in order."""
 
@@ -71,7 +71,7 @@ DROP = Actions(drop=True)
 IDENTITY = Actions()
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class DagNode:
     """An internal decision node: test ``cond``, follow ``on_true`` or
     ``on_false`` (each a DagNode or an Actions leaf)."""

@@ -8,10 +8,10 @@ let/fun/app/if/match, exactly the surface the paper commits to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from operator import is_
 from typing import Iterator
 
+from .._struct import field, replace, struct
 from .types import Type
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ class Pattern:
         raise NotImplementedError
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PWild(Pattern):
     def bound_vars(self) -> list[str]:
         return []
@@ -35,7 +35,7 @@ class PWild(Pattern):
         return "_"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PVar(Pattern):
     name: str
 
@@ -46,7 +46,7 @@ class PVar(Pattern):
         return self.name
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PBool(Pattern):
     value: bool
 
@@ -57,7 +57,7 @@ class PBool(Pattern):
         return "true" if self.value else "false"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PInt(Pattern):
     value: int
     width: int = 32
@@ -69,7 +69,7 @@ class PInt(Pattern):
         return str(self.value) if self.width == 32 else f"{self.value}u{self.width}"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PNode(Pattern):
     value: int
 
@@ -80,7 +80,7 @@ class PNode(Pattern):
         return f"{self.value}n"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PNone(Pattern):
     def bound_vars(self) -> list[str]:
         return []
@@ -89,7 +89,7 @@ class PNone(Pattern):
         return "None"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PSome(Pattern):
     sub: Pattern
 
@@ -100,7 +100,7 @@ class PSome(Pattern):
         return f"Some {self.sub}"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PTuple(Pattern):
     elts: tuple[Pattern, ...]
 
@@ -114,7 +114,7 @@ class PTuple(Pattern):
         return "(" + ", ".join(str(p) for p in self.elts) + ")"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PRecord(Pattern):
     fields: tuple[tuple[str, Pattern], ...]
 
@@ -129,7 +129,7 @@ class PRecord(Pattern):
         return "{" + inner + "}"
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class PEdge(Pattern):
     """Edge destructuring pattern ``u~v`` (also produced by ``let (u,v) = e``
     when ``e`` is an edge)."""
@@ -149,7 +149,7 @@ class PEdge(Pattern):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class Expr:
     """Base expression; subclasses add payload fields.
 
@@ -163,8 +163,8 @@ class Expr:
 
 
 def _expr(cls):
-    """Decorator that makes an expression dataclass with shared fields."""
-    return dataclass(slots=True)(cls)
+    """Decorator that makes an expression record with shared fields."""
+    return struct(slots=True)(cls)
 
 
 @_expr
@@ -405,46 +405,46 @@ class Decl:
     __slots__ = ()
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class DLet(Decl):
     name: str
     expr: Expr
     annot: Type | None = None
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class DSymbolic(Decl):
     name: str
     ty: Type
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class DRequire(Decl):
     expr: Expr
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class DType(Decl):
     name: str
     ty: Type
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class DNodes(Decl):
     count: int
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class DEdges(Decl):
     edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class DInclude(Decl):
     module: str
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class Program:
     """A parsed NV program: an ordered list of declarations."""
 

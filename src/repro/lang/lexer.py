@@ -8,8 +8,7 @@ end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._struct import struct
 from .errors import NvSyntaxError
 
 KEYWORDS = {
@@ -26,7 +25,7 @@ SYMBOLS = [
 ]
 
 
-@dataclass(slots=True)
+@struct(slots=True)
 class Token:
     kind: str      # 'ident' | 'int' | 'node' | 'keyword' | symbol text | 'eof'
     text: str

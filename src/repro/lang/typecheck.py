@@ -14,15 +14,15 @@ declared record containing the projected label determines the type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
+from .._struct import struct
 from . import ast as A
 from . import types as T
 from .errors import NvTypeError
 
 
-@dataclass
+@struct
 class Scheme:
     """A type scheme: ``forall vars. ty``."""
 

@@ -10,7 +10,7 @@ requires routes exchanged between nodes to have concrete type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .._struct import field, struct
 
 
 class Type:
@@ -30,7 +30,7 @@ class Type:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TBool(Type):
     def is_finitary(self) -> bool:
         return True
@@ -39,7 +39,7 @@ class TBool(Type):
         return "bool"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TInt(Type):
     """Fixed-width unsigned integer; ``int`` with no annotation is 32 bits."""
 
@@ -56,7 +56,7 @@ class TInt(Type):
         return "int" if self.width == 32 else f"int{self.width}"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TNode(Type):
     def is_finitary(self) -> bool:
         return True
@@ -65,7 +65,7 @@ class TNode(Type):
         return "node"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TEdge(Type):
     def is_finitary(self) -> bool:
         return True
@@ -74,7 +74,7 @@ class TEdge(Type):
         return "edge"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TOption(Type):
     elt: Type
     ground: bool = field(init=False, compare=False, repr=False)
@@ -89,7 +89,7 @@ class TOption(Type):
         return f"option[{self.elt}]"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TTuple(Type):
     elts: tuple[Type, ...]
     ground: bool = field(init=False, compare=False, repr=False)
@@ -104,7 +104,7 @@ class TTuple(Type):
         return "(" + ", ".join(str(t) for t in self.elts) + ")"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TRecord(Type):
     """Record type with a fixed, ordered field list."""
 
@@ -137,7 +137,7 @@ class TRecord(Type):
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TDict(Type):
     """Total map type ``dict[key, value]``; keys must be finitary."""
 
@@ -158,7 +158,7 @@ class TDict(Type):
         return f"dict[{self.key}, {self.value}]"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TArrow(Type):
     arg: Type
     result: Type
@@ -175,7 +175,7 @@ class TArrow(Type):
         return f"{arg} -> {self.result}"
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TVar(Type):
     """Unification variable (inference only)."""
 

@@ -30,10 +30,10 @@ boundary without the per-worker skew handling trace timelines need.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 from . import metrics, obs, perf
+from ._struct import field, struct
 
 #: Gauge/histogram/counter names the ledger publishes.
 GAUGE_UTILIZATION = "parallel.utilization_pct"
@@ -47,7 +47,7 @@ HIST_UNIT_SECONDS = "parallel.unit_seconds"
 COUNTER_UNITS = "ledger_units"  # perf counter, merged under "parallel."
 
 
-@dataclass
+@struct
 class UnitRecord:
     """Lifecycle of one work unit through the pool."""
 

@@ -43,16 +43,17 @@ providers when the registry is enabled at their construction/run time.
 
 from __future__ import annotations
 
-import json
+import os
+import sys
 import threading
 import time
-import tracemalloc
-import weakref
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from . import perf
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 _enabled: bool = False
 _lock = threading.RLock()
@@ -166,15 +167,30 @@ def enable(memory: bool = False) -> None:
     global _enabled, _origin
     _origin = time.time()
     _enabled = True
-    if memory and not tracemalloc.is_tracing():
-        tracemalloc.start()
+    if memory:
+        import tracemalloc
+
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
 
 
 def disable(stop_memory: bool = True) -> None:
     global _enabled
     _enabled = False
-    if stop_memory and tracemalloc.is_tracing():
+    if stop_memory and (tracemalloc := _live_tracemalloc()) is not None:
         tracemalloc.stop()
+
+
+def _live_tracemalloc() -> Any:
+    """The ``tracemalloc`` module while it is tracing, else ``None``.  Tracing
+    starts through the module, so a process that never imported it (every
+    untraced run, every worker of one) is not tracing and does not load it."""
+    if "tracemalloc" in sys.modules:
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            return tracemalloc
+    return None
 
 
 def is_enabled() -> bool:
@@ -194,7 +210,7 @@ def enabled(on: bool = True, memory: bool = False) -> Iterator[None]:
         yield
     finally:
         _enabled = prev
-        if memory and not prev and tracemalloc.is_tracing():
+        if memory and not prev and (tracemalloc := _live_tracemalloc()) is not None:
             tracemalloc.stop()
 
 
@@ -287,6 +303,8 @@ def register_weak_provider(name: str, obj: Any,
     structures (a ``BddManager``) self-register without a lifetime pact."""
     if not _enabled:
         return lambda: None
+    import weakref
+
     ref = weakref.ref(obj)
 
     def sample() -> Mapping[str, Any] | None:
@@ -305,7 +323,8 @@ def memory_gauges() -> dict[str, float]:
     rss = _read_rss_bytes()
     if rss is not None:
         out["proc.rss_bytes"] = rss
-    if tracemalloc.is_tracing():
+    tracemalloc = _live_tracemalloc()
+    if tracemalloc is not None:
         cur, peak = tracemalloc.get_traced_memory()
         out["mem.traced_bytes"] = cur
         out["mem.traced_peak_bytes"] = peak
@@ -508,18 +527,25 @@ def to_json(snap: Mapping[str, Any] | None = None, *,
     out = dict(snap)
     if partial:
         out["partial"] = True
+    import json
+
     return json.dumps(out, indent=2, sort_keys=True, default=repr) + "\n"
 
 
-def write_json(path: str | Path, snap: Mapping[str, Any] | None = None, *,
+def _write_text(path: str | os.PathLike[str], text: str) -> Path:
+    from pathlib import Path
+
+    p = Path(path)
+    p.write_text(text, encoding="utf-8")
+    return p
+
+
+def write_json(path: str | os.PathLike[str],
+               snap: Mapping[str, Any] | None = None, *,
                partial: bool = False) -> Path:
-    p = Path(path)
-    p.write_text(to_json(snap, partial=partial), encoding="utf-8")
-    return p
+    return _write_text(path, to_json(snap, partial=partial))
 
 
-def write_prometheus(path: str | Path,
+def write_prometheus(path: str | os.PathLike[str],
                      snap: Mapping[str, Any] | None = None) -> Path:
-    p = Path(path)
-    p.write_text(to_prometheus(snap), encoding="utf-8")
-    return p
+    return _write_text(path, to_prometheus(snap))

@@ -39,16 +39,14 @@ parent therefore appears after its children — consumers should key on
 from __future__ import annotations
 
 import itertools
-import json
+import os
 import threading
-import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter, time
 from typing import Any, Iterator, TextIO
 
 from . import perf
+from ._struct import field, struct
 
 _enabled: bool = False
 _origin: float = 0.0
@@ -71,7 +69,7 @@ _by_id: dict[int, "Span"] = {}
 _orphans: dict[int, list["Span"]] = {}
 
 
-@dataclass
+@struct
 class Span:
     """One timed region of a traced run."""
 
@@ -94,7 +92,7 @@ class Span:
         return max(0.0, self.dur - sum(c.dur for c in self.children))
 
 
-def enable(jsonl: str | Path | TextIO | None = None) -> None:
+def enable(jsonl: str | os.PathLike[str] | TextIO | None = None) -> None:
     """Turn tracing on.  ``jsonl`` optionally names a file (or supplies an
     open text stream) that receives one JSON record per span/event.
 
@@ -165,8 +163,11 @@ def track_memory(on: bool = True) -> None:
     across nesting) and ``mem_net_bytes`` (allocated minus freed)."""
     global _track_memory
     _track_memory = on
-    if on and not tracemalloc.is_tracing():
-        tracemalloc.start()
+    if on:
+        import tracemalloc
+
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
 
 
 def _thread_stack() -> list["Span"]:
@@ -214,6 +215,8 @@ def _jsonable(value: Any, _depth: int = 0) -> Any:
 def _write(record: dict[str, Any]) -> None:
     if _sink is None:
         return
+    import json
+
     line = json.dumps(record, default=repr)
     with _lock:
         _sink.write(line + "\n")
@@ -379,7 +382,11 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
     sp.parent_id = parent.id if parent is not None else 0
     if perf.is_enabled():
         sp._perf0 = perf.snapshot()
-    track_mem = _track_memory and tracemalloc.is_tracing()
+    track_mem = False
+    if _track_memory:
+        import tracemalloc
+
+        track_mem = tracemalloc.is_tracing()
     if track_mem:
         cur, peak = tracemalloc.get_traced_memory()
         if parent is not None and peak > parent._mem_peak:
@@ -397,7 +404,7 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
         raise
     finally:
         sp.dur = (perf_counter() - _origin) - sp.t0
-        if sp._mem0 >= 0 and tracemalloc.is_tracing():
+        if track_mem and tracemalloc.is_tracing():
             cur, peak = tracemalloc.get_traced_memory()
             span_peak = max(sp._mem_peak, peak)
             sp.attrs["mem_peak_bytes"] = span_peak
@@ -434,7 +441,8 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
 
 
 @contextmanager
-def session(jsonl: str | Path | TextIO | None = None) -> Iterator[None]:
+def session(jsonl: str | os.PathLike[str] | TextIO | None = None
+            ) -> Iterator[None]:
     """Enable tracing for a ``with`` block, restoring the previous state."""
     prev = _enabled
     enable(jsonl)

@@ -39,11 +39,11 @@ import subprocess
 import sys
 import time
 import uuid
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import metrics, perf
+from ._struct import field, struct
 
 #: Schema tag written into every record; bump on incompatible change.
 SCHEMA = "nv-runrecord/v1"
@@ -98,7 +98,7 @@ def new_run_id(label: str, created: float | None = None) -> str:
     return f"{stamp}-{_slug(label)}-{uuid.uuid4().hex[:6]}"
 
 
-@dataclass
+@struct
 class RunRecord:
     """One recorded run (see module docstring for field semantics)."""
 
@@ -263,7 +263,7 @@ class RunStore:
 # Noise-aware diffing
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class Tolerance:
     """``|b - a| <= max(abs, rel * |a|)`` is considered noise."""
 
@@ -286,7 +286,7 @@ DEFAULT_TOLERANCES: dict[str, Tolerance] = {
 }
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class Delta:
     """One compared metric.  ``status``: ``ok`` (within tolerance),
     ``regressed`` / ``improved`` (beyond it; for timings and work counters

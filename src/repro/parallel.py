@@ -8,7 +8,7 @@ shared fan-out engine the analysis drivers run those units through:
 
 * **Warm persistent workers.**  A :class:`WorkerPool` starts ``jobs``
   processes once per run.  Each worker receives one picklable *payload*
-  (typically a parsed NV :class:`~repro.lang.ast.Program` — plain dataclass
+  (typically a parsed NV :class:`~repro.lang.ast.Program` — plain record
   ASTs pickle cheaply) and calls a module-level *factory* exactly once to
   build its per-process state.  Unpicklable hash-consed structures — BDD
   managers, interned routes, interpreter closures — are **rebuilt
@@ -58,12 +58,9 @@ worker — see README "Parallel execution".
 from __future__ import annotations
 
 import io
-import json
 import os
-import pickle
 import threading
 import time
-import traceback
 from typing import Any, Callable, Iterator, Sequence
 
 from . import ledger as ledger_mod
@@ -159,6 +156,8 @@ def _resolve_ref(ref: str) -> Callable[..., Any]:
 
 
 def _format_exc(exc: BaseException) -> str:
+    import traceback
+
     return "".join(traceback.format_exception(type(exc), exc,
                                               exc.__traceback__))
 
@@ -166,6 +165,8 @@ def _format_exc(exc: BaseException) -> str:
 def _pickled_size(value: Any) -> int:
     """Byte size of ``value``'s pickle, 0 if it will not pickle (the real
     send will raise a clearer error than this probe should)."""
+    import pickle
+
     try:
         return len(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
     except Exception:  # noqa: BLE001 - measurement only, never fatal
@@ -623,6 +624,8 @@ class WorkerPool:
             metrics.record_histogram(name, metrics.Histogram.from_dict(data))
         lines = payload.get("lines") or []
         if lines and obs.is_enabled():
+            import json
+
             records = []
             for ln in lines:
                 try:

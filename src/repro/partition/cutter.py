@@ -20,13 +20,12 @@ Three heuristics, all deterministic and dependency-free:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .._struct import struct
 from ..lang.errors import NvPartitionError
 from ..topology.graph import Topology
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class PartitionPlan:
     """Disjoint fragments covering a topology, plus the directed cut edges.
 

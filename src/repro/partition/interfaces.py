@@ -36,15 +36,15 @@ or the undirected links to sever); unlisted directed cut edges default to
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
+from .._struct import field, struct
 from ..lang.errors import NvPartitionError
 
 ANNOTATION_KINDS = ("route", "pred", "infer")
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class Annotation:
     """One directed interface annotation: ``kind`` plus, for textual kinds,
     the NV source ``text``."""
@@ -66,7 +66,7 @@ class Annotation:
 INFER = Annotation("infer")
 
 
-@dataclass
+@struct
 class CutSpec:
     """A parsed cut file: how to fragment the network and what to assume on
     each directed cut edge.  ``fragments`` and ``cut_links`` are mutually

@@ -27,16 +27,17 @@ from __future__ import annotations
 
 import html
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+from ._struct import field, struct
 
 # ----------------------------------------------------------------------
 # Trace loading
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@struct
 class SpanRec:
     id: int
     parent: int

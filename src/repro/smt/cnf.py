@@ -24,8 +24,7 @@ feeds itself the suffix since its last sync (see ``smt/solver.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .._struct import field, struct
 from .terms import AND, CONST, ITE, NOT, OR, VAR, XOR, TermManager
 
 #: Polarity masks: which implication directions of ``v <-> subterm`` are
@@ -42,7 +41,7 @@ def _flip(polarity: int) -> int:
     return NEG if polarity == POS else POS
 
 
-@dataclass
+@struct
 class Cnf:
     num_vars: int = 0
     clauses: list[tuple[int, ...]] = field(default_factory=list)

@@ -20,9 +20,9 @@ uses the same encoder with folding disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from .._struct import field, struct
 from ..eval.partial import (PartialEvaluator, SBool, SEdge, SInt, SOption,
                             SRecord, STuple, Sym)
 from ..lang import ast as A
@@ -54,7 +54,7 @@ class TMap(Sym):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@struct
 class VerificationResult:
     """Outcome of an SMT verification run."""
 

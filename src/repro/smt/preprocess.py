@@ -76,11 +76,12 @@ digests of ``tests/smt/test_preprocess_equivalence.py`` rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import neg as negate
 
+from .._struct import field, struct
 
-@dataclass
+
+@struct
 class PreprocessStats:
     """Effect summary, surfaced as ``pre.*`` in ``SmtResult.stats``."""
 

@@ -28,18 +28,18 @@ here, replacing the Z3 dependency of the original artifact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
 
 from .. import metrics, obs, telemetry
+from .._struct import struct
 
 #: Emit a ``sat.progress`` timeline event every this many conflicts while
 #: tracing (see :mod:`repro.obs`); restarts are always emitted.
 _CONFLICT_SAMPLE = 512
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class SatConfig:
     """Search-strategy knobs for one :class:`SatSolver` instance.
 

@@ -36,11 +36,11 @@ is still amortised across the batch.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable
 
 from .. import metrics, obs, parallel, perf
+from .._struct import field, struct
 from .bitblast import BitBlaster
 from .cnf import POS, Tseitin
 from .preprocess import Preprocessor
@@ -52,7 +52,7 @@ from .terms import TermManager
 PREPROCESS_MIN_CLAUSES = 32
 
 
-@dataclass
+@struct
 class SmtResult:
     status: str                      # "sat" | "unsat" | "unknown"
     model_bools: dict[str, bool] = field(default_factory=dict)

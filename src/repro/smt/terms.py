@@ -13,8 +13,9 @@ performance gap on policy-heavy networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterator
+
+from .._struct import struct
 
 # Operator tags.
 CONST = "const"        # payload: bool or int value
@@ -34,7 +35,7 @@ EXTRACT = "extract"    # payload: bit index (MSB = 0); bv -> bool
 BOOL_SORT = 0
 
 
-@dataclass(frozen=True, slots=True)
+@struct(frozen=True, slots=True)
 class TermData:
     op: str
     args: tuple[int, ...]

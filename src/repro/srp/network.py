@@ -12,9 +12,9 @@ contains both orientations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .._struct import field, struct
 from ..eval.interp import Interpreter, program_env
 from ..eval.maps import MapContext
 from ..lang import ast as A
@@ -23,7 +23,7 @@ from ..lang.errors import NvError
 from ..lang.typecheck import check_network
 
 
-@dataclass
+@struct
 class Network:
     """A verification problem: topology + protocol functions + property."""
 
@@ -65,7 +65,7 @@ class Network:
         return out
 
 
-@dataclass
+@struct
 class NetworkFunctions:
     """Executable form of a network's protocol: uncurried host callables.
 

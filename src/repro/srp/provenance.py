@@ -30,14 +30,14 @@ the simulator's hot path pays nothing for provenance support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from .._struct import struct
 from ..eval.values import value_repr
 from .network import NetworkFunctions
 
 
-@dataclass(frozen=True)
+@struct(frozen=True)
 class Derivation:
     """How one node's stable label was determined."""
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .._struct import field, struct
 from ..eval.values import value_repr
 
 
-@dataclass
+@struct
 class Solution:
     """A stable labelling ``L`` of the network (paper §2.5), plus run stats.
 

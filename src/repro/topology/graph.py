@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .._struct import field, struct
 
 
-@dataclass
+@struct
 class Topology:
     """An undirected multigraph-free topology with optional node metadata."""
 

@@ -8,9 +8,9 @@ uniqueness to substitute without capture.
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from operator import attrgetter
 
+from .._struct import replace
 from ..lang import ast as A
 
 # The literal classes: field readers, to copy one with a single call.

@@ -366,6 +366,49 @@ let merge (u : node) (x y : int8) = if x <= y then x else y
         assert "Traceback" not in err
         assert main(["simulate", str(f)]) == 0
 
+    ROUTER_CFG = """
+interface E0
+ ip address 10.0.0.1/30
+router bgp 1
+ network 10.0.0.0/30
+"""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("case", [
+        "missing_file", "directory", "not_utf8", "missing_configs",
+        "unwritable_output", "missing_cuts", "unwritable_trace"])
+    def test_unreadable_path_is_a_contract_error(
+            self, case, jobs, triangle_file, tmp_path, capsys, monkeypatch):
+        """A path that cannot be read or written is exit 3 with one
+        ``error: <path>: <reason>`` line — not a traceback with the exit
+        code that means "the property is violated"."""
+        monkeypatch.setenv("NV_JOBS", jobs)
+        nope = str(tmp_path / "nope.nv")
+        bad = tmp_path / "bad.nv"
+        bad.write_bytes(b"\xff\xfe\x00let nodes = 1")
+        configs = tmp_path / "configs"
+        configs.mkdir()
+        (configs / "r1.cfg").write_text(self.ROUTER_CFG)
+        nowhere = str(tmp_path / "no" / "such" / "dir" / "out")
+        argv, path, reason = {
+            "missing_file": (["simulate", nope], nope, "No such file"),
+            "directory": (["fault", str(tmp_path)], str(tmp_path), "Is a directory"),
+            "not_utf8": (["verify", str(bad)], str(bad), "codec can't decode"),
+            "missing_configs": (["translate", nope, "-o", str(tmp_path / "x.nv")],
+                                nope, "No such file"),
+            "unwritable_output": (["translate", str(configs), "-o", nowhere],
+                                  nowhere, "No such file"),
+            "missing_cuts": (["verify", triangle_file, "--cuts", nope],
+                             nope, "No such file"),
+            "unwritable_trace": (["explain", triangle_file, "1", "--trace-json",
+                                  nowhere], nowhere, "No such file"),
+        }[case]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ") and reason in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestMetricsFlags:
     """The live-metrics CLI surface: --progress/--heartbeat/--metrics-json/
@@ -496,3 +539,83 @@ class TestImportsOnlyWhatRuns:
         assert repro.analysis.FaultReport is FaultReport
         with pytest.raises(AttributeError):
             repro.no_such_name
+
+    # -- the start-up path (DESIGN.md "Start-up path") ---------------------
+
+    #: What an untraced ``--jobs 1`` process must not pay for: the stdlib's
+    #: record builder, the exporters' and the worker transport's modules,
+    #: and the management half of the observability stack.
+    MANAGEMENT = {"dataclasses", "inspect", "json", "pickle", "tracemalloc",
+                  "pathlib", "multiprocessing", "repro.heartbeat",
+                  "repro.report", "repro.observatory", "repro.critpath",
+                  "repro.budgets"}
+
+    @staticmethod
+    def modules_after(argv: list[str], jobs: str = "1",
+                      expect: int = 0) -> set[str]:
+        """Every module in ``sys.modules`` after ``main(argv)`` returned
+        ``expect`` in a fresh interpreter."""
+        env = dict(os.environ, NV_JOBS=jobs)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = ("import sys\nfrom repro.cli import main\n"
+                f"rc = main(sys.argv[1:])\nassert rc == {expect}, rc\n"
+                "print('\\n' + ' '.join(sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "fault"])
+    def test_untraced_analysis_loads_no_management_module(
+            self, command, triangle_file):
+        argv = {"simulate": ["simulate", triangle_file],
+                "verify": ["verify", triangle_file],
+                "fault": ["fault", "--links", "1", triangle_file]}[command]
+        # One failed link disconnects the triangle's assertion: exit 1.
+        loaded = self.modules_after(argv, expect=int(command == "fault"))
+        assert not loaded & self.MANAGEMENT
+        assert "repro.eval.compile_py" not in loaded       # --native only
+        assert {"repro.obs", "repro.metrics", "repro.parallel",
+                "repro.ledger", "repro.srp.network"} <= loaded
+
+    def test_two_workers_load_their_transport_and_nothing_else(
+            self, triangle_file):
+        loaded = self.modules_after(["fault", "--links", "1", triangle_file],
+                                    jobs="2", expect=1)
+        assert {"pickle", "multiprocessing"} <= loaded
+        assert not loaded & (self.MANAGEMENT - {"pickle", "multiprocessing"})
+
+    def test_translate_loads_no_evaluator(self, tmp_path):
+        (tmp_path / "a.cfg").write_text(
+            "interface E0\n ip address 10.0.0.1/30\n"
+            "router bgp 1\n network 10.0.0.0/30\n")
+        loaded = self.modules_after(
+            ["translate", str(tmp_path), "-o", str(tmp_path / "out.nv")])
+        assert "repro.frontend.to_nv" in loaded
+        assert not loaded & self.MANAGEMENT
+        assert not {m for m in loaded if m.startswith(
+            ("repro.bdd", "repro.eval.interp", "repro.srp", "repro.smt",
+             "repro.analysis"))}
+        assert (tmp_path / "out.nv").read_text().startswith("\n// Generated")
+
+    def test_observability_flags_load_what_they_need(
+            self, triangle_file, tmp_path):
+        trace, mjson = tmp_path / "t.jsonl", tmp_path / "m.json"
+        loaded = self.modules_after(
+            ["simulate", triangle_file, "--trace", "--stats",
+             "--trace-json", str(trace), "--metrics-json", str(mjson)])
+        assert {"json", "pathlib"} <= loaded
+        assert not loaded & {"dataclasses", "inspect", "tracemalloc"}
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert records[0]["type"] == "meta"
+        assert "sim.simulate" in {r.get("name") for r in records}
+        snap = json.loads(mjson.read_text())
+        assert snap["counters"]["sim.activations"] > 0
+
+    def test_importing_the_cli_loads_sixteen_repro_modules(self):
+        """``cli.import_modules`` of ``benchmarks/e2e`` (34 before PR 24):
+        an upper bound, so a new eager import has to be argued for here."""
+        loaded = self.loaded_after("import repro.cli")
+        assert len(loaded) <= 16, sorted(loaded)
+        assert "repro._struct" in loaded
