@@ -94,7 +94,7 @@ def _run_cell(mode: str, k: int, jobs: int = 1, timeout: float | None = None,
 
 def _scaling_row(runs: int) -> dict[str, Any]:
     from repro import critpath
-    from repro.report import load_trace
+    from repro.obs import load_trace
 
     row: dict[str, Any] = {}
     for jobs in (1, 2):

@@ -1,20 +1,25 @@
 #!/usr/bin/env python
-"""CI perf-regression gate over observatory RunRecords.
+"""CI perf-regression gate over observatory RunRecords — the repo's one
+counter gate.
 
-Runs the deterministic quick-mode workloads of :mod:`repro.budgets`
-(``--repeats`` times each, so the differ can min-of-N the wall clocks),
-assembles one :class:`repro.observatory.RunRecord`, persists it to the
-``.nv-runs/`` store, and diffs it against the committed baseline
+Wall-clock benchmarks are too noisy for CI to gate on, but the *work
+counters* of :mod:`repro.perf` — activations, messages, memo hits, BDD
+op-cache misses, SAT conflicts — are deterministic for a fixed workload.
+A semantic regression (a memo cache silently disabled, an extra re-merge,
+a simplification pass dropped) moves them by orders of magnitude even when
+wall-clock noise hides it.
+
+Runs the deterministic quick-mode workloads below (``--repeats`` times
+each, so the differ can min-of-N the wall clocks), assembles one
+:class:`repro.observatory.RunRecord`, persists it to the ``.nv-runs/``
+store, and diffs it against the committed baseline
 ``benchmarks/baselines/runrecord-object.json`` with the observatory's
 noise-aware tolerances.  Counters regressing beyond tolerance fail the
 gate (timings are printed but stay informational — CI runners are too
-noisy to gate wall time).
-
-This generalises ``benchmarks/check_budgets.py``: the same workloads and
-the same counter-tolerance philosophy, but records are full RunRecords
-(env fingerprint + timings + counters) in the same schema every benchmark
-session and ``--record`` CLI run writes, so one ``repro runs diff`` works
-across all three producers.
+noisy to gate wall time).  ``--workload`` / ``--no-parallel-probe`` narrow
+the comparison to what was measured.  Records are in the same schema every
+benchmark session and ``--record`` CLI run writes, so one ``repro runs
+diff`` works across all three producers.
 
 Usage::
 
@@ -36,10 +41,112 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from time import perf_counter  # noqa: E402
+from typing import Callable  # noqa: E402
 
-from repro import budgets, observatory  # noqa: E402
+from repro import observatory, perf  # noqa: E402
 
 BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "runrecord-object.json"
+
+
+# ----------------------------------------------------------------------
+# Workloads
+# ----------------------------------------------------------------------
+
+_RIP_TRIANGLE = """
+include rip
+let nodes = 3
+let edges = {0n=1n; 1n=2n; 0n=2n}
+let trans e x = transRip e x
+let merge u x y = mergeRip u x y
+let init (u : node) = if u = 0n then Some 0u8 else None
+let assert (u : node) (x : rip) =
+  match x with
+  | None -> false
+  | Some h -> h <= 1u8
+"""
+
+
+def _load(source: str):
+    from repro.lang.parser import parse_program
+    from repro.protocols import resolve
+    from repro.srp.network import Network
+    return Network.from_program(parse_program(source, resolve))
+
+
+def _wl_simulate(source_fn: Callable[[], str], backend: str,
+                 ablations: frozenset[str]) -> None:
+    from repro.srp.network import functions_from_program
+    from repro.srp.simulate import simulate
+
+    net = _load(source_fn())
+    if backend == "native":
+        from repro.eval.compile_py import compile_network_functions
+        funcs = compile_network_functions(net)
+    else:
+        funcs = functions_from_program(net)
+    simulate(funcs, memoize="sim-memo" not in ablations)
+    if funcs.ctx is not None:
+        perf.merge(funcs.ctx.manager.stats(), prefix="bdd.")
+
+
+def _wl_fault(source_fn: Callable[[], str], failures: int,
+              ablations: frozenset[str]) -> None:
+    from repro.analysis.fault import fault_tolerance_analysis
+
+    fault_tolerance_analysis(_load(source_fn()), num_link_failures=failures)
+
+
+def _wl_verify(source_fn: Callable[[], str],
+               ablations: frozenset[str]) -> None:
+    from repro.analysis.verify import verify
+
+    verify(_load(source_fn()), simplify="no-simplify" not in ablations)
+
+
+def _fig14_source() -> str:
+    from repro.topology import all_prefixes_program
+    return all_prefixes_program(4, "sp")
+
+
+def _fattree_sp_source() -> str:
+    from repro.topology import sp_program
+    return sp_program(4)
+
+
+#: name -> runnable(ablations).  Every workload is the smallest (quick-mode)
+#: instance of one evaluation figure, so the whole suite runs in seconds.
+#: The ablations ("sim-memo", "no-simplify") switch an optimisation off, so
+#: a test can prove the gate trips.
+WORKLOADS: dict[str, Callable[[frozenset[str]], None]] = {
+    "rip_triangle_sim":
+        lambda abl: _wl_simulate(lambda: _RIP_TRIANGLE, "interp", abl),
+    "fig14_sim_interp_k4":
+        lambda abl: _wl_simulate(_fig14_source, "interp", abl),
+    "fig14_sim_native_k4":
+        lambda abl: _wl_simulate(_fig14_source, "native", abl),
+    "fig13b_fault_fattree4_1link":
+        lambda abl: _wl_fault(_fattree_sp_source, 1, abl),
+    "fig12_verify_triangle":
+        lambda abl: _wl_verify(lambda: _RIP_TRIANGLE, abl),
+}
+
+
+def run_workload(name: str,
+                 ablations: frozenset[str] = frozenset()) -> dict[str, int]:
+    """Run one workload under an isolated perf registry; return its integer
+    counters (timers are dropped — they are non-deterministic)."""
+    fn = WORKLOADS[name]
+    with perf.enabled():
+        before = perf.snapshot()
+        fn(ablations)
+        after = perf.snapshot()
+    return {k: int(v - before.get(k, 0)) for k, v in after.items()
+            if isinstance(v, int) and v != before.get(k, 0)}
+
+
+# ----------------------------------------------------------------------
+# The gate
+# ----------------------------------------------------------------------
 
 
 def measure(workloads: list[str], repeats: int,
@@ -53,7 +160,7 @@ def measure(workloads: list[str], repeats: int,
         last: dict[str, int] = {}
         for _ in range(repeats):
             t0 = perf_counter()
-            last = budgets.run_workload(name)
+            last = run_workload(name)
             walls.append(perf_counter() - t0)
         timings[f"{name}.wall_seconds"] = walls
         counters.update({f"{name}.{c}": v for c, v in last.items()})
@@ -75,7 +182,7 @@ def parallel_probe(record: observatory.RunRecord) -> None:
     (utilization, serialization bytes, LPT gap) ride along under the
     looser informational gauge tolerance."""
     import repro
-    from repro import metrics, perf
+    from repro import metrics
     from repro.analysis.simulation import run_simulations
     from repro.topology import sp_program
 
@@ -104,6 +211,21 @@ def parallel_probe(record: observatory.RunRecord) -> None:
         {name: float(v) for name, v in gauges.items()
          if name.startswith("parallel.") and not name.endswith("_seconds")})
     record.meta["parallel_probe"] = {"nets": len(nets), "jobs": 2}
+
+
+def measured_part(baseline: observatory.RunRecord, workloads: list[str],
+                  probe: bool) -> observatory.RunRecord:
+    """``baseline`` cut down to what this run measured: the metrics of
+    ``workloads``, plus the parallel probe's when it ran.  A baseline
+    workload the run left out is not ``gone``."""
+    prefixes = tuple(f"{name}." for name in workloads)
+    if probe:
+        prefixes += ("parallel.", "parallel_probe.")
+    for kind in ("timings", "counters", "gauges"):
+        setattr(baseline, kind, {name: v for name, v
+                                 in getattr(baseline, kind).items()
+                                 if name.startswith(prefixes)})
+    return baseline
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the comparison result as JSON")
     args = parser.parse_args(argv)
 
-    workloads = args.workload or list(budgets.WORKLOADS)
+    workloads = args.workload or list(WORKLOADS)
     record = measure(workloads, max(1, args.repeats), args.label)
     if not args.no_parallel_probe:
         parallel_probe(record)
@@ -169,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no baseline at {args.baseline}; bootstrap with --update",
               file=sys.stderr)
         return 2
-    baseline = observatory.RunStore().load(args.baseline)
+    baseline = measured_part(observatory.RunStore().load(args.baseline),
+                             workloads, probe=not args.no_parallel_probe)
 
     deltas = observatory.diff_records(baseline, record)
     gated = observatory.regressions(deltas)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Sequence
 
-from .. import metrics, obs, parallel, perf, telemetry
+from .. import metrics, obs, parallel, perf
 from .._struct import field, struct
 from ..eval.encoding import edge_order_key
 from ..eval.interp import Interpreter, program_env
@@ -105,8 +105,7 @@ def fault_tolerance_analysis(net: Network,
     bit order (``any_sat`` walks lo-first).
     """
     t0 = perf_counter()
-    with metrics.phase("fault.transform"), \
-         obs.span("fault.transform", link_failures=num_link_failures,
+    with obs.span("fault.transform", link_failures=num_link_failures,
                   node_failures=node_failures):
         ft_net = fault_tolerance_transform(net, num_link_failures,
                                            node_failures, drop_body=drop_body)
@@ -122,8 +121,7 @@ def fault_tolerance_analysis(net: Network,
             funcs = functions_factory(ft_net, symbolics, ctx, interp)
 
     t0 = perf_counter()
-    with metrics.phase("fault.simulate"), \
-         obs.span("sim.simulate", nodes=ft_net.num_nodes,
+    with obs.span("sim.simulate", nodes=ft_net.num_nodes,
                   edges=len(ft_net.edges)) as sp:
         solution = simulate(funcs)
         if sp is not None:
@@ -134,7 +132,7 @@ def fault_tolerance_analysis(net: Network,
     # Flush the diagram-engine work counters for this run (fig 13b reports
     # BDD op-cache hit rates alongside the scaling curve).
     perf.merge(ctx.manager.stats(), prefix="bdd.")
-    telemetry.flush(ctx.manager)
+    metrics.flush_kernel(ctx.manager)
     perf.merge({"transform_seconds": transform_seconds,
                 "simulate_seconds": simulate_seconds}, prefix="fault.")
 
@@ -152,8 +150,7 @@ def fault_tolerance_analysis(net: Network,
     key_ty = scenario_key_type(num_link_failures, node_failures)
     # Classes are counted over the valid scenario keys only.
     restrict = ctx.domain(key_ty)
-    with metrics.phase("fault.classes"), \
-         obs.span("fault.classes", witnesses=with_witnesses) as sp:
+    with obs.span("fault.classes", witnesses=with_witnesses) as sp:
         width = ctx.encoder.width(key_ty)
         violating: list[tuple[int, NVMap]] = []
         for u in range(ft_net.num_nodes):
@@ -529,8 +526,7 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
     results: list[SmtScenarioResult] = []
     if incremental:
         t0 = perf_counter()
-        with metrics.phase("smt.encode"), \
-             obs.span("fault.smt_encode", scenarios=len(scenarios),
+        with obs.span("fault.smt_encode", scenarios=len(scenarios),
                       incremental=True):
             tm = TermManager(simplify=simplify)
             solver = Solver(tm, incremental=True)

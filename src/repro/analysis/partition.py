@@ -336,8 +336,7 @@ def _verify_fragment(net: Network, index: int, nodes: Sequence[int],
     guarantee against a single persistent incremental solver."""
     t_start = perf_counter()
     t0 = perf_counter()
-    with metrics.phase("smt.encode"), \
-         obs.span("partition.encode_fragment", fragment=index,
+    with obs.span("partition.encode_fragment", fragment=index,
                   nodes=len(nodes), inbound=len(inbound),
                   outbound=len(outbound)) as sp:
         enc, ev, prop = encode_network(net, simplify=simplify, nodes=nodes,

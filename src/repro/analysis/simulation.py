@@ -11,7 +11,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Sequence
 
-from .. import metrics, obs, parallel, perf, telemetry
+from .. import metrics, obs, parallel, perf
 from .._struct import struct
 from ..srp.network import Network, functions_from_program
 from ..srp.simulate import simulate
@@ -84,8 +84,7 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
     setup_seconds = perf_counter() - t0
 
     t0 = perf_counter()
-    with metrics.phase("sim.simulate"), \
-         obs.span("sim.simulate", nodes=net.num_nodes,
+    with obs.span("sim.simulate", nodes=net.num_nodes,
                   edges=len(net.edges)) as sp:
         solution = simulate(funcs, incremental=incremental)
         if sp is not None:
@@ -93,11 +92,10 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
                             messages=solution.messages)
     simulate_seconds = perf_counter() - t0
 
-    if funcs.ctx is not None:
-        perf.merge(funcs.ctx.manager.stats(), prefix="bdd.")
-        telemetry.flush(funcs.ctx.manager)
-    else:
-        telemetry.flush()
+    manager = funcs.ctx.manager if funcs.ctx is not None else None
+    if manager is not None:
+        perf.merge(manager.stats(), prefix="bdd.")
+    metrics.flush_kernel(manager)
     perf.merge({"setup_seconds": setup_seconds,
                 "simulate_seconds": simulate_seconds}, prefix="sim.")
 

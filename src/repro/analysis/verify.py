@@ -21,7 +21,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Sequence
 
-from .. import metrics, obs, parallel
+from .. import obs, parallel
 from .._struct import struct
 from ..eval.partial import SBool, SEdge, SInt, SOption, SRecord, STuple, Sym
 from ..eval.values import VClosure, VRecord, VSome
@@ -176,8 +176,7 @@ def verify(net: Network, simplify: bool = True,
     counterexamples, the particular model) may differ.
     """
     t0 = perf_counter()
-    with metrics.phase("smt.encode"), \
-         obs.span("smt.encode", nodes=net.num_nodes, edges=len(net.edges),
+    with obs.span("smt.encode", nodes=net.num_nodes, edges=len(net.edges),
                   simplify=simplify) as sp:
         enc, ev, prop = encode_network(net, simplify=simplify)
         solver = Solver(enc.tm)
@@ -349,8 +348,7 @@ def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
 
     queries: list[tuple[Network, NvSmtEncoder, int]] = []
     t0 = perf_counter()
-    with metrics.phase("smt.encode"), \
-         obs.span("smt.encode_batch", queries=len(nets),
+    with obs.span("smt.encode_batch", queries=len(nets),
                   incremental=True) as sp:
         for net in nets:
             enc, _, prop = encode_network(net, simplify=simplify, tm=tm)

@@ -811,7 +811,7 @@ class BddManager:
         }
 
     def telemetry(self) -> tuple[dict[str, int], dict[str, Any]]:
-        """``(counters, histograms)`` for :func:`repro.telemetry.flush_manager`:
+        """``(counters, histograms)`` for :func:`repro.metrics.flush_kernel`:
         per-table entry counters plus one observation per non-empty table
         in a ``table_entries`` histogram (the tables are CPython dicts, so
         their size profile is the health signal visible from Python)."""

@@ -118,15 +118,18 @@ def _maybe_enable_stats(args: argparse.Namespace) -> None:
 
 
 def _tracing(args: argparse.Namespace) -> bool:
+    """Span recording: ``--trace`` / ``--trace-json``, and every flag that
+    starts a heartbeat — spans are the phases its samples are labelled
+    with (no sink unless ``--trace-json`` names one)."""
     return bool(getattr(args, "trace", False)
-                or getattr(args, "trace_json", None))
+                or getattr(args, "trace_json", None)
+                or _heartbeat_on(args))
 
 
 def _metrics_on(args: argparse.Namespace) -> bool:
-    """Any live-metrics flag turns the gauge/histogram registry on.
-    ``--record`` counts: the RunRecord's gauges and histogram digests
-    (including the kernel telemetry flushed under ``NV_TELEMETRY``) only
-    exist while the registry is live."""
+    """Any live-metrics flag turns the gauge/histogram registry on, and
+    with it kernel telemetry.  ``--record`` counts: the RunRecord's gauges
+    and histogram digests only exist while the registry is live."""
     return bool(getattr(args, "progress", False)
                 or getattr(args, "heartbeat", None) is not None
                 or getattr(args, "metrics_json", None)
@@ -381,7 +384,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     snapshot.  ``--critical-path`` additionally prints the trace's
     critical-path analysis (longest dependency chain vs total work,
     parallel efficiency, LPT-bound gap) as text."""
-    from .report import generate, load_trace
+    from .report import generate
 
     trace = args.trace_file
     if not os.path.exists(trace):
@@ -392,7 +395,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if getattr(args, "critical_path", False):
         from . import critpath
 
-        roots, _events = load_trace(trace)
+        roots, _events = obs.load_trace(trace)
         rep = critpath.analyze(roots)
         if rep is None:
             print("critical path: trace contains no spans")
@@ -467,9 +470,8 @@ def _save_run_record(args: argparse.Namespace, wall_seconds: float) -> None:
     if trace_json:
         try:
             from . import critpath
-            from .report import load_trace
 
-            roots, _events = load_trace(trace_json)
+            roots, _events = obs.load_trace(trace_json)
             rep = critpath.analyze(roots)
             if rep is not None:
                 record.gauges.update(rep.gauges())

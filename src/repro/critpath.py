@@ -20,10 +20,8 @@ much of the wall-clock is inherently sequential?*  It computes
   how far the observed makespan sits above ``max(longest unit, total unit
   work / lanes)``, the classic lower bound no schedule can beat.
 
-The analysis is duck-typed over any span-tree objects exposing ``name``,
-``t0``, ``dur``, ``attrs`` and ``children`` (both :class:`repro.obs.Span`
-and :class:`repro.report.SpanRec` qualify), so it has no import
-dependencies beyond the standard library.  Results surface in three
+The analysis reads :class:`repro.obs.Span` trees — the live tracer's, or
+a trace file's via :func:`repro.obs.load_trace`.  Results surface in three
 places: the ``repro report`` HTML (its own section), ``repro report
 --critical-path`` (text), and RunRecord gauges for ``repro runs diff``.
 """
@@ -34,6 +32,7 @@ import bisect
 from typing import Any, Iterable
 
 from ._struct import field, struct
+from .obs import Span
 
 #: Gauge names under which the analysis lands in RunRecords.
 GAUGE_CRITICAL = "parallel.critical_path_seconds"
@@ -105,33 +104,33 @@ def _union_seconds(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
-def _exclusive_seconds(sp: Any) -> float:
+def _exclusive_seconds(sp: Span) -> float:
     """Wall time inside ``sp`` not covered by any child, with children
     clipped to the span's interval and overlapping children (concurrent
     worker lanes) counted once.  This is the correct exclusive time under
     concurrency, unlike a plain sum of child durations."""
-    t0 = float(sp.t0)
-    t1 = t0 + max(0.0, float(sp.dur))
+    t0 = sp.t0
+    t1 = t0 + max(0.0, sp.dur)
     covered = []
     for c in sp.children:
-        c0 = max(t0, float(c.t0))
-        c1 = min(t1, float(c.t0) + max(0.0, float(c.dur)))
+        c0 = max(t0, c.t0)
+        c1 = min(t1, c.t0 + max(0.0, c.dur))
         if c1 > c0:
             covered.append((c0, c1))
     return max(0.0, (t1 - t0) - _union_seconds(covered))
 
 
-def _best_chain(sp: Any, depth: int) -> tuple[float, list[ChainEntry]]:
+def _best_chain(sp: Span, depth: int) -> tuple[float, list[ChainEntry]]:
     """The heaviest dependency chain *through* ``sp``: its exclusive time
     plus the best sequence of non-overlapping children (each contributing
     its own best chain).  Children that overlap in time are concurrent —
     at most one of them can sit on any chain."""
-    kids = sorted(sp.children, key=lambda c: float(c.t0) + float(c.dur))
+    kids = sorted(sp.children, key=lambda c: c.t0 + c.dur)
     base = _exclusive_seconds(sp)
     if not kids:
         return base, []
     sub = [_best_chain(c, depth + 1) for c in kids]
-    ends = [float(c.t0) + float(c.dur) for c in kids]
+    ends = [c.t0 + c.dur for c in kids]
     # Weighted longest chain over the interval precedence DAG ("ends
     # before start"), O(n log n): kids sorted by end time, `best[j]` =
     # heaviest chain ending with kid j, prefix-max for the predecessor
@@ -140,7 +139,7 @@ def _best_chain(sp: Any, depth: int) -> tuple[float, list[ChainEntry]]:
     pred: list[int] = []
     prefix: list[tuple[float, int]] = []  # running (max best, argmax)
     for j, c in enumerate(kids):
-        k = bisect.bisect_right(ends, float(c.t0) + _EPS) - 1
+        k = bisect.bisect_right(ends, c.t0 + _EPS) - 1
         k = min(k, j - 1)
         prev_w, prev_j = prefix[k] if k >= 0 else (0.0, -1)
         best.append(sub[j][0] + prev_w)
@@ -159,27 +158,21 @@ def _best_chain(sp: Any, depth: int) -> tuple[float, list[ChainEntry]]:
     entries: list[ChainEntry] = []
     for j in seq:
         c = kids[j]
-        attrs = getattr(c, "attrs", None) or {}
         entries.append(ChainEntry(
-            name=str(c.name), t0=float(c.t0), dur=float(c.dur),
-            depth=depth + 1, proc=attrs.get("proc"),
-            unit=attrs.get("unit")))
+            name=c.name, t0=c.t0, dur=c.dur, depth=depth + 1,
+            proc=c.attrs.get("proc"), unit=c.attrs.get("unit")))
         entries.extend(sub[j][1])
     return base + best[top], entries
 
 
-def analyze(roots: Iterable[Any]) -> CriticalPathReport | None:
-    """Analyze a span forest; ``None`` when it is empty.
-
-    ``roots`` are span-tree objects with ``name``/``t0``/``dur``/``attrs``
-    /``children`` (e.g. :func:`repro.report.load_trace` output or
-    :func:`repro.obs.roots`).
-    """
-    roots = [r for r in roots if float(getattr(r, "dur", 0.0)) >= 0.0]
+def analyze(roots: Iterable[Span]) -> CriticalPathReport | None:
+    """Analyze a span forest (:func:`repro.obs.load_trace` output or
+    :func:`repro.obs.roots`); ``None`` when it is empty."""
+    roots = [r for r in roots if r.dur >= 0.0]
     if not roots:
         return None
-    t_min = min(float(r.t0) for r in roots)
-    t_max = max(float(r.t0) + float(r.dur) for r in roots)
+    t_min = min(r.t0 for r in roots)
+    t_max = max(r.t0 + r.dur for r in roots)
     wall = max(0.0, t_max - t_min)
 
     total_work = 0.0
@@ -189,22 +182,22 @@ def analyze(roots: Iterable[Any]) -> CriticalPathReport | None:
     unit_durs: list[float] = []
     sharded_wall = 0.0
 
-    def walk(sp: Any) -> None:
+    def walk(sp: Span) -> None:
         nonlocal total_work, span_count, jobs_attr, sharded_wall
         span_count += 1
         total_work += _exclusive_seconds(sp)
-        attrs = getattr(sp, "attrs", None) or {}
+        attrs = sp.attrs
         if attrs.get("proc") is not None:
             procs.add(attrs["proc"])
-        name = str(sp.name)
+        name = sp.name
         if name.endswith(".sharded"):
             try:
                 jobs_attr = max(jobs_attr, int(attrs.get("jobs") or 0))
             except (TypeError, ValueError):
                 pass
-            sharded_wall = max(sharded_wall, float(sp.dur))
+            sharded_wall = max(sharded_wall, sp.dur)
         if name.endswith(".unit") and "unit" in attrs:
-            unit_durs.append(max(0.0, float(sp.dur)))
+            unit_durs.append(max(0.0, sp.dur))
         for c in sp.children:
             walk(c)
 
@@ -213,17 +206,9 @@ def analyze(roots: Iterable[Any]) -> CriticalPathReport | None:
 
     lanes = jobs_attr or (len(procs) if procs else 1)
 
-    class _Virtual:
-        """Pseudo-root so the chain DP also sequences multiple roots."""
-        name = "<run>"
-        attrs: dict[str, Any] = {}
-
-        def __init__(self) -> None:
-            self.t0 = t_min
-            self.dur = wall
-            self.children = roots
-
-    critical, chain = _best_chain(_Virtual(), depth=-1)
+    # A pseudo-root, so the chain DP also sequences multiple roots.
+    run = Span(name="<run>", attrs={}, t0=t_min, dur=wall, children=roots)
+    critical, chain = _best_chain(run, depth=-1)
     critical = min(critical, wall) if wall > 0 else critical
 
     speedup = (total_work / wall) if wall > 0 else 1.0

@@ -25,7 +25,7 @@ import itertools
 from time import perf_counter
 from typing import Any
 
-from .. import telemetry
+from .. import metrics
 from .._struct import struct
 from ..lang import ast as A
 from ..lang import types as T
@@ -384,17 +384,18 @@ def _memo_for(memos: dict[Any, dict], key: Any) -> dict:
     return memo
 
 
-# Per-call-site memo hit-rate attribution (NV_TELEMETRY).  Each semantic
-# diagram op (__map_op / __combine_op / __mapite_op) runs once per AST call
-# site per invocation, so sampling the manager's apply_hits/apply_misses
-# around the op and charging the delta to the site label is exact and adds
-# zero per-node cost; disabled, each op pays one boolean check.
+# Per-call-site memo hit-rate attribution (kernel telemetry, recorded while
+# the metrics registry is on).  Each semantic diagram op (__map_op /
+# __combine_op / __mapite_op) runs once per AST call site per invocation, so
+# sampling the manager's apply_hits/apply_misses around the op and charging
+# the delta to the site label is exact and adds zero per-node cost;
+# disabled, each op pays one boolean check.
 _site_stats: dict[str, list[int]] = {}
 
 
 def take_site_stats() -> dict[str, tuple[int, int, int]]:
     """Snapshot-and-clear ``site -> (calls, hits, misses)`` accumulated
-    while telemetry was enabled (see :func:`repro.telemetry.flush_call_sites`)."""
+    while the metrics registry was on (see :func:`repro.metrics.flush_kernel`)."""
     out = {site: (c[0], c[1], c[2]) for site, c in _site_stats.items()}
     _site_stats.clear()
     return out
@@ -420,7 +421,7 @@ def _charge_site(site: str, manager: Any, hits0: int, misses0: int) -> None:
 
 
 def _map_op(memos: dict[Any, dict], fn: Any, m: NVMap) -> NVMap:
-    if not telemetry.is_enabled():
+    if not metrics.is_enabled():
         return m.map(fn, _memo_for(memos, ("map", *_key(fn))))
     mgr = m.ctx.manager
     hits0, misses0 = mgr.apply_hits, mgr.apply_misses
@@ -443,7 +444,7 @@ def _combine_op(memos: dict[Any, dict], fn: Any, m1: NVMap, m2: NVMap) -> NVMap:
             partial[id(x)] = fx
         return fx(y)
 
-    if not telemetry.is_enabled():
+    if not metrics.is_enabled():
         return m1.combine(fn2, m2, _memo_for(memos, ("combine", *_key(fn))))
     mgr = m1.ctx.manager
     hits0, misses0 = mgr.apply_hits, mgr.apply_misses
@@ -470,7 +471,7 @@ def _mapite_op(interp: Interpreter, memos: dict[Any, dict]):
         pred_bdd = interp.predicate_bdd(pred, m.key_ty)
         memo = _memo_for(
             memos, ("mapite", *_key(fn_true), *_key(fn_false)))
-        if not telemetry.is_enabled():
+        if not metrics.is_enabled():
             return m.map_ite(pred_bdd, fn_true, fn_false, memo,
                              _memo_for(memos, ("map", *_key(fn_true))),
                              _memo_for(memos, ("map", *_key(fn_false))))

@@ -12,10 +12,12 @@ fixpoints whose unique tables balloon — are opaque while they run.  The
   ``bdd.apply_ops_per_sec``, ...);
 * emits a ``progress`` event into the :mod:`repro.obs` trace timeline, so a
   ``--trace-json`` file interleaves heartbeats with the run's spans;
+* labels the sample with the run's current phase — the innermost open
+  :mod:`repro.obs` span of the thread that started the heartbeat, else
+  ``label`` (the CLI turns span recording on with the heartbeat);
 * optionally renders a one-line status to stderr (``--progress``);
-* warns (once per phase) when the current :func:`repro.metrics.phase`
-  exceeds its wall-time budget, and when the heartbeat's own overall
-  ``budget`` is exceeded.
+* warns (once) when the heartbeat's overall wall-time ``budget`` is
+  exceeded.
 
 On SIGINT the heartbeat dumps the **partial** trace (open spans flushed via
 ``obs.flush_partial``) and a partial metrics snapshot before the default
@@ -120,6 +122,9 @@ class Heartbeat:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._t0 = 0.0
+        #: The thread whose innermost open span labels each sample (the
+        #: one that called :meth:`start`; ``None``: the ticking thread).
+        self._owner: int | None = None
         self._prev: dict[str, float] = {}
         self._prev_t = 0.0
         self._budget_warned = False
@@ -135,6 +140,7 @@ class Heartbeat:
         if self._thread is not None:
             return self
         self._t0 = time.monotonic()
+        self._owner = threading.get_ident()
         self._prev_t = self._t0
         self._prev = self._numbers()
         self._stop.clear()
@@ -199,7 +205,7 @@ class Heartbeat:
 
     def tick(self, final: bool = False) -> dict[str, Any]:
         """One heartbeat sample: compute rates, emit the ``progress`` event,
-        update the status line, check budgets.  Returns the sample dict."""
+        update the status line, check the budget.  Returns the sample dict."""
         now = time.monotonic()
         dt = max(1e-9, now - self._prev_t)
         elapsed = now - self._t0
@@ -219,9 +225,9 @@ class Heartbeat:
                 delta = 0.0
             rates[key + "_per_sec"] = round(delta / dt, 3)
 
-        ph = metrics.current_phase()
+        ph = obs.current(self._owner)
         sample: dict[str, Any] = {
-            "phase": ph[0] if ph else self.label,
+            "phase": ph.name if ph else self.label,
             "elapsed": round(elapsed, 3),
             "tick": self.ticks,
         }
@@ -237,7 +243,7 @@ class Heartbeat:
         obs.event("progress", **sample)
         if self.on_tick is not None:
             self.on_tick(sample)
-        self._check_budgets(ph, elapsed)
+        self._check_budget(elapsed)
         self._check_stragglers(sample)
         if self.progress:
             self._render_status(sample, elapsed)
@@ -248,27 +254,16 @@ class Heartbeat:
         return sample
 
     # ------------------------------------------------------------------
-    # Budgets and status line
+    # Budget and status line
     # ------------------------------------------------------------------
 
-    def _check_budgets(self, ph: tuple[str, float, float | None, bool] | None,
-                       elapsed: float) -> None:
-        stream = self.stream or sys.stderr
-        if ph is not None:
-            name, phase_elapsed, budget, warned = ph
-            if budget is not None and phase_elapsed > budget and not warned:
-                metrics.mark_phase_warned()
-                obs.event("progress.budget_exceeded", phase=name,
-                          elapsed=round(phase_elapsed, 3), budget=budget)
-                self._end_status(stream)
-                print(f"[heartbeat] warning: phase {name!r} exceeded its "
-                      f"{budget:.1f}s wall-time budget "
-                      f"({phase_elapsed:.1f}s elapsed)", file=stream)
+    def _check_budget(self, elapsed: float) -> None:
         if self.budget is not None and elapsed > self.budget \
                 and not self._budget_warned:
             self._budget_warned = True
             obs.event("progress.budget_exceeded", phase=self.label,
                       elapsed=round(elapsed, 3), budget=self.budget)
+            stream = self.stream or sys.stderr
             self._end_status(stream)
             print(f"[heartbeat] warning: {self.label} exceeded its "
                   f"{self.budget:.1f}s wall-time budget", file=stream)

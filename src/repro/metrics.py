@@ -26,10 +26,16 @@ Three instrument kinds:
   ``tracemalloc`` is tracing, the current/peak traced heap.  Per-span
   high-water marks live in :mod:`repro.obs` (``obs.track_memory``).
 
-Phases (:func:`phase`) name the currently-running long operation *across
-threads* — unlike ``obs.current()``, whose span stacks are thread-local —
-so the background heartbeat (:mod:`repro.heartbeat`) can label its samples
-and enforce per-phase wall-time budgets.
+**Kernel telemetry** rides on the same switch: :func:`flush_kernel`, called
+next to the analysis drivers' ``perf.merge(manager.stats(), ...)``, adds
+the BDD manager's table-size profile (``bdd.table_*`` counters, the
+``bdd.table_entries`` histogram) and the compiled evaluator's per-call-site
+``memo.*`` counters, and the CDCL solver records its restart-interval
+histograms (``sat.interval_*``) — whenever the registry is enabled.  The
+BDD hot paths never look at the switch: sizes are read at flush time.
+
+A snapshot's ``phase`` is the innermost open :mod:`repro.obs` span of the
+main thread (spans are the phases).
 
 Exporters: :func:`to_prometheus` renders a snapshot in the Prometheus text
 exposition format; :func:`to_json`/:func:`write_json` dump the combined
@@ -50,7 +56,7 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
-from . import perf
+from . import obs, perf
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -62,8 +68,6 @@ _gauges: dict[str, float] = {}
 _hists: dict[str, "Histogram"] = {}
 #: name -> provider callable; a provider returning ``None`` is dropped.
 _providers: dict[str, Callable[[], Mapping[str, Any] | None]] = {}
-#: Stack of (name, t0, budget_seconds, warned_flag_list) phase frames.
-_phases: list[list[Any]] = []
 
 
 # ----------------------------------------------------------------------
@@ -215,13 +219,12 @@ def enabled(on: bool = True, memory: bool = False) -> Iterator[None]:
 
 
 def reset() -> None:
-    """Drop all gauges, histograms, providers and phases (enabled state
+    """Drop all gauges, histograms and providers (enabled state
     unchanged)."""
     with _lock:
         _gauges.clear()
         _hists.clear()
         _providers.clear()
-        _phases.clear()
 
 
 # ----------------------------------------------------------------------
@@ -355,44 +358,34 @@ def _read_rss_bytes() -> float | None:
 
 
 # ----------------------------------------------------------------------
-# Phases
+# Kernel telemetry
 # ----------------------------------------------------------------------
 
-@contextmanager
-def phase(name: str, budget_seconds: float | None = None) -> Iterator[None]:
-    """Name the long-running operation currently in flight (visible from any
-    thread, unlike ``obs`` spans).  ``budget_seconds`` arms a wall-time
-    budget the heartbeat warns about when exceeded.  No-op when disabled."""
+def flush_kernel(manager: Any | None = None) -> None:
+    """Flush kernel telemetry: a BDD ``manager``'s table-size profile
+    (``bdd.table_*`` counters into :mod:`repro.perf`, the
+    ``bdd.table_entries`` histogram here) and the compiled evaluator's
+    per-call-site memo attribution (``memo.<site>.calls/hits/misses``
+    counters plus a hit-rate histogram), which is taken and cleared.
+    No-op when disabled."""
     if not _enabled:
-        yield
         return
-    frame = [name, time.monotonic(), budget_seconds, False]
-    with _lock:
-        _phases.append(frame)
-    try:
-        yield
-    finally:
-        with _lock:
-            if frame in _phases:
-                _phases.remove(frame)
-
-
-def current_phase() -> tuple[str, float, float | None, bool] | None:
-    """The innermost open phase: ``(name, elapsed_seconds, budget, warned)``
-    or ``None``."""
-    with _lock:
-        if not _phases:
-            return None
-        name, t0, budget, warned = _phases[-1]
-        return name, time.monotonic() - t0, budget, warned
-
-
-def mark_phase_warned() -> None:
-    """Record that the innermost phase's budget warning has been emitted
-    (the heartbeat warns once per phase)."""
-    with _lock:
-        if _phases:
-            _phases[-1][3] = True
+    if manager is not None:
+        counters, hists = manager.telemetry()
+        perf.merge(counters, prefix="bdd.")
+        for name, hist in hists.items():
+            record_histogram("bdd." + name, hist)
+    # A process that never compiled a program has no call sites to report.
+    compile_py = sys.modules.get("repro.eval.compile_py")
+    if compile_py is None:
+        return
+    for site, (calls, hits, misses) in compile_py.take_site_stats().items():
+        perf.merge({f"memo.{site}.calls": calls,
+                    f"memo.{site}.hits": hits,
+                    f"memo.{site}.misses": misses})
+        if hits + misses:
+            observe("memo.site_hit_rate_pct",
+                    round(100.0 * hits / (hits + misses), 3))
 
 
 # ----------------------------------------------------------------------
@@ -438,11 +431,11 @@ def snapshot() -> dict[str, Any]:
     """One combined, JSON-ready snapshot: perf counters, sampled gauges,
     histograms, the current phase, and wall-clock timestamps."""
     gauges, hists = sample()
-    ph = current_phase()
+    ph = obs.current(threading.main_thread().ident)
     return {
         "time": time.time(),
         "elapsed_seconds": round(time.time() - _origin, 6) if _origin else 0.0,
-        "phase": ph[0] if ph else None,
+        "phase": ph.name if ph else None,
         "counters": perf.snapshot(),
         "gauges": gauges,
         "histograms": {name: h.to_dict() for name, h in hists.items()},

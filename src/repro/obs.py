@@ -34,6 +34,14 @@ Times are seconds relative to the moment tracing was enabled, so events and
 spans from every layer share one timeline.  Spans are written at *close* (a
 parent therefore appears after its children — consumers should key on
 ``id``/``parent``); events are written immediately.
+
+Spans are also the run's *phases*: the heartbeat labels its samples, and
+``metrics.snapshot()`` its ``phase`` key, with the innermost open span of
+another thread (:func:`current` with a thread id).  One builder,
+:class:`_Forest`, turns span records into :class:`Span` trees — for
+:func:`ingest` (worker records grafted into the live tree) and for
+:func:`load_trace` (a ``--trace-json`` file read back by ``repro report``,
+``--critical-path`` and ``--record``).
 """
 
 from __future__ import annotations
@@ -55,23 +63,20 @@ _sink: TextIO | None = None
 _owns_sink: bool = False
 _track_memory: bool = False
 _lock = threading.Lock()
-_roots: list["Span"] = []
 _tls = threading.local()
 #: Registry of every thread's span stack (the list object is shared with
 #: that thread's ``_tls.stack``), so :func:`reset` can clear in-progress
-#: stacks on *all* threads and :func:`flush_partial` can see open spans.
+#: stacks on *all* threads and :func:`flush_partial` and :func:`current`
+#: can see another thread's open spans.
 _stacks: dict[int, list["Span"]] = {}
 _ids = itertools.count(1)
-#: Every span of the session by id, and ingested spans still waiting for
-#: their parent's record: what :func:`ingest` needs to graft a worker's
-#: completed spans into the live tree.
-_by_id: dict[int, "Span"] = {}
-_orphans: dict[int, list["Span"]] = {}
 
 
 @struct
 class Span:
-    """One timed region of a traced run."""
+    """One timed region of a traced run.  ``partial`` marks a span read
+    back from a trace in which only its ``"partial": true`` snapshot
+    survived (the run was interrupted while it was open)."""
 
     name: str
     attrs: dict[str, Any]
@@ -82,6 +87,7 @@ class Span:
     n_events: int = 0
     children: list["Span"] = field(default_factory=list)
     counters: dict[str, int | float] = field(default_factory=dict)
+    partial: bool = False
     _perf0: dict[str, int | float] | None = field(default=None, repr=False)
     _mem0: int = field(default=-1, repr=False)     # traced bytes at open
     _mem_peak: int = field(default=0, repr=False)  # running high-water
@@ -90,6 +96,73 @@ class Span:
     def exclusive(self) -> float:
         """Wall time spent in this span but not in any child span."""
         return max(0.0, self.dur - sum(c.dur for c in self.children))
+
+
+class _Forest:
+    """Span records -> :class:`Span` trees, one record at a time.
+
+    A source writes a span when it closes, children first, so a span whose
+    parent has not arrived yet waits in ``orphans`` until it does.  A
+    record for an id already seen replaces a partial snapshot in place (a
+    completed record is never replaced), so the span keeps its place in
+    the tree.
+    """
+
+    __slots__ = ("by_id", "orphans", "roots")
+
+    def __init__(self) -> None:
+        self.by_id: dict[int, Span] = {}
+        self.orphans: dict[int, list[Span]] = {}
+        self.roots: list[Span] = []
+
+    def add(self, rec: dict[str, Any]) -> None:
+        sid = int(rec.get("id", 0))
+        sp = self.by_id.get(sid)
+        if sp is None:
+            parent_id = int(rec.get("parent", 0))
+            sp = self.by_id[sid] = Span(name="", attrs={}, id=sid,
+                                        parent_id=parent_id,
+                                        children=self.orphans.pop(sid, []))
+            if parent_id == sid:  # a corrupt self-link would make a cycle
+                parent_id = 0
+            parent = self.by_id.get(parent_id)
+            if parent is not None:
+                parent.children.append(sp)
+            elif parent_id:
+                self.orphans.setdefault(parent_id, []).append(sp)
+            else:
+                self.roots.append(sp)
+        elif not sp.partial:
+            return
+        sp.name = str(rec.get("name", "?"))
+        sp.t0 = float(rec.get("t0", 0.0))
+        sp.dur = float(rec.get("dur", 0.0))
+        sp.attrs = dict(rec.get("attrs") or {})
+        sp.counters = dict(rec.get("counters") or {})
+        sp.n_events = int(rec.get("events", 0))
+        sp.partial = bool(rec.get("partial", False))
+
+    def finish(self) -> list[Span]:
+        """The forest of a complete source: spans whose parent never came
+        are roots, and children and roots are ordered by ``t0`` (first
+        appearance breaks ties)."""
+        for waiting in self.orphans.values():
+            self.roots.extend(waiting)
+        self.orphans.clear()
+        rank = {sid: i for i, sid in enumerate(self.by_id)}
+
+        def key(sp: Span) -> tuple[float, int]:
+            return sp.t0, rank[sp.id]
+
+        for sp in self.by_id.values():
+            sp.children.sort(key=key)
+        self.roots.sort(key=key)
+        return self.roots
+
+
+#: The live session's tree: every span opened here (so :func:`ingest` can
+#: graft worker spans under the dispatching one) plus the grafted ones.
+_live = _Forest()
 
 
 def enable(jsonl: str | os.PathLike[str] | TextIO | None = None) -> None:
@@ -143,10 +216,9 @@ def reset() -> None:
     paused mid-span cannot leak its stale stack into the next trace session
     and adopt spans from a run that no longer exists.
     """
+    global _live
     with _lock:
-        _roots.clear()
-        _by_id.clear()
-        _orphans.clear()
+        _live = _Forest()
         # Clear every registered stack *in place*: each list object is
         # shared with its owning thread's ``_tls.stack``, so the owning
         # thread sees the cleared stack too.  Registry entries are kept
@@ -183,13 +255,19 @@ def _thread_stack() -> list["Span"]:
 def roots() -> list[Span]:
     """Completed root spans, in completion order (all threads)."""
     with _lock:
-        return list(_roots)
+        return list(_live.roots)
 
 
-def current() -> Span | None:
-    """The innermost open span on this thread, if any."""
-    stack = getattr(_tls, "stack", None)
-    return stack[-1] if stack else None
+def current(thread: int | None = None) -> Span | None:
+    """The innermost open span on this thread, or on the thread whose
+    ``threading.get_ident()`` is ``thread`` — the run's current phase, as
+    the heartbeat thread sees it."""
+    if thread is None:
+        stack = getattr(_tls, "stack", None)
+    else:
+        stack = _stacks.get(thread)
+    top = (stack or [])[-1:]  # one read: the owning thread may pop meanwhile
+    return top[0] if top else None
 
 
 def _jsonable(value: Any, _depth: int = 0) -> Any:
@@ -344,28 +422,39 @@ def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
             rec["attrs"] = attrs
         _write(rec)
         if rec.get("type") == "span" and not rec.get("partial"):
-            _graft(rec)
+            with _lock:
+                _live.add(rec)
 
 
-def _graft(rec: dict[str, Any]) -> None:
-    """Mirror one completed, already remapped span record in the live tree.
-    A source writes a span when it closes, children first, so a span whose
-    parent is not known yet waits in ``_orphans`` until that record comes."""
-    sp = Span(name=rec["name"], attrs=dict(rec.get("attrs") or {}),
-              id=rec["id"], parent_id=rec.get("parent", 0),
-              t0=rec.get("t0", 0.0), dur=rec.get("dur", 0.0),
-              n_events=rec.get("events", 0),
-              counters=dict(rec.get("counters") or {}))
-    with _lock:
-        sp.children = _orphans.pop(sp.id, [])
-        _by_id[sp.id] = sp
-        parent = _by_id.get(sp.parent_id)
-        if parent is not None:
-            parent.children.append(sp)
-        elif sp.parent_id:
-            _orphans.setdefault(sp.parent_id, []).append(sp)
-        else:
-            _roots.append(sp)
+def load_trace(path: str | os.PathLike[str]
+               ) -> tuple[list[Span], list[dict[str, Any]]]:
+    """Read a ``--trace-json`` file back as ``(root spans, events)``.
+
+    Built by the same :class:`_Forest` as the live tree, with a file's
+    rules on top: a truncated last line (a SIGINT kill mid-write) is
+    skipped, a span whose completed record never came is kept and marked
+    ``partial``, and children and roots are ordered by ``t0``.  Events come
+    back sorted by ``t``.
+    """
+    import json
+
+    forest = _Forest()
+    events: list[dict[str, Any]] = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            kind = rec.get("type")
+            if kind == "span":
+                forest.add(rec)
+            elif kind == "event":
+                events.append(rec)
+    return forest.finish(), sorted(events, key=lambda e: e.get("t", 0.0))
 
 
 @contextmanager
@@ -376,7 +465,7 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
         yield None
         return
     sp = Span(name=name, attrs=dict(attrs), id=next(_ids))
-    _by_id[sp.id] = sp
+    _live.by_id[sp.id] = sp
     stack = _thread_stack()
     parent = stack[-1] if stack else None
     sp.parent_id = parent.id if parent is not None else 0
@@ -432,26 +521,12 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
                 parent.children.append(sp)
             else:
                 with _lock:
-                    _roots.append(sp)
+                    _live.roots.append(sp)
             _write({"type": "span", "id": sp.id, "parent": sp.parent_id,
                     "name": sp.name, "t0": round(sp.t0, 6),
                     "dur": round(sp.dur, 6), "events": sp.n_events,
                     "attrs": {k: _jsonable(v) for k, v in sp.attrs.items()},
                     "counters": sp.counters})
-
-
-@contextmanager
-def session(jsonl: str | os.PathLike[str] | TextIO | None = None
-            ) -> Iterator[None]:
-    """Enable tracing for a ``with`` block, restoring the previous state."""
-    prev = _enabled
-    enable(jsonl)
-    try:
-        yield
-    finally:
-        disable()
-        if prev:
-            enable()
 
 
 # ----------------------------------------------------------------------

@@ -18,12 +18,13 @@ comparable**:
 * :func:`diff_records` compares two records with per-metric-class noise
   tolerances: timings use min-of-N selection (the minimum is the least
   noisy location statistic for wall time) with a relative *and* absolute
-  tolerance; counters are deterministic, so they get the same tight
-  relative tolerance plus tiny absolute slack as the ``budgets.json``
-  gate; gauges are structural sizes and get a looser band.
+  tolerance; counters are deterministic, so they get a tight relative
+  tolerance plus tiny absolute slack; gauges are structural sizes and get
+  a looser band.
 
 ``repro runs list|show|diff`` is the CLI surface;
-``benchmarks/check_regression.py`` is the CI gate;
+``benchmarks/check_regression.py`` is the CI gate (the only counter
+gate);
 :func:`repro.report.generate_diff` renders a side-by-side HTML report.
 
 The schema is documented in EXPERIMENTS.md ("RunRecord schema").
@@ -78,7 +79,6 @@ def env_fingerprint() -> dict[str, Any]:
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
-        "telemetry": os.environ.get("NV_TELEMETRY") or None,
     }
 
 
@@ -276,9 +276,9 @@ class Tolerance:
 
 #: Per-metric-class noise tolerances.  Timings: wall clocks on shared CI
 #: runners jitter ~5-10% even after min-of-N, plus a floor for sub-100ms
-#: measurements.  Counters: deterministic — same tolerance semantics as
-#: ``benchmarks/budgets.json`` (10% relative, ±2 absolute slack).  Gauges:
-#: structural sizes (table capacities, RSS) legitimately wobble more.
+#: measurements.  Counters: deterministic — 10% relative, ±2 absolute
+#: slack for tiny counters.  Gauges: structural sizes (table capacities,
+#: RSS) legitimately wobble more.
 DEFAULT_TOLERANCES: dict[str, Tolerance] = {
     "timing": Tolerance(rel=0.10, abs=0.02),
     "counter": Tolerance(rel=0.10, abs=2.0),

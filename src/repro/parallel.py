@@ -63,10 +63,10 @@ import io
 import os
 import threading
 import time
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from . import ledger as ledger_mod
-from . import metrics, obs, perf, telemetry
+from . import metrics, obs, perf
 
 #: Default cap on the worker count when it is derived from ``os.cpu_count()``
 #: (explicit ``jobs=``/``NV_JOBS`` values may exceed it).
@@ -240,13 +240,6 @@ class _WorkerTelemetry:
             metrics.enable()
         else:
             metrics.disable()
-        # NV_TELEMETRY read at import does not see parent-side programmatic
-        # enables (and spawn workers re-read a possibly-unset env), so the
-        # parent's live flag travels with the rest.
-        if flags.get("telemetry"):
-            telemetry.enable()
-        else:
-            telemetry.disable()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         period = float(flags.get("stream_period") or 0.0)
@@ -489,7 +482,6 @@ class WorkerPool:
         self._flags = {
             "perf": perf.is_enabled(), "trace": obs.is_enabled(),
             "metrics": metrics.is_enabled(), "label": label,
-            "telemetry": telemetry.is_enabled(),
             "ledger": self._ledger_on(), "bytes": self._bytes_on(),
             "stream_period": stream_period(),
         }
@@ -814,9 +806,8 @@ def run_sharded(worker_ref: str, payload: Any, units: Sequence[Any], *,
     prefix, batch) that show up in unit spans and the work ledger.
     """
     units = list(units)
-    with metrics.phase(f"{label}.sharded"), \
-            obs.span(f"{label}.sharded", units=len(units),
-                     jobs=resolve_jobs(jobs)) as sp:
+    with obs.span(f"{label}.sharded", units=len(units),
+                  jobs=resolve_jobs(jobs)) as sp:
         pool = WorkerPool(worker_ref, payload, jobs=jobs,
                           start_method=start_method, label=label)
         with pool:
@@ -950,13 +941,3 @@ def race(worker_ref: str, payloads: Sequence[Any], *,
                 p.terminate()
         for p in procs:
             p.join(timeout=5.0)
-
-
-def iter_progress(total: int) -> Iterator[int]:  # pragma: no cover - helper
-    """Yield 0..total-1 while keeping the shard-progress gauges fresh (for
-    serial loops that want the same heartbeat progress as the pool)."""
-    metrics.set_gauge(GAUGE_TOTAL, total)
-    for i in range(total):
-        metrics.set_gauge(GAUGE_DONE, i)
-        yield i
-    metrics.set_gauge(GAUGE_DONE, total)

@@ -18,7 +18,8 @@ anyone can open it from disk:
 * **Counters and gauges** — the flat :mod:`repro.perf` registry grouped by
   layer, and the last sampled gauge values.
 
-The parser is forgiving: unknown record types are ignored and partial
+The trace is read by :func:`repro.obs.load_trace`, the same span-tree
+builder the live tracer uses: unknown record types are ignored and partial
 traces (SIGINT dumps) render with their open spans marked, so a killed run
 still produces a useful report.
 """
@@ -27,77 +28,11 @@ from __future__ import annotations
 
 import html
 import json
+import zlib
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from ._struct import field, struct
-
-# ----------------------------------------------------------------------
-# Trace loading
-# ----------------------------------------------------------------------
-
-
-@struct
-class SpanRec:
-    id: int
-    parent: int
-    name: str
-    t0: float
-    dur: float
-    attrs: dict[str, Any] = field(default_factory=dict)
-    counters: dict[str, Any] = field(default_factory=dict)
-    events: int = 0
-    partial: bool = False
-    children: list["SpanRec"] = field(default_factory=list)
-
-
-def load_trace(path: str | Path) -> tuple[list[SpanRec], list[dict[str, Any]]]:
-    """Parse a trace JSONL file into ``(root_spans, events)``.
-
-    Tolerates truncated last lines (SIGINT kills mid-write) and duplicate
-    span ids (a partial record followed by nothing else wins; a partial
-    record superseded by the span's real close record is replaced).
-    """
-    spans: dict[int, SpanRec] = {}
-    events: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated tail of an interrupted run
-            kind = rec.get("type")
-            if kind == "span":
-                sid = int(rec.get("id", 0))
-                existing = spans.get(sid)
-                if existing is not None and not existing.partial:
-                    continue  # keep the complete record
-                spans[sid] = SpanRec(
-                    id=sid, parent=int(rec.get("parent", 0)),
-                    name=str(rec.get("name", "?")),
-                    t0=float(rec.get("t0", 0.0)),
-                    dur=float(rec.get("dur", 0.0)),
-                    attrs=rec.get("attrs") or {},
-                    counters=rec.get("counters") or {},
-                    events=int(rec.get("events", 0)),
-                    partial=bool(rec.get("partial", False)))
-            elif kind == "event":
-                events.append(rec)
-    roots: list[SpanRec] = []
-    for sp in spans.values():
-        parent = spans.get(sp.parent)
-        if parent is not None and sp.parent != sp.id:
-            parent.children.append(sp)
-        else:
-            roots.append(sp)
-    for sp in spans.values():
-        sp.children.sort(key=lambda s: s.t0)
-    roots.sort(key=lambda s: s.t0)
-    return roots, sorted(events, key=lambda e: e.get("t", 0.0))
-
+from .obs import Span, load_trace
 
 def load_metrics(path: str | Path) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as f:
@@ -113,7 +48,8 @@ _PALETTE = ["#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2",
 
 
 def _color(name: str) -> str:
-    return _PALETTE[hash(name) % len(_PALETTE)]
+    # A stable hash: the same trace renders the same bytes in every process.
+    return _PALETTE[zlib.crc32(name.encode("utf-8")) % len(_PALETTE)]
 
 
 def _esc(value: Any) -> str:
@@ -134,7 +70,7 @@ def _fmt_n(value: Any) -> str:
     return str(value)
 
 
-def _count_spans(roots: Iterable[SpanRec]) -> int:
+def _count_spans(roots: Iterable[Span]) -> int:
     return sum(1 + _count_spans(sp.children) for sp in roots)
 
 
@@ -145,7 +81,7 @@ def _count_spans(roots: Iterable[SpanRec]) -> int:
 _ROW_H = 22
 
 
-def _render_flame(root: SpanRec) -> str:
+def _render_flame(root: Span) -> str:
     """One root span as a CSS flame chart (absolute-positioned rows).
 
     A span's children are grouped by their ``proc`` attribute (the worker
@@ -161,7 +97,7 @@ def _render_flame(root: SpanRec) -> str:
     lane_tags: list[tuple[int, Any]] = []
     max_level = 0
 
-    def emit(sp: SpanRec, level: int) -> None:
+    def emit(sp: Span, level: int) -> None:
         left = max(0.0, (sp.t0 - root.t0) / total * 100.0)
         width = max(0.15, sp.dur / total * 100.0)
         width = min(width, 100.0 - left)
@@ -181,14 +117,14 @@ def _render_flame(root: SpanRec) -> str:
             f'background:{_color(sp.name)}" title="{_esc(" | ".join(map(str, tip_parts)))}">'
             f'{_esc(sp.name)} {_fmt_t(sp.dur)}</div>')
 
-    def place(sp: SpanRec, level: int) -> int:
+    def place(sp: Span, level: int) -> int:
         """Emit ``sp`` at ``level`` and lay its children out below it,
         one vertical band per worker lane; returns the deepest level the
         subtree used."""
         nonlocal max_level
         max_level = max(max_level, level)
         emit(sp, level)
-        groups: dict[Any, list[SpanRec]] = {}
+        groups: dict[Any, list[Span]] = {}
         order: list[Any] = []
         for c in sp.children:
             key = c.attrs.get("proc")
@@ -302,7 +238,7 @@ def _render_gauges(gauges: Mapping[str, Any]) -> str:
     return f"<table>{rows}</table>"
 
 
-def _render_critical_path(roots: list[SpanRec]) -> str:
+def _render_critical_path(roots: list[Span]) -> str:
     """Critical-path summary of the span forest: wall vs total work,
     parallel efficiency, LPT-bound gap, and the chain itself."""
     from . import critpath  # deferred: keep report importable standalone
@@ -415,7 +351,7 @@ tr.env-mismatch td { background: #fff8c5; }
 """
 
 
-def render_html(roots: list[SpanRec], events: list[dict[str, Any]],
+def render_html(roots: list[Span], events: list[dict[str, Any]],
                 metrics_snap: Mapping[str, Any] | None = None,
                 title: str = "NV run report") -> str:
     """Assemble the full self-contained HTML document."""
@@ -461,7 +397,7 @@ def render_html(roots: list[SpanRec], events: list[dict[str, Any]],
     return "".join(parts)
 
 
-def _iter_spans(roots: Iterable[SpanRec]):
+def _iter_spans(roots: Iterable[Span]):
     for sp in roots:
         yield sp
         yield from _iter_spans(sp.children)

@@ -31,7 +31,7 @@ import random
 from time import perf_counter
 from typing import Iterable, Sequence
 
-from .. import metrics, obs, telemetry
+from .. import metrics, obs
 from .._struct import struct
 
 #: Emit a ``sat.progress`` timeline event every this many conflicts while
@@ -212,7 +212,7 @@ class SatSolver:
         self.max_learnts = 4000
         self.num_attached = 0    # clause-DB size: problem + learnt clauses
         self._trace = False      # hoisted obs.is_enabled(); set by solve()
-        self._telemetry = False  # hoisted telemetry.is_enabled(); set by solve()
+        self._telemetry = False  # hoisted metrics.is_enabled(); set by solve()
         # Interval marks for restart-to-restart telemetry deltas.
         self._int_t = 0.0
         self._int_conflicts = 0
@@ -587,7 +587,7 @@ class SatSolver:
             self.ok = False
             return False
         self._trace = obs.is_enabled()
-        self._telemetry = telemetry.is_enabled()
+        self._telemetry = metrics.is_enabled()
         if self._telemetry:
             self._int_t = perf_counter()
             self._int_conflicts = self.conflicts
@@ -630,7 +630,7 @@ class SatSolver:
 
     def _telemetry_interval(self, final: bool = False) -> None:
         """Record restart-to-restart (or solve-final) progress deltas into
-        :mod:`repro.metrics` histograms (NV_TELEMETRY): per-interval
+        :mod:`repro.metrics` histograms (kernel telemetry): per-interval
         conflict/propagation/decision counts and their rates per second.
         Restart intervals are where CDCL pathologies show up — a healthy
         search keeps the conflict rate roughly flat across intervals, while

@@ -39,7 +39,7 @@ import sys
 from time import perf_counter
 from typing import Any, Callable
 
-from .. import metrics, obs, parallel, perf
+from .. import obs, parallel, perf
 from .._struct import field, struct
 from .bitblast import BitBlaster
 from .cnf import POS, Tseitin
@@ -248,8 +248,7 @@ class Solver:
     def _check(self, max_conflicts: int | None, portfolio: int = 1,
                jobs: int | None = None) -> SmtResult:
         t0 = perf_counter()
-        with metrics.phase("smt.bitblast"), \
-             obs.span("smt.bitblast", assertions=len(self.assertions)) as sp:
+        with obs.span("smt.bitblast", assertions=len(self.assertions)) as sp:
             blaster = BitBlaster(self.tm)
             tseitin = Tseitin(self.tm)
             for term in self.assertions:
@@ -270,8 +269,7 @@ class Solver:
 
         tag_vars = _tag_vars(cnf)
         t0 = perf_counter()
-        with metrics.phase("smt.solve"), \
-             obs.span("smt.solve", vars=cnf.num_vars, portfolio=portfolio,
+        with obs.span("smt.solve", vars=cnf.num_vars, portfolio=portfolio,
                       clauses=len(cnf.clauses)) as sp:
             if clauses is None:       # preprocessing refuted at level 0
                 outcome: bool | None = False
@@ -317,8 +315,7 @@ class Solver:
     def _check_incremental(self, max_conflicts: int | None,
                            portfolio: int, jobs: int | None) -> SmtResult:
         t0 = perf_counter()
-        with metrics.phase("smt.bitblast"), \
-             obs.span("smt.bitblast", assertions=len(self.assertions),
+        with obs.span("smt.bitblast", assertions=len(self.assertions),
                       incremental=True) as sp:
             self._encode_pending()
             cnf = self._tseitin.cnf
@@ -358,8 +355,7 @@ class Solver:
 
         assumptions = list(self._stack)
         t0 = perf_counter()
-        with metrics.phase("smt.solve"), \
-             obs.span("smt.solve", vars=cnf.num_vars, portfolio=portfolio,
+        with obs.span("smt.solve", vars=cnf.num_vars, portfolio=portfolio,
                       clauses=len(cnf.clauses), incremental=True,
                       assumptions=len(assumptions)) as sp:
             core: list[int] = []
@@ -515,8 +511,7 @@ def _run_preprocess(num_vars: int, clauses: list, frozen: set[int]
                     ) -> tuple[Preprocessor, list[tuple[int, ...]] | None,
                                float]:
     t0 = perf_counter()
-    with metrics.phase("smt.preprocess"), \
-         obs.span("smt.preprocess", clauses=len(clauses)) as sp:
+    with obs.span("smt.preprocess", clauses=len(clauses)) as sp:
         pre = Preprocessor(num_vars, clauses, frozen=frozen)
         simplified = pre.run()
         if sp is not None:

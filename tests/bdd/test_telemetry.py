@@ -1,14 +1,15 @@
-"""Kernel telemetry (NV_TELEMETRY): correctness and the zero-cost contract.
+"""Kernel telemetry (recorded whenever the metrics registry is on):
+correctness and the zero-cost contract.
 
 The disabled-cost contract is checked *structurally*: the hot-path
-bytecode of the BDD kernel must not reference the telemetry module or its
-flag at all (table sizes are read on demand at flush time), so the
+bytecode of the BDD kernel must not reference the metrics module or its
+switch at all (table sizes are read on demand at flush time), so the
 enabled/disabled wall-time question cannot even arise for per-node work.
 """
 
 import random
 
-from repro import metrics, perf, telemetry
+from repro import metrics, perf
 from repro.bdd.manager import BddManager
 
 
@@ -55,17 +56,17 @@ class TestDisabledCost:
                    "apply1", "apply2", "map_ite")
 
     def test_hot_paths_structurally_untouched(self):
-        """No hot-path method references the telemetry module or the flag:
+        """No hot-path method references the metrics module or its switch:
         disabled (and enabled) per-node cost is provably zero because the
         instrumented names never appear in the bytecode."""
-        forbidden = {"telemetry", "is_enabled"}
+        forbidden = {"metrics", "is_enabled"}
         for name in self.HOT_METHODS:
             names = set(getattr(BddManager, name).__code__.co_names)
             assert not (names & forbidden), (name, names & forbidden)
 
     def test_compiled_ops_pay_one_check_when_disabled(self):
         """The evaluator's per-call-site attribution is gated on one boolean
-        check; with telemetry off, no site stats accumulate."""
+        check; with the metrics registry off, no site stats accumulate."""
         from repro.eval import compile_py
 
         compile_py.take_site_stats()  # drain
@@ -74,10 +75,10 @@ class TestDisabledCost:
 
         ctx = MapContext(3, [(0, 1), (1, 2)])
         m = NVMap.create(ctx, T.TInt(4), 0)
-        with telemetry.enabled(False):
+        with metrics.enabled(False):
             compile_py._map_op({}, lambda v: v + 1, m)
         assert compile_py.take_site_stats() == {}
-        with telemetry.enabled(True):
+        with metrics.enabled(True):
             compile_py._map_op({}, lambda v: v + 1, m)
             compile_py._combine_op({}, lambda a: lambda b: (a, b), m, m)
         stats = compile_py.take_site_stats()
@@ -94,8 +95,8 @@ class TestFlush:
         _seeded_workload(mgr, ops=300)
         perf.reset()
         metrics.reset()
-        with perf.enabled(), metrics.enabled(), telemetry.enabled(True):
-            telemetry.flush_manager(mgr)
+        with perf.enabled(), metrics.enabled():
+            metrics.flush_kernel(mgr)
             snap = perf.snapshot()
             assert snap["bdd.table_unique_entries"] == len(mgr._unique)
             _gauges, hists = metrics.sample()
@@ -105,6 +106,6 @@ class TestFlush:
         mgr = BddManager()
         _seeded_workload(mgr, ops=50)
         perf.reset()
-        with perf.enabled(), telemetry.enabled(False):
-            telemetry.flush(mgr)
+        with perf.enabled(), metrics.enabled(False):
+            metrics.flush_kernel(mgr)
             assert "bdd.table_unique_entries" not in perf.snapshot()

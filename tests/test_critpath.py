@@ -5,17 +5,13 @@ dependency chain, parallel efficiency, and the LPT-bound gap."""
 import pytest
 
 from repro import critpath
+from repro.obs import Span
 
 
-class Sp:
-    """Minimal span-tree stand-in (duck-typed like obs.Span/report.SpanRec)."""
-
-    def __init__(self, name, t0, dur, attrs=None, children=()):
-        self.name = name
-        self.t0 = t0
-        self.dur = dur
-        self.attrs = attrs or {}
-        self.children = list(children)
+def Sp(name, t0, dur, attrs=None, children=()):
+    """A hand-built span-tree node."""
+    return Span(name=name, attrs=attrs or {}, t0=t0, dur=dur,
+                children=list(children))
 
 
 class TestSerialChain:

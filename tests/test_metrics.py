@@ -1,25 +1,23 @@
 """Tests for the live metrics registry (gauges, histograms, providers,
-phases, exporters)."""
+exporters)."""
 
 import gc
 import json
 
 import pytest
 
-from repro import metrics, perf
+from repro import metrics, obs, perf
 
 
 @pytest.fixture(autouse=True)
 def clean_registry():
-    metrics.disable()
-    metrics.reset()
-    perf.disable()
-    perf.reset()
+    for mod in (obs, metrics, perf):
+        mod.disable()
+        mod.reset()
     yield
-    metrics.disable()
-    metrics.reset()
-    perf.disable()
-    perf.reset()
+    for mod in (obs, metrics, perf):
+        mod.disable()
+        mod.reset()
 
 
 class TestHistogram:
@@ -73,8 +71,6 @@ class TestDisabledNoOps:
         metrics.record_histogram("h", metrics.Histogram.from_values([1]))
         unreg = metrics.register_provider("p", lambda: {"x": 1})
         unreg()
-        with metrics.phase("quiet"):
-            assert metrics.current_phase() is None
         gauges, hists = metrics.sample()
         # Only ambient memory gauges can appear; nothing we recorded did.
         assert "g" not in gauges
@@ -155,27 +151,6 @@ class TestProviders:
         assert "s.n" not in metrics.sample()[0]
 
 
-class TestPhases:
-    def test_nesting(self):
-        metrics.enable()
-        assert metrics.current_phase() is None
-        with metrics.phase("outer"):
-            with metrics.phase("inner", budget_seconds=9.0):
-                name, elapsed, budget, warned = metrics.current_phase()
-                assert name == "inner"
-                assert elapsed >= 0
-                assert budget == 9.0
-                assert not warned
-            assert metrics.current_phase()[0] == "outer"
-        assert metrics.current_phase() is None
-
-    def test_mark_warned(self):
-        metrics.enable()
-        with metrics.phase("p", budget_seconds=0.0):
-            metrics.mark_phase_warned()
-            assert metrics.current_phase()[3] is True
-
-
 class TestSnapshotAndExporters:
     def test_snapshot_structure(self):
         perf.enable()
@@ -183,9 +158,11 @@ class TestSnapshotAndExporters:
         perf.incr("sat.conflicts", 3)
         metrics.set_gauge("bdd.nodes", 17)
         metrics.observe("sat.lbd", 4)
-        with metrics.phase("smt.solve"):
+        obs.enable()
+        with obs.span("smt.solve"):
             snap = metrics.snapshot()
         assert snap["phase"] == "smt.solve"
+        assert metrics.snapshot()["phase"] is None
         assert snap["counters"]["sat.conflicts"] == 3
         assert snap["gauges"]["bdd.nodes"] == 17
         assert snap["histograms"]["sat.lbd"]["count"] == 1

@@ -150,27 +150,14 @@ class TestJsonl:
 
     def test_file_sink_owned_and_closed(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with obs.session(jsonl=path):
-            with obs.span("s"):
-                pass
+        obs.enable(jsonl=path)
+        with obs.span("s"):
+            pass
+        obs.disable()
         records = [json.loads(line)
                    for line in path.read_text().strip().splitlines()]
         assert [r["name"] for r in records
                 if r.get("type") != "meta"] == ["s"]
-
-
-class TestSession:
-    def test_restores_previous_state(self):
-        assert not obs.is_enabled()
-        with obs.session():
-            assert obs.is_enabled()
-        assert not obs.is_enabled()
-
-    def test_restores_enabled_state(self):
-        obs.enable()
-        with obs.session():
-            pass
-        assert obs.is_enabled()
 
 
 class TestThreads:

@@ -1,5 +1,6 @@
 """Observatory: RunRecord schema, the .nv-runs/ store, the noise-aware
-differ, and the ``repro runs`` CLI surface."""
+differ and the ``repro runs`` CLI surface.  The counter gate built on them
+(``benchmarks/check_regression.py``) is tested in ``test_budgets.py``."""
 
 import json
 

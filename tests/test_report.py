@@ -1,12 +1,17 @@
 """HTML run-report generator tests (repro.report + the `repro report` CLI)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import metrics, obs, perf
-from repro.report import generate, load_trace, render_html
+from repro.obs import Span, load_trace
+from repro.report import generate, render_html
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +59,7 @@ class TestLoadTrace:
         trace, _ = session_trace
         roots, events = load_trace(trace)
         assert [r.name for r in roots] == ["verify"]
+        assert isinstance(roots[0], Span)  # the live tracer's span class
         assert [c.name for c in roots[0].children] == ["smt.encode", "smt.solve"]
         assert {e["name"] for e in events} == {"progress", "sat.restart"}
 
@@ -81,6 +87,17 @@ class TestLoadTrace:
         (root,), _ = load_trace(trace)
         assert root.dur == 1.0
         assert not root.partial
+
+    def test_children_sorted_by_start_and_orphans_kept(self, tmp_path):
+        trace = tmp_path / "o.jsonl"
+        recs = [(3, 1, "late", 0.5), (2, 1, "early", 0.1), (1, 0, "run", 0.0),
+                (5, 4, "orphan", 2.0)]  # a span is written at close
+        trace.write_text("".join(json.dumps(
+            {"type": "span", "id": i, "parent": p, "name": n, "t0": t,
+             "dur": 0.1}) + "\n" for i, p, n, t in recs))
+        roots, _ = load_trace(trace)
+        assert [r.name for r in roots] == ["run", "orphan"]
+        assert [c.name for c in roots[0].children] == ["early", "late"]
 
     def test_partial_only_trace_is_usable(self, tmp_path):
         trace = tmp_path / "p.jsonl"
@@ -122,6 +139,24 @@ class TestRenderHtml:
         html = render_html(roots, events, None, title="no metrics")
         assert "no metrics" in html
         assert "</html>" in html
+
+    def test_same_bytes_in_every_process(self, session_trace, tmp_path):
+        """Span colours come from a stable hash, not the per-process salted
+        ``hash(str)``: two processes render byte-identical reports."""
+        trace, mjson = session_trace
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        outs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.html"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "report", str(trace),
+                 "--metrics", str(mjson), "-o", str(out)],
+                env=dict(env, PYTHONHASHSEED=seed), check=True,
+                capture_output=True, timeout=120)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_attr_escaping(self, tmp_path):
         trace = tmp_path / "x.jsonl"

@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro import metrics, obs, perf
 from repro.analysis.simulation import run_simulations
-from repro.report import load_trace
+from repro.obs import load_trace
 from repro.topology import sp_program
 
 
