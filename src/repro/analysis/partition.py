@@ -22,10 +22,11 @@ state, so no loss); when an inferred guarantee fails — symbolics, multiple
 stable states — the driver escalates to a monolithic :func:`~verify` so the
 final verdict is always sound.
 
-Each fragment uses one persistent incremental solver: the fragment encoding
-is preprocessed once, ¬P and each ¬guarantee attach via assumption
-selectors (:meth:`Solver.check_assuming`), and learnt clauses carry across
-the checks.
+Each fragment uses one persistent incremental solver: the fragment is
+encoded once, ¬P and each ¬guarantee attach via assumption selectors
+(:meth:`Solver.check_assuming`), and learnt clauses carry across the
+checks.  Fragments skip CNF preprocessing: unit propagation already
+decides them, and the passes would be most of their cost.
 """
 
 from __future__ import annotations
@@ -342,11 +343,15 @@ def _verify_fragment(net: Network, index: int, nodes: Sequence[int],
         enc, ev, prop = encode_network(net, simplify=simplify, nodes=nodes,
                                        inbound=inbound, outbound=outbound)
         tm = enc.tm
-        solver = Solver(tm, incremental=True)
+        # No CNF preprocessing: a fragment is small and propagation alone
+        # decides it; the passes cost ~100x the CDCL search that followed
+        # them (DESIGN.md "Who preprocesses").
+        solver = Solver(tm, incremental=True, preprocess=False)
         for c in enc.constraints:
             solver.add(c)
-        # One selector per check, all registered before the first solve so
-        # CNF preprocessing freezes them (the PR5 incremental discipline).
+        # One selector per check, all encoded before the first solve: the
+        # CDCL solver is built from the fragment's whole CNF, and no clause
+        # arrives between the checks.
         neg_prop = tm.mk_not(prop)
         checks: list[tuple[tuple[int, int] | None, int]] = [(None, neg_prop)]
         for edge, g in sorted(enc.guarantee_terms.items()):

@@ -31,6 +31,7 @@ from ..lang.errors import NvEncodingError
 from ..smt.encode_nv import (NvSmtEncoder, TMap, TermEvaluator,
                              VerificationResult)
 from ..smt.solver import Solver
+from ..smt.terms import VAR, TermManager
 from ..srp.network import Network
 
 
@@ -337,28 +338,70 @@ def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
     All selectors are registered *before* the first solve so CNF
     preprocessing freezes them; verdicts and counterexample semantics are
     identical to fresh-mode :func:`verify` per query.
-    """
-    from ..smt.terms import TermManager
 
-    nets = list(nets)
-    if not nets:
-        return []
+    Networks share a manager only where their variables agree in sort.
+    Two node counts can give one name two sorts (``attr.0.val.origin`` is
+    a node id of ``ceil(log2 n)`` bits), and so can two attribute types or
+    two declarations of one symbolic.  Each network therefore joins the
+    first group it agrees with (:func:`_var_sorts`), every group gets its
+    own encoding and solver, and results come back in input order.
+    """
+    groups: list[tuple[dict[str, int], list[tuple[int, Network]]]] = []
+    for i, net in enumerate(nets):
+        sorts = _var_sorts(net)
+        for known, batch in groups:
+            if all(known.get(name, sort) == sort
+                   for name, sort in sorts.items()):
+                known.update(sorts)
+                batch.append((i, net))
+                break
+        else:
+            groups.append((sorts, [(i, net)]))
+    results: list[VerificationResult | None] = [None] * len(nets)
+    for _, batch in groups:
+        for (i, _), result in zip(batch, _verify_batch(
+                batch, simplify, max_conflicts, portfolio, jobs)):
+            results[i] = result
+    return results
+
+
+def _var_sorts(net: Network) -> dict[str, int]:
+    """Name -> sort (``BOOL_SORT`` or a bit width) of the variables that
+    encoding ``net`` creates for node 0's attribute and for each symbolic.
+    Every other node's attribute repeats node 0's names and sorts under
+    its own index, so these decide whether two networks clash."""
+    probe = NvSmtEncoder(net)
+    probe.collect_map_keys()
+    probe.make_var(net.attr_ty, "attr.0")
+    for d in net.program.symbolics():
+        probe.make_var(d.ty, f"sym.{d.name}")
+    tm = probe.tm
+    return {d.payload: d.width for d in map(tm.data, range(tm.num_terms()))
+            if d.op == VAR}
+
+
+def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
+                  max_conflicts: int | None, portfolio: int,
+                  jobs: int | None) -> list[VerificationResult]:
+    """One shared encoding and persistent solver for the ``(input index,
+    network)`` pairs of ``batch``, whose variables agree in sort (see
+    :func:`verify_many_incremental`)."""
     tm = TermManager(simplify=simplify)
     solver = Solver(tm, incremental=True)
 
-    queries: list[tuple[Network, NvSmtEncoder, int]] = []
+    queries: list[tuple[int, Network, NvSmtEncoder, int]] = []
     t0 = perf_counter()
-    with obs.span("smt.encode_batch", queries=len(nets),
+    with obs.span("smt.encode_batch", queries=len(batch),
                   incremental=True) as sp:
-        for net in nets:
+        for index, net in batch:
             enc, _, prop = encode_network(net, simplify=simplify, tm=tm)
             query = tm.mk_not(prop)
             for c in enc.constraints:
                 query = tm.mk_and(query, c)
-            queries.append((net, enc, query))
+            queries.append((index, net, enc, query))
         # Register every selector before the first solve: preprocessing
         # freezes assumption variables, so later queries need no melting.
-        for _, _, query in queries:
+        for *_, query in queries:
             solver.push_assumption(query)
         solver.relax()
         if sp is not None:
@@ -366,14 +409,14 @@ def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
     encode_seconds = perf_counter() - t0
 
     results: list[VerificationResult] = []
-    for i, (net, enc, query) in enumerate(queries):
+    for index, net, enc, query in queries:
         t0 = perf_counter()
         smt = solver.check_assuming(query, max_conflicts,
                                     portfolio=portfolio, jobs=jobs)
         per_query = perf_counter() - t0
-        obs.event("verify.incremental_query", index=i,
+        obs.event("verify.incremental_query", index=index,
                   status=smt.status, seconds=round(per_query, 6),
                   marginal_clauses=smt.stats.get("inc.marginal_clauses", 0))
         results.append(_result_from_smt(
-            net, enc, smt, encode_seconds if i == 0 else 0.0))
+            net, enc, smt, 0.0 if results else encode_seconds))
     return results

@@ -388,6 +388,10 @@ class Preprocessor:
             if clause is not None and len(clause) > 1:
                 result.append(clause)
         self.stats.clauses_out = len(result)
+        # The occurrence index is the largest table here, and nothing after
+        # the passes reads it (melting and model reconstruction use the
+        # elimination stack): free it before the solver is built.
+        self.occ.clear()
         return result
 
     # ------------------------------------------------------------------

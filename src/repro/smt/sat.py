@@ -1,6 +1,7 @@
 """A CDCL SAT solver (conflict-driven clause learning).
 
-MiniSat-style architecture: two-watched-literal propagation, first-UIP
+MiniSat-style architecture: two-watched-literal propagation over value and
+watch tables indexed by the signed literal, first-UIP
 conflict analysis with learnt-clause minimisation and non-chronological
 backjumping, an indexed binary heap over VSIDS activities, phase saving,
 Luby restarts, and LBD-based learnt-clause database reduction.
@@ -181,7 +182,14 @@ class SatSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * (num_vars + 1))]
+        # Indexed by the signed literal: a negative literal counts from the
+        # end, so ``2 * num_vars + 1`` slots never collide and propagation
+        # reads a literal's value or watch list with one lookup.
+        # ``val[lit]`` is +1 / -1 / 0 (true / false / unassigned), kept in
+        # step with ``assign``; ``watches[lit]`` holds the clauses watching
+        # ``lit``, visited when it becomes false.
+        self.val = [0] * (2 * num_vars + 1)
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
         self.activity = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
         self.var_decay = 1.0 / config.var_decay
@@ -239,7 +247,12 @@ class SatSolver:
         self.reason.extend([None] * grow)
         self.activity.extend([0.0] * grow)
         self.phase.extend([self._default_phase] * grow)
-        self.watches.extend([] for _ in range(2 * grow))
+        # The new positive slots follow the old ones and the new negative
+        # slots precede them, so the old negative slots keep their distance
+        # from the end: insert both runs between the two halves.
+        mid = self.num_vars + 1
+        self.val[mid:mid] = [0] * (2 * grow)
+        self.watches[mid:mid] = [[] for _ in range(2 * grow)]
         self.num_vars = num_vars
         self.order.grow(num_vars)
 
@@ -251,9 +264,12 @@ class SatSolver:
             # the root level so root-satisfied/falsified simplification and
             # unit enqueueing below stay sound.
             self._backjump(0)
-        top = max((lit if lit > 0 else -lit for lit in lits), default=0)
+        top = max(map(abs, lits), default=0)
         if top > self.num_vars:
             self.ensure_num_vars(top)
+        # Only root-level assignments exist here, so an assigned literal is
+        # fixed for good.
+        val = self.val
         seen: set[int] = set()
         clause: list[int] = []
         for lit in lits:
@@ -261,10 +277,10 @@ class SatSolver:
                 return  # tautology
             if lit in seen:
                 continue
-            value = self._value(lit)
-            if value == 1 and self.level[abs(lit)] == 0:
+            value = val[lit]
+            if value == 1:
                 return  # already satisfied at the root
-            if value == -1 and self.level[abs(lit)] == 0:
+            if value == -1:
                 continue  # root-false literal drops out
             seen.add(lit)
             clause.append(lit)
@@ -281,9 +297,8 @@ class SatSolver:
 
     def _attach(self, clause: list[int]) -> None:
         self.num_attached += 1
-        a, b = clause[0], clause[1]
-        self.watches[((a if a > 0 else -a) << 1) | (a < 0)].append(clause)
-        self.watches[((b if b > 0 else -b) << 1) | (b < 0)].append(clause)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     def _reduce_db(self) -> None:
         """Drop the worst half of the learnt clauses (highest LBD first).
@@ -304,17 +319,14 @@ class SatSolver:
     # Assignment machinery
     # ------------------------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        v = self.assign[lit if lit > 0 else -lit]
-        if v == 0:
-            return 0
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
-        var = lit if lit > 0 else -lit
-        v = self.assign[var]
+        val = self.val
+        v = val[lit]
         if v != 0:
-            return (v == 1) == (lit > 0)
+            return v == 1
+        val[lit] = 1
+        val[-lit] = -1
+        var = lit if lit > 0 else -lit
         self.assign[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
@@ -324,6 +336,7 @@ class SatSolver:
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
+        val = self.val
         assign = self.assign
         level = self.level
         reason = self.reason
@@ -331,13 +344,11 @@ class SatSolver:
         watches = self.watches
         phase = self.phase
         current_level = len(self.trail_lim)
-        while self.qhead < len(trail):
-            lit = trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            neg = -lit
-            nvar = neg if neg > 0 else -neg
-            watchers = watches[(nvar << 1) | (neg < 0)]
+        qhead = start = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            watchers = watches[neg]
             i = 0
             j = 0
             n = len(watchers)
@@ -350,40 +361,37 @@ class SatSolver:
                     clause[0] = clause[1]
                     clause[1] = neg
                 first = clause[0]
-                fvar = first if first > 0 else -first
-                fv = assign[fvar]
-                if fv != 0 and (fv == 1) == (first > 0):
+                fv = val[first]
+                if fv == 1:
                     watchers[j] = clause
                     j += 1
                     continue
-                found = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    ovar = other if other > 0 else -other
-                    ov = assign[ovar]
-                    if ov == 0 or (ov == 1) == (other > 0):
+                    if val[other] != -1:
                         clause[1] = other
                         clause[k] = neg
-                        watches[(ovar << 1) | (other < 0)].append(clause)
-                        found = True
+                        watches[other].append(clause)
                         break
-                if found:
-                    continue
-                watchers[j] = clause
-                j += 1
-                if fv != 0:
-                    while i < n:
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    del watchers[j:]
-                    return clause
-                assign[fvar] = 1 if first > 0 else -1
-                level[fvar] = current_level
-                reason[fvar] = clause
-                phase[fvar] = first > 0
-                trail.append(first)
+                else:
+                    watchers[j] = clause
+                    j += 1
+                    if fv:
+                        watchers[j:] = watchers[i:n]
+                        self.propagations += qhead - start
+                        self.qhead = qhead
+                        return clause
+                    val[first] = 1
+                    val[-first] = -1
+                    fvar = first if first > 0 else -first
+                    assign[fvar] = 1 if first > 0 else -1
+                    level[fvar] = current_level
+                    reason[fvar] = clause
+                    phase[fvar] = first > 0
+                    trail.append(first)
             del watchers[j:]
+        self.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     # ------------------------------------------------------------------
@@ -513,14 +521,18 @@ class SatSolver:
         if back_level >= len(self.trail_lim):
             return
         cut = self.trail_lim[back_level]
+        val = self.val
         assign = self.assign
         reason = self.reason
         order = self.order
+        pos = order.pos
         for lit in self.trail[cut:]:
+            val[lit] = val[-lit] = 0
             var = lit if lit > 0 else -lit
             assign[var] = 0
             reason[var] = None
-            order.insert(var)
+            if pos[var] < 0:
+                order.insert(var)
         del self.trail[cut:]
         del self.trail_lim[back_level:]
         self.qhead = len(self.trail)
@@ -698,7 +710,7 @@ class SatSolver:
                     # level at a time (restarts cancel it; propagation in
                     # between may already satisfy or falsify assumptions).
                     a = self.assumptions[len(self.trail_lim)]
-                    v = self._value(a)
+                    v = self.val[a]
                     if v == -1:
                         self.failed_assumptions = self._analyze_final(a)
                         return False

@@ -132,7 +132,9 @@ class Solver:
 
     ``incremental=True`` keeps the encoding, preprocessing result and CDCL
     state alive across :meth:`check` calls (see module docstring);
-    ``preprocess=False`` disables the CNF preprocessor in either mode.
+    ``preprocess=False`` disables the CNF preprocessor in either mode —
+    the partition driver's fragments run so (DESIGN.md "Who
+    preprocesses" has the measured table per caller).
     """
 
     def __init__(self, tm: TermManager, incremental: bool = False,
@@ -193,8 +195,8 @@ class Solver:
         the current stack, then retract it.  The workhorse of selector
         reuse: the partition driver discharges each property and interface
         obligation of a fragment through this against one persistent
-        solver, so the fragment's encoding is preprocessed once and learnt
-        clauses carry across the checks."""
+        solver, so the fragment is encoded once and learnt clauses carry
+        across the checks."""
         self.push_assumption(term)
         try:
             return self.check(max_conflicts, portfolio=portfolio, jobs=jobs)

@@ -270,6 +270,26 @@ class TestPartitionedVerify:
         assert gauges.get("partition.cut_edges") == 4
         assert gauges.get("partition.interfaces_inferred") == 4
 
+    @pytest.mark.parametrize("k, guarantees", [
+        (4, [6, 6, 6, 6]), (6, [18, 18, 23, 35])])
+    def test_fragments_skip_preprocessing(self, k, guarantees):
+        """Fragments run no CNF preprocessor, and every fragment verdict
+        and guarantee discharge is the one the preprocessing solver gave."""
+        from repro import perf
+        from repro.topology import fat_program
+
+        net = load(fat_program(k, narrow=True))
+        with perf.enabled():
+            perf.reset()
+            rep = verify_partitioned(net, partition=4, jobs=1)
+            counters = perf.snapshot()
+        assert not [name for name in counters if name.startswith("sat.pre.")]
+        assert counters["sat.checks"] == len(guarantees) + sum(guarantees)
+        assert rep.status == "verified" and not rep.escalated
+        assert [(fr.result.status, [g.status for g in fr.guarantees])
+                for fr in rep.fragments] == \
+            [("verified", ["discharged"] * n) for n in guarantees]
+
 
 # ----------------------------------------------------------------------
 # Interface discharge failure paths

@@ -52,6 +52,30 @@ let assert (u : node) (x : rip) =
 """
 
 
+def narrow_sp_wan(holds: str) -> str:
+    """benchmarks/e2e's ``verify_smt`` WAN query (WAN-10/14, 8-bit eBGP):
+    ``b.origin = 0n`` is the reachability query (holds, UNSAT), ``b.length
+    < 3u8`` the violated path-length bound (SAT)."""
+    from repro.topology import uscarrier_like
+
+    topo = uscarrier_like(10, 14, seed=20200615)
+    return f"""
+include bgpNarrow
+{topo.nodes_decl()}
+{topo.edges_decl()}
+let trans e x = transBgp e x
+let merge u x y = mergeBgp u x y
+let init (u : node) =
+  if u = 0n then
+    Some {{length = 0u8; lp = 100u8; med = 80u8; comms = {{}}; origin = 0n}}
+  else None
+let assert (u : node) (x : attribute) =
+  match x with
+  | None -> false
+  | Some b -> {holds}
+"""
+
+
 def load(source: str) -> Network:
     return Network.from_program(parse_program(source, resolve))
 

@@ -21,8 +21,10 @@ from repro.lang.parser import parse_program
 from repro.protocols import resolve
 from repro.smt.preprocess import Preprocessor
 from repro.smt.sat import SatSolver
+from repro.smt.solver import Solver, _frozen_vars
 from repro.srp.network import Network
-from repro.topology import fat_program, uscarrier_like
+from repro.topology import fat_program
+from tests.helpers import narrow_sp_wan
 from tests.smt.preprocess_oracle import OraclePreprocessor
 
 
@@ -128,36 +130,29 @@ def test_matches_oracle_on_structured_cnfs(seed):
 # (ii) golden digests on the benchmark's SMT queries, (iii) skip structure
 # ----------------------------------------------------------------------
 
-def _narrow_sp_wan(holds):
-    """benchmarks/e2e's ``verify_smt`` WAN query (WAN-10/14, 8-bit eBGP)."""
-    topo = uscarrier_like(10, 14, seed=20200615)
-    return f"""
-include bgpNarrow
-{topo.nodes_decl()}
-{topo.edges_decl()}
-let trans e x = transBgp e x
-let merge u x y = mergeBgp u x y
-let init (u : node) =
-  if u = 0n then
-    Some {{length = 0u8; lp = 100u8; med = 80u8; comms = {{}}; origin = 0n}}
-  else None
-let assert (u : node) (x : attribute) =
-  match x with
-  | None -> false
-  | Some b -> {holds}
-"""
-
-
 @pytest.fixture(scope="module")
 def benchmark_cnfs():
-    """``name -> [(num_vars, clauses, frozen), ...]`` as the solver hands
-    them to the preprocessor (one per fragment for the partitioned run)."""
+    """``name -> [(num_vars, clauses, frozen), ...]``: for the WAN queries,
+    what the solver hands the preprocessor; for FAT(4), one per fragment,
+    the Tseitin CNF and frozen set each fragment's solver holds at its
+    first check.  Fragments skip preprocessing, but their CNFs are small
+    real-world inputs, so they keep pinning the preprocessor."""
     seen = []
-    original = Preprocessor.__init__
+    original_init = Preprocessor.__init__
+    original_check = Solver._check_incremental
 
-    def recording(self, num_vars, clauses, frozen=()):
+    def recording_init(self, num_vars, clauses, frozen=()):
         seen.append((num_vars, list(clauses), sorted(frozen)))
-        original(self, num_vars, clauses, frozen=frozen)
+        original_init(self, num_vars, clauses, frozen=frozen)
+
+    def recording_check(self, *args, **kwargs):
+        if self._sat is None:
+            self._encode_pending()
+            cnf = self._tseitin.cnf
+            frozen = _frozen_vars(self._tseitin)
+            frozen.update(abs(lit) for lit in self._handles.values())
+            seen.append((cnf.num_vars, list(cnf.clauses), sorted(frozen)))
+        return original_check(self, *args, **kwargs)
 
     def capture(source, run):
         del seen[:]
@@ -165,11 +160,12 @@ def benchmark_cnfs():
         return list(seen)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Preprocessor, "__init__", recording)
+        patch.setattr(Preprocessor, "__init__", recording_init)
+        patch.setattr(Solver, "_check_incremental", recording_check)
         return {
-            "wan_reach": capture(_narrow_sp_wan("b.origin = 0n"),
+            "wan_reach": capture(narrow_sp_wan("b.origin = 0n"),
                                  lambda net: verify(net, max_conflicts=1)),
-            "wan_length": capture(_narrow_sp_wan("b.length < 3u8"),
+            "wan_length": capture(narrow_sp_wan("b.length < 3u8"),
                                   lambda net: verify(net, max_conflicts=1)),
             "fat4": capture(fat_program(4, narrow=True),
                             lambda net: verify_partitioned(

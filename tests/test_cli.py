@@ -55,6 +55,46 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "symbolic route" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_files_of_different_sizes(self, tmp_path, capsys, monkeypatch,
+                                      jobs):
+        """One incremental batch over a 3- and a 5-node network: their node
+        ids are 2 and 3 bits wide, so ``attr.0.val.origin`` has two sorts
+        (a ``ValueError`` traceback, exit 1, before).  Each file gets the
+        verdict it gets alone."""
+        def chain(n, holds):
+            edges = "; ".join(f"{i}n={i + 1}n" for i in range(n - 1))
+            return f"""
+include bgpNarrow
+let nodes = {n}
+let edges = {{{edges}}}
+let trans e x = transBgp e x
+let merge u x y = mergeBgp u x y
+let init (u : node) =
+  if u = 0n then
+    Some {{length = 0u8; lp = 100u8; med = 80u8; comms = {{}}; origin = 0n}}
+  else None
+let assert (u : node) (x : attribute) =
+  match x with
+  | None -> false
+  | Some b -> {holds}
+"""
+        files = [tmp_path / "reach3.nv", tmp_path / "length5.nv",
+                 tmp_path / "reach5.nv"]
+        files[0].write_text(chain(3, "b.origin = 0n"))
+        files[1].write_text(chain(5, "b.length < 3u8"))
+        files[2].write_text(chain(5, "b.origin = 0n"))
+        monkeypatch.setenv("NV_JOBS", jobs)
+        alone = []
+        for f in files:
+            alone.append(main(["verify", str(f)]))
+            alone.append(capsys.readouterr().out.split(":")[0])
+        assert alone == [0, "verified", 1, "counterexample", 0, "verified"]
+        assert main(["verify", *map(str, files)]) == 1
+        out = capsys.readouterr().out
+        verdicts = re.findall(r"^== (\S+)\n(\w+):", out, re.M)
+        assert verdicts == [(str(f), v) for f, v in zip(files, alone[1::2])]
+
 
 class TestFault:
     def test_tolerant(self, tmp_path, capsys):
