@@ -4,15 +4,28 @@
 ``slots``, ``eq=False``; ``field(default=, default_factory=, init=, repr=,
 compare=)``; ``__post_init__``; inheritance; ``__match_args__``; pickling of
 frozen slotted classes; :func:`replace`.  ``__init__`` / ``__eq__`` /
-``__hash__`` are the ones ``dataclasses`` would write, built by one ``exec``
-per class and without ``inspect``; a method the class body defines wins.
-Left out: ``order``, ``unsafe_hash``, ``kw_only``, ``InitVar`` / ``ClassVar``,
-the signature ``__doc__``, the recursive-``repr`` guard (no record is cyclic).
+``__hash__`` are the ones ``dataclasses`` would write, without ``inspect``;
+a method the class body defines wins.  Left out: ``order``, ``unsafe_hash``,
+``kw_only``, ``InitVar`` / ``ClassVar``, the signature ``__doc__``, the
+recursive-``repr`` guard (no record is cyclic).
+
+Each class's methods are written out as Python text, and that text is
+compiled when the package is, not in every process: the ``_records.py`` of
+the class's package (``repro/lang/_records.py`` for ``repro.lang.ast``) maps
+it to a function that defines the methods, so a process unmarshals only the
+packages it imports.  This module generates those files (``python -m
+repro._struct``; ``--check`` only compares).  A class whose text is not
+there fails its import with that command in the message — there is no
+fallback that compiles at run time.
 """
 
 _MISSING = object()
 _FACTORY = object()     # __init__ default of a field that has a default_factory
 _set = object.__setattr__
+_built = None           # under `compiling()`: (text, names, class) per class
+_tables = {}            # package -> its generated METHODS
+
+REGENERATE = "PYTHONPATH=src python -m repro._struct"
 
 
 class field:
@@ -71,8 +84,9 @@ def struct(cls=None, /, *, frozen=False, slots=False, eq=True):
         fields[name] = f
     cls.__struct_fields__ = fields
 
-    ns = {"__name__": cls.__module__, "_FACTORY": _FACTORY, "_set": _set}
-    params, body = [], []
+    # The names the text reads besides `self`: its defaults and factories.
+    ns = {"_FACTORY": _FACTORY, "_set": _set}
+    params, body, defaulted = [], [], None
     for name, f in fields.items():
         default, value = "", name
         if f.default_factory is not _MISSING:
@@ -85,7 +99,11 @@ def struct(cls=None, /, *, frozen=False, slots=False, eq=True):
             default, value = f"=_d_{name}", name if f.init else f"_d_{name}"
         elif not f.init:
             continue        # __post_init__ assigns it
-        if f.init:      # a required one after a defaulted one: SyntaxError from exec
+        if f.init:
+            if default:
+                defaulted = name
+            elif defaulted:
+                raise TypeError(f"non-default argument {name!r} follows default argument")
             params.append(name + default)
         body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
     if hasattr(cls, "__post_init__"):
@@ -103,11 +121,27 @@ def __eq__(self, other):
             src += f"\ndef __hash__(self): return hash(({mine}))"
         else:
             made["__hash__"] = None
-    exec(src + _FROZEN * frozen + _PICKLE * (frozen and slots), ns, made)
+    src += _FROZEN * frozen + _PICKLE * (frozen and slots)
+    if _built is not None:
+        _built.append((src, tuple(ns), cls))
+        methods = _compile(src, tuple(ns))
+    else:
+        package = _package(cls.__module__)
+        table = _tables.get(package)
+        if table is None:
+            table = _tables[package] = _load(package)
+        methods = table.get(src)
+        if methods is None:
+            raise ImportError(
+                f"record class {cls.__module__}.{cls.__qualname__} has no "
+                f"generated methods in {package}._records (new or edited since "
+                f"it was generated): run `{REGENERATE}`")
+    for name, value in methods(**ns).items():
+        value.__qualname__ = f"{cls.__qualname__}.{name}"
+        value.__module__ = cls.__module__
+        made[name] = value
     for name, value in made.items():
         if name not in own:
-            if getattr(value, "__globals__", None) is ns:
-                value.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, value)
     if not slots:
         return cls
@@ -118,3 +152,146 @@ def __eq__(self, other):
     slotted = type(cls)(cls.__name__, cls.__bases__, namespace)
     slotted.__qualname__ = cls.__qualname__
     return slotted
+
+
+def _package(module):
+    """The package whose ``_records.py`` holds ``module``'s record methods."""
+    return module.rpartition(".")[0]
+
+
+def _load(package):
+    try:
+        return __import__(f"{package}._records", fromlist=["METHODS"]).METHODS
+    except ModuleNotFoundError:
+        return {}
+
+
+# ----------------------------------------------------------------------
+# Build time: the generator of the _records.py files
+# ----------------------------------------------------------------------
+
+def _maker(name, src, names):
+    """The text of the function that defines ``src``'s methods from
+    ``names`` (a class's defaults and factories) and returns them by name."""
+    methods = [line[4:line.index("(")] for line in src.splitlines()
+               if line.startswith("def ")]
+    lines = [f"def {name}({', '.join(names)}):"]
+    lines += [f"  {line}" for line in src.splitlines() if line]
+    lines.append("  return {" + ", ".join(f"{m!r}: {m}" for m in methods) + "}")
+    return "\n".join(lines) + "\n"
+
+
+def _compile(src, names):
+    scope = {}
+    exec(_maker("methods", src, names), scope)
+    return scope["methods"]
+
+
+class compiling:
+    """Build-time only: inside this block ``struct`` compiles each class's
+    methods from their text itself and records ``(text, names, class)`` in
+    the list ``with`` binds, instead of reading a ``_records.py``.  The
+    generator imports the package under it; tests build throwaway record
+    classes under it."""
+
+    def __enter__(self):
+        global _built
+        self._outer, _built = _built, []
+        return _built
+
+    def __exit__(self, *exc):
+        global _built
+        _built = self._outer
+
+
+_HEADER = '''"""Record methods of `{package}`, generated by `{command}`;
+do not edit.  After adding or editing an `@struct` class, run that command.
+
+Each function defines one method text of `repro/_struct.py` from a class's
+defaults (`_d_*`) and factories (`_f_*`); `METHODS` maps the text to it.
+Compiled with the package, this file spares every process one `exec` per
+record class.
+"""
+'''
+
+
+def generate():
+    """``{path: text}`` of the ``_records.py`` file of every package of
+    ``repro`` (``None``: the package defines no record class, so it has no
+    such file).  Run in a fresh process: a class imported before this call
+    is not seen."""
+    import importlib
+    import os
+    import pkgutil
+
+    import repro
+
+    packages = {"repro": repro.__path__[0]}
+    with compiling() as built:
+        for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+            if mod.name != "repro.__main__":
+                module = importlib.import_module(mod.name)
+                if mod.ispkg:
+                    packages[mod.name] = module.__path__[0]
+    users = {}
+    for src, names, cls in built:
+        key = (_package(cls.__module__), src, names)
+        users.setdefault(key, []).append(f"{cls.__module__}.{cls.__qualname__}")
+    makers = {package: [] for package in packages}
+    for (package, src, names), classes in users.items():
+        classes.sort()
+        name = classes[0].removeprefix(package + ".").replace(".", "_")
+        makers[package].append((name, src, names, classes))
+    files = {}
+    for package, found in makers.items():
+        path = os.path.join(packages[package], "_records.py")
+        if not found:
+            files[path] = None
+            continue
+        found.sort()
+        out = [_HEADER.format(package=package, command=REGENERATE)]
+        for name, src, names, classes in found:
+            out.append("\n# " + ", ".join(classes) + "\n" + _maker(name, src, names))
+        out.append("\nMETHODS = {\n")
+        out += [f"    {src!r}:\n        {name},\n" for name, src, _, _ in found]
+        out.append("}\n")
+        files[path] = "".join(out)
+    return files
+
+
+def main(argv):
+    import os
+    import sys
+
+    if argv not in ([], ["--check"]):
+        print(f"usage: {REGENERATE} [--check]", file=sys.stderr)
+        return 2
+    stale = []
+    for path, text in sorted(generate().items()):
+        current = None
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                current = fh.read()
+        if text == current:
+            continue
+        stale.append(path)
+        if argv:
+            continue
+        if text is None:
+            os.remove(path)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    if argv:
+        for path in stale:
+            print(f"{path} is stale: run `{REGENERATE}`", file=sys.stderr)
+        return int(bool(stale))
+    print("\n".join(f"wrote {path}" for path in stale) or "up to date")
+    return 0
+
+
+if __name__ == "__main__":
+    import sys
+
+    from repro import _struct      # the package's copy, not this __main__ one
+    raise SystemExit(_struct.main(sys.argv[1:]))

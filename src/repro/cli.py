@@ -531,13 +531,7 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
                         f"{parallel.MAX_DEFAULT_JOBS}; 1 = serial)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="NV control-plane analyses (PLDI 2020 reproduction)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    simulate = sub.add_parser("simulate", help="compute the stable state")
+def _simulate_args(simulate: argparse.ArgumentParser) -> None:
     simulate.add_argument("file", nargs="+",
                           help="NV source file(s); several files (e.g. one "
                                "per destination prefix) shard across "
@@ -557,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(simulate)
     simulate.set_defaults(fn=cmd_simulate)
 
-    verify = sub.add_parser("verify", help="SMT verification over all "
-                            "stable states and symbolic values")
+
+def _verify_args(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("file", nargs="+",
                         help="NV source file(s); several files run as "
                              "independent queries sharded across --jobs "
@@ -604,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(verify)
     verify.set_defaults(fn=cmd_verify)
 
-    fault = sub.add_parser("fault", help="fault-tolerance meta-protocol (fig 5)")
+
+def _fault_args(fault: argparse.ArgumentParser) -> None:
     fault.add_argument("file")
     fault.add_argument("--links", type=int, default=1,
                        help="simultaneous link failures (default 1)")
@@ -631,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(fault)
     fault.set_defaults(fn=cmd_fault)
 
-    explain = sub.add_parser(
-        "explain", help="provenance: why did NODE's stable route win?")
+
+def _explain_args(explain: argparse.ArgumentParser) -> None:
     explain.add_argument("file")
     explain.add_argument("node", type=int,
                          help="node whose stable route to explain")
@@ -643,17 +638,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(explain)
     explain.set_defaults(fn=cmd_explain)
 
-    translate = sub.add_parser("translate",
-                               help="router configs -> NV program (§4)")
+
+def _translate_args(translate: argparse.ArgumentParser) -> None:
     translate.add_argument("configs", help="directory of .cfg/.conf files")
     translate.add_argument("--assert-prefix", default=None,
                            metavar="A.B.C.D/LEN")
     translate.add_argument("-o", "--output", default=None)
     translate.set_defaults(fn=cmd_translate)
 
-    report = sub.add_parser(
-        "report", help="render a trace JSONL (+ metrics snapshot) as a "
-                       "self-contained HTML run report")
+
+def _report_args(report: argparse.ArgumentParser) -> None:
     report.add_argument("trace_file", metavar="trace",
                         help="trace JSONL file (--trace-json output)")
     report.add_argument("--metrics", metavar="FILE", default=None,
@@ -668,9 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "efficiency, LPT-bound gap) as text")
     report.set_defaults(fn=cmd_report)
 
-    runs = sub.add_parser(
-        "runs", help="perf observatory: list, inspect and diff recorded "
-                     "RunRecords (.nv-runs/)")
+
+def _runs_args(runs: argparse.ArgumentParser) -> None:
     runs.add_argument("--runs-dir", default=None, metavar="DIR",
                       help="RunRecord store directory (default: "
                            "$NV_RUNS_DIR, else .nv-runs/)")
@@ -694,6 +687,37 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit 1 if any counter regresses beyond "
                             "tolerance (the check_regression.py semantics)")
     rdiff.set_defaults(fn=cmd_runs)
+
+
+#: Sub-command -> (its one-line help, the function adding its arguments).
+COMMANDS = {
+    "simulate": ("compute the stable state", _simulate_args),
+    "verify": ("SMT verification over all stable states and symbolic "
+               "values", _verify_args),
+    "fault": ("fault-tolerance meta-protocol (fig 5)", _fault_args),
+    "explain": ("provenance: why did NODE's stable route win?", _explain_args),
+    "translate": ("router configs -> NV program (§4)", _translate_args),
+    "report": ("render a trace JSONL (+ metrics snapshot) as a "
+               "self-contained HTML run report", _report_args),
+    "runs": ("perf observatory: list, inspect and diff recorded "
+             "RunRecords (.nv-runs/)", _runs_args),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser for ``argv``: only the sub-command ``argv`` names
+    gets its arguments (the others are bare, so every usage line and error
+    text is the full tree's).  No command, an unknown one or ``--help``
+    builds them all."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="NV control-plane analyses (PLDI 2020 reproduction)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    wanted = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (summary, add_args) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        if wanted is None or wanted == name:
+            add_args(command)
     return parser
 
 
@@ -710,7 +734,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     tracing = _tracing(args)
     metrics_on = _metrics_on(args)
     recording = getattr(args, "record", None) is not None

@@ -48,8 +48,12 @@ class MapContext:
         self._key_paths: dict[tuple[T.Type, Any],
                               tuple[list[tuple[int, bool]], dict[int, bool]]] = {}
         self._set_memo: dict[tuple[int, T.Type, Any, int], int] = {}
+        # ... and the value of ``m[k]`` per (root, key type, key): node ids
+        # are hash-consed, so a root always denotes the same map.
+        self._get_memo: dict[tuple[int, T.Type, Any], Any] = {}
         self.manager.register_clear_hook(self._key_paths.clear)
         self.manager.register_clear_hook(self._set_memo.clear)
+        self.manager.register_clear_hook(self._get_memo.clear)
 
     def domain(self, key_ty: T.Type) -> int:
         """Cached validity BDD for a key type."""
@@ -77,6 +81,16 @@ class MapContext:
             path = self._key_paths[key_ty, key] = (
                 list(enumerate(bits)), dict(enumerate(bits)))
         return path
+
+    def get_key(self, root: int, key_ty: T.Type, key: Any) -> Any:
+        """``m[key]`` for the map rooted at ``root``."""
+        memo_key = (root, key_ty, key)
+        try:
+            return self._get_memo[memo_key]
+        except KeyError:        # not `.get`: a value may be None (an NV `None`)
+            out = self._get_memo[memo_key] = self.manager.get_path(
+                root, self.key_path(key_ty, key)[1])
+            return out
 
     def set_key(self, root: int, key_ty: T.Type, key: Any, value: Any) -> int:
         """The root of ``m[key := value]`` for the map rooted at ``root``."""
@@ -112,8 +126,7 @@ class NVMap:
 
     def get(self, key: Any) -> Any:
         """``m[k]`` for a concrete key."""
-        return self.ctx.manager.get_path(
-            self.root, self.ctx.key_path(self.key_ty, key)[1])
+        return self.ctx.get_key(self.root, self.key_ty, key)
 
     def set(self, key: Any, value: Any) -> "NVMap":
         """``m[k := v]`` for a concrete key."""

@@ -59,16 +59,16 @@ class VRecord:
 
     __slots__ = ("fields", "_hash", "_index")
 
-    def __init__(self, fields: tuple[tuple[str, Any], ...]) -> None:
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "_hash", hash(fields))
-        object.__setattr__(self, "_index", None)
+    def __init__(self, fields: tuple[tuple[str, Any], ...],
+                 index: dict[str, int] | None = None) -> None:
+        self.fields = fields
+        self._hash = hash(fields)
+        self._index = index         # `_shape_index(fields)`, found on first use
 
     def get(self, name: str) -> Any:
         index = self._index
         if index is None:
-            index = _shape_index(self.fields)
-            object.__setattr__(self, "_index", index)
+            index = self._index = _shape_index(self.fields)
         i = index.get(name)
         if i is None:
             raise KeyError(f"record has no field {name!r}")
@@ -87,14 +87,13 @@ class VRecord:
         items = list(self.fields)
         index = self._index
         if index is None:
-            index = _shape_index(self.fields)
-            object.__setattr__(self, "_index", index)
+            index = self._index = _shape_index(self.fields)
         for name, value in updates.items():
             i = index.get(name)
             if i is None:
                 raise KeyError(f"record has no field {name!r}")
             items[i] = (name, value)
-        return VRecord(tuple(items))
+        return VRecord(tuple(items), index)     # same labels, same shape
 
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.fields)

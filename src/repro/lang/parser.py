@@ -40,7 +40,11 @@ class Parser:
     # ------------------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # The list ends in `eof` and `next` never steps past it, so only a
+        # lookahead can run off the end.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -49,7 +53,7 @@ class Parser:
         return tok
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:

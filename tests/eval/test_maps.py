@@ -37,8 +37,9 @@ class TestCreateGetSet:
         assert m.set(5, 0) == m  # canonicity: writing the default is a no-op
 
     def test_concrete_key_memo_is_invisible(self):
-        """``set``/``get`` through the per-context memo give the roots and
-        values the manager gives without it, and ``clear_caches`` drops it."""
+        """``set``/``get`` through the per-context memos give the roots and
+        values the manager gives without them, and ``clear_caches`` drops
+        them."""
         ctx = MapContext(4, ((0, 1), (1, 0)))
         mgr, key_ty = ctx.manager, T.TTuple((T.TInt(8), T.TBool()))
         updates = [((5, True), "a"), ((5, False), "b"), ((200, True), "a"),
@@ -58,10 +59,15 @@ class TestCreateGetSet:
         # Bool and int keys that are equal as Python values stay apart.
         assert NVMap.create(ctx, T.TBool(), 0).set(True, 1).root != \
             NVMap.create(ctx, T.TInt(8), 0).set(1, 1).root
-        assert ctx._set_memo and ctx._key_paths
+        # A read memo hit still answers for its own root, and None is a value.
+        first = NVMap.create(ctx, key_ty, None)
+        assert first.get((5, True)) is None and first.get((5, True)) is None
+        assert first.set((5, True), "y").get((5, True)) == "y"
+        assert ctx._set_memo and ctx._key_paths and ctx._get_memo
         mgr.clear_caches()
-        assert not ctx._set_memo and not ctx._key_paths
+        assert not ctx._set_memo and not ctx._key_paths and not ctx._get_memo
         assert again.set((5, True), "c").root == root
+        assert again.get((5, True)) == "c"
 
     def test_node_keys(self, ctx):
         m = NVMap.create(ctx, T.TNode(), "none")

@@ -32,10 +32,13 @@ class TestLiterals:
         assert tok.kind == "node" and tok.value == 3
 
     def test_node_vs_identifier(self):
-        toks = tokenize("3nodes")
-        # `3nodes` is not a node literal: 'n' continues into an identifier.
+        # `3nodes` is not a node literal: 'n' continues into an identifier,
+        # which makes the whole run one malformed number.
+        toks = tokenize("3 nodes")
         assert toks[0].kind == "int"
         assert toks[1].kind == "ident" and toks[1].text == "nodes"
+        with pytest.raises(NvSyntaxError, match="malformed number literal '3nodes'"):
+            tokenize("3nodes")
 
     def test_zero_width_rejected(self):
         with pytest.raises(NvSyntaxError):

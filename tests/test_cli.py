@@ -332,7 +332,47 @@ class TestExplain:
             main(["explain", triangle_file, "7"])
 
 
+class TestUsageText:
+    """``build_parser`` builds only the invoked sub-command's arguments, yet
+    every usage, help and error text is the one the whole tree printed
+    (recorded before the parser was split per sub-command)."""
+
+    GOLDEN = json.loads((Path(__file__).parent / "cli_usage_golden.json")
+                        .read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_byte_identical(self, name, capsys, monkeypatch):
+        case = self.GOLDEN[name]
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out, out.err) == (
+            case["exit"], case["stdout"], case["stderr"])
+
+
 class TestErrors:
+    @pytest.mark.parametrize("program, literal, line, col", [
+        ("let nodes = 2\nlet edges = {0n=1n}\nlet init (u : node) = 12abc\n",
+         "12abc", 3, 23),
+        ("let f x = x\nlet abc = 1\nlet y = f 12abc\n", "12abc", 3, 11),
+        ("let x = 1_000\n", "1_000", 1, 9),
+        ("let x = 3u8x\n", "3u8x", 1, 9),
+        ("let nodes = 2\nlet edges = {0n1=1n}\n", "0n1", 2, 14),
+        ("let x = 5u\n", "5u", 1, 9),
+    ], ids=["unbound", "application", "underscore", "sized", "node", "width"])
+    def test_malformed_number_literal_is_one_error_line(
+            self, tmp_path, capsys, program, literal, line, col):
+        """A number run into identifier characters used to be split into a
+        number and an identifier (`unbound variable 'abc'`, a unification
+        error without a position, or a silently different program)."""
+        f = tmp_path / "bad.nv"
+        f.write_text(program)
+        assert main(["simulate", str(f)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: malformed number literal {literal!r} "
+            f"(line {line}, column {col})\n")
+
     def test_nv_error_reported(self, tmp_path, capsys):
         f = tmp_path / "broken.nv"
         f.write_text("let nodes = ")
@@ -686,6 +726,9 @@ class TestImportsOnlyWhatRuns:
             ["translate", str(tmp_path), "-o", str(tmp_path / "out.nv")])
         assert "repro.frontend.to_nv" in loaded
         assert not loaded & self.MANAGEMENT
+        # repro.lang re-exports its parser and checker lazily (PEP 562).
+        assert not loaded & {"repro.lang.parser", "repro.lang.typecheck",
+                             "repro.lang.ast"}
         assert not {m for m in loaded if m.startswith(
             ("repro.bdd", "repro.eval.interp", "repro.srp", "repro.smt",
              "repro.analysis"))}

@@ -6,9 +6,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib
+import os
 import pickle
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +114,8 @@ def _module(name: str, record, field) -> types.ModuleType:
     return mod
 
 
-S = _module("_shapes_struct", _struct.struct, _struct.field)
+with _struct.compiling():      # no generated methods for these classes
+    S = _module("_shapes_struct", _struct.struct, _struct.field)
 D = _module("_shapes_dataclass", dataclasses.dataclass, dataclasses.field)
 NAMES = [n for n, v in vars(D).items() if dataclasses.is_dataclass(v)]
 
@@ -295,3 +299,57 @@ def test_core_modules_declare_struct_records(module_name, count, slotted):
         assert ("__slots__" in vars(cls)) == (slotted == "all"), name
         if slotted == "all":
             assert "__dict__" not in dir(cls), name
+
+
+# -- the generated methods (DESIGN.md "Start-up path") -----------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_generated_records_are_up_to_date():
+    """Regenerating every ``_records.py`` reproduces the checked-in files."""
+    proc = _child("from repro import _struct; raise SystemExit(_struct.main(['--check']))")
+    assert proc.returncode == 0, proc.stderr
+
+
+#: Count the code ``repro/_struct.py`` compiles, then import what the three
+#: analysis commands run, then build one class under ``compiling()`` (the
+#: positive control: the hook does see ``_struct`` compile).
+AUDIT = '''
+import sys
+compiles = []
+def hook(event, args):
+    if event == "compile" and sys._getframe(1).f_code.co_filename.endswith("_struct.py"):
+        compiles.append(args[1])
+sys.addaudithook(hook)
+import repro.cli, repro.analysis.simulation, repro.analysis.verify
+import repro.analysis.fault, repro.eval.interp, repro.lang.parser, repro.lang.typecheck
+print(len([m for m in sys.modules if m.startswith("repro")]), len(compiles))
+from repro import _struct
+with _struct.compiling():
+    _struct.struct(type("Fresh", (), {"__annotations__": {"x": "int"}}))
+print(len(compiles))
+'''
+
+
+def test_no_record_method_is_compiled_on_the_cli_path():
+    proc = _child(AUDIT)
+    assert proc.returncode == 0, proc.stderr
+    imported, built = proc.stdout.splitlines()
+    modules, compiled = map(int, imported.split())
+    assert modules > 40 and compiled == 0
+    assert int(built) == 1
+
+
+def test_a_class_without_generated_methods_fails_its_import():
+    fresh = type("Fresh", (), {"__annotations__": {"not_generated": "int"},
+                               "__module__": "repro.lang.fresh"})
+    with pytest.raises(ImportError, match=r"repro\.lang\.fresh\.Fresh .* "
+                                          r"run `PYTHONPATH=src python -m repro\._struct`"):
+        _struct.struct(fresh)
