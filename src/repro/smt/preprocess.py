@@ -36,13 +36,19 @@ containing literal ``l``.  The clauses ``C`` subsumes are the ``D ⊇ C``:
 the members of every ``occ[l]``, ``l`` in ``C``.  The clauses the pair
 ``(C, l)`` strengthens are the ``D ⊇ (C - l) + (-l)``: ``occ[-l]`` met
 with ``occ[a]`` for every other ``a`` in ``C``.  Both passes therefore
-take a C-level intersection (:meth:`Preprocessor._meet`, rarest literal
-first, so the work is bounded by its occurrences) where a scan would
-test each clause of one occurrence set for containment; clauses hold no
-repeated literal, so a superset is never shorter and needs no length
-filter.  Acting on a hit only takes that hit out of occurrence sets, so
-the intersection taken up front is what the scan would accept one by one,
-and it is visited in the scan's ascending index order.
+take C-level set intersections (each iterates its smaller operand) where
+a scan would test each clause of one occurrence set for containment;
+clauses hold no repeated literal, so a superset is never shorter and
+needs no length filter.  Acting on a hit only takes that hit out of
+occurrence sets, so the intersection taken up front is what the scan
+would accept one by one, and it is visited in the scan's ascending index
+order.  A Tseitin CNF is binary and ternary clauses whose literal pairs
+rarely recur, so the passes stop as early as the answer is known:
+subsumption meets a clause's first two literals and goes on only if
+another clause holds both, and strengthening asks ``isdisjoint`` (no
+allocation) before it builds an intersection.  BVE tests resolvent pairs
+on local bitmasks (:meth:`Preprocessor._try_eliminate`) and builds the
+sorted resolvent tuples only once the elimination is known to pay.
 
 **Incremental rounds.**  Three byte-per-entry tables let a later round
 skip work whose answer cannot have changed.  A *stamp* is the round
@@ -76,8 +82,9 @@ digests of ``tests/smt/test_preprocess_equivalence.py`` rely on.
 
 from __future__ import annotations
 
-from operator import neg as negate
+from itertools import chain
 
+from .. import obs
 from .._struct import field, struct
 
 
@@ -134,40 +141,43 @@ class Preprocessor:
     def __init__(self, num_vars: int, clauses, frozen=()) -> None:
         self.num_vars = num_vars
         self.frozen: set[int] = set(frozen)
-        self.stats = PreprocessStats()
-        #: clause index -> sorted literal tuple (None = removed).
-        self.clauses: list[tuple[int, ...] | None] = []
-        #: literal -> set of alive clause indices containing it.
-        self.occ: dict[int, set[int]] = {}
+        self.stats = stats = PreprocessStats()
         #: root-level fixed variables (var -> bool).
         self.assigned: dict[int, bool] = {}
         #: elimination stack: (var, clauses retired when it was eliminated),
         #: replayed in reverse by :meth:`extend_model`.
         self.elim_stack: list[tuple[int, list[tuple[int, ...]]]] = []
         self.eliminated: set[int] = set()
-        self._unsat = False
-        self._units: list[int] = []  # pending unit literals
-        seen: set[tuple[int, ...]] = set()
-        for lits in clauses:
-            self.stats.clauses_in += 1
-            lset = set(lits)
-            key = tuple(sorted(lset))
-            if key in seen:
-                self.stats.duplicates_dropped += 1
-                continue
-            if not lset.isdisjoint(map(negate, key)):
-                self.stats.tautologies_dropped += 1
-                continue
-            seen.add(key)
-            if len(key) == 1:
-                self._units.append(key[0])
+        # Each clause as its sorted literal set; ``dict.fromkeys`` keeps the
+        # first copy of each, in input order.  A tautology is never kept, so
+        # every copy of one counts as a tautology, not as a duplicate.
+        keys = [tuple(sorted({*lits})) for lits in clauses]
+        unique = dict.fromkeys(keys)
+        tautologies = {k for k in unique
+                       if len({*map(abs, k)}) < len(k)}
+        stats.clauses_in = len(keys)
+        stats.tautologies_dropped = (sum(map(tautologies.__contains__, keys))
+                                     if tautologies else 0)
+        stats.duplicates_dropped = (len(keys) - len(unique)
+                                    - stats.tautologies_dropped
+                                    + len(tautologies))
+        #: clause index -> sorted literal tuple (None = removed).
+        self.clauses: list[tuple[int, ...] | None] = (
+            [k for k in unique if k not in tautologies] if tautologies
+            else list(unique))
+        self._unsat = () in unique
+        self._units = [k[0] for k in self.clauses if len(k) == 1]
+        # Every per-literal table is indexed by the literal itself: a
+        # negative literal counts from the end, so 2 * top + 1 slots never
+        # collide.  ``occ[l]`` is the set of alive clauses containing ``l``.
+        top = max(num_vars, max(map(abs, chain.from_iterable(self.clauses)),
+                                default=0))
+        self.occ: list[set[int]] = [set() for _ in range(2 * top + 1)]
+        occ = self.occ
+        for idx, key in enumerate(self.clauses):
             for lit in key:
-                self.occ.setdefault(lit, set()).add(len(self.clauses))
-            self.clauses.append(key)
-        # Dirty bookkeeping (module docstring, "Incremental rounds").  The
-        # per-literal tables are indexed by the literal itself: a negative
-        # literal counts from the end, so 2 * top + 1 slots never collide.
-        top = max(num_vars, max(map(abs, self.occ), default=0))
+                occ[lit].add(idx)
+        # Dirty bookkeeping (module docstring, "Incremental rounds").
         self._epoch = self._prev = 0      # this round and the one before
         self._cstamp = bytearray(len(self.clauses))
         self._lstamp = bytearray(2 * top + 1)
@@ -176,18 +186,6 @@ class Preprocessor:
     # ------------------------------------------------------------------
     # Clause bookkeeping
     # ------------------------------------------------------------------
-
-    def _append(self, clause: tuple[int, ...]) -> int:
-        idx = len(self.clauses)
-        self.clauses.append(clause)
-        self._cstamp.append(self._epoch)
-        occ, lstamp, touched = self.occ, self._lstamp, self._touched
-        epoch = self._epoch
-        for lit in clause:
-            occ[lit].add(idx)  # a resolvent's literals all occurred before
-            lstamp[lit] = epoch
-            touched[lit] = 1
-        return idx
 
     def _remove(self, idx: int) -> None:
         clause = self.clauses[idx]
@@ -223,6 +221,7 @@ class Preprocessor:
 
     def _propagate_units(self) -> bool:
         """Apply pending unit literals; False on root conflict."""
+        occ = self.occ
         while self._units:
             lit = self._units.pop()
             var = abs(lit)
@@ -233,9 +232,9 @@ class Preprocessor:
                 continue
             self.assigned[var] = want
             self.stats.units_fixed += 1
-            for idx in sorted(self.occ.get(lit, ())):
+            for idx in sorted(occ[lit]):
                 self._remove(idx)  # satisfied
-            for idx in sorted(self.occ.get(-lit, ())):
+            for idx in sorted(occ[-lit]):
                 clause = self.clauses[idx]
                 if clause is None:
                     continue
@@ -244,12 +243,6 @@ class Preprocessor:
                 self._strengthen(idx, -lit)
         return True
 
-    @staticmethod
-    def _meet(first: set[int], rest: list[set[int]]) -> set[int]:
-        """Clause indices common to ``first`` and every set in ``rest``
-        (a new set; each step iterates the smaller operand)."""
-        return first.intersection(*rest)
-
     def _subsume(self) -> int:
         removed = 0
         occ, cstamp, lstamp = self.occ, self._cstamp, self._lstamp
@@ -257,10 +250,14 @@ class Preprocessor:
         for idx, clause in enumerate(self.clauses):
             if clause is None:
                 continue
-            if cstamp[idx] < prev and min(map(lstamp.__getitem__, clause)) < prev:
+            if cstamp[idx] < prev and (
+                    lstamp[clause[0]] < prev or lstamp[clause[1]] < prev
+                    or min(map(lstamp.__getitem__, clause)) < prev):
                 continue  # unchanged, and no new clause can contain it
-            sets = sorted([occ[l] for l in clause], key=len)
-            hits = self._meet(sets[0], sets[1:])
+            # Most clauses share their first two literals with no other.
+            hits = occ[clause[0]] & occ[clause[1]]
+            if len(hits) > 1 and len(clause) > 2:
+                hits.intersection_update(*map(occ.__getitem__, clause[2:]))
             if len(hits) > 1:
                 hits.discard(idx)
                 for other in sorted(hits):
@@ -272,30 +269,34 @@ class Preprocessor:
     def _self_subsume(self) -> int:
         """Strengthen ``(-l, A, B)`` to ``(A, B)`` given ``(l, A)``."""
         strengthened = 0
-        occ, cstamp, lstamp = self.occ, self._cstamp, self._lstamp
+        clauses, occ, cstamp, lstamp = (self.clauses, self.occ, self._cstamp,
+                                        self._lstamp)
         prev = self._prev
-        for idx in range(len(self.clauses)):
-            clause = self.clauses[idx]
+        for idx in range(len(clauses)):
+            clause = clauses[idx]
             if clause is None:
                 continue
             # An unchanged clause with two stale literals has no live pair
             # (each pair keeps one of them); with one, only that literal's.
             lits = clause
             if cstamp[idx] < prev:
+                if lstamp[clause[0]] < prev and lstamp[clause[1]] < prev:
+                    continue
                 stale = [l for l in clause if lstamp[l] < prev]
                 if len(stale) > 1:
                     continue
                 lits = [l for l in stale or clause if lstamp[-l] >= prev]
-            sets = sorted([occ[l] for l in clause], key=len)
             for lit in lits:
-                flipped = occ.get(-lit)
-                if not flipped:
-                    continue
-                own = occ[lit]
-                hits = self._meet(flipped, [s for s in sets if s is not own])
-                for other in sorted(hits):
-                    self._strengthen(other, -lit)
-                    strengthened += 1
+                hits = occ[-lit]
+                for other in clause:
+                    if other != lit:
+                        if hits.isdisjoint(occ[other]):
+                            break
+                        hits = hits & occ[other]
+                else:
+                    for other in sorted(hits):
+                        self._strengthen(other, -lit)
+                        strengthened += 1
         self.stats.strengthened += strengthened
         return strengthened
 
@@ -303,48 +304,64 @@ class Preprocessor:
         if (var in self.frozen or var in self.assigned
                 or var in self.eliminated):
             return False
+        occ = self.occ
+        pos, neg = occ[var], occ[-var]
         limit = self._BVE_OCC_LIMIT
-        pos_occ = self.occ.get(var, ())
-        neg_occ = self.occ.get(-var, ())
-        if len(pos_occ) > limit or len(neg_occ) > limit:
+        if len(pos) > limit or len(neg) > limit or not (pos or neg):
             return False
-        if not pos_occ and not neg_occ:
-            return False  # variable unused; nothing to retire
-        pos, neg = sorted(pos_occ), sorted(neg_occ)
-        clauses = self.clauses
-        resolvents: list[tuple[int, ...]] = []
+        clauses, npos = self.clauses, len(pos)
+        where = sorted(pos) + sorted(neg)
+        retired = [clauses[i] for i in where]
+        found: dict[int, tuple[int, int]] = {}
         if pos and neg:
-            budget = len(pos) + len(neg)
-            # Each negative side without -var, and its literal-wise negation:
-            # a resolvent is tautological iff the positive side meets that.
-            sides = []
-            for ni in neg:
-                side = set(clauses[ni])
-                side.discard(-var)
-                sides.append((side, set(map(negate, side))))
-            dedup: set[frozenset[int]] = set()
-            for pi in pos:
-                p = frozenset(clauses[pi]).difference((var,))
-                for side, flipped in sides:
-                    if not p.isdisjoint(flipped):
-                        continue  # tautological resolvent
-                    merged = p | side
-                    if len(merged) > self._BVE_LEN_LIMIT:
-                        return False
-                    if merged in dedup:
+            # Local bitmasks: a literal and its negation take adjacent bits
+            # (the pivot none), so a resolvent is a union and is
+            # tautological iff it holds both bits of some pair.
+            bit = {var: 0, -var: 0}
+            get, masks = bit.get, []
+            for clause in retired:
+                mask = 0
+                for lit in clause:
+                    b = get(lit)
+                    if b is None:
+                        b = bit[lit] = 1 << len(bit)
+                        bit[-lit] = b << 1
+                    mask |= b
+                masks.append(mask)
+            low = ((1 << len(bit)) - 1) // 3      # the pairs' first bits
+            budget, most = len(retired), self._BVE_LEN_LIMIT
+            sides = list(enumerate(masks[npos:], npos))
+            for p, pm in enumerate(masks[:npos]):
+                for n, nm in sides:
+                    merged = pm | nm
+                    if merged & (merged >> 1) & low or merged in found:
                         continue
-                    dedup.add(merged)
-                    resolvents.append(tuple(sorted(merged)))
-                    if len(resolvents) > budget:
+                    if merged.bit_count() > most:
+                        return False
+                    found[merged] = p, n
+                    if len(found) > budget:
                         return False
         # else: pure literal — zero resolvents, always worth it.
-        retired = [clauses[i] for i in pos + neg]
-        for i in pos + neg:
-            self._remove(i)
-        for r in resolvents:
-            if len(r) == 1:
-                self._units.append(r[0])
-            self._append(r)
+        touched = self._touched
+        for i, clause in zip(where, retired):
+            clauses[i] = None
+            for lit in clause:
+                occ[lit].discard(i)
+                touched[lit] = 1
+        # A resolvent's literals all occur in the retired clauses, so they
+        # are touched already.
+        epoch, lstamp, cstamp = self._epoch, self._lstamp, self._cstamp
+        pivot = {var, -var}
+        for p, n in found.values():
+            resolvent = tuple(sorted({*retired[p], *retired[n]} - pivot))
+            if len(resolvent) == 1:
+                self._units.append(resolvent[0])
+            idx = len(clauses)
+            clauses.append(resolvent)
+            cstamp.append(epoch)
+            for lit in resolvent:
+                occ[lit].add(idx)
+                lstamp[lit] = epoch
         self.elim_stack.append((var, retired))
         self.eliminated.add(var)
         self.stats.vars_eliminated += 1
@@ -367,19 +384,23 @@ class Preprocessor:
     def run(self, max_rounds: int = 3) -> list[tuple[int, ...]] | None:
         """Run passes to (bounded) fixpoint; returns the simplified clause
         list, or ``None`` if the formula is UNSAT at level 0."""
-        if not self._propagate_units():
+        if self._unsat or not self._propagate_units():
             self._unsat = True
             return None
         for _ in range(max_rounds):
             self.stats.rounds += 1
             self._prev, self._epoch = self._epoch, min(self.stats.rounds, 255)
-            changed = self._subsume()
-            changed += self._self_subsume()
-            changed += self._eliminate_vars()
-            if self._unsat or not self._propagate_units():
-                self._unsat = True
-                return None
-            if not changed:
+            with obs.span("smt.preprocess.round", round=self.stats.rounds) as sp:
+                subsumed = self._subsume()
+                strengthened = self._self_subsume()
+                eliminated = self._eliminate_vars()
+                if sp is not None:
+                    sp.attrs.update(subsumed=subsumed, strengthened=strengthened,
+                                    eliminated=eliminated)
+                if self._unsat or not self._propagate_units():
+                    self._unsat = True
+                    return None
+            if not (subsumed or strengthened or eliminated):
                 break
         out = [(1 if v else -1) * var
                for var, v in sorted(self.assigned.items())]

@@ -26,6 +26,7 @@ class OraclePreprocessor:
             else:
                 seen.add(key)
                 self._put(len(self.clauses), key)
+        self._unsat = () in seen         # an empty input clause
 
     def _put(self, idx, clause):
         """Store ``clause`` in slot ``idx`` (a new slot if one past the end)."""
@@ -123,7 +124,7 @@ class OraclePreprocessor:
         return True
 
     def run(self, max_rounds=3):
-        if not self._propagate_units():
+        if self._unsat or not self._propagate_units():
             self._unsat = True
             return None
         for _ in range(max_rounds):

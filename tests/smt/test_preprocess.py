@@ -3,11 +3,14 @@ equivalence fuzz against brute force."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.smt.preprocess import Preprocessor
 from repro.smt.sat import SatSolver
+from tests.smt.preprocess_oracle import OraclePreprocessor
 
 
 def brute_force(num_vars, clauses):
@@ -71,6 +74,16 @@ class TestPasses:
         for c in clauses:
             assert any(assign[abs(l)] == (1 if l > 0 else -1) for l in c)
 
+    @pytest.mark.parametrize("clauses", [[()], [(1,), ()], [(1, 2), (-1, 2), ()]])
+    def test_empty_clause_is_unsat(self, clauses):
+        # An empty clause is the formula false: run() answers None, as the
+        # oracle and the CDCL solver do, instead of raising.
+        assert SatSolver(2, clauses).solve() is False
+        for cls in (Preprocessor, OraclePreprocessor):
+            pre = cls(2, clauses)
+            assert pre.run() is None
+            assert pre._unsat
+
     def test_melt_restores_transitively(self):
         pre = Preprocessor(4, [(1, 2), (-1, 3), (-2, -3, 4)], frozen={4})
         pre.run()
@@ -117,3 +130,47 @@ class TestEquivalence:
         out1 = Preprocessor(6, clauses).run()
         out2 = Preprocessor(6, clauses).run()
         assert out1 == out2
+
+
+#: Two rounds, each pass acting at least once.
+SMALL_CNF = [(1, 2), (-1, 3), (-2, -3, 4), (2, 3, 4), (-4, 5), (4, -5, 6),
+             (1, 2, 3), (-6, 1), (5, 6, -1), (-2, 3, 5), (2, 3, 5, 6)]
+
+
+class TestRoundSpans:
+    @pytest.fixture(autouse=True)
+    def clean_tracer(self):
+        obs.disable()
+        obs.reset()
+        yield
+        obs.disable()
+        obs.reset()
+
+    def test_one_span_per_round(self):
+        obs.enable()
+        pre = Preprocessor(6, SMALL_CNF, frozen={1, 2})
+        pre.run()
+        rounds = obs.roots()
+        assert pre.stats.rounds == 2
+        assert [sp.name for sp in rounds] == \
+            ["smt.preprocess.round"] * pre.stats.rounds
+        assert [sp.attrs["round"] for sp in rounds] == \
+            list(range(1, pre.stats.rounds + 1))
+        for key in ("subsumed", "strengthened"):
+            assert sum(sp.attrs[key] for sp in rounds) == \
+                getattr(pre.stats, key)
+        assert sum(sp.attrs["eliminated"] for sp in rounds) == \
+            pre.stats.vars_eliminated
+
+    def test_nothing_recorded_when_tracing_off(self):
+        Preprocessor(6, SMALL_CNF, frozen={1, 2}).run()
+        assert obs.roots() == []
+
+    def test_passes_never_reference_the_tracer(self):
+        """The span is opened once per round in ``run``; the per-clause and
+        per-variable code cannot pay for tracing, on or off."""
+        for name in ("_subsume", "_self_subsume", "_eliminate_vars",
+                     "_try_eliminate", "_propagate_units", "_strengthen",
+                     "_remove"):
+            names = set(getattr(Preprocessor, name).__code__.co_names)
+            assert not names & {"obs", "span", "is_enabled"}, name

@@ -10,9 +10,10 @@ SMT queries; (iii) a structural check that later rounds really skip work.
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.partition import verify_partitioned
@@ -67,12 +68,23 @@ def assert_same_as_oracle(num_vars, clauses, frozen, max_rounds,
 @st.composite
 def cnf_cases(draw):
     num_vars = draw(st.integers(1, 20))
-    literal = st.builds(lambda v, s: v * s, st.integers(1, num_vars),
-                        st.sampled_from((1, -1)))
+    signs = st.sampled_from((1, -1))
+    literal = st.builds(lambda v, s: v * s, st.integers(1, num_vars), signs)
     # Literals are drawn independently, so a clause may repeat one or hold
     # both polarities (a tautology); short ones make root conflicts common.
-    clause = st.sampled_from((1, 2, 2, 3, 3, 3, 4, 5)).flatmap(
-        lambda w: st.lists(literal, min_size=w, max_size=w).map(tuple))
+    # A width-0 draw is up to 14 distinct variables instead, signed by one
+    # polarity per case except the first, which may flip: wide clauses take
+    # the four-or-more-literal paths, and two of them on a flipped variable
+    # resolve (without tautology) past BVE's resolvent-length limit.
+    polarity = draw(st.lists(signs, min_size=num_vars, max_size=num_vars))
+    wide = st.builds(
+        lambda vs, width, flip: tuple(
+            v * polarity[v - 1] * (flip if i == 0 else 1)
+            for i, v in enumerate(vs[:width])),
+        st.permutations(range(1, num_vars + 1)), st.integers(1, 14), signs)
+    clause = st.sampled_from((1, 2, 2, 3, 3, 3, 4, 5, 0, 0)).flatmap(
+        lambda w: st.lists(literal, min_size=w, max_size=w).map(tuple)
+        if w else wide)
     clauses = draw(st.lists(clause, min_size=1, max_size=5 * num_vars))
     for i in draw(st.lists(st.integers(0, len(clauses) - 1), max_size=3)):
         clauses.append(clauses[i][::-1])            # duplicate, reordered
@@ -81,8 +93,13 @@ def cnf_cases(draw):
 
 
 @given(cnf_cases())
+@example((15, [(1, 2, 3, 4, 5, 6, 7, 8), (-1, 9, 10, 11, 12, 13, 14, 15),
+               (2, 3, 4, 5, 9), (2, 3, 4, 5, 9, -10), (2, 3, 4, 5, -9, 11)],
+          set(), 3))
 @settings(max_examples=300, deadline=None)
 def test_matches_oracle_on_generated_cnfs(case):
+    # The explicit example resolves variable 1 into 14 literals, past
+    # BVE's length limit, and subsumes and strengthens five-literal clauses.
     assert_same_as_oracle(*case)
 
 
@@ -124,6 +141,25 @@ def test_matches_oracle_on_structured_cnfs(seed):
         else:
             rounds.add(got[4]["pre.rounds"] - before)
     assert refuted and max(rounds) >= 4     # the generator reaches both
+
+
+def _uniform_cnf(rng, width):
+    """Clauses of exactly ``width`` distinct variables: the binary and
+    ternary shapes of a Tseitin CNF, which the passes treat specially."""
+    num_vars = rng.randint(width + 1, 40)
+    clauses = [tuple(rng.choice((-1, 1)) * v
+                     for v in rng.sample(range(1, num_vars + 1), width))
+               for _ in range(rng.randint(num_vars, 4 * num_vars))]
+    frozen = {v for v in range(1, num_vars + 1) if rng.random() < 0.2}
+    return num_vars, clauses, frozen
+
+
+@pytest.mark.parametrize("width", (2, 3))
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_oracle_on_uniform_width_cnfs(width, seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        assert_same_as_oracle(*_uniform_cnf(rng, width), rng.choice((1, 3, 8)))
 
 
 # ----------------------------------------------------------------------
@@ -208,23 +244,35 @@ def test_oracle_agrees_on_a_benchmark_query(benchmark_cnfs):
 
 
 def test_later_rounds_skip_most_work(benchmark_cnfs, monkeypatch):
-    """Round 3 on WAN-10 takes few intersections and tries few variables:
-    counted by wrapping the two private seams, not by a public counter."""
-    meets, tries = {}, {}
+    """Round 3 on WAN-10 takes few intersections and tries few variables.
+    Tries are counted by wrapping ``_try_eliminate`` (one call per
+    variable).  Intersections are counted by the occurrence sets
+    themselves: each is swapped for a subclass that counts the set
+    operations run on it, so the passes make no call of their own."""
+    meets, tries = Counter(), Counter()
     (cnf,) = benchmark_cnfs["wan_reach"]
     pre = Preprocessor(*cnf)
-    meet, try_eliminate = Preprocessor._meet, Preprocessor._try_eliminate
 
-    def counted_meet(first, rest):
-        meets[pre.stats.rounds] = meets.get(pre.stats.rounds, 0) + 1
-        return meet(first, rest)
+    def counted(op):
+        def run(self, *others):
+            meets[pre.stats.rounds] += 1
+            return op(self, *others)
+        return run
+
+    class CountingSet(set):
+        __and__, __rand__ = counted(set.__and__), counted(set.__rand__)
+        intersection = counted(set.intersection)
+        intersection_update = counted(set.intersection_update)
+        isdisjoint = counted(set.isdisjoint)
+
+    try_eliminate = Preprocessor._try_eliminate
 
     def counted_try(self, var):
-        tries[self.stats.rounds] = tries.get(self.stats.rounds, 0) + 1
+        tries[self.stats.rounds] += 1
         return try_eliminate(self, var)
 
-    monkeypatch.setattr(Preprocessor, "_meet", staticmethod(counted_meet))
     monkeypatch.setattr(Preprocessor, "_try_eliminate", counted_try)
+    pre.occ[:] = map(CountingSet, pre.occ)
     pre.run()
     assert pre.stats.rounds == 3
     assert tries[1] == pre.num_vars         # round 1 tries every variable
