@@ -72,7 +72,7 @@ def main() -> None:
 
     print("\n=== generated route-map (DAG IR -> mapIte, fig 10d) ===")
     for line in translation.source.splitlines():
-        if line.startswith("let rm_"):
+        if line.startswith("let shape"):
             start = translation.source.index(line)
             print(translation.source[start:translation.source.index("\n\n", start)])
             break

@@ -30,7 +30,7 @@ from .._struct import struct
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError, NvRuntimeError
-from .interp import Interpreter, eta_reduct
+from .interp import _LITERALS, Interpreter, constant_arms, eta_reduct
 from .maps import MapContext, NVMap
 from .values import VRecord, VSome
 
@@ -62,6 +62,7 @@ class PyCompiler:
         # Compile-time constant pools passed to the generated module.
         self.types: list[T.Type] = []
         self.asts: list[A.Expr] = []
+        self.tables: list[dict[Any, Any]] = []
 
     def fresh(self, base: str = "t") -> str:
         return f"__{base}{next(self._tmp)}"
@@ -128,6 +129,8 @@ class PyCompiler:
             "__ctx": self.ctx,
             "__types": self.types,
             "__asts": self.asts,
+            "__tables": self.tables,
+            "__miss": _MISS,
             "__interp": interp,
             "__memos": memos,
             "__map_op": _map_op,
@@ -257,6 +260,24 @@ class PyCompiler:
         tmp = self.fresh("m")
         em.emit(f"{tmp} = {scrut}")
         out = self.fresh("r")
+        table = _value_table(e.branches)
+        if table is not None:
+            # A constant table (the per-edge tables of translated configs):
+            # one dict probe instead of a test per arm.
+            values, default = table
+            self.tables.append(values)
+            em.emit(f"{out} = __tables[{len(self.tables) - 1}].get({tmp}, __miss)")
+            em.emit(f"if {out} is __miss:")
+            em.indent += 1
+            if default is None:
+                em.emit(f"raise NvRuntimeError('match failure on %r' % ({tmp},))")
+            else:
+                pat, body = e.branches[default]
+                for stmt in self.compile_pattern(pat, tmp)[1]:
+                    em.emit(stmt)
+                em.emit(f"{out} = {self.compile_expr(body, em)}")
+            em.indent -= 1
+            return out
         first = True
         for pat, body in e.branches:
             cond, bindings = self.compile_pattern(pat, tmp)
@@ -354,6 +375,30 @@ class PyCompiler:
         if op == "mmapite":
             return f"__mapite_op({args[0]}, {args[1]}, {args[2]}, {args[3]})"
         raise NvEncodingError(f"cannot compile operator {op!r}")
+
+
+_MISS = object()
+
+
+def _value_table(branches: Any) -> tuple[dict[Any, Any], int | None] | None:
+    """``(constant -> value, default arm)`` for a match over constants whose
+    arms, but a final wildcard or variable, are all literal values."""
+    arms = constant_arms(branches)
+    if arms is None:
+        return None
+    first, default = arms
+    values = {key: _literal_value(branches[i][1]) for key, i in first.items()}
+    if any(v is _MISS for v in values.values()):
+        return None
+    return values, default
+
+
+def _literal_value(e: A.Expr) -> Any:
+    if type(e) is A.ETuple:
+        elts = tuple(map(_literal_value, e.elts))
+        return _MISS if any(v is _MISS for v in elts) else elts
+    literal = _LITERALS.get(type(e))
+    return _MISS if literal is None else literal(e)
 
 
 def _mangle(name: str) -> str:

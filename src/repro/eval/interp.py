@@ -180,6 +180,10 @@ class Interpreter:
 
     def _branches(self, scrutinee: A.Expr, branches: Any, failure: str) -> Code:
         subject = self._compile(scrutinee)
+        table = constant_arms(branches)
+        if table is not None:
+            return _dispatch(subject, table, [self._compile(body) for _, body in branches],
+                             branches, failure)
         arms = [(_matcher(pat), self._compile(body)) for pat, body in branches]
 
         def match(env):
@@ -372,6 +376,61 @@ _OPS = {
     "mcreate": Interpreter._op_mcreate, "mmap": Interpreter._op_mmap,
     "mcombine": Interpreter._op_mcombine, "mmapite": Interpreter._op_mmapite,
 }
+
+
+def constant_arms(branches: Any) -> tuple[dict[Any, int], int | None] | None:
+    """``(first arm of each constant, default arm)`` when every pattern is a
+    constant — a boolean, integer or node, or a tuple or edge of them — except
+    at most a final wildcard or variable; ``None`` otherwise.  Such a match
+    (the per-edge tables of translated configurations) dispatches with one
+    dict probe, however many arms it has."""
+    table: dict[Any, int] = {}
+    last = len(branches) - 1
+    for i, (pat, _) in enumerate(branches):
+        key = _constant(pat)
+        if key is not _NOT_CONSTANT:
+            table.setdefault(key, i)
+        elif i == last and type(pat) in (A.PWild, A.PVar):
+            return table, i
+        else:
+            return None
+    return table, None
+
+
+_NOT_CONSTANT = object()
+
+
+def _constant(pat: A.Pattern) -> Any:
+    t = type(pat)
+    if t in (A.PBool, A.PInt, A.PNode):
+        return pat.value
+    subs = pat.elts if t is A.PTuple else (pat.src, pat.dst) if t is A.PEdge else None
+    if subs is None:
+        return _NOT_CONSTANT
+    key = tuple(map(_constant, subs))
+    return _NOT_CONSTANT if _NOT_CONSTANT in key else key
+
+
+def _dispatch(subject: Code, table: tuple[dict[Any, int], int | None],
+              codes: list[Code], branches: Any, failure: str) -> Code:
+    """The code of a match over constants: first-match semantics, by lookup."""
+    first, default = table
+    targets = {key: codes[i] for key, i in first.items()}
+    if default is None:
+        def otherwise(env, value):
+            raise NvRuntimeError(failure.format(value))
+    elif type(branches[default][0]) is A.PVar:
+        def otherwise(env, value, name=branches[default][0].name, code=codes[default]):
+            return code({**env, name: value})
+    else:
+        def otherwise(env, value, code=codes[default]):
+            return code(env)
+
+    def match(env):
+        value = subject(env)
+        code = targets.get(value)
+        return otherwise(env, value) if code is None else code(env)
+    return match
 
 
 def match_pattern(pat: A.Pattern, value: Any) -> dict[str, Any] | None:

@@ -18,7 +18,7 @@ paper's §3.1 restriction that map keys be statically known.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .._struct import field, struct
 from .configs import Prefix, RouteMapClause, RouterConfig
@@ -203,26 +203,28 @@ def is_hoisted(dag: Dag, under_comm: bool = False) -> bool:
 # NV code generation (fig 10d)
 # ---------------------------------------------------------------------------
 
+#: Writes one per-session literal (a prefix id, community, MED or
+#: local-pref) given its value and type suffix.  The translator's writer
+#: leaves a hole, so sessions that differ only in literals share one text.
+Lit = Callable[[int, str], str]
 
-def actions_nv(actions: Actions, num_suffix: str = "u16",
-               comm_suffix: str = "") -> str:
+
+def actions_nv(actions: Actions, lit: Lit) -> str:
     """NV expression of type ``option[bgpR]`` for a leaf's mutations, applied
-    to a bound variable ``v`` holding the (non-optional) BGP route record.
-    ``num_suffix`` is the literal suffix for local-pref/metric fields,
-    ``comm_suffix`` for community values."""
+    to a bound variable ``v`` holding the (non-optional) BGP route record."""
     if actions.drop:
         return "None"
     updates: list[str] = []
     if actions.set_local_pref is not None:
-        updates.append(f"lpB = {actions.set_local_pref}{num_suffix}")
+        updates.append(f"lpB = {lit(actions.set_local_pref, 'u16')}")
     if actions.set_metric is not None:
-        updates.append(f"medB = {actions.set_metric}{num_suffix}")
+        updates.append(f"medB = {lit(actions.set_metric, 'u16')}")
     expr = "v"
     comm_expr = "v.commsB"
     for c in actions.add_communities:
-        comm_expr = f"{comm_expr}[{c}{comm_suffix} := true]"
+        comm_expr = f"{comm_expr}[{lit(c, '')} := true]"
     for c in actions.remove_communities:
-        comm_expr = f"{comm_expr}[{c}{comm_suffix} := false]"
+        comm_expr = f"{comm_expr}[{lit(c, '')} := false]"
     if comm_expr != "v.commsB":
         updates.append(f"commsB = {comm_expr}")
     if updates:
@@ -230,31 +232,30 @@ def actions_nv(actions: Actions, num_suffix: str = "u16",
     return f"Some {expr}"
 
 
-def community_dag_nv(dag: Dag, num_suffix: str = "u16",
-                     comm_suffix: str = "") -> str:
+def community_dag_nv(dag: Dag, lit: Lit) -> str:
     """NV if-chain over route fields for a community-only DAG (bound var v)."""
     if isinstance(dag, Actions):
-        return actions_nv(dag, num_suffix, comm_suffix)
+        return actions_nv(dag, lit)
     assert isinstance(dag.cond, CondCommunity)
-    test = " && ".join(f"v.commsB[{c}{comm_suffix}]" for c in dag.cond.communities)
-    return (f"if {test} then {community_dag_nv(dag.on_true, num_suffix, comm_suffix)} "
-            f"else {community_dag_nv(dag.on_false, num_suffix, comm_suffix)}")
+    test = " && ".join(f"v.commsB[{lit(c, '')}]" for c in dag.cond.communities)
+    return (f"if {test} then {community_dag_nv(dag.on_true, lit)} "
+            f"else {community_dag_nv(dag.on_false, lit)}")
 
 
-def route_fn_nv(dag: Dag, num_suffix: str = "u16", comm_suffix: str = "") -> str:
+def route_fn_nv(dag: Dag, lit: Lit) -> str:
     """NV function ``ribEntry -> ribEntry`` applying a community-only DAG to
     the entry's BGP field, with the None-propagating wrapper of fig 10d."""
-    body = community_dag_nv(dag, num_suffix, comm_suffix)
+    body = community_dag_nv(dag, lit)
     return ("(fun ent -> match ent.bgp with | None -> ent "
             "| Some v -> {ent with bgp = (" + body + ")})")
 
 
-def prefix_pred_nv(path: list[tuple[CondPrefix, bool]], key_suffix: str) -> str:
+def prefix_pred_nv(path: list[tuple[CondPrefix, bool]], lit: Lit) -> str:
     """NV key predicate for one prefix region (conjunction of memberships)."""
     parts: list[str] = []
     for cond, sign in path:
         if cond.prefix_ids:
-            member = " || ".join(f"k = {pid}{key_suffix}" for pid in cond.prefix_ids)
+            member = " || ".join(f"k = {lit(pid, 'u16')}" for pid in cond.prefix_ids)
             member = f"({member})"
         else:
             member = "false"
@@ -264,31 +265,25 @@ def prefix_pred_nv(path: list[tuple[CondPrefix, bool]], key_suffix: str) -> str:
     return "(fun k -> " + " && ".join(parts) + ")"
 
 
-def route_map_nv(name: str, clauses: list[RouteMapClause], config: RouterConfig,
-                 prefix_ids: dict[Prefix, int], key_suffix: str = "u16",
-                 num_suffix: str = "u16", comm_suffix: str = "") -> str:
-    """The complete NV declaration for one route-map: a function over the RIB
-    map (per-prefix entries), chaining one ``mapIte`` per disjoint prefix
-    region.
+def route_map_nv(dag: Dag, step: str, name: str,
+                 lit: Lit) -> tuple[list[str], str]:
+    """Apply a hoisted route-map DAG to the RIB map ``step``: one ``let
+    name<i> = mapIte …`` line per disjoint prefix region (a plain ``map``
+    when a single region covers every key).  Returns the lines and the
+    variable that holds the result.
 
     Regions are mutually exclusive, so applying them sequentially with an
     identity else-branch is sound: each entry is transformed exactly once.
     """
-    dag = hoist_prefixes(build_dag(clauses, config, prefix_ids))
     assert is_hoisted(dag)
-    lines = [f"let rm_{name} m ="]
-    step = "m"
-    count = 0
-    for path, region in prefix_regions(dag):
-        fn = route_fn_nv(region, num_suffix, comm_suffix)
+    lines: list[str] = []
+    for count, (path, region) in enumerate(prefix_regions(dag)):
+        fn = route_fn_nv(region, lit)
+        var = f"{name}{count}"
         if not path:
-            # Single region covering all keys: a plain map.
-            lines.append(f"  map {fn} {step}")
-            return "\n".join(lines)
-        pred = prefix_pred_nv(path, key_suffix)
-        var = f"m{count}"
-        lines.append(f"  let {var} = mapIte {pred} {fn} (fun ent -> ent) {step} in")
+            lines.append(f"  let {var} = map {fn} {step} in")
+        else:
+            pred = prefix_pred_nv(path, lit)
+            lines.append(f"  let {var} = mapIte {pred} {fn} (fun ent -> ent) {step} in")
         step = var
-        count += 1
-    lines.append(f"  {step}")
-    return "\n".join(lines)
+    return lines, step

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.eval.compile_py import PyCompiler, compile_network_functions
-from repro.eval.interp import Interpreter, program_env
+from repro.eval.interp import Interpreter, constant_arms, program_env
 from repro.eval.maps import MapContext, NVMap
 from repro.eval.values import VRecord, VSome
+from repro.lang.errors import NvRuntimeError
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import check_program
 from repro.protocols import resolve
@@ -132,3 +133,51 @@ def test_memo_key_for_unkeyed_closure_is_the_function_itself():
     assert _memo_for(memos, ("map", *_key(fn))) is memo
     # The key tuple in the memos dict holds a strong reference to fn.
     assert any(fn in k for k in memos)
+
+
+class TestConstantMatch:
+    """A match over constants (the per-edge tables of translated configs)
+    dispatches by one dict probe in both backends, with the first-match
+    semantics of the arm-by-arm scan."""
+
+    @pytest.mark.parametrize("fn, args, expected", [
+        # A repeated constant goes to its first arm; a final wildcard is the
+        # default.
+        ("match x with | 1u8 -> 10 | 2u8 -> 20 | 1u8 -> 30 | _ -> 40",
+         ("1u8", "2u8", "3u8"), (10, 20, 40)),
+        # A final variable binds the scrutinee.
+        ("match x with | 7 -> 0 | y -> y + 1", ("7", "8"), (0, 9)),
+        # Tuple keys; tuple and non-literal arm bodies.
+        ("match x with | (0n, 1n) -> (1, 2) | (1n, 0n) -> (3, 4) | _ -> (5, 6)",
+         ("(0n, 1n)", "(1n, 0n)", "(1n, 1n)"), ((1, 2), (3, 4), (5, 6))),
+        ("match x with | (true, 1u8) -> 1u8 + 1u8 | (false, 1u8) -> 0u8 | (b, n) -> n",
+         ("(true, 1u8)", "(false, 1u8)", "(true, 9u8)"), (2, 0, 9)),
+        ("match x with | 3n -> true | 4n -> false | _ -> false",
+         ("3n", "4n", "0n"), (True, False, False)),
+    ])
+    def test_same_answers_as_the_scan(self, fn, args, expected):
+        src = f"let f x = {fn}\nlet main = ({', '.join(f'f {a}' for a in args)})"
+        ienv, cenv, _, _ = both_backends(src)
+        assert ienv["main"] == cenv["main"] == expected
+
+    def test_no_default_fails_on_a_missing_constant(self):
+        ienv, cenv, interp, _ = both_backends(
+            "let f (x : int8) = match x with | 1u8 -> 10 | 2u8 -> 20")
+        assert interp.apply(ienv["f"], 2) == cenv["f"](2) == 20
+        with pytest.raises(NvRuntimeError, match="match failure on 5"):
+            interp.apply(ienv["f"], 5)
+        with pytest.raises(NvRuntimeError, match="match failure on 5"):
+            cenv["f"](5)
+
+    def test_which_matches_are_tables(self):
+        def branches(src):
+            return parse_program(f"let main = {src}").decls[0].expr.branches
+
+        assert constant_arms(branches("match x with | 1 -> 0 | 2 -> 1 | 1 -> 2")) \
+            == ({1: 0, 2: 1}, None)
+        assert constant_arms(branches("match x with | (1, true) -> 0 | y -> 1")) \
+            == ({(1, True): 0}, 1)
+        for src in ("match x with | _ -> 0 | 1 -> 1",          # wildcard not last
+                    "match x with | Some 1 -> 0 | _ -> 1",     # not a constant
+                    "match x with | (1, y) -> 0 | _ -> 1"):
+            assert constant_arms(branches(src)) is None

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import _parse_symbolics
 from repro.eval.compile_py import compile_network_functions
+from repro.eval import interp as interp_module
 from repro.eval.interp import Interpreter
 from repro.eval.maps import MapContext, freeze_value
 from repro.eval.values import VClosure, VRecord, VSome
@@ -18,9 +19,10 @@ from repro.lang.errors import NvRuntimeError
 from repro.lang.parser import parse_expr
 from repro.srp.network import functions_from_program
 from repro.srp.simulate import simulate
-from repro.topology import all_prefixes_program, fat_program, sp_program
+from repro.topology import all_prefixes_program, fat_program, leaf_nodes, sp_program
 from tests.helpers import (FIG2_NETWORK, RIP_TRIANGLE, eval_expr_src, eval_nv,
                            load)
+from tests.lang.test_annotation_digests import fattree_configs
 from tests.srp import test_protocol_models
 
 
@@ -381,3 +383,42 @@ class TestCallsPerMessage:
 
     def test_at_most_60_percent_of_the_tree_walker(self):
         assert self.calls_per_message() <= 0.6 * self.PARENT
+
+
+class TestEdgeDispatch:
+    """The translated configurations pick each edge's transfer from flat
+    tables keyed by the edge: the pattern tests that takes must not grow with
+    the network.  Scanned arm by arm they cost 139 matcher calls per edge
+    at FatTree(4) and 1,038 at FatTree(8), and the interpreter pays them on
+    every message."""
+
+    @staticmethod
+    def matcher_calls_per_edge(k: int, monkeypatch) -> float:
+        calls = 0
+
+        def counting(build):
+            def counted_build(pat):
+                matcher = build(pat)
+
+                def counted(value):
+                    nonlocal calls
+                    calls += 1
+                    return matcher(value)
+                return counted
+            return counted_build
+
+        for cls, build in list(interp_module._MATCHERS.items()):
+            monkeypatch.setitem(interp_module._MATCHERS, cls, counting(build))
+        net = translate(fattree_configs(k),
+                        assert_prefix=f"10.0.{leaf_nodes(k)[0]}.0/24").load()
+        interp = Interpreter(MapContext(net.num_nodes, net.edges))
+        trans = interp_module.program_env(net.program, interp)["trans"]
+        calls = 0
+        for edge in net.edges:              # `trans e`: the dispatch alone
+            interp.apply(trans, edge)
+        return calls / len(net.edges)
+
+    def test_flat_from_fattree4_to_fattree8(self, monkeypatch):
+        small = self.matcher_calls_per_edge(4, monkeypatch)
+        large = self.matcher_calls_per_edge(8, monkeypatch)
+        assert small == large <= 8, (small, large)

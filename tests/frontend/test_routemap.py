@@ -113,7 +113,9 @@ class TestCodegen:
         from repro.eval.interp import Interpreter, program_env
         from repro.eval.maps import MapContext
 
-        decl = route_map_nv("RM1", CONFIG.route_maps["RM1"], CONFIG, PREFIX_IDS)
+        lines, out = route_map_nv(hoist_prefixes(fig10_dag()), "m", "rm",
+                                  lambda value, suffix: f"{value}{suffix}")
+        decl = "\n".join(["let rm_RM1 m =", *lines, f"  {out}"])
         src = f"""
 type bgpR = {{lenB:int8; lpB:int16; medB:int16; commsB:set[int]}}
 type ribEntry = {{conn:bool; stat:option[int8]; ospf:option[int8];

@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.frontend.configs import parse_config
+from repro.analysis.simulation import run_simulation
+from repro.eval.maps import freeze_value
+from repro.frontend.configs import ConfigError, parse_config
 from repro.frontend.to_nv import translate
+from repro.lang import ast as A
+from repro.lang.parser import parse_program
+from repro.protocols import resolve
 from repro.srp.network import functions_from_program
 from repro.srp.simulate import simulate
+from repro.topology import leaf_nodes
+from tests.helpers import load
+from tests.lang.test_annotation_digests import fattree_configs
 
 
 def bgp_chain():
@@ -110,9 +118,8 @@ class TestBgpChain:
             assert sol.labels[u].get(unused).get("sel") == 0
 
 
-class TestOspfPair:
-    def test_ospf_costs_and_areas(self):
-        a = parse_config("a", """
+def ospf_pair():
+    a = parse_config("a", """
 interface E0
  ip address 10.0.0.1/30
  ip ospf cost 5
@@ -122,13 +129,108 @@ router ospf 1
  network 10.0.0.0 0.0.0.3 area 0
  network 192.168.10.0 0.0.0.255 area 0
 """)
-        b = parse_config("b", """
+    b = parse_config("b", """
 interface E0
  ip address 10.0.0.2/30
 router ospf 1
  network 10.0.0.0 0.0.0.3 area 0
 """)
-        tr = translate([a, b])
+    return [a, b]
+
+
+def no_session_pair():
+    """Adjacent routers with no common protocol."""
+    a = parse_config("a", """
+interface E0
+ ip address 10.0.0.1/30
+interface Loop0
+ ip address 192.168.9.0/24
+router bgp 1
+""")
+    b = parse_config("b", """
+interface E0
+ ip address 10.0.0.2/30
+router ospf 1
+ network 10.0.0.0 0.0.0.3 area 0
+""")
+    return [a, b]
+
+
+def ospf_areas():
+    """Two OSPF areas joined by an ABR that redistributes a static route,
+    different interface costs, and an eBGP session with a route-map on each
+    end (out: tag and MED; in: prefix and community match, community delete,
+    and local-prefs below the originator's, so no route comes back
+    preferred)."""
+    a = parse_config("a", """
+interface E0
+ ip address 10.1.0.1/30
+ ip ospf cost 5
+interface E1
+ ip address 10.1.1.1/30
+ ip ospf cost 7
+interface Loop0
+ ip address 192.168.20.0/24
+router ospf 1
+ network 10.1.0.0 0.0.0.3 area 0
+ network 10.1.1.0 0.0.0.3 area 0
+ network 192.168.20.0 0.0.0.255 area 0
+""")
+    b = parse_config("b", """
+interface E0
+ ip address 10.1.0.2/30
+interface E1
+ ip address 10.2.0.1/30
+ ip ospf cost 3
+ip route 10.99.0.0 255.255.0.0 10.2.0.2
+router ospf 1
+ network 10.1.0.0 0.0.0.3 area 0
+ network 10.2.0.0 0.0.0.3 area 1
+ redistribute static metric 20
+""")
+    c = parse_config("c", """
+interface E0
+ ip address 10.1.1.2/30
+interface E1
+ ip address 10.3.0.1/30
+interface Loop0
+ ip address 192.168.30.0/24
+router ospf 1
+ network 10.1.1.0 0.0.0.3 area 0
+router bgp 30
+ redistribute connected
+ neighbor 10.3.0.2 remote-as 40
+ neighbor 10.3.0.2 route-map TAGOUT out
+route-map TAGOUT permit 10
+ set community 30:1 additive
+ set metric 40
+""")
+    d = parse_config("d", """
+interface E0
+ ip address 10.2.0.2/30
+interface E1
+ ip address 10.3.0.2/30
+router ospf 1
+ network 10.2.0.0 0.0.0.3 area 1
+router bgp 40
+ neighbor 10.3.0.1 remote-as 30
+ neighbor 10.3.0.1 route-map IN in
+ip community-list standard TAG permit 30:1
+ip prefix-list LOOP permit 192.168.30.0/24
+route-map IN permit 10
+ match community TAG
+ match ip address prefix-list LOOP
+ set local-preference 60
+ set comm-list TAG delete
+route-map IN permit 20
+ set local-preference 90
+""")
+    return [a, b, c, d]
+
+
+class TestOspfPair:
+    def test_ospf_costs_and_areas(self):
+        tr = translate(ospf_pair())
         net = tr.load()
         funcs = functions_from_program(net)
         sol = simulate(funcs)
@@ -142,21 +244,88 @@ router ospf 1
 
     def test_no_session_no_routes(self):
         # Adjacent routers with no common protocol exchange nothing.
-        a = parse_config("a", """
-interface E0
- ip address 10.0.0.1/30
-interface Loop0
- ip address 192.168.9.0/24
-router bgp 1
-""")
-        b = parse_config("b", """
-interface E0
- ip address 10.0.0.2/30
-router ospf 1
- network 10.0.0.0 0.0.0.3 area 0
-""")
-        tr = translate([a, b])
+        tr = translate(no_session_pair())
         net = tr.load()
         sol = simulate(functions_from_program(net))
         pid = tr.prefix_id("192.168.9.0/24")
         assert sol.labels[tr.node_of["b"]].get(pid).get("sel") == 0
+
+
+def med_pair(host_a: str, host_b: str) -> list:
+    """Two eBGP routers, each announcing a loopback and setting its own MED
+    (11 on ``host_a``, 77 on ``host_b``) in a route-map both call ``OUT``."""
+    configs = []
+    for i, (host, med) in enumerate(((host_a, 11), (host_b, 77))):
+        configs.append(parse_config(host, f"""
+hostname {host}
+interface Ethernet0
+ ip address 172.16.0.{i}/31
+interface Loopback0
+ ip address 192.168.{i}.0/24
+router bgp {i + 1}
+ network 192.168.{i}.0/24
+ neighbor 172.16.0.{1 - i} remote-as {2 - i}
+ neighbor 172.16.0.{1 - i} route-map OUT out
+route-map OUT permit 10
+ set metric {med}
+"""))
+    return configs
+
+
+class TestRouteMapNames:
+    """Every session applies its own router's route-map, whatever the
+    hostnames and map names look like."""
+
+    def meds(self, host_a: str, host_b: str) -> tuple[int, int]:
+        tr = translate(med_pair(host_a, host_b))
+        sol = simulate(functions_from_program(tr.load()))
+        at_b = sol.labels[tr.node_of[host_b]].get(tr.prefix_id("192.168.0.0/24"))
+        at_a = sol.labels[tr.node_of[host_a]].get(tr.prefix_id("192.168.1.0/24"))
+        return (at_b.get("bgp").value.get("medB"), at_a.get("bgp").value.get("medB"))
+
+    def test_hostnames_that_differ_only_in_punctuation(self):
+        # `r-1` and `r_1` once became the same NV identifier: the second
+        # `rm_r_1_OUT` shadowed the first, and r_1 learned r-1's prefix with
+        # MED 77 instead of 11.
+        assert self.meds("r-1", "r_1") == (11, 77)
+
+    def test_same_map_name_on_two_routers(self):
+        assert self.meds("r1", "r2") == (11, 77)
+
+    def test_unknown_route_map_is_a_config_error(self):
+        configs = med_pair("r1", "r2")
+        configs[0].route_maps.clear()
+        with pytest.raises(ConfigError, match="r1: neighbor uses unknown route-map 'OUT'"):
+            translate(configs)
+
+
+class TestPaperScale:
+    """FatTree(6) and (8) translations load and run in every mode: the
+    dispatch is flat tables, so nothing nests deeper as the network grows."""
+
+    @staticmethod
+    def source(k: int) -> str:
+        return translate(fattree_configs(k),
+                         assert_prefix=f"10.0.{leaf_nodes(k)[0]}.0/24").source
+
+    def test_fattree6_same_labels_in_every_mode(self):
+        net = load(self.source(6))
+        labels = []
+        for backend, lower in (("interp", False), ("interp", True), ("native", False)):
+            report = run_simulation(net, backend=backend, lower=lower)
+            assert not report.violations
+            labels.append([freeze_value(x) for x in report.solution.labels])
+        assert labels[0] == labels[1] == labels[2]
+
+    def test_expression_depth_does_not_grow_with_k(self):
+        def depth(k: int) -> int:
+            program = parse_program(self.source(k), resolve)
+            stack = [(d.expr, 1) for d in program.decls if isinstance(d, A.DLet)]
+            deepest = 0
+            while stack:
+                e, d = stack.pop()
+                deepest = max(deepest, d)
+                stack.extend((c, d + 1) for c in e.children())
+            return deepest
+
+        assert depth(2) == depth(4) == depth(6) == depth(8)

@@ -380,9 +380,9 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_deep_nesting_reported_without_traceback(self, tmp_path, capsys):
-        """A 2000-arm ``else if`` dispatch (what ``translate`` writes for a
-        FatTree(8)) exhausts the recursive front end: one ``error:`` line
-        naming the limit and exit 3, like any other front-end failure."""
+        """A 2000-arm ``else if`` dispatch exhausts the recursive front end:
+        one ``error:`` line naming the limit and exit 3, like any other
+        front-end failure."""
         chain = "".join(f"if u = {i}n then Some {i}u8 else " for i in range(2000))
         f = tmp_path / "deep.nv"
         f.write_text(RIP_TRIANGLE.replace(

@@ -168,3 +168,22 @@ let merge u x y =
         assert repro.verify(net).status in ("verified", "counterexample")
         report = repro.check_fault_tolerance(net, link_failures=1)
         assert report.nodes  # analysis ran
+
+
+class TestFig10ConfigTranslation:
+    def test_example_prints_a_generated_route_map(self, capsys):
+        """``examples/config_translation.py`` shows the first transfer shape:
+        the route-map's DAG IR as ``mapIte`` over hoisted prefix regions."""
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "examples" / "config_translation.py"
+        spec = importlib.util.spec_from_file_location("nv_example_config_translation", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.main()
+        out = capsys.readouterr().out
+        section = out.split("=== generated route-map (DAG IR -> mapIte, fig 10d) ===")[1]
+        section = section.split("NV model:")[0]
+        assert section.strip().startswith("let shape0")
+        assert "mapIte" in section

@@ -173,8 +173,12 @@ class TestOneWalk:
         return calls / ast_size(program)
 
     def test_at_most_half_the_calls_and_linear(self):
-        small, large = self.calls_per_node(2), self.calls_per_node(4)
-        assert large <= 0.5 * self.PARENT, large
+        # Linear over FatTree(4) -> (8), a program six times larger.  Since
+        # the front end emits one transfer per shape, the FatTree(2)
+        # translation is over a third fixed header (168 of 457 nodes), so its
+        # calls per node no longer stand for the per-edge code's.
+        small, large = self.calls_per_node(4), self.calls_per_node(8)
+        assert small <= 0.5 * self.PARENT, small
         assert large <= 1.25 * small, (small, large)
 
     @pytest.mark.parametrize("name", NETWORKS)
