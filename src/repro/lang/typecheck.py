@@ -74,6 +74,10 @@ class TypeChecker:
     def __init__(self, record_types: list[T.TRecord] | None = None) -> None:
         self._counter = itertools.count()
         self.subst: dict[str, T.Type] = {}
+        # Unsolved variables an arithmetic operator requires to be integers
+        # (closed under variable-to-variable binding): never generalised, and
+        # defaulted to ``int`` at the end of their top-level declaration.
+        self.int_vars: set[str] = set()
         # Declared record types, used to resolve projections and literals.
         self.record_types: list[T.TRecord] = list(record_types or [])
 
@@ -119,6 +123,12 @@ class TypeChecker:
         if isinstance(a, T.TVar):
             if self.occurs(a.name, b):
                 raise NvTypeError(f"occurs check failed: {a} in {self.zonk(b)} {where}")
+            if a.name in self.int_vars:
+                if isinstance(b, T.TVar):
+                    self.int_vars.add(b.name)
+                elif not isinstance(b, T.TInt):
+                    raise NvTypeError(
+                        f"cannot unify {self.zonk(b)} with an integer {where}")
             self.subst[a.name] = b
             return
         if isinstance(b, T.TVar):
@@ -154,6 +164,14 @@ class TypeChecker:
             return
         raise NvTypeError(f"cannot unify {self.zonk(a)} with {self.zonk(b)} {where}")
 
+    def default_ints(self) -> None:
+        """Settle every integer-constrained variable still unsolved to
+        ``int`` (run at the end of each top-level declaration)."""
+        for name in self.int_vars:
+            if name not in self.subst:
+                self.subst[name] = T.TInt(32)
+        self.int_vars.clear()
+
     # ------------------------------------------------------------------
     # Generalisation
     # ------------------------------------------------------------------
@@ -177,6 +195,7 @@ class TypeChecker:
                     free = self.free_tvars(scheme.ty).difference(scheme.vars)
                     scheme.closed = not free
                     gen -= free
+            gen -= self.int_vars
         return Scheme(tuple(sorted(gen)), ty)
 
     def instantiate(self, scheme: Scheme) -> T.Type:
@@ -357,8 +376,10 @@ class TypeChecker:
             self.unify(lhs, rhs, f"in {op}")
             resolved = self.resolve(lhs)
             if isinstance(resolved, T.TVar):
-                self.unify(resolved, T.TInt(32))
-                resolved = T.TInt(32)
+                # The width may still come from a later use (`v + v` applied
+                # to an int8); ``default_ints`` settles it otherwise.
+                self.int_vars.add(resolved.name)
+                return resolved
             if not isinstance(resolved, T.TInt):
                 raise NvTypeError(f"{op} requires integers, got {self.zonk(resolved)}")
             return resolved
@@ -518,10 +539,12 @@ def _infer_decls(program: A.Program) -> tuple[TypeChecker, dict[str, Scheme]]:
             env[decl.name] = Scheme((), decl.ty)
         elif isinstance(decl, A.DRequire):
             checker.unify(checker.infer(env, decl.expr), T.TBool(), "in require")
+            checker.default_ints()
         elif isinstance(decl, A.DLet):
             ty = checker.infer(env, decl.expr)
             if decl.annot is not None:
                 checker.unify(ty, decl.annot, f"in annotation of {decl.name!r}")
+            checker.default_ints()
             if _is_generalizable(decl.expr):
                 env[decl.name] = checker.generalize(env, ty)
             else:

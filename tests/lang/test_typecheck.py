@@ -100,6 +100,59 @@ class TestMaps:
         assert ty.key == T.TInt(8)
 
 
+def run_main(src: str):
+    """Type-check ``src`` and interpret its ``main`` declaration."""
+    from repro.eval.interp import Interpreter, program_env
+    from repro.eval.maps import MapContext
+    program = parse_program(src, resolve)
+    check_program(program)
+    return program_env(program, Interpreter(MapContext(2, ((0, 1), (1, 0)))))["main"]
+
+
+class TestArithmeticWidth:
+    """``+`` / ``-`` leave an operand's width open until a use settles it;
+    a width no use settles is ``int`` at the end of the declaration."""
+
+    @pytest.mark.parametrize("src, value", [
+        ("let main = (fun v -> v + v) 200u8", 144),
+        ("let m = (createDict 130u8)[2u8 := 5u8]\n"
+         "let main = ((map (fun v -> v + v) m)[2u8], (map (fun v -> v + v) m)[9u8])",
+         (10, 4)),
+        ("let m1 = (createDict 100u8)[1u8 := 1u8]\n"
+         "let m2 = createDict 200u8\n"
+         "let main = ((combine (fun a b -> a + b) m1 m2)[1u8],"
+         " (combine (fun a b -> a + b) m1 m2)[3u8])", (201, 44)),
+        ("let f = fun (m : dict[int8,int8]) -> map (fun v -> v + v) m\n"
+         "let main = (f (createDict 130u8))[1u8]", 4),
+        ("let main = let g = fun v -> v - 1u8 in g 0u8", 255),
+    ], ids=["apply", "map", "combine", "annotated-map", "let-bound"])
+    def test_width_comes_from_the_use(self, src, value):
+        assert run_main(src) == value
+
+    def test_unsettled_width_defaults_to_int(self):
+        program = parse_program("let f = fun v -> v + v\nlet main = f 3", resolve)
+        env = check_program(program)
+        assert env["f"].ty == T.TArrow(T.TInt(32), T.TInt(32))
+        assert env["f"].vars == ()
+
+    def test_not_generalised(self):
+        with pytest.raises(NvTypeError):
+            run_main("let main = let g = fun v -> v + v in (g 3u8, g 4u16)")
+
+    def test_top_level_helper_is_int(self):
+        with pytest.raises(NvTypeError):
+            run_main("let g = fun v -> v + v\nlet main = g 3u8")
+
+    @pytest.mark.parametrize("src", [
+        "let main = fun v -> (v + v, v = true)",
+        "let main = fun v -> (v = true, v + v)",
+        "let main = fun v -> (v + v, v = 1n)",
+    ])
+    def test_non_integer_operand_rejected(self, src):
+        with pytest.raises(NvTypeError):
+            run_main(src)
+
+
 class TestMatch:
     def test_option_match(self):
         ty = infer("fun x -> match x with | None -> 0u8 | Some v -> v")
