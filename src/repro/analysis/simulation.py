@@ -62,15 +62,15 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
     ``backend`` is ``"interp"`` (the AST interpreter) or ``"native"``
     (NV compiled to Python, the paper's native simulation).  ``incremental``
     toggles the incremental-merge optimisation of Algorithm 1 (the ablation
-    benchmark measures it).  ``lower=True`` first runs the value-preserving
-    subset of the §5.2 pipeline (inlining + partial evaluation; the
-    shape-changing unbox/flatten passes are skipped so labels keep their
-    source representation) — ``--trace`` uses this to show per-pass spans.
+    benchmark measures it).  ``lower=True`` first runs
+    :func:`repro.transform.pipeline.lower_program` (inlining + partial
+    evaluation, which keep the source value representation, so the labels
+    are the unlowered program's) — ``--trace`` shows its per-pass spans.
     """
     t0 = perf_counter()
     if lower:
         from ..transform.pipeline import lower_program
-        net = lower_program(net, unbox=False, flatten=False)
+        net = lower_program(net)
     if backend == "interp":
         with obs.span("sim.setup", backend=backend):
             funcs = functions_from_program(net, symbolics)

@@ -24,7 +24,7 @@ from typing import Any, Sequence
 from .. import obs, parallel
 from .._struct import struct
 from ..eval.partial import SBool, SEdge, SInt, SOption, SRecord, STuple, Sym
-from ..eval.values import VClosure, VRecord, VSome
+from ..eval.values import VClosure, VRecord, VSome, value_repr
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError
@@ -48,6 +48,16 @@ class DecodedMap:
             if k == key:
                 return v
         return self.default
+
+    def __repr__(self) -> str:
+        # NV syntax, as the printer writes it: (createDict d)[k := v]...
+        default = value_repr(self.default)
+        if isinstance(self.default, (VSome, DecodedMap)):
+            default = f"({default})"
+        if not self.entries:
+            return f"createDict {default}"
+        return f"(createDict {default})" + "".join(
+            f"[{value_repr(k)} := {value_repr(v)}]" for k, v in self.entries)
 
 
 def encode_network(net: Network, simplify: bool = True, tm: Any = None,

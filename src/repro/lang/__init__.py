@@ -1,12 +1,12 @@
 """The NV language front end: syntax, parsing, types (paper §3, fig 6)."""
 
 from .errors import (NvEncodingError, NvError, NvRuntimeError, NvSyntaxError,
-                     NvTransformError, NvTypeError)
+                     NvTypeError)
 
 __all__ = [
     "parse_program", "parse_expr", "check_program", "check_network",
     "NvError", "NvSyntaxError", "NvTypeError", "NvRuntimeError",
-    "NvEncodingError", "NvTransformError",
+    "NvEncodingError",
 ]
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import is_
 from typing import Iterator
 
-from .._struct import field, replace, struct
+from .._struct import field, struct
 from .types import Type
 
 # ---------------------------------------------------------------------------
@@ -546,20 +546,6 @@ def map_children(e: Expr, fn) -> Expr:
     a copy (leaves always); a rebuilt node keeps ``e``'s annotations."""
     rebuild = _MAP_CHILDREN.get(type(e))
     return e if rebuild is None else rebuild(e, fn)
-
-
-def map_children_retyped(e: Expr, fn, ty: Type | None, retype) -> Expr:
-    """:func:`map_children` for a pass that rewrites types: always a new node,
-    annotated ``ty``, its ``param_ty`` / ``annot`` taken through ``retype``."""
-    out = map_children(e, fn)
-    if out is e:
-        out = replace(e)
-    out.ty = ty
-    if type(out) is EFun and out.param_ty is not None:
-        out.param_ty = retype(out.param_ty)
-    elif type(out) is ELet and out.annot is not None:
-        out.annot = retype(out.annot)
-    return out
 
 
 def free_vars(e: Expr) -> set[str]:

@@ -31,10 +31,6 @@ class NvEncodingError(NvError):
     (e.g. a non-constant map key in the MTBDD/SMT pipelines)."""
 
 
-class NvTransformError(NvError):
-    """Raised when a program transformation's preconditions are not met."""
-
-
 class NvPartitionError(NvError):
     """Raised by the modular-verification cutter/driver on invalid
     partitions, cut files or interface annotations."""

@@ -325,14 +325,13 @@ class TermEvaluator(PartialEvaluator):
     def _mset(self, e: A.EOp, args: list[Any]) -> TMap:
         m, key = _as_tmap(args[0]), args[1]
         value = self.enc.lift(args[2], m.value_ty)
-        if not isinstance(key, Sym):
-            return TMap(m.key_ty, m.value_ty, {**m.entries, key: value}, m.default)
-        # Symbolic key: conditional update of every tracked slot.
-        entries = {}
-        for k, v in m.entries.items():
-            cond = self.eq(key, self.lift_like(k, key))
-            entries[k] = self.ite(cond, value, v, m.value_ty)
-        return TMap(m.key_ty, m.value_ty, entries, m.default)
+        if isinstance(key, Sym):
+            # A key outside the tracked ones would have to split the default
+            # slot; with sets at constants only, every get is exact.
+            raise NvEncodingError(
+                "map keys written with m[k := v] must be constants for the "
+                "unrolled encoding (paper §5.2)")
+        return TMap(m.key_ty, m.value_ty, {**m.entries, key: value}, m.default)
 
     def _mmap(self, e: A.EOp, args: list[Any]) -> TMap:
         fn, m = args[0], _as_tmap(args[1])

@@ -1,23 +1,18 @@
-"""The §5.2 source-to-source pipeline, as one composable entry point.
+"""The §5.2 source-to-source lowering, as one composable entry point.
 
-``lower_program`` runs the paper's transformation sequence:
+``lower_program`` runs what ``simulate --lower`` executes:
 
 1. inline all functions (NV has no recursion, so this terminates);
-2. unbox options into (tag, payload) pairs;
-3. eliminate records into positional tuples;
-4. flatten nested tuples;
-5. partially evaluate, clearing the clutter the passes introduce.
+2. partially evaluate, clearing the clutter inlining introduces.
 
-Types are re-inferred before each pass that reads them (the passes rewrite
-layouts, so stale annotations would be wrong) and once at the end; inlining
-and partial evaluation read none.  The result computes the same
-stable states as the input — the property the transformation test suite
-checks by simulating both — while containing only flat tuples of scalars and
-maps, the shape the SMT encoder and MTBDD layouts want.
+Neither pass reads type annotations, so types are inferred once, on the
+result.  The lowered program computes the same stable states as its input,
+in the same value representation.  The paper's shape-changing §5.2 steps —
+option unboxing, tuple / record flattening and map unrolling — happen in one
+place, during SMT encoding (:mod:`repro.smt.encode_nv`).
 
-The pipeline requires a monomorphic program, which step 1 guarantees for
-network programs: the fig 8 entry points are monomorphic by definition and
-inlining specialises every helper at its use sites.
+Inlining specialises every helper at its use sites, so the result is
+monomorphic: the fig 8 entry points are monomorphic by definition.
 """
 
 from __future__ import annotations
@@ -28,10 +23,8 @@ from .. import obs, perf
 from ..lang import ast as A
 from ..lang.typecheck import check_program
 from ..srp.network import Network
-from .flatten import flatten_program, records_to_tuples_program
 from .inline import inline_program
 from .partial_eval import partial_eval_program
-from .unbox_options import unbox_program
 
 
 def ast_size(program: A.Program) -> int:
@@ -49,16 +42,12 @@ def ast_size(program: A.Program) -> int:
 
 
 def _run_pass(name: str, fn: Callable[[A.Program], A.Program],
-              program: A.Program, recheck: bool) -> A.Program:
+              program: A.Program) -> A.Program:
     """Run one §5.2 pass under a ``transform.<name>`` span, recording the
-    AST node-count delta and flushing it into :mod:`repro.perf`.  ``recheck``
-    re-infers types first, for a pass that reads them off a rewritten
-    program."""
+    AST node-count delta and flushing it into :mod:`repro.perf`."""
     tracing = obs.is_enabled()
     before = ast_size(program) if (tracing or perf.is_enabled()) else 0
     with obs.span(f"transform.{name}") as sp:
-        if recheck:
-            check_program(program)
         program = fn(program)
         if tracing or perf.is_enabled():
             after = ast_size(program)
@@ -70,42 +59,23 @@ def _run_pass(name: str, fn: Callable[[A.Program], A.Program],
     return program
 
 
-def lower_program(program: A.Program | Network, unbox: bool = True,
-                  flatten: bool = True, partial: bool = True,
-                  unroll: bool = False) -> A.Program | Network:
-    """Lower a network program to the §5.2 normal form.
+def lower_program(program: A.Program | Network) -> A.Program | Network:
+    """Inline, then partially evaluate.
 
     Given a :class:`Program` the result is a fully annotated ``Program``.
     Given a :class:`Network` the result is the lowered ``Network``: its final
     shape is inferred once, by ``Network.from_program`` (the fig 8 signature
     check), instead of once here and again there.
 
-    ``unroll=True`` additionally eliminates maps into tuples (sound only for
-    programs obeying the §3.1 key discipline; see
-    :mod:`repro.transform.map_unrolling`).
-
     Each pass runs under a ``transform.<pass>`` span (see :mod:`repro.obs`)
     that records the AST node-count delta, so ``--trace`` shows where the
     pipeline grows or shrinks the program."""
-    # (span name, pass, whether it reads the annotations of its input)
-    passes: list[tuple[str, Callable[[A.Program], A.Program], bool]] = [
-        ("inline", inline_program, False)]
-    if unroll:
-        from .map_unrolling import unroll_program
-        passes.append(("unroll_maps", unroll_program, True))
-    if unbox:
-        passes.append(("unbox_options", unbox_program, True))
-    if flatten:
-        passes += [("records_to_tuples", records_to_tuples_program, True),
-                   ("flatten_tuples", flatten_program, True)]
-    if partial:
-        passes.append(("partial_eval", partial_eval_program, False))
     as_network = isinstance(program, Network)
     if as_network:
         program = program.program
     with obs.span("transform.lower"):
-        for name, fn, reads_types in passes:
-            program = _run_pass(name, fn, program, recheck=reads_types)
+        program = _run_pass("inline", inline_program, program)
+        program = _run_pass("partial_eval", partial_eval_program, program)
         if not as_network:
             check_program(program)
     # A Network's final shape is inferred by from_program, not here as well.

@@ -86,7 +86,7 @@ def rib_digests(configs: list, assert_prefix: str | None) -> dict:
     ``simulate --lower``."""
     net = translate(configs, assert_prefix=assert_prefix).load()
     out = {}
-    lowered = lower_program(net, unbox=False, flatten=False)
+    lowered = lower_program(net)
     for mode, program in (("interp", net), ("lower", lowered)):
         labels = simulate(functions_from_program(program)).labels
         out[mode] = [hashlib.sha256(_canon(freeze_value(x)).encode()).hexdigest()[:16]

@@ -217,6 +217,31 @@ SYMBOLIC_CORPUS = [
 CORPUS_PARAMS = [pytest.param(key_ty, body, id=name)
                  for name, key_ty, body in SYMBOLIC_CORPUS]
 
+# Maps, which only the SMT encoder lowers (§5.2 map unrolling: one slot per
+# constant key plus a default slot).  The key ``k : int8`` flows into a
+# stored value, or is the key read.
+MAP_CORPUS = [
+    ("get-set-roundtrip", "int8",
+     "let m = (createDict 0u8)[3u8 := k][7u8 := 20u8] in m[3u8] + m[7u8] + m[5u8]"),
+    ("overwrite", "int8", "let m = (createDict 0u8)[3u8 := 10u8][3u8 := k] in m[3u8]"),
+    ("map", "int8",
+     "let m = map (fun v -> v + v) ((createDict 1u8)[2u8 := k]) in m[2u8] + m[9u8]"),
+    ("combine", "int8",
+     "let m = combine (fun a b -> a + b) ((createDict 1u8)[2u8 := k]) "
+     "((createDict 10u8)[2u8 := 50u8]) in m[2u8] + m[4u8]"),
+    ("mapIte-constant-regions", "int8",
+     "let m = mapIte (fun j -> j < 5u8) (fun v -> v + 1u8) (fun v -> v) "
+     "((createDict k)[2u8 := 5u8][9u8 := 7u8]) in (m[2u8], m[9u8], m[4u8])"),
+    ("computed-key-get", "int8",
+     "let pick = fun b -> if b then 2u8 else 9u8 in "
+     "let m = (createDict 0u8)[2u8 := 5u8][9u8 := k] in m[pick true] + m[pick false]"),
+    ("symbolic-key-get", "int8",
+     "let m = (createDict 0u8)[2u8 := 5u8][9u8 := 7u8] in m[k]"),
+]
+
+MAP_CORPUS_PARAMS = [pytest.param(key_ty, body, id=name)
+                     for name, key_ty, body in MAP_CORPUS]
+
 # The random expressions of ``tests/transform/test_semantic_properties.py``
 # are written over an environment {a, b : int8; p, q : bool; o : option[int8]};
 # bound from one key they become corpus entries too, checked at the drawn key.

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from repro.eval.interp import Interpreter, program_env
 from repro.eval.maps import MapContext
 from repro.eval.values import VSome
-from repro.lang.errors import NvRuntimeError
+from repro.lang.errors import NvEncodingError, NvRuntimeError
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import check_program
 from repro.smt.encode_nv import NvSmtEncoder, TermEvaluator
 from repro.srp.network import Network
-from tests.helpers import (CORPUS_EDGES, CORPUS_PARAMS, corpus_program,
-                           decode_sym, random_case, values_of)
+from tests.helpers import (CORPUS_EDGES, CORPUS_PARAMS, MAP_CORPUS_PARAMS,
+                           corpus_program, decode_sym, random_case, values_of)
 from tests.transform.test_semantic_properties import (ENVIRONMENTS,
                                                       build_program, int_expr)
 
@@ -126,6 +126,30 @@ def check_term_domain(key_ty, body, simplify=True, keys=None):
 @pytest.mark.parametrize("key_ty,body", CORPUS_PARAMS)
 def test_corpus_matches_interpreter(key_ty, body, simplify):
     check_term_domain(key_ty, body, simplify)
+
+
+@pytest.mark.parametrize("simplify", [True, False],
+                         ids=["folding", "minesweeper"])
+@pytest.mark.parametrize("key_ty,body", MAP_CORPUS_PARAMS)
+def test_map_corpus_matches_interpreter(key_ty, body, simplify):
+    check_term_domain(key_ty, body, simplify)
+
+
+@pytest.mark.parametrize("key_ty,body", [
+    ("bool", "let key = if k then 2u8 else 9u8 in "
+             "((createDict 0u8)[2u8 := 1u8][key := 9u8])[2u8]"),
+    # the write the conditional slot update used to lose: k untracked
+    ("int8", "((createDict 0u8)[2u8 := 1u8][k := 9u8])[k]"),
+], ids=["computed", "variable"])
+def test_set_at_symbolic_key_rejected(key_ty, body):
+    """An unrolled map has one slot per constant key: a set at a key that
+    is only known symbolically has no slot to write."""
+    program, ty = corpus_program(key_ty, body)
+    enc = NvSmtEncoder(Network.from_program(program))
+    ev = TermEvaluator(enc)
+    fn = ev.eval(program.get_let("f").expr, {})
+    with pytest.raises(NvEncodingError, match="must be constants"):
+        ev.apply(fn, enc.make_var(ty, "k"))
 
 
 @given(int_expr(3), ENVIRONMENTS)

@@ -23,7 +23,6 @@ import pytest
 from repro.frontend.configs import parse_config
 from repro.frontend.to_nv import translate
 from repro.lang import ast as A
-from repro.lang.errors import NvError
 from repro.lang.parser import parse_program
 from repro.lang.printer import print_program
 from repro.lang.typecheck import check_program
@@ -112,25 +111,19 @@ def _digest(program: A.Program) -> dict:
 
 def lowering(source: str, network: bool) -> dict:
     """The digests of one corpus entry.  A network goes through
-    ``lower_program`` twice (the value-preserving subset ``simulate --lower``
-    runs, and all of §5.2); a bare protocol module — whose helpers inlining
-    would drop — through inline and partial evaluation with every
-    declaration kept."""
+    ``lower_program``, what ``simulate --lower`` runs; a bare protocol
+    module — whose helpers inlining would drop — through inline and partial
+    evaluation with every declaration kept."""
     program = parse_program(source, resolve)
     check_program(program)
     keep = None if network else {d.name for d in program.decls
                                  if isinstance(d, A.DLet)}
     inlined = inline_program(program, keep)
     out = {"inlined": _digest(inlined)}
-    if not network:
+    if network:
+        out["partial_eval"] = _digest(lower_program(program))
+    else:
         out["partial_eval"] = _digest(partial_eval_program(inlined))
-        return out
-    out["partial_eval"] = _digest(
-        lower_program(program, unbox=False, flatten=False))
-    try:
-        out["full"] = _digest(lower_program(program))
-    except NvError as err:  # a shape §5.2 rejects must stay rejected
-        out["full"] = {"error": type(err).__name__}
     return out
 
 
@@ -188,9 +181,7 @@ class TestOneWalk:
         lowered program, no binder name be bound twice."""
         program = parse_program(CORPUS[name][0], resolve)
         check_program(program)
-        for lowered in (inline_program(program),
-                        lower_program(program, unbox=False, flatten=False),
-                        lower_program(program)):
+        for lowered in (inline_program(program), lower_program(program)):
             nodes = list(expressions(lowered))
             assert len({id(e) for e in nodes}) == len(nodes)
             binders = [b for d in lowered.decls
@@ -204,9 +195,8 @@ class TestOneWalk:
         check_program(program)
         before = print_program(program), annotation_digest(program)
         inputs = {id(e) for e in expressions(program)}
-        for lowered in (lower_program(program, unbox=False, flatten=False),
-                        lower_program(program)):
-            assert not inputs & {id(e) for e in expressions(lowered)}
+        lowered = lower_program(program)
+        assert not inputs & {id(e) for e in expressions(lowered)}
         assert (print_program(program), annotation_digest(program)) == before
 
 

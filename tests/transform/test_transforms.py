@@ -264,3 +264,30 @@ class TestPipelineSemantics:
             if a is not None:
                 assert a.value.get("length") == b.value.get("length")
                 assert a.value.get("origin") == b.value.get("origin")
+
+    @pytest.mark.parametrize("backend", ["interp", "native"])
+    @pytest.mark.parametrize("network, route", [
+        ("RIP_TRIANGLE", None),
+        ("FIG2_NETWORK", "None"),
+        ("FIG2_NETWORK", "Some {length=2; lp=120; med=10; comms={3, 7}; origin=4n}"),
+    ], ids=["rip-triangle", "fig2-route-none", "fig2-route-some"])
+    def test_lowering_preserves_labels(self, network, route, backend):
+        """``simulate --lower`` converges to exactly the labels of the
+        unlowered program, under both simulation back ends."""
+        import tests.helpers
+        from repro.analysis.simulation import run_simulation
+        from repro.eval.maps import freeze_value
+        from repro.srp.network import Network
+        net = Network.from_program(
+            parse_program(getattr(tests.helpers, network), resolve))
+        symbolics = None
+        if route is not None:
+            expr = parse_expr(route)
+            check_program(A.Program([A.DLet("route", expr)]))
+            interp = Interpreter(MapContext(net.num_nodes, net.edges))
+            symbolics = {"route": interp.eval(expr)}
+        plain, lowered = (
+            [freeze_value(x) for x in
+             run_simulation(net, symbolics, backend, lower=lower).solution.labels]
+            for lower in (False, True))
+        assert lowered == plain
