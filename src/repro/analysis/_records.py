@@ -141,19 +141,6 @@ def simulation_SimulationReport(_FACTORY, _set):
     return NotImplemented
   return {'__init__': __init__, '__eq__': __eq__}
 
-# repro.analysis.verify.DecodedMap
-def verify_DecodedMap(_FACTORY, _set):
-  def __init__(self, entries, default):
-    _set(self, 'entries', entries)
-    _set(self, 'default', default)
-  def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.entries,self.default,) == (other.entries,other.default,)
-    return NotImplemented
-  def __hash__(self): return hash((self.entries,self.default,))
-  def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")
-  def __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")
-  return {'__init__': __init__, '__eq__': __eq__, '__hash__': __hash__, '__setattr__': __setattr__, '__delattr__': __delattr__}
-
 METHODS = {
     'def __init__(self, num_link_failures, node_failures, nodes, simulate_seconds, transform_seconds, witnesses=_FACTORY):\n  self.num_link_failures = num_link_failures\n  self.node_failures = node_failures\n  self.nodes = nodes\n  self.simulate_seconds = simulate_seconds\n  self.transform_seconds = transform_seconds\n  self.witnesses = _f_witnesses() if witnesses is _FACTORY else witnesses\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.num_link_failures,self.node_failures,self.nodes,self.simulate_seconds,self.transform_seconds,self.witnesses,) == (other.num_link_failures,other.node_failures,other.nodes,other.simulate_seconds,other.transform_seconds,other.witnesses,)\n  return NotImplemented':
         fault_FaultReport,
@@ -175,6 +162,4 @@ METHODS = {
         partition_PartitionReport,
     'def __init__(self, solution, backend, setup_seconds, simulate_seconds, violations):\n  self.solution = solution\n  self.backend = backend\n  self.setup_seconds = setup_seconds\n  self.simulate_seconds = simulate_seconds\n  self.violations = violations\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.solution,self.backend,self.setup_seconds,self.simulate_seconds,self.violations,) == (other.solution,other.backend,other.setup_seconds,other.simulate_seconds,other.violations,)\n  return NotImplemented':
         simulation_SimulationReport,
-    'def __init__(self, entries, default):\n  _set(self, \'entries\', entries)\n  _set(self, \'default\', default)\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.entries,self.default,) == (other.entries,other.default,)\n  return NotImplemented\ndef __hash__(self): return hash((self.entries,self.default,))\ndef __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")\ndef __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")':
-        verify_DecodedMap,
 }

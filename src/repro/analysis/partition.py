@@ -36,6 +36,7 @@ from typing import Any, Sequence
 
 from .. import metrics, obs, parallel, perf
 from .._struct import field, struct
+from ..eval.maps import DecodedMap
 from ..eval.values import VRecord, VSome
 from ..lang import ast as A
 from ..lang import types as T
@@ -49,7 +50,7 @@ from ..smt.solver import Solver
 from ..srp.network import Network, functions_from_program
 from ..topology.graph import Topology
 from .simulation import run_simulation
-from .verify import DecodedMap, _result_from_smt, decode_tval, encode_network, verify
+from .verify import _result_from_smt, decode_tval, encode_network, verify
 
 
 # ----------------------------------------------------------------------

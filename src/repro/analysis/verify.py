@@ -22,9 +22,9 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from .. import obs, parallel
-from .._struct import struct
 from ..eval.partial import SBool, SEdge, SInt, SOption, SRecord, STuple, Sym
-from ..eval.values import VClosure, VRecord, VSome, value_repr
+from ..eval.maps import DecodedMap
+from ..eval.values import VClosure, VRecord, VSome
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError
@@ -33,31 +33,6 @@ from ..smt.encode_nv import (NvSmtEncoder, TMap, TermEvaluator,
 from ..smt.solver import Solver
 from ..smt.terms import VAR, TermManager
 from ..srp.network import Network
-
-
-@struct(frozen=True)
-class DecodedMap:
-    """A decoded (unrolled) map from an SMT model: tracked entries plus the
-    shared default for every other key."""
-
-    entries: tuple[tuple[Any, Any], ...]
-    default: Any
-
-    def get(self, key: Any) -> Any:
-        for k, v in self.entries:
-            if k == key:
-                return v
-        return self.default
-
-    def __repr__(self) -> str:
-        # NV syntax, as the printer writes it: (createDict d)[k := v]...
-        default = value_repr(self.default)
-        if isinstance(self.default, (VSome, DecodedMap)):
-            default = f"({default})"
-        if not self.entries:
-            return f"createDict {default}"
-        return f"(createDict {default})" + "".join(
-            f"[{value_repr(k)} := {value_repr(v)}]" for k, v in self.entries)
 
 
 def encode_network(net: Network, simplify: bool = True, tm: Any = None,

@@ -18,6 +18,19 @@ def compile_py_CompiledProgram(_FACTORY, _set):
     return NotImplemented
   return {'__init__': __init__, '__eq__': __eq__}
 
+# repro.eval.maps.DecodedMap
+def maps_DecodedMap(_FACTORY, _set):
+  def __init__(self, entries, default):
+    _set(self, 'entries', entries)
+    _set(self, 'default', default)
+  def __eq__(self, other):
+    if other.__class__ is self.__class__: return (self.entries,self.default,) == (other.entries,other.default,)
+    return NotImplemented
+  def __hash__(self): return hash((self.entries,self.default,))
+  def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")
+  def __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")
+  return {'__init__': __init__, '__eq__': __eq__, '__hash__': __hash__, '__setattr__': __setattr__, '__delattr__': __delattr__}
+
 # repro.eval.maps.FrozenMap
 def maps_FrozenMap(_FACTORY, _set):
   def __init__(self, key_ty, nodes, leaves):
@@ -60,6 +73,8 @@ def values_VSome(_FACTORY, _set):
 METHODS = {
     'def __init__(self, env, source, compile_seconds):\n  self.env = env\n  self.source = source\n  self.compile_seconds = compile_seconds\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.env,self.source,self.compile_seconds,) == (other.env,other.source,other.compile_seconds,)\n  return NotImplemented':
         compile_py_CompiledProgram,
+    'def __init__(self, entries, default):\n  _set(self, \'entries\', entries)\n  _set(self, \'default\', default)\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.entries,self.default,) == (other.entries,other.default,)\n  return NotImplemented\ndef __hash__(self): return hash((self.entries,self.default,))\ndef __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")\ndef __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")':
+        maps_DecodedMap,
     'def __init__(self, key_ty, nodes, leaves):\n  _set(self, \'key_ty\', key_ty)\n  _set(self, \'nodes\', nodes)\n  _set(self, \'leaves\', leaves)\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.key_ty,self.nodes,self.leaves,) == (other.key_ty,other.nodes,other.leaves,)\n  return NotImplemented\ndef __hash__(self): return hash((self.key_ty,self.nodes,self.leaves,))\ndef __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")\ndef __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")':
         maps_FrozenMap,
     'def __init__(self, param, body, env, param_ty=_d_param_ty, code=_d_code):\n  self.param = param\n  self.body = body\n  self.env = env\n  self.param_ty = param_ty\n  self.code = code':

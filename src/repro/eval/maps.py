@@ -242,6 +242,21 @@ class FrozenMap:
                 f"leaves={len(self.leaves)}>")
 
 
+@struct(frozen=True)
+class DecodedMap:
+    """A map decoded from an SMT model (:func:`repro.analysis.verify.decode_tval`):
+    the tracked entries plus the shared default for every other key."""
+
+    entries: tuple[tuple[Any, Any], ...]
+    default: Any
+
+    def get(self, key: Any) -> Any:
+        for k, v in self.entries:
+            if k == key:
+                return v
+        return self.default
+
+
 def freeze_value(value: Any) -> Any:
     """Recursively replace every :class:`NVMap` inside an NV value with a
     :class:`FrozenMap`.  Non-map values come back equal to the input, so

@@ -196,4 +196,14 @@ def value_repr(value: Any) -> str:
     if isinstance(value, VRecord):
         inner = "; ".join(f"{label}={value_repr(v)}" for label, v in value.fields)
         return "{" + inner + "}"
+    from .maps import DecodedMap        # maps imports this module
+    if isinstance(value, DecodedMap):
+        # As the printer writes it: (createDict d)[k := v]...
+        default = value_repr(value.default)
+        if isinstance(value.default, (VSome, DecodedMap)):
+            default = f"({default})"
+        if not value.entries:
+            return f"createDict {default}"
+        return f"(createDict {default})" + "".join(
+            f"[{value_repr(k)} := {value_repr(v)}]" for k, v in value.entries)
     return repr(value)

@@ -196,7 +196,7 @@ class NvSmtEncoder:
                                  for n, t in ty.fields))
         if isinstance(ty, T.TDict):
             # Accept any unrolled map exposing ``get(key)`` plus a shared
-            # ``default`` (e.g. analysis.verify.DecodedMap): only the keys
+            # ``default`` (e.g. eval.maps.DecodedMap): only the keys
             # this encoding tracks are distinguishable, matching the TMap
             # semantics.  Live NVMaps are not accepted — unroll them first.
             if not (hasattr(value, "get") and hasattr(value, "default")):
@@ -324,13 +324,13 @@ class TermEvaluator(PartialEvaluator):
 
     def _mset(self, e: A.EOp, args: list[Any]) -> TMap:
         m, key = _as_tmap(args[0]), args[1]
-        value = self.enc.lift(args[2], m.value_ty)
         if isinstance(key, Sym):
             # A key outside the tracked ones would have to split the default
             # slot; with sets at constants only, every get is exact.
             raise NvEncodingError(
                 "map keys written with m[k := v] must be constants for the "
                 "unrolled encoding (paper §5.2)")
+        value = self.enc.lift(args[2], m.value_ty)
         return TMap(m.key_ty, m.value_ty, {**m.entries, key: value}, m.default)
 
     def _mmap(self, e: A.EOp, args: list[Any]) -> TMap:

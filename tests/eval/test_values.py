@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.verify import DecodedMap
+from repro.eval.maps import DecodedMap
 from repro.eval.values import VRecord, VSome, value_repr
 
 

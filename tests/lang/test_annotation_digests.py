@@ -5,8 +5,9 @@ before PR 15 (the quadratic one); the tests below require today's checker to
 reproduce it exactly, before and after ``lower_program``, so a faster checker
 cannot quietly annotate differently.  The ``lowered`` digests were
 re-recorded when ``lower_program`` became inline + partial evaluation only;
-the ``checked`` / ``attr`` ones are the original recording.  Regenerate (only when an annotation
-change is intended) with ``PYTHONPATH=src python tests/lang/test_annotation_digests.py``.
+the ``checked`` / ``attr`` ones are the original recording.  Regenerate
+(only when an annotation change is intended) with
+``PYTHONPATH=src python tests/lang/test_annotation_digests.py``.
 """
 
 from __future__ import annotations

@@ -124,8 +124,7 @@ class TestArithmeticWidth:
          " (combine (fun a b -> a + b) m1 m2)[3u8])", (201, 44)),
         ("let f = fun (m : dict[int8,int8]) -> map (fun v -> v + v) m\n"
          "let main = (f (createDict 130u8))[1u8]", 4),
-        ("let main = let g = fun v -> v - 1u8 in g 0u8", 255),
-    ], ids=["apply", "map", "combine", "annotated-map", "let-bound"])
+    ], ids=["apply", "map", "combine", "annotated-map"])
     def test_width_comes_from_the_use(self, src, value):
         assert run_main(src) == value
 
