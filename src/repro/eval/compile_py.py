@@ -12,11 +12,12 @@ Two pieces of the embedding/unembedding story carry over directly:
 * compiled closures still exchange the same runtime values (``VRecord``,
   ``VSome``, ``NVMap``), so MTBDD leaves hold compiled-world values without
   conversion; and
-* functions that cross into the MTBDD layer (``mapIte`` predicates) carry
-  their NV AST (``nv_body``/``nv_param``/``nv_env`` attributes) so the
-  symbolic BDD builder can interpret them, and a structural
-  ``nv_cache_key`` so diagram-operation memo tables survive closure
-  re-creation.
+* functions that cross into the MTBDD layer carry their NV AST
+  (``nv_body``/``nv_param``/``nv_env`` attributes), so the symbolic
+  evaluator can interpret ``mapIte`` predicates, and the interpreter's
+  :class:`~repro.eval.keys.ClosureKeys` (``nv_keys``) keys their
+  diagram-operation memos on what the body observes, exactly as it keys
+  interpreter closures.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ class PyCompiler:
             "__tables": self.tables,
             "__miss": _MISS,
             "__interp": interp,
+            "__keys": interp._closure_key,
             "__memos": memos,
             "__map_op": _map_op,
             "__combine_op": _combine_op,
@@ -232,7 +234,7 @@ class PyCompiler:
         raise NvEncodingError(f"cannot compile {type(e).__name__}")
 
     def compile_fun(self, e: A.EFun, em: _Emitter) -> str:
-        wrapped = eta_reduct(e)     # exposes the wrapped closure's nv_cache_key
+        wrapped = eta_reduct(e)
         if wrapped is not None:
             return self.compile_expr(wrapped, em)
         name = f"__fn{next(self._fn)}"
@@ -242,17 +244,14 @@ class PyCompiler:
         em.emit(f"return {result}")
         em.indent -= 1
         # Attach the NV AST and captured environment so the MTBDD layer can
-        # interpret this function symbolically (mapIte predicates), and a
-        # structural cache key for diagram-operation memo tables.
+        # interpret this function symbolically (mapIte predicates) and the
+        # memo tables can key it on what its body observes.
         free = sorted(A.free_vars(e.body) - {e.param})
-        ast_ix = self.ast_index(e.body)
         env_items = ", ".join(f"{v!r}: {_mangle(v)}" for v in free)
         em.emit(f"{name}.nv_param = {e.param!r}")
-        em.emit(f"{name}.nv_body = __asts[{ast_ix}]")
+        em.emit(f"{name}.nv_body = __asts[{self.ast_index(e.body)}]")
         em.emit(f"{name}.nv_env = {{{env_items}}}")
-        captured = ", ".join(_mangle(v) for v in free)
-        trailing = "," if free else ""
-        em.emit(f"{name}.nv_cache_key = ({ast_ix}, ({captured}{trailing}))")
+        em.emit(f"{name}.nv_keys = __keys")
         return name
 
     def compile_match(self, e: A.EMatch, em: _Emitter) -> str:
@@ -415,9 +414,8 @@ def _mangle(name: str) -> str:
 def _memo_for(memos: dict[Any, dict], key: Any) -> dict:
     """The shared diagram-op memo for a semantic operation key.
 
-    ``key`` is e.g. ``("map", fn.nv_cache_key)``; calls whose key is
-    unhashable (a captured mutable value) fall back to a private dict —
-    still correct, just no cross-call sharing.
+    ``key`` is e.g. ``("map", *_key(fn))``; an unhashable key falls back to
+    a private dict — still correct, just no cross-call sharing.
     """
     try:
         memo = memos.get(key)
@@ -447,13 +445,7 @@ def take_site_stats() -> dict[str, tuple[int, int, int]]:
 
 
 def _site_label(kind: str, fn: Any) -> str:
-    key = getattr(fn, "nv_cache_key", None)
-    if key is not None:
-        try:
-            return f"{kind}:ast{key[0]}"
-        except (TypeError, IndexError):
-            return f"{kind}:{key!r}"
-    return f"{kind}:{getattr(fn, '__name__', 'fn')}"
+    return f"{kind}:{getattr(fn, '__name__', 'fn').lstrip('_')}"
 
 
 def _charge_site(site: str, manager: Any, hits0: int, misses0: int) -> None:
@@ -499,12 +491,15 @@ def _combine_op(memos: dict[Any, dict], fn: Any, m1: NVMap, m2: NVMap) -> NVMap:
 
 
 def _key(fn: Any) -> tuple:
-    key = getattr(fn, "nv_cache_key", None)
-    # Closures without nv_* metadata key on the function object itself, not
-    # id(fn): the memo table then keeps fn alive, so a collected closure's
-    # id can never be recycled onto a different function and serve it memo
-    # entries computed for the old one.
-    return (key,) if key is not None else (fn,)
+    """``(key,)``: a compiled closure's key is what its body observes
+    (``nv_keys``, the interpreter's :class:`~repro.eval.keys.ClosureKeys`).
+    A callable without one keys on the function object itself, not id(fn):
+    the memo table then keeps fn alive, so a collected closure's id can
+    never be recycled onto a different function and serve it memo entries
+    computed for the old one."""
+    keys = getattr(fn, "nv_keys", None)
+    key = None if keys is None else keys(fn)
+    return (fn,) if key is None else (key,)
 
 
 def _mapite_op(interp: Interpreter, memos: dict[Any, dict]):

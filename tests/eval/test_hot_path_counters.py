@@ -4,7 +4,10 @@
 ``hot_path_counters.json`` was recorded before ``NVMap.get`` memoised its
 reads and ``VRecord.with_updates`` handed its shape index on; those are
 meant to save time only, so every ``sim.*`` / ``bdd.*`` counter must repeat
-exactly.  Regenerate (only for an intended change of work) with
+exactly.  The ``bdd.apply_cache_*`` rows of ``fault --links 2 wan20`` were
+re-recorded by hand (18,376 / 19,084 before) when closure memo keys started
+to leave out what a body does not observe; every other row repeated.
+Regenerate (only for an intended change of work) with
 ``PYTHONPATH=src python tests/eval/test_hot_path_counters.py``.
 """
 

@@ -125,10 +125,14 @@ def test_all_modes_reach_a_stable_state(topo, algebra, incremental, memoize):
 # re-pinned the ``bdd.*`` rows of ``fault --links 2`` (apply 111467 / 111372,
 # nodes 41013, op cache 10529 entries, 12596 hits, unique 40992 before): an
 # edge key is the edge's dense index now, so the same maps are smaller
-# diagrams.  ``bdd.leaves`` and every ``sim.*`` row did not move.
+# diagrams.  ``bdd.leaves`` and every ``sim.*`` row did not move.  Keying
+# closures on what their bodies observe (``repro.eval.keys``) re-pinned the
+# two ``bdd.apply_cache_*`` rows of ``fault --links 2`` (18376 / 19084
+# before): ``mergeBase u`` and ``transBase e`` no longer keep one memo per
+# node or edge.  Every other row repeated exactly.
 _BATCHED_LOOP_COUNTERS = {
     ("fault", "--links", "2"): {
-        "bdd.apply_cache_hits": 18376, "bdd.apply_cache_misses": 19084,
+        "bdd.apply_cache_hits": 14857, "bdd.apply_cache_misses": 14455,
         "bdd.leaves": 21, "bdd.nodes": 7700, "bdd.op_cache_entries": 3894,
         "bdd.op_cache_hits": 7864, "bdd.op_cache_misses": 3894,
         "bdd.unique_entries": 7679,

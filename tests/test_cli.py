@@ -44,6 +44,20 @@ class TestSimulate:
         f.write_text(RIP_TRIANGLE.replace("h <= 1u8", "h <= 0u8"))
         assert main(["simulate", str(f)]) == 1
 
+    @pytest.mark.parametrize("mode", ["--no-lower", "--native", "--lower"])
+    def test_integer_leaf_is_not_the_boolean_leaf(self, tmp_path, capsys, mode):
+        """Python says ``1 == True``; the map's leaf for ``1`` must still
+        read back as an integer, not as the manager's ``true`` leaf."""
+        f = tmp_path / "one.nv"
+        f.write_text(
+            "let nodes = 2\nlet edges = {0n=1n}\n"
+            "let init (u : node) = ((createDict 0)[3u8 := 1])[3u8]\n"
+            "let trans (e : edge) (x : int) = x\n"
+            "let merge (u : node) (x y : int) = if x < y then x else y\n")
+        assert main(["simulate", mode, "--show-routes", str(f)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "node 0: 1", "node 1: 1"]
+
 
 class TestVerify:
     def test_verified(self, triangle_file, capsys):
