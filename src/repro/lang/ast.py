@@ -548,22 +548,26 @@ def map_children(e: Expr, fn) -> Expr:
     return e if rebuild is None else rebuild(e, fn)
 
 
-def free_vars(e: Expr) -> set[str]:
-    """Free variables of an expression."""
+def free_vars(e: Expr, out: dict[int, set[str]] | None = None) -> set[str]:
+    """Free variables of an expression; with ``out``, also those of every
+    subexpression, recorded under its ``id``."""
     if isinstance(e, EVar):
-        return {e.name}
-    if isinstance(e, ELet):
-        return free_vars(e.bound) | (free_vars(e.body) - {e.name})
-    if isinstance(e, ELetPat):
-        return free_vars(e.bound) | (free_vars(e.body) - set(e.pat.bound_vars()))
-    if isinstance(e, EFun):
-        return free_vars(e.body) - {e.param}
-    if isinstance(e, EMatch):
-        out = free_vars(e.scrutinee)
+        fv = {e.name}
+    elif isinstance(e, ELet):
+        fv = free_vars(e.bound, out) | (free_vars(e.body, out) - {e.name})
+    elif isinstance(e, ELetPat):
+        fv = free_vars(e.bound, out) | (
+            free_vars(e.body, out) - set(e.pat.bound_vars()))
+    elif isinstance(e, EFun):
+        fv = free_vars(e.body, out) - {e.param}
+    elif isinstance(e, EMatch):
+        fv = set(free_vars(e.scrutinee, out))
         for p, body in e.branches:
-            out |= free_vars(body) - set(p.bound_vars())
-        return out
-    out: set[str] = set()
-    for c in e.children():
-        out |= free_vars(c)
-    return out
+            fv |= free_vars(body, out) - set(p.bound_vars())
+    else:
+        fv = set()
+        for c in e.children():
+            fv |= free_vars(c, out)
+    if out is not None:
+        out[id(e)] = fv
+    return fv

@@ -22,6 +22,22 @@ class TestHashConsing:
         assert mgr.leaf_value(mgr.true) is True
         assert mgr.leaf_value(mgr.false) is False
 
+    def test_integer_and_boolean_leaves_are_distinct(self, mgr):
+        """Python says ``1 == True``; NV values of different types never
+        share a leaf, at the top or inside options, tuples and records."""
+        from repro.eval.values import VRecord, VSome
+        pairs = [(1, True), (0, False), (VSome(1), VSome(True)),
+                 ((2, 1), (2, True)),
+                 (VRecord((("a", 0), ("b", VSome(1)))),
+                  VRecord((("a", 0), ("b", VSome(True)))))]
+        for int_value, bool_value in pairs:
+            a, b = mgr.leaf(int_value), mgr.leaf(bool_value)
+            assert a != b
+            assert mgr.leaf_value(a) == int_value
+            assert mgr.leaf(bool_value) == b and mgr.leaf(int_value) == a
+        assert type(mgr.leaf_value(mgr.leaf(1))) is int
+        assert mgr.leaf(VSome((2, 1))) == mgr.leaf(VSome((2, 1)))
+
     def test_mk_reduces_equal_children(self, mgr):
         leaf = mgr.leaf("x")
         assert mgr.mk(0, leaf, leaf) == leaf

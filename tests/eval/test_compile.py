@@ -117,10 +117,10 @@ class TestNetworkEquivalence:
 
 
 def test_memo_key_for_unkeyed_closure_is_the_function_itself():
-    """Closures without nv_cache_key must be memo-keyed on the function
-    object (which the memos dict then keeps alive), never on id(fn): a
-    recycled id would silently serve memo entries computed for a collected
-    closure to an unrelated new one."""
+    """Closures without nv_keys (no NV body) must be memo-keyed on the
+    function object (which the memos dict then keeps alive), never on
+    id(fn): a recycled id would silently serve memo entries computed for a
+    collected closure to an unrelated new one."""
     from repro.eval.compile_py import _key, _memo_for
 
     def fn(x):
