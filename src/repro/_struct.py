@@ -3,7 +3,7 @@
 ``@struct`` is the subset of ``@dataclass`` this package uses: ``frozen``,
 ``slots``, ``eq=False``; ``field(default=, default_factory=, init=, repr=,
 compare=)``; ``__post_init__``; inheritance; ``__match_args__``; pickling of
-frozen slotted classes; :func:`replace`.  ``__init__`` / ``__eq__`` /
+frozen slotted classes.  ``__init__`` / ``__eq__`` /
 ``__hash__`` are the ones ``dataclasses`` would write, without ``inspect``;
 a method the class body defines wins.  Left out: ``order``, ``unsafe_hash``,
 ``kw_only``, ``InitVar`` / ``ClassVar``, the signature ``__doc__``, the
@@ -37,17 +37,6 @@ class field:
             raise ValueError("cannot specify both default and default_factory")
         self.default, self.default_factory = default, default_factory
         self.init, self.repr, self.compare = init, repr, compare
-
-
-def replace(obj, /, **changes):
-    """A new ``type(obj)`` from ``obj``'s init fields with ``changes`` on top."""
-    for name, f in obj.__struct_fields__.items():
-        if not f.init:
-            if name in changes:
-                raise ValueError(f"field {name} has init=False: replace() cannot set it")
-        elif name not in changes:
-            changes[name] = getattr(obj, name)
-    return obj.__class__(**changes)
 
 
 def _repr(self):      # shared: a record's repr is never on a hot path

@@ -223,22 +223,6 @@ def _violation_witnesses(items: Sequence[tuple[int, NVMap]], key_ty: T.Type,
 # Sharded execution (repro.parallel fan-out)
 # ----------------------------------------------------------------------
 
-def _native_functions_factory(ft_net, symbolics, ctx, interp):
-    """The compiled-backend functions factory (module-level so shard worker
-    payloads can name backends by string instead of pickling callables)."""
-    from ..eval.compile_py import compile_network_functions
-
-    return compile_network_functions(ft_net, symbolics, ctx=ctx)
-
-
-def _factory_for_backend(backend: str):
-    if backend == "interp":
-        return None
-    if backend == "native":
-        return _native_functions_factory
-    raise ValueError(f"unknown backend {backend!r}; use 'interp' or 'native'")
-
-
 def freeze_fault_report(report: FaultReport) -> FaultReport:
     """Make a fault report transportable: every route value (class
     representatives, witnesses) has its live :class:`NVMap`s replaced by
@@ -327,7 +311,6 @@ def _prefix_shard_factory(payload: dict[str, Any]):
     fig 5 analysis per destination-prefix program (the fig 13c
     "separate prefixes" decomposition)."""
     nets: list[Network] = payload["nets"]
-    factory = _factory_for_backend(payload["backend"])
 
     def run(idx: int) -> FaultReport:
         return freeze_fault_report(fault_tolerance_analysis(
@@ -335,7 +318,6 @@ def _prefix_shard_factory(payload: dict[str, Any]):
             num_link_failures=payload["num_link_failures"],
             node_failures=payload["node_failures"],
             with_witnesses=payload["with_witnesses"],
-            functions_factory=factory,
             drop_body=payload["drop_body"]))
 
     return run
@@ -347,7 +329,6 @@ def per_prefix_fault_tolerance(nets: Sequence[Network],
                                node_failures: bool = False,
                                with_witnesses: bool = False,
                                drop_body=None,
-                               backend: str = "interp",
                                jobs: int | None = 1,
                                start_method: str | None = None,
                                unit_labels: Sequence[str] | None = None
@@ -361,7 +342,7 @@ def per_prefix_fault_tolerance(nets: Sequence[Network],
         "num_link_failures": num_link_failures,
         "node_failures": node_failures,
         "with_witnesses": with_witnesses,
-        "drop_body": drop_body, "backend": backend,
+        "drop_body": drop_body,
     }
     return parallel.run_sharded(
         "repro.analysis.fault:_prefix_shard_factory", payload,

@@ -26,10 +26,6 @@ class SimulationReport:
     simulate_seconds: float
     violations: list[int]
 
-    @property
-    def total_seconds(self) -> float:
-        return self.setup_seconds + self.simulate_seconds
-
     def summary(self) -> str:
         status = "assertions hold" if not self.violations else (
             f"{len(self.violations)} nodes violate the assertion")

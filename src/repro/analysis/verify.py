@@ -238,12 +238,6 @@ def decode_tval(enc: NvSmtEncoder, tval: Any, ty: T.Type,
     raise NvEncodingError(f"cannot decode {type(tval).__name__}")
 
 
-def verify_reachability(net: Network, **kwargs: Any) -> VerificationResult:
-    """Convenience wrapper matching the paper's fig 12 property: the program's
-    own assert declaration states reachability; this just runs :func:`verify`."""
-    return verify(net, **kwargs)
-
-
 # ----------------------------------------------------------------------
 # Sharded execution: one SMT query per destination prefix
 # ----------------------------------------------------------------------

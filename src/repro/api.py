@@ -38,8 +38,9 @@ def simulate(net: Network, symbolics: dict[str, Any] | None = None,
     """Compute the network's stable state by simulation (paper §5.1).
 
     Symbolic values must be given concrete assignments via ``symbolics``.
-    ``backend="native"`` compiles NV to Python first (faster for complex
-    policy; pays a compilation cost).
+    ``backend="native"`` compiles NV to Python first; counting that
+    compilation, it is no faster than the interpreter on fig 14's programs
+    (DESIGN.md "Expected shapes", finding 4).
     """
     return run_simulation(net, symbolics, backend)
 

@@ -24,19 +24,6 @@ def var_bits(mgr: BddManager, first_level: int, width: int) -> list[int]:
     return [mgr.var(first_level + i) for i in range(width)]
 
 
-def bits_to_int(mgr: BddManager, bits: list[int]) -> int | None:
-    """If every bit is a constant, return the integer value, else None."""
-    value = 0
-    for b in bits:
-        if b == mgr.true:
-            value = (value << 1) | 1
-        elif b == mgr.false:
-            value = value << 1
-        else:
-            return None
-    return value
-
-
 def eq(mgr: BddManager, a: list[int], b: list[int]) -> int:
     """BDD for bitwise equality of two equal-width vectors."""
     if len(a) != len(b):

@@ -101,7 +101,7 @@ def _parse_symbolics(pairs: list[str], net: Network) -> dict[str, Any]:
     interp = Interpreter(MapContext(net.num_nodes, net.edges))
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--symbolic expects name=value, got {pair!r}")
+            raise NvError(f"--symbolic expects name=value, got {pair!r}")
         name, text = pair.split("=", 1)
         expr = parse_expr(text)
         program = A.Program([A.DLet("__cli", expr)])
@@ -187,8 +187,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     _maybe_enable_stats(args)
     net = _load_network(args.file)
     if not 0 <= args.node < net.num_nodes:
-        raise SystemExit(f"node {args.node} out of range "
-                         f"(network has {net.num_nodes} nodes)")
+        raise NvError(f"node {args.node} out of range "
+                      f"(network has {net.num_nodes} nodes)")
     symbolics = _parse_symbolics(args.symbolic, net)
     with obs.span("sim.setup", backend="native" if args.native else "interp"):
         if args.native:
@@ -264,8 +264,8 @@ def _cmd_verify_partitioned(args: argparse.Namespace,
     from .partition import load_cut_file
 
     if len(nets) > 1:
-        raise SystemExit("--partition/--cuts verify a single network "
-                         "(the parallel axis is across fragments, not files)")
+        raise NvError("--partition/--cuts verify a single network "
+                      "(the parallel axis is across fragments, not files)")
     net = nets[0]
     symbolics = _parse_symbolics(args.symbolic, net) or None
     try:
@@ -359,7 +359,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     files = [(n[:-len(suffix)], os.path.join(directory, n))
              for suffix in (".cfg", ".conf") for n in names if n.endswith(suffix)]
     if not files:
-        raise SystemExit(f"no .cfg/.conf files in {directory}")
+        raise NvError(f"no .cfg/.conf files in {directory}")
     configs = [parse_config(router, _read_text(path)) for router, path in files]
     translation = translate(configs, assert_prefix=args.assert_prefix)
     if args.output:
@@ -387,10 +387,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .report import generate
 
     trace = args.trace_file
-    if not os.path.exists(trace):
-        raise SystemExit(f"no such trace file: {trace}")
-    out = generate(trace, metrics_path=args.metrics,
-                   out_path=args.output, title=args.title)
+    try:
+        out = generate(trace, metrics_path=args.metrics,
+                       out_path=args.output, title=args.title)
+    except OSError as exc:
+        raise _path_error(exc.filename or trace, exc) from None
     print(f"wrote {out}")
     if getattr(args, "critical_path", False):
         from . import critpath
@@ -427,7 +428,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
         rec_a = store.resolve(args.ref_a)
         rec_b = store.resolve(args.ref_b)
     except KeyError as exc:
-        raise SystemExit(f"error: {exc.args[0]}")
+        raise NvError(exc.args[0]) from None
     deltas = observatory.diff_records(rec_a, rec_b)
     print(f"A: {rec_a.run_id}  ({rec_a.label})")
     print(f"B: {rec_b.run_id}  ({rec_b.label})")
@@ -457,7 +458,7 @@ def _save_run_record(args: argparse.Namespace, wall_seconds: float) -> None:
     while the perf/metrics registries are still live.  When the run also
     wrote a ``--trace-json`` file, its critical-path analysis lands in the
     record as ``parallel.*`` gauges, so ``repro runs diff`` tracks parallel
-    efficiency across runs."""
+    efficiency across runs (``parallel.lpt_gap_pct`` stays the ledger's)."""
     from . import observatory
 
     record = observatory.capture(

@@ -34,11 +34,12 @@ from typing import Any, Iterable
 from ._struct import field, struct
 from .obs import Span
 
-#: Gauge names under which the analysis lands in RunRecords.
+#: Gauge names under which the analysis lands in RunRecords.  The LPT gap
+#: is not one of them: ``parallel.lpt_gap_pct`` is the work ledger's gauge
+#: (:mod:`repro.ledger`); the report only renders this estimate.
 GAUGE_CRITICAL = "parallel.critical_path_seconds"
 GAUGE_TOTAL_WORK = "parallel.total_work_seconds"
 GAUGE_EFFICIENCY = "parallel.efficiency_pct"
-GAUGE_LPT_GAP = "parallel.lpt_gap_pct"
 
 #: Chains shorter than this fraction of a span's duration are noise; the
 #: precedence comparison uses it as its tie tolerance (trace timestamps
@@ -77,14 +78,11 @@ class CriticalPathReport:
 
     def gauges(self) -> dict[str, float]:
         """The RunRecord gauges ``repro runs diff`` tracks across runs."""
-        out = {
+        return {
             GAUGE_CRITICAL: round(self.critical_seconds, 6),
             GAUGE_TOTAL_WORK: round(self.total_work_seconds, 6),
             GAUGE_EFFICIENCY: round(self.efficiency_pct, 2),
         }
-        if self.lpt_gap_pct is not None:
-            out[GAUGE_LPT_GAP] = round(self.lpt_gap_pct, 2)
-        return out
 
 
 def _union_seconds(intervals: list[tuple[float, float]]) -> float:

@@ -323,9 +323,8 @@ class PyCompiler:
                 conds.append(f"{access} is not None")
                 walk(p.sub, f"{access}.value")
                 return
-            if isinstance(p, (A.PTuple, A.PEdge)):
-                subs = p.elts if isinstance(p, A.PTuple) else (p.src, p.dst)
-                for i, sp in enumerate(subs):
+            if isinstance(p, A.PTuple):
+                for i, sp in enumerate(p.elts):
                     walk(sp, f"{access}[{i}]")
                 return
             if isinstance(p, A.PRecord):

@@ -381,10 +381,9 @@ def _constant(pat: A.Pattern) -> Any:
     t = type(pat)
     if t in (A.PBool, A.PInt, A.PNode):
         return pat.value
-    subs = pat.elts if t is A.PTuple else (pat.src, pat.dst) if t is A.PEdge else None
-    if subs is None:
+    if t is not A.PTuple:
         return _NOT_CONSTANT
-    key = tuple(map(_constant, subs))
+    key = tuple(map(_constant, pat.elts))
     return _NOT_CONSTANT if _NOT_CONSTANT in key else key
 
 
@@ -474,7 +473,6 @@ _MATCHERS = {
     **dict.fromkeys((A.PBool, A.PInt, A.PNode), lambda pat: (
         lambda value, const=pat.value: {} if value == const else None)),
     A.PSome: _m_some, A.PRecord: _m_record, A.PTuple: lambda pat: _m_tuple(pat.elts),
-    A.PEdge: lambda pat: _m_tuple((pat.src, pat.dst)),
 }
 
 

@@ -109,8 +109,6 @@ def _irrefutable(pat: A.Pattern) -> bool:
         return True
     if t is A.PTuple:
         return all(map(_irrefutable, pat.elts))
-    if t is A.PEdge:
-        return _irrefutable(pat.src) and _irrefutable(pat.dst)
     if t is A.PRecord:
         return all(_irrefutable(p) for _, p in pat.fields)
     return False

@@ -168,10 +168,6 @@ class NVMap:
     def key_width(self) -> int:
         return self.ctx.encoder.width(self.key_ty)
 
-    def distinct_values(self) -> list[Any]:
-        """The map's distinct range values — one per MTBDD leaf."""
-        return self.ctx.manager.leaves(self.root)
-
     def groups(self) -> dict[Any, int]:
         """Each distinct value with the number of (valid) keys mapping to it.
 
@@ -185,7 +181,7 @@ class NVMap:
         """Materialise the map over all valid keys (small key spaces only)."""
         out: dict[Any, Any] = {}
         for key in self.ctx.encoder.enumerate_values(self.key_ty):
-            out[_freeze(key)] = self.get(key)
+            out[key] = self.get(key)
         return out
 
     def node_count(self) -> int:
@@ -207,10 +203,6 @@ class NVMap:
 
     def __repr__(self) -> str:
         return f"<NVMap key={self.key_ty} nodes={self.node_count()}>"
-
-
-def _freeze(key: Any) -> Any:
-    return key
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +228,6 @@ class FrozenMap:
     key_ty: T.Type
     nodes: bytes
     leaves: tuple[Any, ...]
-
-    def __repr__(self) -> str:
-        return (f"<FrozenMap key={self.key_ty} nodes={len(self.nodes) // 12} "
-                f"leaves={len(self.leaves)}>")
 
 
 @struct(frozen=True)

@@ -459,12 +459,11 @@ class PartialEvaluator:
             return alg.mk_and(value.tag, cond), bindings
         if isinstance(pat, A.PRecord):
             pairs = ((p, value.get(name)) for name, p in pat.fields)
-        elif isinstance(pat, (A.PTuple, A.PEdge)):
-            subs = pat.elts if isinstance(pat, A.PTuple) else (pat.src, pat.dst)
+        elif isinstance(pat, A.PTuple):
             if isinstance(value, SEdge):
-                pairs = zip(subs, (value.src, value.dst))
+                pairs = zip(pat.elts, (value.src, value.dst))
             elif isinstance(value, STuple):
-                pairs = zip(subs, value.elts)
+                pairs = zip(pat.elts, value.elts)
             else:
                 raise NvEncodingError(f"tuple pattern against {type(value).__name__}")
         else:

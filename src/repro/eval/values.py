@@ -100,9 +100,6 @@ class VRecord:
             items[i] = (name, value)
         return VRecord(tuple(items), index)     # same labels, same shape
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.fields)
-
     def values(self) -> tuple[Any, ...]:
         return tuple(value for _, value in self.fields)
 
@@ -137,9 +134,6 @@ class VClosure:
     env: dict[str, Any]
     param_ty: Any = None
     code: Any = None     # Callable[[env], value]
-
-    def __repr__(self) -> str:
-        return f"<fun {self.param} -> ...>"
 
 
 _BOOL_KEYS = ((bool, False), (bool, True))
@@ -234,13 +228,6 @@ class ValueInterner:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def stats(self) -> dict[str, int]:
-        """Instrumentation snapshot (population + probe outcomes), shaped
-        for :mod:`repro.perf`/:mod:`repro.metrics` gauge reporting."""
-        return {"interned": len(self._table),
-                "intern_hits": self.hits,
-                "intern_misses": self.misses}
 
 
 def value_repr(value: Any) -> str:

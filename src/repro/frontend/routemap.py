@@ -34,18 +34,12 @@ class CondCommunity:
 
     communities: tuple[int, ...]
 
-    def __str__(self) -> str:
-        return f"comm{list(self.communities)}"
-
 
 @struct(frozen=True)
 class CondPrefix:
     """Test: the route's prefix (the map key) is one of these ids."""
 
     prefix_ids: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return f"pfx{list(self.prefix_ids)}"
 
 
 Condition = CondCommunity | CondPrefix
@@ -60,11 +54,6 @@ class Actions:
     set_metric: int | None = None
     add_communities: tuple[int, ...] = ()
     remove_communities: tuple[int, ...] = ()
-
-    def is_identity(self) -> bool:
-        return (not self.drop and self.set_local_pref is None
-                and self.set_metric is None and not self.add_communities
-                and not self.remove_communities)
 
 
 DROP = Actions(drop=True)

@@ -59,24 +59,10 @@ STATUS_GAUGES: tuple[str, ...] = (
     "proc.rss_bytes",
 )
 
-#: Default straggler threshold (seconds a busy worker may go without
-#: reporting progress before the heartbeat warns); ``NV_STRAGGLER_SECONDS``
-#: overrides it.
-DEFAULT_STRAGGLER_SECONDS = 10.0
-
-
-def straggler_threshold() -> float:
-    """The configured straggler threshold (``NV_STRAGGLER_SECONDS``, else
-    :data:`DEFAULT_STRAGGLER_SECONDS`); <= 0 disables the warning."""
-    import os
-
-    env = os.environ.get("NV_STRAGGLER_SECONDS", "").strip()
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return DEFAULT_STRAGGLER_SECONDS
+#: Straggler threshold: seconds a busy worker may go without reporting
+#: progress before the heartbeat warns (``straggler_after`` overrides it;
+#: <= 0 disables the warning).
+STRAGGLER_SECONDS = 10.0
 
 
 def _fmt_count(v: float) -> str:
@@ -114,8 +100,7 @@ class Heartbeat:
         self.metrics_json = metrics_json
         self.install_sigint = install_sigint
         self.on_tick = on_tick
-        self.straggler_after = (straggler_threshold()
-                                if straggler_after is None
+        self.straggler_after = (STRAGGLER_SECONDS if straggler_after is None
                                 else float(straggler_after))
         self._stragglers_warned: set[int] = set()
         self.ticks = 0
@@ -174,12 +159,6 @@ class Heartbeat:
             except (ValueError, TypeError):  # pragma: no cover
                 pass
             self._prev_sigint = None
-
-    def __enter__(self) -> "Heartbeat":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
     # ------------------------------------------------------------------
     # Sampling

@@ -298,16 +298,6 @@ def ast_PBool(_FACTORY, _set):
     return NotImplemented
   return {'__init__': __init__, '__eq__': __eq__}
 
-# repro.lang.ast.PEdge
-def ast_PEdge(_FACTORY, _set):
-  def __init__(self, src, dst):
-    self.src = src
-    self.dst = dst
-  def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.src,self.dst,) == (other.src,other.dst,)
-    return NotImplemented
-  return {'__init__': __init__, '__eq__': __eq__}
-
 # repro.lang.ast.PInt
 def ast_PInt(_FACTORY, _set, _d_width):
   def __init__(self, value, width=_d_width):
@@ -569,8 +559,6 @@ METHODS = {
         ast_Expr,
     'def __init__(self, value):\n  self.value = value\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.value,) == (other.value,)\n  return NotImplemented':
         ast_PBool,
-    'def __init__(self, src, dst):\n  self.src = src\n  self.dst = dst\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.src,self.dst,) == (other.src,other.dst,)\n  return NotImplemented':
-        ast_PEdge,
     'def __init__(self, value, width=_d_width):\n  self.value = value\n  self.width = width\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.value,self.width,) == (other.value,other.width,)\n  return NotImplemented':
         ast_PInt,
     'def __init__(self, fields):\n  self.fields = fields\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.fields,) == (other.fields,)\n  return NotImplemented':

@@ -22,9 +22,6 @@ from .types import Type
 class Pattern:
     __slots__ = ()
 
-    def bound_vars(self) -> list[str]:
-        raise NotImplementedError
-
 
 @struct(slots=True)
 class PWild(Pattern):
@@ -127,21 +124,6 @@ class PRecord(Pattern):
     def __str__(self) -> str:
         inner = "; ".join(f"{name} = {p}" for name, p in self.fields)
         return "{" + inner + "}"
-
-
-@struct(slots=True)
-class PEdge(Pattern):
-    """Edge destructuring pattern ``u~v`` (also produced by ``let (u,v) = e``
-    when ``e`` is an edge)."""
-
-    src: Pattern
-    dst: Pattern
-
-    def bound_vars(self) -> list[str]:
-        return self.src.bound_vars() + self.dst.bound_vars()
-
-    def __str__(self) -> str:
-        return f"{self.src}~{self.dst}"
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +432,6 @@ class Program:
 
     decls: list[Decl] = field(default_factory=list)
 
-    def lets(self) -> dict[str, DLet]:
-        return {d.name: d for d in self.decls if isinstance(d, DLet)}
-
     def get_let(self, name: str) -> DLet | None:
         for d in self.decls:
             if isinstance(d, DLet) and d.name == name:
@@ -461,9 +440,6 @@ class Program:
 
     def symbolics(self) -> list[DSymbolic]:
         return [d for d in self.decls if isinstance(d, DSymbolic)]
-
-    def requires(self) -> list[DRequire]:
-        return [d for d in self.decls if isinstance(d, DRequire)]
 
     def type_decls(self) -> dict[str, Type]:
         return {d.name: d.ty for d in self.decls if isinstance(d, DType)}

@@ -57,9 +57,6 @@ class Token:
     line: int = 0
     col: int = 0
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.text!r})"
-
 
 def tokenize(source: str) -> list[Token]:
     """Turn NV source text into a token list ending with an ``eof`` token."""

@@ -482,11 +482,6 @@ class TypeChecker:
             for p, t in zip(pat.elts, elts):
                 self.check_pattern(env, p, t)
             return
-        if isinstance(pat, A.PEdge):
-            self.unify(ty, T.TEdge(), "in edge pattern")
-            self.check_pattern(env, pat.src, T.TNode())
-            self.check_pattern(env, pat.dst, T.TNode())
-            return
         if isinstance(pat, A.PRecord):
             if isinstance(resolved, T.TVar):
                 declared = self.record_with_label(pat.fields[0][0])

@@ -24,11 +24,6 @@ class Type:
     #: `occurs`, free variables) return at once on a ground type.
     ground = True
 
-    def is_finitary(self) -> bool:
-        """True if the type has finitely many values and can be laid out as a
-        fixed-width bit pattern (required for MTBDD keys and SMT encoding)."""
-        raise NotImplementedError
-
 
 @struct(frozen=True, slots=True)
 class TBool(Type):
@@ -123,12 +118,6 @@ class TRecord(Type):
                 return ty
         raise KeyError(f"record type {self} has no field {name!r}")
 
-    def field_index(self, name: str) -> int:
-        for i, (label, _) in enumerate(self.fields):
-            if label == name:
-                return i
-        raise KeyError(f"record type {self} has no field {name!r}")
-
     def labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.fields)
 
@@ -182,9 +171,6 @@ class TVar(Type):
     name: str
     ground = False
 
-    def is_finitary(self) -> bool:
-        return False
-
     def __str__(self) -> str:
         return f"'{self.name}"
 
@@ -192,37 +178,3 @@ class TVar(Type):
 def tset(elt: Type) -> TDict:
     """``set[t]`` is sugar for ``dict[t, bool]``."""
     return TDict(elt, TBool())
-
-
-def arrows(args: list[Type], result: Type) -> Type:
-    """Build a curried function type from argument types to ``result``."""
-    ty = result
-    for arg in reversed(args):
-        ty = TArrow(arg, ty)
-    return ty
-
-
-def bit_width(ty: Type, num_nodes: int = 0, num_edges: int = 0) -> int:
-    """Number of bits needed to lay out a finitary type.
-
-    Nodes and edges are encoded as indices, so their width depends on the
-    network size; callers pass the node/edge counts of the network under
-    analysis.  Declaring small widths (``int8`` vs ``int``) directly shrinks
-    MTBDD key encodings, which the paper highlights as a benefit of sized
-    integers.
-    """
-    if isinstance(ty, TBool):
-        return 1
-    if isinstance(ty, TInt):
-        return ty.width
-    if isinstance(ty, TNode):
-        return max(1, (max(num_nodes, 1) - 1).bit_length()) if num_nodes else 32
-    if isinstance(ty, TEdge):
-        return max(1, (max(num_edges, 1) - 1).bit_length()) if num_edges else 32
-    if isinstance(ty, TOption):
-        return 1 + bit_width(ty.elt, num_nodes, num_edges)
-    if isinstance(ty, TTuple):
-        return sum(bit_width(t, num_nodes, num_edges) for t in ty.elts)
-    if isinstance(ty, TRecord):
-        return sum(bit_width(t, num_nodes, num_edges) for _, t in ty.fields)
-    raise TypeError(f"type {ty} is not finitary")

@@ -147,9 +147,6 @@ class Histogram:
         h.sum = float(data.get("sum", 0.0))
         return h
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram(count={self.count}, sum={self.sum})"
-
 
 def _float_bucket(value: float) -> int:
     b = 0

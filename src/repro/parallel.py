@@ -32,8 +32,8 @@ shared fan-out engine the analysis drivers run those units through:
   renders one causally-linked flame chart with per-worker lanes instead of
   floating worker fragments.
 * **Streaming telemetry.**  Each worker runs a small flusher thread that
-  periodically (``NV_STREAM_SECONDS``, default 0.5s; only when some
-  observability registry is on) ships *incremental* deltas over the result
+  every :data:`STREAM_SECONDS` (only when some observability registry is
+  on) ships *incremental* deltas over the result
   channel: perf-counter diffs since the previous flush, newly closed trace
   records, and a ``"partial": true`` snapshot of its open spans.  A hung or
   SIGKILL-ed worker therefore leaves evidence of what it was doing, SIGINT
@@ -72,10 +72,9 @@ from . import metrics, obs, perf
 #: (explicit ``jobs=``/``NV_JOBS`` values may exceed it).
 MAX_DEFAULT_JOBS = 8
 
-#: Default cadence (seconds) of the worker-side streaming telemetry flush;
-#: override with ``NV_STREAM_SECONDS`` (0 disables streaming — the final
-#: shutdown/error flush still runs).
-DEFAULT_STREAM_SECONDS = 0.5
+#: Cadence (seconds) of the worker-side streaming telemetry flush (0: no
+#: periodic flush; the final shutdown/error flush still runs).
+STREAM_SECONDS = 0.5
 
 #: Gauge names the parent maintains while a sharded run is in flight; the
 #: heartbeat surfaces them as ``shards done/total`` progress.
@@ -113,18 +112,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
         else:
             jobs = min(os.cpu_count() or 1, MAX_DEFAULT_JOBS)
     return max(1, int(jobs))
-
-
-def stream_period() -> float:
-    """The streaming-flush cadence in seconds (``NV_STREAM_SECONDS``, else
-    :data:`DEFAULT_STREAM_SECONDS`); 0 disables periodic streaming."""
-    env = os.environ.get("NV_STREAM_SECONDS", "").strip()
-    if env:
-        try:
-            return max(0.0, float(env))
-        except ValueError:
-            pass
-    return DEFAULT_STREAM_SECONDS
 
 
 def chunk_units(num_units: int, jobs: int,
@@ -356,12 +343,6 @@ def _worker_main(wid: int, worker_ref: str, payload: Any,
       already done are not lost;
     * ``("done", wid)`` on the shutdown sentinel (after the final delta).
     """
-    delay = os.environ.get("NV_TEST_WORKER_START_DELAY", "").strip()
-    if delay:  # test hook: simulate slow worker startup (clock-skew tests)
-        try:
-            time.sleep(float(delay))
-        except ValueError:
-            pass
     tele = _WorkerTelemetry(wid, flags, result_q)
     try:
         fn = _resolve_ref(worker_ref)(payload)
@@ -483,7 +464,7 @@ class WorkerPool:
             "perf": perf.is_enabled(), "trace": obs.is_enabled(),
             "metrics": metrics.is_enabled(), "label": label,
             "ledger": self._ledger_on(), "bytes": self._bytes_on(),
-            "stream_period": stream_period(),
+            "stream_period": STREAM_SECONDS,
         }
         for wid in range(self.jobs):
             self._worker_state[wid] = {

@@ -8,11 +8,11 @@ and the cut-file / annotation format.
 from .cutter import (PartitionPlan, auto_partition, bfs_rings, fattree_pods,
                      plan_from_cut_links, plan_from_fragments, spectral_bisect)
 from .interfaces import (ANNOTATION_KINDS, INFER, Annotation, CutSpec,
-                         dump_cut_spec, load_cut_file, parse_cut_spec)
+                         load_cut_file, parse_cut_spec)
 
 __all__ = [
     "PartitionPlan", "auto_partition", "bfs_rings", "fattree_pods",
     "plan_from_cut_links", "plan_from_fragments", "spectral_bisect",
     "ANNOTATION_KINDS", "INFER", "Annotation", "CutSpec",
-    "dump_cut_spec", "load_cut_file", "parse_cut_spec",
+    "load_cut_file", "parse_cut_spec",
 ]

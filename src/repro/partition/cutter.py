@@ -39,12 +39,6 @@ class PartitionPlan:
     fragments: tuple[tuple[int, ...], ...]
     cut_edges: tuple[tuple[int, int], ...]
 
-    def fragment_of(self, node: int) -> int:
-        for i, frag in enumerate(self.fragments):
-            if node in frag:
-                return i
-        raise NvPartitionError(f"node {node} is in no fragment")
-
     def describe(self) -> str:
         sizes = ", ".join(str(len(f)) for f in self.fragments)
         return (f"{len(self.fragments)} fragments (sizes {sizes}), "

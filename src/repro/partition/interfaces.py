@@ -77,9 +77,6 @@ class CutSpec:
     cut_links: list[tuple[int, int]] | None = None
     interfaces: dict[tuple[int, int], Annotation] = field(default_factory=dict)
 
-    def annotation(self, edge: tuple[int, int]) -> Annotation:
-        return self.interfaces.get(edge, INFER)
-
 
 def _parse_edge_key(key: str) -> tuple[int, int]:
     try:
@@ -139,19 +136,3 @@ def load_cut_file(path: str) -> CutSpec:
         except json.JSONDecodeError as exc:
             raise NvPartitionError(f"cut file {path}: invalid JSON: {exc}") from None
     return parse_cut_spec(data)
-
-
-def dump_cut_spec(spec: CutSpec) -> str:
-    """Serialise a :class:`CutSpec` back to cut-file JSON (round-trips
-    through :func:`parse_cut_spec`)."""
-    data: dict[str, Any] = {}
-    if spec.fragments is not None:
-        data["fragments"] = [list(f) for f in spec.fragments]
-    if spec.cut_links is not None:
-        data["cut_links"] = [list(l) for l in spec.cut_links]
-    if spec.interfaces:
-        data["interfaces"] = {
-            f"{u}->{v}": ("infer" if a.kind == "infer" else {a.kind: a.text})
-            for (u, v), a in sorted(spec.interfaces.items())
-        }
-    return json.dumps(data, indent=2)

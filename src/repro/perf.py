@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Any, Iterator, Mapping
 
 _enabled: bool = False
@@ -103,20 +102,6 @@ def merge(stats: Mapping[str, int | float], prefix: str = "") -> None:
                 _timers[name] = _timers.get(name, 0.0) + value
             else:
                 _counters[name] = get(name, 0) + value
-
-
-@contextmanager
-def timer(name: str) -> Iterator[None]:
-    """Accumulate wall-clock seconds under ``name``.  No-op when disabled."""
-    if not _enabled:
-        yield
-        return
-    t0 = perf_counter()
-    try:
-        yield
-    finally:
-        with _lock:
-            _timers[name] = _timers.get(name, 0.0) + (perf_counter() - t0)
 
 
 def snapshot() -> dict[str, int | float]:

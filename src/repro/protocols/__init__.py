@@ -33,7 +33,3 @@ def resolve(name: str) -> str:
         raise KeyError(
             f"unknown NV module {name!r}; available: {sorted(NV_MODULES)}") from None
 
-
-def register(name: str, source: str) -> None:
-    """Register additional NV modules (used by tests and user extensions)."""
-    NV_MODULES[name] = source

@@ -8,8 +8,8 @@ boolean terms, ready for Tseitin conversion to CNF.
 
 from __future__ import annotations
 
-from .terms import (ADD, AND, CONST, EQ, EXTRACT, ITE, NOT, OR, SUB, ULE, ULT,
-                    VAR, XOR, TermManager)
+from .terms import (ADD, AND, CONST, EQ, ITE, NOT, OR, SUB, ULE, ULT, VAR, XOR,
+                    TermManager)
 
 
 class BitBlaster:
@@ -56,9 +56,6 @@ class BitBlaster:
             abits = self.blast_bv(data.args[0])
             bbits = self.blast_bv(data.args[1])
             result = self._compare(abits, bbits, strict=(op == ULT))
-        elif op == EXTRACT:
-            bits = self.blast_bv(data.args[0])
-            result = bits[data.payload]
         else:
             raise ValueError(f"unexpected boolean operator {op!r}")
         self._bool_memo[t] = result

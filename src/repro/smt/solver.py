@@ -75,10 +75,6 @@ class SmtResult:
     core: list[int] = field(default_factory=list)
 
     @property
-    def is_sat(self) -> bool:
-        return self.status == "sat"
-
-    @property
     def is_unsat(self) -> bool:
         return self.status == "unsat"
 

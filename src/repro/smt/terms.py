@@ -13,7 +13,7 @@ performance gap on policy-heavy networks.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 from .._struct import struct
 
@@ -30,7 +30,6 @@ ULT = "ult"
 ULE = "ule"
 ADD = "add"
 SUB = "sub"
-EXTRACT = "extract"    # payload: bit index (MSB = 0); bv -> bool
 
 BOOL_SORT = 0
 
@@ -179,18 +178,6 @@ class TermManager:
                     return self.mk_not(c)
         return self._mk(TermData(ITE, (c, t, e), None, self.width(t)))
 
-    def mk_and_all(self, terms: list[int]) -> int:
-        out = self.true
-        for t in terms:
-            out = self.mk_and(out, t)
-        return out
-
-    def mk_or_all(self, terms: list[int]) -> int:
-        out = self.false
-        for t in terms:
-            out = self.mk_or(out, t)
-        return out
-
     # ------------------------------------------------------------------
     # Bitvector constructors
     # ------------------------------------------------------------------
@@ -276,17 +263,6 @@ class TermManager:
                 return self.true
         return self._mk(TermData(ULE, (a, b), None, BOOL_SORT))
 
-    def mk_extract(self, a: int, bit: int) -> int:
-        """Bit ``bit`` (0 = MSB) of a bitvector, as a boolean."""
-        w = self.width(a)
-        if not (0 <= bit < w):
-            raise ValueError(f"bit {bit} out of range for width {w}")
-        if self.simplify:
-            value = self.const_value(a)
-            if value is not None:
-                return self.mk_bool(bool((value >> (w - 1 - bit)) & 1))
-        return self._mk(TermData(EXTRACT, (a,), bit, BOOL_SORT))
-
     def _bv_check(self, a: int, b: int) -> int:
         wa, wb = self.width(a), self.width(b)
         if wa == BOOL_SORT or wb == BOOL_SORT:
@@ -298,23 +274,6 @@ class TermManager:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def iter_subterms(self, roots: list[int]) -> Iterator[int]:
-        """All subterms reachable from ``roots``, post-order, each once."""
-        seen: set[int] = set()
-        stack: list[tuple[int, bool]] = [(r, False) for r in reversed(roots)]
-        while stack:
-            t, expanded = stack.pop()
-            if expanded:
-                yield t
-                continue
-            if t in seen:
-                continue
-            seen.add(t)
-            stack.append((t, True))
-            for a in reversed(self._terms[t].args):
-                if a not in seen:
-                    stack.append((a, False))
 
     def evaluate(self, t: int, assignment: dict[str, Any],
                  _memo: dict[int, Any] | None = None) -> Any:
@@ -355,19 +314,9 @@ class TermManager:
                 value = (rec(data.args[0]) + rec(data.args[1])) & ((1 << data.width) - 1)
             elif op == SUB:
                 value = (rec(data.args[0]) - rec(data.args[1])) & ((1 << data.width) - 1)
-            elif op == EXTRACT:
-                w = self.width(data.args[0])
-                value = bool((rec(data.args[0]) >> (w - 1 - data.payload)) & 1)
             else:
                 raise ValueError(f"cannot evaluate operator {op!r}")
             memo[u] = value
             return value
 
         return rec(t)
-
-    def stats(self, roots: list[int]) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for t in self.iter_subterms(roots):
-            op = self._terms[t].op
-            counts[op] = counts.get(op, 0) + 1
-        return counts

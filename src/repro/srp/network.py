@@ -50,20 +50,6 @@ class Network:
                     directed.append(edge)
         return Network(program, num_nodes, tuple(directed), attr_ty, tuple(links))
 
-    def neighbors_in(self) -> list[list[tuple[int, int]]]:
-        """For each node, the directed edges arriving at it."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            inc[v].append((u, v))
-        return inc
-
-    def neighbors_out(self) -> list[list[tuple[int, int]]]:
-        """For each node, the directed edges leaving it."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges:
-            out[u].append((u, v))
-        return out
-
 
 @struct
 class NetworkFunctions:

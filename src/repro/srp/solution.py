@@ -22,9 +22,6 @@ class Solution:
     messages: int = 0
     stats: dict[str, int] = field(default_factory=dict)
 
-    def label(self, node: int) -> Any:
-        return self.labels[node]
-
     def check_assertions(self, assert_fn: Callable[[int, Any], bool] | None
                          ) -> list[int]:
         """Nodes whose converged attribute violates the assertion."""

@@ -13,12 +13,6 @@ from ..lang import ast as A
 from .rename import Renamer
 
 
-def substitute(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
-    """Capture-avoiding substitution (assumes alpha-renamed input, so bound
-    names never collide with the free variables of a replacement)."""
-    return Substituter()(e, env)
-
-
 # The names a node binds, for the classes that bind any.
 _BOUND = {
     A.ELet: lambda e: (e.name,), A.EFun: lambda e: (e.param,),
@@ -28,11 +22,12 @@ _BOUND = {
 
 
 class Substituter:
-    """Substitution that keeps a tree a tree: a replacement goes to its first
-    use site as it is and to every later one as a copy with fresh binders
-    (one instance, one supply of names: ``x~s0``, ``x~s1``, … never collide
-    with the inliner's ``x~0``).  A subtree nothing is substituted into comes
-    back as the same object."""
+    """Capture-avoiding substitution (``Substituter()(e, env)``; assumes
+    alpha-renamed input) that keeps a tree a tree: a replacement goes to its
+    first use site as it is and to every later one as a copy with fresh
+    binders (one instance, one supply of names: ``x~s0``, ``x~s1``, … never
+    collide with the inliner's ``x~0``).  A subtree nothing is substituted
+    into comes back as the same object."""
 
     def __init__(self) -> None:
         self.copier = Renamer("s")
@@ -67,14 +62,6 @@ def beta_apply(fn: A.Expr, arg: A.Expr, ty=None, span=None) -> A.Expr:
         return A.ELet(fn.name, fn.bound, beta_apply(fn.body, arg, ty),
                       fn.annot, ty, span)
     return A.EApp(fn, arg, ty, span)
-
-
-def beta_reduce(e: A.Expr) -> A.Expr:
-    """Turn ``(fun x -> body) arg`` into ``let x = arg in body``, bottom-up."""
-    e = A.map_children(e, beta_reduce)
-    if type(e) is A.EApp and type(e.fn) in (A.EFun, A.ELet):
-        return beta_apply(e.fn, e.arg, e.ty, e.span)
-    return e
 
 
 class _Inliner(Renamer):

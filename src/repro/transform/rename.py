@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from operator import attrgetter
 
-from .._struct import replace
 from ..lang import ast as A
 
 # The literal classes: field readers, to copy one with a single call.
@@ -73,8 +72,7 @@ class Renamer:
                 new_pat = self._rename_pattern(pat, new_env)
                 branches.append((new_pat, self._rename(body, new_env)))
             return A.EMatch(scrutinee, tuple(branches), e.ty, e.span)
-        out = A.map_children(e, lambda x: self._rename(x, env))
-        return replace(e) if out is e else out      # childless: copied all the same
+        return A.map_children(e, lambda x: self._rename(x, env))
 
     def _rename_pattern(self, pat: A.Pattern, env: dict[str, str]) -> A.Pattern:
         if isinstance(pat, A.PVar):
@@ -85,9 +83,6 @@ class Renamer:
             return A.PSome(self._rename_pattern(pat.sub, env))
         if isinstance(pat, A.PTuple):
             return A.PTuple(tuple(self._rename_pattern(p, env) for p in pat.elts))
-        if isinstance(pat, A.PEdge):
-            return A.PEdge(self._rename_pattern(pat.src, env),
-                           self._rename_pattern(pat.dst, env))
         if isinstance(pat, A.PRecord):
             return A.PRecord(tuple((n, self._rename_pattern(p, env))
                                    for n, p in pat.fields))

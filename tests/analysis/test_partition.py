@@ -17,7 +17,7 @@ from repro.analysis.verify import verify
 from repro.lang.errors import NvPartitionError
 from repro.lang.parser import parse_program
 from repro.partition import (Annotation, CutSpec, auto_partition, bfs_rings,
-                             dump_cut_spec, fattree_pods, load_cut_file,
+                             fattree_pods, load_cut_file,
                              parse_cut_spec, plan_from_cut_links,
                              plan_from_fragments, spectral_bisect)
 from repro.protocols import resolve
@@ -83,8 +83,7 @@ class TestCutter:
         topo = Topology(4, [(0, 1), (1, 2), (2, 3)])
         plan = plan_from_fragments(topo, [[0, 1], [2, 3]])
         assert plan.cut_edges == ((1, 2), (2, 1))
-        assert plan.fragment_of(1) == 0
-        assert plan.fragment_of(2) == 1
+        assert 1 in plan.fragments[0] and 2 in plan.fragments[1]
 
     def test_plan_rejects_overlap_and_gap(self):
         topo = Topology(3, [(0, 1), (1, 2)])
@@ -153,7 +152,9 @@ class TestCutFiles:
             (2, 1): Annotation("pred", "fun x -> true"),
             (3, 0): Annotation("infer"),
         })
-        text = dump_cut_spec(spec)
+        text = json.dumps({"fragments": [[0, 1], [2, 3]], "interfaces": {
+            "1->2": {"route": "Some 2u8"}, "2->1": {"pred": "fun x -> true"},
+            "3->0": "infer"}})
         back = parse_cut_spec(json.loads(text))
         assert back.fragments == spec.fragments
         assert back.interfaces == spec.interfaces

@@ -1,10 +1,55 @@
-"""Tests for the property-builder library."""
+"""Common control-plane properties as ``assert`` declarations (paper §2.4),
+checked by simulation and SMT verification."""
 
-import pytest
+from typing import Iterable
 
 import repro
-from repro.analysis.properties import (bounded_path_length, origin_validation,
-                                       reachability, waypoint)
+
+
+def reachability() -> str:
+    """Every node ends up with some route (fig 12's property)."""
+    return """
+let assert (u : node) (x : attribute) =
+  match x with
+  | None -> false
+  | Some b -> true
+"""
+
+
+def origin_validation(origin: int, external: Iterable[int] = ()) -> str:
+    """No hijack: every internal node's route originates at ``origin``
+    (fig 2b's property).  ``external`` nodes are exempt."""
+    exempt = " || ".join(f"u = {v}n" for v in external) or "false"
+    return f"""
+let assert (u : node) (x : attribute) =
+  match x with
+  | None -> {exempt}
+  | Some b -> if ({exempt}) then true else b.origin = {origin}n
+"""
+
+
+def bounded_path_length(bound: int, width: int = 32) -> str:
+    """Every route's path length stays within ``bound`` hops."""
+    suffix = "" if width == 32 else f"u{width}"
+    return f"""
+let assert (u : node) (x : attribute) =
+  match x with
+  | None -> false
+  | Some b -> b.length <= {bound}{suffix}
+"""
+
+
+def waypoint(node: int, at: Iterable[int]) -> str:
+    """Traversed-set waypointing (fig 3): routes selected at the nodes in
+    ``at`` must cross ``node``.  Requires the ``bgpTraversed`` model."""
+    guarded = " || ".join(f"u = {v}n" for v in at) or "false"
+    return f"""
+let assert (u : node) (x : attributeT) =
+  match x with
+  | None -> false
+  | Some (s, b) -> if ({guarded}) then s[{node}n] else true
+"""
+
 
 BASE = """
 include bgp

@@ -168,7 +168,7 @@ let init (u : node) = if u = 0n then Some 0u8 else None
         solver = Solver(enc.tm)
         for c in enc.constraints:
             solver.add(c)
-        assert solver.check().is_sat  # N must admit the stable state
+        assert solver.check().status == "sat"  # N must admit the stable state
 
 
 class TestRecordUpdateToNone:

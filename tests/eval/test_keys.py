@@ -7,8 +7,7 @@ sharing never changes an answer."""
 
 import pytest
 
-from repro.analysis.fault import (_native_functions_factory,
-                                  fault_tolerance_analysis, route_order_key)
+from repro.analysis.fault import fault_tolerance_analysis, route_order_key
 from repro.eval import compile_py
 from repro.eval.compile_py import PyCompiler, compile_network_functions
 from repro.eval.interp import Interpreter, program_env
@@ -211,7 +210,11 @@ def _interp_factory(net, symbolics, ctx, interp):
     return functions_from_program(net, symbolics, ctx=ctx, interp=interp)
 
 
-BACKENDS = {"interp": _interp_factory, "native": _native_functions_factory}
+def _native_factory(net, symbolics, ctx, interp):
+    return compile_network_functions(net, symbolics, ctx=ctx)
+
+
+BACKENDS = {"interp": _interp_factory, "native": _native_factory}
 
 
 def _labels(net, symbolics, factory):

@@ -4,8 +4,9 @@ import pytest
 
 from repro.frontend.configs import Prefix, parse_config
 from repro.frontend.routemap import (Actions, CondCommunity, CondPrefix,
-                                     DagNode, DROP, build_dag, hoist_prefixes,
-                                     is_hoisted, prefix_regions, route_map_nv)
+                                     DagNode, DROP, IDENTITY, build_dag,
+                                     hoist_prefixes, is_hoisted,
+                                     prefix_regions, route_map_nv)
 
 CONFIG = parse_config("r", """
 ip community-list standard comm1 permit 1:2
@@ -64,7 +65,7 @@ route-map D deny 20
         dag = build_dag(cfg.route_maps["D"], cfg, PREFIX_IDS)
         # permit-with-no-set falls through to identity; deny catch-all drops.
         assert isinstance(dag.cond, CondCommunity)
-        assert dag.on_true.is_identity()
+        assert dag.on_true == IDENTITY
         assert dag.on_false == DROP
 
 

@@ -260,25 +260,9 @@ def random_case(body: str, env_values) -> tuple[str, str, list[Any]]:
 def corpus_program(key_ty: str, body: str):
     """``(program, key type)`` for one corpus entry: the entry's function is
     the program's ``f``, on top of :data:`CORPUS_NETWORK`."""
-    from repro.lang import ast as A
-
     program = parse_program(
         f"let f = fun (k : {key_ty}) -> {body}\n" + CORPUS_NETWORK)
     fn = program.get_let("f").expr
-    if isinstance(fn.param_ty, T.TEdge):
-        # PEdge has no surface syntax: a pair pattern on an edge parses as
-        # PTuple.  Rewrite it so the corpus covers the edge form too.
-        def as_edge(e):
-            e = A.map_children(e, as_edge)
-            if isinstance(e, A.EMatch):
-                return A.EMatch(e.scrutinee, tuple(
-                    (A.PEdge(*p.elts) if isinstance(p, A.PTuple) and len(p.elts) == 2
-                     else p, b)
-                    for p, b in e.branches), span=e.span)
-            return e
-        fn = as_edge(fn)
-        program = A.Program([A.DLet("f", fn) if isinstance(d, A.DLet)
-                             and d.name == "f" else d for d in program.decls])
     check_program(program)
     return program, fn.param_ty
 

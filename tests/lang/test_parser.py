@@ -180,7 +180,7 @@ class TestDeclarations:
         p = parse_program("symbolic x : int8\nrequire x < 5u8")
         syms = p.symbolics()
         assert syms[0].name == "x" and syms[0].ty == T.TInt(8)
-        assert len(p.requires()) == 1
+        assert sum(isinstance(d, A.DRequire) for d in p.decls) == 1
 
     def test_type_alias_resolved(self):
         p = parse_program("type t = option[int]\nsymbolic r : t")

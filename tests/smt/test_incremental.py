@@ -30,7 +30,7 @@ class TestPushRelax:
         assert s.check().is_unsat
         s.relax()
         r = s.check()
-        assert r.is_sat and r.model_bvs["x"] < 8
+        assert r.status == "sat" and r.model_bvs["x"] < 8
 
     def test_relax_last_n(self):
         tm = TermManager()
@@ -41,7 +41,7 @@ class TestPushRelax:
         assert s.check().is_unsat
         s.relax(1)                       # drop only x == 6
         r = s.check()
-        assert r.is_sat and r.model_bvs["x"] < 4
+        assert r.status == "sat" and r.model_bvs["x"] < 4
 
     def test_repush_reuses_handle(self):
         tm = TermManager()
@@ -49,12 +49,12 @@ class TestPushRelax:
         x, _ = self._xy(tm)
         q = tm.mk_eq(x, tm.mk_bv_const(3, W))
         h1 = s.push_assumption(q)
-        assert s.check().is_sat
+        assert s.check().status == "sat"
         s.relax()
         h2 = s.push_assumption(q)
         assert h1 == h2
         r = s.check()
-        assert r.is_sat and r.model_bvs["x"] == 3
+        assert r.status == "sat" and r.model_bvs["x"] == 3
 
     def test_core_names_conflicting_assumptions(self):
         tm = TermManager()
@@ -69,18 +69,18 @@ class TestPushRelax:
         assert {h_lo, h_hi} <= set(r.core)
         assert h_irr not in r.core       # y is unrelated to the conflict
         s.relax()
-        assert s.check().is_sat
+        assert s.check().status == "sat"
 
     def test_adding_assertions_between_checks(self):
         tm = TermManager()
         s = Solver(tm, incremental=True)
         x, y = self._xy(tm)
         s.add(tm.mk_ult(x, tm.mk_bv_const(8, W)))
-        assert s.check().is_sat
+        assert s.check().status == "sat"
         s.add(tm.mk_eq(y, tm.mk_bv_add(x, tm.mk_bv_const(1, W))))
         s.add(tm.mk_eq(x, tm.mk_bv_const(5, W)))
         r = s.check()
-        assert r.is_sat and r.model_bvs["y"] == 6
+        assert r.status == "sat" and r.model_bvs["y"] == 6
         s.add(tm.mk_ult(y, tm.mk_bv_const(6, W)))
         assert s.check().is_unsat
 
@@ -98,7 +98,7 @@ class TestPushRelax:
         # Re-checking with nothing new costs zero marginal clauses.
         r3 = s.check()
         assert r3.stats["inc.marginal_clauses"] == 0
-        assert r3.is_sat and r3.model_bvs["x"] == 2
+        assert r3.status == "sat" and r3.model_bvs["x"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +179,7 @@ class TestIncrementalVsFresh:
             want = fresh.check()
 
             assert got.status == want.status, (base, spec)
-            if got.is_sat:
+            if got.status == "sat":
                 env = dict(got.model_bvs)
                 for b in base:
                     assert evaluate(b, env), (base, spec, env)

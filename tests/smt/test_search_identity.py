@@ -60,7 +60,7 @@ def wan_results():
 def observe_wan(result):
     smt = result.smt
     counters = (smt.conflicts, smt.decisions, smt.propagations, smt.restarts)
-    if not smt.is_sat:
+    if not smt.status == "sat":
         return counters, None, None
     raw = (sorted(smt.model_bools.items()), sorted(smt.model_bvs.items()))
     decoded = (sorted(result.counterexample.items()),

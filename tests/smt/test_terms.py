@@ -97,12 +97,3 @@ class TestEvaluate:
         tm = TermManager()
         x = tm.mk_bv_var("x", 4)
         assert tm.evaluate(x, {}) == 0
-
-    def test_stats(self):
-        tm = TermManager()
-        a = tm.mk_bool_var("a")
-        b = tm.mk_bool_var("b")
-        t = tm.mk_and(a, tm.mk_or(a, b))
-        stats = tm.stats([t])
-        assert stats["var"] == 2
-        assert stats["and"] == 1

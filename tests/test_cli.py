@@ -217,8 +217,7 @@ router bgp 2
         assert main(["verify", str(out_file)]) == 0
 
     def test_empty_directory(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["translate", str(tmp_path)])
+        assert main(["translate", str(tmp_path)]) == 3
 
 
 class TestObservability:
@@ -342,8 +341,7 @@ class TestExplain:
         assert "provenance for node 1" in capsys.readouterr().out
 
     def test_out_of_range_node(self, triangle_file):
-        with pytest.raises(SystemExit):
-            main(["explain", triangle_file, "7"])
+        assert main(["explain", triangle_file, "7"]) == 3
 
 
 class TestUsageText:
@@ -418,6 +416,27 @@ class TestErrors:
         assert main(["fault", triangle_file]) == 3
         assert capsys.readouterr().err == \
             "error: NV_JOBS='abc' is not an integer\n"
+
+    @pytest.mark.parametrize("case", [
+        "node_out_of_range", "symbolic_without_value", "partition_two_files",
+        "no_configs", "missing_trace", "unknown_run"])
+    def test_malformed_request_is_exit_3_not_violated(
+            self, case, triangle_file, tmp_path, capsys):
+        """Exit 1 means "the property is violated": a request the CLI cannot
+        carry out is exit 3 and one ``error:`` line."""
+        argv = {
+            "node_out_of_range": ["explain", triangle_file, "99"],
+            "symbolic_without_value": ["simulate", triangle_file,
+                                       "--symbolic", "x"],
+            "partition_two_files": ["verify", "--partition", "2",
+                                    triangle_file, triangle_file],
+            "no_configs": ["translate", str(tmp_path)],
+            "missing_trace": ["report", str(tmp_path / "missing.jsonl")],
+            "unknown_run": ["runs", "--runs-dir", str(tmp_path), "show", "x"],
+        }[case]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     NOT_AN_EDGE = """
 type attribute = dict[edge, option[int8]]
@@ -685,12 +704,9 @@ class TestImportsOnlyWhatRuns:
 
     def test_package_entry_points_still_resolve(self):
         import repro
-        import repro.analysis
         from repro import api
-        from repro.analysis.fault import FaultReport
 
         assert repro.load is api.load and repro.verify is api.verify
-        assert repro.analysis.FaultReport is FaultReport
         with pytest.raises(AttributeError):
             repro.no_such_name
 

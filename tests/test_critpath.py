@@ -101,12 +101,9 @@ class TestGauges:
         root = Sp("dispatch", 0.0, 2.0, children=[
             Sp("x.unit", 0.0, 2.0, {"unit": 0, "proc": 0})])
         g = critpath.analyze([root]).gauges()
+        # parallel.lpt_gap_pct is the work ledger's gauge, not this one's.
         assert set(g) == {critpath.GAUGE_CRITICAL, critpath.GAUGE_TOTAL_WORK,
-                          critpath.GAUGE_EFFICIENCY, critpath.GAUGE_LPT_GAP}
-
-    def test_lpt_gauge_absent_without_units(self):
-        g = critpath.analyze([Sp("run", 0.0, 1.0)]).gauges()
-        assert critpath.GAUGE_LPT_GAP not in g
+                          critpath.GAUGE_EFFICIENCY}
 
 
 class TestRenderText:

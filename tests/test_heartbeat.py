@@ -19,6 +19,15 @@ from repro import metrics, obs, perf
 from repro.heartbeat import Heartbeat
 
 
+@contextlib.contextmanager
+def running(hb: Heartbeat):
+    hb.start()
+    try:
+        yield hb
+    finally:
+        hb.stop()
+
+
 @pytest.fixture(autouse=True)
 def clean_registries():
     obs.disable()
@@ -45,7 +54,7 @@ class TestTicks:
     def test_final_tick_on_sub_period_run(self):
         _enable_all()
         samples = []
-        with Heartbeat(period=60.0, on_tick=samples.append):
+        with running(Heartbeat(period=60.0, on_tick=samples.append)):
             pass  # far shorter than the period
         assert len(samples) == 1
         assert samples[0]["final"] is True
@@ -56,7 +65,7 @@ class TestTicks:
         state = {"n": 0}
         metrics.register_provider("fake", lambda: {"sim.activations": state["n"]})
         samples = []
-        with Heartbeat(period=0.02, on_tick=samples.append):
+        with running(Heartbeat(period=0.02, on_tick=samples.append)):
             for _ in range(50):
                 state["n"] += 100
                 time.sleep(0.002)
@@ -82,7 +91,7 @@ class TestTicks:
         trace = tmp_path / "t.jsonl"
         obs.enable(jsonl=str(trace))
         _enable_all()
-        with Heartbeat(period=60.0):
+        with running(Heartbeat(period=60.0)):
             pass
         obs.disable()
         recs = [json.loads(line) for line in trace.read_text().splitlines()]
@@ -105,7 +114,7 @@ class TestTicks:
                 ticked.set()
 
         with obs.span(span_name) if span_name else contextlib.nullcontext(), \
-                Heartbeat(period=0.01, label=label, on_tick=on_tick):
+                running(Heartbeat(period=0.01, label=label, on_tick=on_tick)):
             assert ticked.wait(timeout=10)
         assert phases[0] == ("repro-heartbeat", span_name or label)
 
@@ -216,19 +225,11 @@ class TestBudgetAndStatus:
         recs = [json.loads(line) for line in trace.read_text().splitlines()]
         assert any(r.get("name") == "progress.straggler" for r in recs)
 
-    def test_straggler_threshold_from_env(self, monkeypatch):
-        from repro import heartbeat as hb_mod
-
-        monkeypatch.setenv("NV_STRAGGLER_SECONDS", "3.5")
-        assert hb_mod.straggler_threshold() == 3.5
-        hb = Heartbeat(period=60.0)
-        assert hb.straggler_after == 3.5
-
     def test_disabled_metrics_still_tick_without_error(self):
         # Heartbeat over a disabled registry degrades to perf-only samples.
         perf.enable()
         samples = []
-        with Heartbeat(period=60.0, on_tick=samples.append):
+        with running(Heartbeat(period=60.0, on_tick=samples.append)):
             pass
         assert samples
 
@@ -253,7 +254,7 @@ class TestRealSolve:
         solver = SatSolver(n, clauses)
 
         samples = []
-        with Heartbeat(period=0.02, on_tick=samples.append):
+        with running(Heartbeat(period=0.02, on_tick=samples.append)):
             result = solver.solve(max_conflicts=15_000)
         assert result is not None or solver.conflicts >= 15_000
         assert len(samples) >= 2

@@ -213,9 +213,8 @@ class TestCli:
 
     def test_runs_diff_unknown_ref(self, store, capsys):
         from repro.cli import main
-        with pytest.raises(SystemExit) as exc:
-            main(["runs", "--runs-dir", str(store.root), "diff", "a", "nope"])
-        assert exc.value.code != 0
+        assert main(["runs", "--runs-dir", str(store.root),
+                     "diff", "a", "nope"]) == 3
 
     def test_record_flag_writes_runrecord(self, tmp_path, capsys):
         from repro.cli import main
@@ -232,3 +231,22 @@ class TestCli:
         assert "simulate.wall_seconds" in rec.timings
         assert rec.counters        # --record implies live perf counters
         assert rec.meta.get("command") == "simulate"
+
+    def test_recorded_lpt_gap_is_the_ledgers(self, tmp_path, capsys):
+        """``parallel.lpt_gap_pct`` has one producer, the work ledger: a
+        sharded ``--record --trace-json`` run records the value its
+        ``parallel.ledger`` event carries."""
+        from repro.cli import main
+        from repro.topology import leaf_nodes, sp_program
+        files = []
+        for i, dest in enumerate(leaf_nodes(4)[:4]):
+            files.append(tmp_path / f"p{i}.nv")
+            files[-1].write_text(sp_program(4, dest=dest))
+        trace, runs = tmp_path / "t.jsonl", tmp_path / "cli-runs"
+        assert main(["simulate", *map(str, files), "--jobs", "2",
+                     "--trace-json", str(trace), "--record",
+                     "--runs-dir", str(runs)]) == 0
+        (event,) = [r for r in map(json.loads, trace.read_text().splitlines())
+                    if r.get("name") == "parallel.ledger"]
+        (rec,) = RunStore(runs).list()
+        assert rec.gauges["parallel.lpt_gap_pct"] == event["attrs"]["lpt_gap_pct"]

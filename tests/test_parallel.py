@@ -6,6 +6,7 @@ error/SIGKILL evidence, clock-skew correction, the work ledger)."""
 
 import io
 import json
+import time
 
 import pytest
 
@@ -165,7 +166,7 @@ class TestStreamingDeltas:
     def test_counters_exact_under_streaming(self, clean_obs, monkeypatch):
         """Aggressive periodic flushing must not double-count: each delta
         ships only the diff since the previous flush."""
-        monkeypatch.setenv("NV_STREAM_SECONDS", "0.01")
+        monkeypatch.setattr(parallel, "STREAM_SECONDS", 0.01)
         perf.enable()
         parallel.run_sharded(SLEEPY, {"delay": 0.05}, range(8), jobs=2)
         snap = perf.snapshot()
@@ -175,7 +176,7 @@ class TestStreamingDeltas:
         """Satellite: a worker that raises flushes its counters *before*
         reporting the error, so the work it did is not lost.  Streaming is
         off, so the only possible delta is the error-path final flush."""
-        monkeypatch.setenv("NV_STREAM_SECONDS", "0")
+        monkeypatch.setattr(parallel, "STREAM_SECONDS", 0)
         perf.enable()
         with pytest.raises(parallel.ParallelError):
             parallel.run_sharded(FAILING, {"bad_unit": 0}, range(6), jobs=2)
@@ -191,7 +192,7 @@ class TestStreamingDeltas:
         """Acceptance criterion: kill -9 a worker mid-unit; the merged
         trace still shows what it was executing (a ``partial`` unit span
         with its lane), because the streaming flush already shipped it."""
-        monkeypatch.setenv("NV_STREAM_SECONDS", "0.05")
+        monkeypatch.setattr(parallel, "STREAM_SECONDS", 0.05)
         sink = io.StringIO()
         obs.enable(jsonl=sink)
         with pytest.raises(parallel.ParallelError) as exc:
@@ -212,12 +213,19 @@ class TestStreamingDeltas:
         """Satellite: a worker that starts late (import cost, spawn) must
         have its spans placed by its *own* meta-header epoch, not the
         pool-creation fallback — its unit spans sit well after t=0."""
-        monkeypatch.setenv("NV_TEST_WORKER_START_DELAY", "0.4")
+        worker_main = parallel._worker_main
+
+        def late_worker_main(*args):
+            time.sleep(0.4)
+            worker_main(*args)
+
+        # A forked worker runs the patched entry point; spawn would pickle it.
+        monkeypatch.setattr(parallel, "_worker_main", late_worker_main)
         sink = io.StringIO()
         obs.enable(jsonl=sink)
         t_pool = obs.now()
         parallel.run_sharded(SQUARE, {}, range(4), jobs=2,
-                             label="testpool")
+                             label="testpool", start_method="fork")
         obs.disable()
         units = [r for r in _sink_records(sink)
                  if r.get("name") == "testpool.unit" and not r.get("partial")]

@@ -51,16 +51,6 @@ class TestEnableDisable:
         perf.merge({"seconds": 0.5}, prefix="x.")
         assert perf.snapshot()["x.seconds"] == pytest.approx(0.75)
 
-    def test_timer_context_manager(self):
-        perf.enable()
-        with perf.timer("x.time"):
-            pass
-        assert perf.snapshot()["x.time"] >= 0.0
-
-    def test_timer_noop_when_disabled(self):
-        with perf.timer("x.time"):
-            pass
-        assert perf.snapshot() == {}
 
 
 class TestNesting:
@@ -210,8 +200,7 @@ class TestThreadSafety:
         def worker() -> None:
             try:
                 for _ in range(50):
-                    with perf.timer("mt.span_seconds"):
-                        pass
+                    perf.merge({"mt.span_seconds": 0.5})
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -221,4 +210,4 @@ class TestThreadSafety:
         for t in threads:
             t.join(timeout=30)
         assert not errors
-        assert perf.snapshot()["mt.span_seconds"] >= 0.0
+        assert perf.snapshot()["mt.span_seconds"] == 4 * 50 * 0.5

@@ -248,5 +248,4 @@ class TestCli:
     def test_missing_trace_errors(self, tmp_path):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main(["report", str(tmp_path / "absent.jsonl")])
+        assert main(["report", str(tmp_path / "absent.jsonl")]) == 3

@@ -235,19 +235,6 @@ def test_slots_reject_unknown_attributes_and_match_statements_work():
         assert mod.Factory(1).items is not mod.Factory(1).items
 
 
-def test_replace():
-    for mod, replace in ((S, _struct.replace), (D, dataclasses.replace)):
-        leaf = mod.Leaf(1, "t")
-        assert replace(leaf) == leaf and replace(leaf) is not leaf
-        assert replace(leaf, value=2) == mod.Leaf(2, "t")
-        assert replace(mod.Derived(1), elt=-1).ground is False
-        assert type(replace(mod.Child(1))) is mod.Child
-        with pytest.raises(ValueError):
-            replace(mod.Derived(1), ground=True)
-        with pytest.raises(TypeError):
-            replace(leaf, nope=1)
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_pickle_and_deepcopy_round_trip(name):
     for mod in (S, D):
@@ -286,7 +273,7 @@ def _records(module_name: str) -> dict[str, type]:
 
 
 @pytest.mark.parametrize("module_name, count, slotted", [
-    ("repro.lang.ast", 38, "all"),
+    ("repro.lang.ast", 37, "all"),
     ("repro.lang.types", 10, "all"),
     ("repro.eval.values", 2, "all"),
     ("repro.srp.network", 2, "none"),

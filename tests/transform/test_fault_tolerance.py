@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.fault import fault_tolerance_analysis, naive_fault_tolerance
 from repro.eval.values import VSome
+from repro.lang import ast as A
 from repro.lang import types as T
 from repro.srp.network import Network, functions_from_program
 from repro.srp.simulate import simulate
@@ -32,7 +33,7 @@ class TestTransformStructure:
     def test_base_functions_kept(self):
         net = load(RIP_TRIANGLE)
         ft = fault_tolerance_transform(net)
-        names = {d.name for d in ft.program.lets().values()}
+        names = {d.name for d in ft.program.decls if isinstance(d, A.DLet)}
         assert {"initBase", "transBase", "mergeBase", "assertBase"} <= names
 
     def test_rejects_zero_failures(self):
@@ -174,7 +175,7 @@ class TestSymbolicFailures:
         prog = symbolic_failures_program(net, max_failures=1)
         sym_names = [s.name for s in prog.symbolics()]
         assert len(sym_names) == len(net.links)
-        assert len(prog.requires()) == 1
+        assert sum(isinstance(d, A.DRequire) for d in prog.decls) == 1
 
     def test_smt_detects_violation_under_failure(self):
         # Chain 0-1-2: any single failure disconnects someone -> SMT finds it.

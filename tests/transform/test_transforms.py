@@ -8,7 +8,7 @@ from repro.lang import ast as A
 from repro.lang.parser import parse_expr, parse_program
 from repro.lang.typecheck import check_program
 from repro.protocols import resolve
-from repro.transform.inline import beta_reduce, inline_program, substitute
+from repro.transform.inline import Substituter, beta_apply, inline_program
 from repro.transform.partial_eval import is_value, partial_eval, partial_eval_program
 from repro.transform.rename import Renamer, rename_program
 
@@ -49,6 +49,18 @@ class TestRename:
         pat, body = renamed.branches[0]
         assert pat.sub.name != "v"
         assert body.name == pat.sub.name
+
+
+def substitute(e: A.Expr, env: dict[str, A.Expr]) -> A.Expr:
+    return Substituter()(e, env)
+
+
+def beta_reduce(e: A.Expr) -> A.Expr:
+    """:func:`beta_apply` at every redex, bottom-up."""
+    e = A.map_children(e, beta_reduce)
+    if type(e) is A.EApp and type(e.fn) in (A.EFun, A.ELet):
+        return beta_apply(e.fn, e.arg, e.ty, e.span)
+    return e
 
 
 class TestSubstituteAndBeta:
