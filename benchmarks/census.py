@@ -572,8 +572,8 @@ def main(argv: list[str] | None = None) -> int:
     if not args.check:
         width = max(map(len, universe))
         for key in sorted(universe):
-            where = first.get(key) or (f"kept: {kept[key]}" if key in kept
-                                       else "UNREACHED")
+            where = first.get(key) or (f"kept: {dict(keep)[kept[key]]}"
+                                       if key in kept else "UNREACHED")
             print(f"{key:<{width}} {universe[key]:>5}  {where}")
     lines = sum(universe.values())
     unreached = [k for k in universe if k not in first]
