@@ -209,6 +209,7 @@ def sweep_inputs(work: Path) -> None:
         "int.nv": INT_PROGRAM,
         "mapite.nv": MAPITE_PROGRAM,
         "badedge.nv": NOT_AN_EDGE_PROGRAM,
+        "symkey.nv": SYMBOLIC_KEY_WRITE_PROGRAM,
         "bad.nv": "let x = )\n",
         "latin1.nv": "",
     }
@@ -328,7 +329,7 @@ let merge u x y = x
         "(createDict 0u8) in m[1u2]")],
 ]
 
-#: Fails only where it is evaluated: in a pool worker, at two workers.
+#: Indexes an edge-keyed map by a pair that is not an edge.
 NOT_AN_EDGE_PROGRAM = """
 type attribute = dict[edge, option[int8]]
 let nodes = 3
@@ -338,6 +339,17 @@ let init (u : node) =
   if u = 0n then m[(0n, 2n) := Some 0u8] else m
 let trans (e : edge) (x : attribute) = x
 let merge (u : node) (x y : attribute) = x
+"""
+
+#: Parses and type-checks; fails only where it is encoded for SMT: in a pool
+#: worker, at two workers.
+SYMBOLIC_KEY_WRITE_PROGRAM = """
+symbolic k : int8
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = ((createDict 0u8)[k := 9u8])[2u8]
+let trans (e : edge) (x : int8) = x
+let merge (u : node) (x y : int8) = if x < y then x else y
 """
 
 
@@ -361,11 +373,7 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         *[cli(["simulate", *mode, "mapite.nv"])
           for mode in ([], ["--native", "--metrics-json", "mn.json"],
                        ["--lower"])],
-        cli(["simulate", *par], jobs=1),
-        cli(["simulate", *par, "--trace-json", ptrace, "--metrics-json",
-             pmetrics, "--stats", "--record", "sharded", *runs], jobs=2),
-        cli(["simulate", *par, "--progress", "--heartbeat", "0.01",
-             "--time-budget", "0"], jobs=2),
+        cli(["simulate", *par, "--stats"], jobs=2),
         cli(["simulate", sim, "--stats", "--trace", "--trace-json", trace,
              "--progress", "--heartbeat", "0.01", "--metrics-json",
              metrics_json, "--prometheus", prom, "--mem", "--time-budget",
@@ -379,10 +387,12 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["verify", "sym.nv", "--max-conflicts", "0"]),
         cli(["verify", "verify_smt/wan_unsat.nv", "--progress", "--heartbeat",
              "0.01"]),
-        cli(["verify", "fat4.nv", "--portfolio", "2", "--record", *runs],
-            jobs=2),
         cli(["verify", *par, "--stats"]),
-        cli(["verify", *par, "--no-incremental", "--portfolio", "2"], jobs=2),
+        cli(["verify", *par, "--no-incremental", "--trace-json", ptrace,
+             "--metrics-json", pmetrics, "--stats", "--record", "sharded",
+             *runs], jobs=2),
+        cli(["verify", *par, "--no-incremental", "--progress", "--heartbeat",
+             "0.01", "--time-budget", "0"], jobs=2),
         cli(["verify", *par, "--no-incremental"], jobs=1),
         cli(["verify", "verify_smt/wan_unsat.nv", "verify_smt/wan_sat.nv",
              "--no-incremental", "--trace-json", ptrace], jobs=2),
@@ -404,8 +414,6 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["fault", "sym.nv", "--smt", "--links", "1", "--stats",
              "--symbolic", "start=None"]),
         cli(["fault", "sym.nv", "--smt", "--links", "1", "--no-incremental"]),
-        cli(["fault", "sym.nv", "--smt", "--links", "1", "--portfolio", "2"],
-            jobs=2),
         # translate, report, runs
         cli(["translate", "sim_cfg/configs", "--assert-prefix", "10.0.0.0/24"]),
         cli(["translate", "ospf", "-o", "ospf.nv"]),
@@ -439,8 +447,9 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["translate", "sim_cfg/configs", "-o", "nodir/x.nv"]),
         cli(["report", "missing.jsonl"]),
         cli(["runs", *runs, "show", "no-such-run"]),
-        cli(["simulate", "p0.nv", "badedge.nv", "--trace-json", ptrace],
-            jobs=2),
+        cli(["simulate", "badedge.nv"]),
+        cli(["verify", "p0.nv", "symkey.nv", "--no-incremental",
+             "--trace-json", ptrace], jobs=2),
         call("repro verify p0.nv p1.nv --no-incremental  [NV_JOBS=abc]",
              _bad_jobs),
         call("python -m repro --help", lambda: _run_module("repro", "--help")),

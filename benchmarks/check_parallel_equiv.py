@@ -1,15 +1,14 @@
 #!/usr/bin/env python
 """CI gate: parallel analysis must be indistinguishable from serial.
 
-Runs the sharded per-prefix fault-tolerance, simulation and verification
-analyses twice — once with ``jobs=1`` (serial, in-process) and once with
+Runs the sharded per-prefix fault-tolerance and verification analyses
+twice — once with ``jobs=1`` (serial, in-process) and once with
 ``jobs=N`` (``NV_JOBS``, default 2, real worker processes) — and fails
 unless:
 
 * the analysis results are identical (equivalence classes + counts +
   witnesses per prefix for fault tolerance, in the order they are
-  emitted; labels, violations and per-run stats for simulation; verdicts for
-  verification), and
+  emitted; verdicts for verification), and
 * the aggregated :mod:`repro.perf` work counters agree: workers flush
   their counters back over the result channel, so the parent's snapshot
   must total the same deterministic work as the serial run (timing
@@ -38,7 +37,6 @@ from typing import Any, Callable
 
 from repro import perf
 from repro.analysis.fault import freeze_fault_report, per_prefix_fault_tolerance
-from repro.analysis.simulation import run_simulations
 from repro.analysis.verify import verify_many
 from repro.lang.parser import parse_program
 from repro.protocols import resolve
@@ -91,13 +89,6 @@ def _normalize_fault(reports) -> Any:
             for frozen in map(freeze_fault_report, reports)]
 
 
-def _normalize_sim(reports) -> Any:
-    return [(tuple(repr(v) for v in r.solution.labels), tuple(r.violations),
-             r.solution.iterations, r.solution.messages,
-             tuple(sorted(r.solution.stats.items())))
-            for r in reports]
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--jobs", type=int,
@@ -145,10 +136,6 @@ def main(argv: list[str] | None = None) -> int:
           lambda: per_prefix_fault_tolerance(prefix_nets, with_witnesses=True,
                                              jobs=jobs),
           _normalize_fault)
-    check("simulate",
-          lambda: run_simulations(prefix_nets, jobs=1),
-          lambda: run_simulations(prefix_nets, jobs=jobs),
-          _normalize_sim)
     check("verify",
           lambda: verify_many([rip_net], jobs=1),
           lambda: verify_many([rip_net], jobs=jobs),

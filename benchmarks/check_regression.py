@@ -175,15 +175,16 @@ def measure(workloads: list[str], repeats: int,
 
 
 def parallel_probe(record: observatory.RunRecord) -> None:
-    """Run a small jobs=2 sharded simulation under the full observability
-    stack and fold the parallel engine's accounting into ``record``:
+    """Run a small jobs=2 sharded per-prefix fault analysis (fig 13c) under
+    the full observability stack and fold the parallel engine's accounting
+    into ``record``:
     deterministic ``parallel.*`` counters (units through the pool, ledger
     coverage) join the gated set, and the work-ledger scheduling gauges
     (utilization, serialization bytes, LPT gap) ride along under the
     looser informational gauge tolerance."""
     import repro
     from repro import metrics
-    from repro.analysis.simulation import run_simulations
+    from repro.analysis.fault import per_prefix_fault_tolerance
     from repro.topology import sp_program
 
     nets = [repro.load(sp_program(4, d)) for d in (0, 1, 2)]
@@ -193,8 +194,8 @@ def parallel_probe(record: observatory.RunRecord) -> None:
     metrics.enable()
     try:
         t0 = perf_counter()
-        run_simulations(nets, jobs=2,
-                        unit_labels=[f"prefix{d}" for d in (0, 1, 2)])
+        per_prefix_fault_tolerance(
+            nets, jobs=2, unit_labels=[f"prefix{d}" for d in (0, 1, 2)])
         wall = perf_counter() - t0
         snap = perf.snapshot()
         gauges, _hists = metrics.sample()

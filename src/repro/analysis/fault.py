@@ -457,8 +457,7 @@ def _failure_scenarios(num_links: int, max_failures: int
 
 def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
                         incremental: bool = True, simplify: bool = True,
-                        max_conflicts: int | None = None,
-                        portfolio: int = 1, jobs: int | None = None
+                        max_conflicts: int | None = None
                         ) -> SmtFaultReport:
     """Check the assertion for every concrete failure scenario via SMT.
 
@@ -526,7 +525,7 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
         t0 = perf_counter()
         for failed, term in zip(scenarios, terms):
             solver.push_assumption(term)
-            smt = solver.check(max_conflicts, portfolio=portfolio, jobs=jobs)
+            smt = solver.check(max_conflicts)
             solver.relax()
             results.append(scenario_result(enc, smt, failed))
         solve_seconds = perf_counter() - t0
@@ -541,7 +540,7 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
                 solver.add(c)
             solver.add(tm.mk_not(prop))
             solver.add(scenario_term(tm, enc, failed))
-            smt = solver.check(max_conflicts, portfolio=portfolio, jobs=jobs)
+            smt = solver.check(max_conflicts)
             results.append(scenario_result(enc, smt, failed))
         solve_seconds = perf_counter() - t0
 

@@ -9,9 +9,9 @@ or excluded).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Sequence
+from typing import Any
 
-from .. import metrics, obs, parallel, perf
+from .. import metrics, obs, perf
 from .._struct import struct
 from ..srp.network import Network, functions_from_program
 from ..srp.simulate import simulate
@@ -99,66 +99,3 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
         violations = solution.check_assertions(funcs.assert_fn)
     return SimulationReport(solution, backend, setup_seconds,
                             simulate_seconds, violations)
-
-
-# ----------------------------------------------------------------------
-# Sharded execution: one simulation per destination prefix
-# ----------------------------------------------------------------------
-
-def freeze_simulation_report(report: SimulationReport) -> SimulationReport:
-    """Make a report transportable across the process boundary: converged
-    labels have their live :class:`~repro.eval.maps.NVMap`s replaced with
-    picklable :class:`~repro.eval.maps.FrozenMap` snapshots (map-free labels
-    come back unchanged)."""
-    from ..eval.maps import freeze_value
-
-    solution = report.solution
-    frozen = Solution([freeze_value(v) for v in solution.labels],
-                      iterations=solution.iterations,
-                      messages=solution.messages,
-                      stats=dict(solution.stats))
-    return SimulationReport(frozen, report.backend, report.setup_seconds,
-                            report.simulate_seconds, list(report.violations))
-
-
-def _sim_shard_factory(payload: dict[str, Any]):
-    """Worker-side factory for :func:`run_simulations`: per unit, simulate
-    one network (typically one destination prefix of the same topology —
-    the paper's fig 13c/14 per-prefix decomposition).  Interpreter
-    environments / compiled functions / BDD managers are rebuilt here,
-    once per unit, never pickled."""
-    nets: list[Network] = payload["nets"]
-
-    def run(idx: int) -> SimulationReport:
-        return freeze_simulation_report(run_simulation(
-            nets[idx], payload["symbolics"], payload["backend"],
-            incremental=payload["incremental"], lower=payload["lower"]))
-
-    return run
-
-
-def run_simulations(nets: Sequence[Network],
-                    symbolics: dict[str, Any] | None = None,
-                    backend: str = "interp",
-                    incremental: bool = True,
-                    lower: bool = False,
-                    jobs: int | None = 1,
-                    start_method: str | None = None,
-                    unit_labels: Sequence[str] | None = None
-                    ) -> list[SimulationReport]:
-    """Simulate several networks (one per destination prefix) to
-    convergence, sharded over a :mod:`repro.parallel` worker pool.
-
-    Reports come back in input order; ``jobs=1`` runs the same units
-    in-process through the same code path, so parallel output is identical
-    to serial.  ``jobs=None`` resolves ``NV_JOBS`` / CPU count.
-    ``unit_labels`` names each network (e.g. its source file) in unit
-    spans and the work ledger.
-    """
-    payload = {"nets": list(nets), "symbolics": symbolics,
-               "backend": backend, "incremental": incremental,
-               "lower": lower}
-    return parallel.run_sharded(
-        "repro.analysis.simulation:_sim_shard_factory", payload,
-        range(len(payload["nets"])), jobs=jobs, start_method=start_method,
-        label="sim", unit_labels=unit_labels)

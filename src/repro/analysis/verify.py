@@ -6,14 +6,10 @@ in every stable state for every assignment of symbolic values; SAT yields a
 counterexample: concrete symbolic values plus the converged attribute of each
 node, decoded from the model.
 
-Two parallel axes (§ "sharded analysis" of this repo):
-
-* :func:`verify_many` shards independent queries — one per destination
-  prefix, the granularity the paper's tables report — over a
-  :mod:`repro.parallel` worker pool;
-* ``verify(..., portfolio=k, jobs=n)`` races ``k`` diversified CDCL
-  strategies on a *single* query, cancelling losers on the first answer
-  (verdict-deterministic: SAT/UNSAT agrees across strategies).
+:func:`verify_many` decides several queries — one per destination prefix,
+the granularity the paper's tables report — either as one shared-encoding
+batch on a persistent solver, or as fresh queries sharded over a
+:mod:`repro.parallel` worker pool.
 """
 
 from __future__ import annotations
@@ -151,16 +147,9 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
 
 
 def verify(net: Network, simplify: bool = True,
-           max_conflicts: int | None = None,
-           portfolio: int = 1, jobs: int | None = None) -> VerificationResult:
+           max_conflicts: int | None = None) -> VerificationResult:
     """Verify the network's assertion over all stable states and all
-    assignments to symbolic values.
-
-    ``portfolio > 1`` races that many CDCL strategies on the SAT instance
-    (first answer wins); ``jobs`` bounds the racer processes.  The verdict
-    is identical to the serial solve; only the wall clock (and, for
-    counterexamples, the particular model) may differ.
-    """
+    assignments to symbolic values."""
     t0 = perf_counter()
     with obs.span("smt.encode", nodes=net.num_nodes, edges=len(net.edges),
                   simplify=simplify) as sp:
@@ -173,7 +162,7 @@ def verify(net: Network, simplify: bool = True,
             sp.attrs["constraints"] = len(enc.constraints)
     encode_seconds = perf_counter() - t0
 
-    smt = solver.check(max_conflicts, portfolio=portfolio, jobs=jobs)
+    smt = solver.check(max_conflicts)
     return _result_from_smt(net, enc, smt, encode_seconds)
 
 
@@ -261,7 +250,6 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
                 jobs: int | None = 1,
                 start_method: str | None = None,
                 incremental: bool = False,
-                portfolio: int = 1,
                 unit_labels: Sequence[str] | None = None
                 ) -> list[VerificationResult]:
     """Verify several networks (one SMT query per destination prefix).
@@ -282,13 +270,11 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
       (:func:`verify_many_incremental`).  Verdicts are identical to
       fresh mode (the incremental-equivalence gate pins this); the
       marginal query rides on the shared encoding, preprocessing and
-      learnt clauses.  ``jobs``/``start_method`` are ignored except for
-      ``portfolio`` racing inside each check.
+      learnt clauses.  ``jobs``/``start_method`` are ignored.
     """
     if incremental:
         return verify_many_incremental(
-            nets, simplify=simplify, max_conflicts=max_conflicts,
-            portfolio=portfolio, jobs=jobs)
+            nets, simplify=simplify, max_conflicts=max_conflicts)
     payload = {"nets": list(nets), "simplify": simplify,
                "max_conflicts": max_conflicts}
     return parallel.run_sharded(
@@ -298,8 +284,7 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
 
 
 def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
-                            max_conflicts: int | None = None,
-                            portfolio: int = 1, jobs: int | None = None
+                            max_conflicts: int | None = None
                             ) -> list[VerificationResult]:
     """Verify a batch of related queries over one shared encoding.
 
@@ -339,7 +324,7 @@ def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
     results: list[VerificationResult | None] = [None] * len(nets)
     for _, batch in groups:
         for (i, _), result in zip(batch, _verify_batch(
-                batch, simplify, max_conflicts, portfolio, jobs)):
+                batch, simplify, max_conflicts)):
             results[i] = result
     return results
 
@@ -360,8 +345,7 @@ def _var_sorts(net: Network) -> dict[str, int]:
 
 
 def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
-                  max_conflicts: int | None, portfolio: int,
-                  jobs: int | None) -> list[VerificationResult]:
+                  max_conflicts: int | None) -> list[VerificationResult]:
     """One shared encoding and persistent solver for the ``(input index,
     network)`` pairs of ``batch``, whose variables agree in sort (see
     :func:`verify_many_incremental`)."""
@@ -390,8 +374,7 @@ def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
     results: list[VerificationResult] = []
     for index, net, enc, query in queries:
         t0 = perf_counter()
-        smt = solver.check_assuming(query, max_conflicts,
-                                    portfolio=portfolio, jobs=jobs)
+        smt = solver.check_assuming(query, max_conflicts)
         per_query = perf_counter() - t0
         obs.event("verify.incremental_query", index=index,
                   status=smt.status, seconds=round(per_query, 6),

@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from .analysis.fault import FaultReport, fault_tolerance_analysis
-from .analysis.simulation import (SimulationReport, run_simulation,
-                                  run_simulations)
+from .analysis.simulation import SimulationReport, run_simulation
 from .analysis.verify import verify as _verify
 from .analysis.verify import verify_many as _verify_many
 from .lang.parser import parse_program
@@ -47,22 +46,17 @@ def simulate(net: Network, symbolics: dict[str, Any] | None = None,
 
 def simulate_many(nets: Sequence[Network],
                   symbolics: dict[str, Any] | None = None,
-                  backend: str = "interp",
-                  jobs: int | None = 1) -> list[SimulationReport]:
-    """Simulate several networks (e.g. one per destination prefix), sharded
-    over ``jobs`` worker processes.  ``jobs=None`` resolves ``NV_JOBS`` /
-    CPU count; reports come back in input order with frozen (picklable)
-    labels, identical in content to serial runs."""
-    return run_simulations(nets, symbolics, backend, jobs=jobs)
+                  backend: str = "interp") -> list[SimulationReport]:
+    """Simulate several networks (e.g. one per destination prefix), one
+    after another in this process; reports come back in input order, each
+    what :func:`simulate` returns for its network."""
+    return [run_simulation(net, symbolics, backend) for net in nets]
 
 
 def verify(net: Network, **kwargs: Any) -> VerificationResult:
     """Verify the network's assertion over *all* stable states and *all*
-    symbolic-value assignments via SMT (paper §5.2).
-
-    ``portfolio=k`` races ``k`` diversified CDCL strategies on the query
-    (first answer wins); ``jobs`` bounds the racer processes.
-    """
+    symbolic-value assignments via SMT (paper §5.2): one query, one
+    solve, in this process."""
     return _verify(net, **kwargs)
 
 

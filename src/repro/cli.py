@@ -4,21 +4,23 @@ Mirrors the original artifact's ``nv`` binary: point it at an NV source file
 (or a directory of router configurations) and pick an analysis.
 
     python -m repro simulate network.nv [--native] [--symbolic name=value ...]
-    python -m repro verify network.nv [--portfolio K]
+    python -m repro verify network.nv [--partition K] [--max-conflicts N]
     python -m repro fault network.nv [--links N] [--nodes] [--witnesses]
-
-The three analysis commands take ``--jobs N`` (default ``$NV_JOBS``, else
-the CPU count capped at 8).  ``simulate`` / ``verify`` shard several input
-files (one per destination prefix) over that many worker processes, and
-``--jobs 1`` runs the same units serially, in-process; ``--jobs`` also
-bounds the racing processes of ``--portfolio`` (``verify``, ``fault
---smt``).  Plain ``fault`` ignores it: the meta-protocol is one simulation,
-in-process, at any worker count.
     python -m repro explain network.nv NODE
     python -m repro translate configs_dir/ [--assert-prefix A.B.C.D/L] [-o out.nv]
 
 Symbolic values on the command line use NV literal syntax
 (``--symbolic route=None``, ``--symbolic x=5u8``).
+
+The three analysis commands take ``--jobs N`` (default ``$NV_JOBS``, else
+the CPU count capped at 8), resolved once before the command runs: a value
+that is not an integer is a usage error for each of them.  Only ``verify``
+uses it: ``--partition`` fragments and several files under
+``--no-incremental`` shard over that many worker processes, and ``--jobs
+1`` runs the same units serially, in-process.  ``simulate`` runs several
+files one after another in-process, each printed as its single-file run
+prints it, and ``fault`` is one simulation (or, with ``--smt``, one
+persistent solver), in-process, at any worker count.
 
 Observability flags shared by the analysis commands (see README
 "Observability"):
@@ -146,27 +148,23 @@ def _heartbeat_on(args: argparse.Namespace) -> bool:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .analysis.simulation import run_simulation, run_simulations
+    from .analysis.simulation import run_simulation
 
     _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
-    symbolics = _parse_symbolics(args.symbolic, nets[0])
+    symbolics = [_parse_symbolics(args.symbolic, net) for net in nets]
     backend = "native" if args.native else "interp"
-    if len(nets) == 1:
-        # Single network: run in-process (live labels, exact legacy output).
-        reports = [run_simulation(nets[0], symbolics, backend, lower=args.lower)]
-    else:
-        # Several networks (e.g. one file per destination prefix): shard
-        # over the worker pool.  Labels come back frozen (picklable
-        # snapshots) but summaries/violations are unaffected.
-        reports = run_simulations(nets, symbolics, backend, lower=args.lower,
-                                  jobs=parallel.resolve_jobs(args.jobs),
-                                  unit_labels=[str(f) for f in args.file])
     rc = 0
-    for path, report in zip(args.file, reports):
+    for path, net, syms in zip(args.file, nets, symbolics):
         if len(nets) > 1:
             print(f"== {path}")
+        # Each file prints what its single-file run prints, --stats table
+        # included; the registry still ends with the whole run's counts.
+        total = perf.snapshot()
+        perf.reset()
+        report = run_simulation(net, syms, backend, lower=args.lower)
         print(report.summary())
+        perf.merge(total)
         if args.show_routes:
             print(report.solution.pretty(max_nodes=args.max_nodes))
         if report.violations:
@@ -210,30 +208,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .analysis.verify import verify_many
     from .eval.values import value_repr
 
+    if args.max_conflicts is not None and args.max_conflicts < 0:
+        raise NvError(f"--max-conflicts must be >= 0, got {args.max_conflicts}")
     _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
     if (args.partition is not None or args.cuts is not None
             or args.partition_method is not None):
         return _cmd_verify_partitioned(args, nets)
     if len(nets) == 1:
-        results = [smt_verify(nets[0], max_conflicts=args.max_conflicts,
-                              portfolio=args.portfolio, jobs=args.jobs)]
+        results = [smt_verify(nets[0], max_conflicts=args.max_conflicts)]
     elif args.incremental:
         # Shared-encoding batch: one persistent solver, one assumption
         # selector per file; learnt clauses and preprocessing amortise
         # across queries (verdicts identical to fresh mode).
         results = verify_many(nets, max_conflicts=args.max_conflicts,
-                              incremental=True, portfolio=args.portfolio,
-                              jobs=args.jobs)
+                              incremental=True)
     else:
         # One independent SMT query per file (e.g. per destination prefix),
-        # sharded over the worker pool.  --portfolio targets a single hard
-        # query; with several files the parallelism axis is across queries.
-        if args.portfolio > 1:
-            print("note: --portfolio ignored with multiple files "
-                  "(queries shard across workers instead)", file=sys.stderr)
+        # sharded over the worker pool.
         results = verify_many(nets, max_conflicts=args.max_conflicts,
-                              jobs=parallel.resolve_jobs(args.jobs),
+                              jobs=args.jobs,
                               unit_labels=[str(f) for f in args.file])
     rc = 0
     for path, result in zip(args.file, results):
@@ -276,7 +270,7 @@ def _cmd_verify_partitioned(args: argparse.Namespace,
         net, partition=args.partition, cuts=cuts,
         method=args.partition_method or "auto",
         max_conflicts=args.max_conflicts,
-        jobs=parallel.resolve_jobs(args.jobs), symbolics=symbolics)
+        jobs=args.jobs, symbolics=symbolics)
     print(report.summary())
     if report.status == "counterexample":
         for name, value in (report.counterexample or {}).items():
@@ -306,6 +300,15 @@ def cmd_fault(args: argparse.Namespace) -> int:
     from .lang import types as T
     from .lang.parser import parse_expr
 
+    if args.links < 0 or (args.links == 0 and not args.nodes):
+        raise NvError("at least one link or node failure is required")
+    if args.smt:
+        unchecked = [flag for flag, given in (
+            ("--nodes", args.nodes), ("--witnesses", args.witnesses),
+            ("--drop", args.drop is not None)) if given]
+        if unchecked:
+            raise NvError(f"--smt checks link failures only; it does not "
+                          f"take {', '.join(unchecked)}")
     _maybe_enable_stats(args)
     net = _load_network(args.file)
     symbolics = _parse_symbolics(args.symbolic, net)
@@ -316,9 +319,7 @@ def cmd_fault(args: argparse.Namespace) -> int:
             print("note: --symbolic ignored with --smt (failure bits are "
                   "the symbolics)", file=sys.stderr)
         smt_report = fault_tolerance_smt(
-            net, num_link_failures=args.links,
-            incremental=args.incremental, portfolio=args.portfolio,
-            jobs=args.jobs)
+            net, num_link_failures=args.links, incremental=args.incremental)
         print(smt_report.summary())
         for s in smt_report.scenarios:
             if s.status != "verified":
@@ -326,15 +327,10 @@ def cmd_fault(args: argparse.Namespace) -> int:
         if args.stats:
             print(perf.report())
         return 0 if smt_report.fault_tolerant else 1
-    if args.links < 0 or (args.links == 0 and not args.nodes):
-        raise NvError("at least one link or node failure is required")
     drop_body = parse_expr(args.drop) if args.drop else None
     if drop_body is None and not isinstance(net.attr_ty, T.TOption):
         raise NvError(f"attribute type {net.attr_ty} is not an option; pass "
                       "--drop EXPR to define what a dropped route looks like")
-    # The meta-protocol runs in-process at any --jobs, but a malformed
-    # NV_JOBS stays a usage error.
-    parallel.resolve_jobs(args.jobs)
     report = fault_tolerance_sharded(
         net, symbolics, num_link_failures=args.links,
         node_failures=args.nodes, with_witnesses=args.witnesses,
@@ -525,18 +521,21 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
                         "else .nv-runs/)")
 
 
-def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes for sharded analyses "
-                        "(default: $NV_JOBS, else CPU count capped at "
-                        f"{parallel.MAX_DEFAULT_JOBS}; 1 = serial)")
+_JOBS_DEFAULT = ("default: $NV_JOBS, else CPU count capped at "
+                 f"{parallel.MAX_DEFAULT_JOBS}")
+_JOBS_UNUSED = (f"validated ({_JOBS_DEFAULT}) but without effect: this "
+                "command runs in-process at any worker count")
+
+
+def _add_jobs_arg(p: argparse.ArgumentParser, text: str = _JOBS_UNUSED) -> None:
+    p.add_argument("--jobs", type=int, default=None, metavar="N", help=text)
 
 
 def _simulate_args(simulate: argparse.ArgumentParser) -> None:
     simulate.add_argument("file", nargs="+",
                           help="NV source file(s); several files (e.g. one "
-                               "per destination prefix) shard across "
-                               "--jobs worker processes")
+                               "per destination prefix) run one after "
+                               "another, each under an '== FILE' header")
     simulate.add_argument("--native", action="store_true",
                           help="compile NV to Python first (§5.1)")
     simulate.add_argument("--symbolic", action="append", default=[],
@@ -555,15 +554,15 @@ def _simulate_args(simulate: argparse.ArgumentParser) -> None:
 
 def _verify_args(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("file", nargs="+",
-                        help="NV source file(s); several files run as "
+                        help="NV source file(s); several files run as one "
+                             "incremental batch, or with --no-incremental as "
                              "independent queries sharded across --jobs "
                              "worker processes")
-    verify.add_argument("--max-conflicts", type=int, default=None)
+    verify.add_argument("--max-conflicts", type=int, default=None,
+                        metavar="N",
+                        help="give up (exit 2, unknown) after N conflicts "
+                             "per query; N >= 0")
     verify.add_argument("--show-routes", action="store_true")
-    verify.add_argument("--portfolio", type=int, default=1, metavar="K",
-                        help="race K diversified CDCL strategies on a "
-                             "query; first answer wins, losers are "
-                             "cancelled")
     verify.add_argument("--incremental",
                         action=argparse.BooleanOptionalAction, default=True,
                         help="with several files: decide them as one "
@@ -596,7 +595,9 @@ def _verify_args(verify: argparse.ArgumentParser) -> None:
                              "needs them; fragment SMT still explores all "
                              "assignments)")
     _add_obs_args(verify)
-    _add_jobs_arg(verify)
+    _add_jobs_arg(verify, "worker processes for --partition fragments and "
+                          f"--no-incremental queries ({_JOBS_DEFAULT}; "
+                          "1 = serial)")
     verify.set_defaults(fn=cmd_verify)
 
 
@@ -621,8 +622,6 @@ def _fault_args(fault: argparse.ArgumentParser) -> None:
                        help="with --smt: reuse one persistent solver across "
                             "scenarios (default); --no-incremental re-solves "
                             "each scenario from scratch")
-    fault.add_argument("--portfolio", type=int, default=1, metavar="K",
-                       help="with --smt: race K CDCL strategies per scenario")
     _add_obs_args(fault)
     _add_jobs_arg(fault)
     fault.set_defaults(fn=cmd_fault)
@@ -738,6 +737,14 @@ def _run(argv: list[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
+    if hasattr(args, "jobs"):
+        # simulate / verify / fault: a malformed NV_JOBS is a usage error
+        # in every mode, also where the worker count has no effect.
+        try:
+            args.jobs = parallel.resolve_jobs(args.jobs)
+        except parallel.ParallelError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
     tracing = _tracing(args)
     metrics_on = _metrics_on(args)
     recording = getattr(args, "record", None) is not None

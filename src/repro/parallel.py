@@ -1,12 +1,13 @@
 """Process-pool execution subsystem (``repro.parallel``).
 
-The paper's heaviest workloads — all-prefix simulation (fig 14),
-per-prefix fault tolerance (fig 13c), and per-destination SMT verification
-(fig 12) — decompose into *embarrassingly independent* units: prefixes,
-concrete failure scenarios, destination slices.  (The fig 5 meta-protocol
-does not: its scenarios share diagrams, so it runs once, in-process.)
-This module is the
-shared fan-out engine the analysis drivers run those units through:
+Per-prefix fault tolerance (fig 13c), the one-simulation-per-scenario
+baseline, per-destination SMT verification (fig 12) and the fragments of a
+partitioned verification decompose into *embarrassingly independent*
+units: prefixes, concrete failure scenarios, destination slices,
+fragments.  (The fig 5 meta-protocol does not: its scenarios share
+diagrams, so it runs once, in-process; several simulations run one after
+another, in-process, because sharding them never paid.)  This module is
+the shared fan-out engine the analysis drivers run those units through:
 
 * **Warm persistent workers.**  A :class:`WorkerPool` starts ``jobs``
   processes once per run.  Each worker receives one picklable *payload*
@@ -46,9 +47,6 @@ shared fan-out engine the analysis drivers run those units through:
   result/bytes → ingested) and publishes pool utilization, per-worker
   busy/idle time, serialization overhead and the queue-wait distribution as
   a ``parallel.ledger`` trace event plus metrics gauges/histograms.
-* **First-answer racing** (:func:`race`) for SAT portfolios: N workers
-  attack the same problem with different seeds; the first answer wins and
-  the losers are cancelled (terminated) immediately.
 
 Worker selection: ``jobs`` argument > ``NV_JOBS`` environment variable >
 ``os.cpu_count()`` capped at :data:`MAX_DEFAULT_JOBS`.  The ``fork`` start
@@ -803,122 +801,3 @@ def run_sharded(worker_ref: str, payload: Any, units: Sequence[Any], *,
                     sp.attrs[key] = s[key]
     perf.merge({"sharded_runs": 1, "units": len(out)}, prefix="parallel.")
     return out
-
-
-# ----------------------------------------------------------------------
-# First-answer racing (SAT portfolio support)
-# ----------------------------------------------------------------------
-
-class _NoCommon:
-    """Sentinel: :func:`race` called without a shared payload — workers
-    keep their historical one-argument signature.  A class (not an
-    instance) so identity survives pickling under the spawn start
-    method."""
-
-
-_NO_COMMON = _NoCommon
-
-
-def _race_main(idx: int, worker_ref: str, payload: Any,
-               result_q: Any, common: Any = _NO_COMMON) -> None:
-    try:
-        fn = _resolve_ref(worker_ref)
-        result = (fn(payload) if common is _NO_COMMON
-                  else fn(payload, common))
-        result_q.put(("ok", idx, result))
-    except BaseException as exc:  # noqa: BLE001
-        result_q.put(("error", idx, _format_exc(exc)))
-
-
-def race(worker_ref: str, payloads: Sequence[Any], *,
-         jobs: int | None = None,
-         start_method: str | None = None,
-         common: Any = _NO_COMMON) -> tuple[int, Any]:
-    """Race ``worker(payload_i)`` across processes; first answer wins.
-
-    Returns ``(winner_index, result)`` and terminates the losers
-    immediately — the SAT portfolio's cancel-on-first-answer semantics.
-    With ``jobs=1`` (or one payload) only ``payloads[0]`` runs, in-process:
-    the serial path is deterministic by construction.
-
-    ``common`` (optional) is a racer-independent payload shared by every
-    contender, passed as the worker's second positional argument.  Put the
-    bulk of the instance there (e.g. a large clause database raced under
-    per-racer strategy configs): under the default ``fork`` start method
-    it reaches children by copy-on-write inheritance rather than being
-    serialised per racer — this is what keeps portfolio racing cheap to
-    launch on top of an incrementally accumulated encoding.
-
-    Unlike :func:`run_sharded`, racers are short-lived dedicated processes
-    (not pool workers): cancelling a loser means killing it mid-solve,
-    which must never take a warm pool down with it.
-
-    The race's lifecycle is ledgered on the trace/metrics channels:
-    ``parallel.race_started`` / ``parallel.race_won`` events carry the
-    contender count and the winning wall time, and the wall time feeds the
-    ``parallel.race_wall_seconds`` histogram.
-    """
-    payloads = list(payloads)
-    if not payloads:
-        raise ParallelError("race() needs at least one payload")
-    jobs = resolve_jobs(jobs)
-    t_start = time.time()
-    if jobs <= 1 or len(payloads) == 1:
-        if common is _NO_COMMON:
-            result = _resolve_ref(worker_ref)(payloads[0])
-        else:
-            result = _resolve_ref(worker_ref)(payloads[0], common)
-        wall = time.time() - t_start
-        obs.event("parallel.race_won", winner=0, contenders=1,
-                  wall_seconds=round(wall, 6))
-        metrics.observe("parallel.race_wall_seconds", wall)
-        perf.merge({"races": 1}, prefix="parallel.")
-        return 0, result
-
-    import multiprocessing as mp
-
-    ctx = mp.get_context(start_method or default_start_method())
-    result_q = ctx.Queue()
-    procs = []
-    for idx, payload in enumerate(payloads[:jobs]):
-        p = ctx.Process(target=_race_main,
-                        args=(idx, worker_ref, payload, result_q, common),
-                        daemon=True, name=f"repro-racer-{idx}")
-        p.start()
-        procs.append(p)
-    obs.event("parallel.race_started", contenders=len(procs))
-    import queue as queue_mod
-
-    errors: list[tuple[str, str]] = []
-
-    def failed(what: str) -> ParallelError:
-        lines = "; ".join(line for _, line in errors)
-        return ParallelError(f"{what}: {lines}" if lines else what,
-                             remote_traceback="\n".join(tb for tb, _ in errors))
-
-    try:
-        while True:
-            try:
-                kind, idx, result = result_q.get(timeout=1.0)
-            except queue_mod.Empty:
-                if all(not p.is_alive() for p in procs):
-                    raise failed("every portfolio racer died without an "
-                                 "answer")
-                continue
-            if kind == "ok":
-                wall = time.time() - t_start
-                obs.event("parallel.race_won", winner=idx,
-                          contenders=len(procs),
-                          wall_seconds=round(wall, 6))
-                metrics.observe("parallel.race_wall_seconds", wall)
-                perf.merge({"races": 1}, prefix="parallel.")
-                return idx, result
-            errors.append(result)
-            if len(errors) == len(procs):
-                raise failed("every portfolio racer failed")
-    finally:
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=5.0)

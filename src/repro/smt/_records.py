@@ -53,21 +53,6 @@ def preprocess_PreprocessStats(_FACTORY, _set, _d_clauses_in, _d_clauses_out, _d
     return NotImplemented
   return {'__init__': __init__, '__eq__': __eq__}
 
-# repro.smt.sat.SatConfig
-def sat_SatConfig(_FACTORY, _set, _d_restart_base, _d_var_decay, _d_default_phase, _d_seed):
-  def __init__(self, restart_base=_d_restart_base, var_decay=_d_var_decay, default_phase=_d_default_phase, seed=_d_seed):
-    _set(self, 'restart_base', restart_base)
-    _set(self, 'var_decay', var_decay)
-    _set(self, 'default_phase', default_phase)
-    _set(self, 'seed', seed)
-  def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.restart_base,self.var_decay,self.default_phase,self.seed,) == (other.restart_base,other.var_decay,other.default_phase,other.seed,)
-    return NotImplemented
-  def __hash__(self): return hash((self.restart_base,self.var_decay,self.default_phase,self.seed,))
-  def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")
-  def __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")
-  return {'__init__': __init__, '__eq__': __eq__, '__hash__': __hash__, '__setattr__': __setattr__, '__delattr__': __delattr__}
-
 # repro.smt.solver.SmtResult
 def solver_SmtResult(_FACTORY, _set, _f_model_bools, _f_model_bvs, _d_num_vars, _d_num_clauses, _d_encode_seconds, _d_solve_seconds, _d_conflicts, _d_decisions, _d_propagations, _d_restarts, _f_stats, _f_core):
   def __init__(self, status, model_bools=_FACTORY, model_bvs=_FACTORY, num_vars=_d_num_vars, num_clauses=_d_num_clauses, encode_seconds=_d_encode_seconds, solve_seconds=_d_solve_seconds, conflicts=_d_conflicts, decisions=_d_decisions, propagations=_d_propagations, restarts=_d_restarts, stats=_FACTORY, core=_FACTORY):
@@ -114,8 +99,6 @@ METHODS = {
         encode_nv_VerificationResult,
     'def __init__(self, clauses_in=_d_clauses_in, clauses_out=_d_clauses_out, units_fixed=_d_units_fixed, duplicates_dropped=_d_duplicates_dropped, tautologies_dropped=_d_tautologies_dropped, subsumed=_d_subsumed, strengthened=_d_strengthened, vars_eliminated=_d_vars_eliminated, rounds=_d_rounds):\n  self.clauses_in = clauses_in\n  self.clauses_out = clauses_out\n  self.units_fixed = units_fixed\n  self.duplicates_dropped = duplicates_dropped\n  self.tautologies_dropped = tautologies_dropped\n  self.subsumed = subsumed\n  self.strengthened = strengthened\n  self.vars_eliminated = vars_eliminated\n  self.rounds = rounds\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.clauses_in,self.clauses_out,self.units_fixed,self.duplicates_dropped,self.tautologies_dropped,self.subsumed,self.strengthened,self.vars_eliminated,self.rounds,) == (other.clauses_in,other.clauses_out,other.units_fixed,other.duplicates_dropped,other.tautologies_dropped,other.subsumed,other.strengthened,other.vars_eliminated,other.rounds,)\n  return NotImplemented':
         preprocess_PreprocessStats,
-    'def __init__(self, restart_base=_d_restart_base, var_decay=_d_var_decay, default_phase=_d_default_phase, seed=_d_seed):\n  _set(self, \'restart_base\', restart_base)\n  _set(self, \'var_decay\', var_decay)\n  _set(self, \'default_phase\', default_phase)\n  _set(self, \'seed\', seed)\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.restart_base,self.var_decay,self.default_phase,self.seed,) == (other.restart_base,other.var_decay,other.default_phase,other.seed,)\n  return NotImplemented\ndef __hash__(self): return hash((self.restart_base,self.var_decay,self.default_phase,self.seed,))\ndef __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")\ndef __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")':
-        sat_SatConfig,
     'def __init__(self, status, model_bools=_FACTORY, model_bvs=_FACTORY, num_vars=_d_num_vars, num_clauses=_d_num_clauses, encode_seconds=_d_encode_seconds, solve_seconds=_d_solve_seconds, conflicts=_d_conflicts, decisions=_d_decisions, propagations=_d_propagations, restarts=_d_restarts, stats=_FACTORY, core=_FACTORY):\n  self.status = status\n  self.model_bools = _f_model_bools() if model_bools is _FACTORY else model_bools\n  self.model_bvs = _f_model_bvs() if model_bvs is _FACTORY else model_bvs\n  self.num_vars = num_vars\n  self.num_clauses = num_clauses\n  self.encode_seconds = encode_seconds\n  self.solve_seconds = solve_seconds\n  self.conflicts = conflicts\n  self.decisions = decisions\n  self.propagations = propagations\n  self.restarts = restarts\n  self.stats = _f_stats() if stats is _FACTORY else stats\n  self.core = _f_core() if core is _FACTORY else core\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.status,self.model_bools,self.model_bvs,self.num_vars,self.num_clauses,self.encode_seconds,self.solve_seconds,self.conflicts,self.decisions,self.propagations,self.restarts,self.stats,self.core,) == (other.status,other.model_bools,other.model_bvs,other.num_vars,other.num_clauses,other.encode_seconds,other.solve_seconds,other.conflicts,other.decisions,other.propagations,other.restarts,other.stats,other.core,)\n  return NotImplemented':
         solver_SmtResult,
     'def __init__(self, op, args, payload, width):\n  _set(self, \'op\', op)\n  _set(self, \'args\', args)\n  _set(self, \'payload\', payload)\n  _set(self, \'width\', width)\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.op,self.args,self.payload,self.width,) == (other.op,other.args,other.payload,other.width,)\n  return NotImplemented\ndef __hash__(self): return hash((self.op,self.args,self.payload,self.width,))\ndef __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")\ndef __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")\ndef __getstate__(self): return [getattr(self, n) for n in self.__struct_fields__]\ndef __setstate__(self, state):\n  for n, v in zip(self.__struct_fields__, state): _set(self, n, v)':

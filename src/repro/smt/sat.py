@@ -28,53 +28,19 @@ here, replacing the Z3 dependency of the original artifact.
 
 from __future__ import annotations
 
-import random
 from time import perf_counter
 from typing import Iterable, Sequence
 
 from .. import metrics, obs
-from .._struct import struct
 
 #: Emit a ``sat.progress`` timeline event every this many conflicts while
 #: tracing (see :mod:`repro.obs`); restarts are always emitted.
 _CONFLICT_SAMPLE = 512
 
-
-@struct(frozen=True)
-class SatConfig:
-    """Search-strategy knobs for one :class:`SatSolver` instance.
-
-    A *portfolio* races several solvers with different configs on the same
-    CNF (paper-adjacent: portfolio SAT is the standard way to parallelise
-    CDCL without sharing clauses).  Every config decides the same formula —
-    SAT/UNSAT answers agree across seeds; only the wall clock and, for SAT,
-    the particular model may differ.  The default config is the exact
-    strategy the serial solver has always used, so a one-entry portfolio is
-    bit-identical to a plain solve.
-
-    ``seed`` perturbs the *initial* VSIDS activities with tiny random
-    values (< 1e-6, far below the 1.0 bump quantum), diversifying the early
-    decision order without overriding learned activity.
-    """
-
-    restart_base: int = 100          # conflicts per Luby restart unit
-    var_decay: float = 0.95          # VSIDS activity decay factor
-    default_phase: bool = False      # initial saved phase for every variable
-    seed: int | None = None          # None: no activity jitter
-
-
-def portfolio_configs(n: int) -> list[SatConfig]:
-    """``n`` diversified configs; index 0 is always the default strategy
-    (so racing a 1-entry portfolio degenerates to the plain solve)."""
-    variants = [
-        SatConfig(),
-        SatConfig(restart_base=50, var_decay=0.90, default_phase=True, seed=1),
-        SatConfig(restart_base=400, var_decay=0.97, seed=2),
-        SatConfig(restart_base=100, var_decay=0.85, default_phase=True, seed=3),
-    ]
-    while len(variants) < n:
-        variants.append(SatConfig(seed=len(variants)))
-    return variants[:max(1, n)]
+#: The search strategy: conflicts per Luby restart unit, and the VSIDS
+#: activity decay factor.  A new variable's saved phase is ``False``.
+_RESTART_BASE = 100
+_VAR_DECAY = 0.95
 
 
 class _VarHeap:
@@ -88,10 +54,6 @@ class _VarHeap:
         self.pos: list[int] = [-1] * (num_vars + 1)
         for i, v in enumerate(self.heap):
             self.pos[v] = i
-        # Establish the heap invariant: initial activities need not be
-        # uniform (portfolio seeds jitter them before construction).
-        for i in range(len(self.heap) // 2 - 1, -1, -1):
-            self._sift_down(i)
 
     def _sift_up(self, i: int) -> None:
         heap = self.heap
@@ -171,10 +133,7 @@ class _VarHeap:
 
 
 class SatSolver:
-    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]],
-                 config: SatConfig | None = None) -> None:
-        if config is None:
-            config = SatConfig()
+    def __init__(self, num_vars: int, clauses: Iterable[Sequence[int]]) -> None:
         self.num_vars = num_vars
         self.assign = [0] * (num_vars + 1)          # -1 / 0 / +1
         self.level = [0] * (num_vars + 1)
@@ -192,16 +151,8 @@ class SatSolver:
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars + 1)]
         self.activity = [0.0] * (num_vars + 1)
         self.var_inc = 1.0
-        self.var_decay = 1.0 / config.var_decay
-        self.restart_base = config.restart_base
-        self._default_phase = config.default_phase
-        self.phase = [config.default_phase] * (num_vars + 1)
-        if config.seed is not None:
-            # Sub-quantum jitter: diversifies tie-breaking among untouched
-            # variables without outweighing a single real activity bump.
-            rng = random.Random(config.seed)
-            for v in range(1, num_vars + 1):
-                self.activity[v] = rng.random() * 1e-6
+        self.var_decay = 1.0 / _VAR_DECAY
+        self.phase = [False] * (num_vars + 1)
         self.order = _VarHeap(num_vars, self.activity)
         self.ok = True
         #: Assumption literals for the *current* :meth:`solve` call, enqueued
@@ -236,8 +187,8 @@ class SatSolver:
     def ensure_num_vars(self, num_vars: int) -> None:
         """Grow the variable universe to ``num_vars`` (no-op if smaller).
 
-        New variables start unassigned, with zero activity and the config's
-        default phase, and are entered into the decision heap — this is how
+        New variables start unassigned, with zero activity and saved phase
+        ``False``, and are entered into the decision heap — this is how
         an incremental client extends the instance between solves."""
         if num_vars <= self.num_vars:
             return
@@ -246,7 +197,7 @@ class SatSolver:
         self.level.extend([0] * grow)
         self.reason.extend([None] * grow)
         self.activity.extend([0.0] * grow)
-        self.phase.extend([self._default_phase] * grow)
+        self.phase.extend([False] * grow)
         # The new positive slots follow the old ones and the new negative
         # slots precede them, so the old negative slots keep their distance
         # from the end: insert both runs between the two halves.
@@ -623,7 +574,7 @@ class SatSolver:
     def _solve_loop(self, max_conflicts: int | None) -> bool | None:
         restart_idx = 0
         while True:
-            budget = self.restart_base * _luby(restart_idx)
+            budget = _RESTART_BASE * _luby(restart_idx)
             restart_idx += 1
             result = self._search(budget, max_conflicts)
             if result is not None:
@@ -635,7 +586,7 @@ class SatSolver:
                 obs.event("sat.restart", restarts=self.restarts,
                           conflicts=self.conflicts, decisions=self.decisions,
                           learnts=len(self.learnts),
-                          next_budget=self.restart_base * _luby(restart_idx))
+                          next_budget=_RESTART_BASE * _luby(restart_idx))
             if self._telemetry:
                 self._telemetry_interval()
             self._backjump(0)

@@ -21,16 +21,6 @@ Two operating modes:
   place (melting preprocessor-eliminated variables they mention).  After
   an UNSAT answer under assumptions, ``SmtResult.core`` holds the failed
   subset.
-
-``check(portfolio=k, jobs=n)`` races ``k`` diversified CDCL strategies
-(:func:`repro.smt.sat.portfolio_configs`) over a :func:`repro.parallel.race`
-— first answer wins, losers are cancelled.  SAT/UNSAT verdicts agree across
-strategies (they decide the same CNF), so the portfolio is
-verdict-deterministic; only wall clock and, for SAT, the particular model
-may differ.  ``portfolio=1`` (the default) is the bit-identical serial
-path.  In incremental mode the racers solve the persistent (preprocessed)
-clause database under the current assumptions, so encode + preprocess cost
-is still amortised across the batch.
 """
 
 from __future__ import annotations
@@ -39,12 +29,12 @@ import sys
 from time import perf_counter
 from typing import Any, Callable
 
-from .. import obs, parallel, perf
+from .. import obs, perf
 from .._struct import field, struct
 from .bitblast import BitBlaster
 from .cnf import POS, Tseitin
 from .preprocess import Preprocessor
-from .sat import SatSolver, portfolio_configs
+from .sat import SatSolver
 from .terms import TermManager
 
 #: Instances below this many clauses skip preprocessing: the passes cost
@@ -99,30 +89,6 @@ def _solver_stats(solver: SatSolver) -> dict[str, int]:
             "propagations": solver.propagations, "restarts": solver.restarts}
 
 
-def _portfolio_worker(payload: dict[str, Any],
-                      common: dict[str, Any] | None = None
-                      ) -> tuple[bool | None, list[int] | None, dict[str, int]]:
-    """One portfolio racer: solve the shared CNF under one strategy.
-
-    Returns ``(outcome, assignment-or-None, stats)``; the assignment is the
-    raw ``assign`` array so the parent can extract a model without shipping
-    the solver object across the process boundary.  ``payload`` may carry
-    ``assumptions`` (incremental-mode racing: decide the shared database
-    under the current selector literals).  The strategy-independent part
-    of the instance may arrive via :func:`repro.parallel.race`'s shared
-    ``common`` payload instead of being replicated per racer.
-    """
-    if common:
-        payload = {**common, **payload}
-    solver = SatSolver(payload["num_vars"], payload["clauses"],
-                       config=payload["config"])
-    _hint_tags(solver, payload["tag_vars"])
-    outcome = solver.solve(payload["max_conflicts"],
-                           assumptions=payload.get("assumptions", ()))
-    assign = list(solver.assign) if outcome else None
-    return outcome, assign, _solver_stats(solver)
-
-
 class Solver:
     """Solver over a :class:`TermManager`'s boolean terms.
 
@@ -146,7 +112,6 @@ class Solver:
         self._pre: Preprocessor | None = None
         self._asserted = 0        # prefix of self.assertions already encoded
         self._cursor = 0          # prefix of cnf.clauses already fed to _sat
-        self._fed: list[tuple[int, ...]] = []  # clauses fed, in order
         self._handles: dict[int, int] = {}     # term -> assumption literal
         self._stack: list[int] = []            # pushed assumption literals
         self._root_unsat = False
@@ -184,8 +149,7 @@ class Solver:
         else:
             del self._stack[len(self._stack) - n:]
 
-    def check_assuming(self, term: int, max_conflicts: int | None = None,
-                       portfolio: int = 1, jobs: int | None = None
+    def check_assuming(self, term: int, max_conflicts: int | None = None
                        ) -> SmtResult:
         """Decide the assertions with ``term`` temporarily assumed on top of
         the current stack, then retract it.  The workhorse of selector
@@ -195,7 +159,7 @@ class Solver:
         across the checks."""
         self.push_assumption(term)
         try:
-            return self.check(max_conflicts, portfolio=portfolio, jobs=jobs)
+            return self.check(max_conflicts)
         finally:
             self.relax(1)
 
@@ -219,23 +183,15 @@ class Solver:
     # Check
     # ------------------------------------------------------------------
 
-    def check(self, max_conflicts: int | None = None,
-              portfolio: int = 1, jobs: int | None = None) -> SmtResult:
+    def check(self, max_conflicts: int | None = None) -> SmtResult:
         """Decide the asserted terms (plus, in incremental mode, the
-        currently pushed assumptions).
-
-        ``portfolio > 1`` races that many diversified CDCL strategies
-        (first answer wins, losers cancelled); ``jobs`` bounds the racer
-        processes (``None`` resolves ``NV_JOBS``/CPU count).  With
-        ``jobs=1`` or ``portfolio=1`` only the default strategy runs,
-        in-process — identical to the plain serial solve.
-        """
+        currently pushed assumptions)."""
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 1_000_000))
         try:
             if self.incremental:
-                return self._check_incremental(max_conflicts, portfolio, jobs)
-            return self._check(max_conflicts, portfolio, jobs)
+                return self._check_incremental(max_conflicts)
+            return self._check(max_conflicts)
         finally:
             sys.setrecursionlimit(old_limit)
 
@@ -243,8 +199,7 @@ class Solver:
     # Fresh mode
     # ------------------------------------------------------------------
 
-    def _check(self, max_conflicts: int | None, portfolio: int = 1,
-               jobs: int | None = None) -> SmtResult:
+    def _check(self, max_conflicts: int | None) -> SmtResult:
         t0 = perf_counter()
         with obs.span("smt.bitblast", assertions=len(self.assertions)) as sp:
             blaster = BitBlaster(self.tm)
@@ -267,17 +222,13 @@ class Solver:
 
         tag_vars = _tag_vars(cnf)
         t0 = perf_counter()
-        with obs.span("smt.solve", vars=cnf.num_vars, portfolio=portfolio,
+        with obs.span("smt.solve", vars=cnf.num_vars,
                       clauses=len(cnf.clauses)) as sp:
             if clauses is None:       # preprocessing refuted at level 0
                 outcome: bool | None = False
                 model_value: Callable[[int], bool] = lambda var: False
                 stats = {"conflicts": 0, "decisions": 0,
                          "propagations": 0, "restarts": 0}
-            elif portfolio > 1:
-                outcome, model_value, stats = self._solve_portfolio(
-                    cnf.num_vars, clauses, tag_vars, max_conflicts,
-                    portfolio, jobs, pre=pre)
             else:
                 solver = SatSolver(cnf.num_vars, clauses)
                 _hint_tags(solver, tag_vars)
@@ -310,8 +261,7 @@ class Solver:
             self._tseitin.assert_term(self._blaster.blast_bool(term))
             self._asserted += 1
 
-    def _check_incremental(self, max_conflicts: int | None,
-                           portfolio: int, jobs: int | None) -> SmtResult:
+    def _check_incremental(self, max_conflicts: int | None) -> SmtResult:
         t0 = perf_counter()
         with obs.span("smt.bitblast", assertions=len(self.assertions),
                       incremental=True) as sp:
@@ -334,7 +284,6 @@ class Solver:
             if clauses is None:
                 self._root_unsat = True
             else:
-                self._fed = list(clauses)
                 self._sat = SatSolver(cnf.num_vars, clauses)
                 _hint_tags(self._sat, _tag_vars(cnf))
             self._cursor = len(cnf.clauses)
@@ -353,7 +302,7 @@ class Solver:
 
         assumptions = list(self._stack)
         t0 = perf_counter()
-        with obs.span("smt.solve", vars=cnf.num_vars, portfolio=portfolio,
+        with obs.span("smt.solve", vars=cnf.num_vars,
                       clauses=len(cnf.clauses), incremental=True,
                       assumptions=len(assumptions)) as sp:
             core: list[int] = []
@@ -363,11 +312,6 @@ class Solver:
                 model_value: Callable[[int], bool] = lambda var: False
                 stats = {"conflicts": 0, "decisions": 0,
                          "propagations": 0, "restarts": 0}
-            elif portfolio > 1:
-                outcome, model_value, stats = self._solve_portfolio(
-                    self._sat.num_vars, self._fed, _tag_vars(cnf),
-                    max_conflicts, portfolio, jobs, pre=self._pre,
-                    assumptions=assumptions)
             else:
                 before = _solver_stats(self._sat)
                 outcome = self._sat.solve(max_conflicts,
@@ -409,7 +353,6 @@ class Solver:
                             "melted_clauses": len(restored)}, prefix="sat.")
                 new = restored + new
         for clause in new:
-            self._fed.append(tuple(clause))
             self._sat.add_clause(clause)
 
     # ------------------------------------------------------------------
@@ -462,38 +405,6 @@ class Solver:
                     value = (value << 1) | (1 if bit else 0)
                 result.model_bvs[name] = value
         return result
-
-    @staticmethod
-    def _solve_portfolio(num_vars: int, clauses: list, tag_vars: list[int],
-                         max_conflicts: int | None, portfolio: int,
-                         jobs: int | None, pre: Preprocessor | None = None,
-                         assumptions: list[int] | None = None
-                         ) -> tuple[bool | None, Callable[[int], bool],
-                                    dict[str, int]]:
-        """Race diversified strategies on the shared CNF; first answer wins.
-
-        The winner's stats become the result's stats (they are the work the
-        answer actually cost); losers' work is cancelled and uncounted.
-        """
-        configs = portfolio_configs(portfolio)
-        common = {"num_vars": num_vars, "clauses": clauses,
-                  "tag_vars": tag_vars, "max_conflicts": max_conflicts,
-                  "assumptions": list(assumptions or ())}
-        payloads = [{"config": config} for config in configs]
-        winner, (outcome, assign, stats) = parallel.race(
-            "repro.smt.solver:_portfolio_worker", payloads, jobs=jobs,
-            common=common)
-        perf.merge({"portfolio_races": 1, "portfolio_size": len(payloads)},
-                   prefix="sat.")
-        obs.event("sat.portfolio", winner=winner, size=len(payloads),
-                  config=repr(configs[winner]))
-        if assign is not None and pre is not None:
-            pre.extend_model(assign)
-
-        def model_value(var: int) -> bool:
-            return assign is not None and assign[var] == 1
-
-        return outcome, model_value, stats
 
 
 def _frozen_vars(tseitin: Tseitin) -> set[int]:

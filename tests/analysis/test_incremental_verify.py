@@ -57,12 +57,6 @@ class TestVerifyManyIncremental:
         hijack = inc[2]
         assert isinstance(hijack.counterexample["route"], VSome)
 
-    def test_incremental_portfolio_matches(self):
-        nets = self._batch()[:2]
-        inc = verify_many(nets, incremental=True)
-        port = verify_many(nets, incremental=True, portfolio=2, jobs=1)
-        assert [r.status for r in inc] == [r.status for r in port]
-
     def test_single_net_batch(self):
         [r] = verify_many([load(RIP_TRIANGLE)], incremental=True)
         assert r.status == "verified"

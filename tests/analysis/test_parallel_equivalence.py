@@ -1,8 +1,8 @@
 """Parallel-vs-serial equivalence: the sharded drivers must produce results
 identical to their serial counterparts (``jobs>1`` must change nothing but
-wall clock).  For simulation and verification the units are the inputs, so
-``jobs=1`` runs the same units in-process, and so do the fault axes that
-shard (one analysis per prefix, one simulation per scenario).  The fig 5
+wall clock).  For verification the units are the inputs, so ``jobs=1`` runs
+the same units in-process, and so do the fault axes that shard (one
+analysis per prefix, one simulation per scenario).  The fig 5
 meta-protocol is one in-process simulation at any worker count: its report
 must not depend on ``NV_JOBS``, and no pool may start."""
 
@@ -14,11 +14,9 @@ from repro.analysis.fault import (fault_tolerance_analysis,
                                   fault_tolerance_sharded, freeze_fault_report,
                                   naive_fault_tolerance,
                                   per_prefix_fault_tolerance, route_order_key)
-from repro.analysis.simulation import run_simulation, run_simulations
 from repro.analysis.verify import verify, verify_many
 from repro.cli import main
 from repro.eval.maps import freeze_value
-from repro.topology import sp_program
 
 from tests.helpers import RIP_TRIANGLE
 
@@ -166,35 +164,6 @@ class TestFaultEquivalence:
         tolerant2, n2 = naive_fault_tolerance(broken, jobs=2)
         assert (tolerant1, n1) == (tolerant2, n2)
         assert not tolerant1
-
-
-class TestSimulationEquivalence:
-    def test_jobs_invariant_per_prefix(self):
-        nets = [repro.load(sp_program(4, d)) for d in (0, 1, 2)]
-        serial = run_simulations(nets, jobs=1)
-        fanned = run_simulations(nets, jobs=2)
-        for a, b in zip(serial, fanned):
-            assert a.solution.labels == b.solution.labels
-            assert a.violations == b.violations
-            assert a.solution.iterations == b.solution.iterations
-            assert a.solution.messages == b.solution.messages
-            assert a.solution.stats == b.solution.stats
-
-    def test_sharded_matches_direct(self):
-        net = repro.load(BGP_CHAIN)
-        direct = run_simulation(net)
-        [sharded] = run_simulations([net], jobs=2)
-        assert [freeze_value(v) for v in direct.solution.labels] == \
-            sharded.solution.labels
-        assert direct.violations == sharded.violations
-
-    def test_native_backend_jobs_invariant(self):
-        nets = [repro.load(sp_program(4, d)) for d in (0, 1)]
-        serial = run_simulations(nets, backend="native", jobs=1)
-        fanned = run_simulations(nets, backend="native", jobs=2)
-        for a, b in zip(serial, fanned):
-            assert a.solution.labels == b.solution.labels
-            assert a.violations == b.violations
 
 
 class TestVerificationEquivalence:

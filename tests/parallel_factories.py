@@ -78,16 +78,3 @@ def make_killer(payload: dict[str, Any]):
         return i
 
     return run
-
-
-def racer(payload: dict[str, Any]) -> str:
-    """A race contender: sleeps ``delay`` seconds, then answers."""
-    time.sleep(payload.get("delay", 0.0))
-    return payload["answer"]
-
-
-def crashing_racer(payload: dict[str, Any]) -> str:
-    if payload.get("crash", False):
-        raise RuntimeError("racer crashed")
-    time.sleep(payload.get("delay", 0.0))
-    return payload["answer"]

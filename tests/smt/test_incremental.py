@@ -184,38 +184,3 @@ class TestIncrementalVsFresh:
                 for b in base:
                     assert evaluate(b, env), (base, spec, env)
                 assert evaluate(spec, env), (base, spec, env)
-
-    @given(st.lists(SPEC, min_size=1, max_size=3))
-    @settings(max_examples=25, deadline=None)
-    def test_portfolio_incremental_deterministic(self, queries):
-        """Two identical incremental runs under --portfolio K (serial
-        jobs=1 racing) must produce identical verdict sequences and
-        identical models."""
-        runs = []
-        for _ in range(2):
-            tm = TermManager()
-            s = Solver(tm, incremental=True)
-            trace = []
-            for spec in queries:
-                s.push_assumption(build(tm, spec))
-                r = s.check(portfolio=3, jobs=1)
-                trace.append((r.status, dict(r.model_bvs)))
-                s.relax()
-            runs.append(trace)
-        assert runs[0] == runs[1]
-
-    @given(st.lists(SPEC, min_size=1, max_size=3))
-    @settings(max_examples=20, deadline=None)
-    def test_portfolio_matches_serial_verdicts(self, queries):
-        tm = TermManager()
-        serial = Solver(tm, incremental=True)
-        tm2 = TermManager()
-        port = Solver(tm2, incremental=True)
-        for spec in queries:
-            serial.push_assumption(build(tm, spec))
-            port.push_assumption(build(tm2, spec))
-            a = serial.check()
-            b = port.check(portfolio=3, jobs=1)
-            serial.relax()
-            port.relax()
-            assert a.status == b.status

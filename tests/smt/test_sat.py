@@ -1,12 +1,13 @@
 """SAT solver tests: crafted instances and random CNF cross-checked against
-brute force, plus restart/clause-DB machinery and portfolio strategies."""
+brute force, plus restart/clause-DB machinery."""
 
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt.sat import SatConfig, SatSolver, _luby, portfolio_configs
+from repro.smt import sat
+from repro.smt.sat import SatSolver, _luby
 
 
 class TestCraftedInstances:
@@ -123,19 +124,22 @@ def pigeonhole(holes):
 
 
 class TestRestartsAndReduceDb:
-    def test_aggressive_restarts_still_unsat(self):
+    def test_aggressive_restarts_still_unsat(self, monkeypatch):
+        monkeypatch.setattr(sat, "_RESTART_BASE", 1)
         num_vars, clauses = pigeonhole(4)
-        s = SatSolver(num_vars, clauses, config=SatConfig(restart_base=1))
+        s = SatSolver(num_vars, clauses)
         assert s.solve() is False
         # A unit restart base forces restarts well before UNSAT is proved.
         assert s.restarts > 0
 
-    def test_restart_base_respected(self):
+    def test_restart_base_respected(self, monkeypatch):
         num_vars, clauses = pigeonhole(4)
-        fast = SatSolver(num_vars, clauses, config=SatConfig(restart_base=1))
-        slow = SatSolver(num_vars, clauses,
-                         config=SatConfig(restart_base=10_000))
-        assert fast.solve() is False and slow.solve() is False
+        monkeypatch.setattr(sat, "_RESTART_BASE", 1)
+        fast = SatSolver(num_vars, clauses)
+        assert fast.solve() is False
+        monkeypatch.setattr(sat, "_RESTART_BASE", 10_000)
+        slow = SatSolver(num_vars, clauses)
+        assert slow.solve() is False
         # The huge base never exhausts its first Luby budget.
         assert slow.restarts == 0
         assert fast.restarts > slow.restarts
@@ -171,45 +175,6 @@ class TestRestartsAndReduceDb:
         num_vars, clauses = pigeonhole(4)
         s = SatSolver(num_vars, clauses)
         s.max_learnts = 8      # force frequent database reductions
-        assert s.solve() is False
-
-
-# ----------------------------------------------------------------------
-# Portfolio configurations
-# ----------------------------------------------------------------------
-
-class TestPortfolioConfigs:
-    def test_first_config_is_default(self):
-        assert portfolio_configs(1) == [SatConfig()]
-        assert portfolio_configs(4)[0] == SatConfig()
-
-    def test_requested_size(self):
-        for n in (1, 2, 4, 7):
-            configs = portfolio_configs(n)
-            assert len(configs) == n
-            assert len(set(configs)) == n  # all distinct
-
-    def test_configs_agree_on_crafted_instances(self):
-        num_vars, clauses = pigeonhole(3)
-        for config in portfolio_configs(4):
-            assert SatSolver(num_vars, clauses, config=config).solve() is False
-        sat_clauses = [(1, 2), (-1, -2), (2, 3), (-2, -3)]
-        for config in portfolio_configs(4):
-            s = SatSolver(3, sat_clauses, config=config)
-            assert s.solve() is True
-            a, b, c = (s.model_value(v) for v in (1, 2, 3))
-            assert (a ^ b) and (b ^ c)
-
-    def test_seed_jitter_changes_initial_order_not_verdict(self):
-        # With jitter the initial decision order differs, but the heap
-        # invariant must hold and the verdict must not change.
-        num_vars, clauses = pigeonhole(3)
-        s = SatSolver(num_vars, clauses, config=SatConfig(seed=42))
-        heap, act = s.order.heap, s.activity
-        for i in range(len(heap)):
-            for child in (2 * i + 1, 2 * i + 2):
-                if child < len(heap):
-                    assert act[heap[i]] >= act[heap[child]]
         assert s.solve() is False
 
 
@@ -298,23 +263,3 @@ class TestAssumptions:
             assert set(core) <= set(assumptions)
             assert brute_force(
                 5, list(clauses) + [(a,) for a in core]) is False
-
-
-@given(st.lists(
-    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5, -5]),
-             min_size=1, max_size=3).map(tuple),
-    max_size=12))
-@settings(max_examples=40, deadline=None)
-def test_portfolio_verdict_deterministic(clauses):
-    """Every portfolio strategy decides the same formula: SAT/UNSAT verdicts
-    agree with brute force across all configs; every SAT model satisfies
-    the clauses (models themselves may differ between strategies)."""
-    expected = brute_force(5, clauses)
-    for config in portfolio_configs(4):
-        solver = SatSolver(5, clauses, config=config)
-        got = solver.solve()
-        assert got == expected
-        if got:
-            for clause in clauses:
-                assert any(solver.model_value(abs(l)) == (l > 0)
-                           for l in clause)

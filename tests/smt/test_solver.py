@@ -113,62 +113,6 @@ class TestUnsimplifiedMode:
         assert result.solve_seconds >= 0
 
 
-class TestPortfolioMode:
-    """``check(portfolio=k)`` races diversified CDCL strategies; the verdict
-    must match the plain serial solve (models may differ but must be real
-    models).  ``jobs=1`` exercises the in-process race path; ``jobs=2`` the
-    multiprocess one."""
-
-    @staticmethod
-    def _sat_problem(tm, s):
-        x = tm.mk_bv_var("x", W)
-        s.add(tm.mk_eq(tm.mk_bv_add(x, tm.mk_bv_const(3, W)),
-                       tm.mk_bv_const(10, W)))
-
-    @staticmethod
-    def _unsat_problem(tm, s):
-        x = tm.mk_bv_var("x", W)
-        s.add(tm.mk_ult(x, tm.mk_bv_const(3, W)))
-        s.add(tm.mk_ule(tm.mk_bv_const(3, W), x))
-
-    def _check(self, build, **kwargs):
-        tm = TermManager()
-        solver = Solver(tm)
-        build(tm, solver)
-        return solver.check(**kwargs)
-
-    def test_portfolio_serial_race_matches_plain(self):
-        plain = self._check(self._sat_problem)
-        raced = self._check(self._sat_problem, portfolio=3, jobs=1)
-        assert plain.status == raced.status == "sat"
-        assert raced.model_bvs["x"] == 7  # forced model: unique solution
-
-    def test_portfolio_unsat_verdict(self):
-        for jobs in (1, 2):
-            raced = self._check(self._unsat_problem, portfolio=3, jobs=jobs)
-            assert raced.is_unsat
-
-    def test_portfolio_multiprocess_sat_model_valid(self):
-        raced = self._check(self._sat_problem, portfolio=2, jobs=2)
-        assert raced.status == "sat" and raced.model_bvs["x"] == 7
-
-    def test_portfolio_worker_roundtrip(self):
-        """The racer entry point returns (outcome, assignment, stats) that
-        reproduce the in-process solve."""
-        from repro.smt.sat import SatConfig
-        from repro.smt.solver import _portfolio_worker
-
-        payload = {"num_vars": 3,
-                   "clauses": [(1, 2), (-1, -2), (2, 3), (-2, -3)],
-                   "tag_vars": [], "config": SatConfig(seed=1),
-                   "max_conflicts": None}
-        outcome, assign, stats = _portfolio_worker(payload)
-        assert outcome is True
-        a, b, c = (assign[v] == 1 for v in (1, 2, 3))
-        assert (a ^ b) and (b ^ c)
-        assert stats["decisions"] >= 1
-
-
 class TestPreprocessingSurface:
     """The CNF preprocessor is timed on its own, and the model it has to
     reconstruct is only reconstructed when somebody reads it."""

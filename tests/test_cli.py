@@ -58,6 +58,39 @@ class TestSimulate:
         assert capsys.readouterr().out.splitlines()[-2:] == [
             "node 0: 1", "node 1: 1"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_several_files_print_their_single_file_outputs(
+            self, tmp_path, capsys, monkeypatch, jobs):
+        """Several files run one after another in-process: each prints,
+        under its ``== path`` header, what it prints alone, with the same
+        ``--stats`` counters and live map labels (the sharded path printed
+        ``FrozenMap(...)`` reprs and every file's summed counters)."""
+        from repro import parallel
+        from repro.topology import sp_program
+
+        def masked(text):
+            return re.sub(r"\d+\.\d+s\b", "T", text)
+
+        files = []
+        for dest in (0, 1, 2):
+            files.append(str(tmp_path / f"p{dest}.nv"))
+            Path(files[-1]).write_text(sp_program(4, dest=dest))
+        argv = ["--show-routes", "--stats", "--max-nodes", "4"]
+        want = ""
+        for f in files:
+            assert main(["simulate", f, *argv]) == 0
+            want += f"== {f}\n" + capsys.readouterr().out
+        assert "<NVMap key=int nodes=1>" in want
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("simulate must not start a pool")
+
+        monkeypatch.setattr(parallel, "run_sharded", no_pool)
+        monkeypatch.setattr(parallel, "WorkerPool", no_pool)
+        monkeypatch.setenv("NV_JOBS", jobs)
+        assert main(["simulate", *files, *argv]) == 0
+        assert masked(capsys.readouterr().out) == masked(want)
+
 
 class TestVerify:
     def test_verified(self, triangle_file, capsys):
@@ -68,6 +101,15 @@ class TestVerify:
         assert main(["verify", fig2_file, "--show-routes"]) == 1
         out = capsys.readouterr().out
         assert "symbolic route" in out
+
+    def test_negative_max_conflicts_is_a_usage_error(self, triangle_file,
+                                                      capsys):
+        """``--max-conflicts -5`` stopped a hard query after one conflict
+        (exit 2, ``unknown``); 0 stays a valid budget."""
+        assert main(["verify", triangle_file, "--max-conflicts", "-5"]) == 3
+        assert capsys.readouterr().err == \
+            "error: --max-conflicts must be >= 0, got -5\n"
+        assert main(["verify", triangle_file, "--max-conflicts", "0"]) in (0, 2)
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_files_of_different_sizes(self, tmp_path, capsys, monkeypatch,
@@ -417,6 +459,38 @@ class TestErrors:
         assert capsys.readouterr().err == \
             "error: NV_JOBS='abc' is not an integer\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["fault", "{f}"], ["simulate", "{f}", "{f}"], ["simulate", "{f}"],
+        ["verify", "{f}"], ["fault", "--smt", "{f}"]],
+        ids=["fault", "simulate_two_files", "simulate", "verify", "fault_smt"])
+    def test_malformed_nv_jobs_is_a_usage_error_in_every_mode(
+            self, argv, triangle_file, capsys, monkeypatch):
+        """``NV_JOBS`` is resolved once, before the command runs: single-file
+        ``simulate`` / ``verify`` and ``fault --smt`` ran (exit 0) where the
+        worker count has no effect."""
+        monkeypatch.setenv("NV_JOBS", "abc")
+        assert main([a.format(f=triangle_file) for a in argv]) == 3
+        assert capsys.readouterr() == \
+            ("", "error: NV_JOBS='abc' is not an integer\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--links", "-1"], "at least one link or node failure is required"),
+        (["--links", "0"], "at least one link or node failure is required"),
+        (["--nodes"], "--smt checks link failures only; it does not take "
+                      "--nodes"),
+        (["--witnesses"], "--smt checks link failures only; it does not take "
+                          "--witnesses"),
+        (["--drop", "None"], "--smt checks link failures only; it does not "
+                             "take --drop"),
+    ], ids=["negative_links", "zero_links", "nodes", "witnesses", "drop"])
+    def test_fault_smt_rejects_what_it_does_not_check(
+            self, flags, message, triangle_file, capsys):
+        """``fault --smt`` reported FAULT TOLERANT (exit 0) for ``--links -1``
+        and ``0``, and for node failures it never checked; ``--witnesses``
+        and ``--drop`` were dropped silently."""
+        assert main(["fault", "--smt", triangle_file, *flags]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("case", [
         "node_out_of_range", "symbolic_without_value", "partition_two_files",
         "no_configs", "missing_trace", "unknown_run"])
@@ -461,19 +535,30 @@ let merge (u : node) (x y : attribute) = x
         assert capsys.readouterr().err == \
             "error: edge (0, 2) is not an edge of this network\n"
 
+    # Parses and type-checks; only its SMT encoding fails.
+    SYMBOLIC_KEY_WRITE = """
+symbolic k : int8
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = ((createDict 0u8)[k := 9u8])[2u8]
+let trans (e : edge) (x : int8) = x
+let merge (u : node) (x y : int8) = if x < y then x else y
+"""
+
     def test_failed_worker_is_one_error_line(self, triangle_file, tmp_path,
                                              capsys):
         """A program that fails only in a worker: exit 3 and one ``error:``
         line; the worker's traceback goes to the trace file only."""
-        f = tmp_path / "badedge.nv"
-        f.write_text(self.NOT_AN_EDGE)
+        f = tmp_path / "symkey.nv"
+        f.write_text(self.SYMBOLIC_KEY_WRITE)
         trace = tmp_path / "t.jsonl"
-        assert main(["simulate", triangle_file, str(f), "--jobs", "2",
-                     "--trace-json", str(trace)]) == 3
+        assert main(["verify", triangle_file, str(f), "--no-incremental",
+                     "--jobs", "2", "--trace-json", str(trace)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert re.fullmatch(r"error: worker \d failed on unit 1: \w+: edge "
-                            r"\(0, 2\) is not an edge of this network\n",
+        assert re.fullmatch(r"error: worker \d failed on unit 1: "
+                            r"NvEncodingError: map keys written with "
+                            r"m\[k := v\] must be constants .*\n",
                             captured.err), captured.err
         (event,) = [r for r in map(json.loads, trace.read_text().splitlines())
                     if r.get("name") == "parallel.worker_error"]
@@ -743,8 +828,9 @@ class TestImportsOnlyWhatRuns:
 
     def test_two_workers_load_their_transport_and_nothing_else(
             self, triangle_file):
-        loaded = self.modules_after(["simulate", triangle_file, triangle_file],
-                                    jobs="2")
+        loaded = self.modules_after(
+            ["verify", triangle_file, triangle_file, "--no-incremental"],
+            jobs="2")
         assert {"pickle", "multiprocessing"} <= loaded
         assert not loaded & (self.MANAGEMENT - {"pickle", "multiprocessing"})
 

@@ -237,13 +237,14 @@ class TestCli:
         sharded ``--record --trace-json`` run records the value its
         ``parallel.ledger`` event carries."""
         from repro.cli import main
-        from repro.topology import leaf_nodes, sp_program
+        from tests.helpers import RIP_TRIANGLE
         files = []
-        for i, dest in enumerate(leaf_nodes(4)[:4]):
+        for i in range(4):
             files.append(tmp_path / f"p{i}.nv")
-            files[-1].write_text(sp_program(4, dest=dest))
+            files[-1].write_text(RIP_TRIANGLE)
         trace, runs = tmp_path / "t.jsonl", tmp_path / "cli-runs"
-        assert main(["simulate", *map(str, files), "--jobs", "2",
+        assert main(["verify", *map(str, files), "--no-incremental",
+                     "--jobs", "2",
                      "--trace-json", str(trace), "--record",
                      "--runs-dir", str(runs)]) == 0
         (event,) = [r for r in map(json.loads, trace.read_text().splitlines())

@@ -1,8 +1,8 @@
 """Tests for the :mod:`repro.parallel` process-pool subsystem: job
 resolution, chunking, serial/parallel equivalence of the pool itself, error
-propagation, worker counter aggregation, the first-answer-wins race, and
-the cross-process tracing layer (dispatch linking, streaming deltas,
-error/SIGKILL evidence, clock-skew correction, the work ledger)."""
+propagation, worker counter aggregation, and the cross-process tracing
+layer (dispatch linking, streaming deltas, error/SIGKILL evidence,
+clock-skew correction, the work ledger)."""
 
 import io
 import json
@@ -17,8 +17,6 @@ FAILING = "tests.parallel_factories:make_failing"
 SLEEPY = "tests.parallel_factories:make_sleepy"
 TRACER = "tests.parallel_factories:make_tracer"
 KILLER = "tests.parallel_factories:make_killer"
-RACER = "tests.parallel_factories:racer"
-CRASHER = "tests.parallel_factories:crashing_racer"
 
 
 @pytest.fixture
@@ -265,35 +263,3 @@ class TestWorkLedger:
         # No registry enabled: the ledger must not run (zero overhead).
         out = parallel.run_sharded(SQUARE, {}, range(4), jobs=2)
         assert out == [i * i for i in range(4)]
-
-
-class TestRace:
-    def test_serial_race_runs_first_payload(self):
-        winner, result = parallel.race(
-            RACER, [{"answer": "a"}, {"answer": "b"}], jobs=1)
-        assert (winner, result) == (0, "a")
-
-    def test_fast_racer_wins(self):
-        winner, result = parallel.race(
-            RACER,
-            [{"answer": "slow", "delay": 30.0}, {"answer": "fast"}],
-            jobs=2)
-        assert (winner, result) == (1, "fast")
-
-    def test_survivor_wins_despite_crash(self):
-        winner, result = parallel.race(
-            CRASHER,
-            [{"crash": True, "answer": "x"},
-             {"answer": "ok", "delay": 0.2}],
-            jobs=2)
-        assert (winner, result) == (1, "ok")
-
-    def test_all_crash_raises(self):
-        with pytest.raises(parallel.ParallelError):
-            parallel.race(CRASHER,
-                          [{"crash": True, "answer": "x"},
-                           {"crash": True, "answer": "y"}], jobs=2)
-
-    def test_empty_payloads_rejected(self):
-        with pytest.raises(parallel.ParallelError):
-            parallel.race(RACER, [], jobs=2)

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro import metrics, obs, perf
-from repro.analysis.simulation import run_simulations
+from repro.analysis.fault import per_prefix_fault_tolerance
 from repro.obs import load_trace
 from repro.topology import sp_program
 
@@ -28,12 +28,12 @@ def clean_registries():
 
 
 def _run_traced(tmp_path, jobs, name):
-    """Run the fig13c-style per-prefix simulation smoke under a trace."""
+    """Run the fig 13c per-prefix fault-tolerance smoke under a trace."""
     nets = [repro.load(sp_program(4, d)) for d in (0, 1, 2)]
     trace = tmp_path / f"{name}.jsonl"
     obs.enable(jsonl=str(trace))
-    run_simulations(nets, jobs=jobs,
-                    unit_labels=[f"prefix{d}.nv" for d in (0, 1, 2)])
+    per_prefix_fault_tolerance(
+        nets, jobs=jobs, unit_labels=[f"prefix{d}.nv" for d in (0, 1, 2)])
     obs.disable()
     obs.reset()
     return trace
@@ -62,8 +62,9 @@ class TestSpanTreeEquivalence:
 
     def test_unit_spans_under_dispatch(self, tmp_path):
         roots, _ = load_trace(_run_traced(tmp_path, 2, "t"))
-        (dispatch,) = [r for r in roots if r.name == "sim.sharded"]
-        units = [c for c in dispatch.children if c.name == "sim.unit"]
+        (dispatch,) = [r for r in roots if r.name == "fault.prefix.sharded"]
+        units = [c for c in dispatch.children
+                 if c.name == "fault.prefix.unit"]
         assert len(units) == 3
         assert sorted(u.attrs["unit_label"] for u in units) == \
             ["prefix0.nv", "prefix1.nv", "prefix2.nv"]
@@ -89,7 +90,7 @@ class TestMergedRecordInvariants:
         trace = _run_traced(tmp_path, 2, "proc")
         recs = [json.loads(line) for line in
                 trace.read_text().splitlines() if line]
-        units = [r for r in recs if r.get("name") == "sim.unit"
+        units = [r for r in recs if r.get("name") == "fault.prefix.unit"
                  and not r.get("partial")]
         assert len(units) == 3
         assert all(isinstance(r["attrs"].get("proc"), int) for r in units)
