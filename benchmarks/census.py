@@ -358,7 +358,6 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
     contract errors."""
     trace, metrics_json, prom = "t.jsonl", "m.json", "m.prom"
     ptrace, pmetrics = "pt.jsonl", "pm.json"
-    runs = ["--runs-dir", "runs"]
     sim, par = "fault_wan/wan.nv", ["p0.nv", "p1.nv", "p2.nv"]
     return [
         call("census inputs", lambda: sweep_inputs(work)),
@@ -377,7 +376,7 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["simulate", sim, "--stats", "--trace", "--trace-json", trace,
              "--progress", "--heartbeat", "0.01", "--metrics-json",
              metrics_json, "--prometheus", prom, "--mem", "--time-budget",
-             "0", "--record", "all", *runs]),
+             "0"]),
         # explain
         cli(["explain", "fat4.nv", "3", "--stats"]),
         cli(["explain", "sym.nv", "2", "--native", "--symbolic",
@@ -389,8 +388,7 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
              "0.01"]),
         cli(["verify", *par, "--stats"]),
         cli(["verify", *par, "--no-incremental", "--trace-json", ptrace,
-             "--metrics-json", pmetrics, "--stats", "--record", "sharded",
-             *runs], jobs=2),
+             "--metrics-json", pmetrics, "--stats"], jobs=2),
         cli(["verify", *par, "--no-incremental", "--progress", "--heartbeat",
              "0.01", "--time-budget", "0"], jobs=2),
         cli(["verify", *par, "--no-incremental"], jobs=1),
@@ -398,7 +396,7 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
              "--no-incremental", "--trace-json", ptrace], jobs=2),
         cli(["verify", "fat4.nv", "--partition", "4", "--stats"]),
         cli(["verify", "fat4.nv", "--partition", "4", "--trace-json", ptrace,
-             "--metrics-json", pmetrics, "--record", "part", *runs], jobs=2),
+             "--metrics-json", pmetrics], jobs=2),
         *[cli(["verify", "fat4.nv", "--partition", "2", "--partition-method",
                m]) for m in ("auto", "pods", "bfs", "spectral")],
         *[cli(["verify", "sym.nv", "--cuts", cuts, "--symbolic",
@@ -414,19 +412,13 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["fault", "sym.nv", "--smt", "--links", "1", "--stats",
              "--symbolic", "start=None"]),
         cli(["fault", "sym.nv", "--smt", "--links", "1", "--no-incremental"]),
-        # translate, report, runs
+        # translate, report
         cli(["translate", "sim_cfg/configs", "--assert-prefix", "10.0.0.0/24"]),
         cli(["translate", "ospf", "-o", "ospf.nv"]),
         cli(["simulate", "ospf.nv"]),
         cli(["report", trace, "--metrics", metrics_json, "-o", "r.html",
              "--title", "census"]),
         cli(["report", ptrace, "--metrics", pmetrics, "--critical-path"]),
-        cli(["runs", *runs, "list"]),
-        cli(["runs", "--runs-dir", "none", "list"]),
-        cli(["runs", *runs, "show", "all"]),
-        cli(["runs", *runs, "diff", "sharded", "part", "--all", "--html",
-             "d.html", "--gate"]),
-        cli(["runs", *runs, "diff", "all", "all", "--gate"]),
         # contract errors
         cli(["simulate", "--no-such-flag", "fat4.nv"]),
         cli(["simulate", "missing.nv"]),
@@ -446,7 +438,6 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["translate", "missing"]),
         cli(["translate", "sim_cfg/configs", "-o", "nodir/x.nv"]),
         cli(["report", "missing.jsonl"]),
-        cli(["runs", *runs, "show", "no-such-run"]),
         cli(["simulate", "badedge.nv"]),
         cli(["verify", "p0.nv", "symkey.nv", "--no-incremental",
              "--trace-json", ptrace], jobs=2),
@@ -517,7 +508,7 @@ def census() -> tuple[dict[str, int], dict[str, str]]:
                 scenario = scenarios.pop(0)
                 os.chdir(work)
                 os.environ.clear()
-                os.environ.update(env, NV_JOBS="1", NV_RUNS_DIR=str(work / "runs"))
+                os.environ.update(env, NV_JOBS="1")
                 recorder.install()
                 try:
                     with contextlib.redirect_stdout(sink), \

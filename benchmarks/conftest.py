@@ -38,19 +38,6 @@ QUICK = os.environ.get("NV_BENCH_QUICK", "") not in ("", "0")
 #: the end — CI uploads the report as an artifact.
 REPORT_DIR = os.environ.get("NV_BENCH_REPORT") or None
 
-#: ``NV_RUN_RECORD`` persists the session as an observatory RunRecord:
-#: ``1`` writes to the default store (``.nv-runs/`` or ``$NV_RUNS_DIR``),
-#: any other non-empty value names the store directory.  ``NV_RUN_LABEL``
-#: overrides the record label (default ``bench``), so CI can record e.g.
-#: ``fig14-smoke`` twice and later ``repro runs diff`` them.
-RUN_RECORD = os.environ.get("NV_RUN_RECORD") or None
-RUN_LABEL = os.environ.get("NV_RUN_LABEL") or "bench"
-
-#: Per-test wall times collected by :func:`bench_wall`, keyed by test name —
-#: they become the RunRecord's ``timings`` (lists of repeats, min-of-N
-#: diffing downstream).
-_WALL_TIMES: dict[str, list[float]] = {}
-
 
 def sizes(full: list, quick_count: int = 1) -> list:
     """The benchmark's parameter list, truncated in quick mode."""
@@ -91,31 +78,6 @@ def bench_report_session():
     obs.disable()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def bench_run_record(perf_counters, bench_report_session):
-    """``NV_RUN_RECORD``-gated: persist the whole benchmark session as one
-    observatory RunRecord.  Depends on the registry fixtures so its teardown
-    runs first — perf counters and live metrics are still enabled when the
-    record is captured."""
-    yield
-    if not RUN_RECORD:
-        return
-    from repro import observatory
-
-    trace = Path(REPORT_DIR) / "bench_trace.jsonl" if REPORT_DIR else None
-    obs.flush()
-    record = observatory.capture(
-        RUN_LABEL, timings=_WALL_TIMES,
-        trace_path=trace if trace and trace.exists() else None,
-        meta={"harness": "benchmarks", "quick": QUICK})
-    store = observatory.RunStore(None if RUN_RECORD == "1" else RUN_RECORD)
-    _RECORD_PATHS.append(store.save(record))
-
-
-#: Saved by :func:`bench_run_record`, printed by the terminal summary.
-_RECORD_PATHS: list[Path] = []
-
-
 @pytest.fixture(autouse=True)
 def bench_span(request):
     """One span per benchmark test so the report's flame chart groups the
@@ -125,22 +87,6 @@ def bench_span(request):
         return
     with obs.span(f"bench.{request.node.name}"):
         yield
-
-
-@pytest.fixture(autouse=True)
-def bench_wall(request):
-    """``NV_RUN_RECORD``-gated per-test wall clock for the session's
-    RunRecord (pytest-benchmark's own stats stay the precision source; this
-    coarse number is what the run differ min-of-Ns across sessions)."""
-    if not RUN_RECORD:
-        yield
-        return
-    from time import perf_counter
-    t0 = perf_counter()
-    yield
-    _WALL_TIMES.setdefault(
-        f"bench.{request.node.name}.wall_seconds", []).append(
-            perf_counter() - t0)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -166,8 +112,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                             out_path=Path(REPORT_DIR) / "bench_report.html",
                             title="benchmark session")
             terminalreporter.write_line(f"HTML run report written to {html}")
-    for path in _RECORD_PATHS:
-        terminalreporter.write_line(f"RunRecord written to {path}")
 
 
 @pytest.fixture(scope="session")

@@ -79,54 +79,6 @@ def obs_Span(_FACTORY, _set, _d_id, _d_parent_id, _d_t0, _d_dur, _d_n_events, _f
     return NotImplemented
   return {'__init__': __init__, '__eq__': __eq__}
 
-# repro.observatory.Delta
-def observatory_Delta(_FACTORY, _set):
-  def __init__(self, kind, name, a, b, status):
-    _set(self, 'kind', kind)
-    _set(self, 'name', name)
-    _set(self, 'a', a)
-    _set(self, 'b', b)
-    _set(self, 'status', status)
-  def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.kind,self.name,self.a,self.b,self.status,) == (other.kind,other.name,other.a,other.b,other.status,)
-    return NotImplemented
-  def __hash__(self): return hash((self.kind,self.name,self.a,self.b,self.status,))
-  def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")
-  def __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")
-  return {'__init__': __init__, '__eq__': __eq__, '__hash__': __hash__, '__setattr__': __setattr__, '__delattr__': __delattr__}
-
-# repro.observatory.RunRecord
-def observatory_RunRecord(_FACTORY, _set, _f_env, _f_timings, _f_counters, _f_gauges, _f_histograms, _d_trace_path, _f_meta, _d_schema):
-  def __init__(self, run_id, label, created, env=_FACTORY, timings=_FACTORY, counters=_FACTORY, gauges=_FACTORY, histograms=_FACTORY, trace_path=_d_trace_path, meta=_FACTORY, schema=_d_schema):
-    self.run_id = run_id
-    self.label = label
-    self.created = created
-    self.env = _f_env() if env is _FACTORY else env
-    self.timings = _f_timings() if timings is _FACTORY else timings
-    self.counters = _f_counters() if counters is _FACTORY else counters
-    self.gauges = _f_gauges() if gauges is _FACTORY else gauges
-    self.histograms = _f_histograms() if histograms is _FACTORY else histograms
-    self.trace_path = trace_path
-    self.meta = _f_meta() if meta is _FACTORY else meta
-    self.schema = schema
-  def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.run_id,self.label,self.created,self.env,self.timings,self.counters,self.gauges,self.histograms,self.trace_path,self.meta,self.schema,) == (other.run_id,other.label,other.created,other.env,other.timings,other.counters,other.gauges,other.histograms,other.trace_path,other.meta,other.schema,)
-    return NotImplemented
-  return {'__init__': __init__, '__eq__': __eq__}
-
-# repro.observatory.Tolerance
-def observatory_Tolerance(_FACTORY, _set):
-  def __init__(self, rel, abs):
-    _set(self, 'rel', rel)
-    _set(self, 'abs', abs)
-  def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.rel,self.abs,) == (other.rel,other.abs,)
-    return NotImplemented
-  def __hash__(self): return hash((self.rel,self.abs,))
-  def __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")
-  def __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")
-  return {'__init__': __init__, '__eq__': __eq__, '__hash__': __hash__, '__setattr__': __setattr__, '__delattr__': __delattr__}
-
 METHODS = {
     'def __init__(self, name, t0, dur, depth, proc=_d_proc, unit=_d_unit):\n  self.name = name\n  self.t0 = t0\n  self.dur = dur\n  self.depth = depth\n  self.proc = proc\n  self.unit = unit\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.name,self.t0,self.dur,self.depth,self.proc,self.unit,) == (other.name,other.t0,other.dur,other.depth,other.proc,other.unit,)\n  return NotImplemented':
         critpath_ChainEntry,
@@ -136,10 +88,4 @@ METHODS = {
         ledger_UnitRecord,
     'def __init__(self, name, attrs, id=_d_id, parent_id=_d_parent_id, t0=_d_t0, dur=_d_dur, n_events=_d_n_events, children=_FACTORY, counters=_FACTORY, partial=_d_partial, _perf0=_d__perf0, _mem0=_d__mem0, _mem_peak=_d__mem_peak):\n  self.name = name\n  self.attrs = attrs\n  self.id = id\n  self.parent_id = parent_id\n  self.t0 = t0\n  self.dur = dur\n  self.n_events = n_events\n  self.children = _f_children() if children is _FACTORY else children\n  self.counters = _f_counters() if counters is _FACTORY else counters\n  self.partial = partial\n  self._perf0 = _perf0\n  self._mem0 = _mem0\n  self._mem_peak = _mem_peak\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.name,self.attrs,self.id,self.parent_id,self.t0,self.dur,self.n_events,self.children,self.counters,self.partial,self._perf0,self._mem0,self._mem_peak,) == (other.name,other.attrs,other.id,other.parent_id,other.t0,other.dur,other.n_events,other.children,other.counters,other.partial,other._perf0,other._mem0,other._mem_peak,)\n  return NotImplemented':
         obs_Span,
-    'def __init__(self, kind, name, a, b, status):\n  _set(self, \'kind\', kind)\n  _set(self, \'name\', name)\n  _set(self, \'a\', a)\n  _set(self, \'b\', b)\n  _set(self, \'status\', status)\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.kind,self.name,self.a,self.b,self.status,) == (other.kind,other.name,other.a,other.b,other.status,)\n  return NotImplemented\ndef __hash__(self): return hash((self.kind,self.name,self.a,self.b,self.status,))\ndef __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")\ndef __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")':
-        observatory_Delta,
-    'def __init__(self, run_id, label, created, env=_FACTORY, timings=_FACTORY, counters=_FACTORY, gauges=_FACTORY, histograms=_FACTORY, trace_path=_d_trace_path, meta=_FACTORY, schema=_d_schema):\n  self.run_id = run_id\n  self.label = label\n  self.created = created\n  self.env = _f_env() if env is _FACTORY else env\n  self.timings = _f_timings() if timings is _FACTORY else timings\n  self.counters = _f_counters() if counters is _FACTORY else counters\n  self.gauges = _f_gauges() if gauges is _FACTORY else gauges\n  self.histograms = _f_histograms() if histograms is _FACTORY else histograms\n  self.trace_path = trace_path\n  self.meta = _f_meta() if meta is _FACTORY else meta\n  self.schema = schema\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.run_id,self.label,self.created,self.env,self.timings,self.counters,self.gauges,self.histograms,self.trace_path,self.meta,self.schema,) == (other.run_id,other.label,other.created,other.env,other.timings,other.counters,other.gauges,other.histograms,other.trace_path,other.meta,other.schema,)\n  return NotImplemented':
-        observatory_RunRecord,
-    'def __init__(self, rel, abs):\n  _set(self, \'rel\', rel)\n  _set(self, \'abs\', abs)\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.rel,self.abs,) == (other.rel,other.abs,)\n  return NotImplemented\ndef __hash__(self): return hash((self.rel,self.abs,))\ndef __setattr__(self, name, value): raise AttributeError(f"cannot assign to field {name!r}")\ndef __delattr__(self, name): raise AttributeError(f"cannot delete field {name!r}")':
-        observatory_Tolerance,
 }

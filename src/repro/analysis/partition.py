@@ -32,7 +32,7 @@ decides them, and the passes would be most of their cost.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .. import metrics, obs, parallel, perf
 from .._struct import field, struct
@@ -210,32 +210,32 @@ def _untracked_key(key_ty: T.Type, tracked: Sequence[Any], num_nodes: int) -> An
 
 
 def _plain_route(value: Any, ty: T.Type,
-                 map_keys: dict[T.Type, list[Any]], num_nodes: int) -> Any:
+                 keys: Callable[[T.Type], list[Any]], num_nodes: int) -> Any:
     """Convert a simulated route (possibly holding live MTBDD-backed maps)
     into a picklable plain value: maps unroll to :class:`DecodedMap` over
     the keys the SMT encoding tracks, matching :func:`decode_tval` output."""
     if isinstance(ty, T.TDict):
-        tracked = list(map_keys.get(ty.key, []))
+        tracked = list(keys(ty.key))
         entries = tuple(sorted(
-            (k, _plain_route(value.get(k), ty.value, map_keys, num_nodes))
+            (k, _plain_route(value.get(k), ty.value, keys, num_nodes))
             for k in tracked))
         probe = _untracked_key(ty.key, tracked, num_nodes)
         if probe is _NO_KEY:
             default = (entries[0][1] if entries else None)
         else:
-            default = _plain_route(value.get(probe), ty.value, map_keys,
+            default = _plain_route(value.get(probe), ty.value, keys,
                                    num_nodes)
         return DecodedMap(entries, default)
     if isinstance(ty, T.TOption):
         if value is None:
             return None
-        return VSome(_plain_route(value.value, ty.elt, map_keys, num_nodes))
+        return VSome(_plain_route(value.value, ty.elt, keys, num_nodes))
     if isinstance(ty, T.TTuple):
-        return tuple(_plain_route(v, t, map_keys, num_nodes)
+        return tuple(_plain_route(v, t, keys, num_nodes)
                      for v, t in zip(value, ty.elts))
     if isinstance(ty, T.TRecord):
         return VRecord(tuple(
-            (n, _plain_route(value.get(n), t, map_keys, num_nodes))
+            (n, _plain_route(value.get(n), t, keys, num_nodes))
             for n, t in ty.fields))
     return value
 
@@ -267,7 +267,7 @@ def infer_interfaces(net: Network, edges: Sequence[tuple[int, int]],
     for edge in edges:
         u, _v = edge
         msg = funcs.trans(edge, labels[u])
-        out[edge] = _plain_route(msg, net.attr_ty, probe.map_keys,
+        out[edge] = _plain_route(msg, net.attr_ty, probe.keys,
                                  net.num_nodes)
     return out
 
@@ -280,7 +280,7 @@ def simulated_node_attrs(net: Network,
     report = run_simulation(net, symbolics, backend="interp")
     probe = NvSmtEncoder(net)
     probe.collect_map_keys()
-    return {u: _plain_route(lbl, net.attr_ty, probe.map_keys, net.num_nodes)
+    return {u: _plain_route(lbl, net.attr_ty, probe.keys, net.num_nodes)
             for u, lbl in enumerate(report.solution.labels)}
 
 

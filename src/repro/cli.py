@@ -53,7 +53,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
 from . import metrics, obs, parallel, perf
@@ -63,7 +62,7 @@ if TYPE_CHECKING:
     from .srp.network import Network
 
 # Each command imports the layers it runs (parser, evaluator, BDD manager,
-# SMT stack) when it runs them: `translate`, `report` and `runs` load no
+# SMT stack) when it runs them: `translate` and `report` load no
 # evaluator, and no command pays for another's back end.
 
 
@@ -130,15 +129,13 @@ def _tracing(args: argparse.Namespace) -> bool:
 
 def _metrics_on(args: argparse.Namespace) -> bool:
     """Any live-metrics flag turns the gauge/histogram registry on, and
-    with it kernel telemetry.  ``--record`` counts: the RunRecord's gauges
-    and histogram digests only exist while the registry is live."""
+    with it kernel telemetry."""
     return bool(getattr(args, "progress", False)
                 or getattr(args, "heartbeat", None) is not None
                 or getattr(args, "metrics_json", None)
                 or getattr(args, "prometheus", None)
                 or getattr(args, "mem", False)
-                or getattr(args, "time_budget", None) is not None
-                or getattr(args, "record", None) is not None)
+                or getattr(args, "time_budget", None) is not None)
 
 
 def _heartbeat_on(args: argparse.Namespace) -> bool:
@@ -401,83 +398,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_runs(args: argparse.Namespace) -> int:
-    """``repro runs list|show|diff``: the perf-observatory surface over the
-    ``.nv-runs/`` RunRecord store (see :mod:`repro.observatory`)."""
-    from . import observatory
-
-    store = observatory.RunStore(args.runs_dir)
-    if args.runs_command == "list":
-        records = store.list()
-        if not records:
-            print(f"no runs recorded in {store.root}/")
-            return 0
-        for r in records:
-            print(f"{r.run_id:<44} {r.label:<24} "
-                  f"{len(r.timings)} timings, {len(r.counters)} counters")
-        return 0
-    try:
-        if args.runs_command == "show":
-            print(observatory.describe(store.resolve(args.ref)))
-            return 0
-        # diff
-        rec_a = store.resolve(args.ref_a)
-        rec_b = store.resolve(args.ref_b)
-    except KeyError as exc:
-        raise NvError(exc.args[0]) from None
-    deltas = observatory.diff_records(rec_a, rec_b)
-    print(f"A: {rec_a.run_id}  ({rec_a.label})")
-    print(f"B: {rec_b.run_id}  ({rec_b.label})")
-    mismatched = [k for k in sorted(set(rec_a.env) | set(rec_b.env))
-                  if rec_a.env.get(k) != rec_b.env.get(k)]
-    if mismatched:
-        print("note: environment differs on " + ", ".join(
-            f"{k} ({rec_a.env.get(k)} vs {rec_b.env.get(k)})"
-            for k in mismatched))
-    print(observatory.diff_table(deltas, only_interesting=not args.all))
-    if args.html:
-        from .report import generate_diff
-        out = generate_diff(rec_a, rec_b, args.html)
-        print(f"wrote {out}")
-    if args.gate:
-        gated = observatory.regressions(deltas)
-        if gated:
-            print(f"GATE: {len(gated)} counter metrics regressed beyond "
-                  "tolerance", file=sys.stderr)
-            return 1
-        print("gate: no counter regressions beyond tolerance")
-    return 0
-
-
-def _save_run_record(args: argparse.Namespace, wall_seconds: float) -> None:
-    """Persist a RunRecord of this CLI run (``--record [LABEL]``).  Called
-    while the perf/metrics registries are still live.  When the run also
-    wrote a ``--trace-json`` file, its critical-path analysis lands in the
-    record as ``parallel.*`` gauges, so ``repro runs diff`` tracks parallel
-    efficiency across runs (``parallel.lpt_gap_pct`` stays the ledger's)."""
-    from . import observatory
-
-    record = observatory.capture(
-        args.record or args.command,
-        timings={f"{args.command}.wall_seconds": [wall_seconds]},
-        trace_path=getattr(args, "trace_json", None),
-        meta={"command": args.command,
-              "file": getattr(args, "file", None)})
-    trace_json = getattr(args, "trace_json", None)
-    if trace_json:
-        try:
-            from . import critpath
-
-            roots, _events = obs.load_trace(trace_json)
-            rep = critpath.analyze(roots)
-            if rep is not None:
-                record.gauges.update(rep.gauges())
-        except OSError:  # pragma: no cover - unreadable trace
-            pass
-    path = observatory.RunStore(getattr(args, "runs_dir", None)).save(record)
-    print(f"recorded {record.run_id} -> {path}", file=sys.stderr)
-
-
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
     """The shared observability flags of every analysis subcommand."""
     p.add_argument("--stats", action="store_true",
@@ -510,15 +430,6 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
                    default=None,
                    help="warn (once) when the run exceeds this wall-time "
                         "budget")
-    p.add_argument("--record", nargs="?", const="", default=None,
-                   metavar="LABEL",
-                   help="persist a RunRecord of this run (env fingerprint, "
-                        "timings, counters, gauges) to the .nv-runs/ store "
-                        "for later `repro runs diff`; LABEL defaults to the "
-                        "command name")
-    p.add_argument("--runs-dir", default=None, metavar="DIR",
-                   help="RunRecord store directory (default: $NV_RUNS_DIR, "
-                        "else .nv-runs/)")
 
 
 _JOBS_DEFAULT = ("default: $NV_JOBS, else CPU count capped at "
@@ -663,32 +574,6 @@ def _report_args(report: argparse.ArgumentParser) -> None:
     report.set_defaults(fn=cmd_report)
 
 
-def _runs_args(runs: argparse.ArgumentParser) -> None:
-    runs.add_argument("--runs-dir", default=None, metavar="DIR",
-                      help="RunRecord store directory (default: "
-                           "$NV_RUNS_DIR, else .nv-runs/)")
-    rsub = runs.add_subparsers(dest="runs_command", required=True)
-    rlist = rsub.add_parser("list", help="all recorded runs, oldest first")
-    rlist.set_defaults(fn=cmd_runs)
-    rshow = rsub.add_parser("show", help="one run in full")
-    rshow.add_argument("ref", help="run id, unique id prefix, or label "
-                                   "(latest run with that label)")
-    rshow.set_defaults(fn=cmd_runs)
-    rdiff = rsub.add_parser(
-        "diff", help="noise-aware comparison of two runs")
-    rdiff.add_argument("ref_a", metavar="A", help="baseline run ref")
-    rdiff.add_argument("ref_b", metavar="B", help="candidate run ref")
-    rdiff.add_argument("--all", action="store_true",
-                       help="include within-tolerance rows in the table")
-    rdiff.add_argument("--html", metavar="FILE", default=None,
-                       help="also write a side-by-side HTML report "
-                            "(flame charts + delta tables)")
-    rdiff.add_argument("--gate", action="store_true",
-                       help="exit 1 if any counter regresses beyond "
-                            "tolerance (the check_regression.py semantics)")
-    rdiff.set_defaults(fn=cmd_runs)
-
-
 #: Sub-command -> (its one-line help, the function adding its arguments).
 COMMANDS = {
     "simulate": ("compute the stable state", _simulate_args),
@@ -699,8 +584,6 @@ COMMANDS = {
     "translate": ("router configs -> NV program (§4)", _translate_args),
     "report": ("render a trace JSONL (+ metrics snapshot) as a "
                "self-contained HTML run report", _report_args),
-    "runs": ("perf observatory: list, inspect and diff recorded "
-             "RunRecords (.nv-runs/)", _runs_args),
 }
 
 
@@ -747,12 +630,6 @@ def _run(argv: list[str] | None) -> int:
             return 3
     tracing = _tracing(args)
     metrics_on = _metrics_on(args)
-    recording = getattr(args, "record", None) is not None
-    if recording and not tracing and not getattr(args, "stats", False):
-        # A RunRecord without counters is an empty record; --record implies
-        # the perf registry even when no other flag turned it on.
-        perf.reset()
-        perf.enable()
     if tracing:
         # Spans carry perf-counter deltas, so tracing turns the counter
         # registry on as well (a later --stats reset is harmless: nothing
@@ -791,20 +668,13 @@ def _run(argv: list[str] | None) -> int:
     if isinstance(file_attr, list):
         file_attr = file_attr[0] if len(file_attr) == 1 else ",".join(file_attr)
     try:
-        t_run0 = perf_counter()
         with obs.span(args.command, file=file_attr):
             rc = args.fn(args)
-        wall_seconds = perf_counter() - t_run0
         if heartbeat is not None:
             heartbeat.stop()
             heartbeat = None
         if metrics_on:
             _write_metrics_outputs(args)
-        if recording:
-            # After the metrics exports (same final snapshot) but before
-            # the registries are disabled in the finally block.
-            obs.flush()
-            _save_run_record(args, wall_seconds)
         return rc
     except KeyboardInterrupt:
         # The heartbeat's SIGINT handler already dumped partial state (or

@@ -21,9 +21,9 @@ much of the wall-clock is inherently sequential?*  It computes
   work / lanes)``, the classic lower bound no schedule can beat.
 
 The analysis reads :class:`repro.obs.Span` trees — the live tracer's, or
-a trace file's via :func:`repro.obs.load_trace`.  Results surface in three
-places: the ``repro report`` HTML (its own section), ``repro report
---critical-path`` (text), and RunRecord gauges for ``repro runs diff``.
+a trace file's via :func:`repro.obs.load_trace`.  Results surface in two
+places: the ``repro report`` HTML (its own section) and ``repro report
+--critical-path`` (text).
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ from typing import Any, Iterable
 
 from ._struct import field, struct
 from .obs import Span
-
-#: Gauge names under which the analysis lands in RunRecords.  The LPT gap
-#: is not one of them: ``parallel.lpt_gap_pct`` is the work ledger's gauge
-#: (:mod:`repro.ledger`); the report only renders this estimate.
-GAUGE_CRITICAL = "parallel.critical_path_seconds"
-GAUGE_TOTAL_WORK = "parallel.total_work_seconds"
-GAUGE_EFFICIENCY = "parallel.efficiency_pct"
 
 #: Chains shorter than this fraction of a span's duration are noise; the
 #: precedence comparison uses it as its tie tolerance (trace timestamps
@@ -75,14 +68,6 @@ class CriticalPathReport:
     lpt_bound_seconds: float | None = None
     lpt_gap_pct: float | None = None
     chain: list[ChainEntry] = field(default_factory=list)
-
-    def gauges(self) -> dict[str, float]:
-        """The RunRecord gauges ``repro runs diff`` tracks across runs."""
-        return {
-            GAUGE_CRITICAL: round(self.critical_seconds, 6),
-            GAUGE_TOTAL_WORK: round(self.total_work_seconds, 6),
-            GAUGE_EFFICIENCY: round(self.efficiency_pct, 2),
-        }
 
 
 def _union_seconds(intervals: list[tuple[float, float]]) -> float:

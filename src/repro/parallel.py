@@ -99,17 +99,22 @@ class ParallelError(RuntimeError):
 
 def resolve_jobs(jobs: int | None = None) -> int:
     """The effective worker count: explicit argument, else ``NV_JOBS``, else
-    ``os.cpu_count()`` capped at :data:`MAX_DEFAULT_JOBS` (never < 1)."""
-    if jobs is None:
+    ``os.cpu_count()`` capped at :data:`MAX_DEFAULT_JOBS`.  A count below 1
+    is an error, like one that is not an integer."""
+    if jobs is not None:
+        source = f"--jobs {jobs}"
+    else:
         env = os.environ.get("NV_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ParallelError(f"NV_JOBS={env!r} is not an integer")
-        else:
-            jobs = min(os.cpu_count() or 1, MAX_DEFAULT_JOBS)
-    return max(1, int(jobs))
+        if not env:
+            return min(os.cpu_count() or 1, MAX_DEFAULT_JOBS)
+        source = f"NV_JOBS={env!r}"
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ParallelError(f"{source} is not an integer")
+    if jobs < 1:
+        raise ParallelError(f"{source}: the worker count must be at least 1")
+    return jobs
 
 
 def chunk_units(num_units: int, jobs: int,

@@ -341,13 +341,6 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 .hbar { background: #4e79a7; height: 10px; border-radius: 2px;
         min-width: 1px; }
 .hcount { color: #57606a; font-variant-numeric: tabular-nums; }
-.cols { display: flex; gap: 20px; align-items: flex-start; }
-.cols > div { flex: 1 1 0; min-width: 0; }
-td.ok { color: #57606a; }
-td.regressed { color: #cf222e; font-weight: 600; }
-td.improved { color: #1a7f37; font-weight: 600; }
-td.new, td.gone { color: #9a6700; }
-tr.env-mismatch td { background: #fff8c5; }
 """
 
 
@@ -419,105 +412,3 @@ def generate(trace_path: str | Path,
     out.write_text(doc, encoding="utf-8")
     return out
 
-
-# ----------------------------------------------------------------------
-# Run-record diff reports (``repro runs diff A B --html``)
-# ----------------------------------------------------------------------
-
-def _render_env_diff(env_a: Mapping[str, Any], env_b: Mapping[str, Any]) -> str:
-    rows = []
-    for key in sorted(set(env_a) | set(env_b)):
-        va, vb = env_a.get(key), env_b.get(key)
-        cls = ' class="env-mismatch"' if va != vb else ""
-        rows.append(f"<tr{cls}><td>{_esc(key)}</td>"
-                    f"<td>{_esc(va)}</td><td>{_esc(vb)}</td></tr>")
-    return ("<table><tr><th>env</th><th>A</th><th>B</th></tr>"
-            + "".join(rows) + "</table>")
-
-
-def _render_delta_table(deltas: Iterable[Any], kind: str,
-                        only_interesting: bool = False) -> str:
-    rows = []
-    for d in deltas:
-        if d.kind != kind or (only_interesting and d.status == "ok"):
-            continue
-        rel = d.rel
-        rel_s = f"{rel:+.1%}" if rel is not None else "-"
-        fa = "-" if d.a is None else _fmt_n(d.a if kind != "counter"
-                                            else int(d.a))
-        fb = "-" if d.b is None else _fmt_n(d.b if kind != "counter"
-                                            else int(d.b))
-        rows.append(f"<tr><td>{_esc(d.name)}</td>"
-                    f"<td class='num'>{fa}</td><td class='num'>{fb}</td>"
-                    f"<td class='num'>{_esc(rel_s)}</td>"
-                    f"<td class='{_esc(d.status)}'>{_esc(d.status)}</td></tr>")
-    if not rows:
-        return f"<p>No {kind} metrics differ beyond tolerance.</p>"
-    return (f"<table><tr><th>{_esc(kind)}</th><th>A</th><th>B</th>"
-            "<th>delta</th><th>status</th></tr>" + "".join(rows) + "</table>")
-
-
-def _render_record_flames(record: Any, side: str) -> str:
-    """The flame view of one run record's trace, or a placeholder when the
-    record carries no (readable) trace."""
-    header = (f"<h3>{side}: {_esc(record.run_id)}</h3>"
-              f"<p class='meta'>{_esc(record.label)}</p>")
-    if not record.trace_path:
-        return header + "<p class='meta'>No trace recorded for this run.</p>"
-    try:
-        roots, _events = load_trace(record.trace_path)
-    except OSError:
-        return (header + f"<p class='meta'>Trace file "
-                f"{_esc(record.trace_path)} is not readable.</p>")
-    if not roots:
-        return header + "<p class='meta'>Trace contains no spans.</p>"
-    return header + "".join(_render_flame(sp) for sp in roots)
-
-
-def render_diff_html(rec_a: Any, rec_b: Any,
-                     title: str = "NV run diff") -> str:
-    """Side-by-side comparison of two :class:`repro.observatory.RunRecord`
-    runs: env fingerprints, flame charts from each run's trace (when
-    available), and noise-aware timing/counter/gauge delta tables."""
-    from . import observatory  # deferred: keep report importable standalone
-
-    deltas = observatory.diff_records(rec_a, rec_b)
-    gate = observatory.regressions(deltas)
-    n_interesting = sum(1 for d in deltas if d.status != "ok")
-    meta_bits = [f"A = {rec_a.run_id}", f"B = {rec_b.run_id}",
-                 f"{len(deltas)} metrics compared",
-                 f"{n_interesting} beyond tolerance",
-                 f"{len(gate)} gated counter regressions"]
-    parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        f"<title>{_esc(title)}</title><style>{_CSS}</style></head><body>",
-        f"<h1>{_esc(title)}</h1>",
-        f"<p class='meta'>{_esc(' · '.join(meta_bits))}</p>",
-        "<h2>Environment</h2>",
-        _render_env_diff(rec_a.env, rec_b.env),
-        "<h2>Span flame views</h2>",
-        "<div class='cols'><div>",
-        _render_record_flames(rec_a, "A"),
-        "</div><div>",
-        _render_record_flames(rec_b, "B"),
-        "</div></div>",
-        "<h2>Timing deltas (best of N)</h2>",
-        _render_delta_table(deltas, "timing"),
-        "<h2>Counter deltas</h2>",
-        _render_delta_table(deltas, "counter", only_interesting=True),
-        "<h2>Gauge deltas</h2>",
-        _render_delta_table(deltas, "gauge", only_interesting=True),
-        "</body></html>",
-    ]
-    return "".join(parts)
-
-
-def generate_diff(rec_a: Any, rec_b: Any, out_path: str | Path,
-                  title: str | None = None) -> Path:
-    """Write the side-by-side HTML diff of two run records to ``out_path``."""
-    doc = render_diff_html(
-        rec_a, rec_b,
-        title=title or f"NV run diff — {rec_a.label} vs {rec_b.label}")
-    out = Path(out_path)
-    out.write_text(doc, encoding="utf-8")
-    return out

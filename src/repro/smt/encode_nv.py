@@ -96,8 +96,19 @@ class NvSmtEncoder:
         # (name, type, tval) for every declared symbolic, for model decoding.
         self.symbolic_vals: dict[str, tuple[T.Type, Any]] = {}
         self.attr_vals: dict[int, Any] = {}
-        # Constant map keys discovered in the program, per key type.
+        # Constant map keys discovered in the program, per key type
+        # (``edge`` and ``(node, node)`` share one table: see ``keys``).
         self.map_keys: dict[T.Type, list[Any]] = {}
+
+    def keys(self, ty: T.Type) -> list[Any]:
+        """The tracked constant keys of maps keyed by ``ty``.  The parser
+        builds an edge literal as a node pair, so a map written at
+        ``(0n, 1n)`` may be typed ``dict[(node, node), _]`` where the
+        attribute it becomes is ``dict[edge, _]``: both read one table."""
+        if (isinstance(ty, T.TTuple) and len(ty.elts) == 2
+                and all(isinstance(t, T.TNode) for t in ty.elts)):
+            ty = T.TEdge()
+        return self.map_keys.get(ty, [])
 
     # ------------------------------------------------------------------
     # Variable creation and key collection
@@ -132,7 +143,7 @@ class NvSmtEncoder:
             return SRecord(tuple((n, self.make_var(t, f"{name}.{n}"))
                                  for n, t in ty.fields))
         if isinstance(ty, T.TDict):
-            keys = self.map_keys.get(ty.key, [])
+            keys = self.keys(ty.key)
             entries = {k: self.make_var(ty.value, f"{name}.k{ix}")
                        for ix, k in enumerate(keys)}
             default = self.make_var(ty.value, name + ".dflt")
@@ -151,6 +162,9 @@ class NvSmtEncoder:
                 return T.TNode(), e.value
             if isinstance(e, A.EEdge):
                 return T.TEdge(), (e.src, e.dst)
+            if (isinstance(e, A.ETuple) and len(e.elts) == 2
+                    and all(isinstance(x, A.ENode) for x in e.elts)):
+                return T.TEdge(), (e.elts[0].value, e.elts[1].value)
             return None
 
         def walk(e: A.Expr) -> None:
@@ -203,7 +217,7 @@ class NvSmtEncoder:
                 raise NvEncodingError(
                     f"cannot lift map {value!r}: need an unrolled map with "
                     "get()/default (see analysis.partition)")
-            keys = self.map_keys.get(ty.key, [])
+            keys = self.keys(ty.key)
             return TMap(ty.key, ty.value,
                         {k: self.lift(value.get(k), ty.value) for k in keys},
                         self.lift(value.default, ty.value))
@@ -227,7 +241,7 @@ class NvSmtEncoder:
         if isinstance(ty, T.TRecord):
             return SRecord(tuple((n, self.zero(t)) for n, t in ty.fields))
         if isinstance(ty, T.TDict):
-            keys = self.map_keys.get(ty.key, [])
+            keys = self.keys(ty.key)
             return TMap(ty.key, ty.value,
                         {k: self.zero(ty.value) for k in keys}, self.zero(ty.value))
         raise NvEncodingError(f"no zero value for type {ty}")
@@ -308,7 +322,7 @@ class TermEvaluator(PartialEvaluator):
         if not isinstance(e.ty, T.TDict):
             raise NvEncodingError("createDict requires a typed AST")
         default = self.enc.lift(args[0], e.ty.value)
-        keys = self.enc.map_keys.get(e.ty.key, [])
+        keys = self.enc.keys(e.ty.key)
         return TMap(e.ty.key, e.ty.value, {k: default for k in keys}, default)
 
     def _mget(self, e: A.EOp, args: list[Any]) -> Any:

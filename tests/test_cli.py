@@ -111,6 +111,30 @@ class TestVerify:
             "error: --max-conflicts must be >= 0, got -5\n"
         assert main(["verify", triangle_file, "--max-conflicts", "0"]) in (0, 2)
 
+    @pytest.mark.parametrize("key", ["(0n, 1n)", "(0n, 2n)"],
+                             ids=["edge", "not_an_edge"])
+    def test_map_write_at_node_pair_key_is_not_lost(self, key, tmp_path,
+                                                    capsys):
+        """An edge-keyed attribute written at a node-pair literal: the
+        literal types as ``(node, node)``, the attribute as ``edge``, and
+        the encoder kept no slot for the write, so ``verify`` printed
+        ``verified`` (exit 0) where ``simulate`` finds the violation."""
+        f = tmp_path / "pairkey.nv"
+        f.write_text(f"""
+type attribute = dict[edge, option[int8]]
+let nodes = 3
+let edges = {{0n=1n; 1n=2n}}
+let init (u : node) =
+  if u = 0n then (createDict None)[{key} := Some 0u8] else createDict None
+let trans (e : edge) (x : attribute) = x
+let merge (u : node) (x : attribute) (y : attribute) = x
+let assert (u : node) (x : attribute) = x[{key}] = None
+""")
+        assert main(["simulate", str(f)]) == 1
+        assert "assertion violated at nodes: [0]" in capsys.readouterr().out
+        assert main(["verify", str(f)]) == 1
+        assert capsys.readouterr().out.startswith("counterexample:")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_files_of_different_sizes(self, tmp_path, capsys, monkeypatch,
                                       jobs):
@@ -473,6 +497,22 @@ class TestErrors:
         assert capsys.readouterr() == \
             ("", "error: NV_JOBS='abc' is not an integer\n")
 
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--jobs", "0"], None, "--jobs 0"),
+        (["--jobs", "-3"], None, "--jobs -3"),
+        ([], "0", "NV_JOBS='0'"),
+        ([], "-1", "NV_JOBS='-1'")],
+        ids=["jobs_0", "jobs_negative", "nv_jobs_0", "nv_jobs_negative"])
+    def test_worker_count_below_one_is_a_usage_error(
+            self, flags, env, message, triangle_file, capsys, monkeypatch):
+        """A worker count below 1 ran one worker, silently, where
+        ``NV_JOBS=abc`` was already a usage error."""
+        if env is not None:
+            monkeypatch.setenv("NV_JOBS", env)
+        assert main(["verify", triangle_file, *flags]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {message}: the worker count must be at least 1\n")
+
     @pytest.mark.parametrize("flags, message", [
         (["--links", "-1"], "at least one link or node failure is required"),
         (["--links", "0"], "at least one link or node failure is required"),
@@ -493,7 +533,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("case", [
         "node_out_of_range", "symbolic_without_value", "partition_two_files",
-        "no_configs", "missing_trace", "unknown_run"])
+        "no_configs", "missing_trace"])
     def test_malformed_request_is_exit_3_not_violated(
             self, case, triangle_file, tmp_path, capsys):
         """Exit 1 means "the property is violated": a request the CLI cannot
@@ -506,7 +546,6 @@ class TestErrors:
                                     triangle_file, triangle_file],
             "no_configs": ["translate", str(tmp_path)],
             "missing_trace": ["report", str(tmp_path / "missing.jsonl")],
-            "unknown_run": ["runs", "--runs-dir", str(tmp_path), "show", "x"],
         }[case]
         assert main(argv) == 3
         err = capsys.readouterr().err
@@ -802,7 +841,7 @@ class TestImportsOnlyWhatRuns:
     #: and the management half of the observability stack.
     MANAGEMENT = {"dataclasses", "inspect", "json", "pickle", "tracemalloc",
                   "pathlib", "multiprocessing", "repro.heartbeat",
-                  "repro.report", "repro.observatory", "repro.critpath"}
+                  "repro.report", "repro.critpath"}
 
     @classmethod
     def modules_after(cls, argv: list[str], jobs: str = "1",

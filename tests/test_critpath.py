@@ -96,16 +96,6 @@ class TestLptBound:
         assert rep.lpt_gap_pct is None
 
 
-class TestGauges:
-    def test_gauge_keys(self):
-        root = Sp("dispatch", 0.0, 2.0, children=[
-            Sp("x.unit", 0.0, 2.0, {"unit": 0, "proc": 0})])
-        g = critpath.analyze([root]).gauges()
-        # parallel.lpt_gap_pct is the work ledger's gauge, not this one's.
-        assert set(g) == {critpath.GAUGE_CRITICAL, critpath.GAUGE_TOTAL_WORK,
-                          critpath.GAUGE_EFFICIENCY}
-
-
 class TestRenderText:
     def test_text_summary_mentions_key_lines(self):
         root = Sp("dispatch", 0.0, 2.0, children=[

@@ -49,10 +49,11 @@ class TestResolveJobs:
         monkeypatch.delenv("NV_JOBS", raising=False)
         assert 1 <= parallel.resolve_jobs(None) <= parallel.MAX_DEFAULT_JOBS
 
-    def test_floor_is_one(self, monkeypatch):
+    def test_below_one_is_an_error(self, monkeypatch):
         monkeypatch.delenv("NV_JOBS", raising=False)
-        assert parallel.resolve_jobs(0) == 1
-        assert parallel.resolve_jobs(-3) == 1
+        for jobs in (0, -3):
+            with pytest.raises(parallel.ParallelError, match="at least 1"):
+                parallel.resolve_jobs(jobs)
 
 
 class TestChunking:
