@@ -155,17 +155,25 @@ def test_counters_are_pinned(command, inputs):
     assert mismatches(load_pins()[command], run(command, inputs)) == []
 
 
-def test_comparison_rejects_any_change():
-    pin = {"exit": 0, "first_line": "verified:",
-           "counters": {"sat.conflicts": 4, "sat.checks": 1}}
-    assert mismatches(pin, json.loads(json.dumps(pin))) == []
-    plus_one = {**pin, "counters": {"sat.conflicts": 5, "sat.checks": 1}}
-    missing = {**pin, "counters": {"sat.conflicts": 4}}
-    extra = {**pin, "counters": {**pin["counters"], "sat.decisions": 0}}
-    assert mismatches(pin, plus_one) == ["sat.conflicts: pinned 4, got 5"]
-    assert mismatches(pin, missing) == ["sat.checks: pinned 1, got nothing"]
-    assert mismatches(pin, extra) == ["sat.decisions: pinned nothing, got 0"]
-    assert mismatches(pin, {**pin, "exit": 1}) == ["exit: pinned 0, got 1"]
+PIN = {"exit": 0, "first_line": "verified:",
+       "counters": {"sat.conflicts": 4, "sat.checks": 1}}
+
+
+def test_comparison_rejects_a_changed_count():
+    assert mismatches(PIN, json.loads(json.dumps(PIN))) == []
+    plus_one = {**PIN, "counters": {"sat.conflicts": 5, "sat.checks": 1}}
+    assert mismatches(PIN, plus_one) == ["sat.conflicts: pinned 4, got 5"]
+    assert mismatches(PIN, {**PIN, "exit": 1}) == ["exit: pinned 0, got 1"]
+
+
+def test_comparison_rejects_a_new_counter():
+    extra = {**PIN, "counters": {**PIN["counters"], "sat.decisions": 0}}
+    assert mismatches(PIN, extra) == ["sat.decisions: pinned nothing, got 0"]
+
+
+def test_comparison_rejects_a_vanished_counter():
+    missing = {**PIN, "counters": {"sat.conflicts": 4}}
+    assert mismatches(PIN, missing) == ["sat.checks: pinned 1, got nothing"]
 
 
 if __name__ == "__main__":
