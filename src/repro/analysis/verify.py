@@ -17,9 +17,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Sequence
 
-from .. import obs, parallel
+from .. import obs, parallel, perf
 from ..eval.partial import SBool, SEdge, SInt, SOption, SRecord, STuple, Sym
-from ..eval.maps import DecodedMap
+from ..eval.maps import DecodedMap, MapContext, NVMap
 from ..eval.values import VClosure, VRecord, VSome
 from ..lang import ast as A
 from ..lang import types as T
@@ -28,7 +28,8 @@ from ..smt.encode_nv import (NvSmtEncoder, TMap, TermEvaluator,
                              VerificationResult)
 from ..smt.solver import Solver
 from ..smt.terms import VAR, TermManager
-from ..srp.network import Network
+from ..srp.network import Network, functions_from_program
+from ..srp.simulate import unstable_node
 
 
 def encode_network(net: Network, simplify: bool = True, tm: Any = None,
@@ -163,7 +164,7 @@ def verify(net: Network, simplify: bool = True,
     encode_seconds = perf_counter() - t0
 
     smt = solver.check(max_conflicts)
-    return _result_from_smt(net, enc, smt, encode_seconds)
+    return _replayed(net, _result_from_smt(net, enc, smt, encode_seconds))
 
 
 def _result_from_smt(net: Network, enc: NvSmtEncoder, smt: Any,
@@ -225,6 +226,55 @@ def decode_tval(enc: NvSmtEncoder, tval: Any, ty: T.Type,
         default = decode_tval(enc, tval.default, tval.value_ty, assignment)
         return DecodedMap(entries, default)
     raise NvEncodingError(f"cannot decode {type(tval).__name__}")
+
+
+def _replayed(net: Network, result: VerificationResult) -> VerificationResult:
+    """Replay a counterexample through the interpreter before anyone prints
+    it: with the decoded symbolic values bound, the decoded node attributes
+    must be a stable state of ``net`` and violate the assertion at some
+    node.  A model that fails either is a bug in the encoder or the decoder,
+    raised as an internal error that names the node.  Other verdicts pass
+    through untouched."""
+    if result.status != "counterexample":
+        return result
+
+    # The replay's evaluation is not the query's work: it stays out of the
+    # --stats counters.
+    with obs.span("verify.replay"), perf.enabled(False):
+        ctx = MapContext(net.num_nodes, net.edges)
+        symbolics = {d.name: _live(result.counterexample[d.name], d.ty, ctx)
+                     for d in net.program.symbolics()}
+        funcs = functions_from_program(net, symbolics, ctx)
+        labels = [_live(result.node_attrs[u], net.attr_ty, ctx)
+                  for u in range(net.num_nodes)]
+        u = unstable_node(funcs, labels)
+        if u is not None:
+            raise NvEncodingError(
+                f"internal error: the counterexample does not replay: "
+                f"node {u}'s decoded attribute is not stable")
+        if all(funcs.assert_fn(u, labels[u]) for u in range(net.num_nodes)):
+            raise NvEncodingError(
+                "internal error: the counterexample does not replay: the "
+                "assertion holds at every node of the decoded state")
+    return result
+
+
+def _live(value: Any, ty: T.Type, ctx: MapContext) -> Any:
+    """A decoded model value as the interpreter's value of type ``ty``:
+    every :class:`DecodedMap` inside becomes an ``NVMap`` in ``ctx``."""
+    if isinstance(value, VSome):
+        return VSome(_live(value.value, ty.elt, ctx))
+    if isinstance(value, VRecord):
+        return VRecord(tuple((n, _live(v, ty.field_type(n), ctx))
+                             for n, v in value.fields))
+    if isinstance(value, tuple) and isinstance(ty, T.TTuple):
+        return tuple(_live(v, t, ctx) for v, t in zip(value, ty.elts))
+    if isinstance(value, DecodedMap):
+        live = NVMap.create(ctx, ty.key, _live(value.default, ty.value, ctx))
+        for key, entry in value.entries:
+            live = live.set(key, _live(entry, ty.value, ctx))
+        return live
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +429,6 @@ def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
         obs.event("verify.incremental_query", index=index,
                   status=smt.status, seconds=round(per_query, 6),
                   marginal_clauses=smt.stats.get("inc.marginal_clauses", 0))
-        results.append(_result_from_smt(
-            net, enc, smt, 0.0 if results else encode_seconds))
+        results.append(_replayed(net, _result_from_smt(
+            net, enc, smt, 0.0 if results else encode_seconds)))
     return results

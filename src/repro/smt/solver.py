@@ -8,7 +8,9 @@ Two operating modes:
 
 * **Fresh (default)** — ``check()`` bit-blasts the asserted terms, runs the
   CNF preprocessor (:mod:`repro.smt.preprocess`) and decides the result
-  with a new :class:`SatSolver`.  Stateless per call.
+  with a new :class:`SatSolver`.  Stateless per call: once Tseitin is
+  done, only the clauses and the model-decoding tables are handed on, and
+  the terms the check blasted are forgotten (:func:`_hand_over`).
 * **Incremental** (``Solver(tm, incremental=True)``) — the Tseitin
   context, the preprocessed clause database and one persistent
   :class:`SatSolver` (learnt clauses, VSIDS activities, saved phases)
@@ -172,6 +174,7 @@ class Solver:
                 self._ensure_context()
                 lit = self._tseitin.literal(
                     self._blaster.blast_bool(term), POS)
+                self.tm.keep()
             finally:
                 sys.setrecursionlimit(old_limit)
             self._handles[term] = lit
@@ -202,36 +205,33 @@ class Solver:
     def _check(self, max_conflicts: int | None) -> SmtResult:
         t0 = perf_counter()
         with obs.span("smt.bitblast", assertions=len(self.assertions)) as sp:
-            blaster = BitBlaster(self.tm)
-            tseitin = Tseitin(self.tm)
-            for term in self.assertions:
-                tseitin.assert_term(blaster.blast_bool(term))
-            cnf = tseitin.cnf
+            formula = _hand_over(self.tm, self.assertions)
             if sp is not None:
-                sp.attrs.update(vars=cnf.num_vars, clauses=len(cnf.clauses))
+                sp.attrs.update(vars=formula.num_vars,
+                                clauses=formula.num_clauses)
         encode_seconds = perf_counter() - t0
 
-        clauses: list[tuple[int, ...]] | None = cnf.clauses
+        num_vars = formula.num_vars
+        clauses: list[tuple[int, ...]] | None = formula.clauses
         pre_stats: dict[str, int] = {}
         pre: Preprocessor | None = None
         pre_seconds = 0.0
-        if self.preprocess and len(cnf.clauses) >= PREPROCESS_MIN_CLAUSES:
+        if self.preprocess and formula.num_clauses >= PREPROCESS_MIN_CLAUSES:
             pre, clauses, pre_seconds = _run_preprocess(
-                cnf.num_vars, cnf.clauses, _frozen_vars(tseitin))
+                num_vars, clauses, formula.frozen, consume=True)
             pre_stats = pre.stats.as_dict()
 
-        tag_vars = _tag_vars(cnf)
         t0 = perf_counter()
-        with obs.span("smt.solve", vars=cnf.num_vars,
-                      clauses=len(cnf.clauses)) as sp:
+        with obs.span("smt.solve", vars=num_vars,
+                      clauses=formula.num_clauses) as sp:
             if clauses is None:       # preprocessing refuted at level 0
                 outcome: bool | None = False
                 model_value: Callable[[int], bool] = lambda var: False
                 stats = {"conflicts": 0, "decisions": 0,
                          "propagations": 0, "restarts": 0}
             else:
-                solver = SatSolver(cnf.num_vars, clauses)
-                _hint_tags(solver, tag_vars)
+                solver = SatSolver(num_vars, clauses)
+                _hint_tags(solver, formula.tag_vars)
                 outcome = solver.solve(max_conflicts)
                 model_value = _reconstructing_model(solver, pre)
                 stats = _solver_stats(solver)
@@ -241,9 +241,14 @@ class Solver:
                             else ("sat" if outcome else "unsat")),
                     **stats)
         solve_seconds = perf_counter() - t0
-        return self._finish(cnf, blaster, outcome, model_value, stats,
-                            pre_stats, encode_seconds, pre_seconds,
-                            solve_seconds, marginal_clauses=len(cnf.clauses))
+        result = self._finish(num_vars, formula.num_clauses, outcome, stats,
+                              pre_stats, encode_seconds, pre_seconds,
+                              solve_seconds,
+                              marginal_clauses=formula.num_clauses)
+        if outcome:
+            _decode_model(result, formula.bool_vars, formula.bv_bits,
+                          model_value)
+        return result
 
     # ------------------------------------------------------------------
     # Incremental mode
@@ -260,6 +265,7 @@ class Solver:
             term = self.assertions[self._asserted]
             self._tseitin.assert_term(self._blaster.blast_bool(term))
             self._asserted += 1
+        self.tm.keep()
 
     def _check_incremental(self, max_conflicts: int | None) -> SmtResult:
         t0 = perf_counter()
@@ -328,10 +334,14 @@ class Solver:
                     **stats)
         solve_seconds = perf_counter() - t0
 
-        result = self._finish(cnf, self._blaster, outcome, model_value,
+        result = self._finish(cnf.num_vars, len(cnf.clauses), outcome,
                               stats, pre_stats, encode_seconds, pre_seconds,
                               solve_seconds, marginal_clauses=marginal,
                               merge_pre=first_solve)
+        if outcome:
+            _decode_model(result, _bool_vars(cnf.name_var),
+                          _decode_table(self.tm, self._blaster, cnf),
+                          model_value)
         result.core = core
         result.stats["inc.assumptions"] = len(assumptions)
         result.stats["inc.marginal_clauses"] = marginal
@@ -359,15 +369,15 @@ class Solver:
     # Shared result assembly
     # ------------------------------------------------------------------
 
-    def _finish(self, cnf: Any, blaster: BitBlaster, outcome: bool | None,
-                model_value: Callable[[int], bool], stats: dict[str, int],
-                pre_stats: dict[str, int], encode_seconds: float,
-                preprocess_seconds: float, solve_seconds: float,
-                marginal_clauses: int, merge_pre: bool = True) -> SmtResult:
+    def _finish(self, num_vars: int, num_clauses: int, outcome: bool | None,
+                stats: dict[str, int], pre_stats: dict[str, int],
+                encode_seconds: float, preprocess_seconds: float,
+                solve_seconds: float, marginal_clauses: int,
+                merge_pre: bool = True) -> SmtResult:
         result = SmtResult(
             status="unknown" if outcome is None else ("sat" if outcome else "unsat"),
-            num_vars=cnf.num_vars,
-            num_clauses=len(cnf.clauses),
+            num_vars=num_vars,
+            num_clauses=num_clauses,
             encode_seconds=encode_seconds,
             solve_seconds=solve_seconds,
             conflicts=stats["conflicts"],
@@ -388,23 +398,83 @@ class Solver:
             perf.merge({k: v for k, v in pre_stats.items()
                         if k not in ("pre.clauses_in", "pre.clauses_out")},
                        prefix="sat.")
-        if outcome:
-            # Boolean term variables.
-            for name, var in cnf.name_var.items():
-                if "#bit" not in name:
-                    result.model_bools[name] = model_value(var)
-            # Bitvector variables, reassembled from their blasted bits.
-            for name, bits in blaster.var_bits.items():
-                value = 0
-                for bit_term in bits:
-                    lit = cnf.term_lit.get(bit_term)
-                    if lit is None:
-                        bit = bool(self.tm.const_value(bit_term))
-                    else:
-                        bit = model_value(abs(lit)) ^ (lit < 0)
-                    value = (value << 1) | (1 if bit else 0)
-                result.model_bvs[name] = value
         return result
+
+
+@struct
+class _Formula:
+    """What a fresh check reads of its encoding once Tseitin is done
+    (:func:`_hand_over`): the clauses for the preprocessor and the search,
+    the variables preprocessing must keep and search decides first, and
+    the tables a SAT model is decoded through."""
+
+    num_vars: int
+    clauses: list[tuple[int, ...]]
+    num_clauses: int
+    bool_vars: dict[str, int]            # boolean term variable -> SAT var
+    bv_bits: dict[str, tuple]            # bitvector variable -> bit sources
+    frozen: set[int]
+    tag_vars: list[int]
+
+
+def _hand_over(tm: TermManager, assertions: list[int]) -> _Formula:
+    """Bit-blast and Tseitin-encode ``assertions`` for a fresh check, then
+    keep only the :class:`_Formula`.  The :class:`BitBlaster`, the
+    :class:`Tseitin` context with its :class:`~repro.smt.cnf.Cnf` (clause
+    dedup set, term-to-literal map) and the blasted terms die here, so
+    preprocessing and search hold one copy of the formula, not every form
+    it passed through (DESIGN.md "Memory of a fresh check").  Terms from
+    before the check, which decoding evaluates, stay in ``tm``."""
+    mark = tm.mark()
+    try:
+        blaster = BitBlaster(tm)
+        tseitin = Tseitin(tm)
+        for term in assertions:
+            tseitin.assert_term(blaster.blast_bool(term))
+        cnf = tseitin.cnf
+        return _Formula(cnf.num_vars, cnf.clauses, len(cnf.clauses),
+                        _bool_vars(cnf.name_var),
+                        _decode_table(tm, blaster, cnf),
+                        _frozen_vars(tseitin), _tag_vars(cnf))
+    finally:
+        tm.truncate(mark)
+
+
+def _bool_vars(name_var: dict[str, int]) -> dict[str, int]:
+    """The boolean term variables among the CNF's named variables (a
+    ``#bit`` name is one bit of a bitvector variable)."""
+    return {name: var for name, var in name_var.items() if "#bit" not in name}
+
+
+def _decode_table(tm: TermManager, blaster: BitBlaster, cnf: Any
+                  ) -> dict[str, tuple]:
+    """Per bitvector variable, the source of each of its bits, MSB first:
+    the CNF literal of the bit's term, or a bool for a bit that reached no
+    clause (its constant value; ``False`` for an unconstrained bit)."""
+    term_lit = cnf.term_lit
+    table: dict[str, tuple] = {}
+    for name, bits in blaster.var_bits.items():
+        table[name] = tuple(
+            lit if (lit := term_lit.get(bit)) is not None
+            else bool(tm.const_value(bit)) for bit in bits)
+    return table
+
+
+def _decode_model(result: SmtResult, bool_vars: dict[str, int],
+                  bv_bits: dict[str, tuple],
+                  model_value: Callable[[int], bool]) -> None:
+    """Fill ``result``'s model from a SAT assignment."""
+    for name, var in bool_vars.items():
+        result.model_bools[name] = model_value(var)
+    for name, sources in bv_bits.items():
+        value = 0
+        for src in sources:
+            if isinstance(src, bool):
+                bit = src
+            else:
+                bit = model_value(abs(src)) ^ (src < 0)
+            value = (value << 1) | (1 if bit else 0)
+        result.model_bvs[name] = value
 
 
 def _frozen_vars(tseitin: Tseitin) -> set[int]:
@@ -416,12 +486,18 @@ def _frozen_vars(tseitin: Tseitin) -> set[int]:
     return frozen
 
 
-def _run_preprocess(num_vars: int, clauses: list, frozen: set[int]
+def _run_preprocess(num_vars: int, clauses: list, frozen: set[int],
+                    consume: bool = False
                     ) -> tuple[Preprocessor, list[tuple[int, ...]] | None,
                                float]:
+    """Preprocess ``clauses``.  ``consume=True`` (a fresh check handing
+    over its only copy) empties the list once the preprocessor has built
+    its sorted keys, so the passes do not run beside the input clauses."""
     t0 = perf_counter()
     with obs.span("smt.preprocess", clauses=len(clauses)) as sp:
         pre = Preprocessor(num_vars, clauses, frozen=frozen)
+        if consume:
+            clauses.clear()
         simplified = pre.run()
         if sp is not None:
             sp.attrs.update(

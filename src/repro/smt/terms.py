@@ -52,6 +52,7 @@ class TermManager:
         self.true = self._mk(TermData(CONST, (), True, BOOL_SORT))
         self.false = self._mk(TermData(CONST, (), False, BOOL_SORT))
         self._var_names: set[str] = set()
+        self._kept = 0             # truncation floor (see :meth:`keep`)
 
     # ------------------------------------------------------------------
     # Core interning
@@ -82,6 +83,38 @@ class TermManager:
         """The term's constant value, or None if not a constant."""
         data = self._terms[t]
         return data.payload if data.op == CONST else None
+
+    # ------------------------------------------------------------------
+    # Forgetting scratch terms
+    # ------------------------------------------------------------------
+
+    def mark(self) -> int:
+        """A point to :meth:`truncate` back to: the next term id."""
+        return len(self._terms)
+
+    def keep(self) -> None:
+        """Protect every term that exists now from :meth:`truncate`.  A
+        context that memoises term ids across calls (an incremental
+        solver's bit-blaster and Tseitin encoder) calls this after each
+        encoding step, so no later truncation can hand its ids out again."""
+        self._kept = len(self._terms)
+
+    def truncate(self, mark: int) -> None:
+        """Forget every term created since :meth:`mark` returned ``mark``:
+        their ids, their interning entries and the variable names they
+        introduced.  Terms below the mark are untouched, and re-creating a
+        forgotten term gives it the id it had.  Refuses a mark below a
+        :meth:`keep` point, which would recycle ids still memoised."""
+        if mark < self._kept:
+            raise ValueError(
+                f"cannot truncate to term {mark}: terms below {self._kept} "
+                "are held by an incremental solver")
+        intern, names = self._intern, self._var_names
+        for data in self._terms[mark:]:
+            del intern[data]
+            if data.op == VAR:
+                names.discard(data.payload)
+        del self._terms[mark:]
 
     # ------------------------------------------------------------------
     # Boolean constructors

@@ -12,7 +12,7 @@ contains both orientations.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .._struct import field, struct
 from ..eval.interp import Interpreter, program_env
@@ -48,7 +48,39 @@ class Network:
                 if edge not in seen:
                     seen.add(edge)
                     directed.append(edge)
+        for value, span in _node_literals(program):
+            if not 0 <= value < num_nodes:
+                where = "" if span is None else \
+                    f" (line {span[0]}, column {span[1]})"
+                raise NvError(f"node {value}n out of range for {num_nodes} "
+                              f"nodes{where}")
         return Network(program, num_nodes, tuple(directed), attr_ty, tuple(links))
+
+
+def _node_literals(program: A.Program
+                   ) -> Iterator[tuple[int, tuple[int, int] | None]]:
+    """``(value, span)`` of every node literal in ``program``'s expressions
+    and patterns (a pattern has no span)."""
+    stack: list[Any] = [d.expr for d in program.decls
+                        if isinstance(d, (A.DLet, A.DRequire))]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, A.ENode):
+            yield e.value, e.span
+        elif isinstance(e, A.PNode):
+            yield e.value, None
+        elif isinstance(e, A.PSome):
+            stack.append(e.sub)
+        elif isinstance(e, A.PTuple):
+            stack.extend(e.elts)
+        elif isinstance(e, A.PRecord):
+            stack.extend(p for _, p in e.fields)
+        elif isinstance(e, A.Expr):
+            stack.extend(e.children())
+            if isinstance(e, A.EMatch):
+                stack.extend(p for p, _ in e.branches)
+            elif isinstance(e, A.ELetPat):
+                stack.append(e.pat)
 
 
 @struct

@@ -241,6 +241,14 @@ def is_stable(funcs: NetworkFunctions, labels: list[Any],
     (``NetworkFunctions.neighbors_in()``); by default the cached incidence
     on ``funcs`` is used instead of rebuilding it per call.
     """
+    return unstable_node(funcs, labels, in_edges) is None
+
+
+def unstable_node(funcs: NetworkFunctions, labels: list[Any],
+                  in_edges: list[list[tuple[int, int]]] | None = None
+                  ) -> int | None:
+    """The first node whose label breaks its stability equation (see
+    :func:`is_stable`), or ``None`` when ``labels`` is a stable state."""
     if in_edges is None:
         in_edges = funcs.neighbors_in()
     for u in range(funcs.num_nodes):
@@ -248,5 +256,5 @@ def is_stable(funcs: NetworkFunctions, labels: list[Any],
         for edge in in_edges[u]:
             expected = funcs.merge(u, expected, funcs.trans(edge, labels[edge[0]]))
         if expected != labels[u]:
-            return False
-    return True
+            return u
+    return None

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.analysis import verify as verify_module
 from repro.analysis.verify import verify
+from repro.cli import main
+from repro.lang.errors import NvEncodingError
 from repro.baselines.minesweeper import verify_minesweeper
-from repro.eval.values import VSome
+from repro.eval.values import VRecord, VSome
 from repro.srp.network import functions_from_program
 from repro.srp.simulate import simulate
-from tests.helpers import FIG2_NETWORK, RIP_TRIANGLE, load
+from tests.helpers import FIG2_NETWORK, RIP_TRIANGLE, load, narrow_sp_wan
 
 
 class TestFig2Hijack:
@@ -63,6 +66,42 @@ let trans e x =
         net = load(src)
         result = verify(net)
         assert result.status == "verified"
+
+
+class TestReplay:
+    """``verify`` replays a counterexample through the interpreter before
+    it returns it: the decoded state must be stable and violate the
+    assertion."""
+
+    def test_seeded_decoder_bug_is_caught(self, monkeypatch, tmp_path,
+                                          capsys):
+        """A decoder that swaps the ``length`` and ``lp`` fields of every
+        BGP route it decodes hands out a state that is not stable: an
+        internal error naming the node, exit 3 from the CLI."""
+        decode = verify_module.decode_tval
+
+        def swapped(enc, tval, ty, assignment):
+            value = decode(enc, tval, ty, assignment)
+            if isinstance(value, VRecord) and {"length", "lp"} <= set(
+                    name for name, _ in value.fields):
+                fields = dict(value.fields)
+                fields["length"], fields["lp"] = fields["lp"], fields["length"]
+                value = VRecord(tuple((n, fields[n]) for n, _ in value.fields))
+            return value
+
+        source = narrow_sp_wan("b.length < 3u8", nodes=8, links=10)
+        assert verify(load(source)).status == "counterexample"
+        monkeypatch.setattr(verify_module, "decode_tval", swapped)
+        with pytest.raises(NvEncodingError,
+                           match=r"^internal error: .* node \d+'s decoded"):
+            verify(load(source))
+        path = tmp_path / "wan.nv"
+        path.write_text(source)
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error: the counterexample "
+                              "does not replay: node ")
+        assert err.count("\n") == 1
 
 
 class TestReachability:

@@ -52,13 +52,14 @@ let assert (u : node) (x : rip) =
 """
 
 
-def narrow_sp_wan(holds: str) -> str:
-    """benchmarks/e2e's ``verify_smt`` WAN query (WAN-10/14, 8-bit eBGP):
-    ``b.origin = 0n`` is the reachability query (holds, UNSAT), ``b.length
-    < 3u8`` the violated path-length bound (SAT)."""
+def narrow_sp_wan(holds: str, nodes: int = 10, links: int = 14) -> str:
+    """benchmarks/e2e's ``verify_smt`` WAN query (WAN-10/14, 8-bit eBGP;
+    WAN-8/10 at its ``--quick`` size): ``b.origin = 0n`` is the
+    reachability query (holds, UNSAT), ``b.length < 3u8`` the violated
+    path-length bound (SAT)."""
     from repro.topology import uscarrier_like
 
-    topo = uscarrier_like(10, 14, seed=20200615)
+    topo = uscarrier_like(nodes, links, seed=20200615)
     return f"""
 include bgpNarrow
 {topo.nodes_decl()}

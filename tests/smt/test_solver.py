@@ -1,16 +1,22 @@
 """End-to-end SMT facade tests: bitvector semantics through bit-blasting,
 CNF and CDCL, cross-checked against Python integer arithmetic."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
+from repro.analysis.verify import encode_network
+from repro.smt.bitblast import BitBlaster
+from repro.smt.cnf import Cnf, Tseitin
 from repro.smt.encode_nv import VerificationResult
 from repro.smt.preprocess import Preprocessor
 from repro.smt.sat import SatSolver
 from repro.smt.solver import SmtResult, Solver, _reconstructing_model
 from repro.smt.terms import TermManager
+from tests.helpers import load, narrow_sp_wan
 
 W = 6
 VAL = st.integers(0, (1 << W) - 1)
@@ -215,3 +221,98 @@ class TestPreprocessingSurface:
                         stats={"preprocess_seconds": 0.4})
         line = VerificationResult(True, "verified", smt, 0.05).summary()
         assert line.startswith("verified: encode 0.050s, blast+solve 0.700s, ")
+
+
+class TestHandOver:
+    """A fresh check keeps one copy of the formula: the bit-blaster, the
+    Tseitin context and its CNF are gone before preprocessing starts, the
+    preprocessor's input list is emptied once its keys are built, and the
+    terms the check blasted are forgotten when it is done."""
+
+    @staticmethod
+    def _wan_query():
+        """The WAN-8/10 path-length query (SAT) as a fresh solver."""
+        enc, _, prop = encode_network(
+            load(narrow_sp_wan("b.length < 3u8", nodes=8, links=10)))
+        solver = Solver(enc.tm)
+        for c in enc.constraints:
+            solver.add(c)
+        solver.add(enc.tm.mk_not(prop))
+        return enc.tm, solver
+
+    @staticmethod
+    def _encoding_state() -> set[int]:
+        gc.collect()
+        return {id(o) for o in gc.get_objects()
+                if isinstance(o, (Cnf, Tseitin, BitBlaster))}
+
+    def test_no_encoding_state_reaches_the_preprocessor(self, monkeypatch):
+        tm, solver = self._wan_query()
+        before = self._encoding_state()
+        seen, handed = [], []
+        original = Preprocessor.__init__
+
+        def probing(pre, num_vars, clauses, frozen=()):
+            seen.append(self._encoding_state() - before)
+            handed.append(clauses)
+            original(pre, num_vars, clauses, frozen=frozen)
+
+        monkeypatch.setattr(Preprocessor, "__init__", probing)
+        assert solver.check().status == "sat"
+        assert seen == [set()]
+        assert handed[0] == []
+
+    def test_blasted_terms_are_forgotten(self):
+        tm, solver = self._wan_query()
+        before = (tm.num_terms(), set(tm._var_names))
+        assert solver.check().status == "sat"
+        assert (tm.num_terms(), tm._var_names) == before
+
+    def test_two_fresh_checks_agree(self):
+        _, solver = self._wan_query()
+        first, second = solver.check(), solver.check()
+
+        def key(r):
+            return (r.status, r.num_vars, r.num_clauses, r.conflicts,
+                    r.model_bools, r.model_bvs)
+
+        assert key(first) == key(second)
+        assert first.model_bvs and first.conflicts > 0
+
+    def test_fresh_and_incremental_share_a_manager(self):
+        """Interleaved on one manager, each solver answers as it would
+        alone; truncating below what the incremental solver encoded is
+        refused."""
+        tm = TermManager()
+        x, y = tm.mk_bv_var("x", W), tm.mk_bv_var("y", W)
+        c = tm.mk_bv_const
+        inc = Solver(tm, incremental=True)
+        inc.add(tm.mk_ult(x, y))
+        fresh = Solver(tm)
+        fresh.add(tm.mk_eq(tm.mk_bv_add(x, y), c(20, W)))
+        fresh.add(tm.mk_ult(y, x))
+
+        def bvs(r):
+            return r.model_bvs["x"], r.model_bvs["y"]
+
+        first = fresh.check()
+        a = inc.check_assuming(tm.mk_eq(x, c(3, W)))
+        # New terms for the incremental solver after a fresh check forgot
+        # its own: ids the fresh check used are handed out again.
+        b = inc.check_assuming(tm.mk_eq(tm.mk_bv_add(x, y), c(9, W)))
+        again = fresh.check()
+        refuted = inc.check_assuming(tm.mk_ule(y, x))
+        assert first.status == again.status == a.status == b.status == "sat"
+        fx, fy = bvs(first)
+        assert (fx + fy) % (1 << W) == 20 and fy < fx
+        assert bvs(again) == bvs(first)
+        ax, ay = bvs(a)
+        assert ax == 3 and ax < ay
+        bx, by = bvs(b)
+        assert (bx + by) % (1 << W) == 9 and bx < by
+        assert refuted.is_unsat
+
+        mark = tm.mark()
+        inc.check_assuming(tm.mk_eq(y, c(7, W)))
+        with pytest.raises(ValueError, match="incremental solver"):
+            tm.truncate(mark)

@@ -31,6 +31,31 @@ class TestHashConsing:
             tm.mk_bv_var("x", 8)
 
 
+class TestTruncate:
+    def test_forgotten_terms_and_names_come_back_fresh(self):
+        tm = TermManager()
+        a = tm.mk_bool_var("a")
+        mark = tm.mark()
+        b = tm.mk_bool_var("b")
+        tm.mk_and(a, b)
+        tm.mk_bv_var("x", 4)
+        tm.truncate(mark)
+        assert tm.num_terms() == mark and tm._var_names == {"a"}
+        # The names are free again, for any sort, and ids are reused.
+        assert tm.mk_bv_var("b", 4) == b
+        assert tm.mk_bool_var("x") == b + 1
+        assert tm.mk_bool_var("a") == a
+
+    def test_kept_terms_cannot_be_truncated(self):
+        tm = TermManager()
+        mark = tm.mark()
+        tm.mk_bool_var("a")
+        tm.keep()
+        with pytest.raises(ValueError, match="incremental solver"):
+            tm.truncate(mark)
+        tm.truncate(tm.mark())     # nothing past the keep point: allowed
+
+
 class TestFolding:
     def test_bool_folding(self):
         tm = TermManager()

@@ -92,6 +92,31 @@ class TestSimulate:
         assert masked(capsys.readouterr().out) == masked(want)
 
 
+class TestNodeLiteralRange:
+    """A node literal past ``nodes`` names no node: every command refuses
+    the program with one ``error:`` line, exit 3 (``simulate``, ``simulate
+    --native`` and ``verify`` all accepted it without a word)."""
+
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["simulate", "--native"],
+                                         ["verify"]],
+                             ids=["simulate", "native", "verify"])
+    def test_node_past_nodes_is_an_error(self, command, tmp_path, capsys):
+        f = tmp_path / "node5.nv"
+        f.write_text("""let nodes = 3
+let edges = {0n=1n; 1n=2n}
+let init (u : node) = if u = 5n then 0u8 else 1u8
+let trans (e : edge) (x : int8) = x
+let merge (u : node) (x : int8) (y : int8) = if x < y then x else y
+let assert (u : node) (x : int8) = x = 0u8
+""")
+        assert main([*command, str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("error: node 5n out of range for 3 nodes "
+                                "(line 3, column 30)\n")
+        assert captured.out == ""
+
+
 class TestVerify:
     def test_verified(self, triangle_file, capsys):
         assert main(["verify", triangle_file]) == 0
