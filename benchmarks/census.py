@@ -446,7 +446,7 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         call("python -m repro --help", lambda: _run_module("repro", "--help")),
         call("python -m repro._struct --check",
              lambda: _run_module("repro._struct", "--check")),
-        call("fig 13c single-prefix sharded (bench_fig13c_prefix_modes.py)",
+        call("fig 13c sharded prefixes (figures.py 13c/sharded-j2)",
              _fig13c),
     ]
 

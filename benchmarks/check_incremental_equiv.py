@@ -29,8 +29,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Any
 
+# Runnable from a bare checkout, like census.py.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.analysis.fault import fault_tolerance_smt
 from repro.analysis.verify import verify_many
 from repro.lang.parser import parse_program

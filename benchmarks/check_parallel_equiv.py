@@ -35,6 +35,8 @@ import os
 import sys
 from typing import Any, Callable
 
+# Runnable from a bare checkout, like census.py.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import perf
 from repro.analysis.fault import freeze_fault_report, per_prefix_fault_tolerance
 from repro.analysis.verify import verify_many

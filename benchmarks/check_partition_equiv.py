@@ -30,8 +30,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Any
 
+# Runnable from a bare checkout, like census.py.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.analysis.partition import verify_partitioned
 from repro.analysis.verify import verify
 from repro.lang.parser import parse_program

@@ -23,13 +23,13 @@ from ..eval.maps import DecodedMap, MapContext, NVMap
 from ..eval.values import VClosure, VRecord, VSome
 from ..lang import ast as A
 from ..lang import types as T
-from ..lang.errors import NvEncodingError
+from ..lang.errors import NvEncodingError, NvRuntimeError
 from ..smt.encode_nv import (NvSmtEncoder, TMap, TermEvaluator,
                              VerificationResult)
 from ..smt.solver import Solver
 from ..smt.terms import VAR, TermManager
 from ..srp.network import Network, functions_from_program
-from ..srp.simulate import unstable_node
+from ..srp.simulate import simulate, unstable_node
 
 
 def encode_network(net: Network, simplify: bool = True, tm: Any = None,
@@ -164,7 +164,8 @@ def verify(net: Network, simplify: bool = True,
     encode_seconds = perf_counter() - t0
 
     smt = solver.check(max_conflicts)
-    return _replayed(net, _result_from_smt(net, enc, smt, encode_seconds))
+    result = _replayed(net, _result_from_smt(net, enc, smt, encode_seconds))
+    return _non_vacuous(net, enc, result, max_conflicts)
 
 
 def _result_from_smt(net: Network, enc: NvSmtEncoder, smt: Any,
@@ -257,6 +258,34 @@ def _replayed(net: Network, result: VerificationResult) -> VerificationResult:
                 "internal error: the counterexample does not replay: the "
                 "assertion holds at every node of the decoded state")
     return result
+
+
+def _non_vacuous(net: Network, enc: NvSmtEncoder, result: VerificationResult,
+                 max_conflicts: int | None) -> VerificationResult:
+    """An UNSAT ``¬P`` is evidence only if a stable state exists.  On a
+    network without symbolics or ``require``, a converged simulation is the
+    witness.  When simulation does not converge, one more fresh check
+    decides the network constraints alone; UNSAT there means the assertion
+    held because nothing is stable, and the verdict becomes ``vacuous``.
+    Like the replay, the check stays out of the --stats counters, and the
+    verdict keeps the main check's statistics."""
+    if result.status != "verified" or any(
+            isinstance(d, (A.DSymbolic, A.DRequire))
+            for d in net.program.decls):
+        return result
+    with obs.span("verify.vacuity"), perf.enabled(False):
+        try:
+            simulate(functions_from_program(net))
+            return result
+        except NvRuntimeError:
+            pass
+        solver = Solver(enc.tm)
+        for c in enc.constraints:
+            solver.add(c)
+        if not solver.check(max_conflicts).is_unsat:
+            return result
+    return VerificationResult(False, "vacuous", result.smt,
+                              result.encode_seconds)
 
 
 def _live(value: Any, ty: T.Type, ctx: MapContext) -> Any:

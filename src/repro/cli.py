@@ -40,7 +40,8 @@ Observability flags shared by the analysis commands (see README
 metrics snapshot) into a self-contained HTML run report.
 
 Exit status: 0 the property holds (or the command did its job), 1 it is
-violated, 2 ``verify`` could not decide, 130 interrupted, and 3 for every
+violated, 2 ``verify`` could not decide, 4 ``verify`` found that no stable
+state exists (``vacuous``), 130 interrupted, and 3 for every
 contract error — an ill-formed program or flag, a failed worker, a program
 nested past the recursion limit, or a reader that closed stdout (``| head``)
 — each without a traceback.  An input or output path that cannot be read or
@@ -238,6 +239,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for node, attr in sorted(result.node_attrs.items()):
                     print(f"  node {node}: {value_repr(attr)}")
             rc = max(rc, 1)
+        elif result.status == "vacuous":
+            rc = max(rc, 4)
         elif not result.verified:
             rc = max(rc, 2)
     if args.stats:

@@ -59,7 +59,7 @@ class VerificationResult:
     """Outcome of an SMT verification run."""
 
     verified: bool
-    status: str                       # "verified" | "counterexample" | "unknown"
+    status: str       # "verified" | "counterexample" | "unknown" | "vacuous"
     smt: SmtResult
     encode_seconds: float
     counterexample: dict[str, Any] = field(default_factory=dict)
@@ -69,7 +69,9 @@ class VerificationResult:
         smt = self.smt
         blast_solve = (smt.encode_seconds + smt.solve_seconds
                        + smt.stats.get("preprocess_seconds", 0.0))
-        return (f"{self.status}: encode {self.encode_seconds:.3f}s, "
+        head = ("vacuous: no stable state;" if self.status == "vacuous"
+                else f"{self.status}:")
+        return (f"{head} encode {self.encode_seconds:.3f}s, "
                 f"blast+solve {blast_solve:.3f}s, "
                 f"{smt.num_vars} vars, {smt.num_clauses} clauses, "
                 f"{smt.conflicts} conflicts")

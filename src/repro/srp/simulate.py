@@ -11,8 +11,8 @@ label.  Refinements over the paper's Algorithm 1:
 * **Incremental merge** (ShapeShifter's observation) — if
   ``merge(old, new) = new`` the new route supersedes the old one, so it can
   be merged into the existing label directly; only otherwise is the full
-  re-merge of every received route performed.  The ablation benchmark
-  ``bench_ablation_incremental`` measures this choice.
+  re-merge of every received route performed.  The ``abl/merge-*`` rows of
+  ``benchmarks/figures.py`` measure this choice.
 * **Route interning + memoised trans/merge** (this reproduction's hot-path
   work, toward the paper's fig 14 speed claims) — every route is hash-consed
   through a :class:`~repro.eval.values.ValueInterner`, so label-change tests
@@ -80,7 +80,8 @@ def simulate(funcs: NetworkFunctions, max_iterations: int | None = None,
     # the same attribute on the same edge unless a label oscillates back to
     # an earlier value — which monotone route algebras never do.  PR 1
     # shipped such a memo anyway; ``sim.trans_cache_hit_rate`` measured 0.0
-    # on every benchmark (BENCH_pr1.json fig13b counters), so it was pure
+    # on every benchmark (fig13b counters of BENCH_pr1.json, in git history:
+    # ``git show 168f730:BENCH_pr1.json``), so it was pure
     # overhead (a dict probe + insert per message) and was removed.
     # ------------------------------------------------------------------
     stats = {

@@ -201,6 +201,50 @@ let assert (u : node) (x : attribute) =
         assert verdicts == [(str(f), v) for f, v in zip(files, alone[1::2])]
 
 
+class TestVacuity:
+    """``verify`` shows that a stable state exists before it prints
+    ``verified`` on a network without symbolics or ``require``."""
+
+    OSC = """
+let nodes = 2
+let edges = {0n=1n}
+type attribute = int8
+let trans e x = x + 1u8
+let merge u x y = y
+let init u = 0u8
+let assert u x = x = 200u8
+"""
+
+    def test_no_stable_state_is_vacuous(self, tmp_path, capsys):
+        """Every node takes its neighbour's route plus one, so no state is
+        stable: the negated assertion was UNSAT only for that reason
+        (``verified``, exit 0, before)."""
+        f = tmp_path / "osc.nv"
+        f.write_text(self.OSC)
+        assert main(["simulate", str(f)]) == 3
+        capsys.readouterr()
+        assert main(["verify", str(f)]) == 4
+        out = capsys.readouterr().out
+        assert out.startswith("vacuous: no stable state; encode ")
+        assert out.endswith(", 171 clauses, 4 conflicts\n")
+
+    def test_converging_unsat_prints_the_one_check(self, triangle_file,
+                                                   capsys, monkeypatch):
+        """The simulation is the witness: no second solver runs, and the
+        output is the main check's verdict line alone."""
+        from repro.smt.solver import Solver
+        checks = []
+        real = Solver.check
+        monkeypatch.setattr(Solver, "check", lambda self, *a: (
+            checks.append(1), real(self, *a))[1])
+        assert main(["verify", triangle_file]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"verified: encode \d+\.\d{3}s, blast\+solve "
+                            r"\d+\.\d{3}s, \d+ vars, \d+ clauses, "
+                            r"\d+ conflicts\n", out)
+        assert checks == [1]
+
+
 class TestFault:
     def test_tolerant(self, tmp_path, capsys):
         f = tmp_path / "tri.nv"
