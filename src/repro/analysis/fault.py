@@ -330,7 +330,6 @@ def per_prefix_fault_tolerance(nets: Sequence[Network],
                                with_witnesses: bool = False,
                                drop_body=None,
                                jobs: int | None = 1,
-                               start_method: str | None = None,
                                unit_labels: Sequence[str] | None = None
                                ) -> list[FaultReport]:
     """One fault-tolerance analysis per destination prefix, sharded over
@@ -346,8 +345,8 @@ def per_prefix_fault_tolerance(nets: Sequence[Network],
     }
     return parallel.run_sharded(
         "repro.analysis.fault:_prefix_shard_factory", payload,
-        range(len(payload["nets"])), jobs=jobs, start_method=start_method,
-        label="fault.prefix", unit_labels=unit_labels)
+        range(len(payload["nets"])), jobs=jobs, label="fault.prefix",
+        unit_labels=unit_labels)
 
 
 def _naive_scenario_violates(net: Network, symbolics: dict[str, Any] | None,
@@ -376,8 +375,7 @@ def _naive_shard_factory(payload: dict[str, Any]):
 def naive_fault_tolerance(net: Network,
                           symbolics: dict[str, Any] | None = None,
                           num_link_failures: int = 1,
-                          jobs: int | None = 1,
-                          start_method: str | None = None) -> tuple[bool, int]:
+                          jobs: int | None = 1) -> tuple[bool, int]:
     """The baseline the paper calls "orders-of-magnitude" slower: simulate
     each failure scenario independently (§2.7).  Returns (tolerant?, number
     of scenarios simulated).  Single-link failures only.
@@ -391,7 +389,7 @@ def naive_fault_tolerance(net: Network,
     violations = parallel.run_sharded(
         "repro.analysis.fault:_naive_shard_factory",
         {"net": net, "symbolics": symbolics}, units,
-        jobs=jobs, start_method=start_method, label="fault.naive",
+        jobs=jobs, label="fault.naive",
         unit_labels=[f"fail({u},{v})" for u, v in units])
     return (not any(violations)), len(units)
 

@@ -50,7 +50,8 @@ from ..smt.solver import Solver
 from ..srp.network import Network, functions_from_program
 from ..topology.graph import Topology
 from .simulation import run_simulation
-from .verify import _result_from_smt, decode_tval, encode_network, verify
+from .verify import (_result_from_smt, decode_tval, encode_network, replay,
+                     verify)
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +450,6 @@ def verify_partitioned(net: Network,
                        simplify: bool = True,
                        max_conflicts: int | None = None,
                        jobs: int | None = 1,
-                       start_method: str | None = None,
                        symbolics: dict[str, Any] | None = None,
                        escalate: bool = True) -> PartitionReport:
     """Verify ``net`` modularly: cut, annotate, fan fragments out over the
@@ -505,8 +505,7 @@ def verify_partitioned(net: Network,
                        for i, nodes in enumerate(plan.fragments)]
         results: list[FragmentResult] = parallel.run_sharded(
             "repro.analysis.partition:_fragment_shard_factory", payload,
-            range(len(plan.fragments)), jobs=jobs,
-            start_method=start_method, label="partition",
+            range(len(plan.fragments)), jobs=jobs, label="partition",
             unit_labels=unit_labels)
 
         report = _merge_results(net, plan, kinds, results, inferred,
@@ -586,6 +585,8 @@ def _merge_results(net: Network, plan: PartitionPlan,
         report.node_attrs = node_attrs or None
         report.stitched = stitched and len(node_attrs) == net.num_nodes
         report.counterexample = failing[0].result.counterexample
+        if report.stitched:
+            replay(net, report.counterexample, node_attrs)
         return report
     if unknown:
         report.status = "unknown"

@@ -231,22 +231,28 @@ def decode_tval(enc: NvSmtEncoder, tval: Any, ty: T.Type,
 
 def _replayed(net: Network, result: VerificationResult) -> VerificationResult:
     """Replay a counterexample through the interpreter before anyone prints
-    it: with the decoded symbolic values bound, the decoded node attributes
-    must be a stable state of ``net`` and violate the assertion at some
-    node.  A model that fails either is a bug in the encoder or the decoder,
-    raised as an internal error that names the node.  Other verdicts pass
-    through untouched."""
-    if result.status != "counterexample":
-        return result
+    it (:func:`replay`).  Other verdicts pass through untouched."""
+    if result.status == "counterexample":
+        replay(net, result.counterexample, result.node_attrs)
+    return result
 
+
+def replay(net: Network, counterexample: dict[str, Any],
+           node_attrs: dict[int, Any]) -> None:
+    """Check a decoded counterexample through the interpreter: with the
+    ``counterexample``'s symbolic values bound, ``node_attrs`` must be a
+    stable state of ``net`` and violate the assertion at some node.  A
+    state that fails either is a bug in the encoder, the decoder or the
+    stitching of fragment states, raised as an internal error that names
+    the node."""
     # The replay's evaluation is not the query's work: it stays out of the
     # --stats counters.
     with obs.span("verify.replay"), perf.enabled(False):
         ctx = MapContext(net.num_nodes, net.edges)
-        symbolics = {d.name: _live(result.counterexample[d.name], d.ty, ctx)
+        symbolics = {d.name: _live(counterexample[d.name], d.ty, ctx)
                      for d in net.program.symbolics()}
         funcs = functions_from_program(net, symbolics, ctx)
-        labels = [_live(result.node_attrs[u], net.attr_ty, ctx)
+        labels = [_live(node_attrs[u], net.attr_ty, ctx)
                   for u in range(net.num_nodes)]
         u = unstable_node(funcs, labels)
         if u is not None:
@@ -257,7 +263,6 @@ def _replayed(net: Network, result: VerificationResult) -> VerificationResult:
             raise NvEncodingError(
                 "internal error: the counterexample does not replay: the "
                 "assertion holds at every node of the decoded state")
-    return result
 
 
 def _non_vacuous(net: Network, enc: NvSmtEncoder, result: VerificationResult,
@@ -327,7 +332,6 @@ def _verify_shard_factory(payload: dict[str, Any]):
 def verify_many(nets: Sequence[Network], simplify: bool = True,
                 max_conflicts: int | None = None,
                 jobs: int | None = 1,
-                start_method: str | None = None,
                 incremental: bool = False,
                 unit_labels: Sequence[str] | None = None
                 ) -> list[VerificationResult]:
@@ -349,7 +353,7 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
       (:func:`verify_many_incremental`).  Verdicts are identical to
       fresh mode (the incremental-equivalence gate pins this); the
       marginal query rides on the shared encoding, preprocessing and
-      learnt clauses.  ``jobs``/``start_method`` are ignored.
+      learnt clauses.  ``jobs`` is ignored.
     """
     if incremental:
         return verify_many_incremental(
@@ -358,8 +362,8 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
                "max_conflicts": max_conflicts}
     return parallel.run_sharded(
         "repro.analysis.verify:_verify_shard_factory", payload,
-        range(len(payload["nets"])), jobs=jobs, start_method=start_method,
-        label="verify", unit_labels=unit_labels)
+        range(len(payload["nets"])), jobs=jobs, label="verify",
+        unit_labels=unit_labels)
 
 
 def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,

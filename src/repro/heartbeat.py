@@ -54,15 +54,8 @@ STATUS_GAUGES: tuple[str, ...] = (
     "sim.worklist_depth", "sim.interned_routes",
     "bdd.nodes", "bdd.op_cache_entries",
     "parallel.units_done", "parallel.units_total",
-    "parallel.workers", "parallel.workers_busy",
-    "parallel.straggler_age_seconds", "parallel.straggler_worker",
     "proc.rss_bytes",
 )
-
-#: Straggler threshold: seconds a busy worker may go without reporting
-#: progress before the heartbeat warns (``straggler_after`` overrides it;
-#: <= 0 disables the warning).
-STRAGGLER_SECONDS = 10.0
 
 
 def _fmt_count(v: float) -> str:
@@ -90,8 +83,8 @@ class Heartbeat:
                  budget: float | None = None,
                  metrics_json: str | Path | None = None,
                  install_sigint: bool = False,
-                 on_tick: Callable[[dict[str, Any]], None] | None = None,
-                 straggler_after: float | None = None) -> None:
+                 on_tick: Callable[[dict[str, Any]], None] | None = None
+                 ) -> None:
         self.period = max(0.005, float(period))
         self.progress = progress
         self.stream = stream
@@ -100,9 +93,6 @@ class Heartbeat:
         self.metrics_json = metrics_json
         self.install_sigint = install_sigint
         self.on_tick = on_tick
-        self.straggler_after = (STRAGGLER_SECONDS if straggler_after is None
-                                else float(straggler_after))
-        self._stragglers_warned: set[int] = set()
         self.ticks = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -223,7 +213,6 @@ class Heartbeat:
         if self.on_tick is not None:
             self.on_tick(sample)
         self._check_budget(elapsed)
-        self._check_stragglers(sample)
         if self.progress:
             self._render_status(sample, elapsed)
 
@@ -247,29 +236,6 @@ class Heartbeat:
             print(f"[heartbeat] warning: {self.label} exceeded its "
                   f"{self.budget:.1f}s wall-time budget", file=stream)
 
-    def _check_stragglers(self, sample: dict[str, Any]) -> None:
-        """Warn (once per worker) when a busy pool worker has reported no
-        progress for longer than the straggler threshold.  The age gauge
-        comes from the pool's metrics provider, fed by the workers'
-        streamed telemetry deltas — so the signal stays live even while a
-        worker is stuck inside one long unit."""
-        if self.straggler_after is None or self.straggler_after <= 0:
-            return
-        age = sample.get("parallel.straggler_age_seconds")
-        if age is None or age <= self.straggler_after:
-            return
-        wid = int(sample.get("parallel.straggler_worker", -1))
-        if wid in self._stragglers_warned:
-            return
-        self._stragglers_warned.add(wid)
-        obs.event("progress.straggler", worker=wid, age=round(age, 3),
-                  threshold=self.straggler_after)
-        stream = self.stream or sys.stderr
-        self._end_status(stream)
-        print(f"[heartbeat] warning: worker {wid} has made no progress "
-              f"for {age:.1f}s (straggler threshold "
-              f"{self.straggler_after:.1f}s)", file=stream)
-
     def _render_status(self, sample: dict[str, Any], elapsed: float) -> None:
         stream = self.stream or sys.stderr
         parts = [f"[{sample['phase']}] {elapsed:6.1f}s"]
@@ -289,10 +255,6 @@ class Heartbeat:
         if total:
             done = sample.get("parallel.units_done", 0)
             parts.append(f"shards {int(done)}/{int(total)}")
-        workers = sample.get("parallel.workers")
-        if workers:
-            busy = sample.get("parallel.workers_busy", 0)
-            parts.append(f"workers {int(busy)}/{int(workers)}")
         rss = sample.get("proc.rss_bytes")
         if rss:
             parts.append(f"rss {rss / (1 << 20):.0f}MB")

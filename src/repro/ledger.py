@@ -2,7 +2,7 @@
 
 The process pool tells us *that* a sharded analysis finished; this module
 answers *where its wall-clock went*.  Each work unit that passes through
-:meth:`repro.parallel.WorkerPool.map` gets one :class:`UnitRecord` tracking
+:func:`repro.parallel.run_sharded` gets one :class:`UnitRecord` tracking
 its lifecycle — submitted → queued → pickled (task bytes) → executing on a
 worker → result bytes back → ingested — and the :class:`Ledger` aggregates
 the records into the pool-level accounting the ROADMAP's scaling claims
@@ -76,7 +76,7 @@ class UnitRecord:
 
 
 class Ledger:
-    """Collects :class:`UnitRecord` entries for one ``map()`` round and
+    """Collects :class:`UnitRecord` entries for one sharded run and
     aggregates them into the pool-level summary.  Parent-side only: workers
     report raw per-unit timestamps (in chunk metadata), the parent owns the
     bookkeeping."""
@@ -125,18 +125,6 @@ class Ledger:
                 rec.status = "lost"
 
     # -- aggregation ---------------------------------------------------
-
-    def per_worker(self) -> dict[int, dict[str, float]]:
-        """Busy seconds and completed-unit count per worker id."""
-        out: dict[int, dict[str, float]] = {}
-        for rec in self.units.values():
-            if rec.worker < 0:
-                continue
-            slot = out.setdefault(rec.worker, {"busy_seconds": 0.0,
-                                               "units": 0})
-            slot["busy_seconds"] += rec.exec_seconds
-            slot["units"] += 1
-        return out
 
     def summary(self) -> dict[str, Any]:
         """Scalar aggregate of the round — the ``parallel.ledger`` event
@@ -204,31 +192,3 @@ class Ledger:
                 metrics.observe(HIST_UNIT_SECONDS, rec.exec_seconds)
         obs.event("parallel.ledger", **summary)
         return summary
-
-    # -- rendering -----------------------------------------------------
-
-    def render_text(self) -> str:
-        """A compact human-readable accounting table (``--stats`` style)."""
-        s = self.summary()
-        lines = [
-            f"work ledger [{s['label']}]: {s['units_done']}/{s['units']} "
-            f"units over {s['workers']} worker(s) in "
-            f"{s['window_seconds']:.3f}s",
-            f"  utilization {s['utilization_pct']:.1f}%  "
-            f"(busy {s['busy_seconds']:.3f}s, idle {s['idle_seconds']:.3f}s)",
-            f"  queue wait mean {s['queue_wait_mean_seconds'] * 1e3:.1f}ms  "
-            f"max {s['queue_wait_max_seconds'] * 1e3:.1f}ms",
-            f"  serialization {s['task_bytes']}B out / "
-            f"{s['result_bytes']}B back",
-        ]
-        if "lpt_gap_pct" in s:
-            lines.append(
-                f"  LPT bound {s['lpt_bound_seconds']:.3f}s "
-                f"(gap {s['lpt_gap_pct']:+.1f}%)")
-        if s["units_error"] or s["units_lost"]:
-            lines.append(f"  units in error: {s['units_error']}, "
-                         f"lost: {s['units_lost']}")
-        for wid, slot in sorted(self.per_worker().items()):
-            lines.append(f"  worker {wid}: {int(slot['units'])} units, "
-                         f"busy {slot['busy_seconds']:.3f}s")
-        return "\n".join(lines)

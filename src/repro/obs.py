@@ -300,16 +300,6 @@ def _write(record: dict[str, Any]) -> None:
         _sink.write(line + "\n")
 
 
-def flush() -> None:
-    """Flush the JSONL sink (if any)."""
-    if _sink is not None:
-        with _lock:
-            try:
-                _sink.flush()
-            except (ValueError, OSError):  # pragma: no cover - closed sink
-                pass
-
-
 def flush_partial() -> None:
     """Write every currently-open span (all threads) to the sink as a
     ``"partial": true`` record and flush.  Called on SIGINT so an
@@ -327,7 +317,12 @@ def flush_partial() -> None:
                 "partial": True,
                 "attrs": {k: _jsonable(v) for k, v in sp.attrs.items()},
                 "counters": sp.counters})
-    flush()
+    if _sink is not None:
+        with _lock:
+            try:
+                _sink.flush()
+            except (ValueError, OSError):  # pragma: no cover - closed sink
+                pass
 
 
 def event(name: str, **attrs: Any) -> None:
@@ -344,15 +339,8 @@ def event(name: str, **attrs: Any) -> None:
             "attrs": {k: _jsonable(v) for k, v in attrs.items()}})
 
 
-def now() -> float:
-    """Seconds since tracing was enabled (the trace timeline's clock);
-    0.0 when disabled."""
-    return (perf_counter() - _origin) if _enabled else 0.0
-
-
-def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
-           id_map: dict[int, int] | None = None, parent_span: int = 0,
-           **extra_attrs: Any) -> None:
+def ingest(records: list[dict[str, Any]], t_offset: float = 0.0,
+           parent_span: int = 0, **extra_attrs: Any) -> None:
     """Re-emit pre-serialised trace records into the current sink, and
     graft each completed span among them into the live :class:`Span` tree
     (so :func:`render_tree` shows worker spans under ``parent_span``).
@@ -360,41 +348,23 @@ def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
     This is how :mod:`repro.parallel` merges worker-process traces into the
     parent's timeline: each worker traces into an in-memory JSONL buffer
     whose parsed records are forwarded over the result channel and ingested
-    here.  Span/event ids are **remapped** through the parent's id counter
-    (worker-local ids would collide between workers), parent/span links are
-    rewritten consistently, ``t``/``t0`` are shifted by ``t_offset`` (the
-    parent-timeline instant the worker's clock started), and
+    here, one call per worker message.  Span/event ids are **remapped**
+    through the parent's id counter (worker-local ids would collide between
+    workers and between messages), parent/span links are rewritten
+    consistently within the call, ``t``/``t0`` are shifted by ``t_offset``
+    (the parent-timeline instant the worker's clock started), and
     ``extra_attrs`` (e.g. ``proc=3``) are stamped onto every record.
 
-    ``id_map`` optionally supplies a caller-held remap table so one source's
-    records can arrive over *several* calls (the parallel engine's streaming
-    worker flushes) and keep stable remapped ids — a span streamed first as
-    a ``"partial": true`` snapshot and later as its completed record keeps
-    one id, letting consumers dedup.  Without it a fresh table is used per
-    call.  ``parent_span`` (a parent-side span id, **not** remapped) re-roots
-    the source's root spans: records whose remapped parent/span link is 0
-    are linked under it instead, which is how worker span trees become
-    children of the dispatching ``*.sharded`` span.
-
-    When ``t_offset`` is omitted it is derived from the records' ``meta``
-    header: the worker's ``t_epoch`` minus this trace's origin epoch is the
-    wall-clock skew between the two timelines (0.0 if the records carry no
-    header).  ``meta`` headers are consumed here, not re-emitted — the
-    merged trace keeps its single header.  No-op when tracing is disabled.
+    ``parent_span`` (a parent-side span id, **not** remapped) re-roots the
+    source's root spans: records whose remapped parent/span link is 0 are
+    linked under it instead, which is how worker span trees become children
+    of the dispatching ``*.sharded`` span.  ``meta`` headers are dropped —
+    the merged trace keeps its single header.  No-op when tracing is
+    disabled.
     """
     if not _enabled:
         return
-    if t_offset is None:
-        t_offset = 0.0
-        for rec in records:
-            if rec.get("type") == "meta" and "t_epoch" in rec:
-                if _origin_epoch:
-                    t_offset = float(rec["t_epoch"]) - _origin_epoch
-                break
-    if id_map is None:
-        id_map = {0: 0}
-    else:
-        id_map.setdefault(0, 0)
+    id_map = {0: 0}
 
     def remap(old: Any) -> int:
         old = int(old or 0)
@@ -405,7 +375,7 @@ def ingest(records: list[dict[str, Any]], t_offset: float | None = None,
 
     for rec in records:
         if rec.get("type") == "meta":
-            continue  # consumed above; the merged trace keeps one header
+            continue
         rec = dict(rec)
         if "id" in rec:
             rec["id"] = remap(rec["id"])

@@ -25,23 +25,33 @@ def make_square(payload: dict[str, Any]):
     return run
 
 
+def make_record(payload: dict[str, Any]):
+    """Returns a small dict per unit: results of one chunk then share
+    pickled objects (the key strings)."""
+    return lambda i: {"unit": i, "square": i * i}
+
+
 def make_failing(payload: dict[str, Any]):
     """Counts a ``testpool.units`` per unit *before* the bad unit raises,
-    so error-path flush tests can assert the counter survived."""
+    so error-path flush tests can assert the counter survived.  The other
+    units then sleep ``delay`` seconds, so a test can have the error reach
+    the parent before any healthy chunk does."""
     bad = payload["bad_unit"]
+    delay = payload.get("delay", 0.0)
 
     def run(i: int) -> int:
         perf.merge({"units": 1}, prefix="testpool.")
         if i == bad:
             raise ValueError(f"unit {i} exploded")
+        time.sleep(delay)
         return i
 
     return run
 
 
 def make_sleepy(payload: dict[str, Any]):
-    """Sleeps ``delay`` seconds per unit — wall time workloads (ledger,
-    critical-path, straggler tests) can reason about."""
+    """Sleeps ``delay`` seconds per unit — wall time workloads (ledger and
+    critical-path tests) can reason about."""
     delay = payload.get("delay", 0.05)
 
     def run(i: int) -> int:
@@ -65,9 +75,9 @@ def make_tracer(payload: dict[str, Any]):
 
 
 def make_killer(payload: dict[str, Any]):
-    """SIGKILLs its own process on ``kill_unit`` after ``delay`` seconds —
-    long enough for the streaming flusher to have shipped a partial-span
-    delta, which is exactly the evidence the test asserts survives."""
+    """SIGKILLs its own process on ``kill_unit`` after ``delay`` seconds,
+    mid-unit: the parent must notice the dead worker instead of waiting
+    for its chunk forever."""
     kill = payload.get("kill_unit")
     delay = payload.get("delay", 0.5)
 
@@ -78,3 +88,8 @@ def make_killer(payload: dict[str, Any]):
         return i
 
     return run
+
+
+def make_unpicklable(payload: Any):
+    """Returns a local closure per unit: a result no pickle can carry."""
+    return lambda u: (lambda: u)

@@ -86,7 +86,6 @@ class TestSimulate:
             raise AssertionError("simulate must not start a pool")
 
         monkeypatch.setattr(parallel, "run_sharded", no_pool)
-        monkeypatch.setattr(parallel, "WorkerPool", no_pool)
         monkeypatch.setenv("NV_JOBS", jobs)
         assert main(["simulate", *files, *argv]) == 0
         assert masked(capsys.readouterr().out) == masked(want)
@@ -159,6 +158,44 @@ let assert (u : node) (x : attribute) = x[{key}] = None
         assert "assertion violated at nodes: [0]" in capsys.readouterr().out
         assert main(["verify", str(f)]) == 1
         assert capsys.readouterr().out.startswith("counterexample:")
+
+    def test_partition_stitched_counterexample_is_replayed(
+            self, tmp_path, capsys, monkeypatch):
+        """``--partition``'s stitched counterexample is replayed like a
+        single-file one.  A seeded stitching bug, node 0's simulated label
+        one hop longer, is an internal error that names the node, exit 3
+        (it printed the unstable state as a counterexample)."""
+        from repro.analysis import partition
+        from repro.eval.values import VSome
+
+        f = tmp_path / "ripbad.nv"
+        f.write_text("""
+include rip
+let nodes = 4
+let edges = {0n=1n; 1n=2n; 2n=3n}
+let trans e x = transRip e x
+let merge u x y = mergeRip u x y
+let init (u : node) = if u = 0n then Some 0u8 else None
+let assert (u : node) (x : rip) =
+  match x with
+  | None -> false
+  | Some h -> h <= 2u8
+""")
+        argv = ["verify", "--partition", "2", "--jobs", "1", str(f)]
+        assert main(argv + ["--show-routes"]) == 1
+        assert "  node 0: Some 0\n" in capsys.readouterr().out
+        real = partition.simulated_node_attrs
+
+        def shifted(net, symbolics=None):
+            attrs = real(net, symbolics)
+            attrs[0] = VSome(attrs[0].value + 1)
+            return attrs
+
+        monkeypatch.setattr(partition, "simulated_node_attrs", shifted)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: internal error: the counterexample does not replay: "
+            "node 0's decoded attribute is not stable\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_files_of_different_sizes(self, tmp_path, capsys, monkeypatch,

@@ -176,55 +176,6 @@ class TestBudgetAndStatus:
         assert "[sim]" in text
         assert "worklist 42" in text
 
-    def test_straggler_warning_once_per_worker(self):
-        """A worker whose straggler-age gauge exceeds the threshold gets
-        exactly one warning (per worker), and the status line shows the
-        busy/total worker counts."""
-        _enable_all()
-        metrics.register_provider("fakepool", lambda: {
-            "parallel.workers": 2, "parallel.workers_busy": 2,
-            "parallel.straggler_age_seconds": 7.5,
-            "parallel.straggler_worker": 1})
-        out = io.StringIO()
-        hb = Heartbeat(period=60.0, progress=True, stream=out,
-                       straggler_after=5.0)
-        hb.start()
-        hb.tick()
-        hb.tick()
-        hb.stop()
-        text = out.getvalue()
-        assert text.count("worker 1 has made no progress for") == 1
-        assert "workers 2/2" in text
-
-    def test_no_straggler_warning_below_threshold(self):
-        _enable_all()
-        metrics.register_provider("fakepool", lambda: {
-            "parallel.workers": 2, "parallel.workers_busy": 1,
-            "parallel.straggler_age_seconds": 1.0,
-            "parallel.straggler_worker": 0})
-        out = io.StringIO()
-        hb = Heartbeat(period=60.0, stream=out, straggler_after=5.0)
-        hb.start()
-        hb.tick()
-        hb.stop()
-        assert "no progress" not in out.getvalue()
-
-    def test_straggler_event_in_trace(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        obs.enable(jsonl=str(trace))
-        _enable_all()
-        metrics.register_provider("fakepool", lambda: {
-            "parallel.straggler_age_seconds": 99.0,
-            "parallel.straggler_worker": 0})
-        out = io.StringIO()
-        hb = Heartbeat(period=60.0, stream=out, straggler_after=5.0)
-        hb.start()
-        hb.tick()
-        hb.stop()
-        obs.disable()
-        recs = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert any(r.get("name") == "progress.straggler" for r in recs)
-
     def test_disabled_metrics_still_tick_without_error(self):
         # Heartbeat over a disabled registry degrades to perf-only samples.
         perf.enable()

@@ -1,6 +1,6 @@
 """Unit tests for the parallel work ledger (repro.ledger): lifecycle
 bookkeeping, the summary math (utilization, queue wait, the LPT bound),
-publishing into the live registries, and the text rendering."""
+and publishing into the live registries."""
 
 import pytest
 
@@ -69,13 +69,6 @@ class TestSummaryMath:
         assert s["task_bytes"] == 400
         assert s["result_bytes"] == 40
 
-    def test_per_worker(self):
-        per = _synthetic_round().per_worker()
-        assert per[0]["units"] == 2
-        assert per[0]["busy_seconds"] == pytest.approx(2.0)
-        assert per[1]["units"] == 2
-        assert per[1]["busy_seconds"] == pytest.approx(3.0)
-
 
 class TestLifecycleEdges:
     def test_unexecuted_units_become_lost(self):
@@ -131,18 +124,3 @@ class TestFlush:
         summary = led.flush()  # must not raise
         assert summary["units_done"] == 4
 
-
-class TestRenderText:
-    def test_render_contains_key_figures(self):
-        text = _synthetic_round().render_text()
-        assert "4/4 units over 2 worker(s)" in text
-        assert "utilization 62.5%" in text
-        assert "LPT bound 2.500s" in text
-        assert "worker 0: 2 units" in text
-        assert "worker 1: 2 units" in text
-
-    def test_render_shows_losses(self):
-        led = ledger.Ledger("test", workers=1)
-        led.submit(0)
-        led.finish()
-        assert "lost: 1" in led.render_text()

@@ -376,38 +376,6 @@ class TestMetaHeader:
         obs.enable()
         assert obs.origin_epoch() > 0
 
-    def test_ingest_derives_offset_from_worker_meta(self):
-        sink = io.StringIO()
-        obs.enable(jsonl=sink)
-        # A worker whose clock started 2.5s after this trace's origin.
-        worker = [
-            {"type": "meta", "t_epoch": obs.origin_epoch() + 2.5,
-             "version": 1},
-            {"type": "span", "id": 1, "parent": 0, "name": "w",
-             "t0": 0.25, "dur": 0.5},
-        ]
-        obs.ingest(worker, proc=3)
-        (rec,) = [r for r in _sink_records(sink) if r.get("name") == "w"]
-        assert rec["t0"] == pytest.approx(2.75, abs=1e-6)
-        assert rec["attrs"]["proc"] == 3
-        # The worker's meta header is consumed, not re-emitted: the merged
-        # trace keeps exactly one header.
-        headers = [json.loads(line) for line in
-                   sink.getvalue().strip().splitlines()]
-        assert sum(1 for r in headers if r.get("type") == "meta") == 1
-
-    def test_ingest_explicit_offset_wins_over_meta(self):
-        sink = io.StringIO()
-        obs.enable(jsonl=sink)
-        worker = [
-            {"type": "meta", "t_epoch": obs.origin_epoch() + 99.0,
-             "version": 1},
-            {"type": "event", "id": 1, "span": 0, "name": "e", "t": 0.1},
-        ]
-        obs.ingest(worker, t_offset=1.0)
-        (rec,) = [r for r in _sink_records(sink) if r.get("name") == "e"]
-        assert rec["t"] == pytest.approx(1.1, abs=1e-6)
-
     def test_ingest_without_meta_defaults_to_zero_offset(self):
         sink = io.StringIO()
         obs.enable(jsonl=sink)
@@ -418,32 +386,15 @@ class TestMetaHeader:
 
 
 class TestIngestStreaming:
-    def test_persistent_id_map_keeps_remaps_stable(self):
-        """Streaming delta ingestion: a partial span record from one flush
-        and its completed record from a later flush must land under the
-        *same* remapped id, so the report's partial-dedup still applies."""
-        sink = io.StringIO()
-        obs.enable(jsonl=sink)
-        id_map = {0: 0}
-        obs.ingest([{"type": "span", "id": 7, "parent": 0, "name": "w",
-                     "t0": 0.0, "dur": 0.1, "partial": True}],
-                   id_map=id_map)
-        obs.ingest([{"type": "span", "id": 7, "parent": 0, "name": "w",
-                     "t0": 0.0, "dur": 0.5}], id_map=id_map)
-        recs = [r for r in _sink_records(sink) if r.get("name") == "w"]
-        assert len(recs) == 2
-        assert recs[0]["id"] == recs[1]["id"]
-        assert recs[0].get("partial") and not recs[1].get("partial")
-
     def test_fresh_map_per_call_would_collide_across_workers(self):
-        """Separate maps (one per worker) keep ids distinct even when both
-        workers used the same local span ids."""
+        """Each call remaps through the parent's id counter, so two workers
+        (or two messages of one worker) that used the same local span id
+        keep distinct ids."""
         sink = io.StringIO()
         obs.enable(jsonl=sink)
-        maps = [{0: 0}, {0: 0}]
         for wid in (0, 1):
             obs.ingest([{"type": "span", "id": 1, "parent": 0, "name": "w",
-                         "t0": 0.0, "dur": 0.1}], id_map=maps[wid], proc=wid)
+                         "t0": 0.0, "dur": 0.1}], proc=wid)
         recs = [r for r in _sink_records(sink) if r.get("name") == "w"]
         assert recs[0]["id"] != recs[1]["id"]
 
@@ -471,21 +422,19 @@ class TestIngestStreaming:
 
     def test_completed_spans_join_the_live_tree(self):
         """``render_tree`` walks the in-memory tree, so ingest grafts each
-        completed span under its (remapped) parent — children stream in
+        completed span under its (remapped) parent — children are written
         before their parent, and partial snapshots are not spans yet."""
         obs.enable(jsonl=io.StringIO())
-        id_map = {0: 0}
+        child = {"type": "span", "id": 2, "parent": 1, "name": "w.child",
+                 "t0": 0.0, "dur": 0.1}
         with obs.span("dispatch") as sp:
-            obs.ingest([
-                {"type": "span", "id": 2, "parent": 1, "name": "w.child",
-                 "t0": 0.0, "dur": 0.1},
-                {"type": "span", "id": 1, "parent": 0, "name": "w.root",
-                 "t0": 0.0, "dur": 0.1, "partial": True},
-            ], id_map=id_map, parent_span=sp.id)
+            obs.ingest([child, {"type": "span", "id": 1, "parent": 0,
+                                "name": "w.root", "t0": 0.0, "dur": 0.1,
+                                "partial": True}], parent_span=sp.id)
             assert sp.children == []
-            obs.ingest([{"type": "span", "id": 1, "parent": 0, "name": "w.root",
-                         "t0": 0.0, "dur": 0.2}],
-                       id_map=id_map, parent_span=sp.id, proc=1)
+            obs.ingest([child, {"type": "span", "id": 1, "parent": 0,
+                                "name": "w.root", "t0": 0.0, "dur": 0.2}],
+                       parent_span=sp.id, proc=1)
         (root,) = sp.children
         assert (root.name, root.dur, root.attrs) == ("w.root", 0.2, {"proc": 1})
         assert [c.name for c in root.children] == ["w.child"]

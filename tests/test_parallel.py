@@ -1,22 +1,30 @@
 """Tests for the :mod:`repro.parallel` process-pool subsystem: job
 resolution, chunking, serial/parallel equivalence of the pool itself, error
 propagation, worker counter aggregation, and the cross-process tracing
-layer (dispatch linking, streaming deltas, error/SIGKILL evidence,
-clock-skew correction, the work ledger)."""
+layer (dispatch linking, per-chunk telemetry on the error path, a killed
+worker, clock-skew correction, the work ledger)."""
 
 import io
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import metrics, obs, parallel, perf
 
 SQUARE = "tests.parallel_factories:make_square"
+RECORD = "tests.parallel_factories:make_record"
 FAILING = "tests.parallel_factories:make_failing"
 SLEEPY = "tests.parallel_factories:make_sleepy"
 TRACER = "tests.parallel_factories:make_tracer"
 KILLER = "tests.parallel_factories:make_killer"
+UNPICKLABLE = "tests.parallel_factories:make_unpicklable"
 
 
 @pytest.fixture
@@ -64,10 +72,6 @@ class TestChunking:
                 flat = [i for chunk in chunks for i in chunk]
                 assert flat == list(range(total))
 
-    def test_explicit_chunk_size(self):
-        chunks = parallel.chunk_units(10, 2, chunk_size=3)
-        assert [len(c) for c in chunks] == [3, 3, 3, 1]
-
 
 class TestRunSharded:
     def test_serial_path(self):
@@ -78,6 +82,12 @@ class TestRunSharded:
         serial = parallel.run_sharded(SQUARE, {"offset": 2}, range(13), jobs=1)
         fanned = parallel.run_sharded(SQUARE, {"offset": 2}, range(13), jobs=2)
         assert fanned == serial
+
+    def test_chunks_of_object_results(self):
+        """20 units over 2 workers are chunks of 3: the results of one
+        chunk travel in one pickle stream and share its memo."""
+        out = parallel.run_sharded(RECORD, {}, range(20), jobs=2)
+        assert out == [{"unit": i, "square": i * i} for i in range(20)]
 
     def test_generator_units(self):
         out = parallel.run_sharded(SQUARE, {}, (i for i in range(5)), jobs=2)
@@ -108,6 +118,38 @@ class TestRunSharded:
         assert snap.get("testpool.units") == 8
         assert snap.get("parallel.sharded_runs") == 1
         assert snap.get("parallel.units") == 8
+
+
+class TestUnpicklableResult:
+    def test_is_one_error_naming_the_unit(self):
+        """A result that will not pickle is its unit's error.  It used to
+        hang the parent: the queue's feeder thread dropped the message and
+        the worker stayed alive, so the liveness poll never fired.  Run in
+        a child so a hang is a timeout, not a stuck suite."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
+        code = ("from repro import parallel\n"
+                "try:\n"
+                f"    parallel.run_sharded({UNPICKLABLE!r}, None, range(4),"
+                " jobs=2)\n"
+                "except parallel.ParallelError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the child and its workers
+            proc.wait()
+            raise
+        assert proc.returncode == 0, err
+        message = out.strip()
+        assert re.fullmatch(r"worker [01] failed on unit [0-3]: \w+: .+",
+                            message), message
+        assert "pickle" in message.lower()
 
 
 class TestDispatchLinking:
@@ -162,56 +204,35 @@ class TestDispatchLinking:
 
 
 class TestStreamingDeltas:
-    def test_counters_exact_under_streaming(self, clean_obs, monkeypatch):
-        """Aggressive periodic flushing must not double-count: each delta
-        ships only the diff since the previous flush."""
-        monkeypatch.setattr(parallel, "STREAM_SECONDS", 0.01)
-        perf.enable()
-        parallel.run_sharded(SLEEPY, {"delay": 0.05}, range(8), jobs=2)
-        snap = perf.snapshot()
-        assert snap.get("testpool.units") == 8
-
-    def test_error_path_flushes_before_raise(self, clean_obs, monkeypatch):
-        """Satellite: a worker that raises flushes its counters *before*
-        reporting the error, so the work it did is not lost.  Streaming is
-        off, so the only possible delta is the error-path final flush."""
-        monkeypatch.setattr(parallel, "STREAM_SECONDS", 0)
+    def test_error_path_flushes_before_raise(self, clean_obs):
+        """A worker that raises sends its counters with the error, so the
+        work it did is not lost."""
         perf.enable()
         with pytest.raises(parallel.ParallelError):
-            parallel.run_sharded(FAILING, {"bad_unit": 0}, range(6), jobs=2)
+            parallel.run_sharded(FAILING, {"bad_unit": 0, "delay": 2.0},
+                                 range(6), jobs=2)
         snap = perf.snapshot()
-        # The erroring worker counted unit 0 before raising; its final
-        # flush delivered that counter despite the failure.  The surviving
-        # worker was terminated without a final flush, so nothing else can
-        # have arrived (bad_unit=0 is in the first chunk a worker pulls).
+        # The erroring worker counted unit 0 before raising; its error
+        # message delivered that counter despite the failure.  bad_unit=0
+        # is in the first chunk a worker pulls, the other worker is still
+        # asleep in its first unit, and the pool is terminated once the
+        # error arrives, so nothing else can have arrived.
         assert snap.get("testpool.units") == 1
 
-    def test_sigkilled_worker_leaves_partial_trace(self, clean_obs,
-                                                   monkeypatch):
-        """Acceptance criterion: kill -9 a worker mid-unit; the merged
-        trace still shows what it was executing (a ``partial`` unit span
-        with its lane), because the streaming flush already shipped it."""
-        monkeypatch.setattr(parallel, "STREAM_SECONDS", 0.05)
-        sink = io.StringIO()
-        obs.enable(jsonl=sink)
+    def test_sigkilled_worker_is_one_error(self, clean_obs):
+        """kill -9 a worker mid-unit: the liveness poll turns it into one
+        ``ParallelError`` naming the dead worker, instead of a hang."""
+        obs.enable()
         with pytest.raises(parallel.ParallelError) as exc:
-            parallel.run_sharded(KILLER, {"kill_unit": 0, "delay": 0.6},
-                                 range(4), jobs=2, chunk_size=2,
-                                 label="testpool")
-        obs.disable()
+            parallel.run_sharded(KILLER, {"kill_unit": 0, "delay": 0.1},
+                                 range(4), jobs=2, label="testpool")
         assert "died" in str(exc.value)
-        partial_units = [r for r in _sink_records(sink)
-                         if r.get("name") == "testpool.unit"
-                         and r.get("partial")]
-        assert partial_units, "killed worker left no partial unit span"
-        assert any(r["attrs"].get("unit") == 0 for r in partial_units)
-        assert all("proc" in r["attrs"] for r in partial_units)
 
     def test_clock_skew_corrected_for_late_worker(self, clean_obs,
                                                   monkeypatch):
-        """Satellite: a worker that starts late (import cost, spawn) must
-        have its spans placed by its *own* meta-header epoch, not the
-        pool-creation fallback — its unit spans sit well after t=0."""
+        """A worker that starts late (import cost, spawn) must have its
+        spans placed by its *own* trace epoch — its unit spans sit well
+        after the instant the pool started."""
         worker_main = parallel._worker_main
 
         def late_worker_main(*args):
@@ -222,15 +243,17 @@ class TestStreamingDeltas:
         monkeypatch.setattr(parallel, "_worker_main", late_worker_main)
         sink = io.StringIO()
         obs.enable(jsonl=sink)
-        t_pool = obs.now()
         parallel.run_sharded(SQUARE, {}, range(4), jobs=2,
-                             label="testpool", start_method="fork")
+                             label="testpool")
         obs.disable()
-        units = [r for r in _sink_records(sink)
+        recs = _sink_records(sink)
+        (dispatch,) = [r for r in recs if r.get("name") == "testpool.sharded"]
+        t_pool = dispatch["t0"]
+        units = [r for r in recs
                  if r.get("name") == "testpool.unit" and not r.get("partial")]
         assert len(units) == 4
-        # Every unit ran after the artificial 0.4s startup delay; the
-        # pool-creation fallback would have placed them near t_pool.
+        # Every unit ran after the artificial 0.4s startup delay; an offset
+        # taken at pool creation would have placed them near t_pool.
         assert all(u["t0"] >= t_pool + 0.3 for u in units)
 
 
