@@ -356,8 +356,7 @@ let merge (u : node) (x y : int8) = if x < y then x else y
 def sweep_scenarios(work: Path) -> list[Scenario]:
     """Every sub-command and flag, the pool at two workers, and the
     contract errors."""
-    trace, metrics_json, prom = "t.jsonl", "m.json", "m.prom"
-    ptrace, pmetrics = "pt.jsonl", "pm.json"
+    trace, ptrace = "t.jsonl", "pt.jsonl"
     sim, par = "fault_wan/wan.nv", ["p0.nv", "p1.nv", "p2.nv"]
     return [
         call("census inputs", lambda: sweep_inputs(work)),
@@ -370,13 +369,11 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["simulate", "sym.nv", "--symbolic", "start=None"]),
         cli(["simulate", "--lower", "--trace", "fat4.nv"]),
         *[cli(["simulate", *mode, "mapite.nv"])
-          for mode in ([], ["--native", "--metrics-json", "mn.json"],
+          for mode in ([], ["--native", "--trace-json", "mn.jsonl"],
                        ["--lower"])],
         cli(["simulate", *par, "--stats"], jobs=2),
         cli(["simulate", sim, "--stats", "--trace", "--trace-json", trace,
-             "--progress", "--heartbeat", "0.01", "--metrics-json",
-             metrics_json, "--prometheus", prom, "--mem", "--time-budget",
-             "0"]),
+             "--progress"]),
         # explain
         cli(["explain", "fat4.nv", "3", "--stats"]),
         cli(["explain", "sym.nv", "2", "--native", "--symbolic",
@@ -384,19 +381,17 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         # verify
         cli(["verify", "sym.nv", "--show-routes", "--stats"]),
         cli(["verify", "sym.nv", "--max-conflicts", "0"]),
-        cli(["verify", "verify_smt/wan_unsat.nv", "--progress", "--heartbeat",
-             "0.01"]),
+        cli(["verify", "verify_smt/wan_unsat.nv", "--progress"]),
         cli(["verify", *par, "--stats"]),
         cli(["verify", *par, "--no-incremental", "--trace-json", ptrace,
-             "--metrics-json", pmetrics, "--stats"], jobs=2),
-        cli(["verify", *par, "--no-incremental", "--progress", "--heartbeat",
-             "0.01", "--time-budget", "0"], jobs=2),
+             "--stats"], jobs=2),
+        cli(["verify", *par, "--no-incremental", "--progress"], jobs=2),
         cli(["verify", *par, "--no-incremental"], jobs=1),
         cli(["verify", "verify_smt/wan_unsat.nv", "verify_smt/wan_sat.nv",
              "--no-incremental", "--trace-json", ptrace], jobs=2),
         cli(["verify", "fat4.nv", "--partition", "4", "--stats"]),
-        cli(["verify", "fat4.nv", "--partition", "4", "--trace-json", ptrace,
-             "--metrics-json", pmetrics], jobs=2),
+        cli(["verify", "fat4.nv", "--partition", "4", "--trace-json", ptrace],
+            jobs=2),
         *[cli(["verify", "fat4.nv", "--partition", "2", "--partition-method",
                m]) for m in ("auto", "pods", "bfs", "spectral")],
         *[cli(["verify", "sym.nv", "--cuts", cuts, "--symbolic",
@@ -416,9 +411,8 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["translate", "sim_cfg/configs", "--assert-prefix", "10.0.0.0/24"]),
         cli(["translate", "ospf", "-o", "ospf.nv"]),
         cli(["simulate", "ospf.nv"]),
-        cli(["report", trace, "--metrics", metrics_json, "-o", "r.html",
-             "--title", "census"]),
-        cli(["report", ptrace, "--metrics", pmetrics, "--critical-path"]),
+        cli(["report", trace, "-o", "r.html", "--title", "census"]),
+        cli(["report", ptrace, "--critical-path"]),
         # contract errors
         cli(["simulate", "--no-such-flag", "fat4.nv"]),
         cli(["simulate", "missing.nv"]),
@@ -427,7 +421,6 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["simulate", "bad.nv"]),
         *[cli(["simulate", f"ill{i}.nv"]) for i in range(len(ILL_TYPED))],
         cli(["simulate", "fat4.nv", "--trace-json", "nodir/t.jsonl"]),
-        cli(["simulate", "fat4.nv", "--metrics-json", "nodir/m.json"]),
         cli(["simulate", "sym.nv", "--symbolic", "start"]),
         cli(["explain", "fat4.nv", "99"]),
         cli(["verify", "--partition", "2", "fat4.nv", "sym.nv"]),

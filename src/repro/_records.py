@@ -59,8 +59,8 @@ def ledger_UnitRecord(_FACTORY, _set, _d_label, _d_worker, _d_t_submitted, _d_t_
   return {'__init__': __init__, '__eq__': __eq__}
 
 # repro.obs.Span
-def obs_Span(_FACTORY, _set, _d_id, _d_parent_id, _d_t0, _d_dur, _d_n_events, _f_children, _f_counters, _d_partial, _d__perf0, _d__mem0, _d__mem_peak):
-  def __init__(self, name, attrs, id=_d_id, parent_id=_d_parent_id, t0=_d_t0, dur=_d_dur, n_events=_d_n_events, children=_FACTORY, counters=_FACTORY, partial=_d_partial, _perf0=_d__perf0, _mem0=_d__mem0, _mem_peak=_d__mem_peak):
+def obs_Span(_FACTORY, _set, _d_id, _d_parent_id, _d_t0, _d_dur, _d_n_events, _f_children, _f_counters, _d_partial, _d__perf0):
+  def __init__(self, name, attrs, id=_d_id, parent_id=_d_parent_id, t0=_d_t0, dur=_d_dur, n_events=_d_n_events, children=_FACTORY, counters=_FACTORY, partial=_d_partial, _perf0=_d__perf0):
     self.name = name
     self.attrs = attrs
     self.id = id
@@ -72,10 +72,8 @@ def obs_Span(_FACTORY, _set, _d_id, _d_parent_id, _d_t0, _d_dur, _d_n_events, _f
     self.counters = _f_counters() if counters is _FACTORY else counters
     self.partial = partial
     self._perf0 = _perf0
-    self._mem0 = _mem0
-    self._mem_peak = _mem_peak
   def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.name,self.attrs,self.id,self.parent_id,self.t0,self.dur,self.n_events,self.children,self.counters,self.partial,self._perf0,self._mem0,self._mem_peak,) == (other.name,other.attrs,other.id,other.parent_id,other.t0,other.dur,other.n_events,other.children,other.counters,other.partial,other._perf0,other._mem0,other._mem_peak,)
+    if other.__class__ is self.__class__: return (self.name,self.attrs,self.id,self.parent_id,self.t0,self.dur,self.n_events,self.children,self.counters,self.partial,self._perf0,) == (other.name,other.attrs,other.id,other.parent_id,other.t0,other.dur,other.n_events,other.children,other.counters,other.partial,other._perf0,)
     return NotImplemented
   return {'__init__': __init__, '__eq__': __eq__}
 
@@ -86,6 +84,6 @@ METHODS = {
         critpath_CriticalPathReport,
     'def __init__(self, unit, label=_d_label, worker=_d_worker, t_submitted=_d_t_submitted, t_started=_d_t_started, t_finished=_d_t_finished, task_bytes=_d_task_bytes, result_bytes=_d_result_bytes, status=_d_status):\n  self.unit = unit\n  self.label = label\n  self.worker = worker\n  self.t_submitted = t_submitted\n  self.t_started = t_started\n  self.t_finished = t_finished\n  self.task_bytes = task_bytes\n  self.result_bytes = result_bytes\n  self.status = status\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.unit,self.label,self.worker,self.t_submitted,self.t_started,self.t_finished,self.task_bytes,self.result_bytes,self.status,) == (other.unit,other.label,other.worker,other.t_submitted,other.t_started,other.t_finished,other.task_bytes,other.result_bytes,other.status,)\n  return NotImplemented':
         ledger_UnitRecord,
-    'def __init__(self, name, attrs, id=_d_id, parent_id=_d_parent_id, t0=_d_t0, dur=_d_dur, n_events=_d_n_events, children=_FACTORY, counters=_FACTORY, partial=_d_partial, _perf0=_d__perf0, _mem0=_d__mem0, _mem_peak=_d__mem_peak):\n  self.name = name\n  self.attrs = attrs\n  self.id = id\n  self.parent_id = parent_id\n  self.t0 = t0\n  self.dur = dur\n  self.n_events = n_events\n  self.children = _f_children() if children is _FACTORY else children\n  self.counters = _f_counters() if counters is _FACTORY else counters\n  self.partial = partial\n  self._perf0 = _perf0\n  self._mem0 = _mem0\n  self._mem_peak = _mem_peak\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.name,self.attrs,self.id,self.parent_id,self.t0,self.dur,self.n_events,self.children,self.counters,self.partial,self._perf0,self._mem0,self._mem_peak,) == (other.name,other.attrs,other.id,other.parent_id,other.t0,other.dur,other.n_events,other.children,other.counters,other.partial,other._perf0,other._mem0,other._mem_peak,)\n  return NotImplemented':
+    'def __init__(self, name, attrs, id=_d_id, parent_id=_d_parent_id, t0=_d_t0, dur=_d_dur, n_events=_d_n_events, children=_FACTORY, counters=_FACTORY, partial=_d_partial, _perf0=_d__perf0):\n  self.name = name\n  self.attrs = attrs\n  self.id = id\n  self.parent_id = parent_id\n  self.t0 = t0\n  self.dur = dur\n  self.n_events = n_events\n  self.children = _f_children() if children is _FACTORY else children\n  self.counters = _f_counters() if counters is _FACTORY else counters\n  self.partial = partial\n  self._perf0 = _perf0\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.name,self.attrs,self.id,self.parent_id,self.t0,self.dur,self.n_events,self.children,self.counters,self.partial,self._perf0,) == (other.name,other.attrs,other.id,other.parent_id,other.t0,other.dur,other.n_events,other.children,other.counters,other.partial,other._perf0,)\n  return NotImplemented':
         obs_Span,
 }

@@ -462,6 +462,7 @@ def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
         obs.event("verify.incremental_query", index=index,
                   status=smt.status, seconds=round(per_query, 6),
                   marginal_clauses=smt.stats.get("inc.marginal_clauses", 0))
-        results.append(_replayed(net, _result_from_smt(
-            net, enc, smt, 0.0 if results else encode_seconds)))
+        result = _replayed(net, _result_from_smt(
+            net, enc, smt, 0.0 if results else encode_seconds))
+        results.append(_non_vacuous(net, enc, result, max_conflicts))
     return results

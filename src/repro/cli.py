@@ -22,22 +22,20 @@ files one after another in-process, each printed as its single-file run
 prints it, and ``fault`` is one simulation (or, with ``--smt``, one
 persistent solver), in-process, at any worker count.
 
-Observability flags shared by the analysis commands (see README
+The four observability flags of the analysis commands (see README
 "Observability"):
 
 * ``--stats`` collects and prints the flat :mod:`repro.perf` counters;
 * ``--trace`` prints a hierarchical span tree (pipeline passes, simulation,
   SMT phases) with inclusive/exclusive times and per-span counter deltas;
-* ``--trace-json FILE`` streams span + timeline-event records as JSONL;
-* ``--progress`` renders a live stderr status line (heartbeat sampler);
-* ``--heartbeat SECONDS`` sets the sampling period (implies a heartbeat);
-* ``--metrics-json FILE`` / ``--prometheus FILE`` export the final
-  counter/gauge/histogram snapshot;
-* ``--mem`` adds tracemalloc memory accounting (per-span high-water marks);
-* ``--time-budget SECONDS`` warns when the run exceeds its wall-time budget.
+* ``--trace-json FILE`` streams span + timeline-event records as JSONL and
+  ends the stream with the run's counter/gauge/histogram snapshot;
+* ``--progress`` renders a live stderr status line (heartbeat sampler).
 
-``python -m repro report trace.jsonl`` turns a trace (plus an optional
-metrics snapshot) into a self-contained HTML run report.
+``--stats`` turns on the counters alone; each of the other three turns on
+spans, counters and the metrics registry (kernel telemetry included).
+``python -m repro report trace.jsonl`` turns a trace into a self-contained
+HTML run report.
 
 Exit status: 0 the property holds (or the command did its job), 1 it is
 violated, 2 ``verify`` could not decide, 4 ``verify`` found that no stable
@@ -112,43 +110,18 @@ def _parse_symbolics(pairs: list[str], net: Network) -> dict[str, Any]:
     return out
 
 
-def _maybe_enable_stats(args: argparse.Namespace) -> None:
-    """``--stats`` turns on the :mod:`repro.perf` registry for this run."""
-    if getattr(args, "stats", False):
-        perf.reset()
-        perf.enable()
-
-
-def _tracing(args: argparse.Namespace) -> bool:
-    """Span recording: ``--trace`` / ``--trace-json``, and every flag that
-    starts a heartbeat — spans are the phases its samples are labelled
-    with (no sink unless ``--trace-json`` names one)."""
+def _observing(args: argparse.Namespace) -> bool:
+    """``--trace``, ``--trace-json`` and ``--progress`` each turn on spans
+    (the phases the heartbeat labels its samples with), counters and the
+    metrics registry; ``--stats`` alone turns on the counters only."""
     return bool(getattr(args, "trace", False)
                 or getattr(args, "trace_json", None)
-                or _heartbeat_on(args))
-
-
-def _metrics_on(args: argparse.Namespace) -> bool:
-    """Any live-metrics flag turns the gauge/histogram registry on, and
-    with it kernel telemetry."""
-    return bool(getattr(args, "progress", False)
-                or getattr(args, "heartbeat", None) is not None
-                or getattr(args, "metrics_json", None)
-                or getattr(args, "prometheus", None)
-                or getattr(args, "mem", False)
-                or getattr(args, "time_budget", None) is not None)
-
-
-def _heartbeat_on(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "progress", False)
-                or getattr(args, "heartbeat", None) is not None
-                or getattr(args, "time_budget", None) is not None)
+                or getattr(args, "progress", False))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .analysis.simulation import run_simulation
 
-    _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
     symbolics = [_parse_symbolics(args.symbolic, net) for net in nets]
     backend = "native" if args.native else "interp"
@@ -180,7 +153,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .srp.provenance import explain
     from .srp.simulate import simulate
 
-    _maybe_enable_stats(args)
     net = _load_network(args.file)
     if not 0 <= args.node < net.num_nodes:
         raise NvError(f"node {args.node} out of range "
@@ -208,7 +180,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.max_conflicts is not None and args.max_conflicts < 0:
         raise NvError(f"--max-conflicts must be >= 0, got {args.max_conflicts}")
-    _maybe_enable_stats(args)
     nets = [_load_network(f) for f in args.file]
     if (args.partition is not None or args.cuts is not None
             or args.partition_method is not None):
@@ -309,7 +280,6 @@ def cmd_fault(args: argparse.Namespace) -> int:
         if unchecked:
             raise NvError(f"--smt checks link failures only; it does not "
                           f"take {', '.join(unchecked)}")
-    _maybe_enable_stats(args)
     net = _load_network(args.file)
     symbolics = _parse_symbolics(args.symbolic, net)
     if args.smt:
@@ -376,16 +346,15 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """``repro report trace.jsonl``: render a self-contained HTML run
-    report from a ``--trace-json`` file and an optional ``--metrics-json``
-    snapshot.  ``--critical-path`` additionally prints the trace's
+    report from a ``--trace-json`` file, its snapshot record included.
+    ``--critical-path`` additionally prints the trace's
     critical-path analysis (longest dependency chain vs total work,
     parallel efficiency, LPT-bound gap) as text."""
     from .report import generate
 
     trace = args.trace_file
     try:
-        out = generate(trace, metrics_path=args.metrics,
-                       out_path=args.output, title=args.title)
+        out = generate(trace, out_path=args.output, title=args.title)
     except OSError as exc:
         raise _path_error(exc.filename or trace, exc) from None
     print(f"wrote {out}")
@@ -412,27 +381,12 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
                         "per-span counter deltas")
     p.add_argument("--trace-json", metavar="FILE", default=None,
                    help="stream structured span/event records (JSONL) "
-                        "to FILE; implies tracing")
+                        "to FILE, ended by the run's counters/gauges/"
+                        "histograms snapshot; implies tracing")
     p.add_argument("--progress", action="store_true",
                    help="render a live one-line status to stderr while the "
-                        "analysis runs (heartbeat sampler)")
-    p.add_argument("--heartbeat", type=float, metavar="SECONDS", default=None,
-                   help="heartbeat sampling period in seconds "
-                        "(default 1.0 when --progress is set); progress "
+                        "analysis runs (heartbeat sampler); progress "
                         "events land in the --trace-json timeline")
-    p.add_argument("--metrics-json", metavar="FILE", default=None,
-                   help="write the final counters/gauges/histograms "
-                        "snapshot as JSON to FILE")
-    p.add_argument("--prometheus", metavar="FILE", default=None,
-                   help="write the final snapshot in Prometheus text "
-                        "exposition format to FILE")
-    p.add_argument("--mem", action="store_true",
-                   help="account memory with tracemalloc: per-span "
-                        "high-water marks plus traced-bytes gauges")
-    p.add_argument("--time-budget", type=float, metavar="SECONDS",
-                   default=None,
-                   help="warn (once) when the run exceeds this wall-time "
-                        "budget")
 
 
 _JOBS_DEFAULT = ("default: $NV_JOBS, else CPU count capped at "
@@ -564,8 +518,6 @@ def _translate_args(translate: argparse.ArgumentParser) -> None:
 def _report_args(report: argparse.ArgumentParser) -> None:
     report.add_argument("trace_file", metavar="trace",
                         help="trace JSONL file (--trace-json output)")
-    report.add_argument("--metrics", metavar="FILE", default=None,
-                        help="metrics snapshot JSON (--metrics-json output)")
     report.add_argument("-o", "--output", default=None,
                         help="output HTML path (default: trace with .html)")
     report.add_argument("--title", default=None,
@@ -585,8 +537,8 @@ COMMANDS = {
     "fault": ("fault-tolerance meta-protocol (fig 5)", _fault_args),
     "explain": ("provenance: why did NODE's stable route win?", _explain_args),
     "translate": ("router configs -> NV program (§4)", _translate_args),
-    "report": ("render a trace JSONL (+ metrics snapshot) as a "
-               "self-contained HTML run report", _report_args),
+    "report": ("render a trace JSONL as a self-contained HTML run report",
+               _report_args),
 }
 
 
@@ -631,60 +583,40 @@ def _run(argv: list[str] | None) -> int:
         except parallel.ParallelError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-    tracing = _tracing(args)
-    metrics_on = _metrics_on(args)
-    if tracing:
-        # Spans carry perf-counter deltas, so tracing turns the counter
-        # registry on as well (a later --stats reset is harmless: nothing
-        # has accumulated yet).
+    observing = _observing(args)
+    if observing:
         obs.reset()
         try:
             obs.enable(jsonl=args.trace_json)
         except OSError as exc:
             print(f"error: {_path_error(args.trace_json, exc)}", file=sys.stderr)
             return 3
+        metrics.reset()
+        metrics.enable()
+    if observing or getattr(args, "stats", False):
+        # Spans carry perf-counter deltas and the heartbeat derives its
+        # rates from them, so every observability flag needs the counters.
         perf.reset()
         perf.enable()
-    if metrics_on:
-        # Live gauges/histograms need the counter registry too (rates are
-        # derived from perf deltas).
-        if not tracing and not getattr(args, "stats", False):
-            perf.reset()
-            perf.enable()
-        metrics.reset()
-        metrics.enable(memory=getattr(args, "mem", False))
-        if getattr(args, "mem", False):
-            obs.track_memory(True)
 
     heartbeat = None
-    if _heartbeat_on(args):
+    if getattr(args, "progress", False):
         from .heartbeat import Heartbeat
-        period = args.heartbeat if args.heartbeat is not None else 1.0
-        heartbeat = Heartbeat(
-            period, progress=getattr(args, "progress", False),
-            label=args.command, budget=getattr(args, "time_budget", None),
-            metrics_json=getattr(args, "metrics_json", None),
-            install_sigint=True)
+        heartbeat = Heartbeat(progress=True, label=args.command,
+                              install_sigint=True)
         heartbeat.start()
 
     file_attr = getattr(args, "file", None)
     if isinstance(file_attr, list):
         file_attr = file_attr[0] if len(file_attr) == 1 else ",".join(file_attr)
+    interrupted = False
     try:
         with obs.span(args.command, file=file_attr):
-            rc = args.fn(args)
-        if heartbeat is not None:
-            heartbeat.stop()
-            heartbeat = None
-        if metrics_on:
-            _write_metrics_outputs(args)
-        return rc
+            return args.fn(args)
     except KeyboardInterrupt:
-        # The heartbeat's SIGINT handler already dumped partial state (or
-        # there was no heartbeat and there is nothing to dump beyond the
-        # trace flush in the finally block below).
-        if heartbeat is not None:
-            heartbeat.dump_partial()
+        # With --progress the heartbeat's SIGINT handler has flushed the
+        # open spans; the snapshot below is marked partial.
+        interrupted = True
         print("interrupted", file=sys.stderr)
         return 130
     except (NvError, parallel.ParallelError) as exc:
@@ -700,30 +632,13 @@ def _run(argv: list[str] | None) -> int:
     finally:
         if heartbeat is not None:
             heartbeat.stop()
-        if metrics_on:
+        if observing:
+            if args.trace_json:
+                metrics.write_snapshot(partial=interrupted)
             metrics.disable()
-            obs.track_memory(False)
-        if tracing:
             obs.disable()
-            if getattr(args, "trace", False):
+            if args.trace:
                 print(obs.render_tree())
-
-
-def _write_metrics_outputs(args: argparse.Namespace) -> None:
-    """Export the final snapshot to the requested files (one snapshot, both
-    formats)."""
-    mjson = getattr(args, "metrics_json", None)
-    prom = getattr(args, "prometheus", None)
-    if not mjson and not prom:
-        return
-    snap = metrics.snapshot()
-    try:
-        if mjson:
-            metrics.write_json(mjson, snap)
-        if prom:
-            metrics.write_prometheus(prom, snap)
-    except OSError as exc:
-        raise _path_error(exc.filename, exc) from None
 
 
 if __name__ == "__main__":

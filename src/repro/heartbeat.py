@@ -2,8 +2,8 @@
 
 The paper's evaluation phases — CDCL solves that spin for minutes, MTBDD
 fixpoints whose unique tables balloon — are opaque while they run.  The
-:class:`Heartbeat` fixes that with a daemon sampler thread that, every
-``period`` seconds:
+:class:`Heartbeat` (``--progress``) fixes that with a daemon sampler thread
+that, every :data:`PERIOD_SECONDS`:
 
 * snapshots the :mod:`repro.perf` counters and :mod:`repro.metrics` gauges
   (live solver/simulator/BDD state, sampled via registered providers);
@@ -14,17 +14,15 @@ fixpoints whose unique tables balloon — are opaque while they run.  The
   ``--trace-json`` file interleaves heartbeats with the run's spans;
 * labels the sample with the run's current phase — the innermost open
   :mod:`repro.obs` span of the thread that started the heartbeat, else
-  ``label`` (the CLI turns span recording on with the heartbeat);
-* optionally renders a one-line status to stderr (``--progress``);
-* warns (once) when the heartbeat's overall wall-time ``budget`` is
-  exceeded.
+  ``label`` (``--progress`` turns span recording on as well);
+* optionally renders a one-line status to stderr.
 
 On SIGINT the heartbeat dumps the **partial** trace (open spans flushed via
-``obs.flush_partial``) and a partial metrics snapshot before the default
-``KeyboardInterrupt`` machinery runs, so a killed multi-minute solve still
-leaves an analysable record — exactly the "know where state explosion
-happens while it happens" discipline of the fast symbolic engines in
-PAPERS.md.
+``obs.flush_partial``) before the default ``KeyboardInterrupt`` machinery
+runs, and the CLI then ends the trace with a ``"partial": true`` snapshot
+record, so a killed multi-minute solve still leaves an analysable record —
+exactly the "know where state explosion happens while it happens"
+discipline of the fast symbolic engines in PAPERS.md.
 
 The thread only exists while a heartbeat is started; the disabled-mode cost
 of this module is zero (nothing imports it on the hot path).
@@ -36,10 +34,12 @@ import signal
 import sys
 import threading
 import time
-from pathlib import Path
 from typing import Any, Callable, TextIO
 
 from . import metrics, obs, perf
+
+#: Seconds between two samples (tests patch it).
+PERIOD_SECONDS = 1.0
 
 #: Counter/gauge names whose per-second rates are derived each tick.
 RATE_KEYS: tuple[str, ...] = (
@@ -73,24 +73,19 @@ def _fmt_count(v: float) -> str:
 class Heartbeat:
     """Periodic sampler of the live metrics registry.
 
-    Use as a context manager or via :meth:`start`/:meth:`stop`.  ``stop``
+    Run it between :meth:`start` and :meth:`stop`.  ``stop``
     always emits one final tick, so even sub-period runs record at least one
     ``progress`` event.
     """
 
-    def __init__(self, period: float = 1.0, *, progress: bool = False,
+    def __init__(self, *, progress: bool = False,
                  stream: TextIO | None = None, label: str = "run",
-                 budget: float | None = None,
-                 metrics_json: str | Path | None = None,
                  install_sigint: bool = False,
                  on_tick: Callable[[dict[str, Any]], None] | None = None
                  ) -> None:
-        self.period = max(0.005, float(period))
         self.progress = progress
         self.stream = stream
         self.label = label
-        self.budget = budget
-        self.metrics_json = metrics_json
         self.install_sigint = install_sigint
         self.on_tick = on_tick
         self.ticks = 0
@@ -102,8 +97,6 @@ class Heartbeat:
         self._owner: int | None = None
         self._prev: dict[str, float] = {}
         self._prev_t = 0.0
-        self._budget_warned = False
-        self._dumped = False
         self._prev_sigint: Any = None
         self._status_open = False
 
@@ -132,17 +125,10 @@ class Heartbeat:
         if thread is None:
             return
         self._stop.set()
-        thread.join(timeout=max(1.0, 4 * self.period))
+        thread.join(timeout=max(1.0, 4 * PERIOD_SECONDS))
         self._thread = None
         self.tick(final=True)
-        if self._status_open:
-            stream = self.stream or sys.stderr
-            try:
-                stream.write("\n")
-                stream.flush()
-            except (ValueError, OSError):  # pragma: no cover - closed stream
-                pass
-            self._status_open = False
+        self._end_status(self.stream or sys.stderr)
         if self._prev_sigint is not None:
             try:
                 signal.signal(signal.SIGINT, self._prev_sigint)
@@ -155,7 +141,7 @@ class Heartbeat:
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
-        while not self._stop.wait(self.period):
+        while not self._stop.wait(PERIOD_SECONDS):
             try:
                 self.tick()
             except Exception:  # pragma: no cover - sampler must never kill a run
@@ -174,7 +160,7 @@ class Heartbeat:
 
     def tick(self, final: bool = False) -> dict[str, Any]:
         """One heartbeat sample: compute rates, emit the ``progress`` event,
-        update the status line, check the budget.  Returns the sample dict."""
+        update the status line.  Returns the sample dict."""
         now = time.monotonic()
         dt = max(1e-9, now - self._prev_t)
         elapsed = now - self._t0
@@ -212,7 +198,6 @@ class Heartbeat:
         obs.event("progress", **sample)
         if self.on_tick is not None:
             self.on_tick(sample)
-        self._check_budget(elapsed)
         if self.progress:
             self._render_status(sample, elapsed)
 
@@ -222,19 +207,8 @@ class Heartbeat:
         return sample
 
     # ------------------------------------------------------------------
-    # Budget and status line
+    # Status line
     # ------------------------------------------------------------------
-
-    def _check_budget(self, elapsed: float) -> None:
-        if self.budget is not None and elapsed > self.budget \
-                and not self._budget_warned:
-            self._budget_warned = True
-            obs.event("progress.budget_exceeded", phase=self.label,
-                      elapsed=round(elapsed, 3), budget=self.budget)
-            stream = self.stream or sys.stderr
-            self._end_status(stream)
-            print(f"[heartbeat] warning: {self.label} exceeded its "
-                  f"{self.budget:.1f}s wall-time budget", file=stream)
 
     def _render_status(self, sample: dict[str, Any], elapsed: float) -> None:
         stream = self.stream or sys.stderr
@@ -273,7 +247,8 @@ class Heartbeat:
         if self._status_open:
             try:
                 stream.write("\n")
-            except (ValueError, OSError):  # pragma: no cover
+                stream.flush()
+            except (ValueError, OSError):  # pragma: no cover - closed stream
                 pass
             self._status_open = False
 
@@ -281,26 +256,14 @@ class Heartbeat:
     # SIGINT partial dump
     # ------------------------------------------------------------------
 
-    def dump_partial(self) -> None:
-        """Flush open spans into the trace sink and write a partial metrics
-        snapshot.  Idempotent (SIGINT handler and CLI both call it)."""
-        if self._dumped:
-            return
-        self._dumped = True
-        obs.flush_partial()
-        if self.metrics_json is not None:
-            try:
-                metrics.write_json(self.metrics_json, partial=True)
-            except OSError:  # pragma: no cover - unwritable dump path
-                pass
-
     def _on_sigint(self, signum: int, frame: Any) -> None:
+        """Flush the open spans into the trace sink while they are still
+        open, then raise ``KeyboardInterrupt`` as the default handler does."""
         stream = self.stream or sys.stderr
         self._end_status(stream)
-        print("[heartbeat] interrupted — dumping partial trace/metrics",
-              file=stream)
+        print("[heartbeat] interrupted — dumping partial trace", file=stream)
         self._stop.set()
-        self.dump_partial()
+        obs.flush_partial()
         prev = self._prev_sigint
         if callable(prev):
             prev(signum, frame)

@@ -500,15 +500,25 @@ class TypeChecker:
     # Final annotation pass
     # ------------------------------------------------------------------
 
-    def annotate(self, e: A.Expr, default_unsolved: bool = True) -> None:
-        """Replace every ``.ty`` annotation with its zonked form; optionally
-        default any remaining unification variable to ``int``."""
+    def annotate(self, e: A.Expr, closed: str | None = None) -> None:
+        """Replace every ``.ty`` annotation with its zonked form, defaulting
+        any remaining unification variable to ``int``.  In the declaration
+        named ``closed`` an open type is an error instead: a back end that
+        reads widths would read the default."""
         stack = [e]
         while stack:
             x = stack.pop()
             if x.ty is not None:
                 ty = self.zonk(x.ty)
-                x.ty = _default(ty) if default_unsolved else ty
+                if not ty.ground:
+                    if closed is not None:
+                        where = (f" (line {x.span[0]}, column {x.span[1]})"
+                                 if x.span else "")
+                        raise NvTypeError(
+                            f"an expression in {closed!r}{where} has the "
+                            f"open type {ty}: annotate it")
+                    ty = _default(ty)
+                x.ty = ty
             stack.extend(x.children())
 
 
@@ -547,9 +557,18 @@ def _infer_decls(program: A.Program) -> tuple[TypeChecker, dict[str, Scheme]]:
     return checker, env
 
 
-def _annotate_decls(checker: TypeChecker, program: A.Program) -> None:
+#: The network declarations of fig 8, whose bodies the back ends run.
+_NETWORK_DECLS = frozenset({"init", "trans", "merge", "assert"})
+
+
+def _annotate_decls(checker: TypeChecker, program: A.Program,
+                    network: bool = False) -> None:
     for decl in program.decls:
-        if isinstance(decl, (A.DLet, A.DRequire)):
+        if isinstance(decl, A.DLet):
+            checker.annotate(decl.expr, decl.name
+                             if network and decl.name in _NETWORK_DECLS
+                             else None)
+        elif isinstance(decl, A.DRequire):
             checker.annotate(decl.expr)
 
 
@@ -569,10 +588,13 @@ def check_network(program: A.Program) -> T.Type:
 
     ``init : node -> α``, ``trans : edge -> α -> α``,
     ``merge : node -> α -> α -> α``, ``assert : node -> α -> bool``.
-    Each declaration's scheme is instantiated and *unified* with the expected
-    shape (so e.g. a merge generalised over a map's key type is fine as long
-    as the other declarations pin it down); the resolved attribute type α
-    must come out concrete, as §3 requires of exchanged messages.
+    Each declaration's own type, not a fresh instance of its scheme, is
+    *unified* with the expected shape, so the widths the signature fixes
+    reach the declaration's body (a ``merge`` that compares payloads with
+    ``<=`` compares ``int8`` values when α is ``option[int8]``) and a merge
+    generalised over a map's key type is fine as long as the other
+    declarations pin it down; the resolved attribute type α must come out
+    concrete, as §3 requires of exchanged messages.
     """
     checker, env = _infer_decls(program)
     attr: T.Type = checker.fresh("attr")
@@ -583,7 +605,7 @@ def check_network(program: A.Program) -> T.Type:
             if optional:
                 return
             raise NvTypeError(f"program is missing the {name!r} declaration")
-        checker.unify(checker.instantiate(scheme), want,
+        checker.unify(scheme.ty, want,
                       f"in the network signature of {name!r}")
 
     require("init", T.TArrow(T.TNode(), attr))
@@ -592,8 +614,8 @@ def check_network(program: A.Program) -> T.Type:
     require("assert", T.TArrow(T.TNode(), T.TArrow(attr, T.TBool())),
             optional=True)
 
-    _annotate_decls(checker, program)
     attr = checker.zonk(attr)
     if not attr.ground:
         raise NvTypeError(f"the attribute type must be concrete, got {attr}")
+    _annotate_decls(checker, program, network=True)
     return attr

@@ -17,7 +17,8 @@ The summary is published through every observability channel at once:
   as its own section by ``repro report``;
 * gauges (``parallel.utilization_pct``, ``parallel.task_bytes``, ...) and
   histograms (``parallel.queue_wait_seconds``, ``parallel.unit_seconds``)
-  in :mod:`repro.metrics`, exported by ``--metrics-json`` / ``--prometheus``;
+  in :mod:`repro.metrics`, in the snapshot record that ends a
+  ``--trace-json`` file;
 * one deterministic perf counter (``parallel.ledger_units``) so the
   parallel-equivalence gate can assert the ledger covered the shard plan.
 

@@ -1,4 +1,4 @@
-"""Live metrics: typed instruments, structural gauges, and exporters.
+"""Live metrics: typed instruments, structural gauges, and the run's snapshot.
 
 :mod:`repro.perf` (PR 1) answers *how much work was done* after a run;
 :mod:`repro.obs` (PR 2) answers *where the time went* after a run.  This
@@ -22,9 +22,7 @@ Three instrument kinds:
   Providers may return histograms; code can also :func:`observe` into a
   named registry histogram.
 * **Memory** — :func:`memory_gauges` reports the process RSS
-  (``/proc/self/statm`` with a ``resource`` fallback) and, when
-  ``tracemalloc`` is tracing, the current/peak traced heap.  Per-span
-  high-water marks live in :mod:`repro.obs` (``obs.track_memory``).
+  (``/proc/self/statm`` with a ``resource`` fallback).
 
 **Kernel telemetry** rides on the same switch: :func:`flush_kernel`, called
 next to the analysis drivers' ``perf.merge(manager.stats(), ...)``, adds
@@ -37,9 +35,9 @@ BDD hot paths never look at the switch: sizes are read at flush time.
 A snapshot's ``phase`` is the innermost open :mod:`repro.obs` span of the
 main thread (spans are the phases).
 
-Exporters: :func:`to_prometheus` renders a snapshot in the Prometheus text
-exposition format; :func:`to_json`/:func:`write_json` dump the combined
-counters + gauges + histograms snapshot for ``repro report``.
+The run's record: :func:`write_snapshot` appends the combined counters +
+gauges + histograms :func:`snapshot` to the ``--trace-json`` stream as its
+last record, ``{"type": "snapshot", ...}``, which ``repro report`` reads.
 
 Design rules (mirroring ``repro.perf``/``repro.obs``, enforced by
 ``tests/test_metrics.py``): near-zero overhead when disabled — every entry
@@ -49,17 +47,13 @@ providers when the registry is enabled at their construction/run time.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import obs, perf
-
-if TYPE_CHECKING:
-    from pathlib import Path
 
 _enabled: bool = False
 _lock = threading.RLock()
@@ -80,7 +74,7 @@ class Histogram:
     Bucket ``i`` counts observations ``v`` with ``bound(i-1) < v <=
     bound(i)`` where ``bound(i) = 2**i`` (bucket 0 is ``v <= 1``).  Sixty
     buckets cover every int64-sized observation, so the memory cost is
-    constant and the exporters never need dynamic bucket negotiation —
+    constant and a reader never needs dynamic bucket negotiation —
     the same trick KATch-style symbolic engines use for their structural
     size metrics.
     """
@@ -124,7 +118,7 @@ class Histogram:
         self.sum += other.sum
 
     def buckets(self) -> list[tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs, Prometheus-style."""
+        """Cumulative ``(upper_bound, count)`` pairs."""
         out: list[tuple[float, int]] = []
         running = 0
         for b in sorted(self.counts):
@@ -161,37 +155,16 @@ def _float_bucket(value: float) -> int:
 # Registry lifecycle
 # ----------------------------------------------------------------------
 
-def enable(memory: bool = False) -> None:
-    """Turn the metrics registry on.  ``memory=True`` additionally starts
-    ``tracemalloc`` so heap gauges and per-span high-water marks become
-    available (a real cost — only request it when you want it)."""
+def enable() -> None:
+    """Turn the metrics registry on."""
     global _enabled, _origin
     _origin = time.time()
     _enabled = True
-    if memory:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
 
 
-def disable(stop_memory: bool = True) -> None:
+def disable() -> None:
     global _enabled
     _enabled = False
-    if stop_memory and (tracemalloc := _live_tracemalloc()) is not None:
-        tracemalloc.stop()
-
-
-def _live_tracemalloc() -> Any:
-    """The ``tracemalloc`` module while it is tracing, else ``None``.  Tracing
-    starts through the module, so a process that never imported it (every
-    untraced run, every worker of one) is not tracing and does not load it."""
-    if "tracemalloc" in sys.modules:
-        import tracemalloc
-
-        if tracemalloc.is_tracing():
-            return tracemalloc
-    return None
 
 
 def is_enabled() -> bool:
@@ -199,20 +172,18 @@ def is_enabled() -> bool:
 
 
 @contextmanager
-def enabled(on: bool = True, memory: bool = False) -> Iterator[None]:
+def enabled(on: bool = True) -> Iterator[None]:
     """Context manager: set the enabled state, restoring on exit."""
     global _enabled
     prev = _enabled
     if on:
-        enable(memory=memory)
+        enable()
     else:
         _enabled = False
     try:
         yield
     finally:
         _enabled = prev
-        if memory and not prev and (tracemalloc := _live_tracemalloc()) is not None:
-            tracemalloc.stop()
 
 
 def reset() -> None:
@@ -317,18 +288,9 @@ def register_weak_provider(name: str, obj: Any,
 
 
 def memory_gauges() -> dict[str, float]:
-    """Process memory gauges: current RSS plus (when tracing) tracemalloc's
-    current and peak traced-heap sizes."""
-    out: dict[str, float] = {}
+    """Process memory gauges: the current RSS."""
     rss = _read_rss_bytes()
-    if rss is not None:
-        out["proc.rss_bytes"] = rss
-    tracemalloc = _live_tracemalloc()
-    if tracemalloc is not None:
-        cur, peak = tracemalloc.get_traced_memory()
-        out["mem.traced_bytes"] = cur
-        out["mem.traced_peak_bytes"] = peak
-    return out
+    return {} if rss is None else {"proc.rss_bytes": rss}
 
 
 _PAGE_SIZE: int | None = None
@@ -439,103 +401,11 @@ def snapshot() -> dict[str, Any]:
     }
 
 
-# ----------------------------------------------------------------------
-# Exporters
-# ----------------------------------------------------------------------
-
-def _prom_name(name: str, prefix: str = "nv_") -> str:
-    out = [c if (c.isalnum() or c == "_") else "_" for c in name]
-    base = prefix + "".join(out)
-    if base and base[0].isdigit():  # pragma: no cover - defensive
-        base = "_" + base
-    return base
-
-
-def _prom_num(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return repr(value)
-    return str(int(value))
-
-
-def _esc_help(text: str) -> str:
-    """Escape HELP docstring text per the 0.0.4 exposition format:
-    backslash and line feed only (quotes are NOT escaped in HELP)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _esc_label(value: str) -> str:
-    """Escape a label value per the 0.0.4 exposition format: backslash,
-    double-quote, and line feed."""
-    return (value.replace("\\", "\\\\")
-                 .replace('"', '\\"')
-                 .replace("\n", "\\n"))
-
-
-def to_prometheus(snap: Mapping[str, Any] | None = None) -> str:
-    """Render a snapshot in the Prometheus text exposition format (0.0.4).
-
-    Perf counters become ``counter`` samples, gauges become ``gauge``
-    samples, histograms become the standard ``_bucket``/``_sum``/``_count``
-    triple with cumulative ``le`` labels.  Metric names are sanitised by
-    :func:`_prom_name`; the raw (unsanitised) name rides along in the HELP
-    text and so must be escaped per the spec (0.0.4: ``\\`` and newline in
-    HELP, plus ``"`` in label values) — NV identifiers can contain quotes
-    and backslashes via record projections and symbolic names.
-    """
-    if snap is None:
-        snap = snapshot()
-    lines: list[str] = []
-    for name, value in sorted(snap.get("counters", {}).items()):
-        pname = _prom_name(name)
-        kind = "counter"
-        lines.append(f"# HELP {pname} repro.perf counter {_esc_help(name)}")
-        lines.append(f"# TYPE {pname} {kind}")
-        lines.append(f"{pname} {_prom_num(value)}")
-    for name, value in sorted(snap.get("gauges", {}).items()):
-        pname = _prom_name(name)
-        lines.append(f"# HELP {pname} repro.metrics gauge {_esc_help(name)}")
-        lines.append(f"# TYPE {pname} gauge")
-        lines.append(f"{pname} {_prom_num(value)}")
-    for name, hist in sorted(snap.get("histograms", {}).items()):
-        data = hist.to_dict() if isinstance(hist, Histogram) else hist
-        pname = _prom_name(name)
-        lines.append(f"# HELP {pname} repro.metrics histogram {_esc_help(name)}")
-        lines.append(f"# TYPE {pname} histogram")
-        for le, cum in data.get("buckets", []):
-            lines.append(
-                f'{pname}_bucket{{le="{_esc_label(_prom_num(le))}"}} {cum}')
-        lines.append(f'{pname}_bucket{{le="+Inf"}} {data.get("count", 0)}')
-        lines.append(f"{pname}_sum {data.get('sum', 0.0)}")
-        lines.append(f"{pname}_count {data.get('count', 0)}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json(snap: Mapping[str, Any] | None = None, *,
-            partial: bool = False) -> str:
-    if snap is None:
-        snap = snapshot()
-    out = dict(snap)
+def write_snapshot(partial: bool = False) -> None:
+    """Append :func:`snapshot` to the trace sink as a ``{"type":
+    "snapshot", ...}`` record; ``partial`` marks an interrupted run.  The
+    CLI writes it once, as the last record of a ``--trace-json`` file."""
+    record: dict[str, Any] = {"type": "snapshot", **snapshot()}
     if partial:
-        out["partial"] = True
-    import json
-
-    return json.dumps(out, indent=2, sort_keys=True, default=repr) + "\n"
-
-
-def _write_text(path: str | os.PathLike[str], text: str) -> Path:
-    from pathlib import Path
-
-    p = Path(path)
-    p.write_text(text, encoding="utf-8")
-    return p
-
-
-def write_json(path: str | os.PathLike[str],
-               snap: Mapping[str, Any] | None = None, *,
-               partial: bool = False) -> Path:
-    return _write_text(path, to_json(snap, partial=partial))
-
-
-def write_prometheus(path: str | os.PathLike[str],
-                     snap: Mapping[str, Any] | None = None) -> Path:
-    return _write_text(path, to_prometheus(snap))
+        record["partial"] = True
+    obs.write(record)

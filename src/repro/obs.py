@@ -33,7 +33,9 @@ The JSONL sink (``enable(jsonl=...)``) streams one JSON object per line:
 Times are seconds relative to the moment tracing was enabled, so events and
 spans from every layer share one timeline.  Spans are written at *close* (a
 parent therefore appears after its children — consumers should key on
-``id``/``parent``); events are written immediately.
+``id``/``parent``); events are written immediately.  The CLI ends the
+stream with the run's counters, gauges and histograms, one ``{"type":
+"snapshot", ...}`` record (:func:`repro.metrics.write_snapshot`).
 
 Spans are also the run's *phases*: the heartbeat labels its samples, and
 ``metrics.snapshot()`` its ``phase`` key, with the innermost open span of
@@ -61,7 +63,6 @@ _origin: float = 0.0
 _origin_epoch: float = 0.0
 _sink: TextIO | None = None
 _owns_sink: bool = False
-_track_memory: bool = False
 _lock = threading.Lock()
 _tls = threading.local()
 #: Registry of every thread's span stack (the list object is shared with
@@ -89,8 +90,6 @@ class Span:
     counters: dict[str, int | float] = field(default_factory=dict)
     partial: bool = False
     _perf0: dict[str, int | float] | None = field(default=None, repr=False)
-    _mem0: int = field(default=-1, repr=False)     # traced bytes at open
-    _mem_peak: int = field(default=0, repr=False)  # running high-water
 
     @property
     def exclusive(self) -> float:
@@ -185,7 +184,7 @@ def enable(jsonl: str | os.PathLike[str] | TextIO | None = None) -> None:
     _origin = perf_counter()
     _origin_epoch = time()
     _enabled = True
-    _write({"type": "meta", "t_epoch": round(_origin_epoch, 6), "version": 1})
+    write({"type": "meta", "t_epoch": round(_origin_epoch, 6), "version": 1})
 
 
 def origin_epoch() -> float:
@@ -226,20 +225,6 @@ def reset() -> None:
         # thread's entry would orphan its stack).
         for stack in _stacks.values():
             stack.clear()
-
-
-def track_memory(on: bool = True) -> None:
-    """Toggle per-span memory accounting.  When on (and ``tracemalloc`` is
-    tracing — this starts it), every span records ``mem_peak_bytes`` (the
-    traced-heap high-water mark while the span was open, computed correctly
-    across nesting) and ``mem_net_bytes`` (allocated minus freed)."""
-    global _track_memory
-    _track_memory = on
-    if on:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
 
 
 def _thread_stack() -> list["Span"]:
@@ -290,7 +275,8 @@ def _jsonable(value: Any, _depth: int = 0) -> Any:
     return repr(value)
 
 
-def _write(record: dict[str, Any]) -> None:
+def write(record: dict[str, Any]) -> None:
+    """Append one record to the JSONL sink; nothing without a sink."""
     if _sink is None:
         return
     import json
@@ -311,7 +297,7 @@ def flush_partial() -> None:
     with _lock:
         open_spans = [sp for stack in _stacks.values() for sp in stack]
     for sp in open_spans:
-        _write({"type": "span", "id": sp.id, "parent": sp.parent_id,
+        write({"type": "span", "id": sp.id, "parent": sp.parent_id,
                 "name": sp.name, "t0": round(sp.t0, 6),
                 "dur": round(now - sp.t0, 6), "events": sp.n_events,
                 "partial": True,
@@ -334,7 +320,7 @@ def event(name: str, **attrs: Any) -> None:
     sp = current()
     if sp is not None:
         sp.n_events += 1
-    _write({"type": "event", "name": name, "t": round(t, 6),
+    write({"type": "event", "name": name, "t": round(t, 6),
             "span": sp.id if sp is not None else 0,
             "attrs": {k: _jsonable(v) for k, v in attrs.items()}})
 
@@ -390,7 +376,7 @@ def ingest(records: list[dict[str, Any]], t_offset: float = 0.0,
             attrs = dict(rec.get("attrs") or {})
             attrs.update(extra_attrs)
             rec["attrs"] = attrs
-        _write(rec)
+        write(rec)
         if rec.get("type") == "span" and not rec.get("partial"):
             with _lock:
                 _live.add(rec)
@@ -441,19 +427,6 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
     sp.parent_id = parent.id if parent is not None else 0
     if perf.is_enabled():
         sp._perf0 = perf.snapshot()
-    track_mem = False
-    if _track_memory:
-        import tracemalloc
-
-        track_mem = tracemalloc.is_tracing()
-    if track_mem:
-        cur, peak = tracemalloc.get_traced_memory()
-        if parent is not None and peak > parent._mem_peak:
-            # Bank the parent's high-water so far; the child resets the
-            # global peak to measure its own.
-            parent._mem_peak = peak
-        tracemalloc.reset_peak()
-        sp._mem0 = cur
     sp.t0 = perf_counter() - _origin
     stack.append(sp)
     try:
@@ -463,14 +436,6 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
         raise
     finally:
         sp.dur = (perf_counter() - _origin) - sp.t0
-        if track_mem and tracemalloc.is_tracing():
-            cur, peak = tracemalloc.get_traced_memory()
-            span_peak = max(sp._mem_peak, peak)
-            sp.attrs["mem_peak_bytes"] = span_peak
-            sp.attrs["mem_net_bytes"] = cur - sp._mem0
-            tracemalloc.reset_peak()
-            if parent is not None and span_peak > parent._mem_peak:
-                parent._mem_peak = span_peak
         if sp._perf0 is not None:
             now = perf.snapshot()
             base = sp._perf0
@@ -492,7 +457,7 @@ def span(name: str, **attrs: Any) -> Iterator[Span | None]:
             else:
                 with _lock:
                     _live.roots.append(sp)
-            _write({"type": "span", "id": sp.id, "parent": sp.parent_id,
+            write({"type": "span", "id": sp.id, "parent": sp.parent_id,
                     "name": sp.name, "t0": round(sp.t0, 6),
                     "dur": round(sp.dur, 6), "events": sp.n_events,
                     "attrs": {k: _jsonable(v) for k, v in sp.attrs.items()},

@@ -406,15 +406,15 @@ def run_sharded(worker_ref: str, payload: Any, units: Sequence[Any], *,
     """
     units = list(units)
     labels = list(unit_labels) if unit_labels is not None else None
-    jobs = resolve_jobs(jobs)
+    # A worker without a unit would only build its state and stop.
+    jobs = min(resolve_jobs(jobs), max(1, len(units)))
     # Ledger accounting rides on any observability channel being up.
     observing = perf.is_enabled() or obs.is_enabled() or metrics.is_enabled()
     with obs.span(f"{label}.sharded", units=len(units), jobs=jobs) as sp:
-        if jobs <= 1 or len(units) <= 1:
-            led = ledger_mod.Ledger(label, 1) if observing else None
+        led = ledger_mod.Ledger(label, jobs) if observing else None
+        if jobs == 1:
             out = _run_serial(worker_ref, payload, units, labels, label, led)
         else:
-            led = ledger_mod.Ledger(label, jobs) if observing else None
             out = _run_pool(worker_ref, payload, units, labels, jobs, label,
                             led)
         if led is not None:

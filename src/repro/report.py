@@ -1,8 +1,8 @@
-"""Self-contained HTML run reports from trace JSONL + metrics snapshots.
+"""Self-contained HTML run reports from a ``--trace-json`` file.
 
-``repro report run.jsonl --metrics run-metrics.json -o report.html`` turns
-the artifacts the observability stack streams during a run — span/event
-records from :mod:`repro.obs`, a counters/gauges/histograms snapshot from
+``repro report run.jsonl -o report.html`` turns what the observability
+stack streams during a run — span/event records from :mod:`repro.obs`,
+ended by the run's counters/gauges/histograms ``snapshot`` record from
 :mod:`repro.metrics` — into a single HTML file with no external assets
 (inline CSS, no JS dependencies), so CI can upload it as an artifact and
 anyone can open it from disk:
@@ -21,7 +21,7 @@ anyone can open it from disk:
 The trace is read by :func:`repro.obs.load_trace`, the same span-tree
 builder the live tracer uses: unknown record types are ignored and partial
 traces (SIGINT dumps) render with their open spans marked, so a killed run
-still produces a useful report.
+still produces a useful report; :func:`load_snapshot` reads the snapshot.
 """
 
 from __future__ import annotations
@@ -34,9 +34,21 @@ from typing import Any, Iterable, Mapping
 
 from .obs import Span, load_trace
 
-def load_metrics(path: str | Path) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+
+def load_snapshot(path: str | Path) -> dict[str, Any] | None:
+    """The trace's last record when it is the run's ``snapshot``, else
+    ``None`` (a trace written by hand, or cut short before the run ended)."""
+    last = ""
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            if line.strip():
+                last = line
+    try:
+        record = json.loads(last)
+    except json.JSONDecodeError:
+        return None
+    return record if isinstance(record, dict) \
+        and record.get("type") == "snapshot" else None
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +201,7 @@ def _render_timeline(events: list[dict[str, Any]],
 
 def _render_histograms(hists: Mapping[str, Any]) -> str:
     if not hists:
-        return "<p>No histograms in the metrics snapshot.</p>"
+        return "<p>No histograms in the snapshot.</p>"
     out: list[str] = []
     for name, data in sorted(hists.items()):
         buckets = data.get("buckets", [])
@@ -215,7 +227,7 @@ def _render_histograms(hists: Mapping[str, Any]) -> str:
 
 def _render_counters(counters: Mapping[str, Any]) -> str:
     if not counters:
-        return "<p>No counters in the metrics snapshot.</p>"
+        return "<p>No counters in the snapshot.</p>"
     groups: dict[str, list[str]] = {}
     for name in sorted(counters):
         layer = name.split(".", 1)[0] if "." in name else "(other)"
@@ -231,7 +243,7 @@ def _render_counters(counters: Mapping[str, Any]) -> str:
 
 def _render_gauges(gauges: Mapping[str, Any]) -> str:
     if not gauges:
-        return "<p>No gauges in the metrics snapshot.</p>"
+        return "<p>No gauges in the snapshot.</p>"
     rows = "".join(
         f"<tr><td>{_esc(n)}</td><td class='num'>{_fmt_n(v)}</td></tr>"
         for n, v in sorted(gauges.items()))
@@ -360,7 +372,7 @@ def render_html(roots: list[Span], events: list[dict[str, Any]],
     if n_partial:
         meta_bits.append(f"{n_partial} partial spans (interrupted run)")
     if snap.get("partial"):
-        meta_bits.append("partial metrics snapshot")
+        meta_bits.append("partial snapshot")
     if snap.get("phase"):
         meta_bits.append(f"last phase: {snap['phase']}")
     parts = [
@@ -396,16 +408,13 @@ def _iter_spans(roots: Iterable[Span]):
         yield from _iter_spans(sp.children)
 
 
-def generate(trace_path: str | Path,
-             metrics_path: str | Path | None = None,
-             out_path: str | Path | None = None,
+def generate(trace_path: str | Path, out_path: str | Path | None = None,
              title: str | None = None) -> Path:
-    """Build the HTML report for a trace JSONL (+ optional metrics JSON)
-    and write it next to the trace (or to ``out_path``).  Returns the
-    output path."""
+    """Build the HTML report for a trace JSONL and write it next to the
+    trace (or to ``out_path``).  Returns the output path."""
     trace_path = Path(trace_path)
     roots, events = load_trace(trace_path)
-    snap = load_metrics(metrics_path) if metrics_path else None
+    snap = load_snapshot(trace_path)
     doc = render_html(roots, events, snap,
                       title=title or f"NV run report — {trace_path.name}")
     out = Path(out_path) if out_path else trace_path.with_suffix(".html")

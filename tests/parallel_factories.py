@@ -31,6 +31,14 @@ def make_record(payload: dict[str, Any]):
     return lambda i: {"unit": i, "square": i * i}
 
 
+def make_pid_logger(payload: dict[str, Any]):
+    """Appends this process' pid to ``payload["path"]`` once per factory
+    call, so a test can count the processes that ran the factory."""
+    with open(payload["path"], "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return lambda i: i
+
+
 def make_failing(payload: dict[str, Any]):
     """Counts a ``testpool.units`` per unit *before* the bad unit raises,
     so error-path flush tests can assert the counter survived.  The other

@@ -238,6 +238,61 @@ let assert (u : node) (x : attribute) =
         assert verdicts == [(str(f), v) for f, v in zip(files, alone[1::2])]
 
 
+class TestWidths:
+    def test_unannotated_merge_compares_at_the_attribute_width(
+            self, tmp_path, capsys):
+        """``merge`` is generalised, so its ``<=`` on the payloads was
+        annotated at the default ``int`` width while the attribute carries
+        ``int8``: ``verify`` died with ``ValueError: bitvector width
+        mismatch: 32 vs 8``.  Both commands now agree."""
+        f = tmp_path / "width.nv"
+        f.write_text("""
+type attribute = option[int8]
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = if u = 0n then Some 0u8 else None
+let trans (e : edge) (x : attribute) =
+  match x with | None -> None | Some h -> Some (h + 1u8)
+let merge u x y =
+  match (x, y) with
+  | (None, _) -> y
+  | (_, None) -> x
+  | (Some a, Some b) -> if a <= b then x else y
+let assert (u : node) (x : attribute) =
+  match x with | None -> false | Some h -> h <= 1u8
+""")
+        assert main(["simulate", str(f)]) == 0
+        assert capsys.readouterr().out.startswith("[interp] assertions hold")
+        assert main(["verify", str(f)]) == 0
+        assert capsys.readouterr().out.startswith("verified: ")
+
+    def test_open_type_in_a_network_function_is_a_static_error(
+            self, tmp_path, capsys):
+        """An inner helper generalised inside ``merge`` keeps its payload
+        type open, and the encoder would read the default ``int`` width
+        (``verify``'s traceback above).  Every command refuses it."""
+        f = tmp_path / "inner.nv"
+        f.write_text("""
+type attribute = option[int8]
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = if u = 0n then Some 0u8 else None
+let trans (e : edge) (x : attribute) = x
+let merge u x y =
+  let better = fun a b -> a <= b in
+  match (x, y) with
+  | (None, _) -> y
+  | (_, None) -> x
+  | (Some a, Some b) -> if better a b then x else y
+""")
+        for command in ("simulate", "verify"):
+            assert main([command, str(f)]) == 3
+            err = capsys.readouterr().err
+            assert re.fullmatch(
+                r"error: an expression in 'merge' \(line 8, column 16\) has "
+                r"the open type '(\w+) -> '\1 -> bool: annotate it\n", err)
+
+
 class TestVacuity:
     """``verify`` shows that a stable state exists before it prints
     ``verified`` on a network without symbolics or ``require``."""
@@ -264,6 +319,21 @@ let assert u x = x = 200u8
         out = capsys.readouterr().out
         assert out.startswith("vacuous: no stable state; encode ")
         assert out.endswith(", 171 clauses, 4 conflicts\n")
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_every_file_of_a_batch_is_checked(self, tmp_path, capsys,
+                                              incremental):
+        """Two copies of the oscillating network: the shared-encoding
+        batch printed ``verified`` twice (exit 0) where ``--no-incremental``
+        printed ``vacuous`` twice."""
+        files = [tmp_path / "osc.nv", tmp_path / "osc2.nv"]
+        for f in files:
+            f.write_text(self.OSC)
+        flags = [] if incremental else ["--no-incremental"]
+        assert main(["verify", *map(str, files), *flags]) == 4
+        out = capsys.readouterr().out
+        assert re.findall(r"^== (\S+)\n(\w+):", out, re.M) == [
+            (str(f), "vacuous") for f in files]
 
     def test_converging_unsat_prints_the_one_check(self, triangle_file,
                                                    capsys, monkeypatch):
@@ -418,8 +488,9 @@ class TestObservability:
         records = [json.loads(line) for line in
                    trace.read_text().strip().splitlines()]
         kinds = {r["type"] for r in records}
-        assert kinds == {"meta", "span", "event"}
+        assert kinds == {"meta", "span", "event", "snapshot"}
         assert records[0]["type"] == "meta"  # epoch header comes first
+        assert records[-1]["type"] == "snapshot"  # and the snapshot last
         spans = {r["name"] for r in records if r["type"] == "span"}
         assert {"simulate", "frontend.parse", "sim.simulate"} <= spans
         events = {r["name"] for r in records if r["type"] == "event"}
@@ -789,31 +860,27 @@ router bgp 1
 
 
 class TestMetricsFlags:
-    """The live-metrics CLI surface: --progress/--heartbeat/--metrics-json/
-    --prometheus/--mem/--time-budget, plus the report subcommand."""
+    """The live-metrics CLI surface: --progress, the snapshot record that
+    ends a --trace-json file, and the report subcommand."""
 
     def test_metrics_json_export(self, triangle_file, tmp_path):
-        mjson = tmp_path / "m.json"
+        trace = tmp_path / "t.jsonl"
         assert main(["simulate", triangle_file,
-                     "--metrics-json", str(mjson)]) == 0
-        data = json.loads(mjson.read_text())
-        assert data["counters"]["sim.activations"] > 0
-        assert "gauges" in data and "histograms" in data
-        assert "partial" not in data
-
-    def test_prometheus_export(self, triangle_file, tmp_path):
-        prom = tmp_path / "m.prom"
-        assert main(["verify", triangle_file,
-                     "--prometheus", str(prom)]) == 0
-        text = prom.read_text()
-        assert "# TYPE nv_sat_conflicts counter" in text
-        assert "nv_sat_lbd_final_bucket" in text or "nv_sat_conflicts" in text
+                     "--trace-json", str(trace)]) == 0
+        last = json.loads(trace.read_text().splitlines()[-1])
+        assert last["type"] == "snapshot"
+        assert last["counters"]["sim.activations"] > 0
+        assert "gauges" in last and "histograms" in last
+        assert "partial" not in last
 
     def test_progress_heartbeat_emits_events(self, triangle_file, tmp_path,
-                                             capsys):
+                                             capsys, monkeypatch):
+        from repro import heartbeat
+
+        monkeypatch.setattr(heartbeat, "PERIOD_SECONDS", 0.01)
         trace = tmp_path / "t.jsonl"
         assert main(["verify", triangle_file, "--progress",
-                     "--heartbeat", "0.01", "--trace-json", str(trace)]) == 0
+                     "--trace-json", str(trace)]) == 0
         records = [json.loads(line) for line in
                    trace.read_text().strip().splitlines()]
         prog = [r for r in records
@@ -823,38 +890,22 @@ class TestMetricsFlags:
         # The status line goes to stderr.
         assert "[" in capsys.readouterr().err
 
-    def test_time_budget_warns(self, triangle_file, capsys):
-        assert main(["simulate", triangle_file, "--heartbeat", "0.01",
-                     "--time-budget", "0"]) == 0
-        assert "wall-time budget" in capsys.readouterr().err
-
-    def test_mem_adds_span_memory_attrs(self, triangle_file, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        assert main(["simulate", triangle_file, "--mem",
-                     "--trace-json", str(trace)]) == 0
-        records = [json.loads(line) for line in
-                   trace.read_text().strip().splitlines()]
-        spans = [r for r in records if r["type"] == "span"]
-        assert any("mem_peak_bytes" in s["attrs"] for s in spans)
-
     def test_report_round_trip(self, triangle_file, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
-        mjson = tmp_path / "m.json"
         html = tmp_path / "run.html"
-        assert main(["verify", triangle_file, "--heartbeat", "0.01",
-                     "--trace-json", str(trace),
-                     "--metrics-json", str(mjson)]) == 0
-        assert main(["report", str(trace), "--metrics", str(mjson),
-                     "-o", str(html)]) == 0
+        assert main(["verify", triangle_file, "--progress",
+                     "--trace-json", str(trace)]) == 0
+        assert main(["report", str(trace), "-o", str(html)]) == 0
         text = html.read_text()
         assert text.rstrip().endswith("</html>")
         assert "smt.solve" in text
+        assert "sat.conflicts" in text  # the snapshot's counter table
 
     def test_metrics_disabled_after_run(self, triangle_file, tmp_path):
         from repro import metrics, perf
 
         assert main(["simulate", triangle_file,
-                     "--metrics-json", str(tmp_path / "m.json")]) == 0
+                     "--trace-json", str(tmp_path / "t.jsonl")]) == 0
         assert not metrics.is_enabled()
         perf.disable()
         perf.reset()
@@ -999,17 +1050,16 @@ class TestImportsOnlyWhatRuns:
             self, triangle_file, tmp_path):
         """The positive control: measured the same way, a traced run does
         load its exporter (so the checks above can fail)."""
-        trace, mjson = tmp_path / "t.jsonl", tmp_path / "m.json"
+        trace = tmp_path / "t.jsonl"
         loaded = self.modules_after(
             ["simulate", triangle_file, "--trace", "--stats",
-             "--trace-json", str(trace), "--metrics-json", str(mjson)])
+             "--trace-json", str(trace)])
         assert "json" in loaded
         assert not loaded & {"dataclasses", "inspect", "tracemalloc"}
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         assert records[0]["type"] == "meta"
         assert "sim.simulate" in {r.get("name") for r in records}
-        snap = json.loads(mjson.read_text())
-        assert snap["counters"]["sim.activations"] > 0
+        assert records[-1]["counters"]["sim.activations"] > 0
 
     def test_importing_the_cli_loads_fifteen_repro_modules(self):
         """``cli.import_modules`` of ``benchmarks/e2e`` (34 before PR 24):

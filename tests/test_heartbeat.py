@@ -1,5 +1,5 @@
-"""Heartbeat sampler tests: ticks, rates, the budget, the status line, a
-real multi-second SAT solve (slow), and the SIGINT partial-dump path
+"""Heartbeat sampler tests: ticks, rates, the status line, a real
+multi-second SAT solve (slow), and the SIGINT partial-dump path
 (subprocess)."""
 
 import contextlib
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import metrics, obs, perf
+from repro import heartbeat, metrics, obs, perf
 from repro.heartbeat import Heartbeat
 
 
@@ -26,6 +26,17 @@ def running(hb: Heartbeat):
         yield hb
     finally:
         hb.stop()
+
+
+@pytest.fixture(autouse=True)
+def period(monkeypatch):
+    """``period(s)`` sets the sampling period; a test that sets none gets
+    no periodic tick, only the final one."""
+    def set_period(seconds: float) -> None:
+        monkeypatch.setattr(heartbeat, "PERIOD_SECONDS", seconds)
+
+    set_period(60.0)
+    return set_period
 
 
 @pytest.fixture(autouse=True)
@@ -54,18 +65,19 @@ class TestTicks:
     def test_final_tick_on_sub_period_run(self):
         _enable_all()
         samples = []
-        with running(Heartbeat(period=60.0, on_tick=samples.append)):
+        with running(Heartbeat(on_tick=samples.append)):
             pass  # far shorter than the period
         assert len(samples) == 1
         assert samples[0]["final"] is True
         assert samples[0]["tick"] == 0
 
-    def test_periodic_ticks_and_rates(self):
+    def test_periodic_ticks_and_rates(self, period):
+        period(0.02)
         _enable_all()
         state = {"n": 0}
         metrics.register_provider("fake", lambda: {"sim.activations": state["n"]})
         samples = []
-        with running(Heartbeat(period=0.02, on_tick=samples.append)):
+        with running(Heartbeat(on_tick=samples.append)):
             for _ in range(50):
                 state["n"] += 100
                 time.sleep(0.002)
@@ -80,7 +92,7 @@ class TestTicks:
         _enable_all()
         state = {"n": 1000}
         metrics.register_provider("fake", lambda: {"sim.messages": state["n"]})
-        hb = Heartbeat(period=60.0)
+        hb = Heartbeat()
         hb.start()
         state["n"] = 1  # registry "reset" mid-run
         sample = hb.tick()
@@ -91,7 +103,7 @@ class TestTicks:
         trace = tmp_path / "t.jsonl"
         obs.enable(jsonl=str(trace))
         _enable_all()
-        with running(Heartbeat(period=60.0)):
+        with running(Heartbeat()):
             pass
         obs.disable()
         recs = [json.loads(line) for line in trace.read_text().splitlines()]
@@ -101,9 +113,10 @@ class TestTicks:
         assert "elapsed" in prog[0]["attrs"]
 
     @staticmethod
-    def _assert_periodic_phase(label, span_name=None):
+    def _assert_periodic_phase(period, label, span_name=None):
         """The sampler thread labels its ticks with the innermost span the
         starting thread holds open (spans are the phases), else ``label``."""
+        period(0.01)
         _enable_all()
         obs.enable()
         phases, ticked = [], threading.Event()
@@ -114,21 +127,21 @@ class TestTicks:
                 ticked.set()
 
         with obs.span(span_name) if span_name else contextlib.nullcontext(), \
-                running(Heartbeat(period=0.01, label=label, on_tick=on_tick)):
+                running(Heartbeat(label=label, on_tick=on_tick)):
             assert ticked.wait(timeout=10)
         assert phases[0] == ("repro-heartbeat", span_name or label)
 
-    def test_sampler_thread_reads_the_open_span(self):
-        self._assert_periodic_phase("verify", "smt.solve")
+    def test_sampler_thread_reads_the_open_span(self, period):
+        self._assert_periodic_phase(period, "verify", "smt.solve")
 
-    def test_no_open_span_falls_back_to_the_label(self):
-        self._assert_periodic_phase("simulate")
+    def test_no_open_span_falls_back_to_the_label(self, period):
+        self._assert_periodic_phase(period, "simulate")
 
     def test_histograms_in_sample_are_cumulative_buckets(self):
         _enable_all()
         metrics.register_provider(
             "fake", lambda: {"sat.lbd": metrics.Histogram.from_values([2, 3, 9])})
-        hb = Heartbeat(period=60.0)
+        hb = Heartbeat()
         hb.start()
         sample = hb.tick()
         hb.stop()
@@ -138,37 +151,11 @@ class TestTicks:
 
 
 class TestBudgetAndStatus:
-    def test_overall_budget_warns_once(self):
-        _enable_all()
-        out = io.StringIO()
-        hb = Heartbeat(period=60.0, label="solve", budget=0.0, stream=out)
-        hb.start()
-        time.sleep(0.01)
-        hb.tick()
-        hb.tick()
-        hb.stop()
-        text = out.getvalue()
-        assert text.count("exceeded its 0.0s wall-time budget") == 1
-
-    def test_budget_event_in_trace(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        obs.enable(jsonl=str(trace))
-        _enable_all()
-        out = io.StringIO()
-        hb = Heartbeat(period=60.0, budget=0.0, stream=out)
-        hb.start()
-        time.sleep(0.01)
-        hb.tick()
-        hb.stop()
-        obs.disable()
-        recs = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert any(r.get("name") == "progress.budget_exceeded" for r in recs)
-
     def test_status_line_written_to_stream(self):
         _enable_all()
         metrics.register_provider("fake", lambda: {"sim.worklist_depth": 42})
         out = io.StringIO()  # not a tty -> plain lines
-        hb = Heartbeat(period=60.0, progress=True, stream=out, label="sim")
+        hb = Heartbeat(progress=True, stream=out, label="sim")
         hb.start()
         hb.tick()
         hb.stop()
@@ -180,14 +167,14 @@ class TestBudgetAndStatus:
         # Heartbeat over a disabled registry degrades to perf-only samples.
         perf.enable()
         samples = []
-        with running(Heartbeat(period=60.0, on_tick=samples.append)):
+        with running(Heartbeat(on_tick=samples.append)):
             pass
         assert samples
 
 
 @pytest.mark.slow
 class TestRealSolve:
-    def test_heartbeat_samples_a_live_sat_solve(self):
+    def test_heartbeat_samples_a_live_sat_solve(self, period):
         """Run a genuinely hard random 3-SAT instance (phase-transition
         density) with a fast heartbeat; the ticks must surface live solver
         state: conflict rates, trail/clause-DB gauges, the LBD histogram."""
@@ -205,7 +192,8 @@ class TestRealSolve:
         solver = SatSolver(n, clauses)
 
         samples = []
-        with running(Heartbeat(period=0.02, on_tick=samples.append)):
+        period(0.02)
+        with running(Heartbeat(on_tick=samples.append)):
             result = solver.solve(max_conflicts=15_000)
         assert result is not None or solver.conflicts >= 15_000
         assert len(samples) >= 2
@@ -218,31 +206,28 @@ class TestRealSolve:
 
 
 class TestSigintDump:
+    #: A ``repro simulate --progress --trace-json`` run whose command holds
+    #: two spans open until it is interrupted.
     SCRIPT = """
-import sys, time, json
+import sys, time
 from pathlib import Path
-from repro import metrics, obs, perf
-from repro.heartbeat import Heartbeat
+from repro import cli, heartbeat, obs
 
-trace, mjson, ready = sys.argv[1:4]
-obs.enable(jsonl=trace)
-perf.enable()
-metrics.enable()
-hb = Heartbeat(period=0.05, metrics_json=mjson, install_sigint=True,
-               stream=open("/dev/null", "w"))
-hb.start()
-try:
+trace, ready = sys.argv[1:3]
+heartbeat.PERIOD_SECONDS = 0.05
+
+def long_solve(args):
     with obs.span("analysis.long_solve", nodes=99):
         with obs.span("smt.solve"):
             Path(ready).write_text("ready")
             time.sleep(30)
-except KeyboardInterrupt:
-    sys.exit(130)
+
+cli.cmd_simulate = long_solve
+sys.exit(cli.main(["simulate", "net.nv", "--progress", "--trace-json", trace]))
 """
 
     def test_sigint_dumps_partial_trace_and_metrics(self, tmp_path):
         trace = tmp_path / "t.jsonl"
-        mjson = tmp_path / "m.json"
         ready = tmp_path / "ready"
         script = tmp_path / "prog.py"
         script.write_text(self.SCRIPT)
@@ -250,7 +235,7 @@ except KeyboardInterrupt:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, str(script), str(trace), str(mjson), str(ready)],
+            [sys.executable, str(script), str(trace), str(ready)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             deadline = time.time() + 20
@@ -260,17 +245,21 @@ except KeyboardInterrupt:
                 time.sleep(0.02)
             time.sleep(0.15)  # let a heartbeat or two fire
             proc.send_signal(signal.SIGINT)
-            rc = proc.wait(timeout=20)
+            _, stderr = proc.communicate(timeout=20)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        assert rc == 130, proc.stderr.read().decode()
+        assert proc.returncode == 130, stderr.decode()
+        assert "interrupted" in stderr.decode().splitlines()
 
         recs = [json.loads(line) for line in trace.read_text().splitlines()]
-        partial = [r for r in recs if r.get("partial")]
-        assert any(r.get("name") == "analysis.long_solve" for r in partial), \
-            "open span missing from the partial dump"
-        data = json.loads(mjson.read_text())
-        assert data["partial"] is True
-        assert data["phase"] == "smt.solve"
+        partial = [r for r in recs if r.get("type") == "span"
+                   and r.get("partial")]
+        assert {r["name"] for r in partial} >= {"analysis.long_solve",
+                                               "smt.solve"}, \
+            "open spans missing from the partial dump"
+        assert any(r.get("name") == "progress" for r in recs)
+        snapshot = recs[-1]
+        assert snapshot["type"] == "snapshot" and snapshot["partial"] is True
+        assert [r["type"] for r in recs].count("snapshot") == 1

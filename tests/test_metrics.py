@@ -1,5 +1,5 @@
 """Tests for the live metrics registry (gauges, histograms, providers,
-exporters)."""
+the snapshot record)."""
 
 import gc
 import json
@@ -168,48 +168,23 @@ class TestSnapshotAndExporters:
         assert snap["histograms"]["sat.lbd"]["count"] == 1
         assert snap["elapsed_seconds"] >= 0
 
-    def test_prometheus_format(self):
-        perf.enable()
-        metrics.enable()
-        perf.incr("sim.messages", 12)
-        metrics.set_gauge("sim.worklist_depth", 4)
-        metrics.observe_many("sat.lbd", [2, 3, 9])
-        text = metrics.to_prometheus()
-        assert "# TYPE nv_sim_messages counter" in text
-        assert "nv_sim_messages 12" in text
-        assert "# TYPE nv_sim_worklist_depth gauge" in text
-        assert "nv_sim_worklist_depth 4" in text
-        assert "# TYPE nv_sat_lbd histogram" in text
-        assert 'nv_sat_lbd_bucket{le="+Inf"} 3' in text
-        assert "nv_sat_lbd_count 3" in text
-        assert "nv_sat_lbd_sum 14" in text
-        # Every metric name must be legal (no dots survive).
-        for line in text.splitlines():
-            if line and not line.startswith("#"):
-                assert "." not in line.split("{")[0].split(" ")[0]
-
     def test_json_round_trip_and_partial(self, tmp_path):
+        from repro.report import load_snapshot
+
+        trace = tmp_path / "t.jsonl"
+        obs.enable(jsonl=str(trace))
         metrics.enable()
         metrics.set_gauge("g", 1)
-        p = metrics.write_json(tmp_path / "m.json", partial=True)
-        data = json.loads(p.read_text())
-        assert data["partial"] is True
+        metrics.write_snapshot(partial=True)
+        obs.disable()
+        data = json.loads(trace.read_text().splitlines()[-1])
+        assert data["type"] == "snapshot" and data["partial"] is True
         assert data["gauges"]["g"] == 1
-        p2 = metrics.write_prometheus(tmp_path / "m.prom")
-        assert p2.read_text().endswith("\n")
+        assert load_snapshot(trace) == data
 
     def test_memory_gauges_report_rss(self):
         gauges = metrics.memory_gauges()
         assert gauges.get("proc.rss_bytes", 0) > 0
-
-    def test_enable_memory_adds_traced_gauges(self):
-        metrics.enable(memory=True)
-        try:
-            gauges, _ = metrics.sample()
-            assert "mem.traced_bytes" in gauges
-            assert gauges["mem.traced_peak_bytes"] >= gauges["mem.traced_bytes"]
-        finally:
-            metrics.disable(stop_memory=True)
 
 
 class TestLiveSubsystemGauges:
@@ -263,70 +238,3 @@ class TestLiveSubsystemGauges:
         interner.intern((1, 2))
         interner.intern((1, 2))
         assert (len(interner._table), interner.hits, interner.misses) == (1, 1, 1)
-
-
-class TestPrometheusEscaping:
-    """The raw metric name rides along in HELP text, so names containing
-    backslashes or newlines (NV record projections, symbolic names) must be
-    escaped per the 0.0.4 exposition format — and the CI validator in
-    benchmarks/check_prometheus.py must agree with the exporter."""
-
-    def _validate(self, text):
-        import importlib.util
-        from pathlib import Path
-        spec = importlib.util.spec_from_file_location(
-            "check_prometheus",
-            Path(__file__).resolve().parents[1]
-            / "benchmarks" / "check_prometheus.py")
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod.validate_text(text)
-
-    def test_help_escapes_backslash_and_newline(self):
-        perf.enable()
-        perf.incr('sym.a\\b\nc', 1)
-        text = metrics.to_prometheus()
-        (help_line,) = [l for l in text.splitlines()
-                        if l.startswith("# HELP") and "sym" in l]
-        assert "\\\\" in help_line          # literal backslash escaped
-        assert "\\n" in help_line           # newline escaped
-        assert "\n" not in help_line        # no raw newline survives
-        assert self._validate(text) == []
-
-    def test_help_does_not_escape_quotes(self):
-        # 0.0.4: quotes are escaped in label values only, not in HELP text.
-        perf.enable()
-        perf.incr('sym."quoted"', 1)
-        text = metrics.to_prometheus()
-        (help_line,) = [l for l in text.splitlines()
-                        if l.startswith("# HELP") and "quoted" in l]
-        assert '"quoted"' in help_line
-        assert '\\"' not in help_line
-        assert self._validate(text) == []
-
-    def test_exporter_output_validates(self):
-        perf.enable()
-        metrics.enable()
-        perf.incr("sim.messages", 3)
-        metrics.set_gauge("bdd.fill", 0.5)
-        metrics.observe_many("sat.lbd", [1, 2, 8])
-        assert self._validate(metrics.to_prometheus()) == []
-
-    def test_validator_rejects_bad_help_escape(self):
-        bad = "# HELP nv_x docs with bad \\q escape\n# TYPE nv_x counter\nnv_x 1\n"
-        assert any("invalid escape" in e for e in self._validate(bad))
-
-    def test_validator_rejects_bad_label_escape(self):
-        bad = ('# TYPE nv_h histogram\n'
-               'nv_h_bucket{le="1\\q"} 1\n'
-               'nv_h_bucket{le="+Inf"} 1\n'
-               'nv_h_sum 1\nnv_h_count 1\n')
-        assert any("invalid escape" in e for e in self._validate(bad))
-
-    def test_validator_accepts_legal_label_escapes(self):
-        good = ('# TYPE nv_h histogram\n'
-                'nv_h_bucket{le="1"} 1\n'
-                'nv_h_bucket{le="+Inf"} 1\n'
-                'nv_h_sum 1\nnv_h_count 1\n'
-                'nv_l{tag="a\\\\b\\"c\\nd"} 2\n')
-        assert self._validate(good) == []

@@ -285,41 +285,6 @@ class TestFlushPartial:
         obs.flush_partial()  # must not raise
 
 
-class TestMemoryTracking:
-    def test_span_records_peak_and_net(self):
-        obs.enable()
-        obs.track_memory(True)
-        try:
-            with obs.span("alloc") as sp:
-                blob = bytearray(2_000_000)
-                del blob
-            assert sp.attrs["mem_peak_bytes"] >= 2_000_000
-            assert isinstance(sp.attrs["mem_net_bytes"], int)
-        finally:
-            obs.track_memory(False)
-            import tracemalloc
-            if tracemalloc.is_tracing():
-                tracemalloc.stop()
-
-    def test_nested_child_peak_propagates_to_parent(self):
-        obs.enable()
-        obs.track_memory(True)
-        try:
-            with obs.span("outer") as outer:
-                with obs.span("inner") as inner:
-                    blob = bytearray(3_000_000)
-                    del blob
-            assert inner.attrs["mem_peak_bytes"] >= 3_000_000
-            # The parent's high-water includes the child's burst.
-            assert outer.attrs["mem_peak_bytes"] >= \
-                inner.attrs["mem_peak_bytes"]
-        finally:
-            obs.track_memory(False)
-            import tracemalloc
-            if tracemalloc.is_tracing():
-                tracemalloc.stop()
-
-
 class TestRenderTree:
     def test_tree_contains_names_times_and_attrs(self):
         obs.enable()

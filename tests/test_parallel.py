@@ -25,6 +25,7 @@ SLEEPY = "tests.parallel_factories:make_sleepy"
 TRACER = "tests.parallel_factories:make_tracer"
 KILLER = "tests.parallel_factories:make_killer"
 UNPICKLABLE = "tests.parallel_factories:make_unpicklable"
+PID_LOGGER = "tests.parallel_factories:make_pid_logger"
 
 
 @pytest.fixture
@@ -88,6 +89,16 @@ class TestRunSharded:
         chunk travel in one pickle stream and share its memo."""
         out = parallel.run_sharded(RECORD, {}, range(20), jobs=2)
         assert out == [{"unit": i, "square": i * i} for i in range(20)]
+
+    def test_no_more_workers_than_units(self, tmp_path):
+        """Two units at ``jobs=4`` start two workers (four before: two of
+        them built their state and stopped without a unit)."""
+        log = tmp_path / "pids"
+        out = parallel.run_sharded(PID_LOGGER, {"path": str(log)}, range(2),
+                                   jobs=4)
+        assert out == [0, 1]
+        pids = log.read_text().split()
+        assert len(pids) == len(set(pids)) == 2
 
     def test_generator_units(self):
         out = parallel.run_sharded(SQUARE, {}, (i for i in range(5)), jobs=2)

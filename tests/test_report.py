@@ -33,9 +33,8 @@ def clean_registries():
 
 @pytest.fixture
 def session_trace(tmp_path):
-    """A real trace + metrics snapshot produced by the live stack."""
+    """A real trace, ended by its snapshot record, from the live stack."""
     trace = tmp_path / "t.jsonl"
-    mjson = tmp_path / "m.json"
     obs.enable(jsonl=str(trace))
     perf.enable()
     metrics.enable()
@@ -49,14 +48,14 @@ def session_trace(tmp_path):
             obs.event("sat.restart", conflicts=32)
     metrics.set_gauge("bdd.nodes", 7)
     metrics.observe_many("sat.lbd", [2, 3, 3, 9])
-    metrics.write_json(mjson)
+    metrics.write_snapshot()
     obs.disable()
-    return trace, mjson
+    return trace
 
 
 class TestLoadTrace:
     def test_tree_and_events(self, session_trace):
-        trace, _ = session_trace
+        trace = session_trace
         roots, events = load_trace(trace)
         assert [r.name for r in roots] == ["verify"]
         assert isinstance(roots[0], Span)  # the live tracer's span class
@@ -64,7 +63,7 @@ class TestLoadTrace:
         assert {e["name"] for e in events} == {"progress", "sat.restart"}
 
     def test_tolerates_truncated_garbage_lines(self, session_trace, tmp_path):
-        trace, _ = session_trace
+        trace = session_trace
         mangled = tmp_path / "mangled.jsonl"
         lines = trace.read_text().splitlines()
         lines.insert(1, '{"type": "span", "id": 99, "na')  # truncated write
@@ -113,8 +112,8 @@ class TestLoadTrace:
 
 class TestRenderHtml:
     def test_self_contained_html(self, session_trace, tmp_path):
-        trace, mjson = session_trace
-        out = generate(trace, metrics_path=mjson, title="unit run")
+        trace = session_trace
+        out = generate(trace, title="unit run")
         html = out.read_text()
         assert html.lstrip().lower().startswith("<!doctype html")
         assert html.rstrip().endswith("</html>")
@@ -128,13 +127,13 @@ class TestRenderHtml:
         assert "<script" not in html.lower()
 
     def test_default_output_path(self, session_trace):
-        trace, _ = session_trace
+        trace = session_trace
         out = generate(trace)
         assert out == trace.with_suffix(".html")
         assert out.exists()
 
     def test_render_without_metrics(self, session_trace):
-        trace, _ = session_trace
+        trace = session_trace
         roots, events = load_trace(trace)
         html = render_html(roots, events, None, title="no metrics")
         assert "no metrics" in html
@@ -143,7 +142,7 @@ class TestRenderHtml:
     def test_same_bytes_in_every_process(self, session_trace, tmp_path):
         """Span colours come from a stable hash, not the per-process salted
         ``hash(str)``: two processes render byte-identical reports."""
-        trace, mjson = session_trace
+        trace = session_trace
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -152,7 +151,7 @@ class TestRenderHtml:
             out = tmp_path / f"seed{seed}.html"
             subprocess.run(
                 [sys.executable, "-m", "repro", "report", str(trace),
-                 "--metrics", str(mjson), "-o", str(out)],
+                 "-o", str(out)],
                 env=dict(env, PYTHONHASHSEED=seed), check=True,
                 capture_output=True, timeout=120)
             outs.append(out.read_bytes())
@@ -214,7 +213,7 @@ class TestParallelSections:
         assert "utilization_pct" in html
 
     def test_sections_degrade_without_parallel_data(self, session_trace):
-        trace, _ = session_trace
+        trace = session_trace
         roots, events = load_trace(trace)
         html = render_html(roots, events, None, title="plain")
         # A serial trace still renders; no lane tags appear (the CSS rule
@@ -237,9 +236,9 @@ class TestCli:
     def test_report_subcommand(self, session_trace, tmp_path, capsys):
         from repro.cli import main
 
-        trace, mjson = session_trace
+        trace = session_trace
         out = tmp_path / "run.html"
-        rc = main(["report", str(trace), "--metrics", str(mjson),
+        rc = main(["report", str(trace),
                    "-o", str(out), "--title", "cli report"])
         assert rc == 0
         assert "wrote" in capsys.readouterr().out

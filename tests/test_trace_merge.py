@@ -2,9 +2,13 @@
 cross-process tracing work): the jobs=2 merge of per-worker traces must be
 structurally equivalent to the serial trace — same span-tree shape by
 name — with unique remapped ids, resolvable parent links, and worker
-records stamped with their lane."""
+records stamped with their lane.  One run's views — the ``--trace`` text,
+the ``--trace-json`` file, ``repro report``'s flame view and the ``--stats``
+table — are projections of the same records."""
 
+import html
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -12,8 +16,10 @@ import pytest
 import repro
 from repro import metrics, obs, perf
 from repro.analysis.fault import per_prefix_fault_tolerance
+from repro.cli import main
 from repro.obs import load_trace
-from repro.topology import sp_program
+from repro.report import load_snapshot
+from repro.topology import fat_program, sp_program
 
 
 @pytest.fixture(autouse=True)
@@ -102,3 +108,54 @@ class TestMergedRecordInvariants:
         (led,) = [r for r in recs if r.get("name") == "parallel.ledger"]
         assert led["attrs"]["units"] == 3
         assert led["attrs"]["units_done"] == 3
+
+
+def _span_names(roots):
+    """The multiset of span names in a span forest."""
+    names = Counter()
+
+    def walk(sp):
+        names[sp.name] += 1
+        for c in sp.children:
+            walk(c)
+
+    for r in roots:
+        walk(r)
+    return names
+
+
+class TestOneRunEveryView:
+    """``verify --partition 4 --trace --trace-json T --stats`` on FAT(4):
+    each view shows the same spans, and the snapshot record that ends ``T``
+    holds the counters the ``--stats`` table prints."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_views_are_projections_of_one_trace(self, tmp_path, capsys,
+                                                monkeypatch, jobs):
+        net = tmp_path / "fat4.nv"
+        net.write_text(fat_program(4, narrow=True))
+        trace, page = tmp_path / "t.jsonl", tmp_path / "t.html"
+        monkeypatch.setenv("NV_JOBS", jobs)
+        assert main(["verify", str(net), "--partition", "4", "--trace",
+                     "--trace-json", str(trace), "--stats"]) == 0
+        out = capsys.readouterr().out
+        stats, _, tree = out.partition("\ntrace (")
+        stats = stats[stats.index("perf counters:"):]
+
+        printed = Counter(
+            line.lstrip("├└─│ ").split()[0]
+            for line in tree.splitlines()[1:])
+        assert "… " not in tree  # no child list was elided
+        forest = _span_names(load_trace(trace)[0])
+        assert main(["report", str(trace), "-o", str(page)]) == 0
+        flame = Counter(html.unescape(name) for name in re.findall(
+            r'<div class="cell[^"]*"[^>]*>(\S+) [0-9.]+m?s</div>',
+            page.read_text()))
+        assert printed == forest == flame
+        assert forest["partition.unit"] == 4
+
+        records = trace.read_text().splitlines()
+        snapshot = json.loads(records[-1])
+        assert snapshot["type"] == "snapshot" and "partial" not in snapshot
+        assert load_snapshot(trace) == snapshot
+        assert perf.report(snapshot["counters"]) == stats.rstrip("\n")
