@@ -333,8 +333,8 @@ def _verify_fragment(net: Network, index: int, nodes: Sequence[int],
                      inbound: dict[tuple[int, int], Any],
                      outbound: dict[tuple[int, int], Any],
                      kinds: dict[tuple[int, int], str],
-                     simplify: bool, max_conflicts: int | None
-                     ) -> FragmentResult:
+                     simplify: bool, max_conflicts: int | None,
+                     symbolics: dict[str, Any] | None) -> FragmentResult:
     """Encode one fragment and discharge its property plus every outbound
     guarantee against a single persistent incremental solver."""
     t_start = perf_counter()
@@ -343,7 +343,8 @@ def _verify_fragment(net: Network, index: int, nodes: Sequence[int],
                   nodes=len(nodes), inbound=len(inbound),
                   outbound=len(outbound)) as sp:
         enc, ev, prop = encode_network(net, simplify=simplify, nodes=nodes,
-                                       inbound=inbound, outbound=outbound)
+                                       inbound=inbound, outbound=outbound,
+                                       symbolics=symbolics)
         tm = enc.tm
         # No CNF preprocessing: a fragment is small and propagation alone
         # decides it; the passes cost ~100x the CDCL search that followed
@@ -417,7 +418,8 @@ def _fragment_shard_factory(payload: dict[str, Any]):
         outbound = {e: s for e, s in specs.items()
                     if e[0] in node_set and e[1] not in node_set}
         return _verify_fragment(net, idx, nodes, inbound, outbound, kinds,
-                                payload["simplify"], payload["max_conflicts"])
+                                payload["simplify"], payload["max_conflicts"],
+                                payload["symbolics"])
 
     return run
 
@@ -458,6 +460,8 @@ def verify_partitioned(net: Network,
     ``partition``/``method`` pick an automatic cut; ``cuts`` supplies an
     explicit cut file (fragments or cut links plus annotations); ``plan``
     bypasses both.  Unannotated cut edges are inferred from simulation.
+    ``symbolics`` binds symbolic values in that simulation and in every
+    fragment's encoding.
     ``escalate=False`` turns the inferred-guarantee-failure fallback into a
     plain ``interface_refuted`` report (used by tests; the default keeps
     the verdict sound by re-running monolithically).
@@ -500,7 +504,7 @@ def verify_partitioned(net: Network,
 
         payload = {"net": ext_net, "fragments": list(plan.fragments),
                    "specs": specs, "kinds": kinds, "simplify": simplify,
-                   "max_conflicts": max_conflicts}
+                   "max_conflicts": max_conflicts, "symbolics": symbolics}
         unit_labels = [f"fragment{i}[{len(nodes)}n]"
                        for i, nodes in enumerate(plan.fragments)]
         results: list[FragmentResult] = parallel.run_sharded(
@@ -553,7 +557,8 @@ def _merge_results(net: Network, plan: PartitionPlan,
         # decomposition is inconclusive; fall back to one monolithic query.
         report.escalated = True
         if escalate:
-            mono = verify(net, simplify=simplify, max_conflicts=max_conflicts)
+            mono = verify(net, simplify=simplify, max_conflicts=max_conflicts,
+                          symbolics=symbolics)
             report.monolithic = mono
             report.status = mono.status
             report.verified = mono.verified

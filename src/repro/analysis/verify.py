@@ -36,6 +36,7 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
                    nodes: Sequence[int] | None = None,
                    inbound: dict[tuple[int, int], Any] | None = None,
                    outbound: dict[tuple[int, int], Any] | None = None,
+                   symbolics: dict[str, Any] | None = None,
                    ) -> tuple[NvSmtEncoder, TermEvaluator, int]:
     """Encode the stable-state semantics of ``net``; returns the encoder, the
     evaluator and the boolean term for the property P (conjunction of the
@@ -44,6 +45,9 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
     ``tm`` (optional) encodes into a shared :class:`TermManager`: queries
     over the same topology then hash-cons their common structure — the
     incremental path's shared network encoding.
+
+    ``symbolics`` binds symbolic values to concrete ones, as simulation
+    binds them; the rest become fresh variables.
 
     ``nodes`` restricts the encoding to a *fragment*: only those nodes get
     attribute variables and stable-state constraints, and only edges with
@@ -65,13 +69,17 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
     tm = enc.tm
     enc.collect_map_keys()
 
-    # Declarations evaluate in order; symbolics become fresh variables.
+    # Declarations evaluate in order; unbound symbolics become fresh variables.
     env: dict[str, Any] = {}
+    symbolics = symbolics or {}
     for d in net.program.decls:
         if isinstance(d, A.DSymbolic):
-            var = enc.make_var(d.ty, f"sym.{d.name}")
-            enc.symbolic_vals[d.name] = (d.ty, var)
-            env[d.name] = var
+            if d.name in symbolics:
+                value = symbolics[d.name]
+            else:
+                value = enc.make_var(d.ty, f"sym.{d.name}")
+            enc.symbolic_vals[d.name] = (d.ty, value)
+            env[d.name] = value
         elif isinstance(d, A.DLet):
             env[d.name] = ev.eval(d.expr, env)
         elif isinstance(d, A.DRequire):
@@ -148,13 +156,15 @@ def encode_network(net: Network, simplify: bool = True, tm: Any = None,
 
 
 def verify(net: Network, simplify: bool = True,
-           max_conflicts: int | None = None) -> VerificationResult:
+           max_conflicts: int | None = None,
+           symbolics: dict[str, Any] | None = None) -> VerificationResult:
     """Verify the network's assertion over all stable states and all
-    assignments to symbolic values."""
+    assignments to the symbolic values ``symbolics`` does not bind."""
     t0 = perf_counter()
     with obs.span("smt.encode", nodes=net.num_nodes, edges=len(net.edges),
                   simplify=simplify) as sp:
-        enc, ev, prop = encode_network(net, simplify=simplify)
+        enc, ev, prop = encode_network(net, simplify=simplify,
+                                       symbolics=symbolics)
         solver = Solver(enc.tm)
         for c in enc.constraints:
             solver.add(c)
@@ -324,7 +334,8 @@ def _verify_shard_factory(payload: dict[str, Any]):
 
     def run(idx: int) -> VerificationResult:
         return verify(nets[idx], simplify=payload["simplify"],
-                      max_conflicts=payload["max_conflicts"])
+                      max_conflicts=payload["max_conflicts"],
+                      symbolics=payload["symbolics"][idx])
 
     return run
 
@@ -333,12 +344,14 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
                 max_conflicts: int | None = None,
                 jobs: int | None = 1,
                 incremental: bool = False,
-                unit_labels: Sequence[str] | None = None
+                unit_labels: Sequence[str] | None = None,
+                symbolics: Sequence[dict[str, Any] | None] | None = None
                 ) -> list[VerificationResult]:
     """Verify several networks (one SMT query per destination prefix).
     ``unit_labels`` names each query (e.g. its source file) in unit spans
     and the work ledger; incremental mode has no per-unit shards, so it
-    ignores them.
+    ignores them.  ``symbolics[i]``, when given, binds symbolic values of
+    ``nets[i]`` (:func:`encode_network`).
 
     Two execution strategies:
 
@@ -355,11 +368,13 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
       marginal query rides on the shared encoding, preprocessing and
       learnt clauses.  ``jobs`` is ignored.
     """
+    symbolics = list(symbolics or [None] * len(nets))
     if incremental:
         return verify_many_incremental(
-            nets, simplify=simplify, max_conflicts=max_conflicts)
+            nets, simplify=simplify, max_conflicts=max_conflicts,
+            symbolics=symbolics)
     payload = {"nets": list(nets), "simplify": simplify,
-               "max_conflicts": max_conflicts}
+               "max_conflicts": max_conflicts, "symbolics": symbolics}
     return parallel.run_sharded(
         "repro.analysis.verify:_verify_shard_factory", payload,
         range(len(payload["nets"])), jobs=jobs, label="verify",
@@ -367,7 +382,8 @@ def verify_many(nets: Sequence[Network], simplify: bool = True,
 
 
 def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
-                            max_conflicts: int | None = None
+                            max_conflicts: int | None = None,
+                            symbolics: Sequence[dict[str, Any] | None] | None = None
                             ) -> list[VerificationResult]:
     """Verify a batch of related queries over one shared encoding.
 
@@ -405,9 +421,10 @@ def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
         else:
             groups.append((sorts, [(i, net)]))
     results: list[VerificationResult | None] = [None] * len(nets)
+    symbolics = symbolics or [None] * len(nets)
     for _, batch in groups:
         for (i, _), result in zip(batch, _verify_batch(
-                batch, simplify, max_conflicts)):
+                batch, simplify, max_conflicts, symbolics)):
             results[i] = result
     return results
 
@@ -428,7 +445,9 @@ def _var_sorts(net: Network) -> dict[str, int]:
 
 
 def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
-                  max_conflicts: int | None) -> list[VerificationResult]:
+                  max_conflicts: int | None,
+                  symbolics: Sequence[dict[str, Any] | None]
+                  ) -> list[VerificationResult]:
     """One shared encoding and persistent solver for the ``(input index,
     network)`` pairs of ``batch``, whose variables agree in sort (see
     :func:`verify_many_incremental`)."""
@@ -440,7 +459,8 @@ def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
     with obs.span("smt.encode_batch", queries=len(batch),
                   incremental=True) as sp:
         for index, net in batch:
-            enc, _, prop = encode_network(net, simplify=simplify, tm=tm)
+            enc, _, prop = encode_network(net, simplify=simplify, tm=tm,
+                                          symbolics=symbolics[index])
             query = tm.mk_not(prop)
             for c in enc.constraints:
                 query = tm.mk_and(query, c)

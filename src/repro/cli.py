@@ -184,20 +184,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if (args.partition is not None or args.cuts is not None
             or args.partition_method is not None):
         return _cmd_verify_partitioned(args, nets)
+    symbolics = [_parse_symbolics(args.symbolic, net) for net in nets]
     if len(nets) == 1:
-        results = [smt_verify(nets[0], max_conflicts=args.max_conflicts)]
+        results = [smt_verify(nets[0], max_conflicts=args.max_conflicts,
+                              symbolics=symbolics[0])]
     elif args.incremental:
         # Shared-encoding batch: one persistent solver, one assumption
         # selector per file; learnt clauses and preprocessing amortise
         # across queries (verdicts identical to fresh mode).
         results = verify_many(nets, max_conflicts=args.max_conflicts,
-                              incremental=True)
+                              incremental=True, symbolics=symbolics)
     else:
         # One independent SMT query per file (e.g. per destination prefix),
         # sharded over the worker pool.
         results = verify_many(nets, max_conflicts=args.max_conflicts,
                               jobs=args.jobs,
-                              unit_labels=[str(f) for f in args.file])
+                              unit_labels=[str(f) for f in args.file],
+                              symbolics=symbolics)
     rc = 0
     for path, result in zip(args.file, results):
         if len(nets) > 1:
@@ -458,10 +461,10 @@ def _verify_args(verify: argparse.ArgumentParser) -> None:
                              "even without --partition")
     verify.add_argument("--symbolic", action="append", default=[],
                         metavar="NAME=VALUE",
-                        help="concrete symbolic values for partition "
-                             "interface inference (the simulation pass "
-                             "needs them; fragment SMT still explores all "
-                             "assignments)")
+                        help="bind a symbolic to a concrete value in the "
+                             "encoding (and in --partition's interface "
+                             "inference); unbound symbolics range over "
+                             "every value")
     _add_obs_args(verify)
     _add_jobs_arg(verify, "worker processes for --partition fragments and "
                           f"--no-incremental queries ({_JOBS_DEFAULT}; "

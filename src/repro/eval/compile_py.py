@@ -31,7 +31,8 @@ from .._struct import struct
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError, NvRuntimeError
-from .interp import _LITERALS, Interpreter, constant_arms, eta_reduct
+from . import ops
+from .interp import Interpreter, constant_arms, eta_reduct
 from .maps import MapContext, NVMap
 from .values import VRecord, VSome
 
@@ -131,7 +132,7 @@ class PyCompiler:
             "__types": self.types,
             "__asts": self.asts,
             "__tables": self.tables,
-            "__miss": _MISS,
+            "__miss": ops.MISS,
             "__interp": interp,
             "__keys": interp._closure_key,
             "__memos": memos,
@@ -153,16 +154,9 @@ class PyCompiler:
     def compile_expr(self, e: A.Expr, em: _Emitter) -> str:
         if isinstance(e, A.EVar):
             return _mangle(e.name)
-        if isinstance(e, A.EBool):
-            return "True" if e.value else "False"
-        if isinstance(e, A.EInt):
-            return repr(e.value & ((1 << e.width) - 1))
-        if isinstance(e, A.ENode):
-            return repr(e.value)
-        if isinstance(e, A.EEdge):
-            return f"({e.src}, {e.dst})"
-        if isinstance(e, A.ENone):
-            return "None"
+        literal = ops.LITERALS.get(type(e))
+        if literal is not None:
+            return repr(literal(e))
         if isinstance(e, A.ESome):
             return f"VSome({self.compile_expr(e.sub, em)})"
         if isinstance(e, A.ETuple):
@@ -347,10 +341,8 @@ class PyCompiler:
         if op == "not":
             return f"(not {args[0]})"
         if op in ("add", "sub"):
-            width = e.ty.width if isinstance(e.ty, T.TInt) else 32
-            mask = (1 << width) - 1
             sign = "+" if op == "add" else "-"
-            return f"(({args[0]} {sign} {args[1]}) & {mask})"
+            return f"(({args[0]} {sign} {args[1]}) & {ops.mask(ops.width_of(e))})"
         if op == "eq":
             return f"({args[0]} == {args[1]})"
         if op == "lt":
@@ -375,9 +367,6 @@ class PyCompiler:
         raise NvEncodingError(f"cannot compile operator {op!r}")
 
 
-_MISS = object()
-
-
 def _value_table(branches: Any) -> tuple[dict[Any, Any], int | None] | None:
     """``(constant -> value, default arm)`` for a match over constants whose
     arms, but a final wildcard or variable, are all literal values."""
@@ -385,18 +374,10 @@ def _value_table(branches: Any) -> tuple[dict[Any, Any], int | None] | None:
     if arms is None:
         return None
     first, default = arms
-    values = {key: _literal_value(branches[i][1]) for key, i in first.items()}
-    if any(v is _MISS for v in values.values()):
+    values = {key: ops.literal_value(branches[i][1]) for key, i in first.items()}
+    if any(v is ops.MISS for v in values.values()):
         return None
     return values, default
-
-
-def _literal_value(e: A.Expr) -> Any:
-    if type(e) is A.ETuple:
-        elts = tuple(map(_literal_value, e.elts))
-        return _MISS if any(v is _MISS for v in elts) else elts
-    literal = _LITERALS.get(type(e))
-    return _MISS if literal is None else literal(e)
 
 
 def _mangle(name: str) -> str:

@@ -18,6 +18,7 @@ from typing import Any, Callable
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError, NvRuntimeError
+from . import ops
 from .keys import ClosureKeys
 from .maps import MapContext, NVMap
 from .values import VClosure, VRecord, VSome
@@ -107,7 +108,7 @@ class Interpreter:
         return entry[1]
 
     def _compile(self, e: A.Expr) -> Code:
-        literal = _LITERALS.get(type(e))
+        literal = ops.LITERALS.get(type(e))
         if literal is not None:         # one shared closure per distinct constant
             value = literal(e)
             return self._consts.setdefault((type(value), value), lambda env: value)
@@ -211,7 +212,17 @@ class Interpreter:
         build = _OPS.get(e.op)
         if build is None:
             return _raiser(f"unknown operator {e.op!r}")
-        return build(self, e, *map(self._compile, e.args))
+        args = [self._compile(x) for x in e.args]
+        try:
+            return build(self, e, *args)
+        except NvEncodingError as exc:      # an untyped add / sub: no width
+            message = str(exc)
+
+        def fail(env):
+            for arg in args:                # its operands fail first
+                arg(env)
+            raise NvEncodingError(message)
+        return fail
 
     def _op_mcreate(self, e: A.EOp, default: Code) -> Code:
         def create(env):
@@ -322,7 +333,7 @@ def _raiser(message: str) -> Callable[[Any], Any]:
 
 
 def _mask(e: A.EOp) -> int:
-    return (1 << (e.ty.width if isinstance(e.ty, T.TInt) else 32)) - 1
+    return ops.mask(ops.width_of(e))
 
 
 def _as_map(m: Any) -> NVMap:
@@ -330,12 +341,6 @@ def _as_map(m: Any) -> NVMap:
         raise NvRuntimeError(f"expected a map, got {m!r}")
     return m
 
-
-_LITERALS = {
-    A.EBool: lambda e: e.value, A.ENode: lambda e: e.value,
-    A.EInt: lambda e: e.value & ((1 << e.width) - 1),
-    A.EEdge: lambda e: (e.src, e.dst), A.ENone: lambda e: None,
-}
 
 # Operator name -> ``build(interp, e, *argument code) -> code``.  A default
 # argument binds what the builder precomputes.

@@ -25,6 +25,7 @@ from typing import Any, Protocol
 from ..lang import ast as A
 from ..lang import types as T
 from ..lang.errors import NvEncodingError, NvRuntimeError
+from . import ops
 from .interp import match_pattern
 from .values import VClosure, VRecord, VSome
 
@@ -219,7 +220,7 @@ class PartialEvaluator:
         ``ty`` is the NV type of both, when the AST carries one."""
         a_sym, b_sym = isinstance(a, Sym), isinstance(b, Sym)
         if not a_sym and not b_sym:
-            if concrete_eq(a, b):
+            if ops.eq(a, b):
                 return a
             shape = self.shape(ty)
             a, b = self.lift_like(a, shape), self.lift_like(b, shape)
@@ -273,7 +274,7 @@ class PartialEvaluator:
         alg = self.alg
         a_sym, b_sym = isinstance(a, Sym), isinstance(b, Sym)
         if not a_sym and not b_sym:
-            return alg.true if concrete_eq(a, b) else alg.false
+            return alg.true if ops.eq(a, b) else alg.false
         if not a_sym:
             a = self.lift_like(a, b)
         elif not b_sym:
@@ -493,23 +494,19 @@ class PartialEvaluator:
         mk = self.alg.mk_and if is_and else self.alg.mk_or
         return SBool(mk(self.to_bool(a), self.to_bool(b)))
 
-    def _not(self, e: A.EOp, env: dict[str, Any]) -> Any:
-        a = self.eval(e.args[0], env)
-        if isinstance(a, Sym):
-            return SBool(self.alg.mk_not(self.to_bool(a)))
-        return not a
-
-    def _binop(self, e: A.EOp, env: dict[str, Any]) -> Any:
+    def _operator(self, e: A.EOp, env: dict[str, Any]) -> Any:
+        """Concrete operands fold through :mod:`repro.eval.ops`."""
         alg = self.alg
         op = e.op
-        a = self.eval(e.args[0], env)
-        b = self.eval(e.args[1], env)
-        a_sym, b_sym = isinstance(a, Sym), isinstance(b, Sym)
-        if not a_sym and not b_sym:
-            return _concrete_binop(op, a, b, e)
-        if not a_sym:
+        args = [self.eval(x, env) for x in e.args]
+        if not any(isinstance(v, Sym) for v in args):
+            return ops.apply(e, *args)
+        if op == "not":
+            return SBool(alg.mk_not(self.to_bool(args[0])))
+        a, b = args
+        if not isinstance(a, Sym):
             a = self.lift_like(a, b)
-        elif not b_sym:
+        elif not isinstance(b, Sym):
             b = self.lift_like(b, a)
         if op == "eq":
             return SBool(self.eq(a, b))
@@ -526,11 +523,8 @@ class PartialEvaluator:
 
 _RULES = {
     A.EVar: PartialEvaluator._var,
-    A.EBool: lambda self, e, env: e.value,
-    A.EInt: lambda self, e, env: e.value & ((1 << e.width) - 1),
-    A.ENode: lambda self, e, env: e.value,
-    A.EEdge: lambda self, e, env: (e.src, e.dst),
-    A.ENone: lambda self, e, env: None,
+    **{t: lambda self, e, env, decode=decode: decode(e)
+       for t, decode in ops.LITERALS.items()},
     A.ESome: PartialEvaluator._some, A.ETuple: PartialEvaluator._tuple,
     A.ETupleGet: PartialEvaluator._tuple_get, A.ERecord: PartialEvaluator._record,
     A.ERecordWith: PartialEvaluator._record_with, A.EProj: PartialEvaluator._proj,
@@ -542,35 +536,14 @@ _RULES = {
 
 _OPS = {
     "and": PartialEvaluator._and_or, "or": PartialEvaluator._and_or,
-    "not": PartialEvaluator._not,
-    "add": PartialEvaluator._binop, "sub": PartialEvaluator._binop,
-    "eq": PartialEvaluator._binop, "lt": PartialEvaluator._binop,
-    "le": PartialEvaluator._binop,
+    **dict.fromkeys(("not", "add", "sub", "eq", "lt", "le"),
+                    PartialEvaluator._operator),
 }
 
 
 # ---------------------------------------------------------------------------
 # Concrete helpers
 # ---------------------------------------------------------------------------
-
-
-def concrete_eq(a: Any, b: Any) -> bool:
-    try:
-        return bool(a == b)
-    except Exception:
-        return False
-
-
-def _concrete_binop(op: str, a: Any, b: Any, e: A.EOp) -> Any:
-    if op == "eq":
-        return a == b
-    if op == "lt":
-        return a < b
-    if op == "le":
-        return a <= b
-    width = e.ty.width if isinstance(e.ty, T.TInt) else 32
-    mask = (1 << width) - 1
-    return (a + b) & mask if op == "add" else (a - b) & mask
 
 
 def _closure_parts(fn: Any) -> tuple[A.Expr, str, dict[str, Any]]:

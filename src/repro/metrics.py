@@ -32,9 +32,6 @@ the BDD manager's table-size profile (``bdd.table_*`` counters, the
 histograms (``sat.interval_*``) — whenever the registry is enabled.  The
 BDD hot paths never look at the switch: sizes are read at flush time.
 
-A snapshot's ``phase`` is the innermost open :mod:`repro.obs` span of the
-main thread (spans are the phases).
-
 The run's record: :func:`write_snapshot` appends the combined counters +
 gauges + histograms :func:`snapshot` to the ``--trace-json`` stream as its
 last record, ``{"type": "snapshot", ...}``, which ``repro report`` reads.
@@ -388,13 +385,11 @@ def sample() -> tuple[dict[str, float], dict[str, Histogram]]:
 
 def snapshot() -> dict[str, Any]:
     """One combined, JSON-ready snapshot: perf counters, sampled gauges,
-    histograms, the current phase, and wall-clock timestamps."""
+    histograms, and wall-clock timestamps."""
     gauges, hists = sample()
-    ph = obs.current(threading.main_thread().ident)
     return {
         "time": time.time(),
         "elapsed_seconds": round(time.time() - _origin, 6) if _origin else 0.0,
-        "phase": ph.name if ph else None,
         "counters": perf.snapshot(),
         "gauges": gauges,
         "histograms": {name: h.to_dict() for name, h in hists.items()},

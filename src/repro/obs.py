@@ -37,9 +37,9 @@ parent therefore appears after its children — consumers should key on
 stream with the run's counters, gauges and histograms, one ``{"type":
 "snapshot", ...}`` record (:func:`repro.metrics.write_snapshot`).
 
-Spans are also the run's *phases*: the heartbeat labels its samples, and
-``metrics.snapshot()`` its ``phase`` key, with the innermost open span of
-another thread (:func:`current` with a thread id).  One builder,
+Spans are also the run's *phases*: the heartbeat labels its samples with
+the innermost open span of another thread (:func:`current` with a thread
+id).  One builder,
 :class:`_Forest`, turns span records into :class:`Span` trees — for
 :func:`ingest` (worker records grafted into the live tree) and for
 :func:`load_trace` (a ``--trace-json`` file read back by ``repro report``,

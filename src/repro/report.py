@@ -373,8 +373,6 @@ def render_html(roots: list[Span], events: list[dict[str, Any]],
         meta_bits.append(f"{n_partial} partial spans (interrupted run)")
     if snap.get("partial"):
         meta_bits.append("partial snapshot")
-    if snap.get("phase"):
-        meta_bits.append(f"last phase: {snap['phase']}")
     parts = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
         f"<title>{_esc(title)}</title><style>{_CSS}</style></head><body>",

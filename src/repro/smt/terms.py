@@ -16,8 +16,10 @@ from __future__ import annotations
 from typing import Any
 
 from .._struct import struct
+from ..eval import ops
 
-# Operator tags.
+# Operator tags.  An NV operator's tag is its name in ``repro.eval.ops.OPS``,
+# whose meaning folds and evaluates it.
 CONST = "const"        # payload: bool or int value
 VAR = "var"            # payload: name
 NOT = "not"
@@ -26,8 +28,8 @@ OR = "or"
 XOR = "xor"
 ITE = "ite"            # boolean ite / bitvector ite
 EQ = "eq"              # bitvector equality -> bool
-ULT = "ult"
-ULE = "ule"
+ULT = "lt"             # unsigned, like every bitvector comparison here
+ULE = "le"
 ADD = "add"
 SUB = "sub"
 
@@ -218,7 +220,7 @@ class TermManager:
     def mk_bv_const(self, value: int, width: int) -> int:
         if width <= 0:
             raise ValueError("bitvector width must be positive")
-        return self._mk(TermData(CONST, (), value & ((1 << width) - 1), width))
+        return self._mk(TermData(CONST, (), value & ops.mask(width), width))
 
     def mk_bv_var(self, name: str, width: int) -> int:
         existing = self._intern.get(TermData(VAR, (), name, width))
@@ -238,7 +240,7 @@ class TermManager:
         if self.simplify:
             consts = self._bv_binop_consts(a, b)
             if consts is not None:
-                return self.mk_bv_const(consts[0] + consts[1], w)
+                return self.mk_bv_const(ops.fold(ADD, consts, w), w)
             if self.const_value(b) == 0:
                 return a
             if self.const_value(a) == 0:
@@ -250,7 +252,7 @@ class TermManager:
         if self.simplify:
             consts = self._bv_binop_consts(a, b)
             if consts is not None:
-                return self.mk_bv_const(consts[0] - consts[1], w)
+                return self.mk_bv_const(ops.fold(SUB, consts, w), w)
             if self.const_value(b) == 0:
                 return a
             if a == b:
@@ -267,7 +269,7 @@ class TermManager:
                 return self.true
             consts = self._bv_binop_consts(a, b)
             if consts is not None:
-                return self.mk_bool(consts[0] == consts[1])
+                return self.mk_bool(ops.fold(EQ, consts))
             if a > b:
                 a, b = b, a
         return self._mk(TermData(EQ, (a, b), None, BOOL_SORT))
@@ -279,7 +281,7 @@ class TermManager:
                 return self.false
             consts = self._bv_binop_consts(a, b)
             if consts is not None:
-                return self.mk_bool(consts[0] < consts[1])
+                return self.mk_bool(ops.fold(ULT, consts))
             if self.const_value(b) == 0:
                 return self.false
         return self._mk(TermData(ULT, (a, b), None, BOOL_SORT))
@@ -291,7 +293,7 @@ class TermManager:
                 return self.true
             consts = self._bv_binop_consts(a, b)
             if consts is not None:
-                return self.mk_bool(consts[0] <= consts[1])
+                return self.mk_bool(ops.fold(ULE, consts))
             if self.const_value(a) == 0:
                 return self.true
         return self._mk(TermData(ULE, (a, b), None, BOOL_SORT))
@@ -327,26 +329,12 @@ class TermManager:
             elif op == VAR:
                 default = False if data.width == BOOL_SORT else 0
                 value = assignment.get(data.payload, default)
-            elif op == NOT:
-                value = not rec(data.args[0])
-            elif op == AND:
-                value = rec(data.args[0]) and rec(data.args[1])
-            elif op == OR:
-                value = rec(data.args[0]) or rec(data.args[1])
             elif op == XOR:
                 value = bool(rec(data.args[0])) ^ bool(rec(data.args[1]))
             elif op == ITE:
                 value = rec(data.args[1]) if rec(data.args[0]) else rec(data.args[2])
-            elif op == EQ:
-                value = rec(data.args[0]) == rec(data.args[1])
-            elif op == ULT:
-                value = rec(data.args[0]) < rec(data.args[1])
-            elif op == ULE:
-                value = rec(data.args[0]) <= rec(data.args[1])
-            elif op == ADD:
-                value = (rec(data.args[0]) + rec(data.args[1])) & ((1 << data.width) - 1)
-            elif op == SUB:
-                value = (rec(data.args[0]) - rec(data.args[1])) & ((1 << data.width) - 1)
+            elif op in ops.OPS:
+                value = ops.fold(op, [rec(a) for a in data.args], data.width)
             else:
                 raise ValueError(f"cannot evaluate operator {op!r}")
             memo[u] = value

@@ -15,6 +15,7 @@ The pass assumes alpha-renamed input (unique binders).
 
 from __future__ import annotations
 
+from ..eval import ops
 from ..lang import ast as A
 from ..lang import types as T
 from .inline import Substituter
@@ -141,95 +142,40 @@ _RULES = {A.EOp: _Simplifier._op, A.EIf: _Simplifier._if,
 # ---------------------------------------------------------------------------
 
 
+# The literal operands each operator folds over; ``=`` folds any literals.
+_OPERANDS = {"and": A.EBool, "or": A.EBool, "not": A.EBool, "add": A.EInt,
+             "sub": A.EInt, "lt": (A.EInt, A.ENode), "le": (A.EInt, A.ENode)}
+
+
 def _fold_op(e: A.EOp) -> A.Expr | None:
-    op = e.op
-    args = e.args
-    if op == "and":
-        a, b = args
-        if isinstance(a, A.EBool):
-            return b if a.value else A.EBool(False, ty=e.ty)
-        if isinstance(b, A.EBool):
-            return a if b.value else A.EBool(False, ty=e.ty)
+    """Literal operands fold through :mod:`repro.eval.ops`; otherwise the
+    identities of ``&&``, ``||``, ``!``, ``+ 0``, ``- 0`` and ``x = x``."""
+    op, args = e.op, e.args
+    if op not in ops.OPS:
         return None
-    if op == "or":
-        a, b = args
-        if isinstance(a, A.EBool):
-            return A.EBool(True, ty=e.ty) if a.value else b
-        if isinstance(b, A.EBool):
-            return A.EBool(True, ty=e.ty) if b.value else a
+    values = [ops.literal_value(x) for x in args]
+    if all(v is not ops.MISS for v in values) and (
+            op == "eq" or all(isinstance(x, _OPERANDS[op]) for x in args)):
+        if op in ops.WRAPPING:
+            # At the operands' width: the type checker makes it the node's.
+            width = args[0].width
+            return A.EInt(ops.fold(op, values, width), width, ty=e.ty)
+        return A.EBool(ops.fold(op, values), ty=e.ty)
+    if op in ("and", "or"):
+        # One literal decides, or leaves the other operand: true && b = b.
+        for a, b in (args, args[::-1]):
+            if isinstance(a, A.EBool):
+                keep = a.value == (op == "and")
+                return b if keep else A.EBool(a.value, ty=e.ty)
         return None
     if op == "not":
         (a,) = args
-        if isinstance(a, A.EBool):
-            return A.EBool(not a.value, ty=e.ty)
-        if isinstance(a, A.EOp) and a.op == "not":
-            return a.args[0]
-        return None
-    if op in ("add", "sub"):
-        a, b = args
-        if isinstance(a, A.EInt) and isinstance(b, A.EInt):
-            width = e.ty.width if isinstance(e.ty, T.TInt) else a.width
-            mask = (1 << width) - 1
-            value = (a.value + b.value) & mask if op == "add" else (a.value - b.value) & mask
-            return A.EInt(value, width, ty=e.ty)
-        if op == "add" and isinstance(b, A.EInt) and b.value == 0:
-            return a
-        if op == "sub" and isinstance(b, A.EInt) and b.value == 0:
-            return a
-        return None
+        return a.args[0] if isinstance(a, A.EOp) and a.op == "not" else None
     if op == "eq":
+        return A.EBool(True, ty=e.ty) if _same_expr(*args) else None
+    if op in ops.WRAPPING:
         a, b = args
-        if is_value(a) and is_value(b) and not isinstance(a, A.EFun):
-            result = _value_eq(a, b)
-            if result is not None:
-                return A.EBool(result, ty=e.ty)
-        if _same_expr(a, b):
-            return A.EBool(True, ty=e.ty)
-        return None
-    if op in ("lt", "le"):
-        a, b = args
-        if isinstance(a, A.EInt) and isinstance(b, A.EInt):
-            result = a.value < b.value if op == "lt" else a.value <= b.value
-            return A.EBool(result, ty=e.ty)
-        if isinstance(a, A.ENode) and isinstance(b, A.ENode):
-            result = a.value < b.value if op == "lt" else a.value <= b.value
-            return A.EBool(result, ty=e.ty)
-        return None
-    return None
-
-
-def _value_eq(a: A.Expr, b: A.Expr) -> bool | None:
-    """Structural equality of value expressions, or None if incomparable."""
-    if isinstance(a, A.EBool) and isinstance(b, A.EBool):
-        return a.value == b.value
-    if isinstance(a, A.EInt) and isinstance(b, A.EInt):
-        return a.value == b.value
-    if isinstance(a, A.ENode) and isinstance(b, A.ENode):
-        return a.value == b.value
-    if isinstance(a, A.EEdge) and isinstance(b, A.EEdge):
-        return (a.src, a.dst) == (b.src, b.dst)
-    if isinstance(a, A.ENone) and isinstance(b, A.ENone):
-        return True
-    if isinstance(a, A.ENone) and isinstance(b, A.ESome):
-        return False
-    if isinstance(a, A.ESome) and isinstance(b, A.ENone):
-        return False
-    if isinstance(a, A.ESome) and isinstance(b, A.ESome):
-        return _value_eq(a.sub, b.sub)
-    if isinstance(a, A.ETuple) and isinstance(b, A.ETuple) and len(a.elts) == len(b.elts):
-        parts = [_value_eq(x, y) for x, y in zip(a.elts, b.elts)]
-        if any(p is False for p in parts):
-            return False
-        if all(p is True for p in parts):
-            return True
-        return None
-    if isinstance(a, A.ERecord) and isinstance(b, A.ERecord):
-        parts = [_value_eq(x, y) for (_, x), (_, y) in zip(a.fields, b.fields)]
-        if any(p is False for p in parts):
-            return False
-        if all(p is True for p in parts):
-            return True
-        return None
+        return a if isinstance(b, A.EInt) and b.value == 0 else None
     return None
 
 
@@ -237,9 +183,8 @@ def _same_expr(a: A.Expr, b: A.Expr) -> bool:
     """Conservative syntactic equality (variables and literals only)."""
     if isinstance(a, A.EVar) and isinstance(b, A.EVar):
         return a.name == b.name
-    if is_value(a) and is_value(b) and not isinstance(a, A.EFun):
-        return _value_eq(a, b) is True
-    return False
+    x, y = ops.literal_value(a), ops.literal_value(b)
+    return x is not ops.MISS and y is not ops.MISS and ops.eq(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +199,11 @@ def _match_value(pat: A.Pattern, e: A.Expr) -> dict[str, A.Expr] | None | bool:
         return {}
     if isinstance(pat, A.PVar):
         return {pat.name: e}
-    if isinstance(pat, A.PBool):
-        if isinstance(e, A.EBool):
-            return {} if e.value == pat.value else False
-        return None
-    if isinstance(pat, A.PInt):
-        if isinstance(e, A.EInt):
-            return {} if e.value == pat.value else False
-        return None
-    if isinstance(pat, A.PNode):
-        if isinstance(e, A.ENode):
-            return {} if e.value == pat.value else False
-        return None
+    if isinstance(pat, (A.PBool, A.PInt, A.PNode)):
+        value = ops.literal_value(e)
+        if value is ops.MISS:
+            return None
+        return {} if ops.eq(value, pat.value) else False
     if isinstance(pat, A.PNone):
         if isinstance(e, A.ENone):
             return {}
@@ -279,41 +217,23 @@ def _match_value(pat: A.Pattern, e: A.Expr) -> dict[str, A.Expr] | None | bool:
             return False
         return None
     if isinstance(pat, A.PTuple):
-        if isinstance(e, A.ETuple) and len(e.elts) == len(pat.elts):
-            bindings: dict[str, A.Expr] = {}
-            for p, sub_e in zip(pat.elts, e.elts):
-                result = _match_value(p, sub_e)
-                if result is False:
-                    return False
-                if result is None:
-                    return None
-                bindings.update(result)
-            return bindings
-        if isinstance(e, A.EEdge) and len(pat.elts) == 2:
-            bindings = {}
-            for p, value in zip(pat.elts, (e.src, e.dst)):
-                result = _match_value(p, A.ENode(value, ty=T.TNode()))
-                if result is False:
-                    return False
-                if result is None:
-                    return None
-                bindings.update(result)
-            return bindings
+        if isinstance(e, A.EEdge):
+            e = A.ETuple((A.ENode(e.src, ty=T.TNode()), A.ENode(e.dst, ty=T.TNode())))
+        if not (isinstance(e, A.ETuple) and len(e.elts) == len(pat.elts)):
+            return None
+        pairs = zip(pat.elts, e.elts)
+    elif isinstance(pat, A.PRecord) and isinstance(e, A.ERecord):
+        by_name = dict(e.fields)
+        pairs = ((p, by_name[name]) for name, p in pat.fields)
+    else:
         return None
-    if isinstance(pat, A.PRecord):
-        if isinstance(e, A.ERecord):
-            by_name = dict(e.fields)
-            bindings = {}
-            for name, p in pat.fields:
-                result = _match_value(p, by_name[name])
-                if result is False:
-                    return False
-                if result is None:
-                    return None
-                bindings.update(result)
-            return bindings
-        return None
-    return None
+    bindings: dict[str, A.Expr] = {}
+    for p, sub_e in pairs:
+        result = _match_value(p, sub_e)
+        if result is False or result is None:
+            return result
+        bindings.update(result)
+    return bindings
 
 
 def _count_uses(e: A.Expr, name: str) -> int:

@@ -70,6 +70,19 @@ let assert (u : node) (x : rip) =
 """
 
 
+# Every node holding the same route is a stable state that simulation (from
+# None everywhere) never reaches: the route sustains itself around 0-1.
+SELF_SUSTAINING = """
+type attribute = option[int8]
+let nodes = 3
+let edges = {0n=1n; 1n=2n}
+let init (u : node) = None
+let trans (e : edge) (x : attribute) = x
+let merge (u : node) (x y : attribute) = match x with | None -> y | _ -> x
+let assert (u : node) (x : attribute) = true
+"""
+
+
 def load(source):
     return Network.from_program(parse_program(source, resolve))
 
@@ -329,13 +342,12 @@ class TestDischargeFailure:
         assert (1, 2) in rep.refuted_interfaces
 
     def test_inferred_failure_falls_back_to_monolithic(self):
-        # Symbolic source: the simulation fixes start=0, but fragment SMT
-        # explores start in {0,1,2}, so the inferred exact-message guarantee
-        # on 0->1 is refutable -> the driver must escalate and return the
+        # The simulation sends None across 1->2, but fragment {0, 1} has a
+        # stable state that sends a route, so the inferred exact-message
+        # guarantee is refutable -> the driver must escalate and return the
         # monolithic verdict.
-        net = load(RIP_SYMBOLIC)
-        rep = verify_partitioned(net, cuts=CutSpec(fragments=[[0], [1]]),
-                                 symbolics={"start": 0})
+        net = load(SELF_SUSTAINING)
+        rep = verify_partitioned(net, cuts=CutSpec(fragments=[[0, 1], [2]]))
         assert rep.escalated
         assert rep.monolithic is not None
         assert rep.status == "verified"  # the monolithic verdict
@@ -344,12 +356,20 @@ class TestDischargeFailure:
         assert rep.status == mono.status
 
     def test_inferred_failure_without_escalation_reports_refuted(self):
-        net = load(RIP_SYMBOLIC)
-        rep = verify_partitioned(net, cuts=CutSpec(fragments=[[0], [1]]),
-                                 symbolics={"start": 0}, escalate=False)
+        net = load(SELF_SUSTAINING)
+        rep = verify_partitioned(net, cuts=CutSpec(fragments=[[0, 1], [2]]),
+                                 escalate=False)
         assert rep.status == "interface_refuted"
         assert rep.escalated  # flagged, but no monolithic re-run
         assert rep.monolithic is None
+
+    def test_symbolics_bind_every_fragment(self):
+        # start = 0 is what the simulation and every fragment assume, so the
+        # inferred guarantee on 0->1 holds and nothing escalates.
+        rep = verify_partitioned(load(RIP_SYMBOLIC),
+                                 cuts=CutSpec(fragments=[[0], [1]]),
+                                 symbolics={"start": 0})
+        assert rep.verified and not rep.escalated
 
     def test_inference_requires_symbolics(self):
         net = load(RIP_SYMBOLIC)

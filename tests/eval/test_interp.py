@@ -15,13 +15,14 @@ from repro.eval.values import VClosure, VRecord, VSome
 from repro.frontend.configs import parse_config
 from repro.frontend.to_nv import translate
 from repro.lang import ast as A
-from repro.lang.errors import NvRuntimeError
+from repro.lang import types as T
+from repro.lang.errors import NvEncodingError, NvRuntimeError
 from repro.lang.parser import parse_expr
 from repro.srp.network import functions_from_program
 from repro.srp.simulate import simulate
 from repro.topology import all_prefixes_program, fat_program, leaf_nodes, sp_program
 from tests.helpers import (FIG2_NETWORK, RIP_TRIANGLE, eval_expr_src, eval_nv,
-                           load)
+                           load, typed_expr)
 from tests.lang.test_annotation_digests import fattree_configs
 from tests.srp import test_protocol_models
 
@@ -181,6 +182,9 @@ class TestRuntimeErrors:
 
     def test_raised_when_evaluated_not_when_compiled(self):
         assert eval_untyped("if true then 1 else y") == 1
+        assert eval_untyped("if true then 1 else 2 + 3") == 1
+        with pytest.raises(NvEncodingError, match="add requires a type-annotated AST"):
+            eval_untyped("2 + 3")
         assert eval_untyped("true || (y 3).lp") is True
         fn = eval_untyped("fun x -> match x with | Some v -> v.lp")
         with pytest.raises(NvRuntimeError, match="match failure on None"):
@@ -234,7 +238,7 @@ class TestCompiledOnce:
 
     def test_closure_applied_1000_times_compiles_its_body_once(self, compiled):
         interp = Interpreter()
-        e = parse_expr("fun x -> if x < 10 then x + 1 else x")
+        e = typed_expr("fun x -> if x < 10 then x + 1 else x")
         fn = interp.eval(e)
         before = len(compiled)
         assert sum(node is e.body for node in compiled) == 1
@@ -244,7 +248,7 @@ class TestCompiledOnce:
 
     def test_closure_built_elsewhere_is_compiled_on_first_use(self, compiled):
         interp = Interpreter()
-        body = parse_expr("x + n")
+        body = typed_expr("x + n", x=T.TInt(32), n=T.TInt(32))
         fn = VClosure("x", body, {"n": 5})          # as symbolic.py / encode_nv.py do
         assert [interp.apply(fn, i) for i in range(1000)][-1] == 1004
         assert sum(node is body for node in compiled) == 1

@@ -8,9 +8,10 @@ import pytest
 
 from repro.eval.interp import Interpreter, program_env
 from repro.eval.maps import MapContext
+from repro.lang import ast as A
 from repro.lang import types as T
-from repro.lang.parser import parse_program
-from repro.lang.typecheck import check_program
+from repro.lang.parser import parse_expr, parse_program
+from repro.lang.typecheck import Scheme, TypeChecker, check_program
 from repro.protocols import resolve
 from repro.srp.network import Network
 
@@ -98,6 +99,17 @@ def eval_nv(source: str, name: str = "main",
 def eval_expr_src(expr_src: str, **kwargs: Any) -> Any:
     """Evaluate one NV expression (wrapped in a main declaration)."""
     return eval_nv(f"let main = {expr_src}", **kwargs)
+
+
+def typed_expr(src: str, **free: T.Type) -> A.Expr:
+    """One NV expression, type-checked and annotated; ``free`` gives the
+    types of its free variables."""
+    checker = TypeChecker()
+    e = parse_expr(src)
+    checker.infer({name: Scheme((), ty) for name, ty in free.items()}, e)
+    checker.default_ints()
+    checker.annotate(e)
+    return e
 
 
 # ----------------------------------------------------------------------

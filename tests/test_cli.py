@@ -197,6 +197,42 @@ let assert (u : node) (x : rip) =
             "error: internal error: the counterexample does not replay: "
             "node 0's decoded attribute is not stable\n")
 
+    @pytest.mark.parametrize("partition", [[], ["--partition", "2", "--jobs", "1"]],
+                             ids=["single", "partition"])
+    def test_symbolic_is_bound_in_the_encoding(self, tmp_path, capsys,
+                                               partition):
+        """``--symbolic step=1u8`` binds ``step`` in the encoding, as
+        ``simulate`` binds it.  Before, the solver still chose ``step``:
+        single-file ``verify`` printed ``symbolic step = 0``, and
+        ``--partition`` stitched a state simulated under ``step = 1`` to
+        the model's ``step = 0`` and failed its replay (exit 3)."""
+        f = tmp_path / "step.nv"
+        f.write_text("""
+type attribute = option[int8]
+symbolic step : int8
+let nodes = 5
+let edges = {0n=1n; 1n=2n; 2n=3n; 0n=4n}
+let init (u : node) = if u = 0n then Some 0u8 else None
+let trans (e : edge) (x : attribute) =
+  match x with
+  | None -> None
+  | Some h -> if e = (0n, 4n) then Some (h + step) else Some (h + 1u8)
+let merge (u : node) (x y : attribute) =
+  match (x, y) with
+  | (None, _) -> y
+  | (_, None) -> x
+  | (Some a, Some b) -> if a <= b then x else y
+let assert (u : node) (x : attribute) =
+  match x with
+  | None -> true
+  | Some h -> h <= 2u8 || u = 4n
+""")
+        argv = ["verify", str(f), "--symbolic", "step=1u8", "--show-routes"]
+        assert main(argv + partition) == 1
+        out = capsys.readouterr().out
+        assert "  symbolic step = 1\n" in out
+        assert "  node 3: Some 3\n  node 4: Some 1\n" in out
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_files_of_different_sizes(self, tmp_path, capsys, monkeypatch,
                                       jobs):

@@ -5,12 +5,14 @@ import pytest
 from repro.eval.interp import Interpreter, program_env
 from repro.eval.maps import MapContext
 from repro.lang import ast as A
+from repro.lang import types as T
 from repro.lang.parser import parse_expr, parse_program
 from repro.lang.typecheck import check_program
 from repro.protocols import resolve
 from repro.transform.inline import Substituter, beta_apply, inline_program
 from repro.transform.partial_eval import is_value, partial_eval, partial_eval_program
 from repro.transform.rename import Renamer, rename_program
+from tests.helpers import typed_expr
 
 
 def all_binders(e: A.Expr) -> list[str]:
@@ -38,7 +40,7 @@ class TestRename:
 
     def test_semantics_preserved(self):
         src = "let x = 1 in let x = x + 1 in x + x"
-        e = parse_expr(src)
+        e = typed_expr(src)
         renamed = Renamer().rename_expr(e)
         interp = Interpreter(MapContext(2, ((0, 1),)))
         assert interp.eval(e) == interp.eval(renamed) == 4
@@ -65,19 +67,19 @@ def beta_reduce(e: A.Expr) -> A.Expr:
 
 class TestSubstituteAndBeta:
     def test_substitute_respects_shadowing(self):
-        e = parse_expr("x + (let x = 2 in x)")
+        e = typed_expr("x + (let x = 2 in x)", x=T.TInt(32))
         out = substitute(e, {"x": A.EInt(10)})
         interp = Interpreter(MapContext(2, ((0, 1),)))
         assert interp.eval(out) == 12
 
     def test_beta_reduce(self):
-        e = beta_reduce(parse_expr("(fun x -> x + x) 21"))
+        e = beta_reduce(typed_expr("(fun x -> x + x) 21"))
         interp = Interpreter(MapContext(2, ((0, 1),)))
         assert interp.eval(e) == 42
         assert not _contains_app(e)
 
     def test_nested_beta(self):
-        e = beta_reduce(parse_expr("(fun x -> fun y -> x - y) 10 4"))
+        e = beta_reduce(typed_expr("(fun x -> fun y -> x - y) 10 4"))
         interp = Interpreter(MapContext(2, ((0, 1),)))
         assert interp.eval(e) == 6
 
@@ -97,7 +99,7 @@ class TestSubstituteAndBeta:
         assert all(f.body.name == f.param for f in out.elts)
 
     def test_application_is_pushed_through_lets(self):
-        e = beta_reduce(parse_expr("(let k = 2 in fun x -> x + k) 40"))
+        e = beta_reduce(typed_expr("(let k = 2 in fun x -> x + k) 40"))
         assert isinstance(e, A.ELet) and e.name == "k"
         assert isinstance(e.body, A.ELet) and e.body.name == "x"
         assert Interpreter(MapContext(2, ((0, 1),))).eval(e) == 42
@@ -164,7 +166,9 @@ let init (u : node) = g 1 + s
 let trans (e : edge) (x : int) = x
 let merge (u : node) (x y : int) = x
 """
-        inlined = inline_program(parse_program(src, resolve))
+        program = parse_program(src, resolve)
+        check_program(program)
+        inlined = inline_program(program)
         ctx = MapContext(2, ((0, 1), (1, 0)))
         interp = Interpreter(ctx)
         env = program_env(inlined, interp, symbolics={"s": 100})
@@ -179,7 +183,9 @@ let init (u : node) = twice (fun a -> a + 1) (twice (fun b -> b + 2) 0)
 let trans (e : edge) (x : int) = x
 let merge (u : node) (x y : int) = x
 """
-        inlined = inline_program(parse_program(src, resolve))
+        program = parse_program(src, resolve)
+        check_program(program)
+        inlined = inline_program(program)
         binders = [b for d in inlined.decls if isinstance(d, A.DLet)
                    for b in all_binders(d.expr)]
         assert len(binders) == len(set(binders))
@@ -207,6 +213,8 @@ class TestPartialEval:
         ("true && b", "b"),
         ("false || b", "b"),
         ("a || true", "true"),
+        ("{length = 1; lp = 2} = {lp = 2; length = 1}", "true"),
+        ("{length = 1; lp = 2} = {lp = 3; length = 1}", "false"),
     ])
     def test_simplification(self, src, expected):
         from tests.lang.test_printer import normalize
