@@ -12,8 +12,10 @@ and CNF preprocessing) — and fails unless:
   counterexample stable states are *equal* — the stable state is unique,
   so both modes must reconstruct the same attributes through the
   preprocessor's model-extension stack, and
-* the SMT fault-tolerance driver (`fault_tolerance_smt`) produces the same
-  per-scenario verdicts with ``incremental=True`` and ``incremental=False``.
+* the SMT fault-tolerance analysis (`fault_tolerance_smt`, one persistent
+  solver over every failure scenario) gives each scenario the verdict a
+  fresh `verify` of the symbolic-failures network gives it with every
+  ``fail{i}`` bit bound through ``symbolics``.
 
 Batches: the fig-12 smoke set (narrow SP(4)/FAT(4) fat-trees, two
 destination prefixes each) plus small crafted RIP networks covering all
@@ -34,12 +36,13 @@ from typing import Any
 
 # Runnable from a bare checkout, like census.py.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from repro.analysis.fault import fault_tolerance_smt
-from repro.analysis.verify import verify_many
+from repro.analysis.fault import _failure_scenarios, fault_tolerance_smt
+from repro.analysis.verify import verify, verify_many
 from repro.lang.parser import parse_program
 from repro.protocols import resolve
 from repro.srp.network import Network
 from repro.topology import fat_program, leaf_nodes, sp_program
+from repro.transform.fault_tolerance import symbolic_failures_program
 
 RIP_TRIANGLE = """
 include rip
@@ -138,13 +141,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:<12} fresh={fresh_status} inc={inc_status}  "
               f"[{status}]")
 
-    # Fault tolerance: per-scenario verdicts, both modes.
+    # Fault tolerance: the scenario batch against one fresh verify per
+    # scenario, with the failure bits bound.
     net = _load(RIP_TRIANGLE)
+    links = net.links if net.links else tuple(net.edges)
+    sym_net = Network.from_program(
+        symbolic_failures_program(net, max_failures=1))
     f_inc = fault_tolerance_smt(net, num_link_failures=1)
-    f_fresh = fault_tolerance_smt(net, num_link_failures=1,
-                                  incremental=False)
     inc_s = [(s.failed_links, s.status) for s in f_inc.scenarios]
-    fresh_s = [(s.failed_links, s.status) for s in f_fresh.scenarios]
+    fresh_s = [(tuple(links[i] for i in failed),
+                verify(sym_net, symbolics={f"fail{i}": i in failed
+                                           for i in range(len(links))}).status)
+               for failed in _failure_scenarios(len(links), 1)]
     ok = inc_s == fresh_s
     report["checks"]["fault-smt"] = {
         "scenarios": len(inc_s), "verdicts_equal": ok,

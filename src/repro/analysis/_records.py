@@ -33,14 +33,13 @@ def fault_NodeFaultReport(_FACTORY, _set):
 
 # repro.analysis.fault.SmtFaultReport
 def fault_SmtFaultReport(_FACTORY, _set):
-  def __init__(self, num_link_failures, scenarios, encode_seconds, solve_seconds, incremental):
+  def __init__(self, num_link_failures, scenarios, encode_seconds, solve_seconds):
     self.num_link_failures = num_link_failures
     self.scenarios = scenarios
     self.encode_seconds = encode_seconds
     self.solve_seconds = solve_seconds
-    self.incremental = incremental
   def __eq__(self, other):
-    if other.__class__ is self.__class__: return (self.num_link_failures,self.scenarios,self.encode_seconds,self.solve_seconds,self.incremental,) == (other.num_link_failures,other.scenarios,other.encode_seconds,other.solve_seconds,other.incremental,)
+    if other.__class__ is self.__class__: return (self.num_link_failures,self.scenarios,self.encode_seconds,self.solve_seconds,) == (other.num_link_failures,other.scenarios,other.encode_seconds,other.solve_seconds,)
     return NotImplemented
   return {'__init__': __init__, '__eq__': __eq__}
 
@@ -129,13 +128,14 @@ def partition_PartitionReport(_FACTORY, _set, _f_refuted_interfaces, _d_countere
   return {'__init__': __init__, '__eq__': __eq__}
 
 # repro.analysis.simulation.SimulationReport
-def simulation_SimulationReport(_FACTORY, _set):
-  def __init__(self, solution, backend, setup_seconds, simulate_seconds, violations):
+def simulation_SimulationReport(_FACTORY, _set, _d_funcs):
+  def __init__(self, solution, backend, setup_seconds, simulate_seconds, violations, funcs=_d_funcs):
     self.solution = solution
     self.backend = backend
     self.setup_seconds = setup_seconds
     self.simulate_seconds = simulate_seconds
     self.violations = violations
+    self.funcs = funcs
   def __eq__(self, other):
     if other.__class__ is self.__class__: return (self.solution,self.backend,self.setup_seconds,self.simulate_seconds,self.violations,) == (other.solution,other.backend,other.setup_seconds,other.simulate_seconds,other.violations,)
     return NotImplemented
@@ -146,7 +146,7 @@ METHODS = {
         fault_FaultReport,
     'def __init__(self, node, classes):\n  self.node = node\n  self.classes = classes\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.node,self.classes,) == (other.node,other.classes,)\n  return NotImplemented':
         fault_NodeFaultReport,
-    'def __init__(self, num_link_failures, scenarios, encode_seconds, solve_seconds, incremental):\n  self.num_link_failures = num_link_failures\n  self.scenarios = scenarios\n  self.encode_seconds = encode_seconds\n  self.solve_seconds = solve_seconds\n  self.incremental = incremental\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.num_link_failures,self.scenarios,self.encode_seconds,self.solve_seconds,self.incremental,) == (other.num_link_failures,other.scenarios,other.encode_seconds,other.solve_seconds,other.incremental,)\n  return NotImplemented':
+    'def __init__(self, num_link_failures, scenarios, encode_seconds, solve_seconds):\n  self.num_link_failures = num_link_failures\n  self.scenarios = scenarios\n  self.encode_seconds = encode_seconds\n  self.solve_seconds = solve_seconds\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.num_link_failures,self.scenarios,self.encode_seconds,self.solve_seconds,) == (other.num_link_failures,other.scenarios,other.encode_seconds,other.solve_seconds,)\n  return NotImplemented':
         fault_SmtFaultReport,
     'def __init__(self, failed_links, status, node_attrs=_FACTORY):\n  self.failed_links = failed_links\n  self.status = status\n  self.node_attrs = _f_node_attrs() if node_attrs is _FACTORY else node_attrs\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.failed_links,self.status,self.node_attrs,) == (other.failed_links,other.status,other.node_attrs,)\n  return NotImplemented':
         fault_SmtScenarioResult,
@@ -160,6 +160,6 @@ METHODS = {
         partition_InterfaceCheck,
     'def __init__(self, status, verified, plan, fragments, kinds, refuted_interfaces=_FACTORY, counterexample=_d_counterexample, node_attrs=_d_node_attrs, stitched=_d_stitched, escalated=_d_escalated, monolithic=_d_monolithic, inferred=_FACTORY, infer_seconds=_d_infer_seconds, wall_seconds=_d_wall_seconds):\n  self.status = status\n  self.verified = verified\n  self.plan = plan\n  self.fragments = fragments\n  self.kinds = kinds\n  self.refuted_interfaces = _f_refuted_interfaces() if refuted_interfaces is _FACTORY else refuted_interfaces\n  self.counterexample = counterexample\n  self.node_attrs = node_attrs\n  self.stitched = stitched\n  self.escalated = escalated\n  self.monolithic = monolithic\n  self.inferred = _f_inferred() if inferred is _FACTORY else inferred\n  self.infer_seconds = infer_seconds\n  self.wall_seconds = wall_seconds\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.status,self.verified,self.plan,self.fragments,self.kinds,self.refuted_interfaces,self.counterexample,self.node_attrs,self.stitched,self.escalated,self.monolithic,self.inferred,self.infer_seconds,self.wall_seconds,) == (other.status,other.verified,other.plan,other.fragments,other.kinds,other.refuted_interfaces,other.counterexample,other.node_attrs,other.stitched,other.escalated,other.monolithic,other.inferred,other.infer_seconds,other.wall_seconds,)\n  return NotImplemented':
         partition_PartitionReport,
-    'def __init__(self, solution, backend, setup_seconds, simulate_seconds, violations):\n  self.solution = solution\n  self.backend = backend\n  self.setup_seconds = setup_seconds\n  self.simulate_seconds = simulate_seconds\n  self.violations = violations\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.solution,self.backend,self.setup_seconds,self.simulate_seconds,self.violations,) == (other.solution,other.backend,other.setup_seconds,other.simulate_seconds,other.violations,)\n  return NotImplemented':
+    'def __init__(self, solution, backend, setup_seconds, simulate_seconds, violations, funcs=_d_funcs):\n  self.solution = solution\n  self.backend = backend\n  self.setup_seconds = setup_seconds\n  self.simulate_seconds = simulate_seconds\n  self.violations = violations\n  self.funcs = funcs\ndef __eq__(self, other):\n  if other.__class__ is self.__class__: return (self.solution,self.backend,self.setup_seconds,self.simulate_seconds,self.violations,) == (other.solution,other.backend,other.setup_seconds,other.simulate_seconds,other.violations,)\n  return NotImplemented':
         simulation_SimulationReport,
 }

@@ -420,7 +420,6 @@ class SmtFaultReport:
     scenarios: list[SmtScenarioResult]
     encode_seconds: float
     solve_seconds: float
-    incremental: bool
 
     @property
     def violations(self) -> int:
@@ -433,9 +432,8 @@ class SmtFaultReport:
     def summary(self) -> str:
         status = ("FAULT TOLERANT" if self.fault_tolerant
                   else f"{self.violations} violating scenarios")
-        mode = "incremental" if self.incremental else "fresh"
         return (f"{self.num_link_failures}-link failures over "
-                f"{len(self.scenarios)} scenarios ({mode} SMT): {status}; "
+                f"{len(self.scenarios)} scenarios (incremental SMT): {status}; "
                 f"encode {self.encode_seconds:.3f}s, "
                 f"solve {self.solve_seconds:.3f}s")
 
@@ -454,7 +452,7 @@ def _failure_scenarios(num_links: int, max_failures: int
 
 
 def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
-                        incremental: bool = True, simplify: bool = True,
+                        simplify: bool = True,
                         max_conflicts: int | None = None
                         ) -> SmtFaultReport:
     """Check the assertion for every concrete failure scenario via SMT.
@@ -465,9 +463,10 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
     each scenario is then a conjunction of assumption literals fixing every
     ``fail{i}`` bit, flipped per query on a persistent incremental solver —
     the shared encoding, preprocessing and learnt clauses amortise across
-    the whole scenario batch.  ``incremental=False`` runs the historical
-    one-fresh-solver-per-scenario loop instead (the equivalence gate pins
-    both modes to identical verdicts).
+    the whole scenario batch.  A fresh :func:`~repro.analysis.verify.verify`
+    of ``symbolic_failures_program(net)`` with the ``fail{i}`` bits bound
+    through ``symbolics`` decides one scenario alone (the equivalence gate
+    holds the batch to it).
     """
     from ..transform.fault_tolerance import symbolic_failures_program
     from ..smt.solver import Solver
@@ -501,47 +500,24 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
                  for u, tval in enc.attr_vals.items()}
         return SmtScenarioResult(failed_links, "counterexample", attrs)
 
-    results: list[SmtScenarioResult] = []
-    if incremental:
-        t0 = perf_counter()
-        with obs.span("fault.smt_encode", scenarios=len(scenarios),
-                      incremental=True):
-            tm = TermManager(simplify=simplify)
-            solver = Solver(tm, incremental=True)
-            enc, _, prop = encode_network(sym_net, simplify=simplify, tm=tm)
-            for c in enc.constraints:
-                solver.add(c)
-            solver.add(tm.mk_not(prop))
-            terms = [scenario_term(tm, enc, failed) for failed in scenarios]
-            # Register all selectors before the first solve so CNF
-            # preprocessing freezes them (no later melting needed).
-            for term in terms:
-                solver.push_assumption(term)
-            solver.relax()
-        encode_seconds = perf_counter() - t0
+    t0 = perf_counter()
+    with obs.span("fault.smt_encode", scenarios=len(scenarios)):
+        tm = TermManager(simplify=simplify)
+        solver = Solver(tm, incremental=True)
+        enc, _, prop = encode_network(sym_net, simplify=simplify, tm=tm)
+        for c in enc.constraints:
+            solver.add(c)
+        solver.add(tm.mk_not(prop))
+        terms = [scenario_term(tm, enc, failed) for failed in scenarios]
+        solver.select(terms)
+    encode_seconds = perf_counter() - t0
 
-        t0 = perf_counter()
-        for failed, term in zip(scenarios, terms):
-            solver.push_assumption(term)
-            smt = solver.check(max_conflicts)
-            solver.relax()
-            results.append(scenario_result(enc, smt, failed))
-        solve_seconds = perf_counter() - t0
-    else:
-        encode_seconds = 0.0
-        t0 = perf_counter()
-        for failed in scenarios:
-            tm = TermManager(simplify=simplify)
-            solver = Solver(tm)
-            enc, _, prop = encode_network(sym_net, simplify=simplify, tm=tm)
-            for c in enc.constraints:
-                solver.add(c)
-            solver.add(tm.mk_not(prop))
-            solver.add(scenario_term(tm, enc, failed))
-            smt = solver.check(max_conflicts)
-            results.append(scenario_result(enc, smt, failed))
-        solve_seconds = perf_counter() - t0
+    t0 = perf_counter()
+    results = [scenario_result(enc, solver.check_assuming(term, max_conflicts),
+                               failed)
+               for failed, term in zip(scenarios, terms)]
+    solve_seconds = perf_counter() - t0
 
     perf.merge({"smt_scenarios": len(scenarios)}, prefix="fault.")
     return SmtFaultReport(num_link_failures, results, encode_seconds,
-                          solve_seconds, incremental)
+                          solve_seconds)

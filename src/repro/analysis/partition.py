@@ -40,14 +40,14 @@ from ..eval.maps import DecodedMap
 from ..eval.values import VRecord, VSome
 from ..lang import ast as A
 from ..lang import types as T
-from ..lang.errors import NvPartitionError, NvTypeError
+from ..lang.errors import NvError, NvPartitionError, NvTypeError
 from ..lang.parser import parse_expr
 from ..partition.cutter import (PartitionPlan, auto_partition,
                                 plan_from_cut_links, plan_from_fragments)
 from ..partition.interfaces import Annotation, CutSpec
 from ..smt.encode_nv import NvSmtEncoder, VerificationResult
 from ..smt.solver import Solver
-from ..srp.network import Network, functions_from_program
+from ..srp.network import Network
 from ..topology.graph import Topology
 from .simulation import run_simulation
 from .verify import (_result_from_smt, decode_tval, encode_network, replay,
@@ -243,9 +243,12 @@ def _plain_route(value: Any, ty: T.Type,
 
 def infer_interfaces(net: Network, edges: Sequence[tuple[int, int]],
                      symbolics: dict[str, Any] | None = None
-                     ) -> dict[tuple[int, int], Any]:
+                     ) -> tuple[dict[tuple[int, int], Any], dict[int, Any]]:
     """Simulate the whole network once and read off the exact message
-    crossing each requested directed edge in the converged state.
+    crossing each requested directed edge in the converged state.  Returns
+    those messages and every node's converged attribute, both as plain
+    picklable values (the attributes stitch a whole-network
+    counterexample).
 
     This is the driver's inference mode: one polynomial-time simulation
     seeds every unannotated interface, against which the exponential SMT
@@ -261,28 +264,15 @@ def infer_interfaces(net: Network, edges: Sequence[tuple[int, int]],
             "edges explicitly or provide symbolics")
     report = run_simulation(net, symbolics, backend="interp")
     labels = report.solution.labels
-    funcs = functions_from_program(net, symbolics)
+    trans = report.funcs.trans
     probe = NvSmtEncoder(net)
     probe.collect_map_keys()
-    out: dict[tuple[int, int], Any] = {}
-    for edge in edges:
-        u, _v = edge
-        msg = funcs.trans(edge, labels[u])
-        out[edge] = _plain_route(msg, net.attr_ty, probe.keys,
-                                 net.num_nodes)
-    return out
 
+    def plain(value: Any) -> Any:
+        return _plain_route(value, net.attr_ty, probe.keys, net.num_nodes)
 
-def simulated_node_attrs(net: Network,
-                         symbolics: dict[str, Any] | None = None
-                         ) -> dict[int, Any]:
-    """Converged per-node attributes as plain picklable values (used to
-    stitch whole-network counterexamples)."""
-    report = run_simulation(net, symbolics, backend="interp")
-    probe = NvSmtEncoder(net)
-    probe.collect_map_keys()
-    return {u: _plain_route(lbl, net.attr_ty, probe.keys, net.num_nodes)
-            for u, lbl in enumerate(report.solution.labels)}
+    return ({edge: plain(trans(edge, labels[edge[0]])) for edge in edges},
+            {u: plain(label) for u, label in enumerate(labels)})
 
 
 # ----------------------------------------------------------------------
@@ -352,16 +342,13 @@ def _verify_fragment(net: Network, index: int, nodes: Sequence[int],
         solver = Solver(tm, incremental=True, preprocess=False)
         for c in enc.constraints:
             solver.add(c)
-        # One selector per check, all encoded before the first solve: the
-        # CDCL solver is built from the fragment's whole CNF, and no clause
-        # arrives between the checks.
+        # One selector per check: the CDCL solver is built from the
+        # fragment's whole CNF.
         neg_prop = tm.mk_not(prop)
         checks: list[tuple[tuple[int, int] | None, int]] = [(None, neg_prop)]
         for edge, g in sorted(enc.guarantee_terms.items()):
             checks.append((edge, tm.mk_not(g)))
-        for _, query in checks:
-            solver.push_assumption(query)
-        solver.relax()
+        solver.select(query for _, query in checks)
         if sp is not None:
             sp.attrs["constraints"] = len(enc.constraints)
     encode_seconds = perf_counter() - t0
@@ -493,11 +480,13 @@ def verify_partitioned(net: Network,
 
         infer_edges = [e for e in plan.cut_edges if e not in specs]
         inferred: dict[tuple[int, int], Any] = {}
+        simulated: dict[int, Any] | None = None
         infer_seconds = 0.0
         if infer_edges:
             t0 = perf_counter()
             with obs.span("partition.infer", edges=len(infer_edges)):
-                inferred = infer_interfaces(net, infer_edges, symbolics)
+                inferred, simulated = infer_interfaces(net, infer_edges,
+                                                       symbolics)
             infer_seconds = perf_counter() - t0
             for edge, value in inferred.items():
                 specs[edge] = ConcreteInterface(value)
@@ -513,7 +502,8 @@ def verify_partitioned(net: Network,
             unit_labels=unit_labels)
 
         report = _merge_results(net, plan, kinds, results, inferred,
-                                symbolics, simplify, max_conflicts, escalate)
+                                simulated, symbolics, simplify,
+                                max_conflicts, escalate)
     report.infer_seconds = infer_seconds
     report.wall_seconds = perf_counter() - t_wall
     metrics.set_gauge("partition.fragments", len(plan.fragments))
@@ -530,6 +520,7 @@ def _merge_results(net: Network, plan: PartitionPlan,
                    kinds: dict[tuple[int, int], str],
                    results: list[FragmentResult],
                    inferred: dict[tuple[int, int], Any],
+                   simulated: dict[int, Any] | None,
                    symbolics: dict[str, Any] | None,
                    simplify: bool, max_conflicts: int | None,
                    escalate: bool) -> PartitionReport:
@@ -572,18 +563,18 @@ def _merge_results(net: Network, plan: PartitionPlan,
     if failing:
         # Guarantees all discharged, so every fragment counterexample
         # extends to a whole-network stable state: failing fragments
-        # contribute their decoded models, the rest their simulated state
-        # (available whenever inference ran).
+        # contribute their decoded models, the rest the state inference
+        # simulated.  A plan without cut edges ran no inference; it
+        # simulates here.
         report.status = "counterexample"
         report.verified = False
-        node_attrs: dict[int, Any] = {}
-        stitched = False
-        if inferred or not any(k != "infer" for k in kinds.values()):
+        if simulated is None and not kinds:
             try:
-                node_attrs.update(simulated_node_attrs(net, symbolics))
-                stitched = True
-            except Exception:
-                stitched = False  # e.g. symbolics missing for simulation
+                _, simulated = infer_interfaces(net, (), symbolics)
+            except NvError:
+                pass  # e.g. symbolics missing for simulation
+        node_attrs = dict(simulated or {})
+        stitched = simulated is not None
         for fr in failing:
             if fr.result.node_attrs:
                 node_attrs.update(fr.result.node_attrs)

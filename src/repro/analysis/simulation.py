@@ -12,7 +12,7 @@ from time import perf_counter
 from typing import Any
 
 from .. import metrics, obs, perf
-from .._struct import struct
+from .._struct import field, struct
 from ..srp.network import Network, functions_from_program
 from ..srp.simulate import simulate
 from ..srp.solution import Solution
@@ -25,6 +25,9 @@ class SimulationReport:
     setup_seconds: float        # interpreter env build or compilation
     simulate_seconds: float
     violations: list[int]
+    #: The network functions the simulation ran (``trans`` reads the
+    #: message a converged label sends across an edge).
+    funcs: Any = field(default=None, repr=False, compare=False)
 
     def summary(self) -> str:
         status = "assertions hold" if not self.violations else (
@@ -98,4 +101,4 @@ def run_simulation(net: Network, symbolics: dict[str, Any] | None = None,
     with obs.span("sim.assertions"):
         violations = solution.check_assertions(funcs.assert_fn)
     return SimulationReport(solution, backend, setup_seconds,
-                            simulate_seconds, violations)
+                            simulate_seconds, violations, funcs)

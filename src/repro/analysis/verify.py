@@ -465,11 +465,7 @@ def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
             for c in enc.constraints:
                 query = tm.mk_and(query, c)
             queries.append((index, net, enc, query))
-        # Register every selector before the first solve: preprocessing
-        # freezes assumption variables, so later queries need no melting.
-        for *_, query in queries:
-            solver.push_assumption(query)
-        solver.relax()
+        solver.select(query for *_, query in queries)
         if sp is not None:
             sp.attrs["terms"] = len(tm._terms) if hasattr(tm, "_terms") else 0
     encode_seconds = perf_counter() - t0

@@ -55,7 +55,7 @@ import sys
 from typing import TYPE_CHECKING, Any
 
 from . import metrics, obs, parallel, perf
-from .lang.errors import NvError
+from .lang.errors import NvError, NvTypeError
 
 if TYPE_CHECKING:
     from .srp.network import Network
@@ -90,22 +90,31 @@ def _load_network(path: str) -> Network:
 
 
 def _parse_symbolics(pairs: list[str], net: Network) -> dict[str, Any]:
-    """Evaluate `name=<nv literal>` bindings in the network's context."""
+    """Evaluate `name=<nv literal>` bindings in the network's context.  The
+    literal is typed as ``let NAME : T = literal`` would be, with ``T`` the
+    symbolic's declared type; an undeclared name is an error."""
     from .eval.interp import Interpreter
     from .eval.maps import MapContext
     from .lang import ast as A
     from .lang.parser import parse_expr
     from .lang.typecheck import check_program
 
+    declared = {d.name: d.ty for d in net.program.symbolics()}
     out: dict[str, Any] = {}
     interp = Interpreter(MapContext(net.num_nodes, net.edges))
     for pair in pairs:
         if "=" not in pair:
             raise NvError(f"--symbolic expects name=value, got {pair!r}")
         name, text = pair.split("=", 1)
+        if name not in declared:
+            raise NvError(f"--symbolic {pair!r}: the program declares no "
+                          f"symbolic {name!r}")
         expr = parse_expr(text)
-        program = A.Program([A.DLet("__cli", expr)])
-        check_program(program)
+        try:
+            check_program(A.Program([A.DLet(name, expr,
+                                            annot=declared[name])]))
+        except NvTypeError as exc:
+            raise NvError(f"--symbolic {pair!r}: {exc}") from None
         out[name] = interp.eval(expr)
     return out
 
@@ -291,8 +300,7 @@ def cmd_fault(args: argparse.Namespace) -> int:
         if symbolics:
             print("note: --symbolic ignored with --smt (failure bits are "
                   "the symbolics)", file=sys.stderr)
-        smt_report = fault_tolerance_smt(
-            net, num_link_failures=args.links, incremental=args.incremental)
+        smt_report = fault_tolerance_smt(net, num_link_failures=args.links)
         print(smt_report.summary())
         for s in smt_report.scenarios:
             if s.status != "verified":
@@ -488,11 +496,6 @@ def _fault_args(fault: argparse.ArgumentParser) -> None:
                             "encoding) instead of the MTBDD meta-protocol; "
                             "scenarios flip fail-bit assumptions on a "
                             "persistent solver")
-    fault.add_argument("--incremental",
-                       action=argparse.BooleanOptionalAction, default=True,
-                       help="with --smt: reuse one persistent solver across "
-                            "scenarios (default); --no-incremental re-solves "
-                            "each scenario from scratch")
     _add_obs_args(fault)
     _add_jobs_arg(fault)
     fault.set_defaults(fn=cmd_fault)

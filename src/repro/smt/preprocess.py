@@ -19,9 +19,9 @@ shrinks the clause database before the solver ever sees it:
 **Freezing** keeps incremental solving sound: variables named in
 ``frozen`` (term-manager name variables, assumption selectors, the
 constant-true variable) are never eliminated, so their semantics survive
-into later ``solve(assumptions=...)`` calls.  If clauses added *after*
-preprocessing mention an eliminated variable, :meth:`Preprocessor.melt`
-transitively restores the retired clauses for those variables.
+into later ``solve(assumptions=...)`` calls.  No clause arrives after
+preprocessing: an incremental batch selects every selector before its
+first check.
 
 **Model reconstruction**: :meth:`extend_model` replays the elimination
 stack in reverse, assigning each eliminated variable so every clause it
@@ -410,50 +410,10 @@ class Preprocessor:
                 result.append(clause)
         self.stats.clauses_out = len(result)
         # The occurrence index is the largest table here, and nothing after
-        # the passes reads it (melting and model reconstruction use the
+        # the passes reads it (model reconstruction uses the
         # elimination stack): free it before the solver is built.
         self.occ.clear()
         return result
-
-    # ------------------------------------------------------------------
-    # Incremental support
-    # ------------------------------------------------------------------
-
-    def mentions_eliminated(self, clauses) -> set[int]:
-        """Eliminated variables referenced by ``clauses`` (if any, the
-        caller must :meth:`melt` them before adding the clauses)."""
-        hit: set[int] = set()
-        for clause in clauses:
-            for lit in clause:
-                if abs(lit) in self.eliminated:
-                    hit.add(abs(lit))
-        return hit
-
-    def melt(self, variables) -> list[tuple[int, ...]]:
-        """Un-eliminate ``variables``: pop their stack entries and return
-        the retired clauses so the caller can re-add them to the solver.
-        Transitive — retired clauses may mention variables eliminated
-        later; those are melted too.  Melted variables become frozen."""
-        restored: list[tuple[int, ...]] = []
-        work = sorted(set(variables))
-        while work:
-            var = work.pop()
-            if var not in self.eliminated:
-                continue
-            self.eliminated.discard(var)
-            self.frozen.add(var)
-            for i, (v, retired) in enumerate(self.elim_stack):
-                if v == var:
-                    del self.elim_stack[i]
-                    break
-            else:
-                retired = []
-            for clause in retired:
-                restored.append(clause)
-                for lit in clause:
-                    if abs(lit) in self.eliminated:
-                        work.append(abs(lit))
-        return restored
 
     # ------------------------------------------------------------------
     # Model reconstruction

@@ -17,9 +17,10 @@ The solver is *incremental* in the MiniSat ``solve(assumptions)`` sense:
   set itself), :meth:`final_conflict` returns the subset of assumption
   literals that cannot hold together — the unsat core over assumptions —
   and the solver stays usable (``ok`` remains True).
-* Clauses and variables may be added between calls
-  (:meth:`add_clause` / :meth:`ensure_num_vars`), extending the instance
-  without rebuilding the watch lists or losing the learnt database.
+
+The clause set and the variable universe are fixed at construction: an
+incremental client encodes its whole batch, selectors included, before
+the first solve (:class:`repro.smt.solver.Solver`).
 
 This is the decision procedure under NV's SMT back end: QF_BV constraints are
 bit-blasted (``bitblast.py``), Tseitin-converted (``cnf.py``) and decided
@@ -94,9 +95,6 @@ class _VarHeap:
         heap[i] = v
         pos[v] = i
 
-    def contains(self, v: int) -> bool:
-        return self.pos[v] >= 0
-
     def insert(self, v: int) -> None:
         if self.pos[v] >= 0:
             return
@@ -124,12 +122,6 @@ class _VarHeap:
 
     def __len__(self) -> int:
         return len(self.heap)
-
-    def grow(self, new_num_vars: int) -> None:
-        """Register variables ``len(self.pos) .. new_num_vars`` (inclusive)."""
-        for v in range(len(self.pos), new_num_vars + 1):
-            self.pos.append(-1)
-            self.insert(v)
 
 
 class SatSolver:
@@ -184,40 +176,9 @@ class SatSolver:
     # Clause management
     # ------------------------------------------------------------------
 
-    def ensure_num_vars(self, num_vars: int) -> None:
-        """Grow the variable universe to ``num_vars`` (no-op if smaller).
-
-        New variables start unassigned, with zero activity and saved phase
-        ``False``, and are entered into the decision heap — this is how
-        an incremental client extends the instance between solves."""
-        if num_vars <= self.num_vars:
-            return
-        grow = num_vars - self.num_vars
-        self.assign.extend([0] * grow)
-        self.level.extend([0] * grow)
-        self.reason.extend([None] * grow)
-        self.activity.extend([0.0] * grow)
-        self.phase.extend([False] * grow)
-        # The new positive slots follow the old ones and the new negative
-        # slots precede them, so the old negative slots keep their distance
-        # from the end: insert both runs between the two halves.
-        mid = self.num_vars + 1
-        self.val[mid:mid] = [0] * (2 * grow)
-        self.watches[mid:mid] = [[] for _ in range(2 * grow)]
-        self.num_vars = num_vars
-        self.order.grow(num_vars)
-
     def add_clause(self, lits: Sequence[int]) -> None:
         if not self.ok:
             return
-        if self.trail_lim:
-            # Incremental client adding clauses between solves: return to
-            # the root level so root-satisfied/falsified simplification and
-            # unit enqueueing below stay sound.
-            self._backjump(0)
-        top = max(map(abs, lits), default=0)
-        if top > self.num_vars:
-            self.ensure_num_vars(top)
         # Only root-level assignments exist here, so an assigned literal is
         # fixed for good.
         val = self.val
@@ -538,12 +499,7 @@ class SatSolver:
         if not self.ok:
             return False
         self.failed_assumptions = []
-        self.assumptions = []
-        for a in assumptions:
-            var = a if a > 0 else -a
-            if var > self.num_vars:
-                self.ensure_num_vars(var)
-            self.assumptions.append(a)
+        self.assumptions = list(assumptions)
         if self.trail_lim:
             self._backjump(0)  # clear state left by a previous solve
         if self._propagate() is not None:

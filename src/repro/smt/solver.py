@@ -11,25 +11,25 @@ Two operating modes:
   with a new :class:`SatSolver`.  Stateless per call: once Tseitin is
   done, only the clauses and the model-decoding tables are handed on, and
   the terms the check blasted are forgotten (:func:`_hand_over`).
-* **Incremental** (``Solver(tm, incremental=True)``) — the Tseitin
-  context, the preprocessed clause database and one persistent
-  :class:`SatSolver` (learnt clauses, VSIDS activities, saved phases)
-  survive across ``check()`` calls.  Per-query constraints are attached
-  via *assumptions*: :meth:`Solver.push_assumption` encodes a term under
-  positive polarity only (Plaisted–Greenbaum), so its literal acts as a
-  selector — assumed true it activates the query, left out it is inert.
-  :meth:`Solver.relax` detaches the current assumptions; new assertions
-  and assumption terms may arrive between checks and extend the CNF in
-  place (melting preprocessor-eliminated variables they mention).  After
-  an UNSAT answer under assumptions, ``SmtResult.core`` holds the failed
-  subset.
+* **Incremental** (``Solver(tm, incremental=True)``) — a batch that is
+  fixed before its first check.  :meth:`Solver.add` asserts terms and
+  :meth:`Solver.select` registers the batch's selector terms, each
+  encoded under positive polarity only (Plaisted–Greenbaum), so its
+  literal acts as a selector: assumed true it activates the query, left
+  out it is inert.  The first check encodes the assertions, preprocesses
+  the whole CNF with every selector frozen and builds one persistent
+  :class:`SatSolver` (learnt clauses, VSIDS activities, saved phases).
+  After it, the only query is :meth:`Solver.check_assuming` over selected
+  terms; ``add`` and ``select`` raise ``ValueError``.  After an UNSAT
+  answer, ``SmtResult.core`` holds the failed subset of the assumed
+  selector literals.
 """
 
 from __future__ import annotations
 
 import sys
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .. import obs, perf
 from .._struct import field, struct
@@ -62,8 +62,8 @@ class SmtResult:
     #: ``encode_seconds`` nor ``solve_seconds``; 0.0 when it did not run)
     #: and incremental-mode bookkeeping (``inc.*`` keys).
     stats: dict[str, float] = field(default_factory=dict)
-    #: UNSAT-under-assumptions only: the failed subset of the assumption
-    #: literals (handles as returned by ``push_assumption``).
+    #: UNSAT-under-assumptions only: the failed subset of the assumed
+    #: selector literals (as returned by :meth:`Solver.select`).
     core: list[int] = field(default_factory=list)
 
     @property
@@ -95,7 +95,7 @@ class Solver:
     """Solver over a :class:`TermManager`'s boolean terms.
 
     ``incremental=True`` keeps the encoding, preprocessing result and CDCL
-    state alive across :meth:`check` calls (see module docstring);
+    state alive across checks of one fixed batch (see module docstring);
     ``preprocess=False`` disables the CNF preprocessor in either mode —
     the partition driver's fragments run so (DESIGN.md "Who
     preprocesses" has the measured table per caller).
@@ -112,83 +112,87 @@ class Solver:
         self._tseitin: Tseitin | None = None
         self._sat: SatSolver | None = None
         self._pre: Preprocessor | None = None
-        self._asserted = 0        # prefix of self.assertions already encoded
-        self._cursor = 0          # prefix of cnf.clauses already fed to _sat
-        self._handles: dict[int, int] = {}     # term -> assumption literal
-        self._stack: list[int] = []            # pushed assumption literals
+        self._handles: dict[int, int] = {}     # selected term -> literal
+        self._assumed: list[int] | None = None  # check_assuming's literals
+        self._checked = False
         self._root_unsat = False
 
     def add(self, term: int) -> None:
+        self._before_first_check("add")
         if not self.tm.is_bool(term):
             raise ValueError("only boolean terms can be asserted")
         self.assertions.append(term)
 
+    def _before_first_check(self, what: str) -> None:
+        if self.incremental and self._checked:
+            raise ValueError(f"{what} after the first check: an incremental "
+                             "solver's batch is fixed before it is checked")
+
     # ------------------------------------------------------------------
-    # Assumption API (incremental mode)
+    # Selectors (incremental mode)
     # ------------------------------------------------------------------
 
-    def push_assumption(self, term: int) -> int:
-        """Encode ``term`` as a retractable constraint and activate it.
-
-        Returns the assumption literal (stable per term — pushing the same
-        term twice reuses the encoding).  Positive-polarity Tseitin makes
-        the literal one-directional: assumed, it forces the term; relaxed,
-        it constrains nothing."""
+    def select(self, terms: Iterable[int]) -> list[int]:
+        """Register the batch's selector terms and return their literals
+        (stable per term: selecting a term twice reuses its encoding).
+        Positive-polarity Tseitin makes a literal one-directional:
+        assumed, it forces its term; left out, it constrains nothing.
+        Only before the first check, so preprocessing freezes every
+        selector and no clause arrives between checks."""
         if not self.incremental:
-            raise ValueError("push_assumption requires incremental=True")
-        if not self.tm.is_bool(term):
-            raise ValueError("only boolean terms can be assumed")
-        lit = self._assumption_lit(term)
-        if lit not in self._stack:
-            self._stack.append(lit)
+            raise ValueError("select requires incremental=True")
+        self._before_first_check("select")
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, 1_000_000))
+        try:
+            self._ensure_context()
+            return [self._selector_lit(term) for term in terms]
+        finally:
+            self.tm.keep()
+            sys.setrecursionlimit(old_limit)
+
+    def _selector_lit(self, term: int) -> int:
+        lit = self._handles.get(term)
+        if lit is None:
+            if not self.tm.is_bool(term):
+                raise ValueError("only boolean terms can be selected")
+            lit = self._tseitin.literal(self._blaster.blast_bool(term), POS)
+            self._handles[term] = lit
         return lit
 
-    def relax(self, n: int | None = None) -> None:
-        """Retract the last ``n`` pushed assumptions (default: all).
-        Their encodings stay cached — re-pushing is free."""
-        if n is None:
-            self._stack.clear()
-        else:
-            del self._stack[len(self._stack) - n:]
-
-    def check_assuming(self, term: int, max_conflicts: int | None = None
-                       ) -> SmtResult:
-        """Decide the assertions with ``term`` temporarily assumed on top of
-        the current stack, then retract it.  The workhorse of selector
-        reuse: the partition driver discharges each property and interface
-        obligation of a fragment through this against one persistent
-        solver, so the fragment is encoded once and learnt clauses carry
-        across the checks."""
-        self.push_assumption(term)
+    def check_assuming(self, terms: int | Iterable[int],
+                       max_conflicts: int | None = None) -> SmtResult:
+        """Decide the assertions with the selected ``terms`` (one term or
+        several) assumed for this check only.  The workhorse of selector
+        reuse: the batch is encoded once and learnt clauses carry across
+        the checks."""
+        if isinstance(terms, int):
+            terms = (terms,)
+        lits: list[int] = []
+        for term in terms:
+            lit = self._handles.get(term)
+            if lit is None:
+                raise ValueError(f"term {term} was not selected before the "
+                                 "first check")
+            if lit not in lits:
+                lits.append(lit)
+        self._assumed = lits
         try:
             return self.check(max_conflicts)
         finally:
-            self.relax(1)
-
-    def _assumption_lit(self, term: int) -> int:
-        lit = self._handles.get(term)
-        if lit is None:
-            old_limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(max(old_limit, 1_000_000))
-            try:
-                self._ensure_context()
-                lit = self._tseitin.literal(
-                    self._blaster.blast_bool(term), POS)
-                self.tm.keep()
-            finally:
-                sys.setrecursionlimit(old_limit)
-            self._handles[term] = lit
-            if self._pre is not None:
-                self._pre.frozen.add(abs(lit))
-        return lit
+            self._assumed = None
 
     # ------------------------------------------------------------------
     # Check
     # ------------------------------------------------------------------
 
     def check(self, max_conflicts: int | None = None) -> SmtResult:
-        """Decide the asserted terms (plus, in incremental mode, the
-        currently pushed assumptions)."""
+        """Decide the asserted terms (plus, under :meth:`check_assuming`,
+        the assumed selectors).  An incremental solver answers a plain
+        ``check()`` only as its first check."""
+        if self.incremental and self._checked and self._assumed is None:
+            raise ValueError("after the first check, an incremental solver "
+                             "answers only check_assuming")
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 1_000_000))
         try:
@@ -259,61 +263,54 @@ class Solver:
             self._blaster = BitBlaster(self.tm)
             self._tseitin = Tseitin(self.tm)
 
-    def _encode_pending(self) -> None:
+    def _encode_assertions(self) -> None:
         self._ensure_context()
-        while self._asserted < len(self.assertions):
-            term = self.assertions[self._asserted]
+        for term in self.assertions:
             self._tseitin.assert_term(self._blaster.blast_bool(term))
-            self._asserted += 1
         self.tm.keep()
 
+    def _build_sat(self, cnf: Any) -> float:
+        """Preprocess the whole CNF with every selector frozen and build
+        the persistent solver; returns the preprocessing seconds."""
+        clauses: list[tuple[int, ...]] | None = cnf.clauses
+        pre_seconds = 0.0
+        if self.preprocess and len(cnf.clauses) >= PREPROCESS_MIN_CLAUSES:
+            frozen = _frozen_vars(self._tseitin)
+            frozen.update(abs(lit) for lit in self._handles.values())
+            self._pre, clauses, pre_seconds = _run_preprocess(
+                cnf.num_vars, cnf.clauses, frozen)
+        if clauses is None:
+            self._root_unsat = True
+        else:
+            self._sat = SatSolver(cnf.num_vars, clauses)
+            _hint_tags(self._sat, _tag_vars(cnf))
+        return pre_seconds
+
     def _check_incremental(self, max_conflicts: int | None) -> SmtResult:
+        first_check = not self._checked
+        self._checked = True
         t0 = perf_counter()
+        pre_seconds = 0.0
         with obs.span("smt.bitblast", assertions=len(self.assertions),
                       incremental=True) as sp:
-            self._encode_pending()
+            if first_check:
+                self._encode_assertions()
             cnf = self._tseitin.cnf
             if sp is not None:
                 sp.attrs.update(vars=cnf.num_vars, clauses=len(cnf.clauses))
-
-        pre_stats: dict[str, int] = {}
-        pre_seconds = 0.0
-        first_solve = self._sat is None
-        prev_cursor = 0 if first_solve else self._cursor
-        if first_solve and not self._root_unsat:
-            clauses: list[tuple[int, ...]] | None = cnf.clauses
-            if self.preprocess and len(cnf.clauses) >= PREPROCESS_MIN_CLAUSES:
-                frozen = _frozen_vars(self._tseitin)
-                frozen.update(abs(lit) for lit in self._handles.values())
-                self._pre, clauses, pre_seconds = _run_preprocess(
-                    cnf.num_vars, cnf.clauses, frozen)
-            if clauses is None:
-                self._root_unsat = True
-            else:
-                self._sat = SatSolver(cnf.num_vars, clauses)
-                _hint_tags(self._sat, _tag_vars(cnf))
-            self._cursor = len(cnf.clauses)
-        elif not self._root_unsat:
-            self._feed_new_clauses(cnf)
-        if self._sat is not None and cnf.num_vars > self._sat.num_vars:
-            # A query may introduce Tseitin variables that (under
-            # polarity-aware emission) appear in no clause yet are still
-            # read back during model decoding — grow the persistent
-            # instance so every CNF variable has an assignment slot.
-            self._sat.ensure_num_vars(cnf.num_vars)
-        if self._pre is not None:
-            pre_stats = self._pre.stats.as_dict()
-        marginal = len(cnf.clauses) - prev_cursor
+        if first_check:
+            pre_seconds = self._build_sat(cnf)
+        pre_stats = self._pre.stats.as_dict() if self._pre is not None else {}
+        marginal = len(cnf.clauses) if first_check else 0
         encode_seconds = perf_counter() - t0 - pre_seconds
 
-        assumptions = list(self._stack)
+        assumptions = self._assumed or []
         t0 = perf_counter()
         with obs.span("smt.solve", vars=cnf.num_vars,
                       clauses=len(cnf.clauses), incremental=True,
                       assumptions=len(assumptions)) as sp:
             core: list[int] = []
-            if self._root_unsat or (self._sat is not None
-                                    and not self._sat.ok):
+            if self._root_unsat or not self._sat.ok:
                 outcome: bool | None = False
                 model_value: Callable[[int], bool] = lambda var: False
                 stats = {"conflicts": 0, "decisions": 0,
@@ -337,7 +334,7 @@ class Solver:
         result = self._finish(cnf.num_vars, len(cnf.clauses), outcome,
                               stats, pre_stats, encode_seconds, pre_seconds,
                               solve_seconds, marginal_clauses=marginal,
-                              merge_pre=first_solve)
+                              merge_pre=first_check)
         if outcome:
             _decode_model(result, _bool_vars(cnf.name_var),
                           _decode_table(self.tm, self._blaster, cnf),
@@ -346,24 +343,6 @@ class Solver:
         result.stats["inc.assumptions"] = len(assumptions)
         result.stats["inc.marginal_clauses"] = marginal
         return result
-
-    def _feed_new_clauses(self, cnf: Any) -> None:
-        """Extend the persistent solver with clauses emitted since the last
-        check, melting preprocessor-eliminated variables they mention."""
-        new = cnf.clauses[self._cursor:]
-        self._cursor = len(cnf.clauses)
-        if self._pre is not None:
-            touched = self._pre.mentions_eliminated(new)
-            touched.update(
-                v for v in (abs(lit) for lit in self._stack)
-                if v in self._pre.eliminated)
-            if touched:
-                restored = self._pre.melt(touched)
-                perf.merge({"melted_vars": len(touched),
-                            "melted_clauses": len(restored)}, prefix="sat.")
-                new = restored + new
-        for clause in new:
-            self._sat.add_clause(clause)
 
     # ------------------------------------------------------------------
     # Shared result assembly
@@ -479,8 +458,7 @@ def _decode_model(result: SmtResult, bool_vars: dict[str, int],
 
 def _frozen_vars(tseitin: Tseitin) -> set[int]:
     """Variables preprocessing must not eliminate: the constant-true var
-    and every named (input) variable — they carry model semantics and may
-    be re-referenced by later incremental additions."""
+    and every named (input) variable — they carry model semantics."""
     frozen = {tseitin._true_var}
     frozen.update(tseitin.cnf.name_var.values())
     return frozen
@@ -513,7 +491,7 @@ def _reconstructing_model(solver: SatSolver, pre: Preprocessor | None
                           ) -> Callable[[int], bool]:
     """Model accessor that completes preprocessor-eliminated variables on
     first use (reconstruction is deferred so UNSAT answers pay nothing).
-    The assignment is copied now, so a later incremental ``solve`` cannot
+    The assignment is copied now, so a later ``check_assuming`` cannot
     change the model that is read."""
     if pre is None:
         return solver.model_value

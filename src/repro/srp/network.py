@@ -48,28 +48,59 @@ class Network:
                 if edge not in seen:
                     seen.add(edge)
                     directed.append(edge)
-        for value, span in _node_literals(program):
-            if not 0 <= value < num_nodes:
-                where = "" if span is None else \
-                    f" (line {span[0]}, column {span[1]})"
-                raise NvError(f"node {value}n out of range for {num_nodes} "
-                              f"nodes{where}")
+        _check_literals(program, num_nodes, set(directed))
         return Network(program, num_nodes, tuple(directed), attr_ty, tuple(links))
 
 
-def _node_literals(program: A.Program
-                   ) -> Iterator[tuple[int, tuple[int, int] | None]]:
-    """``(value, span)`` of every node literal in ``program``'s expressions
-    and patterns (a pattern has no span)."""
+def _check_literals(program: A.Program, num_nodes: int,
+                    edges: set[tuple[int, int]]) -> None:
+    """Refuse a node literal past ``nodes`` and, as a key of an
+    ``edge``-keyed map, a pair of node literals that is not an edge: each
+    names nothing in the network.  A node error wins over an edge error."""
+    bad_edge = None
+    for x in _literals(program):
+        if isinstance(x, (A.ENode, A.PNode)):
+            if not 0 <= x.value < num_nodes:
+                raise NvError(f"node {x.value}n out of range for {num_nodes} "
+                              f"nodes{_where(getattr(x, 'span', None))}")
+        elif bad_edge is None:
+            key = _edge_key(x)
+            if key is not None and key[0] not in edges:
+                bad_edge = key
+    if bad_edge is not None:
+        (u, v), span = bad_edge
+        raise NvError(f"edge ({u}, {v}) is not an edge of this network"
+                      f"{_where(span)}")
+
+
+def _where(span: tuple[int, int] | None) -> str:
+    return "" if span is None else f" (line {span[0]}, column {span[1]})"
+
+
+def _edge_key(e: Any) -> tuple[tuple[int, int], Any] | None:
+    """``((u, v), span)`` of the key of a map read or write on an
+    ``edge``-keyed map when that key is a pair of node literals."""
+    if not (isinstance(e, A.EOp) and e.op in ("mget", "mset")):
+        return None
+    map_ty, key = e.args[0].ty, e.args[1]
+    if not (isinstance(map_ty, T.TDict) and isinstance(map_ty.key, T.TEdge)):
+        return None
+    if isinstance(key, A.EEdge):
+        return (key.src, key.dst), key.span
+    if (isinstance(key, A.ETuple) and len(key.elts) == 2
+            and all(isinstance(n, A.ENode) for n in key.elts)):
+        return (key.elts[0].value, key.elts[1].value), key.span
+    return None
+
+
+def _literals(program: A.Program) -> Iterator[Any]:
+    """Every expression and pattern of ``program``'s declarations."""
     stack: list[Any] = [d.expr for d in program.decls
                         if isinstance(d, (A.DLet, A.DRequire))]
     while stack:
         e = stack.pop()
-        if isinstance(e, A.ENode):
-            yield e.value, e.span
-        elif isinstance(e, A.PNode):
-            yield e.value, None
-        elif isinstance(e, A.PSome):
+        yield e
+        if isinstance(e, A.PSome):
             stack.append(e.sub)
         elif isinstance(e, A.PTuple):
             stack.extend(e.elts)

@@ -2,8 +2,11 @@
 observationally equivalent to the historical one-fresh-solver-per-query
 path — for `verify_many` batches and for SMT fault tolerance."""
 
-from repro.analysis.fault import fault_tolerance_analysis, fault_tolerance_smt
-from repro.analysis.verify import verify_many
+from repro.analysis.fault import (_failure_scenarios, fault_tolerance_analysis,
+                                  fault_tolerance_smt)
+from repro.analysis.verify import verify, verify_many
+from repro.srp.network import Network
+from repro.transform.fault_tolerance import symbolic_failures_program
 from repro.eval.values import VSome
 from tests.helpers import FIG2_NETWORK, RIP_TRIANGLE, load
 
@@ -70,16 +73,24 @@ class TestVerifyManyIncremental:
         assert [r.node_attrs for r in a] == [r.node_attrs for r in b]
 
 
+def per_scenario_verify(net, num_link_failures):
+    """``(failed_links, status)`` per scenario from one fresh ``verify`` of
+    the symbolic-failures network with every ``fail{i}`` bit bound."""
+    links = net.links if net.links else tuple(net.edges)
+    sym_net = Network.from_program(
+        symbolic_failures_program(net, max_failures=num_link_failures))
+    return [(tuple(links[i] for i in failed),
+             verify(sym_net, symbolics={f"fail{i}": i in failed
+                                        for i in range(len(links))}).status)
+            for failed in _failure_scenarios(len(links), num_link_failures)]
+
+
 class TestFaultToleranceSmt:
     def test_incremental_matches_fresh_and_mtbdd(self):
         net = load(RIP_TRIANGLE)
         inc = fault_tolerance_smt(net, num_link_failures=1)
-        fresh = fault_tolerance_smt(net, num_link_failures=1,
-                                    incremental=False)
-        assert ([s.status for s in inc.scenarios]
-                == [s.status for s in fresh.scenarios])
-        assert ([s.failed_links for s in inc.scenarios]
-                == [s.failed_links for s in fresh.scenarios])
+        assert ([(s.failed_links, s.status) for s in inc.scenarios]
+                == per_scenario_verify(net, 1))
         # Cross-check the overall verdict against the MTBDD analysis.
         mtbdd = fault_tolerance_analysis(net, num_link_failures=1)
         assert inc.fault_tolerant == mtbdd.fault_tolerant
@@ -87,10 +98,8 @@ class TestFaultToleranceSmt:
     def test_violating_scenarios_found(self):
         net = load(RIP_CHAIN_BAD.replace("h <= 2u8", "h <= 3u8"))
         inc = fault_tolerance_smt(net, num_link_failures=1)
-        fresh = fault_tolerance_smt(net, num_link_failures=1,
-                                    incremental=False)
-        assert ([s.status for s in inc.scenarios]
-                == [s.status for s in fresh.scenarios])
+        assert ([(s.failed_links, s.status) for s in inc.scenarios]
+                == per_scenario_verify(net, 1))
         # Cutting any chain link strands the downstream nodes.
         assert not inc.fault_tolerant
         assert inc.scenarios[0].ok            # no-failure scenario holds

@@ -378,7 +378,8 @@ class TestDischargeFailure:
 
     def test_infer_interfaces_exact_messages(self):
         net = load(RIP_CHAIN)
-        msgs = infer_interfaces(net, [(1, 2), (2, 1)])
+        msgs, attrs = infer_interfaces(net, [(1, 2), (2, 1)])
         from repro.eval.values import VSome
         assert msgs[(1, 2)] == VSome(2)
         assert msgs[(2, 1)] == VSome(3)
+        assert attrs == {u: VSome(u) for u in range(net.num_nodes)}

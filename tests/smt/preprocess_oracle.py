@@ -8,7 +8,7 @@ from repro.smt.preprocess import Preprocessor, PreprocessStats
 
 class OraclePreprocessor:
     # Unchanged by PR 14 and driven only by the attributes set below.
-    melt, extend_model = Preprocessor.melt, Preprocessor.extend_model
+    extend_model = Preprocessor.extend_model
 
     def __init__(self, num_vars, clauses, frozen=()):
         self.num_vars, self.frozen = num_vars, set(frozen)

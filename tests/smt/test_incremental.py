@@ -1,7 +1,9 @@
-"""Incremental SMT context: push/relax semantics, unsat cores at the
-term level, and a property test checking incremental-vs-fresh verdict and
-model equivalence over random QF_BV constraint sequences."""
+"""Incremental SMT context: select/check_assuming semantics, the batch
+fixed before its first check, unsat cores at the term level, and a
+property test checking incremental-vs-fresh verdict and model equivalence
+over random QF_BV constraint sequences."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +15,13 @@ MASK = (1 << W) - 1
 
 
 # ----------------------------------------------------------------------
-# Directed push/relax semantics
+# Directed select/check_assuming semantics
 # ----------------------------------------------------------------------
 
 class TestPushRelax:
+    """A selector is pushed by assuming it in ``check_assuming`` and
+    relaxed by leaving it out of the next one."""
+
     def _xy(self, tm):
         return tm.mk_bv_var("x", W), tm.mk_bv_var("y", W)
 
@@ -25,80 +30,128 @@ class TestPushRelax:
         s = Solver(tm, incremental=True)
         x, _ = self._xy(tm)
         s.add(tm.mk_ult(x, tm.mk_bv_const(8, W)))
-        h = s.push_assumption(tm.mk_eq(x, tm.mk_bv_const(9, W)))
+        q, free = tm.mk_eq(x, tm.mk_bv_const(9, W)), tm.true
+        [h, _] = s.select([q, free])
         assert isinstance(h, int)
-        assert s.check().is_unsat
-        s.relax()
-        r = s.check()
+        assert s.check_assuming(q).is_unsat
+        r = s.check_assuming(free)
         assert r.status == "sat" and r.model_bvs["x"] < 8
-
-    def test_relax_last_n(self):
-        tm = TermManager()
-        s = Solver(tm, incremental=True)
-        x, _ = self._xy(tm)
-        s.push_assumption(tm.mk_ult(x, tm.mk_bv_const(4, W)))
-        s.push_assumption(tm.mk_eq(x, tm.mk_bv_const(6, W)))
-        assert s.check().is_unsat
-        s.relax(1)                       # drop only x == 6
-        r = s.check()
-        assert r.status == "sat" and r.model_bvs["x"] < 4
 
     def test_repush_reuses_handle(self):
         tm = TermManager()
         s = Solver(tm, incremental=True)
         x, _ = self._xy(tm)
         q = tm.mk_eq(x, tm.mk_bv_const(3, W))
-        h1 = s.push_assumption(q)
-        assert s.check().status == "sat"
-        s.relax()
-        h2 = s.push_assumption(q)
+        [h1] = s.select([q])
+        [h2] = s.select([q])
         assert h1 == h2
-        r = s.check()
+        assert s.check_assuming(q).status == "sat"
+        r = s.check_assuming([q, q])
         assert r.status == "sat" and r.model_bvs["x"] == 3
+        assert r.stats["inc.assumptions"] == 1
 
     def test_core_names_conflicting_assumptions(self):
         tm = TermManager()
         s = Solver(tm, incremental=True)
         x, y = self._xy(tm)
-        h_lo = s.push_assumption(tm.mk_ult(x, tm.mk_bv_const(2, W)))
-        h_hi = s.push_assumption(tm.mk_ule(tm.mk_bv_const(5, W), x))
-        h_irr = s.push_assumption(tm.mk_eq(y, tm.mk_bv_const(1, W)))
-        r = s.check()
+        lo = tm.mk_ult(x, tm.mk_bv_const(2, W))
+        hi = tm.mk_ule(tm.mk_bv_const(5, W), x)
+        irr = tm.mk_eq(y, tm.mk_bv_const(1, W))
+        h_lo, h_hi, h_irr = s.select([lo, hi, irr])
+        r = s.check_assuming([lo, hi, irr])
         assert r.is_unsat
         assert set(r.core) <= {h_lo, h_hi, h_irr}
         assert {h_lo, h_hi} <= set(r.core)
         assert h_irr not in r.core       # y is unrelated to the conflict
-        s.relax()
-        assert s.check().status == "sat"
+        assert s.check_assuming([lo, irr]).status == "sat"
 
-    def test_adding_assertions_between_checks(self):
+    def test_assertions_and_selectors_before_the_first_check(self):
+        """What used to arrive between checks is selected up front: each
+        query is a selector, and every answer is the one a solver with the
+        query asserted would give."""
         tm = TermManager()
         s = Solver(tm, incremental=True)
         x, y = self._xy(tm)
         s.add(tm.mk_ult(x, tm.mk_bv_const(8, W)))
-        assert s.check().status == "sat"
-        s.add(tm.mk_eq(y, tm.mk_bv_add(x, tm.mk_bv_const(1, W))))
-        s.add(tm.mk_eq(x, tm.mk_bv_const(5, W)))
-        r = s.check()
+        link = tm.mk_eq(y, tm.mk_bv_add(x, tm.mk_bv_const(1, W)))
+        five = tm.mk_eq(x, tm.mk_bv_const(5, W))
+        below = tm.mk_ult(y, tm.mk_bv_const(6, W))
+        s.select([tm.true, link, five, below])
+        assert s.check_assuming(tm.true).status == "sat"
+        r = s.check_assuming([link, five])
         assert r.status == "sat" and r.model_bvs["y"] == 6
-        s.add(tm.mk_ult(y, tm.mk_bv_const(6, W)))
-        assert s.check().is_unsat
+        assert s.check_assuming([link, five, below]).is_unsat
 
     def test_incremental_stats_surface(self):
         tm = TermManager()
         s = Solver(tm, incremental=True)
         x, _ = self._xy(tm)
         s.add(tm.mk_ult(x, tm.mk_bv_const(8, W)))
+        q = tm.mk_eq(x, tm.mk_bv_const(2, W))
+        s.select([q])
         r1 = s.check()
-        assert "inc.assumptions" in r1.stats
+        assert r1.stats["inc.assumptions"] == 0
         assert r1.stats["inc.marginal_clauses"] > 0
-        s.push_assumption(tm.mk_eq(x, tm.mk_bv_const(2, W)))
-        r2 = s.check()
+        r2 = s.check_assuming(q)
         assert r2.stats["inc.assumptions"] == 1
-        # Re-checking with nothing new costs zero marginal clauses.
-        r3 = s.check()
-        assert r3.stats["inc.marginal_clauses"] == 0
-        assert r3.status == "sat" and r3.model_bvs["x"] == 2
+        # Later checks encode nothing: zero marginal clauses.
+        assert r2.stats["inc.marginal_clauses"] == 0
+        assert r2.status == "sat" and r2.model_bvs["x"] == 2
+
+
+class TestFixedBatch:
+    """After the first check the batch is closed: ``add``, ``select``, a
+    plain ``check()`` or ``check_assuming`` on a term that was not
+    selected raise ``ValueError`` and leave the solver usable."""
+
+    def _checked(self):
+        tm = TermManager()
+        s = Solver(tm, incremental=True)
+        x = tm.mk_bv_var("x", W)
+        s.add(tm.mk_ult(x, tm.mk_bv_const(8, W)))
+        q = tm.mk_eq(x, tm.mk_bv_const(3, W))
+        s.select([q])
+        assert s.check_assuming(q).status == "sat"
+        return tm, s, x, q
+
+    def test_add_after_first_check_raises(self):
+        tm, s, x, q = self._checked()
+        with pytest.raises(ValueError, match="after the first check"):
+            s.add(tm.mk_eq(x, tm.mk_bv_const(1, W)))
+        assert s.check_assuming(q).model_bvs["x"] == 3
+
+    def test_select_after_first_check_raises(self):
+        tm, s, x, q = self._checked()
+        with pytest.raises(ValueError, match="after the first check"):
+            s.select([tm.mk_eq(x, tm.mk_bv_const(1, W))])
+        with pytest.raises(ValueError, match="after the first check"):
+            s.select([q])
+        assert s.check_assuming(q).model_bvs["x"] == 3
+
+    def test_unselected_term_raises(self):
+        tm, s, x, q = self._checked()
+        with pytest.raises(ValueError, match="not selected"):
+            s.check_assuming(tm.mk_eq(x, tm.mk_bv_const(1, W)))
+        with pytest.raises(ValueError, match="not selected"):
+            s.check_assuming([q, tm.mk_ult(x, tm.mk_bv_const(2, W))])
+        assert s.check_assuming(q).model_bvs["x"] == 3
+
+    def test_unselected_term_raises_before_the_first_check(self):
+        tm = TermManager()
+        s = Solver(tm, incremental=True)
+        with pytest.raises(ValueError, match="not selected"):
+            s.check_assuming(tm.mk_bool_var("p"))
+
+    def test_plain_check_after_first_check_raises(self):
+        _, s, _, q = self._checked()
+        with pytest.raises(ValueError, match="only check_assuming"):
+            s.check()
+        assert s.check_assuming(q).status == "sat"
+
+    def test_select_needs_an_incremental_solver(self):
+        tm = TermManager()
+        with pytest.raises(ValueError, match="incremental=True"):
+            Solver(tm).select([tm.true])
 
 
 # ----------------------------------------------------------------------
@@ -166,10 +219,10 @@ class TestIncrementalVsFresh:
         inc = Solver(tm, incremental=True)
         for spec in base:
             inc.add(build(tm, spec))
-        for spec in queries:
-            inc.push_assumption(build(tm, spec))
-            got = inc.check()
-            inc.relax()
+        terms = [build(tm, spec) for spec in queries]
+        inc.select(terms)
+        for spec, term in zip(queries, terms):
+            got = inc.check_assuming(term)
 
             tm2 = TermManager()
             fresh = Solver(tm2)

@@ -84,20 +84,6 @@ class TestPasses:
             assert pre.run() is None
             assert pre._unsat
 
-    def test_melt_restores_transitively(self):
-        pre = Preprocessor(4, [(1, 2), (-1, 3), (-2, -3, 4)], frozen={4})
-        pre.run()
-        if not pre.eliminated:
-            return
-        v = min(pre.eliminated)
-        restored = pre.melt([v])
-        assert v not in pre.eliminated
-        assert v in pre.frozen            # melted vars are pinned
-        # no restored clause may mention a still-eliminated variable
-        for clause in restored:
-            for lit in clause:
-                assert abs(lit) not in pre.eliminated
-
 
 LIT = st.integers(1, 6).flatmap(
     lambda v: st.sampled_from([v, -v]))

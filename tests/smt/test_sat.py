@@ -222,24 +222,6 @@ class TestAssumptions:
         assert s.solve() is False
         assert s.conflicts - first_conflicts <= first_conflicts
 
-    def test_incremental_clause_addition(self):
-        s = SatSolver(3, [(1, 2)])
-        assert s.solve() is True
-        s.add_clause((-1,))
-        s.add_clause((-2, 3))
-        assert s.solve() is True
-        assert s.model_value(2) and s.model_value(3)
-        s.add_clause((-3,))
-        assert s.solve() is False
-
-    def test_ensure_num_vars_growth(self):
-        s = SatSolver(2, [(1, 2)])
-        assert s.solve() is True
-        s.add_clause((-1, 7))   # implicitly grows to 7 vars
-        assert s.num_vars >= 7
-        assert s.solve(assumptions=[1]) is True
-        assert s.model_value(7)
-
     @given(st.lists(
         st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5, -5]),
                  min_size=1, max_size=3).map(tuple),

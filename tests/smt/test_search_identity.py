@@ -109,45 +109,3 @@ def observe_batch():
 
 def test_assumption_batch_is_unchanged():
     assert observe_batch() == BATCH
-
-
-# ----------------------------------------------------------------------
-# Growing the variable universe between solves
-# ----------------------------------------------------------------------
-
-#: ``(outcome, counters, model digest or final_conflict())`` for the solve
-#: before growth and the two after it.
-GROWTH = [
-    (True, (14, 24, 176, 0), "df4d0ee30466c811"),
-    (True, (24, 64, 353, 0), "d1781294dbb1f80f"),
-    (False, (32, 70, 475, 0), (-72, 71, 70)),
-]
-
-
-def observe_growth():
-    """Mostly-negative clauses keep watches on negative literals alive
-    across an explicit and an implicit (``add_clause``) growth."""
-    first = _random_3sat(7, 40, 180, negative=0.6)
-    later = _random_3sat(8, 75, 150, lo=30, negative=0.6)
-    solver = SatSolver(40, first)
-    out = []
-    outcome = solver.solve(assumptions=[-1, 2])
-    out.append((outcome, _counters(solver), _digest(solver.assign)))
-    solver.ensure_num_vars(55)
-    for clause in later:
-        solver.add_clause(clause)
-    assert solver.num_vars == 75
-    for assumptions in ([-60, 41, -3], [70, 71, -72, 2]):
-        outcome = solver.solve(assumptions=assumptions)
-        if outcome:
-            assert _satisfies(solver, first + later)
-            assert all(solver.model_value(abs(a)) == (a > 0)
-                       for a in assumptions)
-        out.append((outcome, _counters(solver),
-                    _digest(solver.assign) if outcome else
-                    tuple(solver.final_conflict())))
-    return out
-
-
-def test_growth_between_solves_is_unchanged():
-    assert observe_growth() == GROWTH

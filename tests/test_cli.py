@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from tests.helpers import FIG2_NETWORK, RIP_TRIANGLE
+from tests.helpers import FIG2_NETWORK, RIP_TRIANGLE, load
 
 
 @pytest.fixture
@@ -116,6 +116,48 @@ let assert (u : node) (x : int8) = x = 0u8
         assert captured.out == ""
 
 
+class TestEdgeLiteral:
+    """A pair of node literals that is not an edge, as the key of an
+    ``edge``-keyed map, names no edge: every command refuses the program
+    with one ``error:`` line, exit 3.  Before, ``simulate`` failed at run
+    time on the annotated write (exit 3, no position) and ``verify``
+    failed only in the replay of a model whose encoding kept a slot for
+    the non-edge."""
+
+    NONEDGE = """type attribute = dict[edge, option[int8]]
+let nodes = 3
+let edges = {0n=1n; 1n=2n}
+let init (u : node) =
+  let m : attribute = createDict None in
+  if u = 0n then m[(0n, 2n) := Some 0u8] else m
+let trans (e : edge) (x : attribute) = x
+let merge (u : node) (x y : attribute) = x
+let assert (u : node) (x : attribute) = x[(0n, 2n)] = None
+"""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["simulate", "--native"], ["verify"],
+        ["verify", "--partition", "2", "--jobs", "1"],
+        ["fault", "--links", "1", "--drop", "createDict None"],
+        ["explain", "1"]],
+        ids=["simulate", "native", "verify", "partition", "fault", "explain"])
+    def test_non_edge_key_is_an_error(self, command, tmp_path, capsys):
+        f = tmp_path / "nonedge.nv"
+        f.write_text(self.NONEDGE)
+        argv = [command[0], str(f), *command[1:]]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", (
+            "error: edge (0, 2) is not an edge of this network "
+            "(line 9, column 43)\n"))
+
+    def test_node_error_wins(self, tmp_path, capsys):
+        f = tmp_path / "nonedge.nv"
+        f.write_text(self.NONEDGE.replace("x[(0n, 2n)]", "x[(0n, 7n)]"))
+        assert main(["simulate", str(f)]) == 3
+        assert capsys.readouterr().err == (
+            "error: node 7n out of range for 3 nodes (line 9, column 48)\n")
+
+
 class TestVerify:
     def test_verified(self, triangle_file, capsys):
         assert main(["verify", triangle_file]) == 0
@@ -142,7 +184,9 @@ class TestVerify:
         """An edge-keyed attribute written at a node-pair literal: the
         literal types as ``(node, node)``, the attribute as ``edge``, and
         the encoder kept no slot for the write, so ``verify`` printed
-        ``verified`` (exit 0) where ``simulate`` finds the violation."""
+        ``verified`` (exit 0) where ``simulate`` finds the violation.  A
+        pair that is no edge, read from the edge-keyed attribute, is a
+        static error from both commands (both reported a violation)."""
         f = tmp_path / "pairkey.nv"
         f.write_text(f"""
 type attribute = dict[edge, option[int8]]
@@ -154,6 +198,13 @@ let trans (e : edge) (x : attribute) = x
 let merge (u : node) (x : attribute) (y : attribute) = x
 let assert (u : node) (x : attribute) = x[{key}] = None
 """)
+        if key == "(0n, 2n)":
+            for command in ("simulate", "verify"):
+                assert main([command, str(f)]) == 3
+                assert capsys.readouterr() == ("", (
+                    "error: edge (0, 2) is not an edge of this network "
+                    "(line 9, column 43)\n"))
+            return
         assert main(["simulate", str(f)]) == 1
         assert "assertion violated at nodes: [0]" in capsys.readouterr().out
         assert main(["verify", str(f)]) == 1
@@ -184,30 +235,20 @@ let assert (u : node) (x : rip) =
         argv = ["verify", "--partition", "2", "--jobs", "1", str(f)]
         assert main(argv + ["--show-routes"]) == 1
         assert "  node 0: Some 0\n" in capsys.readouterr().out
-        real = partition.simulated_node_attrs
+        real = partition.infer_interfaces
 
-        def shifted(net, symbolics=None):
-            attrs = real(net, symbolics)
+        def shifted(net, edges, symbolics=None):
+            messages, attrs = real(net, edges, symbolics)
             attrs[0] = VSome(attrs[0].value + 1)
-            return attrs
+            return messages, attrs
 
-        monkeypatch.setattr(partition, "simulated_node_attrs", shifted)
+        monkeypatch.setattr(partition, "infer_interfaces", shifted)
         assert main(argv) == 3
         assert capsys.readouterr().err == (
             "error: internal error: the counterexample does not replay: "
             "node 0's decoded attribute is not stable\n")
 
-    @pytest.mark.parametrize("partition", [[], ["--partition", "2", "--jobs", "1"]],
-                             ids=["single", "partition"])
-    def test_symbolic_is_bound_in_the_encoding(self, tmp_path, capsys,
-                                               partition):
-        """``--symbolic step=1u8`` binds ``step`` in the encoding, as
-        ``simulate`` binds it.  Before, the solver still chose ``step``:
-        single-file ``verify`` printed ``symbolic step = 0``, and
-        ``--partition`` stitched a state simulated under ``step = 1`` to
-        the model's ``step = 0`` and failed its replay (exit 3)."""
-        f = tmp_path / "step.nv"
-        f.write_text("""
+    STEP = """
 type attribute = option[int8]
 symbolic step : int8
 let nodes = 5
@@ -226,12 +267,41 @@ let assert (u : node) (x : attribute) =
   match x with
   | None -> true
   | Some h -> h <= 2u8 || u = 4n
-""")
+"""
+
+    @pytest.mark.parametrize("partition", [[], ["--partition", "2", "--jobs", "1"]],
+                             ids=["single", "partition"])
+    def test_symbolic_is_bound_in_the_encoding(self, tmp_path, capsys,
+                                               partition):
+        """``--symbolic step=1u8`` binds ``step`` in the encoding, as
+        ``simulate`` binds it.  Before, the solver still chose ``step``:
+        single-file ``verify`` printed ``symbolic step = 0``, and
+        ``--partition`` stitched a state simulated under ``step = 1`` to
+        the model's ``step = 0`` and failed its replay (exit 3)."""
+        f = tmp_path / "step.nv"
+        f.write_text(self.STEP)
         argv = ["verify", str(f), "--symbolic", "step=1u8", "--show-routes"]
         assert main(argv + partition) == 1
         out = capsys.readouterr().out
         assert "  symbolic step = 1\n" in out
         assert "  node 3: Some 3\n  node 4: Some 1\n" in out
+
+    def test_partition_simulates_once(self, tmp_path, capsys):
+        """The interface inference's simulation also stitches the
+        counterexample: one ``sim.simulate`` span, under
+        ``partition.infer`` (the stitch simulated the network again)."""
+        f = tmp_path / "step.nv"
+        f.write_text(self.STEP)
+        trace = tmp_path / "t.jsonl"
+        assert main(["verify", str(f), "--partition", "2", "--jobs", "1",
+                     "--symbolic", "step=1u8", "--trace-json",
+                     str(trace)]) == 1
+        capsys.readouterr()
+        spans = [r for r in map(json.loads, trace.read_text().splitlines())
+                 if r.get("type") == "span"]
+        names = {r["id"]: r["name"] for r in spans}
+        assert [names.get(r["parent"]) for r in spans
+                if r["name"] == "sim.simulate"] == ["partition.infer"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_files_of_different_sizes(self, tmp_path, capsys, monkeypatch,
@@ -764,6 +834,54 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    SYMBOLIC_INT8 = """
+symbolic k : int8
+type attribute = int8
+let nodes = 2
+let edges = {0n=1n}
+let init (u : node) = k
+let trans (e : edge) (x : attribute) = x
+let merge (u : node) (x y : attribute) = x
+let assert (u : node) (x : attribute) = k = 3u8
+"""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["verify"], ["fault", "--drop", "0u8"], ["explain"]],
+        ids=["simulate", "verify", "fault", "explain"])
+    @pytest.mark.parametrize("binding, message", [
+        ("k=true", "--symbolic 'k=true': cannot unify bool with int8 in "
+                   "annotation of 'k'"),
+        ("k=259", "--symbolic 'k=259': cannot unify int with int8 in "
+                  "annotation of 'k'"),
+        ("nosuch=1", "--symbolic 'nosuch=1': the program declares no "
+                     "symbolic 'nosuch'"),
+    ], ids=["bool", "unsized", "undeclared"])
+    def test_symbolic_is_typed_against_its_declaration(
+            self, command, binding, message, tmp_path, capsys):
+        """A ``--symbolic`` literal is typed as ``let k : int8 = literal``
+        would be, and the name must be declared.  Before, each literal was
+        typed on its own: ``k=true`` gave ``verify`` a counterexample with
+        ``symbolic k = true``, ``k=259`` printed ``symbolic k = 259``, and
+        an undeclared name was accepted silently."""
+        f = tmp_path / "k.nv"
+        f.write_text(self.SYMBOLIC_INT8)
+        argv = [command[0], str(f), *(["1"] if command == ["explain"] else []),
+                *command[1:], "--symbolic", binding]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_symbolic_map_takes_the_declared_key_type(self, tmp_path):
+        """``createDict false`` bound to a ``dict[int8, bool]`` symbolic is
+        an ``int8``-keyed map (it was keyed ``int`` before)."""
+        from repro.cli import _parse_symbolics
+
+        f = tmp_path / "m.nv"
+        f.write_text(self.SYMBOLIC_INT8.replace(
+            "symbolic k : int8", "symbolic k : int8\n"
+            "symbolic m : dict[int8, bool]"))
+        bound = _parse_symbolics(["m=createDict false"], load(f.read_text()))
+        assert "key=int8" in repr(bound["m"])
+
     NOT_AN_EDGE = """
 type attribute = dict[edge, option[int8]]
 let nodes = 3
@@ -780,12 +898,14 @@ let merge (u : node) (x y : attribute) = x
             self, backend, tmp_path, capsys):
         """An edge-keyed map indexed by a pair the topology does not have:
         the key has no code (it used to be masked into one outside the key
-        domain, silently)."""
+        domain, silently).  The pair is a literal, so the error is static
+        and names its position."""
         f = tmp_path / "badedge.nv"
         f.write_text(self.NOT_AN_EDGE)
         assert main(["simulate", str(f), *backend]) == 3
-        assert capsys.readouterr().err == \
-            "error: edge (0, 2) is not an edge of this network\n"
+        assert capsys.readouterr().err == ("error: edge (0, 2) is not an "
+                                           "edge of this network (line 7, "
+                                           "column 20)\n")
 
     # Parses and type-checks; only its SMT encoding fails.
     SYMBOLIC_KEY_WRITE = """
