@@ -288,8 +288,9 @@ let assert (u : node) (x : int) = x < 99
 """
 
 
-#: Key predicates over arithmetic, tuples, options and records: the
-#: symbolic evaluator's leaf algebra.  Comments exercise the lexer.
+#: Key predicates over arithmetic, tuples, options, records and edges read
+#: through their endpoints: the symbolic evaluator's leaf algebra.  Comments
+#: exercise the lexer.
 MAPITE_PROGRAM = """
 (* a block comment (* nested *) *)
 type flag = {id : int3; on : bool}
@@ -308,8 +309,10 @@ let rec = fun (k : flag) -> match k with
   | {id = 0u3; on = _} -> false
   | {id = i; on = true} -> i > 1u3
   | _ -> false
+let ends = fun (k : edge) -> let (a, b) = k in a = 0n && b = 1n
 let init (u : node) =
   let m = mapIte pred (fun v -> v + 1u8) (fun v -> v) (createDict 0u8) in
+  let q = mapIte ends (fun v -> v + 1u8) (fun v -> v) (createDict 0u8) in
   let n = mapIte pair (fun v -> v + 2u8) (fun v -> v) (createDict 0u8) in
   let o = mapIte opt (fun v -> v + 4u8) (fun v -> v) (createDict 0u8) in
   let r = mapIte rec (fun v -> v + 8u8) (fun v -> v) (createDict 0u8) in
@@ -318,7 +321,7 @@ let init (u : node) =
   match (u, true) with
   | (1n, false) -> 0u8
   | _ -> m[1u4] + n[(2u4, true)] + o[Some 1u3] + r[{id = 2u3; on = true}]
-         + s[9u4] + t.1
+         + s[9u4] + t.1 + q[(0n, 1n)]
 let trans e x = let (a, b) = e in if a = b then 0u8 else x
 let merge u x y = if x < y then y else x
 let assert (u : node) (x : int8) = x < 32u8

@@ -55,7 +55,7 @@ import sys
 from typing import TYPE_CHECKING, Any
 
 from . import metrics, obs, parallel, perf
-from .lang.errors import NvError, NvTypeError
+from .lang.errors import NvError, NvSyntaxError, NvTypeError
 
 if TYPE_CHECKING:
     from .srp.network import Network
@@ -109,11 +109,11 @@ def _parse_symbolics(pairs: list[str], net: Network) -> dict[str, Any]:
         if name not in declared:
             raise NvError(f"--symbolic {pair!r}: the program declares no "
                           f"symbolic {name!r}")
-        expr = parse_expr(text)
         try:
+            expr = parse_expr(text)
             check_program(A.Program([A.DLet(name, expr,
                                             annot=declared[name])]))
-        except NvTypeError as exc:
+        except (NvSyntaxError, NvTypeError) as exc:
             raise NvError(f"--symbolic {pair!r}: {exc}") from None
         out[name] = interp.eval(expr)
     return out

@@ -68,6 +68,11 @@ class Encoder:
             return sum(self.width(t) for _, t in ty.fields)
         raise NvEncodingError(f"type {ty} cannot be used as a map key")
 
+    def edge_code(self, edge: Any) -> int | None:
+        """The edge's index in the edge table; ``None`` for a pair that is
+        not an edge of the network."""
+        return self._edge_index.get(tuple(edge))
+
     # ------------------------------------------------------------------
     # Concrete encode/decode
     # ------------------------------------------------------------------
@@ -83,10 +88,10 @@ class Encoder:
                 raise NvEncodingError(f"node {value} out of range [0, {self.num_nodes})")
             return _int_bits(value, self.node_width)
         if isinstance(ty, T.TEdge):
-            edge = tuple(value)
-            index = self._edge_index.get(edge)
+            index = self.edge_code(value)
             if index is None:
-                raise NvEncodingError(f"edge {edge} is not an edge of this network")
+                raise NvEncodingError(
+                    f"edge {tuple(value)} is not an edge of this network")
             return _int_bits(index, self.edge_width)
         if isinstance(ty, T.TOption):
             if value is None:

@@ -30,8 +30,8 @@ class MapContext:
         self._domain_cache: dict[T.Type, int] = {}
         # An edge's endpoints as functions of its index bits, per level the
         # bits start at (node ids survive clear_caches, so this does too).
-        # Every key predicate starts from it; rebuilding it per predicate
-        # costs more than the dense layout saves.
+        # Every key predicate that reads an endpoint starts from it;
+        # rebuilding it per predicate costs more than the dense layout saves.
         self._edge_endpoints: dict[int, tuple[list[int], list[int]]] = {}
         # Frozen-snapshot cache (see freeze_value): pins a bytes blob and
         # leaf tuple per frozen (root, key type), so it is dropped whenever

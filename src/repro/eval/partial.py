@@ -15,12 +15,13 @@ integer a list of BDD bits).  The two evaluators subclass
 :class:`PartialEvaluator` and differ from it only in three named policies —
 :meth:`~PartialEvaluator.component`, :meth:`~PartialEvaluator.check_exhaustive`
 and :meth:`~PartialEvaluator.call` — and in how they represent total maps
-(:meth:`~PartialEvaluator.map_op`).
+(:meth:`~PartialEvaluator.map_op`) and compare an edge's index with a
+concrete edge (:meth:`~PartialEvaluator.edge_is`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from ..lang import ast as A
 from ..lang import types as T
@@ -81,13 +82,29 @@ class SInt(Sym):
 
 
 class SEdge(Sym):
-    """An edge as two symbolic node indices."""
+    """An edge as two symbolic node indices.  A map key's edge (BDD domain)
+    also carries ``index``, the key's own bits, which an equality with a
+    concrete edge reads instead of the endpoints, and builds its endpoints
+    only when they are read, with ``ends``.  Both are ``None`` in a domain
+    whose edges are just their endpoints."""
 
-    __slots__ = ("src", "dst")
+    __slots__ = ("_src", "_dst", "index", "_ends")
 
-    def __init__(self, src: SInt, dst: SInt) -> None:
-        self.src = src
-        self.dst = dst
+    def __init__(self, src: SInt | None, dst: SInt | None, index: Any = None,
+                 ends: Callable[[], tuple[SInt, SInt]] | None = None) -> None:
+        self._src, self._dst, self.index, self._ends = src, dst, index, ends
+
+    @property
+    def src(self) -> SInt:
+        if self._src is None:
+            self._src, self._dst = self._ends()
+        return self._src
+
+    @property
+    def dst(self) -> SInt:
+        if self._dst is None:
+            self._src, self._dst = self._ends()
+        return self._dst
 
 
 class SOption(Sym):
@@ -139,6 +156,12 @@ class PartialEvaluator:
 
     def map_op(self, e: A.EOp, env: dict[str, Any]) -> Any:
         """The total-map operators; each domain has its own representation."""
+        raise NotImplementedError
+
+    def edge_is(self, index: Any, pair: tuple[int, int]) -> Any:
+        """The boolean leaf "the edge whose index is ``index`` is ``pair``";
+        false for a pair that is no edge.  Asked only of a domain whose
+        :class:`SEdge` values carry an index."""
         raise NotImplementedError
 
     # -- the three policies a domain may override ---------------------------
@@ -275,6 +298,10 @@ class PartialEvaluator:
         a_sym, b_sym = isinstance(a, Sym), isinstance(b, Sym)
         if not a_sym and not b_sym:
             return alg.true if ops.eq(a, b) else alg.false
+        if a_sym != b_sym:
+            sym, pair = (a, b) if a_sym else (b, a)
+            if type(sym) is SEdge and sym.index is not None:
+                return self.edge_is(sym.index, pair)
         if not a_sym:
             a = self.lift_like(a, b)
         elif not b_sym:
@@ -286,6 +313,8 @@ class PartialEvaluator:
             if kind is SInt:
                 return alg.mk_eq(a.leaf, b.leaf)
             if kind is SEdge:
+                if a.index is not None and b.index is not None:
+                    return alg.mk_eq(a.index, b.index)
                 return alg.mk_and(self.eq(a.src, b.src), self.eq(a.dst, b.dst))
             if kind is SOption:
                 # Equal iff the tags agree and, when both are Some, so do the
@@ -503,13 +532,13 @@ class PartialEvaluator:
             return ops.apply(e, *args)
         if op == "not":
             return SBool(alg.mk_not(self.to_bool(args[0])))
+        if op == "eq":
+            return SBool(self.eq(*args))
         a, b = args
         if not isinstance(a, Sym):
             a = self.lift_like(a, b)
         elif not isinstance(b, Sym):
             b = self.lift_like(b, a)
-        if op == "eq":
-            return SBool(self.eq(a, b))
         if not (isinstance(a, SInt) and isinstance(b, SInt)):
             raise NvEncodingError(
                 f"{op} is not defined on {type(a).__name__} and {type(b).__name__}")

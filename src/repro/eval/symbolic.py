@@ -81,12 +81,17 @@ class SymbolicEvaluator(PartialEvaluator):
             w = ty.width if isinstance(ty, T.TInt) else self.ctx.encoder.node_width
             return SInt(bitvec.var_bits(mgr, level, w), w), level + w
         if isinstance(ty, T.TEdge):
-            # The key bits are the edge's index; its endpoints are read off
-            # them through the context's (cached) multiplexer table.
+            # The key bits are the edge's index.  Its endpoints, read off
+            # them through the context's (cached) multiplexer table, are
+            # built only if the predicate reads them: comparing the edge with
+            # a concrete one reads the index alone.
             enc = self.ctx.encoder
-            src, dst = self.ctx.edge_endpoints(level)
-            return (SEdge(SInt(src, enc.node_width), SInt(dst, enc.node_width)),
-                    level + enc.edge_width)
+
+            def ends() -> tuple[SInt, SInt]:
+                src, dst = self.ctx.edge_endpoints(level)
+                return SInt(src, enc.node_width), SInt(dst, enc.node_width)
+            index = bitvec.var_bits(mgr, level, enc.edge_width)
+            return SEdge(None, None, index, ends), level + enc.edge_width
         if isinstance(ty, T.TOption):
             tag = mgr.var(level)
             payload, nxt = self.sym_var(ty.elt, level + 1)
@@ -113,6 +118,20 @@ class SymbolicEvaluator(PartialEvaluator):
         return self.mgr.band(bdd, self.ctx.domain(key_ty))
 
     # -- the BDD domain's side of the shared walk -------------------------
+
+    def edge_is(self, index: list[int], pair: tuple[int, int]) -> int:
+        """The cube of ``pair``'s code: ``index`` is a key's own variables,
+        so the cube is one ``mk`` per bit, bottom up."""
+        mgr = self.mgr
+        code = self.ctx.encoder.edge_code(pair)
+        if code is None:
+            return mgr.false
+        node = mgr.true
+        for bit in reversed(index):
+            node = (mgr.mk(mgr.level(bit), mgr.false, node) if code & 1
+                    else mgr.mk(mgr.level(bit), node, mgr.false))
+            code >>= 1
+        return node
 
     def shape(self, ty: T.Type | None) -> Any:
         if ty is None or isinstance(ty, (T.TArrow, T.TDict)):

@@ -68,6 +68,15 @@ class Parser:
             raise NvSyntaxError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
 
+    def int_literal(self) -> tuple[int, int]:
+        """Consume an integer literal: ``(value, width)``.  A sized literal
+        past its width (``259u8``) names no value of its type."""
+        tok = self.next()
+        if tok.width is not None and tok.value >> tok.width:
+            raise NvSyntaxError(f"integer literal {tok.text} does not fit in "
+                                f"int{tok.width}", tok.line, tok.col)
+        return tok.value, tok.width or 32
+
     def error(self, message: str) -> NvSyntaxError:
         tok = self.peek()
         return NvSyntaxError(message + f" (found {tok.text!r})", tok.line, tok.col)
@@ -436,8 +445,7 @@ class Parser:
             self.next()
             return A.EVar(tok.text, span=span)
         if tok.kind == "int":
-            self.next()
-            return A.EInt(tok.value, tok.width or 32, span=span)
+            return A.EInt(*self.int_literal(), span=span)
         if tok.kind == "node":
             self.next()
             return A.ENode(tok.value, span=span)
@@ -531,8 +539,7 @@ class Parser:
                 return A.PWild()
             return A.PVar(tok.text)
         if tok.kind == "int":
-            self.next()
-            return A.PInt(tok.value, tok.width or 32)
+            return A.PInt(*self.int_literal())
         if tok.kind == "node":
             self.next()
             return A.PNode(tok.value)

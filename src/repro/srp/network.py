@@ -54,19 +54,21 @@ class Network:
 
 def _check_literals(program: A.Program, num_nodes: int,
                     edges: set[tuple[int, int]]) -> None:
-    """Refuse a node literal past ``nodes`` and, as a key of an
-    ``edge``-keyed map, a pair of node literals that is not an edge: each
-    names nothing in the network.  A node error wins over an edge error."""
+    """Refuse a node literal past ``nodes`` and, used as an edge (the key of
+    an ``edge``-keyed map, or compared with an ``edge``), a pair of node
+    literals that is not an edge: each names nothing in the network.  A node
+    error wins over an edge error."""
     bad_edge = None
     for x in _literals(program):
         if isinstance(x, (A.ENode, A.PNode)):
             if not 0 <= x.value < num_nodes:
                 raise NvError(f"node {x.value}n out of range for {num_nodes} "
                               f"nodes{_where(getattr(x, 'span', None))}")
-        elif bad_edge is None:
-            key = _edge_key(x)
-            if key is not None and key[0] not in edges:
-                bad_edge = key
+        elif bad_edge is None and type(x) is A.EOp:
+            for key in _edge_literals(x):
+                if key[0] not in edges:
+                    bad_edge = key
+                    break
     if bad_edge is not None:
         (u, v), span = bad_edge
         raise NvError(f"edge ({u}, {v}) is not an edge of this network"
@@ -77,20 +79,37 @@ def _where(span: tuple[int, int] | None) -> str:
     return "" if span is None else f" (line {span[0]}, column {span[1]})"
 
 
-def _edge_key(e: Any) -> tuple[tuple[int, int], Any] | None:
-    """``((u, v), span)`` of the key of a map read or write on an
-    ``edge``-keyed map when that key is a pair of node literals."""
-    if not (isinstance(e, A.EOp) and e.op in ("mget", "mset")):
-        return None
-    map_ty, key = e.args[0].ty, e.args[1]
-    if not (isinstance(map_ty, T.TDict) and isinstance(map_ty.key, T.TEdge)):
-        return None
-    if isinstance(key, A.EEdge):
-        return (key.src, key.dst), key.span
-    if (isinstance(key, A.ETuple) and len(key.elts) == 2
-            and all(isinstance(n, A.ENode) for n in key.elts)):
-        return (key.elts[0].value, key.elts[1].value), key.span
-    return None
+def _edge_literals(e: A.EOp) -> list[tuple[tuple[int, int], Any]]:
+    """``((u, v), span)`` of each pair of node literals that ``e`` uses as
+    an edge: the key of a read or write on an ``edge``-keyed map, or a side
+    of an equality with an ``edge``."""
+    if e.op in ("mget", "mset"):
+        map_ty = e.args[0].ty
+        if not (isinstance(map_ty, T.TDict) and isinstance(map_ty.key, T.TEdge)):
+            return []
+        sides = e.args[1:2]
+    elif e.op == "eq" and any(map(_is_edge, e.args)):
+        sides = e.args
+    else:
+        return []
+    out = []
+    for key in sides:
+        if isinstance(key, A.EEdge):
+            out.append(((key.src, key.dst), key.span))
+        elif (isinstance(key, A.ETuple) and len(key.elts) == 2
+              and all(isinstance(n, A.ENode) for n in key.elts)):
+            out.append(((key.elts[0].value, key.elts[1].value), key.span))
+    return out
+
+
+def _is_edge(e: A.Expr) -> bool:
+    """Whether ``e`` may denote an edge.  The checker unifies ``edge`` with
+    ``(node, node)``, so an unannotated ``trans e x`` gives ``e`` the pair
+    type; a side written as a pair ``(a, b)`` is taken for a pair of nodes."""
+    ty = e.ty
+    return isinstance(ty, T.TEdge) or (
+        not isinstance(e, A.ETuple) and isinstance(ty, T.TTuple)
+        and ty.elts == (T.TNode(), T.TNode()))
 
 
 def _literals(program: A.Program) -> Iterator[Any]:

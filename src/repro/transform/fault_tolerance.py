@@ -18,6 +18,14 @@ Scenario key types:
   the route is dropped when the traversed edge leaves or enters the failed
   node.
 
+The key predicate ``fun sc -> sc fails e`` compares each edge component
+with the traversed link as a whole edge, ``c = (lo, hi) || c = (hi, lo)``,
+where ``trans`` binds the link's endpoints in canonical order (``lo < hi``)
+outside the predicate.  An edge key's bits are its index in the edge table,
+so each comparison is a cube on those bits (no endpoint is read back), and
+both orientations of a link capture the same values: one BDD build per
+link, shared through the interpreter's closure-keyed predicate cache.
+
 A second entry point, :func:`symbolic_failures_program`, produces the
 SMT-oriented variant: one symbolic boolean per physical link with a
 ``require`` bounding how many may fail — the encoding MineSweeper-style SMT
@@ -39,6 +47,10 @@ def _eq(a: A.Expr, b: A.Expr) -> A.Expr:
     return A.EOp("eq", (a, b))
 
 
+def _pair(a: str, b: str) -> A.Expr:
+    return A.ETuple((_var(a), _var(b)))
+
+
 def _or_all(parts: list[A.Expr]) -> A.Expr:
     e = parts[0]
     for p in parts[1:]:
@@ -56,54 +68,55 @@ def scenario_key_type(num_link_failures: int, node_failures: bool) -> T.Type:
     return T.TTuple(tuple(parts))
 
 
-def _edge_matches(scenario_edge: A.Expr, edge_var: str) -> A.Expr:
-    """AST for "the scenario's failed edge is this physical link, in either
+def _scenario_part(index: int, arity: int) -> A.Expr:
+    """Component ``index`` of the scenario key ``__sc`` (the key itself when
+    it has one component)."""
+    if arity == 1:
+        return _var("__sc")
+    return A.ETupleGet(_var("__sc"), index, arity)
+
+
+def _edge_matches(index: int, arity: int) -> A.Expr:
+    """AST for "the scenario's failed edge is the traversed link, in either
     orientation": a failed link kills both directed edges.
 
-    ``let (su, sv) = sc in let (eu, ev) = e in
-      (su = eu && sv = ev) || (su = ev && sv = eu)``
+    ``c = (__lo, __hi) || c = (__hi, __lo)``: a comparison of whole edges,
+    so its BDD is the cube of the two codes (adjacent, DESIGN.md "Map keys")
+    and reads no endpoint multiplexer."""
+    return A.EOp("or", tuple(
+        _eq(_scenario_part(index, arity), _pair(a, b))
+        for a, b in (("__lo", "__hi"), ("__hi", "__lo"))))
+
+
+def _node_hits_link(index: int, arity: int) -> A.Expr:
+    """``n = __lo || n = __hi``: the failed node is an endpoint of the link."""
+    return A.EOp("or", tuple(_eq(_scenario_part(index, arity), _var(end))
+                             for end in ("__lo", "__hi")))
+
+
+def _scenario_fails_link(key_ty: T.Type) -> A.Expr:
+    """AST for "scenario ``__sc`` fails the link ``{__lo, __hi}``"."""
+    parts = key_ty.elts if isinstance(key_ty, T.TTuple) else (key_ty,)
+    return _or_all([
+        (_node_hits_link if isinstance(t, T.TNode) else _edge_matches)(
+            i, len(parts))
+        for i, t in enumerate(parts)])
+
+
+def _with_link(edge_var: str, body: A.Expr) -> A.Expr:
+    """``body`` under the endpoints of the edge ``edge_var`` in canonical
+    order, ``__lo < __hi``: both orientations of a link then give the key
+    predicate the same captured values, so they share one BDD build.
+
+    ``let (__eu, __ev) = e in
+      let (__lo, __hi) = if __eu < __ev then (__eu, __ev) else (__ev, __eu)
+      in body``
     """
-    body = A.EOp("or", (
-        A.EOp("and", (_eq(_var("__su"), _var("__eu")),
-                      _eq(_var("__sv"), _var("__ev")))),
-        A.EOp("and", (_eq(_var("__su"), _var("__ev")),
-                      _eq(_var("__sv"), _var("__eu")))),
-    ))
-    inner = A.ELetPat(A.PTuple((A.PVar("__eu"), A.PVar("__ev"))),
-                      _var(edge_var), body)
-    return A.ELetPat(A.PTuple((A.PVar("__su"), A.PVar("__sv"))),
-                     scenario_edge, inner)
-
-
-def _scenario_fails_edge(scenario: A.Expr, key_ty: T.Type, edge_var: str,
-                         num_link_failures: int, node_failures: bool) -> A.Expr:
-    """AST for "this scenario fails the edge bound to ``edge_var``"."""
-    if isinstance(key_ty, T.TEdge):
-        return _edge_matches(scenario, edge_var)
-    if isinstance(key_ty, T.TNode):     # a failed node and no failed link
-        return _node_hits_edge(scenario, edge_var)
-    assert isinstance(key_ty, T.TTuple)
-    arity = len(key_ty.elts)
-    parts: list[A.Expr] = []
-    index = 0
-    if node_failures:
-        failed_node = A.ETupleGet(scenario, 0, arity)
-        # The edge fails if either endpoint is the failed node.
-        parts.append(_node_hits_edge(failed_node, edge_var))
-        index = 1
-    for i in range(index, arity):
-        parts.append(_edge_matches(A.ETupleGet(scenario, i, arity), edge_var))
-    return _or_all(parts)
-
-
-def _node_hits_edge(failed_node: A.Expr, edge_var: str) -> A.Expr:
-    """``let (u, v) = e in n = u || n = v`` as an AST."""
+    ordered = A.EIf(A.EOp("lt", (_var("__eu"), _var("__ev"))),
+                    _pair("__eu", "__ev"), _pair("__ev", "__eu"))
     return A.ELetPat(
-        A.PTuple((A.PVar("__fu"), A.PVar("__fv"))),
-        _var(edge_var),
-        A.EOp("or", (_eq(failed_node, _var("__fu")),
-                     _eq(failed_node, _var("__fv")))),
-    )
+        A.PTuple((A.PVar("__eu"), A.PVar("__ev"))), _var(edge_var),
+        A.ELetPat(A.PTuple((A.PVar("__lo"), A.PVar("__hi"))), ordered, body))
 
 
 def fault_tolerance_transform(net: Network, num_link_failures: int = 1,
@@ -150,13 +163,12 @@ def fault_tolerance_transform(net: Network, num_link_failures: int = 1,
         annot=T.TArrow(T.TNode(), dict_ty),
     ))
 
-    # let trans e x = mapIte (fun sc -> fails sc e) (fun v -> drop) (transBase e) x
-    fails = _scenario_fails_edge(
-        _var("__sc"), key_ty, "e", num_link_failures, node_failures)
-    pred = A.EFun("__sc", fails, param_ty=key_ty)
+    # let trans e x = let (lo, hi) = <e's link> in
+    #   mapIte (fun sc -> fails sc {lo, hi}) (fun v -> drop) (transBase e) x
+    pred = A.EFun("__sc", _scenario_fails_link(key_ty), param_ty=key_ty)
     drop_fn = A.EFun("__v", drop_body)
-    trans_body = A.EOp("mmapite", (
-        pred, drop_fn, A.EApp(_var("transBase"), _var("e")), _var("x")))
+    trans_body = _with_link("e", A.EOp("mmapite", (
+        pred, drop_fn, A.EApp(_var("transBase"), _var("e")), _var("x"))))
     decls.append(A.DLet(
         "trans",
         A.EFun("e", A.EFun("x", trans_body), param_ty=T.TEdge()),

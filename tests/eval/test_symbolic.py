@@ -84,6 +84,19 @@ class TestEdgePredicates:
         for e in EDGES:
             assert by_bdd(e) == by_interp(e) == (e == (1, 2))
 
+    def test_pair_that_is_no_edge(self):
+        by_bdd, by_interp = pred_bdd_and_eval(
+            "fun k -> let p = (0n, 2n) in k = p || p = k", T.TEdge())
+        for e in EDGES:
+            assert by_bdd(e) is by_interp(e) is False
+
+    def test_two_key_edges(self):
+        key_ty = T.TTuple((T.TEdge(), T.TEdge()))
+        by_bdd, by_interp = pred_bdd_and_eval(
+            "fun k -> let (a, b) = k in a = b", key_ty)
+        for a, b in itertools.product(EDGES, repeat=2):
+            assert by_bdd((a, b)) == by_interp((a, b)) == (a == b)
+
     def test_edge_destructuring(self):
         by_bdd, by_interp = pred_bdd_and_eval(
             "fun k -> let (a, b) = k in a = 0n || b = 0n", T.TEdge())
@@ -91,49 +104,143 @@ class TestEdgePredicates:
             assert by_bdd(e) == by_interp(e)
 
 
-def check_key_predicate(key_ty, body, decls=()):
-    """``predicate_to_bdd`` of ``fun (__sc : key_ty) -> body`` at *every* bit
-    pattern of the key: the interpreter's answer at a valid key, false at a
-    garbage code (here: an edge index past the last of the six edges)."""
-    program = A.Program([*decls, A.DLet(
-        "pred", A.EFun("__sc", body, param_ty=key_ty))])
+def check_key_predicate(key_ty, body, decls=(), pred=None):
+    """``predicate_to_bdd`` of ``fun (__sc : key_ty) -> body`` (or of the
+    closure ``pred`` evaluates to) at *every* bit pattern of the key: the
+    interpreter's answer at a valid key, false at a garbage code (here: an
+    edge index past the last of the six edges)."""
+    if pred is None:
+        pred = A.EFun("__sc", body, param_ty=key_ty)
+    program = A.Program([*decls, A.DLet("pred", pred)])
     check_program(program)
     ctx = MapContext(4, CORPUS_EDGES)
     interp = Interpreter(ctx)
-    pred = program_env(program, interp)["pred"]
-    bdd = SymbolicEvaluator(interp, ctx).predicate_to_bdd(pred, key_ty)
+    closure = program_env(program, interp)["pred"]
+    bdd = SymbolicEvaluator(interp, ctx).predicate_to_bdd(closure, key_ty)
     enc = ctx.encoder
     valid = {tuple(enc.encode(key_ty, key)): key for key in values_of(key_ty)}
     patterns = list(itertools.product((False, True), repeat=enc.width(key_ty)))
     for bits in patterns:
         got = ctx.manager.restrict_eval(bdd, lambda lvl: bits[lvl])
-        want = interp.apply(pred, valid[bits]) if bits in valid else False
+        want = interp.apply(closure, valid[bits]) if bits in valid else False
         assert got == want, (bits, valid.get(bits))
 
 
+def destructuring_oracle(key_ty):
+    """The failed-link predicate as ``transform/fault_tolerance`` built it
+    before it compared whole edges: every scenario component destructured
+    into its endpoints (``let (su, sv) = c in let (eu, ev) = e in (su = eu
+    && sv = ev) || (su = ev && sv = eu)``; ``n = u || n = v`` for a failed
+    node), each endpoint read through the multiplexer table."""
+    def var(name):
+        return A.EVar(name)
+
+    def eq(a, b):
+        return A.EOp("eq", (a, b))
+
+    def let_pair(u, v, bound, body):
+        return A.ELetPat(A.PTuple((A.PVar(u), A.PVar(v))), bound, body)
+
+    def component(i):
+        sc = var("__sc")
+        return sc if len(parts) == 1 else A.ETupleGet(sc, i, len(parts))
+
+    parts = key_ty.elts if isinstance(key_ty, T.TTuple) else (key_ty,)
+    ors = []
+    for i, t in enumerate(parts):
+        if isinstance(t, T.TNode):
+            ors.append(let_pair("__fu", "__fv", var("e"), A.EOp("or", (
+                eq(component(i), var("__fu")), eq(component(i), var("__fv"))))))
+        else:
+            ors.append(let_pair("__su", "__sv", component(i), let_pair(
+                "__eu", "__ev", var("e"), A.EOp("or", (
+                    A.EOp("and", (eq(var("__su"), var("__eu")),
+                                  eq(var("__sv"), var("__ev")))),
+                    A.EOp("and", (eq(var("__su"), var("__ev")),
+                                  eq(var("__sv"), var("__eu")))))))))
+    body = ors[0]
+    for part in ors[1:]:
+        body = A.EOp("or", (body, part))
+    return A.EFun("__sc", body, param_ty=key_ty)
+
+
 class TestFaultPredicateShapes:
-    """The predicates ``transform/fault_tolerance`` emits destructure edge
-    keys (``let (su, sv) = sc``); the key's bits are the edge's index, so the
-    endpoints come out of the multiplexer table."""
+    """The predicates ``transform/fault_tolerance`` emits compare each
+    scenario component with the traversed link as whole edges, the link's
+    endpoints bound in canonical order outside the predicate.  An edge key's
+    bits are its index, so each comparison is a cube; the BDD is the very
+    node the endpoint-destructuring formula (:func:`destructuring_oracle`)
+    builds through the multiplexer table."""
 
     SC = A.EVar("__sc")
+    KEY_TYPES = [(0, True), (1, False), (1, True), (2, False), (2, True),
+                 (3, False), (3, True)]
+
+    @staticmethod
+    def predicate(key_ty, edge_var="e"):
+        return FT._with_link(edge_var, A.EFun(
+            "__sc", FT._scenario_fails_link(key_ty), param_ty=key_ty))
+
+    @pytest.mark.parametrize("edge", CORPUS_EDGES)
+    @pytest.mark.parametrize("links,nodes", KEY_TYPES)
+    def test_same_bdd_as_destructuring(self, edge, links, nodes):
+        key_ty = FT.scenario_key_type(links, nodes)
+        program = A.Program([
+            A.DLet("e", A.EEdge(*edge)), A.DLet("pred", self.predicate(key_ty)),
+            A.DLet("oracle", destructuring_oracle(key_ty))])
+        check_program(program)
+        ctx = MapContext(4, CORPUS_EDGES)
+        interp = Interpreter(ctx)
+        env = program_env(program, interp)
+        sym = SymbolicEvaluator(interp, ctx)
+        assert (sym.predicate_to_bdd(env["pred"], key_ty)
+                == sym.predicate_to_bdd(env["oracle"], key_ty))
+
+    def check(self, key_ty, edge):
+        check_key_predicate(key_ty, None, [A.DLet("e", A.EEdge(*edge))],
+                            self.predicate(key_ty))
 
     @pytest.mark.parametrize("edge", CORPUS_EDGES)
     def test_edge_matches(self, edge):
-        check_key_predicate(T.TEdge(), FT._edge_matches(self.SC, "e"),
-                            [A.DLet("e", A.EEdge(*edge))])
+        self.check(T.TEdge(), edge)
 
     @pytest.mark.parametrize("edge", CORPUS_EDGES)
     def test_node_hits_edge(self, edge):
-        check_key_predicate(T.TNode(), FT._node_hits_edge(self.SC, "e"),
-                            [A.DLet("e", A.EEdge(*edge))])
+        self.check(T.TNode(), edge)
 
     @pytest.mark.parametrize("links,nodes", [(1, True), (2, False), (2, True)])
     def test_scenario_fails_edge(self, links, nodes):
+        self.check(FT.scenario_key_type(links, nodes), (3, 0))
+
+    def test_both_orientations_share_one_build(self, monkeypatch):
+        """``__lo`` / ``__hi`` are all the predicate captures, so the
+        interpreter's closure-keyed cache builds one BDD per link."""
+        program = A.Program([A.DLet("link", A.EFun(
+            "e", self.predicate(T.TEdge()), param_ty=T.TEdge()))])
+        check_program(program)
+        interp = Interpreter(MapContext(4, CORPUS_EDGES))
+        link = program_env(program, interp)["link"]
+        builds = []
+        build = SymbolicEvaluator.predicate_to_bdd
+        monkeypatch.setattr(SymbolicEvaluator, "predicate_to_bdd",
+                            lambda self, *a: builds.append(a) or build(self, *a))
+        bdds = {interp.predicate_bdd(interp.apply(link, e), T.TEdge())
+                for e in ((1, 0), (0, 1))}
+        assert len(bdds) == len(builds) == 1
+
+    @pytest.mark.parametrize("links,nodes", KEY_TYPES)
+    def test_reads_no_endpoint(self, links, nodes, monkeypatch):
+        """Only a predicate that reads an endpoint builds the multiplexer
+        table: the transform's compare whole edges."""
         key_ty = FT.scenario_key_type(links, nodes)
-        check_key_predicate(
-            key_ty, FT._scenario_fails_edge(self.SC, key_ty, "e", links, nodes),
-            [A.DLet("e", A.EEdge(3, 0))])
+        program = A.Program([A.DLet("e", A.EEdge(3, 0)),
+                             A.DLet("pred", self.predicate(key_ty))])
+        check_program(program)
+        ctx = MapContext(4, CORPUS_EDGES)
+        interp = Interpreter(ctx)
+        pred = program_env(program, interp)["pred"]
+        monkeypatch.setattr(ctx, "edge_endpoints", None)
+        SymbolicEvaluator(interp, ctx).predicate_to_bdd(pred, key_ty)
 
     def test_hand_written_destructuring(self):
         fn = parse_program(

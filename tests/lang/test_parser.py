@@ -247,3 +247,21 @@ class TestErrors:
     def test_trailing_tokens(self):
         with pytest.raises(NvSyntaxError):
             parse_expr("1 1n~")
+
+    @pytest.mark.parametrize("source, message", [
+        ("259u8", "integer literal 259u8 does not fit in int8 (line 1, column 1)"),
+        ("x + 2u1", "integer literal 2u1 does not fit in int1 (line 1, column 5)"),
+        ("match x with | 16u4 -> 0 | _ -> 1",
+         "integer literal 16u4 does not fit in int4 (line 1, column 16)"),
+    ])
+    def test_sized_literal_past_its_width(self, source, message):
+        """A sized literal names a value of its type or is an error; it
+        used to be masked (``259u8`` evaluated to ``3``)."""
+        with pytest.raises(NvSyntaxError) as exc:
+            parse_expr(source)
+        assert str(exc.value) == message
+
+    def test_sized_literals_at_their_widths_limit(self):
+        for source, value, width in (("255u8", 255, 8), ("1u1", 1, 1)):
+            e = parse_expr(source)
+            assert (e.value, e.width) == (value, width)

@@ -129,13 +129,19 @@ def test_all_modes_reach_a_stable_state(topo, algebra, incremental, memoize):
 # closures on what their bodies observe (``repro.eval.keys``) re-pinned the
 # two ``bdd.apply_cache_*`` rows of ``fault --links 2`` (18376 / 19084
 # before): ``mergeBase u`` and ``transBase e`` no longer keep one memo per
-# node or edge.  Every other row repeated exactly.
+# node or edge.  Every other row repeated exactly.  Building each failed-link
+# predicate as a cube on the edge index re-pinned the ``bdd.nodes``,
+# ``bdd.unique_entries`` and ``bdd.op_cache_*`` rows of ``fault --links 2``
+# (7700 / 7679, op cache 3894 entries, 7864 hits before): the predicates are
+# the same BDDs, built once per link instead of once per directed edge, with
+# one ``mk`` per index bit in place of bit-vector equalities over the
+# endpoint multiplexers, which are no longer built.
 _BATCHED_LOOP_COUNTERS = {
     ("fault", "--links", "2"): {
         "bdd.apply_cache_hits": 14857, "bdd.apply_cache_misses": 14455,
-        "bdd.leaves": 21, "bdd.nodes": 7700, "bdd.op_cache_entries": 3894,
-        "bdd.op_cache_hits": 7864, "bdd.op_cache_misses": 3894,
-        "bdd.unique_entries": 7679,
+        "bdd.leaves": 21, "bdd.nodes": 6856, "bdd.op_cache_entries": 1222,
+        "bdd.op_cache_hits": 1214, "bdd.op_cache_misses": 1222,
+        "bdd.unique_entries": 6835,
         "sim.activations": 62, "sim.interned_routes": 245,
         "sim.merge_cache_hits": 0, "sim.merge_cache_misses": 282,
         "sim.messages": 181, "sim.skipped_activations": 0},

@@ -157,6 +157,40 @@ let assert (u : node) (x : attribute) = x[(0n, 2n)] = None
         assert capsys.readouterr().err == (
             "error: node 7n out of range for 3 nodes (line 9, column 48)\n")
 
+    COMPARED = """type attribute = option[int8]
+let nodes = 3
+let edges = {0n=1n; 1n=2n}
+let init (u : node) = if u = 0n then Some 0u8 else None
+let trans e x = if TEST then None else x
+let merge (u : node) (x y : attribute) = match x with | None -> y | _ -> x
+"""
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["simulate", "--native"], ["verify"], ["fault"],
+        ["explain", "1"]],
+        ids=["simulate", "native", "verify", "fault", "explain"])
+    @pytest.mark.parametrize("test, where", [
+        ("e = (0n, 2n)", "(0, 2) is not an edge of this network (line 5, column 24)"),
+        ("(2n, 0n) <> e", "(2, 0) is not an edge of this network (line 5, column 20)"),
+    ], ids=["eq", "neq"])
+    def test_comparison_with_a_non_edge_is_an_error(
+            self, command, test, where, tmp_path, capsys):
+        """``e = (0n, 2n)`` on the chain 0-1-2 is always false: the pair
+        names no edge.  It was accepted by every command."""
+        f = tmp_path / "compared.nv"
+        f.write_text(self.COMPARED.replace("TEST", test))
+        assert main([command[0], str(f), *command[1:]]) == 3
+        assert capsys.readouterr() == ("", f"error: edge {where}\n")
+
+    @pytest.mark.parametrize("test", [
+        "e = (0n, 1n) || (2n, 1n) = e",
+        "let (u, v) = e in (u, v) = (0n, 2n)",
+        "let p = (0n, 2n) in e = p"])
+    def test_edges_and_computed_pairs_are_accepted(self, test, tmp_path):
+        f = tmp_path / "compared.nv"
+        f.write_text(self.COMPARED.replace("TEST", f"({test})"))
+        assert main(["simulate", str(f)]) == 0
+
 
 class TestVerify:
     def test_verified(self, triangle_file, capsys):
@@ -744,7 +778,8 @@ class TestErrors:
         """A 2000-arm ``else if`` dispatch exhausts the recursive front end:
         one ``error:`` line naming the limit and exit 3, like any other
         front-end failure."""
-        chain = "".join(f"if u = {i}n then Some {i}u8 else " for i in range(2000))
+        chain = "".join(f"if u = {i}n then Some {i % 256}u8 else "
+                        for i in range(2000))
         f = tmp_path / "deep.nv"
         f.write_text(RIP_TRIANGLE.replace(
             "if u = 0n then Some 0u8 else None", chain + "None"))
@@ -853,9 +888,11 @@ let assert (u : node) (x : attribute) = k = 3u8
                    "annotation of 'k'"),
         ("k=259", "--symbolic 'k=259': cannot unify int with int8 in "
                   "annotation of 'k'"),
+        ("k=259u8", "--symbolic 'k=259u8': integer literal 259u8 does not "
+                    "fit in int8 (line 1, column 1)"),
         ("nosuch=1", "--symbolic 'nosuch=1': the program declares no "
                      "symbolic 'nosuch'"),
-    ], ids=["bool", "unsized", "undeclared"])
+    ], ids=["bool", "unsized", "sized", "undeclared"])
     def test_symbolic_is_typed_against_its_declaration(
             self, command, binding, message, tmp_path, capsys):
         """A ``--symbolic`` literal is typed as ``let k : int8 = literal``
@@ -869,6 +906,25 @@ let assert (u : node) (x : attribute) = k = 3u8
                 *command[1:], "--symbolic", binding]
         assert main(argv) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["simulate", "--native"], ["verify"],
+        ["fault", "--drop", "0u8"], ["explain", "1"]],
+        ids=["simulate", "native", "verify", "fault", "explain"])
+    @pytest.mark.parametrize("old, new, where", [
+        ("init (u : node) = k", "init (u : node) = 259u8", "line 6, column 23"),
+        ("k = 3u8", "match k with | 256u8 -> true | _ -> false",
+         "line 9, column 56")], ids=["expression", "pattern"])
+    def test_sized_literal_past_its_width(self, command, old, new, where,
+                                          tmp_path, capsys):
+        """``259u8`` names no ``int8``.  It was masked to ``3``: ``simulate``
+        printed ``node 0: 3``."""
+        f = tmp_path / "k.nv"
+        f.write_text(self.SYMBOLIC_INT8.replace(old, new))
+        assert main([command[0], str(f), *command[1:]]) == 3
+        literal = re.search(r"\d+u8", new)[0]
+        assert capsys.readouterr() == ("", (
+            f"error: integer literal {literal} does not fit in int8 ({where})\n"))
 
     def test_symbolic_map_takes_the_declared_key_type(self, tmp_path):
         """``createDict false`` bound to a ``dict[int8, bool]`` symbolic is
