@@ -177,7 +177,7 @@ def fast_heartbeat(scenario: Scenario) -> Scenario:
     return call(scenario.label + "  [heartbeat every 0.01 s]", run)
 
 
-def cli(argv: list[str], jobs: int = 1, cwd: str = ".",
+def cli(argv: list[str], jobs: int | str = 1, cwd: str = ".",
         label: str | None = None) -> Scenario:
     def run() -> None:
         from repro import cli as repro_cli
@@ -241,6 +241,10 @@ def sweep_inputs(work: Path) -> None:
          "interfaces": {"1->2": "infer", "2->1": {"pred": "fun r -> true"}}}))
     (work / "links.json").write_text(json.dumps(
         {"cut_links": [[1, 2]], "interfaces": {"1->2": {"route": "Some 1u8"}}}))
+    (work / "symkey.json").write_text(json.dumps(
+        {"fragments": [[0], [1]],
+         "interfaces": {"0->1": {"pred": "fun r -> true"},
+                        "1->0": {"pred": "fun r -> true"}}}))
 
 
 #: RIP with a symbolic origin: ``--symbolic``, counterexamples, routes.
@@ -359,13 +363,14 @@ let trans (e : edge) (x : attribute) = x
 let merge (u : node) (x y : attribute) = x
 """
 
-#: Parses and type-checks; fails only where it is encoded for SMT: in a pool
-#: worker, at two workers.
+#: Parses and type-checks; fails only where node 1 is encoded for SMT: in a
+#: pool worker, at two workers, under ``symkey.json``'s annotated cut.
 SYMBOLIC_KEY_WRITE_PROGRAM = """
 symbolic k : int8
 let nodes = 2
 let edges = {0n=1n}
-let init (u : node) = ((createDict 0u8)[k := 9u8])[2u8]
+let init (u : node) =
+  if u = 0n then 0u8 else ((createDict 0u8)[k := 9u8])[2u8]
 let trans (e : edge) (x : int8) = x
 let merge (u : node) (x y : int8) = if x < y then x else y
 """
@@ -402,15 +407,11 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         fast_heartbeat(cli(["verify", "verify_smt/wan_unsat.nv",
                             "--progress"])),
         cli(["verify", *par, "--stats"]),
-        cli(["verify", *par, "--no-incremental", "--trace-json", ptrace,
-             "--stats"], jobs=2),
-        cli(["verify", *par, "--no-incremental", "--progress"], jobs=2),
-        cli(["verify", *par, "--no-incremental"], jobs=1),
-        cli(["verify", "verify_smt/wan_unsat.nv", "verify_smt/wan_sat.nv",
-             "--no-incremental", "--trace-json", ptrace], jobs=2),
+        cli(["verify", "verify_smt/wan_unsat.nv", "verify_smt/wan_sat.nv"]),
         cli(["verify", "fat4.nv", "--partition", "4", "--stats"]),
-        cli(["verify", "fat4.nv", "--partition", "4", "--trace-json", ptrace],
-            jobs=2),
+        cli(["verify", "fat4.nv", "--partition", "4", "--trace-json", ptrace,
+             "--stats"], jobs=2),
+        cli(["verify", "fat4.nv", "--partition", "4", "--progress"], jobs=2),
         *[cli(["verify", "fat4.nv", "--partition", "2", "--partition-method",
                m]) for m in ("auto", "pods", "bfs", "spectral")],
         *[cli(["verify", "sym.nv", "--cuts", cuts, "--symbolic",
@@ -450,23 +451,15 @@ def sweep_scenarios(work: Path) -> list[Scenario]:
         cli(["translate", "sim_cfg/configs", "-o", "nodir/x.nv"]),
         cli(["report", "missing.jsonl"]),
         cli(["simulate", "badedge.nv"]),
-        cli(["verify", "p0.nv", "symkey.nv", "--no-incremental",
+        cli(["verify", "symkey.nv", "--cuts", "symkey.json",
              "--trace-json", ptrace], jobs=2),
-        call("repro verify p0.nv p1.nv --no-incremental  [NV_JOBS=abc]",
-             _bad_jobs),
+        cli(["verify", "p0.nv", "p1.nv"], jobs="abc"),
         call("python -m repro --help", lambda: _run_module("repro", "--help")),
         call("python -m repro._struct --check",
              lambda: _run_module("repro._struct", "--check")),
         call("fig 13c sharded prefixes (figures.py 13c/sharded-j2)",
              _fig13c),
     ]
-
-
-def _bad_jobs() -> None:
-    from repro import cli as repro_cli
-    os.environ["NV_JOBS"] = "abc"
-    with contextlib.suppress(SystemExit):
-        repro_cli.main(["verify", "p0.nv", "p1.nv", "--no-incremental"])
 
 
 def _run_module(name: str, *argv: str) -> None:

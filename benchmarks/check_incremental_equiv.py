@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """CI gate: incremental SMT must be indistinguishable from fresh solving.
 
-Runs the verification driver twice over the same query batches — once with
-one fresh solver per query (the historical path) and once through the
-shared-encoding incremental context (`verify_many(..., incremental=True)`:
-one ``TermManager``, per-query selector assumptions, persistent CDCL state
-and CNF preprocessing) — and fails unless:
+Decides the same query batches twice — once as a plain loop of
+single-file `verify` calls, one fresh solver each, and once as the
+shared-encoding batch (`verify_many`: one ``TermManager``, per-query
+selector assumptions, persistent CDCL state and CNF preprocessing) — and
+fails unless:
 
 * every query's verdict (verified / counterexample / unknown) is identical,
 * for deterministic networks (no symbolic values) the decoded
@@ -115,8 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     print("incremental-vs-fresh equivalence gate")
 
     for name, nets, deterministic in _batches():
-        fresh = verify_many(nets, jobs=1)
-        inc = verify_many(nets, incremental=True)
+        fresh = [verify(net) for net in nets]
+        inc = verify_many(nets)
         fresh_status = [r.status for r in fresh]
         inc_status = [r.status for r in inc]
         ok = fresh_status == inc_status

@@ -145,10 +145,11 @@ def _verify(timed, case: str, ms=False, failures=0, batch=""):
     from repro.analysis.verify import verify, verify_many
     fam = case.rstrip("0123456789").lower()
     k = int(case[len(fam):])
-    if batch:   # one query per edge-switch prefix, fresh or incremental
-        rs = timed(verify_many, [_net(fam, k, dest=d, narrow=True) for d in
-                                 topology.leaf_nodes(k)],
-                   jobs=1, incremental=batch == "incremental")
+    if batch:   # one query per edge-switch prefix: fresh solvers or one batch
+        nets = [_net(fam, k, dest=d, narrow=True)
+                for d in topology.leaf_nodes(k)]
+        rs = (timed(verify_many, nets) if batch == "incremental" else
+              timed(lambda: [verify(net) for net in nets]))
         return {"status": "/".join(sorted({r.status for r in rs})),
                 "queries": len(rs), "clauses": [r.smt.num_clauses for r in rs],
                 "marginal_clauses": [r.smt.stats.get("inc.marginal_clauses")

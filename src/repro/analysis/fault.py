@@ -466,12 +466,14 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
     the whole scenario batch.  A fresh :func:`~repro.analysis.verify.verify`
     of ``symbolic_failures_program(net)`` with the ``fail{i}`` bits bound
     through ``symbolics`` decides one scenario alone (the equivalence gate
-    holds the batch to it).
+    holds the batch to it).  Each counterexample is replayed through the
+    interpreter under its scenario's failure bits before it is returned
+    (:func:`~repro.analysis.verify.replay`).
     """
     from ..transform.fault_tolerance import symbolic_failures_program
     from ..smt.solver import Solver
     from ..smt.terms import TermManager
-    from .verify import decode_tval, encode_network
+    from .verify import _result_from_smt, encode_network, replay
 
     links = net.links if net.links else tuple(net.edges)
     scenarios = _failure_scenarios(len(links), num_link_failures)
@@ -488,17 +490,16 @@ def fault_tolerance_smt(net: Network, num_link_failures: int = 1,
 
     def scenario_result(enc: Any, smt: Any, failed: tuple[int, ...]
                         ) -> SmtScenarioResult:
-        failed_links = tuple(links[i] for i in failed)
-        if smt.is_unsat:
-            return SmtScenarioResult(failed_links, "verified")
-        if smt.status == "unknown":
-            return SmtScenarioResult(failed_links, "unknown")
-        assignment: dict[str, Any] = {}
-        assignment.update(smt.model_bools)
-        assignment.update(smt.model_bvs)
-        attrs = {u: decode_tval(enc, tval, sym_net.attr_ty, assignment)
-                 for u, tval in enc.attr_vals.items()}
-        return SmtScenarioResult(failed_links, "counterexample", attrs)
+        result = _result_from_smt(sym_net, enc, smt, 0.0)
+        if result.status == "counterexample":
+            # The scenario's failure bits, not the model's, are what the
+            # decoded state must be stable and violating under.
+            replay(sym_net, {**result.counterexample,
+                             **{f"fail{i}": i in failed
+                                for i in range(len(links))}},
+                   result.node_attrs)
+        return SmtScenarioResult(tuple(links[i] for i in failed),
+                                 result.status, result.node_attrs or {})
 
     t0 = perf_counter()
     with obs.span("fault.smt_encode", scenarios=len(scenarios)):

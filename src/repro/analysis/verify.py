@@ -7,9 +7,8 @@ counterexample: concrete symbolic values plus the converged attribute of each
 node, decoded from the model.
 
 :func:`verify_many` decides several queries — one per destination prefix,
-the granularity the paper's tables report — either as one shared-encoding
-batch on a persistent solver, or as fresh queries sharded over a
-:mod:`repro.parallel` worker pool.
+the granularity the paper's tables report — as one shared-encoding batch
+on a persistent solver.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Any, Sequence
 
-from .. import obs, parallel, perf
+from .. import obs, perf
 from ..eval.partial import SBool, SEdge, SInt, SOption, SRecord, STuple, Sym
 from ..eval.maps import DecodedMap, MapContext, NVMap
 from ..eval.values import VClosure, VRecord, VSome
@@ -322,70 +321,16 @@ def _live(value: Any, ty: T.Type, ctx: MapContext) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Sharded execution: one SMT query per destination prefix
+# Several queries: one shared encoding
 # ----------------------------------------------------------------------
-
-def _verify_shard_factory(payload: dict[str, Any]):
-    """Worker-side factory for :func:`verify_many`: per unit, encode and
-    decide one network's constraint system.  Term managers and CDCL state
-    are built here, inside the worker — nothing solver-side is pickled;
-    only the (plain-data) :class:`VerificationResult` travels back."""
-    nets: list[Network] = payload["nets"]
-
-    def run(idx: int) -> VerificationResult:
-        return verify(nets[idx], simplify=payload["simplify"],
-                      max_conflicts=payload["max_conflicts"],
-                      symbolics=payload["symbolics"][idx])
-
-    return run
-
 
 def verify_many(nets: Sequence[Network], simplify: bool = True,
                 max_conflicts: int | None = None,
-                jobs: int | None = 1,
-                incremental: bool = False,
-                unit_labels: Sequence[str] | None = None,
                 symbolics: Sequence[dict[str, Any] | None] | None = None
                 ) -> list[VerificationResult]:
-    """Verify several networks (one SMT query per destination prefix).
-    ``unit_labels`` names each query (e.g. its source file) in unit spans
-    and the work ledger; incremental mode has no per-unit shards, so it
-    ignores them.  ``symbolics[i]``, when given, binds symbolic values of
-    ``nets[i]`` (:func:`encode_network`).
-
-    Two execution strategies:
-
-    * **Fresh** (default): queries are independent solver runs, sharded
-      over a :mod:`repro.parallel` worker pool.  Results come back in
-      input order; verdicts are identical to a serial :func:`verify`
-      loop, and ``jobs=1`` literally is that loop (same code path,
-      in-process — the property the parallel-equivalence gate pins).
-    * **Incremental** (``incremental=True``): all queries are encoded
-      into one shared term manager and decided by a single persistent
-      solver, each query attached via an assumption selector
-      (:func:`verify_many_incremental`).  Verdicts are identical to
-      fresh mode (the incremental-equivalence gate pins this); the
-      marginal query rides on the shared encoding, preprocessing and
-      learnt clauses.  ``jobs`` is ignored.
-    """
-    symbolics = list(symbolics or [None] * len(nets))
-    if incremental:
-        return verify_many_incremental(
-            nets, simplify=simplify, max_conflicts=max_conflicts,
-            symbolics=symbolics)
-    payload = {"nets": list(nets), "simplify": simplify,
-               "max_conflicts": max_conflicts, "symbolics": symbolics}
-    return parallel.run_sharded(
-        "repro.analysis.verify:_verify_shard_factory", payload,
-        range(len(payload["nets"])), jobs=jobs, label="verify",
-        unit_labels=unit_labels)
-
-
-def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
-                            max_conflicts: int | None = None,
-                            symbolics: Sequence[dict[str, Any] | None] | None = None
-                            ) -> list[VerificationResult]:
-    """Verify a batch of related queries over one shared encoding.
+    """Verify several networks as one batch over a shared encoding.
+    ``symbolics[i]``, when given, binds
+    symbolic values of ``nets[i]`` (:func:`encode_network`).
 
     The networks (typically: same topology, one per destination prefix)
     are all encoded into a single :class:`TermManager` — identical
@@ -400,7 +345,8 @@ def verify_many_incremental(nets: Sequence[Network], simplify: bool = True,
 
     All selectors are registered *before* the first solve so CNF
     preprocessing freezes them; verdicts and counterexample semantics are
-    identical to fresh-mode :func:`verify` per query.
+    identical to :func:`verify` of each network on its own (the
+    incremental-equivalence gate pins this).
 
     Networks share a manager only where their variables agree in sort.
     Two node counts can give one name two sorts (``attr.0.val.origin`` is
@@ -450,7 +396,7 @@ def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
                   ) -> list[VerificationResult]:
     """One shared encoding and persistent solver for the ``(input index,
     network)`` pairs of ``batch``, whose variables agree in sort (see
-    :func:`verify_many_incremental`)."""
+    :func:`verify_many`)."""
     tm = TermManager(simplify=simplify)
     solver = Solver(tm, incremental=True)
 
@@ -467,7 +413,7 @@ def _verify_batch(batch: list[tuple[int, Network]], simplify: bool,
             queries.append((index, net, enc, query))
         solver.select(query for *_, query in queries)
         if sp is not None:
-            sp.attrs["terms"] = len(tm._terms) if hasattr(tm, "_terms") else 0
+            sp.attrs["terms"] = tm.num_terms()
     encode_seconds = perf_counter() - t0
 
     results: list[VerificationResult] = []

@@ -19,11 +19,11 @@ from typing import Any, Sequence
 
 from .analysis.fault import FaultReport, fault_tolerance_analysis
 from .analysis.simulation import SimulationReport, run_simulation
-from .analysis.verify import verify as _verify
-from .analysis.verify import verify_many as _verify_many
+# SMT verification (paper §5.2), in this process: one network is one query,
+# several are one shared-encoding batch, as in ``python -m repro verify``.
+from .analysis.verify import verify, verify_many
 from .lang.parser import parse_program
 from .protocols import resolve as _resolve
-from .smt.encode_nv import VerificationResult
 from .srp.network import Network
 
 
@@ -51,20 +51,6 @@ def simulate_many(nets: Sequence[Network],
     after another in this process; reports come back in input order, each
     what :func:`simulate` returns for its network."""
     return [run_simulation(net, symbolics, backend) for net in nets]
-
-
-def verify(net: Network, **kwargs: Any) -> VerificationResult:
-    """Verify the network's assertion over *all* stable states and *all*
-    symbolic-value assignments via SMT (paper §5.2): one query, one
-    solve, in this process."""
-    return _verify(net, **kwargs)
-
-
-def verify_many(nets: Sequence[Network], jobs: int | None = 1,
-                **kwargs: Any) -> list[VerificationResult]:
-    """Verify several networks as independent SMT queries sharded over
-    ``jobs`` worker processes (results in input order)."""
-    return _verify_many(nets, jobs=jobs, **kwargs)
 
 
 def check_fault_tolerance(net: Network, symbolics: dict[str, Any] | None = None,

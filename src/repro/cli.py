@@ -12,15 +12,15 @@ Mirrors the original artifact's ``nv`` binary: point it at an NV source file
 Symbolic values on the command line use NV literal syntax
 (``--symbolic route=None``, ``--symbolic x=5u8``).
 
-The three analysis commands take ``--jobs N`` (default ``$NV_JOBS``, else
-the CPU count capped at 8), resolved once before the command runs: a value
-that is not an integer is a usage error for each of them.  Only ``verify``
-uses it: ``--partition`` fragments and several files under
-``--no-incremental`` shard over that many worker processes, and ``--jobs
-1`` runs the same units serially, in-process.  ``simulate`` runs several
-files one after another in-process, each printed as its single-file run
+``verify --partition`` fragments shard over ``--jobs N`` worker processes
+(default ``$NV_JOBS``, else the CPU count capped at 8); ``--jobs 1`` runs
+the same fragments serially, in-process.  Everything else runs in-process:
+``verify`` decides several files as one shared-encoding batch, ``simulate``
+runs several files one after another, each printed as its single-file run
 prints it, and ``fault`` is one simulation (or, with ``--smt``, one
-persistent solver), in-process, at any worker count.
+persistent solver).  ``$NV_JOBS`` is still resolved once before each of
+the three analysis commands runs: a value that is not an integer is a
+usage error for each of them.
 
 The four observability flags of the analysis commands (see README
 "Observability"):
@@ -197,18 +197,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if len(nets) == 1:
         results = [smt_verify(nets[0], max_conflicts=args.max_conflicts,
                               symbolics=symbolics[0])]
-    elif args.incremental:
-        # Shared-encoding batch: one persistent solver, one assumption
-        # selector per file; learnt clauses and preprocessing amortise
-        # across queries (verdicts identical to fresh mode).
-        results = verify_many(nets, max_conflicts=args.max_conflicts,
-                              incremental=True, symbolics=symbolics)
     else:
-        # One independent SMT query per file (e.g. per destination prefix),
-        # sharded over the worker pool.
+        # One shared-encoding batch: one persistent solver, one assumption
+        # selector per file.
         results = verify_many(nets, max_conflicts=args.max_conflicts,
-                              jobs=args.jobs,
-                              unit_labels=[str(f) for f in args.file],
                               symbolics=symbolics)
     rc = 0
     for path, result in zip(args.file, results):
@@ -400,16 +392,6 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
                         "events land in the --trace-json timeline")
 
 
-_JOBS_DEFAULT = ("default: $NV_JOBS, else CPU count capped at "
-                 f"{parallel.MAX_DEFAULT_JOBS}")
-_JOBS_UNUSED = (f"validated ({_JOBS_DEFAULT}) but without effect: this "
-                "command runs in-process at any worker count")
-
-
-def _add_jobs_arg(p: argparse.ArgumentParser, text: str = _JOBS_UNUSED) -> None:
-    p.add_argument("--jobs", type=int, default=None, metavar="N", help=text)
-
-
 def _simulate_args(simulate: argparse.ArgumentParser) -> None:
     simulate.add_argument("file", nargs="+",
                           help="NV source file(s); several files (e.g. one "
@@ -427,28 +409,20 @@ def _simulate_args(simulate: argparse.ArgumentParser) -> None:
                                "(inline + partial-eval) before simulating; "
                                "with --trace, shows the per-pass spans")
     _add_obs_args(simulate)
-    _add_jobs_arg(simulate)
     simulate.set_defaults(fn=cmd_simulate)
 
 
 def _verify_args(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("file", nargs="+",
-                        help="NV source file(s); several files run as one "
-                             "incremental batch, or with --no-incremental as "
-                             "independent queries sharded across --jobs "
-                             "worker processes")
+                        help="NV source file(s); several files (e.g. one "
+                             "per destination prefix) are decided as one "
+                             "batch: a shared encoding on one persistent "
+                             "solver, each file under an '== FILE' header")
     verify.add_argument("--max-conflicts", type=int, default=None,
                         metavar="N",
                         help="give up (exit 2, unknown) after N conflicts "
                              "per query; N >= 0")
     verify.add_argument("--show-routes", action="store_true")
-    verify.add_argument("--incremental",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help="with several files: decide them as one "
-                             "shared-encoding batch on a persistent "
-                             "assumption-based solver (default); "
-                             "--no-incremental falls back to one fresh "
-                             "solver per query, sharded across --jobs")
     verify.add_argument("--partition", type=int, default=None, metavar="K",
                         help="modular verification: cut the network into K "
                              "fragments, verify them in parallel across "
@@ -474,9 +448,10 @@ def _verify_args(verify: argparse.ArgumentParser) -> None:
                              "inference); unbound symbolics range over "
                              "every value")
     _add_obs_args(verify)
-    _add_jobs_arg(verify, "worker processes for --partition fragments and "
-                          f"--no-incremental queries ({_JOBS_DEFAULT}; "
-                          "1 = serial)")
+    verify.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker processes for --partition fragments "
+                             "(default: $NV_JOBS, else CPU count capped at "
+                             f"{parallel.MAX_DEFAULT_JOBS}; 1 = serial)")
     verify.set_defaults(fn=cmd_verify)
 
 
@@ -497,7 +472,6 @@ def _fault_args(fault: argparse.ArgumentParser) -> None:
                             "scenarios flip fail-bit assumptions on a "
                             "persistent solver")
     _add_obs_args(fault)
-    _add_jobs_arg(fault)
     fault.set_defaults(fn=cmd_fault)
 
 
@@ -581,11 +555,11 @@ def _run(argv: list[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)
-    if hasattr(args, "jobs"):
-        # simulate / verify / fault: a malformed NV_JOBS is a usage error
-        # in every mode, also where the worker count has no effect.
+    if args.command in ("simulate", "verify", "fault"):
+        # A malformed NV_JOBS is a usage error in every mode, also where no
+        # pool runs; only verify takes --jobs.
         try:
-            args.jobs = parallel.resolve_jobs(args.jobs)
+            args.jobs = parallel.resolve_jobs(getattr(args, "jobs", None))
         except parallel.ParallelError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3

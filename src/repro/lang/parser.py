@@ -69,13 +69,15 @@ class Parser:
         return self.next()
 
     def int_literal(self) -> tuple[int, int]:
-        """Consume an integer literal: ``(value, width)``.  A sized literal
-        past its width (``259u8``) names no value of its type."""
+        """Consume an integer literal: ``(value, width)``, an unsized one
+        32 bits wide.  A literal past its width (``259u8``, ``4294967296``)
+        names no value of its type."""
         tok = self.next()
-        if tok.width is not None and tok.value >> tok.width:
+        width = tok.width or 32
+        if tok.value >> width:
             raise NvSyntaxError(f"integer literal {tok.text} does not fit in "
-                                f"int{tok.width}", tok.line, tok.col)
-        return tok.value, tok.width or 32
+                                f"int{width}", tok.line, tok.col)
+        return tok.value, width
 
     def error(self, message: str) -> NvSyntaxError:
         tok = self.peek()

@@ -35,7 +35,6 @@ or the undirected links to sever); unlisted directed cut edges default to
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .._struct import field, struct
@@ -130,6 +129,8 @@ def parse_cut_spec(data: Any) -> CutSpec:
 
 
 def load_cut_file(path: str) -> CutSpec:
+    import json  # only a cut file is JSON: --partition K does not load it
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

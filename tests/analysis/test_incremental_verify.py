@@ -1,6 +1,6 @@
 """Incremental (shared-encoding, assumption-driven) verification must be
-observationally equivalent to the historical one-fresh-solver-per-query
-path — for `verify_many` batches and for SMT fault tolerance."""
+observationally equivalent to one fresh `verify` per query — for
+`verify_many` batches and for SMT fault tolerance."""
 
 from repro.analysis.fault import (_failure_scenarios, fault_tolerance_analysis,
                                   fault_tolerance_smt)
@@ -46,8 +46,8 @@ class TestVerifyManyIncremental:
 
     def test_matches_fresh_on_mixed_batch(self):
         nets = self._batch()
-        fresh = verify_many(nets, jobs=1)
-        inc = verify_many(nets, incremental=True)
+        fresh = [verify(net) for net in nets]
+        inc = verify_many(nets)
         assert [r.status for r in fresh] == [r.status for r in inc]
         assert [r.status for r in inc] == [
             "verified", "counterexample", "counterexample", "verified"]
@@ -61,14 +61,27 @@ class TestVerifyManyIncremental:
         assert isinstance(hijack.counterexample["route"], VSome)
 
     def test_single_net_batch(self):
-        [r] = verify_many([load(RIP_TRIANGLE)], incremental=True)
+        [r] = verify_many([load(RIP_TRIANGLE)])
         assert r.status == "verified"
         assert r.smt.stats.get("inc.assumptions") == 1
 
+    def test_library_and_cli_run_one_function(self, tmp_path, monkeypatch):
+        import repro
+        from repro.analysis import verify as verify_module
+        from repro.cli import main
+
+        assert repro.verify_many is verify_many
+        batches = []
+        monkeypatch.setattr(verify_module, "verify_many", lambda nets, **kw: (
+            batches.append(len(nets)) or verify_many(nets, **kw)))
+        (tmp_path / "t.nv").write_text(RIP_TRIANGLE)
+        assert main(["verify", *[str(tmp_path / "t.nv")] * 2]) == 0
+        assert batches == [2]
+
     def test_deterministic(self):
         nets = self._batch()
-        a = verify_many(nets, incremental=True)
-        b = verify_many(nets, incremental=True)
+        a = verify_many(nets)
+        b = verify_many(nets)
         assert [r.status for r in a] == [r.status for r in b]
         assert [r.node_attrs for r in a] == [r.node_attrs for r in b]
 

@@ -1,10 +1,11 @@
-"""Parallel-vs-serial equivalence: the sharded drivers must produce results
-identical to their serial counterparts (``jobs>1`` must change nothing but
-wall clock).  For verification the units are the inputs, so ``jobs=1`` runs
-the same units in-process, and so do the fault axes that shard (one
+"""Parallel-vs-serial equivalence: the sharded fault drivers must produce
+results identical to their serial counterparts (``jobs>1`` must change
+nothing but wall clock), and ``jobs=1`` runs the same units in-process (one
 analysis per prefix, one simulation per scenario).  The fig 5
 meta-protocol is one in-process simulation at any worker count: its report
-must not depend on ``NV_JOBS``, and no pool may start."""
+must not depend on ``NV_JOBS``, and no pool may start.  Partitioned
+verification, the one verify path that shards, has its own jobs check in
+``test_partition.py``."""
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.analysis.fault import (fault_tolerance_analysis,
                                   fault_tolerance_sharded, freeze_fault_report,
                                   naive_fault_tolerance,
                                   per_prefix_fault_tolerance, route_order_key)
-from repro.analysis.verify import verify, verify_many
 from repro.cli import main
 from repro.eval.maps import freeze_value
 
@@ -165,23 +165,3 @@ class TestFaultEquivalence:
         assert (tolerant1, n1) == (tolerant2, n2)
         assert not tolerant1
 
-
-class TestVerificationEquivalence:
-    def test_jobs_invariant(self):
-        nets = [repro.load(RIP_TRIANGLE), repro.load(RIP_BROKEN)]
-        serial = verify_many(nets, jobs=1)
-        fanned = verify_many(nets, jobs=2)
-        assert [r.status for r in serial] == [r.status for r in fanned]
-        assert [r.verified for r in serial] == [r.verified for r in fanned]
-        assert [r.status for r in serial] == ["verified", "counterexample"]
-        # Counterexamples are models, so only the verdict is canonical; but
-        # any returned model must violate the assertion (status says so).
-        assert fanned[1].counterexample is not None
-
-    def test_sharded_matches_direct(self):
-        net = repro.load(RIP_TRIANGLE)
-        direct = verify(net)
-        [sharded] = verify_many([net], jobs=2)
-        assert direct.status == sharded.status
-        assert direct.verified == sharded.verified
-        assert direct.smt.num_clauses == sharded.smt.num_clauses

@@ -253,15 +253,21 @@ class TestErrors:
         ("x + 2u1", "integer literal 2u1 does not fit in int1 (line 1, column 5)"),
         ("match x with | 16u4 -> 0 | _ -> 1",
          "integer literal 16u4 does not fit in int4 (line 1, column 16)"),
+        ("4294967296", "integer literal 4294967296 does not fit in int32 "
+                       "(line 1, column 1)"),
+        ("match x with | 4294967299 -> 0 | _ -> 1",
+         "integer literal 4294967299 does not fit in int32 (line 1, column 16)"),
     ])
     def test_sized_literal_past_its_width(self, source, message):
-        """A sized literal names a value of its type or is an error; it
-        used to be masked (``259u8`` evaluated to ``3``)."""
+        """A literal names a value of its type, an unsized one of the 32-bit
+        ``int``, or is an error; it used to be masked (``259u8`` and
+        ``4294967299`` evaluated to ``3``)."""
         with pytest.raises(NvSyntaxError) as exc:
             parse_expr(source)
         assert str(exc.value) == message
 
     def test_sized_literals_at_their_widths_limit(self):
-        for source, value, width in (("255u8", 255, 8), ("1u1", 1, 1)):
+        for source, value, width in (("255u8", 255, 8), ("1u1", 1, 1),
+                                     ("4294967295", 4294967295, 32)):
             e = parse_expr(source)
             assert (e.value, e.width) == (value, width)

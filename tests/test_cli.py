@@ -460,17 +460,14 @@ let assert u x = x = 200u8
         assert out.startswith("vacuous: no stable state; encode ")
         assert out.endswith(", 171 clauses, 4 conflicts\n")
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_every_file_of_a_batch_is_checked(self, tmp_path, capsys,
-                                              incremental):
+    def test_every_file_of_a_batch_is_checked(self, tmp_path, capsys):
         """Two copies of the oscillating network: the shared-encoding
-        batch printed ``verified`` twice (exit 0) where ``--no-incremental``
-        printed ``vacuous`` twice."""
+        batch printed ``verified`` twice (exit 0) where each file on its
+        own is ``vacuous``."""
         files = [tmp_path / "osc.nv", tmp_path / "osc2.nv"]
         for f in files:
             f.write_text(self.OSC)
-        flags = [] if incremental else ["--no-incremental"]
-        assert main(["verify", *map(str, files), *flags]) == 4
+        assert main(["verify", *map(str, files)]) == 4
         out = capsys.readouterr().out
         assert re.findall(r"^== (\S+)\n(\w+):", out, re.M) == [
             (str(f), "vacuous") for f in files]
@@ -493,6 +490,29 @@ let assert u x = x = 200u8
 
 
 class TestFault:
+    def test_smt_counterexample_is_replayed(self, triangle_file, capsys,
+                                            monkeypatch):
+        """``fault --smt`` replays each violating scenario's decoded state
+        under the scenario's failure bits; a corrupted one (every route
+        decoded as ``None``) was printed as a plain counterexample line."""
+        from repro.analysis import verify as verify_module
+        from repro.lang import types as T
+
+        assert main(["fault", "--smt", triangle_file]) == 1
+        assert "  scenario failed=[(0, 1)]: counterexample\n" in \
+            capsys.readouterr().out
+        real = verify_module.decode_tval
+
+        def routes_dropped(enc, tval, ty, assignment):
+            value = real(enc, tval, ty, assignment)
+            return None if isinstance(ty, T.TOption) else value
+
+        monkeypatch.setattr(verify_module, "decode_tval", routes_dropped)
+        assert main(["fault", "--smt", triangle_file]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: internal error: the counterexample does not replay: "
+            "node 0's decoded attribute is not stable\n"))
+
     def test_tolerant(self, tmp_path, capsys):
         f = tmp_path / "tri.nv"
         f.write_text(RIP_TRIANGLE.replace("h <= 1u8", "h <= 2u8"))
@@ -690,14 +710,16 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "fault.transform" in out and "fault.classes" in out
 
-    def test_fault_trace_sharded_renders_the_serial_spans(self, tmp_path, capsys):
-        """``fault`` is one in-process simulation at any ``--jobs``: the
-        tree ``--trace`` renders at ``--jobs 2`` is the ``--jobs 1`` one."""
+    def test_fault_trace_sharded_renders_the_serial_spans(
+            self, tmp_path, capsys, monkeypatch):
+        """``fault`` is one in-process simulation at any ``NV_JOBS``: the
+        tree ``--trace`` renders at ``NV_JOBS=2`` is the ``NV_JOBS=1`` one."""
         f = tmp_path / "tri.nv"
         f.write_text(RIP_TRIANGLE.replace("h <= 1u8", "h <= 2u8"))
         names = {}
         for jobs in ("1", "2"):
-            assert main(["fault", str(f), "--trace", "--jobs", jobs]) == 0
+            monkeypatch.setenv("NV_JOBS", jobs)
+            assert main(["fault", str(f), "--trace"]) == 0
             tree = capsys.readouterr().out.split("trace (", 1)[1].splitlines()[1:]
             names[jobs] = {line.lstrip("│├└─ ").split()[0] for line in tree}
         assert {"fault.transform", "sim.simulate", "fault.classes"} <= names["1"]
@@ -815,6 +837,20 @@ class TestErrors:
         assert capsys.readouterr() == \
             ("", "error: NV_JOBS='abc' is not an integer\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--no-incremental", "{f}", "{f}"],
+        ["verify", "--incremental", "{f}", "{f}"],
+        ["simulate", "--jobs", "2", "{f}"], ["fault", "--jobs", "2", "{f}"]],
+        ids=["no_incremental", "incremental", "simulate_jobs", "fault_jobs"])
+    def test_removed_flags_are_usage_errors(self, argv, triangle_file,
+                                            capsys):
+        """``simulate`` and ``fault`` validated ``--jobs`` and ran
+        in-process at any value; several files are verified one way."""
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(f=triangle_file) for a in argv])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, env, message", [
         (["--jobs", "0"], None, "--jobs 0"),
         (["--jobs", "-3"], None, "--jobs -3"),
@@ -892,7 +928,9 @@ let assert (u : node) (x : attribute) = k = 3u8
                     "fit in int8 (line 1, column 1)"),
         ("nosuch=1", "--symbolic 'nosuch=1': the program declares no "
                      "symbolic 'nosuch'"),
-    ], ids=["bool", "unsized", "sized", "undeclared"])
+        ("k=4294967299", "--symbolic 'k=4294967299': integer literal "
+                         "4294967299 does not fit in int32 (line 1, column 1)"),
+    ], ids=["bool", "unsized", "sized", "undeclared", "unsized-past-32-bits"])
     def test_symbolic_is_typed_against_its_declaration(
             self, command, binding, message, tmp_path, capsys):
         """A ``--symbolic`` literal is typed as ``let k : int8 = literal``
@@ -914,17 +952,24 @@ let assert (u : node) (x : attribute) = k = 3u8
     @pytest.mark.parametrize("old, new, where", [
         ("init (u : node) = k", "init (u : node) = 259u8", "line 6, column 23"),
         ("k = 3u8", "match k with | 256u8 -> true | _ -> false",
-         "line 9, column 56")], ids=["expression", "pattern"])
+         "line 9, column 56"),
+        ("init (u : node) = k", "init (u : node) = 4294967299",
+         "line 6, column 23"),
+        ("k = 3u8", "match k with | 4294967296 -> true | _ -> false",
+         "line 9, column 56")],
+        ids=["expression", "pattern", "unsized-expression", "unsized-pattern"])
     def test_sized_literal_past_its_width(self, command, old, new, where,
                                           tmp_path, capsys):
-        """``259u8`` names no ``int8``.  It was masked to ``3``: ``simulate``
-        printed ``node 0: 3``."""
+        """``259u8`` names no ``int8``, and ``4294967299`` no ``int``, 32 bits
+        wide.  Each was masked to ``3``: ``simulate`` printed ``node 0: 3``."""
         f = tmp_path / "k.nv"
         f.write_text(self.SYMBOLIC_INT8.replace(old, new))
         assert main([command[0], str(f), *command[1:]]) == 3
-        literal = re.search(r"\d+u8", new)[0]
+        literal = re.search(r"\d+(u8)?\b", new)[0]
+        width = "int8" if literal.endswith("u8") else "int32"
         assert capsys.readouterr() == ("", (
-            f"error: integer literal {literal} does not fit in int8 ({where})\n"))
+            f"error: integer literal {literal} does not fit in {width} "
+            f"({where})\n"))
 
     def test_symbolic_map_takes_the_declared_key_type(self, tmp_path):
         """``createDict false`` bound to a ``dict[int8, bool]`` symbolic is
@@ -963,25 +1008,32 @@ let merge (u : node) (x y : attribute) = x
                                            "edge of this network (line 7, "
                                            "column 20)\n")
 
-    # Parses and type-checks; only its SMT encoding fails.
+    # Parses and type-checks; only node 1's SMT encoding fails.
     SYMBOLIC_KEY_WRITE = """
 symbolic k : int8
 let nodes = 2
 let edges = {0n=1n}
-let init (u : node) = ((createDict 0u8)[k := 9u8])[2u8]
+let init (u : node) =
+  if u = 0n then 0u8 else ((createDict 0u8)[k := 9u8])[2u8]
 let trans (e : edge) (x : int8) = x
 let merge (u : node) (x y : int8) = if x < y then x else y
 """
 
-    def test_failed_worker_is_one_error_line(self, triangle_file, tmp_path,
-                                             capsys):
+    def test_failed_worker_is_one_error_line(self, tmp_path, capsys,
+                                             monkeypatch):
         """A program that fails only in a worker: exit 3 and one ``error:``
-        line; the worker's traceback goes to the trace file only."""
+        line; the worker's traceback goes to the trace file only.  The cut
+        file annotates both cut edges, so nothing is simulated first, and
+        only fragment 1, node 1's, fails to encode."""
         f = tmp_path / "symkey.nv"
         f.write_text(self.SYMBOLIC_KEY_WRITE)
+        cuts, true = tmp_path / "cuts.json", {"pred": "fun r -> true"}
+        cuts.write_text(json.dumps({"fragments": [[0], [1]], "interfaces": {
+            "0->1": true, "1->0": true}}))
         trace = tmp_path / "t.jsonl"
-        assert main(["verify", triangle_file, str(f), "--no-incremental",
-                     "--jobs", "2", "--trace-json", str(trace)]) == 3
+        monkeypatch.setenv("NV_JOBS", "2")
+        assert main(["verify", str(f), "--cuts", str(cuts),
+                     "--trace-json", str(trace)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(r"error: worker \d failed on unit 1: "
@@ -1237,8 +1289,7 @@ class TestImportsOnlyWhatRuns:
     def test_two_workers_load_their_transport_and_nothing_else(
             self, triangle_file):
         loaded = self.modules_after(
-            ["verify", triangle_file, triangle_file, "--no-incremental"],
-            jobs="2")
+            ["verify", triangle_file, "--partition", "2"], jobs="2")
         assert {"pickle", "multiprocessing"} <= loaded
         assert not loaded & (self.MANAGEMENT - {"pickle", "multiprocessing"})
 
